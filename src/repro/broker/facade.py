@@ -18,8 +18,7 @@ from __future__ import annotations
 from repro.broker.leaf import LeafBroker
 from repro.broker.root import AdmissionPolicy, RootBroker, RoutingPolicy
 from repro.federation.executor import Executor
-from repro.metasearch.client import Metasearcher, _observe_phase
-from repro.metasearch.selection import SourceSelector
+from repro.metasearch.client import Metasearcher
 from repro.observability.health import HealthPolicy
 
 __all__ = ["BrokeredMetasearcher", "build_hierarchy"]
@@ -101,39 +100,10 @@ class BrokeredMetasearcher(Metasearcher):
         # flat index saw it.
         self.discovery.add_delta_hook(self.broker.apply_delta)
 
-    def _select(self, tracer, selector, terms, k_sources, known):
-        with tracer.span(
-            "select", selector=selector.name, k=k_sources, brokered=True
-        ) as span:
-            summaries = self.discovery.summaries()
-            if summaries:
-                selected_ids = self._select_sources(
-                    tracer, selector, terms, k_sources
-                )
-            else:
-                selected_ids = [source.source_id for source in known[:k_sources]]
-            if self.health is not None:
-                reordered = self.health.order_by_health(selected_ids)
-                if reordered != selected_ids:
-                    span.annotate(deprioritized=True)
-                selected_ids = reordered
-            span.annotate(
-                summaries=len(summaries), selected=" ".join(selected_ids)
-            )
-        _observe_phase("select", span.duration_ms)
-        return selected_ids, summaries
-
-    def _select_sources(
-        self,
-        tracer,
-        selector: SourceSelector,
-        terms: list[str],
-        k_sources: int,
-    ) -> list[str]:
+    def _pick_sources(self, tracer, span, selector, terms, k_sources):
+        span.annotate(brokered=True)
         if not getattr(selector, "distributable", False):
             # A global permutation or cross-source discount cannot be
             # sharded; the flat index answers it, same as the base class.
-            return selector.select(
-                terms, self.discovery.summary_index(), k_sources
-            )
+            return super()._pick_sources(tracer, span, selector, terms, k_sources)
         return self.broker.select(selector, terms, k_sources, tracer=tracer)

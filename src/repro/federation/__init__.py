@@ -7,11 +7,7 @@ hedging), and partial-result outcomes that keep a search alive when
 individual sources fail.
 """
 
-from repro.federation.aio import (
-    AsyncExecutor,
-    AsyncSourceAdapter,
-    ClientSourceAdapter,
-)
+from repro.federation.aio import AsyncExecutor
 from repro.federation.executor import (
     Executor,
     ParallelExecutor,
@@ -25,8 +21,6 @@ from repro.federation.runner import QueryDispatcher, SourceRequest
 
 __all__ = [
     "AsyncExecutor",
-    "AsyncSourceAdapter",
-    "ClientSourceAdapter",
     "Executor",
     "ParallelExecutor",
     "SerialExecutor",

@@ -14,18 +14,13 @@ current ``Metasearcher`` caller works unchanged — the sync façade owns
 a private event loop per call.  Two extensions make streaming possible:
 
 * ``run`` and ``run_stream`` accept *coroutine functions* as well as
-  plain callables; the federation runner hands over its async per-source
-  attempt machinery and the loop multiplexes the waits.  Plain callables
+  plain callables; the federation runner hands over its per-source
+  policy coroutine and the loop multiplexes the waits.  Plain callables
   degrade gracefully to a worker-thread pool.
 * :meth:`run_stream` yields ``(index, result)`` pairs *in completion
   order* — the primitive under ``Metasearcher.search_stream``'s
   incremental emission.  Abandoning the generator (early termination)
   cancels every task still in flight.
-
-:class:`AsyncSourceAdapter` is the pluggable seam for non-simulated
-backends: any object with a ``name`` and an awaitable ``query`` can
-stand in for the default :class:`ClientSourceAdapter`, which wraps the
-typed STARTS client's awaitable request path.
 """
 
 from __future__ import annotations
@@ -35,55 +30,14 @@ import inspect
 import threading
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor as _ThreadPool
-from typing import Protocol, TypeVar, runtime_checkable
+from typing import TypeVar
 
 from repro.observability.metrics import get_registry
-from repro.starts.query import SQuery
-from repro.starts.results import SQResults
-from repro.transport.client import StartsClient
-from repro.transport.network import AccessRecord
 
-__all__ = ["AsyncSourceAdapter", "ClientSourceAdapter", "AsyncExecutor"]
+__all__ = ["AsyncExecutor"]
 
 TaskT = TypeVar("TaskT")
 ResultT = TypeVar("ResultT")
-
-
-@runtime_checkable
-class AsyncSourceAdapter(Protocol):
-    """An async-capable source backend: one awaitable query method.
-
-    The shape follows the async ``SearchSource`` adapter idiom: a named
-    adapter whose ``query`` coroutine resolves to the decoded results
-    plus the wire accounting record.  The federation runner awaits it
-    for every attempt (retries and hedges included), so an adapter for
-    a real HTTP backend drops in without touching policy machinery.
-    """
-
-    @property
-    def name(self) -> str: ...
-
-    async def query(
-        self, query_url: str, query: SQuery, deadline_ms: float | None = None
-    ) -> tuple[SQResults, AccessRecord]: ...
-
-
-class ClientSourceAdapter:
-    """The default adapter: the typed STARTS client's awaitable path."""
-
-    def __init__(self, client: StartsClient) -> None:
-        self._client = client
-
-    @property
-    def name(self) -> str:
-        return "starts-client"
-
-    async def query(
-        self, query_url: str, query: SQuery, deadline_ms: float | None = None
-    ) -> tuple[SQResults, AccessRecord]:
-        return await self._client.query_with_record_async(
-            query_url, query, deadline_ms=deadline_ms
-        )
 
 
 def _inflight_gauge(executor_name: str):
@@ -111,8 +65,8 @@ class AsyncExecutor:
     """
 
     name = "async"
-    #: The federation runner checks this to hand over coroutine task
-    #: functions (the asyncio-native attempt path) instead of sync ones.
+    #: The federation runner checks this to hand over its policy
+    #: coroutine instead of the blocking driver around it.
     is_async = True
 
     def __init__(self, max_concurrency: int = 64) -> None:

@@ -15,10 +15,10 @@ leaves a record instead of aborting the search.
 from __future__ import annotations
 
 import asyncio
+import time
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field as dataclass_field
 
-from repro.federation.aio import AsyncSourceAdapter, ClientSourceAdapter
 from repro.federation.executor import Executor, SerialExecutor
 from repro.federation.outcomes import Attempt, OutcomeStatus, SourceOutcome
 from repro.federation.policy import QueryPolicy
@@ -28,12 +28,9 @@ from repro.starts.errors import ProtocolError
 from repro.starts.query import SQuery
 from repro.starts.results import SQResults
 from repro.transport.client import StartsClient
-from repro.transport.network import TransportError, TransportTimeout
+from repro.transport.network import AccessRecord, TransportError, TransportTimeout
 
 __all__ = ["SourceRequest", "QueryDispatcher"]
-
-#: (status, latency_ms, cost, results, error) — one wire request's fate.
-_SingleResult = tuple[OutcomeStatus, float, float, SQResults | None, str | None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,8 +55,31 @@ class _AttemptOutcome:
     error: str | None
 
 
+def _run_to_completion(coroutine):
+    """Drive a coroutine whose awaits never suspend; return its value.
+
+    The policy loop is a coroutine so that one definition serves the
+    event loop and the blocking executors alike.  Under the blocking
+    wire primitives every ``await`` completes on the spot, so a single
+    ``send`` runs the loop from start to finish.
+    """
+    try:
+        coroutine.send(None)
+    except StopIteration as finished:
+        return finished.value
+    coroutine.close()
+    raise RuntimeError("a blocking wire primitive suspended the policy loop")
+
+
 class QueryDispatcher:
     """Runs per-source requests under an executor with per-source policies.
+
+    The policy loop (:meth:`_run_policy`) is written once, as a
+    coroutine over two injected wire primitives — *send one request*
+    and *wait out a backoff*.  Blocking executors step it to completion
+    with primitives that block the calling thread (:meth:`run_one`); an
+    ``is_async`` executor awaits it with primitives that yield the
+    event loop.  Nothing else differs by executor kind.
 
     Args:
         client: the transport client queries go through.
@@ -78,16 +98,12 @@ class QueryDispatcher:
         policy: QueryPolicy | None = None,
         policies: dict[str, QueryPolicy] | None = None,
         tracer: Tracer | None = None,
-        adapter: AsyncSourceAdapter | None = None,
     ) -> None:
         self.client = client
         self.executor = executor or SerialExecutor()
         self.policy = policy or QueryPolicy()
         self.policies = dict(policies or {})
         self.tracer = tracer or Tracer()
-        #: The awaitable source backend the async attempt path queries;
-        #: defaults to the STARTS client's own awaitable request path.
-        self.adapter: AsyncSourceAdapter = adapter or ClientSourceAdapter(client)
 
     def policy_for(self, source_id: str) -> QueryPolicy:
         return self.policies.get(source_id, self.policy)
@@ -95,14 +111,17 @@ class QueryDispatcher:
     def _task_function(self, parent: Span | None):
         """The per-request task the executor drives.
 
-        An async-capable executor (``is_async``) receives the coroutine
-        path, so waits suspend tasks instead of blocking threads; every
-        other executor receives the plain callable it always has.
+        An async-capable executor (``is_async``) receives the policy
+        coroutine itself, so waits suspend tasks instead of blocking
+        threads; every other executor receives the plain callable it
+        always has.
         """
         if getattr(self.executor, "is_async", False):
 
             async def task_function(request: SourceRequest) -> SourceOutcome:
-                return await self.run_one_async(request, parent)
+                return await self._run_policy(
+                    request, parent, self._send_awaited, asyncio.sleep
+                )
 
         else:
 
@@ -142,35 +161,103 @@ class QueryDispatcher:
     def run_one(
         self, request: SourceRequest, parent: Span | None = None
     ) -> SourceOutcome:
-        """Execute one source's request under its policy, traced."""
-        policy = self.policy_for(request.source_id)
-        with self.tracer.span(
-            f"query:{request.source_id}", parent=parent, url=request.query_url
-        ) as span:
+        """Execute one source's request under its policy, on this thread."""
+        return _run_to_completion(
+            self._run_policy(request, parent, self._send_blocking, self._wait_blocking)
+        )
+
+    # -- the two wire primitives, per executor kind ------------------------
+
+    async def _send_blocking(
+        self, request: SourceRequest, policy: QueryPolicy
+    ) -> tuple[SQResults, AccessRecord]:
+        return self.client.query_with_record(
+            request.query_url, request.query, deadline_ms=policy.timeout_ms
+        )
+
+    @staticmethod
+    async def _wait_blocking(seconds: float) -> None:
+        time.sleep(seconds)
+
+    async def _send_awaited(
+        self, request: SourceRequest, policy: QueryPolicy
+    ) -> tuple[SQResults, AccessRecord]:
+        """The awaitable request path, wall-guarded in realtime mode.
+
+        The outcome-deciding deadline is the *simulated* ``timeout_ms``
+        (enforced deterministically by the transport); in realtime mode
+        an ``asyncio.wait_for`` wall-clock guard additionally backstops
+        a genuinely hung backend, with enough slack that scheduler
+        jitter can never flip an outcome.
+        """
+        sending = self.client.query_with_record_async(
+            request.query_url, request.query, deadline_ms=policy.timeout_ms
+        )
+        internet = self.client.internet
+        if not internet.realtime:
+            return await sending
+        return await asyncio.wait_for(
+            sending, timeout=policy.attempt_wall_budget_s(internet.time_scale)
+        )
+
+    # -- the policy loop ---------------------------------------------------
+
+    async def _run_policy(
+        self, request: SourceRequest, parent: Span | None, send, wait
+    ) -> SourceOutcome:
+        """Backoff → attempt → retry or stop, traced and counted.
+
+        Spans are opened and closed explicitly under ``parent`` (never
+        via the tracer's thread-local stack): sibling source tasks
+        interleave on one event-loop thread, and worker threads do not
+        share the caller's stack.  Every decision — when to back off,
+        retry, hedge, give up — is made from the deterministic
+        *simulated* latencies, so every executor produces bit-identical
+        outcomes; ``send`` and ``wait`` only decide how time is spent.
+        """
+        source_id = request.source_id
+        policy = self.policy_for(source_id)
+        internet = self.client.internet
+        span = self.tracer.open_span(
+            f"query:{source_id}", parent=parent, url=request.query_url
+        )
+        try:
             # Activate this span's trace context so the transport layer
             # injects a traceparent header on every wire request below.
             with trace_context(self.tracer.context_for(span)):
-                outcome = self._run_with_policy(request, policy)
-            self._annotate_outcome(span, request, outcome)
-        return outcome
-
-    async def run_one_async(
-        self, request: SourceRequest, parent: Span | None = None
-    ) -> SourceOutcome:
-        """The asyncio mirror of :meth:`run_one`: same policy, same
-        accounting, every wait awaited instead of slept.
-
-        Spans are opened and closed explicitly (never via the tracer's
-        thread-local stack) because sibling source tasks interleave on
-        one event-loop thread.
-        """
-        policy = self.policy_for(request.source_id)
-        span = self.tracer.open_span(
-            f"query:{request.source_id}", parent=parent, url=request.query_url
-        )
-        try:
-            with trace_context(self.tracer.context_for(span)):
-                outcome = await self._run_with_policy_async(request, policy, span)
+                attempts: list[Attempt] = []
+                elapsed_ms = 0.0
+                cost = 0.0
+                number = 0
+                while True:
+                    number += 1
+                    backoff = policy.backoff_before(number)
+                    if backoff:
+                        elapsed_ms += backoff
+                        self._note_backoff(source_id, backoff, number, span)
+                        if internet.realtime:
+                            await wait(backoff * internet.time_scale / 1000.0)
+                    attempt = await self._attempt(
+                        request, policy, number, backoff, span, send
+                    )
+                    attempts.extend(attempt.records)
+                    elapsed_ms += attempt.effective_ms
+                    cost += attempt.cost
+                    self._count(source_id, number, attempt)
+                    if attempt.status is OutcomeStatus.OK or not policy.should_retry(
+                        attempt.status.value, number
+                    ):
+                        break
+            outcome = SourceOutcome(
+                source_id,
+                attempt.status,
+                results=attempt.results,
+                attempts=tuple(attempts),
+                elapsed_ms=elapsed_ms,
+                cost=cost,
+                error=attempt.error,
+                sibling_ids=request.sibling_ids,
+            )
             self._annotate_outcome(span, request, outcome)
         finally:
             self.tracer.close_span(span)
@@ -194,73 +281,8 @@ class QueryDispatcher:
         if outcome.error:
             span.annotate(error=outcome.error)
 
-    # -- policy machinery --------------------------------------------------
-
-    def _run_with_policy(
-        self, request: SourceRequest, policy: QueryPolicy
-    ) -> SourceOutcome:
-        source_id = request.source_id
-        attempts: list[Attempt] = []
-        elapsed_ms = 0.0
-        cost = 0.0
-        number = 0
-        while True:
-            number += 1
-            backoff = policy.backoff_before(number)
-            if backoff:
-                elapsed_ms += backoff
-                self._note_backoff(source_id, backoff, number)
-            attempt = self._attempt(request, policy, number, backoff)
-            attempts.extend(attempt.records)
-            elapsed_ms += attempt.effective_ms
-            cost += attempt.cost
-            self._count(source_id, number, attempt)
-            if attempt.status is OutcomeStatus.OK or not policy.should_retry(
-                attempt.status.value, number
-            ):
-                return self._terminal_outcome(
-                    request, attempt, attempts, elapsed_ms, cost
-                )
-
-    async def _run_with_policy_async(
-        self, request: SourceRequest, policy: QueryPolicy, span: Span
-    ) -> SourceOutcome:
-        """Mirror of :meth:`_run_with_policy` over awaited attempts.
-
-        The *decisions* — when to back off, retry, hedge, give up — are
-        the shared helpers the sync path uses, driven by the same
-        deterministic simulated latencies, so an async round produces
-        bit-identical outcomes; only the waiting is cooperative.
-        """
-        source_id = request.source_id
-        attempts: list[Attempt] = []
-        elapsed_ms = 0.0
-        cost = 0.0
-        number = 0
-        while True:
-            number += 1
-            backoff = policy.backoff_before(number)
-            if backoff:
-                elapsed_ms += backoff
-                self._note_backoff(source_id, backoff, number, parent=span)
-                if self._realtime():
-                    await asyncio.sleep(
-                        backoff * self.client.internet.time_scale / 1000.0
-                    )
-            attempt = await self._attempt_async(request, policy, number, backoff, span)
-            attempts.extend(attempt.records)
-            elapsed_ms += attempt.effective_ms
-            cost += attempt.cost
-            self._count(source_id, number, attempt)
-            if attempt.status is OutcomeStatus.OK or not policy.should_retry(
-                attempt.status.value, number
-            ):
-                return self._terminal_outcome(
-                    request, attempt, attempts, elapsed_ms, cost
-                )
-
     def _note_backoff(
-        self, source_id: str, backoff: float, number: int, parent: Span | None = None
+        self, source_id: str, backoff: float, number: int, parent: Span
     ) -> None:
         self.tracer.count(source_id, backoff_ms=backoff)
         self.tracer.event(
@@ -272,130 +294,53 @@ class QueryDispatcher:
             labels=("source_id",),
         ).labels(source_id=source_id).inc(backoff)
 
-    @staticmethod
-    def _terminal_outcome(
-        request: SourceRequest,
-        attempt: _AttemptOutcome,
-        attempts: list[Attempt],
-        elapsed_ms: float,
-        cost: float,
-    ) -> SourceOutcome:
-        if attempt.status is OutcomeStatus.OK:
-            return SourceOutcome(
-                request.source_id,
-                OutcomeStatus.OK,
-                results=attempt.results,
-                attempts=tuple(attempts),
-                elapsed_ms=elapsed_ms,
-                cost=cost,
-                sibling_ids=request.sibling_ids,
-            )
-        return SourceOutcome(
-            request.source_id,
-            attempt.status,
-            attempts=tuple(attempts),
-            elapsed_ms=elapsed_ms,
-            cost=cost,
-            error=attempt.error,
-            sibling_ids=request.sibling_ids,
-        )
-
-    def _attempt(
-        self,
-        request: SourceRequest,
-        policy: QueryPolicy,
-        number: int,
-        backoff_ms: float,
-    ) -> _AttemptOutcome:
-        primary = self._single(request, policy)
-        records = [self._record_of(number, primary, backoff_ms, hedged=False)]
-        self._trace_attempt(number, primary, hedged=False)
-        if not self._needs_hedge(policy, primary):
-            status, latency, cost, results, error = primary
-            return _AttemptOutcome(status, tuple(records), results, latency, cost, error)
-
-        # The primary was still unanswered at the hedge deadline, so a
-        # duplicate went out; it completes hedge_at later than a fresh
-        # request would.  The faster success wins, both are paid for.
-        hedge = self._single(request, policy)
-        records.append(self._record_of(number, hedge, 0.0, hedged=True))
-        self._trace_attempt(number, hedge, hedged=True)
-        return self._resolve_hedge(policy, records, primary, hedge)
-
-    async def _attempt_async(
+    async def _attempt(
         self,
         request: SourceRequest,
         policy: QueryPolicy,
         number: int,
         backoff_ms: float,
         span: Span,
+        send,
     ) -> _AttemptOutcome:
-        """:meth:`_attempt`, awaiting each wire request.
+        """One logical attempt: the primary request plus any hedge.
 
         The hedge decision is made from the primary's *simulated*
-        latency (exactly as the sync path does), never from wall-clock
-        races — outcomes stay deterministic under any scheduler.
+        latency, never from wall-clock races — outcomes stay
+        deterministic under any scheduler.
         """
-        primary = await self._single_async(request, policy)
-        records = [self._record_of(number, primary, backoff_ms, hedged=False)]
-        self._trace_attempt(number, primary, hedged=False, parent=span)
-        if not self._needs_hedge(policy, primary):
-            status, latency, cost, results, error = primary
-            return _AttemptOutcome(status, tuple(records), results, latency, cost, error)
-        hedge = await self._single_async(request, policy)
-        records.append(self._record_of(number, hedge, 0.0, hedged=True))
-        self._trace_attempt(number, hedge, hedged=True, parent=span)
-        return self._resolve_hedge(policy, records, primary, hedge)
-
-    @staticmethod
-    def _record_of(
-        number: int, single: _SingleResult, backoff_ms: float, hedged: bool
-    ) -> Attempt:
-        status, latency, cost, _, error = single
-        return Attempt(number, status, latency, cost, backoff_ms, hedged, error)
-
-    def _trace_attempt(
-        self,
-        number: int,
-        single: _SingleResult,
-        hedged: bool,
-        parent: Span | None = None,
-    ) -> None:
-        status, latency, cost, _, _ = single
-        self.tracer.event(
-            f"attempt:{number}:hedge" if hedged else f"attempt:{number}",
-            parent=parent,
-            status=status.value,
-            latency_ms=latency,
-            cost=cost,
+        primary, results = await self._request(
+            request, policy, send, span, number, backoff_ms
         )
-
-    @staticmethod
-    def _needs_hedge(policy: QueryPolicy, primary: _SingleResult) -> bool:
         hedge_at = policy.hedge_after_ms
-        return hedge_at is not None and primary[1] > hedge_at
+        if hedge_at is None or primary.latency_ms <= hedge_at:
+            return _AttemptOutcome(
+                primary.status,
+                (primary,),
+                results,
+                primary.latency_ms,
+                primary.cost,
+                primary.error,
+            )
 
-    @staticmethod
-    def _resolve_hedge(
-        policy: QueryPolicy,
-        records: list[Attempt],
-        primary: _SingleResult,
-        hedge: _SingleResult,
-    ) -> _AttemptOutcome:
-        status, latency, cost, results, error = primary
-        h_status, h_latency, h_cost, h_results, h_error = hedge
-        total_cost = cost + h_cost
-        hedge_completion = (policy.hedge_after_ms or 0.0) + h_latency
+        # The primary was still unanswered at the hedge deadline, so a
+        # duplicate went out; it completes hedge_at later than a fresh
+        # request would.  The faster success wins, both are paid for.
+        hedge, hedge_results = await self._request(
+            request, policy, send, span, number, hedged=True
+        )
+        hedge_completion = hedge_at + hedge.latency_ms
+        total_cost = primary.cost + hedge.cost
         winners: list[tuple[float, SQResults | None]] = []
-        if status is OutcomeStatus.OK:
-            winners.append((latency, results))
-        if h_status is OutcomeStatus.OK:
-            winners.append((hedge_completion, h_results))
+        if primary.status is OutcomeStatus.OK:
+            winners.append((primary.latency_ms, results))
+        if hedge.status is OutcomeStatus.OK:
+            winners.append((hedge_completion, hedge_results))
         if winners:
             effective, winning_results = min(winners, key=lambda entry: entry[0])
             return _AttemptOutcome(
                 OutcomeStatus.OK,
-                tuple(records),
+                (primary, hedge),
                 winning_results,
                 effective,
                 total_cost,
@@ -403,76 +348,55 @@ class QueryDispatcher:
             )
         # Both failed: the client knows only when the slower one gives up.
         return _AttemptOutcome(
-            status,
-            tuple(records),
+            primary.status,
+            (primary, hedge),
             None,
-            max(latency, hedge_completion),
+            max(primary.latency_ms, hedge_completion),
             total_cost,
-            error or h_error,
+            primary.error or hedge.error,
         )
 
-    def _single(
-        self, request: SourceRequest, policy: QueryPolicy
-    ) -> _SingleResult:
-        """One wire request → (status, latency_ms, cost, results, error)."""
+    async def _request(
+        self,
+        request: SourceRequest,
+        policy: QueryPolicy,
+        send,
+        span: Span,
+        number: int,
+        backoff_ms: float = 0.0,
+        hedged: bool = False,
+    ) -> tuple[Attempt, SQResults | None]:
+        """One wire request: its :class:`Attempt` record, its trace
+        event, and the results if it was answered."""
+        results = record = error = None
         try:
-            results, record = self.client.query_with_record(
-                request.query_url, request.query, deadline_ms=policy.timeout_ms
-            )
-            return OutcomeStatus.OK, record.latency_ms, record.cost, results, None
+            results, record = await send(request, policy)
+            status = OutcomeStatus.OK
         except (TransportError, ProtocolError) as exc:
-            return self._classify_failure(exc, policy)
-
-    async def _single_async(
-        self, request: SourceRequest, policy: QueryPolicy
-    ) -> _SingleResult:
-        """One awaited wire request through the async source adapter.
-
-        The outcome-deciding deadline is the *simulated* ``timeout_ms``
-        (enforced deterministically by the transport); in realtime mode
-        an ``asyncio.wait_for`` wall-clock guard additionally backstops
-        a genuinely hung backend, with enough slack that scheduler
-        jitter can never flip an outcome.
-        """
-        try:
-            query_coro = self.adapter.query(
-                request.query_url, request.query, deadline_ms=policy.timeout_ms
-            )
-            if self._realtime():
-                results, record = await asyncio.wait_for(
-                    query_coro,
-                    timeout=policy.attempt_wall_budget_s(
-                        self.client.internet.time_scale
-                    ),
-                )
-            else:
-                results, record = await query_coro
-            return OutcomeStatus.OK, record.latency_ms, record.cost, results, None
-        except (TransportError, ProtocolError) as exc:
-            return self._classify_failure(exc, policy)
+            # A failed request is still paid for: latency and cost were
+            # spent whether or not an answer arrived.
+            record = getattr(exc, "record", None)
+            timed_out = isinstance(exc, TransportTimeout)
+            status = OutcomeStatus.TIMEOUT if timed_out else OutcomeStatus.ERROR
+            error = str(exc)
         except TimeoutError:
-            return (
-                OutcomeStatus.TIMEOUT,
-                policy.timeout_ms or 0.0,
-                0.0,
-                None,
-                "wall-clock attempt budget exceeded",
-            )
-
-    def _realtime(self) -> bool:
-        internet = getattr(self.client, "internet", None)
-        return bool(getattr(internet, "realtime", False))
-
-    @staticmethod
-    def _classify_failure(exc: Exception, policy: QueryPolicy) -> _SingleResult:
-        record = getattr(exc, "record", None)
-        if isinstance(exc, TransportTimeout):
-            latency = record.latency_ms if record else (policy.timeout_ms or 0.0)
-            cost = record.cost if record else 0.0
-            return OutcomeStatus.TIMEOUT, latency, cost, None, str(exc)
-        latency = record.latency_ms if record else 0.0
-        cost = record.cost if record else 0.0
-        return OutcomeStatus.ERROR, latency, cost, None, str(exc)
+            # Only the awaited send's wall-clock guard raises this.
+            status = OutcomeStatus.TIMEOUT
+            error = "wall-clock attempt budget exceeded"
+        if record is not None:
+            latency, cost = record.latency_ms, record.cost
+        else:
+            cost = 0.0
+            timeout_ms = policy.timeout_ms or 0.0
+            latency = timeout_ms if status is OutcomeStatus.TIMEOUT else 0.0
+        self.tracer.event(
+            f"attempt:{number}:hedge" if hedged else f"attempt:{number}",
+            parent=span,
+            status=status.value,
+            latency_ms=latency,
+            cost=cost,
+        )
+        return Attempt(number, status, latency, cost, backoff_ms, hedged, error), results
 
     def _count(self, source_id: str, number: int, attempt: _AttemptOutcome) -> None:
         self.tracer.count(

@@ -140,38 +140,15 @@ class HierarchicalSelector:
     The inner selector must implement per-summary ``score`` (the GlOSS
     family and BySize do); rank-only selectors like CORI need the full
     summary set at once and cannot drive a descent.
-
-    An optional tracer records one ``select:hierarchy`` span per descent
-    with the number of summaries scored — the cost a hierarchy exists
-    to reduce, now visible next to the query round it fed.
     """
 
-    def __init__(
-        self,
-        root: BrokerNode,
-        inner: SourceSelector | None = None,
-        tracer=None,
-    ) -> None:
+    def __init__(self, root: BrokerNode, inner: SourceSelector | None = None) -> None:
         self._root = root
         self._inner = inner or VGlossMax()
-        self.tracer = tracer
         self.summaries_scored = 0
 
     def select(self, terms: Sequence[str], k: int) -> list[str]:
         """The source ids of the k best leaves, best first."""
-        if self.tracer is None:
-            return self._descend(terms, k)
-        with self.tracer.span(
-            "select:hierarchy", selector=self._inner.name, k=k
-        ) as span:
-            selected = self._descend(terms, k)
-            span.annotate(
-                summaries_scored=self.summaries_scored,
-                selected=" ".join(selected),
-            )
-        return selected
-
-    def _descend(self, terms: Sequence[str], k: int) -> list[str]:
         counter = itertools.count()  # tie-breaker for equal goodness
         frontier: list[tuple[float, int, BrokerNode]] = []
         self.summaries_scored = 0

@@ -18,6 +18,7 @@ merging proceeds over the survivors.  Every phase is traced;
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
 
 from repro.cache.core import FRESH, STALE
@@ -42,14 +43,30 @@ from repro.observability.health import HealthPolicy, SourceHealth
 from repro.observability.metrics import get_registry
 from repro.observability.querylog import QueryLogRecord, get_query_log
 from repro.observability.render import render_trace
-from repro.observability.tracing import Trace, Tracer
+from repro.observability.tracing import Span, Trace, Tracer
 from repro.starts.errors import ProtocolError
+from repro.starts.metadata import SContentSummary
 from repro.starts.query import SQuery
 from repro.starts.results import SQResults
 from repro.transport.client import StartsClient
 from repro.transport.network import SimulatedInternet
 
 __all__ = ["MetasearchResult", "Metasearcher", "StreamEmission"]
+
+
+@contextmanager
+def _phase(tracer: Tracer, name: str, parent: Span | None = None, **attributes):
+    """One pipeline phase: its span, and its ``metasearch_phase_ms`` sample.
+
+    ``name`` may carry a ``:<source id>`` suffix (``translate:S1``); the
+    histogram is labelled by the part before it.  The span nests on the
+    tracer's thread-local stack, so a phase must not be held open
+    across a generator's ``yield`` — the one phase that is (a streamed
+    ``query``) opens its span explicitly and calls :func:`_observe_phase`.
+    """
+    with tracer.span(name, parent=parent, **attributes) as span:
+        yield span
+    _observe_phase(name.split(":", 1)[0], span.duration_ms)
 
 
 def _observe_phase(phase: str, duration_ms: float) -> None:
@@ -60,97 +77,124 @@ def _observe_phase(phase: str, duration_ms: float) -> None:
     ).labels(phase=phase).observe(duration_ms)
 
 
-def _count_search(result: str) -> None:
-    get_registry().counter(
-        "metasearch_searches_total",
-        "Completed searches by how the answer was produced.",
-        labels=("result",),
-    ).labels(result=result).inc()
-
-
 #: Pipeline phase names folded into the wide event's ``phase_ms``.
 _LOGGED_PHASES = ("discover", "select", "translate", "query", "merge")
 
 
-def _log_search(
-    tracer: Tracer,
-    terms: list[str],
-    outcome: str,
-    started_ms: float,
-    selected_ids: Sequence[str] = (),
-    result: "MetasearchResult | None" = None,
-    error: str = "",
-    terminated_early: bool = False,
-) -> None:
-    """Emit the one wide event a finished (or failed) search owes.
+@dataclass
+class _Search:
+    """One search in flight: what its exit will count and log.
 
-    Every exit path of ``search``/``search_stream`` funnels here: the
-    whole-search histogram gets the wall-clock observation (with the
-    trace id as its exemplar), and the process query log gets the flat
-    record — query shape, per-phase times folded from the trace's
-    spans, wire/cache tallies from the tracer's counters.
+    The drivers fill in ``outcome`` (``wire`` / ``stream`` / ``hit`` /
+    ``stale``) and ``result`` as they go; :meth:`Metasearcher._search_scope`
+    reads them exactly once, however the search ends.
     """
-    elapsed_ms = tracer.now_ms() - started_ms
-    get_registry().histogram(
-        "metasearch_search_ms",
-        "Whole-search wall-clock milliseconds, every exit path included.",
-    ).observe(elapsed_ms, exemplar=tracer.trace_id)
-    log = get_query_log()
-    if not log.enabled:
-        return
-    phase_ms: dict[str, float] = {}
-    for span in tracer.trace().walk():
-        phase = span.name.split(":", 1)[0]
-        if phase in _LOGGED_PHASES:
-            phase_ms[phase] = phase_ms.get(phase, 0.0) + span.duration_ms
-    requests = retries = hedges = timeouts = failures = 0
-    cost = 0.0
-    for counters in tracer.counters.values():
-        requests += counters.requests
-        retries += counters.retries
-        hedges += counters.hedges
-        timeouts += counters.timeouts
-        failures += counters.failures
-        cost += counters.cost
-    cache = tracer.cache
-    log.record(
-        QueryLogRecord(
-            terms=" ".join(terms),
-            outcome=outcome,
-            total_ms=elapsed_ms,
-            trace_id=tracer.trace_id,
-            selected_sources=tuple(selected_ids),
-            phase_ms=phase_ms,
-            n_results=len(result.documents) if result is not None else 0,
-            sources_ok=len(result.ok_sources()) if result is not None else 0,
-            sources_failed=(
-                len(result.failed_sources()) if result is not None else 0
-            ),
-            sources_skipped=(
-                len(result.skipped_sources()) if result is not None else 0
-            ),
-            requests=requests,
-            retries=retries,
-            hedges=hedges,
-            timeouts=timeouts,
-            failures=failures,
-            cache_hits=cache.hits if cache is not None else 0,
-            cache_stale_hits=cache.stale_hits if cache is not None else 0,
-            negative_skips=cache.negative_skips if cache is not None else 0,
-            cost=cost,
-            terminated_early=terminated_early,
-            error=error,
+
+    tracer: Tracer
+    span: Span
+    terms: list[str]
+    started_ms: float
+    selected_ids: Sequence[str] = ()
+    outcome: str | None = None
+    result: "MetasearchResult | None" = None
+    error: str = ""
+    terminated_early: bool = False
+
+    def finish(self) -> None:
+        """Count the search and emit the one wide event it owes.
+
+        The whole-search histogram gets the wall-clock observation
+        (with the trace id as its exemplar), and the process query log
+        gets the flat record — query shape, per-phase times folded from
+        the trace's spans, wire/cache tallies from the tracer's counters.
+        """
+        tracer, result = self.tracer, self.result
+        if result is not None:
+            result.trace = tracer.trace()
+        get_registry().counter(
+            "metasearch_searches_total",
+            "Completed searches by how the answer was produced.",
+            labels=("result",),
+        ).labels(result=self.outcome).inc()
+        elapsed_ms = tracer.now_ms() - self.started_ms
+        get_registry().histogram(
+            "metasearch_search_ms",
+            "Whole-search wall-clock milliseconds, every exit path included.",
+        ).observe(elapsed_ms, exemplar=tracer.trace_id)
+        log = get_query_log()
+        if not log.enabled:
+            return
+        phase_ms: dict[str, float] = {}
+        for span in tracer.trace().walk():
+            phase = span.name.split(":", 1)[0]
+            if phase in _LOGGED_PHASES:
+                phase_ms[phase] = phase_ms.get(phase, 0.0) + span.duration_ms
+        per_source = list(tracer.counters.values())
+
+        def total(name: str) -> float:
+            return sum(getattr(counters, name) for counters in per_source)
+
+        cache = tracer.cache
+        # A failed search has no result: it logs an empty answer.
+        answer = result if result is not None else MetasearchResult([], [])
+        log.record(
+            QueryLogRecord(
+                terms=" ".join(self.terms),
+                outcome=self.outcome,
+                total_ms=elapsed_ms,
+                trace_id=tracer.trace_id,
+                selected_sources=tuple(self.selected_ids),
+                phase_ms=phase_ms,
+                n_results=len(answer.documents),
+                sources_ok=len(answer.ok_sources()),
+                sources_failed=len(answer.failed_sources()),
+                sources_skipped=len(answer.skipped_sources()),
+                requests=total("requests"),
+                retries=total("retries"),
+                hedges=total("hedges"),
+                timeouts=total("timeouts"),
+                failures=total("failures"),
+                cache_hits=cache.hits if cache is not None else 0,
+                cache_stale_hits=cache.stale_hits if cache is not None else 0,
+                negative_skips=cache.negative_skips if cache is not None else 0,
+                cost=float(total("cost")),
+                terminated_early=self.terminated_early,
+                error=self.error,
+            )
         )
-    )
+
+
+@dataclass
+class _Plan:
+    """What the prepare phase decided: which sources, asked how, keyed how.
+
+    ``summaries`` holds the *selected* sources' content summaries only —
+    everything downstream (translation, the merge context) needs no more.
+    """
+
+    query: SQuery
+    terms: list[str]
+    selected_ids: list[str]
+    summaries: dict[str, SContentSummary]
+    merger: MergeStrategy
+    executor: Executor
+    group_by_resource: bool
+    #: The result-cache key; ``None`` when result caching is off.
+    key: str | None
 
 
 def _failure_outcome(error: BaseException) -> str:
     """``shed`` for admission-control refusals, ``error`` otherwise."""
-    return (
-        "shed"
-        if type(error).__name__ == "BrokerOverloadedError"
-        else "error"
-    )
+    return "shed" if type(error).__name__ == "BrokerOverloadedError" else "error"
+
+
+def _answered(outcomes: dict[str, SourceOutcome]) -> dict[str, SQResults]:
+    """The results of the sources that answered, in outcome order."""
+    return {
+        source_id: outcome.results
+        for source_id, outcome in outcomes.items()
+        if outcome.ok and outcome.results is not None
+    }
 
 
 @dataclass
@@ -363,11 +407,12 @@ class Metasearcher:
     def refresh(self, tracer: Tracer | None = None) -> list[KnownSource]:
         """Harvest every configured resource; returns all known sources."""
         tracer = tracer or Tracer()
-        self.client.tracer = tracer
-        with tracer.span("discover", resources=len(self.resource_urls)) as span:
+        # The harvest's fetch events go to this call's tracer through a
+        # private client, never through state left on the shared one.
+        harvester = StartsClient(self.client.internet, tracer=tracer)
+        with _phase(tracer, "discover", resources=len(self.resource_urls)):
             for url in self.resource_urls:
-                self.discovery.refresh_resource(url)
-        _observe_phase("discover", span.duration_ms)
+                self.discovery.refresh_resource(url, client=harvester)
         return self.discovery.known_sources()
 
     def add_resource(self, resource_url: str) -> None:
@@ -404,84 +449,14 @@ class Metasearcher:
             ProtocolError: if the query has neither expression, or no
                 sources have been discovered yet.
         """
-        query.validate()
-        known = self.discovery.known_sources()
-        if not known:
-            raise ProtocolError("no sources discovered; call refresh() first")
-
-        selector = selector or self.selector
-        merger = merger or self.merger
-        executor = executor or self.executor
-        tracer = tracer or Tracer()
-        self.client.tracer = tracer
-        terms = self._selection_terms(query)
-
-        started_ms = tracer.now_ms()
-        selected_ids: list[str] = []
-        try:
-            with tracer.span("search", terms=" ".join(terms)):
-                selected_ids, summaries = self._select(
-                    tracer, selector, terms, k_sources, known
-                )
-                key: str | None = None
-                if self.result_cache is not None:
-                    key = self._cache_key(
-                        query, selected_ids, group_by_resource, merger
-                    )
-                    cached, state = self.result_cache.lookup(key)
-                    if state == FRESH:
-                        tracer.count_cache(hits=1, cost_saved=cached.cost)
-                        tracer.event("cache", status="hit", saved_cost=cached.cost)
-                        _count_search("hit")
-                        served = self._serve_cached(cached.result, tracer, "hit")
-                        _log_search(
-                            tracer, terms, "hit", started_ms, selected_ids, served
-                        )
-                        return served
-                    if state == STALE:
-                        tracer.count_cache(stale_hits=1)
-                        tracer.event("cache", status="stale")
-                        self._schedule_revalidation(
-                            key,
-                            query,
-                            list(selected_ids),
-                            dict(summaries),
-                            merger,
-                            executor,
-                            group_by_resource,
-                            terms,
-                        )
-                        _count_search("stale")
-                        served = self._serve_cached(cached.result, tracer, "stale")
-                        _log_search(
-                            tracer, terms, "stale", started_ms, selected_ids, served
-                        )
-                        return served
-                    tracer.count_cache(misses=1)
-                result = self._query_round(
-                    self.client,
-                    tracer,
-                    query,
-                    selected_ids,
-                    summaries,
-                    merger,
-                    executor,
-                    group_by_resource,
-                    terms,
-                )
-        except Exception as error:
-            outcome = _failure_outcome(error)
-            _count_search(outcome)
-            _log_search(
-                tracer, terms, outcome, started_ms, selected_ids, error=repr(error)
+        with self._search_scope(query, tracer or Tracer()) as search:
+            plan = self._prepare(
+                search, query, k_sources, selector, merger, executor, group_by_resource
             )
-            raise
-        if key is not None:
-            self._store_result(key, result, selected_ids, tracer)
-        _count_search("wire")
-        result.trace = tracer.trace()
-        _log_search(tracer, terms, "wire", started_ms, selected_ids, result)
-        return result
+            if not self._serve_from_cache(search, plan):
+                search.result = self._batch_round(search.tracer, plan, search.span)
+                search.outcome = "wire"
+        return search.result
 
     def search_stream(
         self,
@@ -497,10 +472,10 @@ class Metasearcher:
     ) -> Iterator[StreamEmission]:
         """The incremental :meth:`search`: emissions as sources answer.
 
-        The same pipeline — select, cache, translate, dispatch, merge —
-        but the query round streams: every completed source outcome
-        yields a :class:`StreamEmission` carrying the merged rank so
-        far, and the final emission carries the assembled
+        The same phases — prepare, serve from cache, plan the round,
+        finish the round — but the query round streams: every completed
+        source outcome yields a :class:`StreamEmission` carrying the
+        merged rank so far, and the final emission carries the assembled
         :class:`MetasearchResult`.  The final rank is bit-identical to
         what batch :meth:`search` would return for the same world.
 
@@ -521,330 +496,452 @@ class Metasearcher:
         in the result cache; cache hits and stale serves come back as a
         single final emission, exactly as :meth:`search` serves them.
         """
-        query.validate()
-        known = self.discovery.known_sources()
-        if not known:
-            raise ProtocolError("no sources discovered; call refresh() first")
-
-        selector = selector or self.selector
-        merger = merger or self.merger
-        executor = executor or self.executor
-        tracer = tracer or Tracer()
-        self.client.tracer = tracer
-        terms = self._selection_terms(query)
-        started_ms = tracer.now_ms()
-        selected_ids: list[str] = []
-
-        search_span = tracer.open_span("search", terms=" ".join(terms))
-        try:
-            selected_ids, summaries = self._select(
-                tracer, selector, terms, k_sources, known
+        with self._search_scope(query, tracer or Tracer()) as search:
+            plan = self._prepare(
+                search, query, k_sources, selector, merger, executor, group_by_resource
             )
-            key: str | None = None
-            if self.result_cache is not None:
-                key = self._cache_key(query, selected_ids, group_by_resource, merger)
-                cached, state = self.result_cache.lookup(key)
-                if state in (FRESH, STALE):
-                    status = "hit" if state == FRESH else "stale"
-                    if state == FRESH:
-                        tracer.count_cache(hits=1, cost_saved=cached.cost)
-                    else:
-                        tracer.count_cache(stale_hits=1)
-                        self._schedule_revalidation(
-                            key,
-                            query,
-                            list(selected_ids),
-                            dict(summaries),
-                            merger,
-                            executor,
-                            group_by_resource,
-                            terms,
-                        )
-                    tracer.event("cache", parent=search_span, status=status)
-                    _count_search(status)
-                    tracer.close_span(search_span)
-                    served = self._serve_cached(cached.result, tracer, status)
-                    _log_search(
-                        tracer, terms, status, started_ms, selected_ids, served
-                    )
-                    yield StreamEmission(
-                        sequence=0,
-                        outcome=None,
-                        documents=list(served.documents),
-                        completed=0,
-                        pending=0,
-                        elapsed_ms=tracer.now_ms() - started_ms,
-                        result=served,
-                    )
-                    return
-                tracer.count_cache(misses=1)
-
-            requests, outcomes, reports = self._translate(
-                tracer, query, selected_ids, summaries, group_by_resource
-            )
-            requests = self._filter_negative_cached(tracer, requests, outcomes)
-            dispatcher = QueryDispatcher(
-                self.client,
-                executor=executor,
-                policy=self.query_policy,
-                policies=self._adapted_policies(requests),
-                tracer=tracer,
-            )
-            # The accumulator filters this down to the sources that
-            # actually answer, mirroring what _merge_context builds for
-            # the batch path — so the final rank matches the oracle.
-            stream_merge = merger.start_stream(
-                self._candidate_context(selected_ids, summaries, terms)
-            )
-            k = query.max_number_documents
-            pending_ids = {request.source_id for request in requests}
-            terminated_early = False
-            termination_reason: str | None = None
-            sequence = 0
-            first_result_seen = False
-
-            query_span = tracer.open_span(
-                "query",
-                parent=search_span,
-                executor=executor.name,
-                requests=len(requests),
-                streaming=True,
-            )
-            outcome_stream = dispatcher.dispatch_stream(requests, parent=query_span)
-            try:
-                for outcome in outcome_stream:
-                    outcomes[outcome.source_id] = outcome
-                    pending_ids.discard(outcome.source_id)
-                    if outcome.ok and outcome.results is not None:
-                        stream_merge.feed(outcome.source_id, outcome.results)
-                    documents = stream_merge.current_top_k(k or None)
-                    elapsed_ms = tracer.now_ms() - started_ms
-                    if documents and not first_result_seen:
-                        first_result_seen = True
-                        get_registry().histogram(
-                            "stream_first_result_ms",
-                            "Wall-clock time until a streamed search first "
-                            "emitted merged documents.",
-                        ).observe(elapsed_ms)
-                    tracer.event(
-                        f"emit:{sequence}",
-                        parent=query_span,
-                        source=outcome.source_id,
-                        status=outcome.status.value,
-                        documents=len(documents),
-                        pending=len(pending_ids),
-                    )
-                    yield StreamEmission(
-                        sequence=sequence,
-                        outcome=outcome,
-                        documents=list(documents),
-                        completed=len(outcomes),
-                        pending=len(pending_ids),
-                        elapsed_ms=elapsed_ms,
-                    )
-                    sequence += 1
-                    if not pending_ids:
-                        break
-                    if deadline_ms is not None and elapsed_ms >= deadline_ms:
-                        terminated_early = True
-                        termination_reason = "stream deadline expired"
-                        break
-                    if early_stop and k and stream_merge.is_stable_top_k(
-                        k, pending_ids
-                    ):
-                        terminated_early = True
-                        termination_reason = (
-                            "top-k stable: no pending source can change the answer"
-                        )
-                        break
-            finally:
-                # Break or thrown-in close: abandon in-flight tasks now,
-                # not at garbage collection.
-                outcome_stream.close()
-            if terminated_early:
-                query_span.annotate(terminated_early=True, reason=termination_reason)
-                tracer.event(
-                    "early-termination", parent=query_span, reason=termination_reason
+            if self._serve_from_cache(search, plan):
+                final = StreamEmission(
+                    sequence=0,
+                    outcome=None,
+                    documents=list(search.result.documents),
+                    completed=0,
+                    pending=0,
+                    elapsed_ms=search.tracer.now_ms() - search.started_ms,
+                    result=search.result,
                 )
-                for source_id in sorted(pending_ids):
-                    outcomes[source_id] = SourceOutcome.cancelled(
-                        source_id, termination_reason
-                    )
-            tracer.close_span(query_span)
-            _observe_phase("query", query_span.duration_ms)
-            self._record_outcomes(outcomes)
+            else:
+                final = yield from self._stream_round(
+                    search, plan, deadline_ms, early_stop
+                )
+                search.outcome, search.result = "stream", final.result
+                search.terminated_early = final.terminated_early
+        # Counted and logged before the final emission goes out: a
+        # consumer that stops there leaves nothing undone.
+        yield final
 
-            documents = stream_merge.current_top_k(k or None)
-            per_source_results = {
-                source_id: outcome.results
-                for source_id, outcome in outcomes.items()
-                if outcome.ok and outcome.results is not None
-            }
-            group_times = [outcome.elapsed_ms for outcome in outcomes.values()]
-            result = MetasearchResult(
-                list(documents),
-                list(selected_ids),
-                per_source_results,
-                reports,
-                query_latency_serial_ms=sum(group_times),
-                query_latency_parallel_ms=max(group_times, default=0.0),
-                outcomes=outcomes,
-            )
-            if key is not None and not terminated_early:
-                # A cancelled round answered with fewer sources than the
-                # key promises; only complete rounds are cacheable.
-                self._store_result(key, result, selected_ids, tracer)
-            _count_search("stream")
+    # -- the phases, each written once -------------------------------------
+
+    @contextmanager
+    def _search_scope(self, query: SQuery, tracer: Tracer) -> Iterator[_Search]:
+        """Validate, open the ``search`` span, and account for the exit.
+
+        Whatever happens inside — an answer off the wire, a cache serve,
+        an exception — the search is counted and logged exactly once,
+        here.  Only a stream its consumer abandons (no outcome was ever
+        reached) goes unrecorded.  The span is opened explicitly so the
+        scope may straddle a generator's ``yield``.
+        """
+        query.validate()
+        if (
+            not self.discovery.summary_index().source_count
+            and not self.discovery.known_sources()
+        ):
+            raise ProtocolError("no sources discovered; call refresh() first")
+        terms = self._selection_terms(query)
+        search = _Search(
+            tracer,
+            tracer.open_span("search", terms=" ".join(terms)),
+            terms,
+            tracer.now_ms(),
+        )
+        try:
+            yield search
         except Exception as error:
-            outcome = _failure_outcome(error)
-            _count_search(outcome)
-            _log_search(
-                tracer, terms, outcome, started_ms, selected_ids, error=repr(error)
-            )
+            search.outcome, search.error = _failure_outcome(error), repr(error)
             raise
         finally:
-            tracer.close_span(search_span)
-        result.trace = tracer.trace()
-        _log_search(
-            tracer,
-            terms,
-            "stream",
-            started_ms,
-            selected_ids,
-            result,
-            terminated_early=terminated_early,
-        )
-        yield StreamEmission(
-            sequence=sequence,
-            outcome=None,
-            documents=list(documents),
-            completed=len(outcomes),
-            pending=len(pending_ids) if terminated_early else 0,
-            elapsed_ms=tracer.now_ms() - started_ms,
-            terminated_early=terminated_early,
-            result=result,
-        )
+            tracer.close_span(search.span)
+            if search.outcome is not None:
+                search.finish()
 
-    def _candidate_context(
-        self, selected_ids: list[str], summaries: dict, terms: list[str]
-    ) -> MergeContext:
-        """Merge raw material for every *candidate* source of a stream.
-
-        The streaming accumulator narrows it to the sources that answer
-        (see :meth:`StreamingMerge._context_for`), which reproduces the
-        batch path's :meth:`_merge_context` exactly.
-        """
-        return MergeContext(
-            metadata={
-                source_id: self.discovery.source(source_id).metadata
-                for source_id in selected_ids
-            },
-            summaries={
-                source_id: summary
-                for source_id, summary in summaries.items()
-                if source_id in selected_ids
-            },
-            samples={
-                source_id: sample
-                for source_id in selected_ids
-                if (sample := self.discovery.source(source_id).sample_results)
-                is not None
-            },
-            query_terms=tuple(terms),
-        )
-
-    def _query_round(
+    def _prepare(
         self,
-        client: StartsClient,
-        tracer: Tracer,
+        search: _Search,
         query: SQuery,
-        selected_ids: list[str],
-        summaries: dict,
-        merger: MergeStrategy,
-        executor: Executor,
+        k_sources: int,
+        selector: SourceSelector | None,
+        merger: MergeStrategy | None,
+        executor: Executor | None,
         group_by_resource: bool,
-        terms: list[str],
-    ) -> MetasearchResult:
-        """Translate → dispatch → merge for an already-selected source set.
-
-        Returns a result with ``trace=None``; the caller attaches the
-        trace (searches) or stores the result as-is (revalidations).
-        """
-        requests, outcomes, reports = self._translate(
-            tracer, query, selected_ids, summaries, group_by_resource
+    ) -> _Plan:
+        """Select the sources and derive the result-cache key."""
+        selector = selector or self.selector
+        merger = merger or self.merger
+        tracer, terms = search.tracer, search.terms
+        with _phase(
+            tracer, "select", search.span, selector=selector.name, k=k_sources
+        ) as span:
+            indexed = self.discovery.summary_index().source_count
+            if indexed:
+                selected_ids = self._pick_sources(
+                    tracer, span, selector, terms, k_sources
+                )
+            else:
+                # No source exported a summary: nothing to score, so the
+                # first k by id stand in.
+                known = self.discovery.known_sources()
+                selected_ids = [source.source_id for source in known[:k_sources]]
+            if self.health is not None:
+                reordered = self.health.order_by_health(selected_ids)
+                if reordered != selected_ids:
+                    span.annotate(deprioritized=True)
+                selected_ids = reordered
+            span.annotate(summaries=indexed, selected=" ".join(selected_ids))
+        search.selected_ids = selected_ids
+        key: str | None = None
+        if self.result_cache is not None:
+            # The canonical query plus everything else that changes the
+            # merged answer for a fixed source set.
+            key = "|".join(
+                (
+                    query_cache_key(query, selected_ids),
+                    f"grp={'T' if group_by_resource else 'F'}",
+                    f"merge={type(merger).__name__}",
+                )
+            )
+        return _Plan(
+            query,
+            terms,
+            selected_ids,
+            {
+                source_id: summary
+                for source_id in selected_ids
+                if (summary := self.discovery.source(source_id).summary) is not None
+            },
+            merger,
+            executor or self.executor,
+            group_by_resource,
+            key,
         )
-        requests = self._filter_negative_cached(tracer, requests, outcomes)
+
+    def _pick_sources(
+        self,
+        tracer: Tracer,
+        span: Span,
+        selector: SourceSelector,
+        terms: list[str],
+        k_sources: int,
+    ) -> list[str]:
+        """The top ``k_sources`` ids for ``terms`` — the hook a subclass
+        overrides to select through something other than the flat,
+        incrementally maintained summary index (sparse term shards
+        instead of a dense scan over every summary)."""
+        return selector.select(terms, self.discovery.summary_index(), k_sources)
+
+    def _serve_from_cache(self, search: _Search, plan: _Plan) -> bool:
+        """Answer from the result cache if it holds the plan's key.
+
+        A fresh entry is served as a ``hit``; a stale one is served as
+        ``stale`` and a revalidation of the same plan is scheduled.
+        Either way the caller gets a copy — the latency fields keep the
+        *original* wire cost on purpose (they model what the answer cost
+        to compute); the trace and ``cache_status`` show it was not paid
+        again.  Returns False on a miss (or with caching off).
+        """
+        if plan.key is None:
+            return False
+        tracer = search.tracer
+        cached, state = self.result_cache.lookup(plan.key)
+        if state == FRESH:
+            status = "hit"
+            tracer.count_cache(hits=1, cost_saved=cached.cost)
+            tracer.event(
+                "cache", parent=search.span, status=status, saved_cost=cached.cost
+            )
+        elif state == STALE:
+            status = "stale"
+            tracer.count_cache(stale_hits=1)
+            tracer.event("cache", parent=search.span, status=status)
+            self._schedule_revalidation(plan)
+        else:
+            tracer.count_cache(misses=1)
+            return False
+        search.outcome = status
+        search.result = self._copy_result(cached.result, cache_status=status)
+        return True
+
+    def _plan_round(
+        self, tracer: Tracer, plan: _Plan, parent: Span | None
+    ) -> tuple[QueryDispatcher, list[SourceRequest], dict[str, SourceOutcome], dict]:
+        """Translate per routed group, drop negative-cached groups, and
+        build the dispatcher that will run what is left.
+
+        Returns ``(dispatcher, requests, outcomes, reports)``;
+        ``outcomes`` already holds a ``SKIPPED`` entry for every group
+        that will not reach the wire, with the reason on record.
+        """
+        translated_requests: list[SourceRequest] = []
+        outcomes: dict[str, SourceOutcome] = {}
+        reports: dict[str, TranslationReport] = {}
+        for entry_id, sibling_ids in self._route(
+            plan.selected_ids, plan.group_by_resource
+        ):
+            with _phase(tracer, f"translate:{entry_id}", parent) as span:
+                source = self.discovery.source(entry_id)
+                translated, report = self.translator.translate(
+                    plan.query, source.metadata, summary=plan.summaries.get(entry_id)
+                )
+                reports[entry_id] = report
+                span.annotate(
+                    lossless=report.is_lossless(), dropped=len(report.dropped)
+                )
+                if (
+                    translated.filter_expression is None
+                    and translated.ranking_expression is None
+                ):
+                    # Nothing would survive: skip the round trip, on record.
+                    outcomes[entry_id] = SourceOutcome.skip(
+                        entry_id,
+                        "translation left neither filter nor ranking expression",
+                        tuple(sibling_ids),
+                    )
+                    span.annotate(skipped=True)
+                else:
+                    if sibling_ids:
+                        translated = translated.with_sources(*sibling_ids)
+                    translated_requests.append(
+                        SourceRequest(
+                            entry_id, source.query_url, translated, tuple(sibling_ids)
+                        )
+                    )
+
+        # A negative-cached entry source never reaches the wire; the skip
+        # is an outcome, a tracer tally and a line in explain_trace().
+        requests: list[SourceRequest] = []
+        for request in translated_requests:
+            reason = (
+                self.negative_cache.skip_reason(request.source_id)
+                if self.negative_cache is not None
+                else None
+            )
+            if reason is None:
+                requests.append(request)
+                continue
+            outcomes[request.source_id] = SourceOutcome.skip(
+                request.source_id, reason, request.sibling_ids
+            )
+            tracer.count_cache(negative_skips=1)
+            tracer.event(
+                "cache", parent=parent, source=request.source_id, status="negative-skip"
+            )
+
         dispatcher = QueryDispatcher(
-            client,
-            executor=executor,
+            self.client,
+            executor=plan.executor,
             policy=self.query_policy,
             policies=self._adapted_policies(requests),
             tracer=tracer,
         )
-        with tracer.span(
-            "query", executor=executor.name, requests=len(requests)
+        return dispatcher, requests, outcomes, reports
+
+    def _batch_round(
+        self, tracer: Tracer, plan: _Plan, parent: Span | None = None
+    ) -> MetasearchResult:
+        """Dispatch every request, then merge once over what answered."""
+        dispatcher, requests, outcomes, reports = self._plan_round(
+            tracer, plan, parent
+        )
+        with _phase(
+            tracer,
+            "query",
+            parent,
+            executor=plan.executor.name,
+            requests=len(requests),
         ) as query_span:
             for outcome in dispatcher.dispatch(requests, parent=query_span):
                 outcomes[outcome.source_id] = outcome
-        _observe_phase("query", query_span.duration_ms)
-        self._record_outcomes(outcomes)
-        per_source_results = {
-            source_id: outcome.results
-            for source_id, outcome in outcomes.items()
-            if outcome.ok and outcome.results is not None
-        }
-        with tracer.span(
+        answered = _answered(outcomes)
+        with _phase(
+            tracer,
             "merge",
-            strategy=type(merger).__name__,
-            sources=len(per_source_results),
-        ) as merge_span:
-            documents = merger.merge(
-                per_source_results,
-                self._merge_context(per_source_results, summaries, terms),
+            parent,
+            strategy=type(plan.merger).__name__,
+            sources=len(answered),
+        ):
+            documents = plan.merger.merge(
+                answered, self._merge_context(plan).restricted_to(answered)
             )
-            if query.max_number_documents:
-                documents = documents[: query.max_number_documents]
-        _observe_phase("merge", merge_span.duration_ms)
+            if plan.query.max_number_documents:
+                documents = documents[: plan.query.max_number_documents]
+        return self._finish_round(tracer, plan, outcomes, reports, documents)
 
+    def _stream_round(
+        self,
+        search: _Search,
+        plan: _Plan,
+        deadline_ms: float | None,
+        early_stop: bool,
+    ) -> Iterator[StreamEmission]:
+        """Dispatch as a stream, merging and emitting per arrival.
+
+        A generator: yields one emission per completed source and
+        *returns* the final one (carrying the assembled result) for the
+        driver to send once the search is accounted for.  The ``query``
+        span stays open across the yields, so it is opened explicitly,
+        not via :func:`_phase`.
+        """
+        tracer = search.tracer
+        dispatcher, requests, outcomes, reports = self._plan_round(
+            tracer, plan, search.span
+        )
+        # The accumulator narrows the candidates' context to the sources
+        # that actually answer, so the final rank matches the batch merge.
+        stream_merge = plan.merger.start_stream(self._merge_context(plan))
+        k = plan.query.max_number_documents
+        pending_ids = {request.source_id for request in requests}
+        termination_reason: str | None = None
+        sequence = 0
+        first_result_seen = False
+
+        query_span = tracer.open_span(
+            "query",
+            parent=search.span,
+            executor=plan.executor.name,
+            requests=len(requests),
+            streaming=True,
+        )
+        outcome_stream = dispatcher.dispatch_stream(requests, parent=query_span)
+        try:
+            for outcome in outcome_stream:
+                outcomes[outcome.source_id] = outcome
+                pending_ids.discard(outcome.source_id)
+                if outcome.ok and outcome.results is not None:
+                    stream_merge.feed(outcome.source_id, outcome.results)
+                documents = stream_merge.current_top_k(k or None)
+                elapsed_ms = tracer.now_ms() - search.started_ms
+                if documents and not first_result_seen:
+                    first_result_seen = True
+                    get_registry().histogram(
+                        "stream_first_result_ms",
+                        "Wall-clock time until a streamed search first "
+                        "emitted merged documents.",
+                    ).observe(elapsed_ms)
+                tracer.event(
+                    f"emit:{sequence}",
+                    parent=query_span,
+                    source=outcome.source_id,
+                    status=outcome.status.value,
+                    documents=len(documents),
+                    pending=len(pending_ids),
+                )
+                yield StreamEmission(
+                    sequence=sequence,
+                    outcome=outcome,
+                    documents=list(documents),
+                    completed=len(outcomes),
+                    pending=len(pending_ids),
+                    elapsed_ms=elapsed_ms,
+                )
+                sequence += 1
+                if not pending_ids:
+                    break
+                if deadline_ms is not None and elapsed_ms >= deadline_ms:
+                    termination_reason = "stream deadline expired"
+                    break
+                if early_stop and k and stream_merge.is_stable_top_k(k, pending_ids):
+                    termination_reason = (
+                        "top-k stable: no pending source can change the answer"
+                    )
+                    break
+            if termination_reason is not None:
+                query_span.annotate(terminated_early=True, reason=termination_reason)
+                tracer.event(
+                    "early-termination", parent=query_span, reason=termination_reason
+                )
+        finally:
+            # Break or thrown-in close: abandon in-flight tasks now,
+            # not at garbage collection.
+            outcome_stream.close()
+            tracer.close_span(query_span)
+        _observe_phase("query", query_span.duration_ms)
+        # Sources are only left pending by an early termination.
+        for source_id in sorted(pending_ids):
+            outcomes[source_id] = SourceOutcome.cancelled(source_id, termination_reason)
+        documents = list(stream_merge.current_top_k(k or None))
+        return StreamEmission(
+            sequence=sequence,
+            outcome=None,
+            documents=documents,
+            completed=len(outcomes),
+            pending=len(pending_ids),
+            elapsed_ms=tracer.now_ms() - search.started_ms,
+            terminated_early=termination_reason is not None,
+            result=self._finish_round(
+                tracer,
+                plan,
+                outcomes,
+                reports,
+                list(documents),
+                complete=termination_reason is None,
+            ),
+        )
+
+    def _merge_context(self, plan: _Plan) -> MergeContext:
+        """The STARTS raw material of every *candidate* source; merging
+        narrows it to the sources that answer (``restricted_to``)."""
+        known = {
+            source_id: self.discovery.source(source_id)
+            for source_id in plan.selected_ids
+        }
+        return MergeContext(
+            metadata={source_id: source.metadata for source_id, source in known.items()},
+            summaries=plan.summaries,
+            samples={
+                source_id: source.sample_results
+                for source_id, source in known.items()
+                if source.sample_results is not None
+            },
+            query_terms=tuple(plan.terms),
+        )
+
+    def _finish_round(
+        self,
+        tracer: Tracer,
+        plan: _Plan,
+        outcomes: dict[str, SourceOutcome],
+        reports: dict[str, TranslationReport],
+        documents: list[MergedDocument],
+        complete: bool = True,
+    ) -> MetasearchResult:
+        """Feed the outcomes back (health, negative cache), assemble the
+        result, and file it in the result cache.
+
+        Only a ``complete`` round is cacheable: a cancelled one answered
+        with fewer sources than the key promises.  ``trace`` is attached
+        when the owning search finishes; a revalidation's result never
+        gets one.
+        """
+        self._record_outcomes(outcomes)
         # Each outcome is one routed group; its elapsed_ms already sums
         # the requests within the group (attempts, backoff, hedges are
         # sequential on that group's wire).  A serial client pays the
         # sum across groups, a fan-out client the slowest group.
         group_times = [outcome.elapsed_ms for outcome in outcomes.values()]
-        return MetasearchResult(
+        result = MetasearchResult(
             documents,
-            list(selected_ids),
-            per_source_results,
+            list(plan.selected_ids),
+            _answered(outcomes),
             reports,
             query_latency_serial_ms=sum(group_times),
             query_latency_parallel_ms=max(group_times, default=0.0),
             outcomes=outcomes,
         )
-
-    # -- caching -----------------------------------------------------------
-
-    def _cache_key(
-        self,
-        query: SQuery,
-        selected_ids: list[str],
-        group_by_resource: bool,
-        merger: MergeStrategy,
-    ) -> str:
-        """The result-cache key: canonical query + everything else that
-        changes the merged answer for a fixed source set."""
-        return "|".join(
-            (
-                query_cache_key(query, selected_ids),
-                f"grp={'T' if group_by_resource else 'F'}",
-                f"merge={type(merger).__name__}",
+        if complete and plan.key is not None:
+            wire_cost = sum(outcome.cost for outcome in outcomes.values())
+            evictions = self.result_cache.store(
+                plan.key,
+                _CachedSearch(self._copy_result(result), wire_cost),
+                source_ids=tuple(plan.selected_ids),
+                size=len(documents),
+                cost=wire_cost,
             )
-        )
+            tracer.count_cache(stores=1, evictions=evictions)
+        return result
 
     @staticmethod
     def _copy_result(
-        source: MetasearchResult,
-        trace: Trace | None = None,
-        cache_status: str | None = None,
+        source: MetasearchResult, cache_status: str | None = None
     ) -> MetasearchResult:
         """A fresh :class:`MetasearchResult` with shallow-copied containers,
         so cached master and served copies never share mutable state."""
@@ -856,64 +953,8 @@ class Metasearcher:
             query_latency_serial_ms=source.query_latency_serial_ms,
             query_latency_parallel_ms=source.query_latency_parallel_ms,
             outcomes=dict(source.outcomes),
-            trace=trace,
             cache_status=cache_status,
         )
-
-    def _serve_cached(
-        self, cached: MetasearchResult, tracer: Tracer, status: str
-    ) -> MetasearchResult:
-        """Serve a copy of a cached result, trace attached, status marked.
-
-        The latency fields keep the *original* wire cost on purpose —
-        they model what the answer cost to compute; the trace and
-        ``cache_status`` show it was not paid again.
-        """
-        return self._copy_result(cached, trace=tracer.trace(), cache_status=status)
-
-    def _store_result(
-        self,
-        key: str,
-        result: MetasearchResult,
-        selected_ids: list[str],
-        tracer: Tracer,
-    ) -> None:
-        wire_cost = sum(outcome.cost for outcome in result.outcomes.values())
-        evictions = self.result_cache.store(
-            key,
-            _CachedSearch(self._copy_result(result), wire_cost),
-            source_ids=tuple(selected_ids),
-            size=len(result.documents),
-            cost=wire_cost,
-        )
-        tracer.count_cache(stores=1, evictions=evictions)
-
-    def _filter_negative_cached(
-        self,
-        tracer: Tracer,
-        requests: list[SourceRequest],
-        outcomes: dict[str, SourceOutcome],
-    ) -> list[SourceRequest]:
-        """Drop routed groups whose entry source is negative-cached.
-
-        Each skip is recorded as a ``SKIPPED`` outcome carrying the
-        negative-cache reason, counted on the tracer, and visible in
-        ``explain_trace()`` — the probe simply never reaches the wire.
-        """
-        if self.negative_cache is None:
-            return requests
-        kept: list[SourceRequest] = []
-        for request in requests:
-            reason = self.negative_cache.skip_reason(request.source_id)
-            if reason is None:
-                kept.append(request)
-                continue
-            outcomes[request.source_id] = SourceOutcome.skip(
-                request.source_id, reason, request.sibling_ids
-            )
-            tracer.count_cache(negative_skips=1)
-            tracer.event("cache", source=request.source_id, status="negative-skip")
-        return kept
 
     def _adapted_policies(
         self, requests: list[SourceRequest]
@@ -953,156 +994,30 @@ class Metasearcher:
                     source_id, outcome.status.value, outcome.error, ttl_ms=ttl_ms
                 )
 
-    def _schedule_revalidation(
-        self,
-        key: str,
-        query: SQuery,
-        selected_ids: list[str],
-        summaries: dict,
-        merger: MergeStrategy,
-        executor: Executor,
-        group_by_resource: bool,
-        terms: list[str],
-    ) -> None:
+    def _schedule_revalidation(self, plan: _Plan) -> None:
         """Refresh a stale entry off the caller's critical path.
 
-        Single-flight per key; the refresh re-runs the query round for
-        the *same* source set (the key binds them) on a private client
-        and tracer, so it never races the caller's.  Scheduling goes
-        through the executor's ``submit`` hook: the serial executor
-        revalidates inline (deterministic), the parallel one on a
-        daemon thread.
+        Single-flight per key; the refresh re-runs the batch round for
+        the *same* plan (the key binds its source set, and the round
+        files its result under it) on a private tracer, so nothing it
+        records lands in the caller's trace.
+        Scheduling goes through the executor's ``submit`` hook: the
+        serial executor revalidates inline (deterministic), the parallel
+        one on a daemon thread.
         """
-        if not self.result_cache.begin_revalidation(key):
+        if not self.result_cache.begin_revalidation(plan.key):
             return
 
         def refresh() -> None:
             try:
-                tracer = Tracer()
-                client = StartsClient(self.client.internet, tracer=tracer)
-                result = self._query_round(
-                    client,
-                    tracer,
-                    query,
-                    selected_ids,
-                    summaries,
-                    merger,
-                    executor,
-                    group_by_resource,
-                    terms,
-                )
-                self._store_result(key, result, selected_ids, tracer)
+                self._batch_round(Tracer(), plan)
             finally:
-                self.result_cache.finish_revalidation(key)
+                self.result_cache.finish_revalidation(plan.key)
 
         if self.cache_policy.revalidate_in_background:
-            submit_background(executor, refresh)
+            submit_background(plan.executor, refresh)
         else:
             refresh()
-
-    # -- pipeline phases ---------------------------------------------------
-
-    def _select(
-        self,
-        tracer: Tracer,
-        selector: SourceSelector,
-        terms: list[str],
-        k_sources: int,
-        known: list[KnownSource],
-    ) -> tuple[list[str], dict]:
-        with tracer.span("select", selector=selector.name, k=k_sources) as span:
-            summaries = self.discovery.summaries()
-            if summaries:
-                # Score against the incrementally maintained summary
-                # index — sparse term shards instead of a dense scan.
-                # The selector's backend decides whether the fast path
-                # or the byte-identical dense oracle actually runs.
-                selected_ids = selector.select(
-                    terms, self.discovery.summary_index(), k_sources
-                )
-            else:
-                selected_ids = [source.source_id for source in known[:k_sources]]
-            if self.health is not None:
-                reordered = self.health.order_by_health(selected_ids)
-                if reordered != selected_ids:
-                    span.annotate(deprioritized=True)
-                selected_ids = reordered
-            span.annotate(
-                summaries=len(summaries), selected=" ".join(selected_ids)
-            )
-        _observe_phase("select", span.duration_ms)
-        return selected_ids, summaries
-
-    def _translate(
-        self,
-        tracer: Tracer,
-        query: SQuery,
-        selected_ids: list[str],
-        summaries: dict,
-        group_by_resource: bool,
-    ) -> tuple[list[SourceRequest], dict[str, SourceOutcome], dict]:
-        requests: list[SourceRequest] = []
-        outcomes: dict[str, SourceOutcome] = {}
-        reports: dict[str, TranslationReport] = {}
-        for entry_id, sibling_ids in self._route(selected_ids, group_by_resource):
-            with tracer.span(f"translate:{entry_id}") as span:
-                source = self.discovery.source(entry_id)
-                translated, report = self.translator.translate(
-                    query, source.metadata, summary=summaries.get(entry_id)
-                )
-                reports[entry_id] = report
-                span.annotate(
-                    lossless=report.is_lossless(), dropped=len(report.dropped)
-                )
-                if (
-                    translated.filter_expression is None
-                    and translated.ranking_expression is None
-                ):
-                    # Nothing would survive: skip the round trip, on record.
-                    outcomes[entry_id] = SourceOutcome.skip(
-                        entry_id,
-                        "translation left neither filter nor ranking expression",
-                        tuple(sibling_ids),
-                    )
-                    span.annotate(skipped=True)
-                else:
-                    if sibling_ids:
-                        translated = translated.with_sources(*sibling_ids)
-                    requests.append(
-                        SourceRequest(
-                            entry_id, source.query_url, translated, tuple(sibling_ids)
-                        )
-                    )
-            _observe_phase("translate", span.duration_ms)
-        return requests, outcomes, reports
-
-    def _merge_context(
-        self,
-        per_source_results: dict[str, SQResults],
-        summaries: dict,
-        terms: list[str],
-    ) -> MergeContext:
-        return MergeContext(
-            metadata={
-                source_id: self.discovery.source(source_id).metadata
-                for source_id in per_source_results
-            },
-            summaries={
-                source_id: summary
-                for source_id, summary in summaries.items()
-                if source_id in per_source_results
-            },
-            samples={
-                source_id: sample
-                for source_id in per_source_results
-                if (sample := self.discovery.source(source_id).sample_results)
-                is not None
-            },
-            query_terms=tuple(terms),
-        )
-
-    def _internet_log(self):
-        return self.client.access_log()
 
     def explain_plan(
         self,

@@ -83,7 +83,9 @@ class DiscoveryService:
     #: Selection scores against this instead of rescanning the dict.
     _summary_index: SummaryIndex = dataclass_field(default_factory=SummaryIndex)
 
-    def refresh_resource(self, resource_url: str) -> list[KnownSource]:
+    def refresh_resource(
+        self, resource_url: str, client: StartsClient | None = None
+    ) -> list[KnownSource]:
         """Fetch a resource's source list and harvest each new source.
 
         Returns the known sources belonging to this resource.  A source
@@ -91,15 +93,22 @@ class DiscoveryService:
         for this round — a stale entry from an earlier harvest is kept
         rather than dropped, and the source id is recorded in
         :attr:`unreachable` so callers can see what was missed.
+
+        ``client`` fetches this one harvest instead of :attr:`client` —
+        how a traced refresh routes its fetch events to the caller's
+        tracer without leaving that tracer on the shared client.
         """
-        resource = self.client.fetch_resource(resource_url)
+        client = client or self.client
+        resource = client.fetch_resource(resource_url)
         harvested: list[KnownSource] = []
         for source_id, metadata_url in resource.source_list:
             known = self._sources.get(source_id)
             if known is None or self._is_stale(known):
                 refreshing = known is not None
                 try:
-                    known = self._harvest(source_id, metadata_url, resource_url)
+                    known = self._harvest(
+                        client, source_id, metadata_url, resource_url
+                    )
                 except TransportError:
                     self.unreachable[source_id] = metadata_url
                     if known is None:
@@ -125,21 +134,22 @@ class DiscoveryService:
         expires = known.metadata.date_expires
         return bool(expires) and expires < self.clock
 
+    @staticmethod
     def _harvest(
-        self, source_id: str, metadata_url: str, resource_url: str
+        client: StartsClient, source_id: str, metadata_url: str, resource_url: str
     ) -> KnownSource:
-        metadata = self.client.fetch_metadata(metadata_url)
+        metadata = client.fetch_metadata(metadata_url)
         known = KnownSource(source_id, metadata, resource_url=resource_url)
         if metadata.content_summary_linkage:
             try:
-                known.summary = self.client.fetch_summary(
+                known.summary = client.fetch_summary(
                     metadata.content_summary_linkage
                 )
             except TransportError:
                 known.summary = None
         if metadata.sample_database_results:
             try:
-                known.sample_results = self.client.fetch_sample_results(
+                known.sample_results = client.fetch_sample_results(
                     metadata.sample_database_results
                 )
             except TransportError:

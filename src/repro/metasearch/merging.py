@@ -61,6 +61,29 @@ class MergeContext:
     samples: dict[str, SampleResults] = dataclass_field(default_factory=dict)
     query_terms: tuple[str, ...] = ()
 
+    def restricted_to(self, source_ids) -> "MergeContext":
+        """This context narrowed to ``source_ids`` (any container).
+
+        A merge must see only the sources that actually answered —
+        tf·idf's global document frequencies and CORI's beliefs are
+        computed over exactly that set — so the batch merge and the
+        streaming accumulator both narrow the candidates' context here.
+        """
+
+        def kept(per_source: dict) -> dict:
+            return {
+                source_id: value
+                for source_id, value in per_source.items()
+                if source_id in source_ids
+            }
+
+        return MergeContext(
+            kept(self.metadata),
+            kept(self.summaries),
+            kept(self.samples),
+            self.query_terms,
+        )
+
 
 @dataclass(frozen=True)
 class MergedDocument:
@@ -133,8 +156,8 @@ class StreamingMerge:
     arrival (its per-source slice of a batch merge) and the global rank
     is a cheap dedupe-and-sort of the cached pieces.  For unstable
     strategies the accumulator re-runs the full batch merge over the
-    sources fed so far, with the context filtered to the fed keys the
-    way :class:`~repro.metasearch.client.Metasearcher` filters it —
+    sources fed so far, with the context narrowed to the fed sources by
+    the same :meth:`MergeContext.restricted_to` the batch path uses —
     either way the final rank equals the batch oracle by construction.
     """
 
@@ -157,7 +180,9 @@ class StreamingMerge:
         self._fed[source_id] = results
         if self.strategy.stable_scores:
             self._scored.extend(
-                self.strategy.merge({source_id: results}, self._context_for())
+                self.strategy.merge(
+                    {source_id: results}, self.context.restricted_to(self._fed)
+                )
             )
         self._dirty = True
 
@@ -168,7 +193,7 @@ class StreamingMerge:
                 self._rank = _dedupe_and_sort(list(self._scored))
             else:
                 self._rank = self.strategy.merge(
-                    dict(self._fed), self._context_for()
+                    dict(self._fed), self.context.restricted_to(self._fed)
                 )
             self._dirty = False
         return self._rank
@@ -199,32 +224,6 @@ class StreamingMerge:
         if not bounds:
             return True
         return rank[k - 1].score > max(bounds)
-
-    def _context_for(self) -> MergeContext:
-        """The context a batch merge over the fed sources would see.
-
-        Mirrors ``Metasearcher._merge_context``: metadata, summaries and
-        samples restricted to the sources that actually answered.
-        """
-        fed = self._fed
-        return MergeContext(
-            metadata={
-                source_id: metadata
-                for source_id, metadata in self.context.metadata.items()
-                if source_id in fed
-            },
-            summaries={
-                source_id: summary
-                for source_id, summary in self.context.summaries.items()
-                if source_id in fed
-            },
-            samples={
-                source_id: sample
-                for source_id, sample in self.context.samples.items()
-                if source_id in fed
-            },
-            query_terms=self.context.query_terms,
-        )
 
 
 def _dedupe_and_sort(scored: list[MergedDocument]) -> list[MergedDocument]:

@@ -8,8 +8,6 @@ import pytest
 
 from repro.federation import (
     AsyncExecutor,
-    AsyncSourceAdapter,
-    ClientSourceAdapter,
     Executor,
     QueryDispatcher,
     QueryPolicy,
@@ -34,12 +32,6 @@ class TestProtocolConformance:
     def test_is_async_marker(self):
         assert AsyncExecutor.is_async is True
         assert not getattr(SerialExecutor(), "is_async", False)
-
-    def test_client_adapter_satisfies_adapter_protocol(self):
-        fed = build_federation(FederationSpec(n_sources=2, docs_per_source=5))
-        adapter = ClientSourceAdapter(StartsClient(fed.internet))
-        assert isinstance(adapter, AsyncSourceAdapter)
-        assert adapter.name == "starts-client"
 
     def test_rejects_silly_concurrency(self):
         with pytest.raises(ValueError):

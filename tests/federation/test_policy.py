@@ -1,12 +1,17 @@
 """Query policies: backoff schedules, retries, deadlines, hedging."""
 
+import time
+
 import pytest
 
 from repro.corpus import source1_documents
 from repro.federation import (
+    AsyncExecutor,
     OutcomeStatus,
+    ParallelExecutor,
     QueryDispatcher,
     QueryPolicy,
+    SerialExecutor,
     SourceRequest,
 )
 from repro.source import StartsSource
@@ -56,29 +61,93 @@ class TestBackoffSchedule:
             QueryPolicy(backoff_multiplier=0.5)
 
 
-def published_source(faults=None, profile=None):
-    """One source on its own host; returns (client, request)."""
+FAST = HostProfile(latency_ms=20.0, jitter_ms=0.0)
+SLOW_AND_CHARGING = HostProfile(latency_ms=100.0, jitter_ms=0.0, cost_per_query=2.0)
+
+#: case id -> (host profile, fault profile, default policy, per-source policies).
+#: One table feeds both the absolute expectations below (through the
+#: blocking ``run_one`` driver) and the executor-equivalence matrix.
+CASES = {
+    "ok": (FAST, None, QueryPolicy(), None),
+    "retry_then_ok": (
+        FAST,
+        FaultProfile.flaky(2),
+        QueryPolicy(max_retries=2, backoff_base_ms=10.0),
+        None,
+    ),
+    "retries_exhausted": (
+        FAST,
+        FaultProfile.dead(),
+        QueryPolicy(max_retries=1, backoff_base_ms=10.0),
+        None,
+    ),
+    "timeout": (
+        FAST,
+        FaultProfile.hangs(hang_ms=10_000.0),
+        QueryPolicy(timeout_ms=500.0, max_retries=1, backoff_base_ms=10.0),
+        None,
+    ),
+    "timeout_not_retried": (
+        FAST,
+        FaultProfile.hangs(),
+        QueryPolicy(timeout_ms=500.0, max_retries=3, retry_on_timeout=False),
+        None,
+    ),
+    "hedge_loses": (SLOW_AND_CHARGING, None, QueryPolicy(hedge_after_ms=50.0), None),
+    "hedge_wins": (FAST, FaultProfile.flaky(1), QueryPolicy(hedge_after_ms=10.0), None),
+    "hedge_both_fail": (
+        FAST,
+        FaultProfile.dead(),
+        QueryPolicy(hedge_after_ms=10.0),
+        None,
+    ),
+    "hedge_skipped": (FAST, None, QueryPolicy(hedge_after_ms=50.0), None),
+    "per_source_override": (
+        FAST,
+        FaultProfile.flaky(1),
+        QueryPolicy(),  # default: no retries
+        {"S1": QueryPolicy(max_retries=1, backoff_base_ms=5.0)},
+    ),
+}
+
+EXECUTORS = {
+    "serial": SerialExecutor,
+    "parallel": lambda: ParallelExecutor(max_workers=4),
+    "async": lambda: AsyncExecutor(max_concurrency=4),
+}
+
+
+def dispatcher_for(case, executor=None, n_sources=1, realtime_scale=None):
+    """A fresh world for ``case``: ``(dispatcher, requests)``.
+
+    Every source sits on its own host with the case's profile and fault
+    schedule, so fault counters never leak between runs or sources.
+    """
+    profile, faults, policy, policies = CASES[case]
     internet = SimulatedInternet(seed=4)
-    source = StartsSource(
-        "S1", source1_documents(), base_url="http://s1.org/s"
+    requests = []
+    for number in range(1, n_sources + 1):
+        source = StartsSource(
+            f"S{number}", source1_documents(), base_url=f"http://s{number}.org/s"
+        )
+        url = publish_source(internet, source, profile, faults=faults)
+        requests.append(SourceRequest(f"S{number}", url, ranking_query()))
+    if realtime_scale is not None:
+        internet.realtime, internet.time_scale = True, realtime_scale
+    dispatcher = QueryDispatcher(
+        StartsClient(internet), executor=executor, policy=policy, policies=policies
     )
-    url = publish_source(
-        internet,
-        source,
-        profile or HostProfile(latency_ms=20.0, jitter_ms=0.0),
-        faults=faults,
-    )
-    client = StartsClient(internet)
-    return client, SourceRequest("S1", url, ranking_query())
+    return dispatcher, requests
+
+
+def run_one(case):
+    dispatcher, (request,) = dispatcher_for(case)
+    return dispatcher, dispatcher.run_one(request)
 
 
 class TestDispatcherPolicies:
     def test_flaky_source_recovers_under_retries(self):
-        client, request = published_source(faults=FaultProfile.flaky(2))
-        dispatcher = QueryDispatcher(
-            client, policy=QueryPolicy(max_retries=2, backoff_base_ms=10.0)
-        )
-        outcome = dispatcher.run_one(request)
+        dispatcher, outcome = run_one("retry_then_ok")
         assert outcome.status is OutcomeStatus.OK
         assert outcome.requests == 3
         assert outcome.retries == 2
@@ -92,51 +161,25 @@ class TestDispatcherPolicies:
         assert counters.backoff_ms == pytest.approx(30.0)
 
     def test_retries_exhausted_reports_error(self):
-        client, request = published_source(faults=FaultProfile.dead())
-        dispatcher = QueryDispatcher(
-            client, policy=QueryPolicy(max_retries=1, backoff_base_ms=10.0)
-        )
-        outcome = dispatcher.run_one(request)
+        _, outcome = run_one("retries_exhausted")
         assert outcome.status is OutcomeStatus.ERROR
         assert outcome.requests == 2
         assert outcome.error and "injected" in outcome.error
 
     def test_deadline_turns_hang_into_timeout(self):
-        client, request = published_source(
-            faults=FaultProfile.hangs(hang_ms=10_000.0)
-        )
-        dispatcher = QueryDispatcher(
-            client,
-            policy=QueryPolicy(
-                timeout_ms=500.0, max_retries=1, backoff_base_ms=10.0
-            ),
-        )
-        outcome = dispatcher.run_one(request)
+        dispatcher, outcome = run_one("timeout")
         assert outcome.status is OutcomeStatus.TIMEOUT
         # 500 (timeout) + 10 backoff + 500 (timeout): patience is bounded.
         assert outcome.elapsed_ms == pytest.approx(1010.0)
         assert dispatcher.tracer.counters["S1"].timeouts == 2
 
     def test_retry_on_timeout_can_be_disabled(self):
-        client, request = published_source(faults=FaultProfile.hangs())
-        dispatcher = QueryDispatcher(
-            client,
-            policy=QueryPolicy(
-                timeout_ms=500.0, max_retries=3, retry_on_timeout=False
-            ),
-        )
-        outcome = dispatcher.run_one(request)
+        _, outcome = run_one("timeout_not_retried")
         assert outcome.status is OutcomeStatus.TIMEOUT
         assert outcome.requests == 1
 
     def test_hedge_fires_on_slow_primary_and_both_are_paid(self):
-        client, request = published_source(
-            profile=HostProfile(latency_ms=100.0, jitter_ms=0.0, cost_per_query=2.0)
-        )
-        dispatcher = QueryDispatcher(
-            client, policy=QueryPolicy(hedge_after_ms=50.0)
-        )
-        outcome = dispatcher.run_one(request)
+        dispatcher, outcome = run_one("hedge_loses")
         assert outcome.status is OutcomeStatus.OK
         assert outcome.requests == 2
         assert outcome.retries == 0  # a hedge is not a retry
@@ -147,26 +190,114 @@ class TestDispatcherPolicies:
         assert outcome.cost == pytest.approx(4.0)  # losing hedge still paid
         assert dispatcher.tracer.counters["S1"].hedges == 1
 
+    def test_hedge_wins_when_the_primary_fails(self):
+        _, outcome = run_one("hedge_wins")
+        assert outcome.status is OutcomeStatus.OK
+        assert [attempt.status for attempt in outcome.attempts] == [
+            OutcomeStatus.ERROR,
+            OutcomeStatus.OK,
+        ]
+        # The hedge left at 10 ms and took 20: the answer lands at 30.
+        assert outcome.elapsed_ms == pytest.approx(30.0)
+        assert outcome.retries == 0
+
+    def test_hedge_that_also_fails_reports_the_slower_failure(self):
+        _, outcome = run_one("hedge_both_fail")
+        assert outcome.status is OutcomeStatus.ERROR
+        assert outcome.requests == 2
+        assert outcome.elapsed_ms == pytest.approx(30.0)
+
     def test_no_hedge_when_primary_is_fast_enough(self):
-        client, request = published_source(
-            profile=HostProfile(latency_ms=20.0, jitter_ms=0.0)
-        )
-        dispatcher = QueryDispatcher(
-            client, policy=QueryPolicy(hedge_after_ms=50.0)
-        )
-        outcome = dispatcher.run_one(request)
+        dispatcher, outcome = run_one("hedge_skipped")
         assert outcome.requests == 1
         assert dispatcher.tracer.counters["S1"].hedges == 0
 
     def test_per_source_policy_override(self):
-        client, request = published_source(faults=FaultProfile.flaky(1))
-        dispatcher = QueryDispatcher(
-            client,
-            policy=QueryPolicy(),  # default: no retries
-            policies={"S1": QueryPolicy(max_retries=1, backoff_base_ms=5.0)},
-        )
+        dispatcher, (request,) = dispatcher_for("per_source_override")
         assert dispatcher.policy_for("S1").max_retries == 1
         assert dispatcher.policy_for("Other").max_retries == 0
         outcome = dispatcher.run_one(request)
         assert outcome.status is OutcomeStatus.OK
         assert outcome.retries == 1
+
+
+def outcome_facts(outcome):
+    """Everything a :class:`SourceOutcome` records, documents by value."""
+    documents = outcome.results.documents if outcome.results else []
+    return (
+        outcome.source_id,
+        outcome.status,
+        outcome.attempts,
+        outcome.elapsed_ms,
+        outcome.cost,
+        outcome.error,
+        [(document.linkage, document.raw_score) for document in documents],
+    )
+
+
+def span_tree(tracer):
+    """``(name, parent name, what the runner annotated)`` per span, sorted
+    — sibling order is completion order, which executors may differ in."""
+    rows = []
+
+    def visit(span, parent_name):
+        attributes = {
+            key: value
+            for key, value in span.attributes.items()
+            if key != "url"  # the only attribute that is not a policy fact
+        }
+        rows.append((span.name, parent_name, sorted(attributes.items())))
+        for child in span.children:
+            visit(child, span.name)
+
+    for root in tracer.spans:
+        visit(root, None)
+        assert not any(span.is_open for span in root.walk())
+    return sorted(rows, key=repr)
+
+
+class TestOnePolicyCoreThreeDrivers:
+    """Every executor runs the same policy loop: same outcomes, same
+    spans, same counters — batch or streamed — as the blocking driver."""
+
+    @pytest.mark.parametrize("streamed", [False, True], ids=["batch", "stream"])
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize("case", CASES)
+    def test_outcomes_spans_and_counters_match_run_one(self, case, executor, streamed):
+        reference, requests = dispatcher_for(case, n_sources=3)
+        expected = [reference.run_one(request) for request in requests]
+
+        dispatcher, requests = dispatcher_for(case, EXECUTORS[executor](), n_sources=3)
+        if streamed:
+            outcomes = sorted(
+                dispatcher.dispatch_stream(requests), key=lambda o: o.source_id
+            )
+        else:
+            outcomes = dispatcher.dispatch(requests)
+
+        assert [outcome_facts(o) for o in outcomes] == [
+            outcome_facts(o) for o in expected
+        ]
+        assert span_tree(dispatcher.tracer) == span_tree(reference.tracer)
+        assert dispatcher.tracer.counters == reference.tracer.counters
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_realtime_backoff_is_really_waited(self, executor):
+        """Retries wait their (scaled) backoff under every executor."""
+        scale = 0.5
+        _, _, policy, _ = CASES["retry_then_ok"]
+        backoff_s = (policy.backoff_before(2) + policy.backoff_before(3)) * scale / 1e3
+        reference, requests = dispatcher_for("retry_then_ok")
+        expected = reference.run_one(requests[0])
+
+        dispatcher, requests = dispatcher_for(
+            "retry_then_ok", EXECUTORS[executor](), realtime_scale=scale
+        )
+        started = time.perf_counter()
+        (outcome,) = dispatcher.dispatch(requests)
+        wall_s = time.perf_counter() - started
+
+        latency_s = sum(a.latency_ms for a in outcome.attempts) * scale / 1e3
+        # 5% slack: an event loop may fire a timer a clock tick early.
+        assert wall_s >= 0.95 * (backoff_s + latency_s)
+        assert outcome_facts(outcome) == outcome_facts(expected)

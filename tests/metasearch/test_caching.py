@@ -70,6 +70,40 @@ class TestResultCacheHits:
         assert second.cache_status == "hit"
         assert second.linkages() == expected
 
+    def test_streamed_hit_is_recorded_exactly_like_a_batch_hit(self, searcher):
+        """One serve-from-cache phase: same ``cache`` event, same log line."""
+        from repro.observability import QueryLog, get_query_log, set_query_log
+
+        _, searcher = searcher
+        query = ranking_query("databases")
+        searcher.search(query)  # fill the cache
+        previous = get_query_log()
+        log = set_query_log(QueryLog())
+        try:
+            batch = searcher.search(query)
+            (emission,) = searcher.search_stream(query)
+        finally:
+            set_query_log(previous)
+        streamed = emission.result
+        assert emission.is_final and emission.sequence == 0
+        assert batch.cache_status == streamed.cache_status == "hit"
+
+        def cache_event(result):
+            event = result.trace.find("cache")
+            return event.attributes, [span.name for span in result.trace.spans]
+
+        assert cache_event(streamed) == cache_event(batch)
+        assert cache_event(batch)[0]["saved_cost"] == batch.trace.cache.cost_saved
+        assert streamed.trace.cache == batch.trace.cache
+
+        batch_record, stream_record = (record.to_json() for record in log.records())
+        for volatile in ("total_ms", "trace_id", "phase_ms", "unix_ms"):
+            batch_record.pop(volatile)
+            stream_record.pop(volatile)
+        assert stream_record == batch_record
+        assert batch_record["outcome"] == "hit"
+        assert batch_record["cache_hits"] == 1
+
     def test_different_k_sources_do_not_collide(self, searcher):
         _, searcher = searcher
         query = ranking_query("databases")

@@ -24,7 +24,7 @@ from repro.federation.outcomes import Attempt, OutcomeStatus, SourceOutcome
 from repro.federation.policy import QueryPolicy
 from repro.observability.metrics import get_registry
 from repro.observability.tracing import Span, Tracer, trace_context
-from repro.starts.errors import ProtocolError
+from repro.starts.errors import ProtocolError, SoifSyntaxError
 from repro.starts.query import SQuery
 from repro.starts.results import SQResults
 from repro.transport.client import StartsClient
@@ -372,9 +372,9 @@ class QueryDispatcher:
         try:
             results, record = await send(request, policy)
             status = OutcomeStatus.OK
-        except (TransportError, ProtocolError) as exc:
+        except (TransportError, ProtocolError, SoifSyntaxError) as exc:
             # A failed request is still paid for: latency and cost were
-            # spent whether or not an answer arrived.
+            # spent whether or not an answer arrived — or decoded.
             record = getattr(exc, "record", None)
             timed_out = isinstance(exc, TransportTimeout)
             status = OutcomeStatus.TIMEOUT if timed_out else OutcomeStatus.ERROR

@@ -30,8 +30,25 @@ __all__ = ["TermStats", "SQRDocument", "SQResults"]
 
 #: Attributes of SQRDocument that are not document fields.
 _RESERVED_DOC_ATTRIBUTES = frozenset(
-    ("version", "rawscore", "sources", "termstats", "docsize", "doccount")
+    ("version", "rawscore", "sources", "linkage", "termstats", "docsize", "doccount")
 )
+
+
+def _number(convert: type, attribute: str, text: str | None, default: float) -> float:
+    """``convert(text)``; absent or empty reads as ``default``."""
+    if not text:
+        return default
+    try:
+        return convert(text)
+    except ValueError:
+        raise SoifSyntaxError(f"bad {attribute} value {text!r}") from None
+
+
+def _expression(header: SoifObject, attribute: str) -> SNode | None:
+    try:
+        return parse_expression(header.get(attribute) or "")
+    except (QuerySyntaxError, ProtocolError, ValueError) as error:
+        raise SoifSyntaxError(f"bad {attribute}: {error}") from error
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,7 +67,12 @@ class TermStats:
         )
 
     @classmethod
-    def parse(cls, line: str) -> "TermStats":
+    def parse(cls, line: str, terms: dict[str, STerm] | None = None) -> "TermStats":
+        """Decode one ``TermStats`` line.
+
+        ``terms`` memoizes term text -> parsed term for the caller's
+        one response, whose documents all repeat the query's few terms.
+        """
         line = line.strip()
         # The term serialization ends at the last ')' or '"'; the three
         # numbers follow.
@@ -58,14 +80,19 @@ class TermStats:
         if len(parts) != 4:
             raise SoifSyntaxError(f"bad TermStats line: {line!r}")
         term_text, tf_text, weight_text, df_text = parts
+        if terms is None:
+            terms = {}
+        term = terms.get(term_text)
         try:
-            node = parse_expression(term_text)
+            if term is None:
+                term = parse_expression(term_text)
             tf, weight, df = int(tf_text), float(weight_text), int(df_text)
-        except (QuerySyntaxError, ValueError) as error:
+        except (QuerySyntaxError, ProtocolError, ValueError) as error:
             raise SoifSyntaxError(f"bad TermStats line: {line!r} ({error})") from error
-        if not isinstance(node, STerm):
+        if not isinstance(term, STerm):
             raise SoifSyntaxError(f"TermStats entry is not a term: {term_text!r}")
-        return cls(node, tf, weight, df)
+        terms[term_text] = term
+        return cls(term, tf, weight, df)
 
 
 def _format_weight(weight: float) -> str:
@@ -119,30 +146,38 @@ class SQRDocument:
         return obj
 
     @classmethod
-    def from_soif(cls, obj: SoifObject) -> "SQRDocument":
+    def from_soif(
+        cls, obj: SoifObject, terms: dict[str, STerm] | None = None
+    ) -> "SQRDocument":
+        """Decode one ``@SQRDocument``; ``terms`` as in :meth:`TermStats.parse`."""
         if obj.template != "SQRDocument":
             raise SoifSyntaxError(f"expected @SQRDocument, got @{obj.template}")
-        linkage = obj.get("linkage")
+        # Reserved names match case-insensitively and their first value
+        # wins; every other attribute is an answer field, in wire order.
+        reserved: dict[str, str] = {}
+        fields: dict[str, str] = {}
+        for name, value in obj:
+            key = name.lower()
+            if key in _RESERVED_DOC_ATTRIBUTES:
+                reserved.setdefault(key, value)
+            else:
+                fields[name] = value
+        linkage = reserved.get("linkage")
         if linkage is None:
             raise SoifSyntaxError("SQRDocument without linkage")
-        stats_text = obj.get("TermStats", "") or ""
-        term_stats = tuple(
-            TermStats.parse(line) for line in stats_text.splitlines() if line.strip()
-        )
-        fields = {
-            name: value
-            for name, value in obj.pairs()
-            if name.lower() not in _RESERVED_DOC_ATTRIBUTES and name.lower() != "linkage"
-        }
         return cls(
             linkage=linkage,
-            raw_score=float(obj.get("RawScore", "0") or 0),
-            sources=tuple((obj.get("Sources") or "").split()),
+            raw_score=_number(float, "RawScore", reserved.get("rawscore"), 0.0),
+            sources=tuple(reserved.get("sources", "").split()),
             fields=fields,
-            term_stats=term_stats,
-            doc_size=int(obj.get("DocSize", "1") or 1),
-            doc_count=int(obj.get("DocCount", "0") or 0),
-            version=obj.get("Version", PROTOCOL_VERSION) or PROTOCOL_VERSION,
+            term_stats=tuple(
+                TermStats.parse(line, terms)
+                for line in reserved.get("termstats", "").splitlines()
+                if line.strip()
+            ),
+            doc_size=_number(int, "DocSize", reserved.get("docsize"), 1),
+            doc_count=_number(int, "DocCount", reserved.get("doccount"), 0),
+            version=reserved.get("version") or PROTOCOL_VERSION,
         )
 
 
@@ -193,24 +228,24 @@ class SQResults:
 
     @classmethod
     def from_soif_stream(cls, text: str | bytes) -> "SQResults":
+        """Decode a result stream; whatever is wrong with it — framing,
+        encoding, a number or expression that does not parse — raises
+        :class:`SoifSyntaxError`."""
         objects = parse_soif_stream(text)
         if not objects or objects[0].template != "SQResults":
             raise SoifSyntaxError("result stream must start with @SQResults")
         header = objects[0]
-        documents = tuple(SQRDocument.from_soif(obj) for obj in objects[1:])
-        declared = header.get("NumDocSOIFs")
-        if declared is not None and int(declared) != len(documents):
-            raise SoifSyntaxError(
-                f"NumDocSOIFs says {declared} but stream has {len(documents)}"
-            )
+        # Each distinct term text of this response is parsed once; the
+        # memo dies with the call.
+        terms: dict[str, STerm] = {}
+        documents = tuple(SQRDocument.from_soif(obj, terms) for obj in objects[1:])
+        count, declared = len(documents), header.get("NumDocSOIFs")
+        if declared is not None and _number(int, "NumDocSOIFs", declared, -1) != count:
+            raise SoifSyntaxError(f"NumDocSOIFs says {declared} but stream has {count}")
         return cls(
             sources=tuple((header.get("Sources") or "").split()),
-            actual_filter_expression=parse_expression(
-                header.get("ActualFilterExpression", "") or ""
-            ),
-            actual_ranking_expression=parse_expression(
-                header.get("ActualRankingExpression", "") or ""
-            ),
+            actual_filter_expression=_expression(header, "ActualFilterExpression"),
+            actual_ranking_expression=_expression(header, "ActualRankingExpression"),
             documents=documents,
-            version=header.get("Version", PROTOCOL_VERSION) or PROTOCOL_VERSION,
+            version=header.get("Version") or PROTOCOL_VERSION,
         )

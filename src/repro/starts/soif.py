@@ -23,6 +23,7 @@ is an ordered list of (name, value) pairs with dict-style helpers.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Iterator
 
 from repro.starts.errors import SoifSyntaxError
@@ -110,53 +111,46 @@ def dump_soif(objects: Iterable[SoifObject]) -> str:
     return "\n".join(obj.dump() for obj in objects)
 
 
-class _Reader:
-    """Byte-level SOIF reader (byte counts refer to UTF-8 bytes)."""
+#: ASCII whitespace, exactly the bytes ``bytes.isspace()`` accepts.
+_skip_whitespace = re.compile(rb"[ \t\n\r\x0b\x0c]*").match
 
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
 
-    def at_end(self) -> bool:
-        self._skip_whitespace()
-        return self._pos >= len(self._data)
+def _read_object(data: bytes, pos: int) -> tuple[SoifObject, int]:
+    """Read the object whose ``@`` should sit at ``pos``.
 
-    def _skip_whitespace(self) -> None:
-        while self._pos < len(self._data) and self._data[self._pos : self._pos + 1].isspace():
-            self._pos += 1
-
-    def _take(self, count: int) -> bytes:
-        if self._pos + count > len(self._data):
-            raise SoifSyntaxError("truncated SOIF value")
-        chunk = self._data[self._pos : self._pos + count]
-        self._pos += count
-        return chunk
-
-    def _take_until(self, delimiter: bytes) -> bytes:
-        index = self._data.find(delimiter, self._pos)
-        if index < 0:
-            raise SoifSyntaxError(f"missing {delimiter!r} in SOIF input")
-        chunk = self._data[self._pos : index]
-        self._pos = index + len(delimiter)
-        return chunk
-
-    def read_object(self) -> SoifObject:
-        self._skip_whitespace()
-        if self._take(1) != b"@":
+    Returns it with the offset of the next non-whitespace byte.  Byte
+    counts refer to UTF-8 bytes, so the walk is over ``bytes``; each
+    template, name and value is decoded on its own.
+    """
+    end = len(data)
+    find = data.find
+    template = name = None
+    try:
+        if pos >= end or data[pos] != 0x40:  # "@"
             raise SoifSyntaxError("SOIF object must start with '@'")
-        template = self._take_until(b"{").strip().decode("utf-8")
+        brace = find(b"{", pos)
+        if brace < 0:
+            raise SoifSyntaxError("missing b'{' in SOIF input")
+        template = data[pos + 1 : brace].strip().decode("utf-8")
         if not template:
             raise SoifSyntaxError("empty SOIF template name")
         pairs: list[tuple[str, str]] = []
+        pos = brace + 1
         while True:
-            self._skip_whitespace()
-            if self._pos >= len(self._data):
+            pos = _skip_whitespace(data, pos).end()
+            if pos >= end:
                 raise SoifSyntaxError(f"unterminated SOIF object @{template}")
-            if self._data[self._pos : self._pos + 1] == b"}":
-                self._pos += 1
-                return SoifObject(template, pairs)
-            name = self._take_until(b"{").strip().decode("utf-8")
-            count_text = self._take_until(b"}").strip().decode("utf-8")
+            if data[pos] == 0x7D:  # "}"
+                pos = _skip_whitespace(data, pos + 1).end()
+                return SoifObject(template, pairs), pos
+            brace = find(b"{", pos)
+            if brace < 0:
+                raise SoifSyntaxError("missing b'{' in SOIF input")
+            name = data[pos:brace].strip().decode("utf-8")
+            pos = find(b"}", brace)
+            if pos < 0:
+                raise SoifSyntaxError("missing b'}' in SOIF input")
+            count_text = data[brace + 1 : pos].strip().decode("utf-8")
             try:
                 count = int(count_text)
             except ValueError:
@@ -164,17 +158,26 @@ class _Reader:
                     f"bad byte count {count_text!r} for attribute {name!r}"
                 ) from None
             if count < 0:
-                raise SoifSyntaxError(
-                    f"negative byte count for attribute {name!r}"
-                )
-            if self._take(1) != b":":
+                raise SoifSyntaxError(f"negative byte count for attribute {name!r}")
+            pos += 1
+            if pos >= end or data[pos] != 0x3A:  # ":"
                 raise SoifSyntaxError(f"expected ':' after {name}{{{count}}}")
             # Exactly one space conventionally follows the colon; accept
             # its absence for robustness.
-            if self._data[self._pos : self._pos + 1] == b" ":
-                self._pos += 1
-            value = self._take(count).decode("utf-8")
-            pairs.append((name, value))
+            pos += 2 if data[pos + 1 : pos + 2] == b" " else 1
+            value_end = pos + count
+            if value_end > end:
+                raise SoifSyntaxError("truncated SOIF value")
+            pairs.append((name, data[pos:value_end].decode("utf-8")))
+            pos = value_end
+    except UnicodeDecodeError:
+        raise SoifSyntaxError(
+            f"non-UTF-8 bytes in SOIF object @{template} at or after attribute {name!r}"
+        ) from None
+
+
+def _as_bytes(text: str | bytes) -> bytes:
+    return text.encode("utf-8") if isinstance(text, str) else text
 
 
 def parse_soif(text: str | bytes) -> SoifObject:
@@ -183,19 +186,19 @@ def parse_soif(text: str | bytes) -> SoifObject:
     Raises:
         SoifSyntaxError: on malformed input or trailing non-whitespace.
     """
-    data = text.encode("utf-8") if isinstance(text, str) else text
-    reader = _Reader(data)
-    obj = reader.read_object()
-    if not reader.at_end():
+    data = _as_bytes(text)
+    obj, pos = _read_object(data, _skip_whitespace(data).end())
+    if pos < len(data):
         raise SoifSyntaxError("trailing data after SOIF object")
     return obj
 
 
 def parse_soif_stream(text: str | bytes) -> list[SoifObject]:
     """Parse a stream of SOIF objects (e.g. SQResults + SQRDocuments)."""
-    data = text.encode("utf-8") if isinstance(text, str) else text
-    reader = _Reader(data)
+    data = _as_bytes(text)
     objects: list[SoifObject] = []
-    while not reader.at_end():
-        objects.append(reader.read_object())
+    pos = _skip_whitespace(data).end()
+    while pos < len(data):
+        obj, pos = _read_object(data, pos)
+        objects.append(obj)
     return objects

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro.observability.tracing import current_trace_context
 from repro.source.sample import SampleResults
+from repro.starts.errors import SoifSyntaxError
 from repro.starts.metadata import SContentSummary, SMetaAttributes, SResource
 from repro.starts.query import SQuery
 from repro.starts.results import SQResults
@@ -31,6 +32,21 @@ def trace_headers() -> dict[str, str] | None:
     if context is None:
         return None
     return {"traceparent": context.to_traceparent()}
+
+
+def _decode_results(
+    response: bytes, record: AccessRecord
+) -> tuple[SQResults, AccessRecord]:
+    """Decode a query response that ``record`` accounts for.
+
+    A response that does not decode was still paid for, so the error
+    carries ``record`` the way a :class:`TransportError` does.
+    """
+    try:
+        return SQResults.from_soif_stream(response), record
+    except SoifSyntaxError as error:
+        error.record = record
+        raise
 
 
 class StartsClient:
@@ -69,7 +85,7 @@ class StartsClient:
         response, record = self._internet.perform(
             query_url, "POST", body, deadline_ms=deadline_ms, headers=trace_headers()
         )
-        return SQResults.from_soif_stream(response), record
+        return _decode_results(response, record)
 
     async def query_with_record_async(
         self, query_url: str, query: SQuery, deadline_ms: float | None = None
@@ -85,7 +101,7 @@ class StartsClient:
         response, record = await self._internet.perform_async(
             query_url, "POST", body, deadline_ms=deadline_ms, headers=trace_headers()
         )
-        return SQResults.from_soif_stream(response), record
+        return _decode_results(response, record)
 
     def fetch_resource(self, resource_url: str) -> SResource:
         """GET an @SResource blob."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.corpus import (
     CollectionSpec,
@@ -15,6 +16,11 @@ from repro.source import StartsSource
 from repro.starts import SQuery, parse_expression
 from repro.transport import SimulatedInternet, publish_resource
 from repro.vendors import build_vendor_source
+
+# ``--hypothesis-profile=ci``: the same examples on every run, and more
+# of them, for the wire-fuzz step of the CI workflow.  Tests that pin
+# their own ``max_examples`` keep it.
+settings.register_profile("ci", derandomize=True, max_examples=500, deadline=None)
 
 
 @pytest.fixture

@@ -9,7 +9,13 @@ bounded timeouts and money spent all visible in the trace.
 import pytest
 
 from repro.corpus import source1_documents, source2_documents
-from repro.federation import OutcomeStatus, ParallelExecutor, QueryPolicy
+from repro.federation import (
+    AsyncExecutor,
+    OutcomeStatus,
+    ParallelExecutor,
+    QueryPolicy,
+    SerialExecutor,
+)
 from repro.metasearch import Metasearcher, SelectAll
 from repro.resource import Resource
 from repro.source import SourceCapabilities, StartsSource
@@ -114,6 +120,69 @@ class TestPartialResults:
         searcher.search(ranking_query(), k_sources=4, selector=SelectAll())
         # 3 failed attempts on Dead + 3 timeouts on Hang.
         assert internet.failure_count() == 6
+
+
+class TestGarbledSource:
+    """One source of four answers bytes that are not a result stream:
+    its outcome is ``error``, the request is still charged, and the
+    other three sources' answer is merged as if it had not been asked."""
+
+    SOURCES = ("A", "B", "C", "Garbled")
+
+    def world(self, garbage: bytes):
+        internet = SimulatedInternet(seed=9)
+        resource = Resource(
+            "Noisy",
+            [
+                StartsSource(
+                    name,
+                    source1_documents() if index % 2 else source2_documents(),
+                    base_url=f"http://{name.lower()}.org/s",
+                )
+                for index, name in enumerate(self.SOURCES)
+            ],
+        )
+        publish_resource(
+            internet,
+            resource,
+            "http://noisy.org",
+            source_profiles={
+                name: HostProfile(latency_ms=20.0, jitter_ms=0.0, cost_per_query=1.0)
+                for name in self.SOURCES
+            },
+        )
+        searcher = Metasearcher(internet, ["http://noisy.org/resource"])
+        searcher.refresh()
+        expected = searcher.search(ranking_query(), k_sources=3, selector=SelectAll())
+        assert expected.ok_sources() == ["A", "B", "C"]
+        # The source goes bad after discovery, so the query round meets it.
+        internet.register_post("http://garbled.org/s/query", lambda body: garbage)
+        return searcher, expected
+
+    @pytest.mark.parametrize("garbage", [b"\xff\xfe garbage", b"@SQResults{"])
+    @pytest.mark.parametrize(
+        "executor", [SerialExecutor, ParallelExecutor, AsyncExecutor]
+    )
+    @pytest.mark.parametrize("streamed", [False, True], ids=["batch", "stream"])
+    def test_the_other_three_sources_still_answer(self, garbage, executor, streamed):
+        searcher, expected = self.world(garbage)
+        arguments = dict(k_sources=4, selector=SelectAll(), executor=executor())
+        if streamed:
+            *_, last = searcher.search_stream(ranking_query(), **arguments)
+            result = last.result
+        else:
+            result = searcher.search(ranking_query(), **arguments)
+
+        assert result.failed_sources() == ["Garbled"]
+        garbled = result.outcomes["Garbled"]
+        assert garbled.status is OutcomeStatus.ERROR
+        assert "SOIF" in garbled.error
+        assert garbled.requests == 1 and garbled.cost == pytest.approx(1.0)
+        assert garbled.elapsed_ms == pytest.approx(20.0)
+        assert sorted(result.ok_sources()) == ["A", "B", "C"]
+        assert [(d.linkage, d.score) for d in result.documents] == [
+            (d.linkage, d.score) for d in expected.documents
+        ]
 
 
 class TestDiscoveryTolerance:

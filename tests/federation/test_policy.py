@@ -64,7 +64,8 @@ class TestBackoffSchedule:
 FAST = HostProfile(latency_ms=20.0, jitter_ms=0.0)
 SLOW_AND_CHARGING = HostProfile(latency_ms=100.0, jitter_ms=0.0, cost_per_query=2.0)
 
-#: case id -> (host profile, fault profile, default policy, per-source policies).
+#: case id -> (host profile, fault profile, default policy, per-source
+#: policies[, what the source answers in place of a result stream]).
 #: One table feeds both the absolute expectations below (through the
 #: blocking ``run_one`` driver) and the executor-equivalence matrix.
 CASES = {
@@ -108,6 +109,13 @@ CASES = {
         QueryPolicy(),  # default: no retries
         {"S1": QueryPolicy(max_retries=1, backoff_base_ms=5.0)},
     ),
+    "garbled_response": (
+        SLOW_AND_CHARGING,
+        None,
+        QueryPolicy(max_retries=1, backoff_base_ms=10.0),
+        None,
+        b"\xff\xfe garbage",
+    ),
 }
 
 EXECUTORS = {
@@ -123,7 +131,7 @@ def dispatcher_for(case, executor=None, n_sources=1, realtime_scale=None):
     Every source sits on its own host with the case's profile and fault
     schedule, so fault counters never leak between runs or sources.
     """
-    profile, faults, policy, policies = CASES[case]
+    profile, faults, policy, policies, *garbled = CASES[case]
     internet = SimulatedInternet(seed=4)
     requests = []
     for number in range(1, n_sources + 1):
@@ -131,6 +139,8 @@ def dispatcher_for(case, executor=None, n_sources=1, realtime_scale=None):
             f"S{number}", source1_documents(), base_url=f"http://s{number}.org/s"
         )
         url = publish_source(internet, source, profile, faults=faults)
+        if garbled:
+            internet.register_post(url, lambda body: garbled[0])
         requests.append(SourceRequest(f"S{number}", url, ranking_query()))
     if realtime_scale is not None:
         internet.realtime, internet.time_scale = True, realtime_scale
@@ -212,6 +222,18 @@ class TestDispatcherPolicies:
         assert outcome.requests == 1
         assert dispatcher.tracer.counters["S1"].hedges == 0
 
+    def test_garbled_response_is_an_error_that_was_paid_for(self):
+        dispatcher, outcome = run_one("garbled_response")
+        assert outcome.status is OutcomeStatus.ERROR
+        assert outcome.results is None
+        assert "SOIF" in outcome.error
+        # The source answered both times (100 + 10 backoff + 100) and
+        # charged for both; only the decode failed.
+        assert outcome.requests == 2
+        assert outcome.elapsed_ms == pytest.approx(210.0)
+        assert outcome.cost == pytest.approx(4.0)
+        assert dispatcher.tracer.counters["S1"].failures == 2
+
     def test_per_source_policy_override(self):
         dispatcher, (request,) = dispatcher_for("per_source_override")
         assert dispatcher.policy_for("S1").max_retries == 1
@@ -285,7 +307,7 @@ class TestOnePolicyCoreThreeDrivers:
     def test_realtime_backoff_is_really_waited(self, executor):
         """Retries wait their (scaled) backoff under every executor."""
         scale = 0.5
-        _, _, policy, _ = CASES["retry_then_ok"]
+        policy = CASES["retry_then_ok"][2]
         backoff_s = (policy.backoff_before(2) + policy.backoff_before(3)) * scale / 1e3
         reference, requests = dispatcher_for("retry_then_ok")
         expected = reference.run_one(requests[0])

@@ -115,3 +115,135 @@ class TestSQResults:
 
         with pytest.raises(ProtocolError):
             SQResults(sources=()).validate()
+
+
+def attribute(name: str, value: str) -> str:
+    return f"{name}{{{len(value.encode('utf-8'))}}}: {value}\n"
+
+
+def result_stream(*documents: str, header: str = "") -> str:
+    """A hand-written result stream around raw @SQRDocument objects."""
+    return (
+        "@SQResults{\n" + attribute("Sources", "S") + header + "}\n" + "".join(documents)
+    )
+
+
+def raw_document(name: str, value: str) -> str:
+    return "@SQRDocument{\n" + attribute("linkage", "u") + attribute(name, value) + "}\n"
+
+
+class TestMalformedStreamsRaiseTypedErrors:
+    """Whatever is wrong with a result stream, the decode raises
+    ``SoifSyntaxError`` naming the attribute — never a bare
+    ``ValueError``, ``UnicodeDecodeError`` or ``QuerySyntaxError``."""
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("NumDocSOIFs", "abc"),
+            ("NumDocSOIFs", ""),
+            ("ActualFilterExpression", '(author "'),
+            ("ActualRankingExpression", "list("),
+            ("ActualRankingExpression", '("databases" 7)'),  # weight outside (0, 1]
+            ("ActualFilterExpression", '[toolongtagggg "x"]'),
+        ],
+    )
+    def test_bad_header_values(self, name, value):
+        with pytest.raises(SoifSyntaxError, match=name):
+            SQResults.from_soif_stream(result_stream(header=attribute(name, value)))
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("RawScore", "abc"),
+            ("DocSize", "z"),
+            ("DocCount", "z"),
+            ("TermStats", '("x" 7) 1 1 1'),  # weight outside (0, 1]
+            ("TermStats", '[toolongtagggg "x"] 1 1 1'),  # InvalidLanguageTag
+        ],
+    )
+    def test_bad_document_values(self, name, value):
+        with pytest.raises(SoifSyntaxError, match=name):
+            SQResults.from_soif_stream(result_stream(raw_document(name, value)))
+
+    @pytest.mark.parametrize(
+        "stream",
+        [
+            b"\xff\xfe garbage",
+            b"@SQResults{",
+            b"@SQ\xffResults{\n}\n",  # template
+            b"@SQResults{\nSour\xffces{1}: S\n}\n",  # name
+            b"@SQResults{\nSources{1\xff}: S\n}\n",  # count
+            b"@SQResults{\nSources{2}: \xff\xfe\n}\n",  # value
+            b"@SQResults{\nSources{2}: \xc3\n}\n",  # value cut inside a character
+        ],
+    )
+    def test_non_utf8_and_broken_framing(self, stream):
+        with pytest.raises(SoifSyntaxError):
+            SQResults.from_soif_stream(stream)
+
+    def test_non_utf8_value_names_its_attribute(self):
+        with pytest.raises(SoifSyntaxError, match="Sources"):
+            SQResults.from_soif_stream(b"@SQResults{\nSources{2}: \xff\xfe\n}\n")
+
+
+class TestTermMemo:
+    """Each distinct term text of a response is parsed once, for that
+    response only."""
+
+    GOOD = '(body-of-text "x") 1 1.0 1'
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The texts the decode hands to the expression parser."""
+        import repro.starts.results as results_module
+
+        seen = []
+
+        def recording(text):
+            seen.append(text)
+            return parse_expression(text)
+
+        monkeypatch.setattr(results_module, "parse_expression", recording)
+        return seen
+
+    def test_repeated_terms_are_parsed_once_per_response(self, parses):
+        stream = result_stream(*[raw_document("TermStats", self.GOOD)] * 5)
+        decoded = SQResults.from_soif_stream(stream)
+        assert parses.count('(body-of-text "x")') == 1
+        expected = (TermStats.parse(self.GOOD),)
+        assert [doc.term_stats for doc in decoded.documents] == [expected] * 5
+
+    def test_consecutive_decodes_share_nothing(self, parses):
+        stream = result_stream(*[raw_document("TermStats", self.GOOD)] * 3)
+        SQResults.from_soif_stream(stream)
+        first = list(parses)
+        assert '(body-of-text "x")' in first
+        SQResults.from_soif_stream(stream)
+        # The second response pays for its own parse: no memo outlives
+        # the call that made it.
+        assert parses == first * 2
+        assert not hasattr(TermStats.parse, "cache_info")
+        assert not hasattr(SQResults.from_soif_stream, "cache_info")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '((a "x") and (b "y")) 1 0.5 2',  # not a term
+            '(body-of-text "x") 1 1 1.5',  # df is not an integer
+            '(body-of-text "x") 1 1',  # a number short
+            '(body-of-text "x 1 1 1',  # term does not parse
+        ],
+    )
+    def test_bad_entry_in_the_last_document_still_raises(self, bad):
+        documents = [raw_document("TermStats", self.GOOD)] * 3
+        documents.append(raw_document("TermStats", self.GOOD + "\n" + bad))
+        with pytest.raises(SoifSyntaxError, match="TermStats"):
+            SQResults.from_soif_stream(result_stream(*documents))
+
+    def test_a_rejected_entry_is_not_remembered(self):
+        terms = {}
+        for _ in range(2):
+            with pytest.raises(SoifSyntaxError):
+                TermStats.parse('((a "x") and (b "y")) 1 0.5 2', terms)
+        assert terms == {}

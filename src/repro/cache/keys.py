@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.starts.ast import SAnd, SAndNot, SList, SNode, SOr, SProx, STerm
-from repro.starts.query import SQuery
+from repro.starts.query import SQuery, _format_float
 
 __all__ = ["canonical_expression", "canonical_text", "query_cache_key"]
 
@@ -91,7 +91,7 @@ def query_cache_key(query: SQuery, source_ids: Iterable[str]) -> str:
             "src=" + ",".join(sorted(set(source_ids))),
             "af=" + ",".join(sorted(set(query.answer_fields))),
             "sort=" + sort_text,
-            f"min={query.min_document_score:g}",
+            "min=" + _format_float(query.min_document_score),
             f"max={query.max_number_documents}",
             "stop=" + ("T" if query.drop_stop_words else "F"),
             "attr=" + query.default_attribute_set,

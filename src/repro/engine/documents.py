@@ -65,8 +65,14 @@ class Document:
 
     def size_kbytes(self) -> int:
         """Document size in whole KBytes, at least 1 (``DocSize``)."""
-        nbytes = len(self.full_text().encode("utf-8"))
-        return max(1, round(nbytes / 1024)) if nbytes else 1
+        # The UTF-8 length of full_text() without building it: an ASCII
+        # value's length is its byte count; one space joins two values.
+        sizes = [
+            len(value) if value.isascii() else len(value.encode("utf-8"))
+            for name in F.TEXT_FIELDS
+            if (value := self.fields.get(name))
+        ]
+        return max(1, round((sum(sizes) + len(sizes) - 1) / 1024)) if sizes else 1
 
 
 class DocumentStore:

@@ -17,6 +17,8 @@ comparable score) can be fit per source.
 
 from __future__ import annotations
 
+import functools
+
 from repro.corpus.generator import CollectionSpec, generate_collection
 from repro.engine import fields as F
 from repro.engine.documents import Document
@@ -31,8 +33,11 @@ __all__ = [
 ]
 
 
-def sample_collection() -> list[Document]:
-    """The protocol-wide fixed sample collection (seeded, 40 docs)."""
+@functools.cache
+def sample_collection() -> tuple[Document, ...]:
+    """The protocol-wide fixed sample collection (seeded, 40 docs).
+
+    A constant, so it is generated once per process."""
     spec = CollectionSpec(
         name="starts-sample",
         topics={
@@ -46,7 +51,7 @@ def sample_collection() -> list[Document]:
         seed=424242,
         with_abstract=False,
     )
-    return generate_collection(spec)
+    return tuple(generate_collection(spec))
 
 
 def sample_queries() -> list[tuple[str, ...]]:

@@ -79,6 +79,8 @@ class StartsSource:
         # Parser for the engine's native query language (enables the
         # Free-form-text pass-through field).
         self.native_syntax = native_syntax
+        # (analyzer, ranking, results) of the last sample_results() call.
+        self._sample: tuple | None = None
         if self.engine.ranking is None and self.capabilities.supports_ranking():
             # A Boolean-only engine cannot honour an RF declaration.
             self.capabilities = replace(self.capabilities, query_parts="F")
@@ -167,7 +169,7 @@ class StartsSource:
             min_score=min_score,
         )
 
-        documents = [self._to_document(hit, query) for hit in hits]
+        documents = self._to_documents(hits, query)
         documents = self._sort_documents(documents, query)
         documents = documents[:limit]
 
@@ -178,36 +180,48 @@ class StartsSource:
             documents=tuple(documents),
         )
 
-    def _to_document(self, hit: EngineHit, query: SQuery) -> SQRDocument:
-        document = self.engine.store[hit.doc_id]
-        answer_fields = {}
-        for name in query.answer_fields:
-            canonical = canonical_field_name(name)
-            if canonical == F.LINKAGE:
-                continue  # always present on SQRDocument
-            value = document.get(canonical)
-            if value:
-                answer_fields[canonical] = value
-        term_stats: tuple[TermStats, ...] = ()
-        if self.export_term_stats:
-            term_stats = tuple(
-                TermStats(
-                    STerm(LString(stats.text), FieldRef(stats.field)),
-                    stats.term_frequency,
-                    stats.term_weight,
-                    stats.document_frequency,
+    def _to_documents(self, hits: list[EngineHit], query: SQuery) -> list[SQRDocument]:
+        """One response's documents.  What depends only on the response
+        is done once, here: the canonical answer-field names (``linkage``
+        is always present on SQRDocument), the ``Sources`` tuple and one
+        ``STerm`` per distinct ranking term — a memo that dies with the call.
+        """
+        store = self.engine.store
+        sources = (self.source_id,)
+        wanted = dict.fromkeys(map(canonical_field_name, query.answer_fields))
+        wanted.pop(F.LINKAGE, None)
+        terms: dict[tuple[str, str], STerm] = {}
+        documents = []
+        for hit in hits:
+            document = store[hit.doc_id]
+            get = document.fields.get
+            term_stats = []
+            for stats in hit.term_stats if self.export_term_stats else ():
+                key = (stats.field, stats.text)
+                term = terms.get(key)
+                if term is None:
+                    term = STerm(LString(stats.text), FieldRef(stats.field))
+                    terms[key] = term
+                term_stats.append(
+                    TermStats(
+                        term,
+                        stats.term_frequency,
+                        stats.term_weight,
+                        stats.document_frequency,
+                    )
                 )
-                for stats in hit.term_stats
+            documents.append(
+                SQRDocument(
+                    linkage=document.linkage,
+                    raw_score=hit.score,
+                    sources=sources,
+                    fields={name: value for name in wanted if (value := get(name))},
+                    term_stats=tuple(term_stats),
+                    doc_size=document.size_kbytes(),
+                    doc_count=store.token_count(hit.doc_id),
+                )
             )
-        return SQRDocument(
-            linkage=document.linkage,
-            raw_score=hit.score,
-            sources=(self.source_id,),
-            fields=answer_fields,
-            term_stats=term_stats,
-            doc_size=document.size_kbytes(),
-            doc_count=self.engine.store.token_count(hit.doc_id),
-        )
+        return documents
 
     @staticmethod
     def _score_ordered(query: SQuery) -> bool:
@@ -345,20 +359,33 @@ class StartsSource:
         return ScanResponse(field=canonical, entries=tuple(selected[:count]))
 
     def sample_results(self) -> SampleResults:
-        """Results over the fixed sample collection (§4.2 calibration)."""
-        return run_sample_queries(
-            lambda: SearchEngine(
-                analyzer=Analyzer(
-                    tokenizer=self.analyzer.tokenizer,
-                    stop_words=self.analyzer.stop_words,
-                    stem=self.analyzer.stem,
-                    case_sensitive=self.analyzer.case_sensitive,
-                    can_disable_stop_words=self.analyzer.can_disable_stop_words,
-                    index_stop_words=self.analyzer.index_stop_words,
-                ),
-                ranking=self.engine.ranking,
+        """Results over the fixed sample collection (§4.2 calibration).
+
+        A fixed sample and fixed queries: the answer depends only on the
+        analyzer and the ranking algorithm, never on the collection.  It
+        is computed on the first request (not at construction, where
+        every source would pay for an export few are asked for) and kept
+        with the two objects it was computed from, so a swapped engine
+        recomputes.
+        """
+        analyzer, ranking = self.analyzer, self.engine.ranking
+        kept = self._sample
+        if kept is None or kept[0] is not analyzer or kept[1] is not ranking:
+            results = run_sample_queries(
+                lambda: SearchEngine(
+                    analyzer=Analyzer(
+                        tokenizer=analyzer.tokenizer,
+                        stop_words=analyzer.stop_words,
+                        stem=analyzer.stem,
+                        case_sensitive=analyzer.case_sensitive,
+                        can_disable_stop_words=analyzer.can_disable_stop_words,
+                        index_stop_words=analyzer.index_stop_words,
+                    ),
+                    ranking=ranking,
+                )
             )
-        )
+            kept = self._sample = (analyzer, ranking, results)
+        return kept[2]
 
     def __repr__(self) -> str:
         return (

@@ -52,7 +52,7 @@ class SortKey:
             return cls(parts[0])
         if len(parts) == 2 and parts[1] in ("a", "d"):
             return cls(parts[0], parts[1] == "d")
-        raise SoifSyntaxError(f"bad sort key: {text!r}")
+        raise SoifSyntaxError(f"bad SortByFields piece: {text!r}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ class SQuery:
             obj.add("Sources", " ".join(self.sources))
         obj.add("AnswerFields", " ".join(self.answer_fields))
         obj.add("SortByFields", ", ".join(key.serialize() for key in self.sort_keys))
-        obj.add("MinDocumentScore", _format_score(self.min_document_score))
+        obj.add("MinDocumentScore", _format_float(self.min_document_score))
         obj.add("MaxNumberDocuments", str(self.max_number_documents))
         return obj
 
@@ -143,16 +143,35 @@ class SQuery:
             sources=tuple((obj.get("Sources") or "").split()),
             answer_fields=answer_fields,
             sort_keys=sort_keys,
-            min_document_score=float(obj.get("MinDocumentScore", "0") or 0),
-            max_number_documents=int(obj.get("MaxNumberDocuments", "20") or 20),
+            min_document_score=_number(
+                float, "MinDocumentScore", obj.get("MinDocumentScore"), 0.0
+            ),
+            max_number_documents=_number(
+                int, "MaxNumberDocuments", obj.get("MaxNumberDocuments"), 20
+            ),
             version=obj.get("Version", PROTOCOL_VERSION) or PROTOCOL_VERSION,
         )
 
 
-def _format_score(score: float) -> str:
-    if score == int(score):
-        return f"{score:.1f}"
-    return f"{score:g}"
+def _format_float(value: float) -> str:
+    """Shortest representation that round-trips the exact float value.
+
+    The paper prints truncated scores (``0.82``) for readability, but a
+    lossy wire encoding would make rank merging — and the floor a source
+    filters on — depend on print precision; ``repr`` keeps client-side
+    and source-side numbers bit-identical.
+    """
+    return repr(float(value))
+
+
+def _number(convert: type, attribute: str, text: str | None, default: float) -> float:
+    """``convert(text)``; absent or empty reads as ``default``."""
+    if not text:
+        return default
+    try:
+        return convert(text)
+    except ValueError:
+        raise SoifSyntaxError(f"bad {attribute} value {text!r}") from None
 
 
 def _parse_flag(text: str) -> bool:

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field as dataclass_field
 from repro.starts.ast import SNode, STerm
 from repro.starts.errors import ProtocolError, QuerySyntaxError, SoifSyntaxError
 from repro.starts.parser import parse_expression
-from repro.starts.query import PROTOCOL_VERSION
-from repro.starts.soif import SoifObject, parse_soif_stream
+from repro.starts.query import PROTOCOL_VERSION, _format_float, _number
+from repro.starts.soif import SoifObject, attribute_line, parse_soif_stream
 
 __all__ = ["TermStats", "SQRDocument", "SQResults"]
 
@@ -32,16 +32,6 @@ __all__ = ["TermStats", "SQRDocument", "SQResults"]
 _RESERVED_DOC_ATTRIBUTES = frozenset(
     ("version", "rawscore", "sources", "linkage", "termstats", "docsize", "doccount")
 )
-
-
-def _number(convert: type, attribute: str, text: str | None, default: float) -> float:
-    """``convert(text)``; absent or empty reads as ``default``."""
-    if not text:
-        return default
-    try:
-        return convert(text)
-    except ValueError:
-        raise SoifSyntaxError(f"bad {attribute} value {text!r}") from None
 
 
 def _expression(header: SoifObject, attribute: str) -> SNode | None:
@@ -60,10 +50,20 @@ class TermStats:
     term_weight: float
     document_frequency: int
 
-    def serialize(self) -> str:
+    def serialize(self, terms: dict[int, str] | None = None) -> str:
+        """Encode one ``TermStats`` line.
+
+        ``terms`` memoizes ``id(term)`` -> serialized term for the
+        caller's one response, which keeps its terms alive meanwhile.
+        """
+        if terms is None:
+            terms = {}
+        text = terms.get(id(self.term))
+        if text is None:
+            text = terms[id(self.term)] = self.term.serialize()
         return (
-            f"{self.term.serialize()} {self.term_frequency} "
-            f"{_format_weight(self.term_weight)} {self.document_frequency}"
+            f"{text} {self.term_frequency} "
+            f"{_format_float(self.term_weight)} {self.document_frequency}"
         )
 
     @classmethod
@@ -95,17 +95,6 @@ class TermStats:
         return cls(term, tf, weight, df)
 
 
-def _format_weight(weight: float) -> str:
-    """Shortest representation that round-trips the exact float value.
-
-    The paper prints truncated scores (``0.82``) for readability, but a
-    lossy wire encoding would make rank merging depend on print
-    precision; ``repr`` keeps client-side and source-side scores
-    bit-identical.
-    """
-    return repr(float(weight))
-
-
 @dataclass(frozen=True)
 class SQRDocument:
     """One document in a query result.
@@ -127,23 +116,6 @@ class SQRDocument:
         if name == "linkage":
             return self.linkage
         return self.fields.get(name, default)
-
-    def to_soif(self) -> SoifObject:
-        obj = SoifObject("SQRDocument")
-        obj.add("Version", self.version)
-        obj.add("RawScore", _format_weight(self.raw_score))
-        obj.add("Sources", " ".join(self.sources))
-        obj.add("linkage", self.linkage)
-        for name, value in self.fields.items():
-            obj.add(name, value)
-        if self.term_stats:
-            obj.add(
-                "TermStats",
-                "\n".join(stats.serialize() for stats in self.term_stats),
-            )
-        obj.add("DocSize", str(self.doc_size))
-        obj.add("DocCount", str(self.doc_count))
-        return obj
 
     @classmethod
     def from_soif(
@@ -210,21 +182,41 @@ class SQResults:
 
     def to_soif_stream(self) -> str:
         """The wire form: @SQResults then the @SQRDocument series."""
-        header = SoifObject("SQResults")
-        header.add("Version", self.version)
-        header.add("Sources", " ".join(self.sources))
-        if self.actual_filter_expression is not None:
-            header.add(
-                "ActualFilterExpression", self.actual_filter_expression.serialize()
-            )
-        if self.actual_ranking_expression is not None:
-            header.add(
-                "ActualRankingExpression", self.actual_ranking_expression.serialize()
-            )
-        header.add("NumDocSOIFs", str(self.num_doc_soifs))
-        parts = [header.dump()]
-        parts.extend(document.to_soif().dump() for document in self.documents)
-        return "\n".join(parts)
+        line = attribute_line
+        lines = [
+            "@SQResults{",
+            line("Version", self.version),
+            line("Sources", " ".join(self.sources)),
+        ]
+        add = lines.append
+        for name, expression in (
+            ("ActualFilterExpression", self.actual_filter_expression),
+            ("ActualRankingExpression", self.actual_ranking_expression),
+        ):
+            if expression is not None:
+                add(line(name, expression.serialize()))
+        add(line("NumDocSOIFs", str(self.num_doc_soifs)))
+        add("}")
+        # Each distinct term object of this response is serialized once;
+        # the memo dies with the call.
+        terms: dict[int, str] = {}
+        for document in self.documents:
+            add("")  # objects are separated by one blank line
+            add("@SQRDocument{")
+            add(line("Version", document.version))
+            add(line("RawScore", _format_float(document.raw_score)))
+            add(line("Sources", " ".join(document.sources)))
+            add(line("linkage", document.linkage))
+            for name, value in document.fields.items():
+                add(line(name, value))
+            if document.term_stats:
+                rows = [stats.serialize(terms) for stats in document.term_stats]
+                add(line("TermStats", "\n".join(rows)))
+            add(line("DocSize", str(document.doc_size)))
+            add(line("DocCount", str(document.doc_count)))
+            add("}")
+        add("")
+        return "\n".join(lines)
 
     @classmethod
     def from_soif_stream(cls, text: str | bytes) -> "SQResults":

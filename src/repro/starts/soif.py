@@ -31,6 +31,14 @@ from repro.starts.errors import SoifSyntaxError
 __all__ = ["SoifObject", "dump_soif", "parse_soif", "parse_soif_stream"]
 
 
+def attribute_line(name: str, value: str) -> str:
+    """One ``name{bytes}: value`` line — the only place a byte count is
+    computed.  An ASCII value's length is its byte count; only other
+    values are encoded to be counted."""
+    nbytes = len(value) if value.isascii() else len(value.encode("utf-8"))
+    return f"{name}{{{nbytes}}}: {value}"
+
+
 class SoifObject:
     """An ordered multi-map with a template type (e.g. ``SQuery``)."""
 
@@ -99,9 +107,7 @@ class SoifObject:
     def dump(self) -> str:
         """Render to SOIF text with correct byte counts."""
         lines = [f"@{self.template}{{"]
-        for name, value in self._pairs:
-            nbytes = len(value.encode("utf-8"))
-            lines.append(f"{name}{{{nbytes}}}: {value}")
+        lines.extend(attribute_line(name, value) for name, value in self._pairs)
         lines.append("}")
         return "\n".join(lines) + "\n"
 

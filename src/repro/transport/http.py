@@ -23,6 +23,7 @@ import urllib.request
 from repro.resource.resource import Resource
 from repro.source.scan import ScanRequest
 from repro.source.source import StartsSource
+from repro.starts.errors import StartsError
 from repro.starts.query import SQuery
 from repro.starts.soif import parse_soif
 from repro.transport.network import AccessRecord, TransportError, TransportTimeout
@@ -224,6 +225,11 @@ class StartsHttpServer:
                         )
                         self._send(200, response.to_soif().dump().encode("utf-8"))
                         return
+                except StartsError as error:
+                    # The request's own fault: a body that does not
+                    # decode, or a query the protocol rejects.
+                    self._send(400, str(error).encode("utf-8"))
+                    return
                 except Exception as error:
                     self._send(500, repr(error).encode("utf-8"))
                     return

@@ -165,3 +165,14 @@ class TestQueryCacheKey:
         assert query_cache_key(
             SQuery(**base, drop_stop_words=False), ["s"]
         ) != query_cache_key(SQuery(**base), ["s"])
+
+    def test_floors_differing_in_any_digit_get_different_keys(self):
+        base = dict(filter_expression=expr('(title "x")'))
+        for a, b in [(0.12345678, 0.12345679), (1234567.5, 1234567.25), (1e-9, 1.0000001e-9)]:
+            assert query_cache_key(
+                SQuery(**base, min_document_score=a), ["s"]
+            ) != query_cache_key(SQuery(**base, min_document_score=b), ["s"])
+        # The same floor as an int and as a float is one key.
+        assert query_cache_key(
+            SQuery(**base, min_document_score=1), ["s"]
+        ) == query_cache_key(SQuery(**base, min_document_score=1.0), ["s"])

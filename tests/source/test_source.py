@@ -212,3 +212,37 @@ class TestSampleResults:
         sample = source1.sample_results()
         for score in sample.all_scores():
             assert 0.0 <= score <= 1.0
+
+    def test_computed_once_per_source_and_equal_to_a_fresh_run(self, source1, monkeypatch):
+        from repro.source import sample, source as source_module
+
+        runs = []
+        monkeypatch.setattr(
+            source_module,
+            "run_sample_queries",
+            lambda factory: runs.append(1) or sample.run_sample_queries(factory),
+        )
+        assert runs == []  # not at construction
+        first = source1.sample_results()
+        assert source1.sample_results() is first
+        assert runs == [1]
+        source1.add_documents(source1_documents())  # never depends on the collection
+        assert source1.sample_results() is first
+        assert first == sample.run_sample_queries(
+            lambda: SearchEngine(analyzer=source1.analyzer, ranking=source1.engine.ranking)
+        )
+
+    def test_recomputed_after_the_engine_is_swapped(self, source1):
+        from repro.engine.ranking import Bm25
+
+        cosine = source1.sample_results()
+        source1.engine = SearchEngine(ranking=Bm25())
+        swapped = source1.sample_results()
+        assert swapped != cosine
+        assert swapped == StartsSource("Fresh", engine=SearchEngine(ranking=Bm25())).sample_results()
+
+    def test_sample_collection_is_generated_once_per_process(self):
+        from repro.source.sample import sample_collection
+
+        assert len(sample_collection()) == 40
+        assert sample_collection() is sample_collection()  # an immutable tuple

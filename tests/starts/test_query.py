@@ -1,6 +1,7 @@
 """SQuery: defaults, validation, SOIF round trips."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.starts.ast import SList, STerm
 from repro.starts.errors import ProtocolError, SoifSyntaxError
@@ -104,6 +105,41 @@ class TestSoifRoundTrip:
         text = "@SQuery{\nDropStopWords{1}: X\n}\n"
         with pytest.raises(SoifSyntaxError):
             SQuery.from_soif(parse_soif(text))
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("MaxNumberDocuments", "ten"),
+            ("MaxNumberDocuments", "3.5"),
+            ("MinDocumentScore", "high"),
+            ("SortByFields", "title d, author sideways"),
+            ("SortByFields", "a b c"),
+        ],
+    )
+    def test_malformed_attributes_raise_the_typed_error_naming_them(self, name, value):
+        text = (
+            '@SQuery{\nRankingExpression{17}: list("databases")\n'
+            f"{name}{{{len(value)}}}: {value}\n}}\n"
+        )
+        with pytest.raises(SoifSyntaxError, match=name):
+            SQuery.from_soif(parse_soif(text))
+
+    @pytest.mark.parametrize("floor", [0.123456789, 1234567.5, 1e-9, 5e-324, 1e22, 3.0])
+    def test_min_document_score_is_exact_on_the_wire(self, floor):
+        query = SQuery(ranking_expression=ranking(), min_document_score=floor)
+        parsed = SQuery.from_soif(parse_soif(query.to_soif().dump()))
+        assert parsed.min_document_score == floor
+        assert parsed == query
+
+    def test_integer_floor_keeps_its_wire_form(self):
+        text = SQuery(ranking_expression=ranking(), min_document_score=0).to_soif().dump()
+        assert "MinDocumentScore{3}: 0.0" in text
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_any_finite_floor_round_trips(floor):
+    query = SQuery(ranking_expression=ranking(), min_document_score=floor)
+    assert SQuery.from_soif(parse_soif(query.to_soif().dump())) == query
 
 
 class TestHelpers:

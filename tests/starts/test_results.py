@@ -8,6 +8,7 @@ from repro.starts.errors import SoifSyntaxError
 from repro.starts.lstring import LString
 from repro.starts.parser import parse_expression
 from repro.starts.results import SQRDocument, SQResults, TermStats
+from repro.starts.soif import parse_soif_stream
 
 
 def stats(text="distributed", tf=10, weight=0.31, df=190):
@@ -47,9 +48,8 @@ class TestTermStats:
 class TestSQRDocument:
     def test_round_trip(self):
         doc = document()
-        from repro.starts.soif import parse_soif
-
-        assert SQRDocument.from_soif(parse_soif(doc.to_soif().dump())) == doc
+        stream = SQResults(sources=("Source-1",), documents=(doc,)).to_soif_stream()
+        assert SQRDocument.from_soif(parse_soif_stream(stream)[1]) == doc
 
     def test_linkage_always_present(self):
         from repro.starts.soif import parse_soif
@@ -100,7 +100,8 @@ class TestSQResults:
             SQResults.from_soif_stream(stream)
 
     def test_stream_must_start_with_header(self):
-        doc_stream = document().to_soif().dump()
+        stream = SQResults(sources=("S",), documents=(document(),)).to_soif_stream()
+        doc_stream = stream[stream.index("@SQRDocument{") :]
         with pytest.raises(SoifSyntaxError):
             SQResults.from_soif_stream(doc_stream)
 

@@ -81,6 +81,50 @@ class TestEndpoints:
             transport.post(f"{server.base_url}/NoSource/query", b"@SQuery{\n}\n")
 
 
+class TestErrorStatuses:
+    """400 for a request that does not decode, 500 for the server's own faults."""
+
+    @staticmethod
+    def status_of(url: str, body: bytes) -> tuple[int, str]:
+        import urllib.error
+        import urllib.request
+
+        try:
+            with urllib.request.urlopen(urllib.request.Request(url, data=body)) as reply:
+                return reply.status, reply.read().decode("utf-8")
+        except urllib.error.HTTPError as error:
+            return error.code, error.read().decode("utf-8")
+
+    @pytest.mark.parametrize(
+        "body, names",
+        [
+            (b"\xff\xfe not soif", "SOIF"),
+            (b"@SQuery{\nMaxNumberDocuments{3}: ten\n}\n", "MaxNumberDocuments"),
+            (b"@SQuery{\nMinDocumentScore{1}: x\n}\n", "MinDocumentScore"),
+            (b'@SQuery{\nFilterExpression{9}: (title "x\n}\n', "tokenize"),
+            (b"@SQuery{\n}\n", "filter or a ranking"),
+        ],
+    )
+    def test_malformed_query_is_a_400_with_the_message(self, server, body, names):
+        status, message = self.status_of(server.source_query_url("Source-1"), body)
+        assert status == 400
+        assert names in message
+
+    def test_malformed_scan_request_is_a_400(self, server):
+        status, _ = self.status_of(f"{server.base_url}/Source-1/scan", b"@Wrong{")
+        assert status == 400
+
+    def test_server_fault_stays_a_500(self, server, monkeypatch):
+        def broken(self, query):
+            raise RuntimeError("index on fire")
+
+        monkeypatch.setattr(StartsSource, "search", broken)
+        body = ranking_query().to_soif().dump().encode("utf-8")
+        status, message = self.status_of(server.source_query_url("Source-1"), body)
+        assert status == 500
+        assert "index on fire" in message
+
+
 class TestMetasearcherOverHttp:
     def test_full_pipeline_on_real_sockets(self, server):
         searcher = Metasearcher(HttpTransport(), [server.resource_url()])

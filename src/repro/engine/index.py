@@ -13,12 +13,18 @@ indexes stems.
 from __future__ import annotations
 
 import bisect
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field as dataclass_field
 
 from repro.text.soundex import soundex
 
-__all__ = ["Posting", "InvertedIndex", "IndexSnapshot", "SummaryEntry"]
+__all__ = ["Posting", "InvertedIndex", "IndexSnapshot", "SummaryEntry", "TermState"]
+
+#: Entry cap of the per-(field, term) memos an index keeps between
+#: mutations (term state here, merged postings on segments); a memo
+#: that fills up is cleared wholesale.
+TERM_MEMO_LIMIT = 65536
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,6 +81,87 @@ class SummaryEntry:
     document_frequency: int = 0
 
 
+class TermState:
+    """Warm pruned-evaluation state of one (field, term).
+
+    What the MaxScore driver reads about a term depends only on the
+    index, so it is derived once per index layout
+    (:meth:`InvertedIndex.pruned_postings` memoizes it) and shared by
+    every query and thread until the layout key moves: ``df`` /
+    ``max_tf`` / ``min_len`` for the score cap, the postings as two
+    parallel **positionless columns** (``array('q')`` doc ids,
+    ``array('I')`` tfs — 12 bytes a posting, no :class:`Posting`), and
+    beside them the ``array('d')`` of exact term weights, tagged with
+    what computed it.  Published columns are never mutated; the driver
+    writes into its maps, so every call hands out a fresh dict.
+    """
+
+    #: Multi-expansion accessors precompute this; a single list never does.
+    doc_weight = None
+
+    __slots__ = ("df", "max_tf", "min_len", "has_blocks", "_columns", "_weights")
+
+    def __init__(self, postings: list[Posting], max_tf: int) -> None:
+        self.df = len(postings)
+        self.max_tf = max_tf
+        #: Smallest length among the term's documents, when known.
+        self.min_len: int | None = None
+        #: Whether :meth:`route` exists and its handles can bound blocks.
+        self.has_blocks = False
+        self._columns = (
+            array("q", [posting.doc_id for posting in postings]),
+            array("I", [len(posting.positions) for posting in postings]),
+        )
+        self._weights: tuple | None = None
+
+    def columns(self) -> tuple[array, array]:
+        """(doc ids, tfs) of every live posting, doc-id ascending."""
+        return self._columns
+
+    def tf_map(self) -> dict[int, int]:
+        return dict(zip(*self.columns()))
+
+    def weight_map(
+        self, ranking, n_docs: int, token_count, avg: float
+    ) -> dict[int, float]:
+        """``doc id -> ranking.term_weight(...)`` over the whole list.
+
+        The weight column is computed by whichever query first walks
+        the list and reused while ``(ranking, n_docs, avg)`` are the
+        objects and numbers it was computed from.
+        """
+        doc_ids, tfs = self.columns()
+        cached = self._weights
+        if (
+            cached is None
+            or cached[0] is not ranking
+            or cached[1:3] != (n_docs, avg)
+        ):
+            df = self.df
+            term_weight = ranking.term_weight
+            weights = array(
+                "d",
+                [
+                    term_weight(tf, df, n_docs, token_count(doc_id), avg)
+                    for doc_id, tf in zip(doc_ids, tfs)
+                ],
+            )
+            cached = self._weights = (ranking, n_docs, avg, weights)
+        return dict(zip(doc_ids, cached[3]))
+
+    def probe(self, doc_id: int) -> int:
+        """Term frequency of ``doc_id`` (0 if absent)."""
+        doc_ids, tfs = self._columns
+        slot = bisect.bisect_left(doc_ids, doc_id)
+        if slot < len(doc_ids) and doc_ids[slot] == doc_id:
+            return tfs[slot]
+        return 0
+
+    def block_bound(self, doc_id: int) -> None:
+        """A plain list has no block column (see ``TermHandle``)."""
+        return None
+
+
 class InvertedIndex:
     """Term → postings, per field, plus derived lookup structures.
 
@@ -108,6 +195,13 @@ class InvertedIndex:
         # Bumped on every mutation; lets callers (the term matcher)
         # cache derived lookups and invalidate them precisely.
         self._generation = 0
+        # (layout key, (field, term) -> TermState): replaced together
+        # whenever the key moves, so a reader never pairs one key with
+        # another key's states.
+        self._term_states: tuple[object, dict[tuple[str, str], TermState]] = (
+            None,
+            {},
+        )
 
     # -- construction ---------------------------------------------------
 
@@ -171,21 +265,43 @@ class InvertedIndex:
         """Postings for ``term`` in ``field`` (empty list if absent)."""
         return self._postings.get(field, {}).get(term, [])
 
+    def has_postings(self, field: str, term: str) -> bool:
+        """Whether ``term`` matches any document — without decoding one."""
+        return bool(self._postings.get(field, {}).get(term))
+
+    def _layout_key(self):
+        """Moves whenever anything a term memo was derived from moves."""
+        return self.generation
+
+    def pruned_postings(self, field: str, term: str) -> TermState:
+        """The term's warm state for the pruned evaluation driver.
+
+        Memoized per (field, term) until :meth:`_layout_key` moves; the
+        memo is bounded like every other per-term memo of an index.
+        """
+        key = self._layout_key()
+        memo_key, states = self._term_states
+        if memo_key != key:
+            states = {}
+            self._term_states = (key, states)
+        state = states.get((field, term))
+        if state is None:
+            if len(states) >= TERM_MEMO_LIMIT:
+                states.clear()
+            state = states[(field, term)] = self._term_state(field, term)
+        return state
+
+    def _term_state(self, field: str, term: str) -> TermState:
+        return TermState(
+            self._postings.get(field, {}).get(term, ()),
+            self._max_tf.get(field, {}).get(term, 0),
+        )
+
     def document_frequency(self, field: str, term: str) -> int:
         return len(self.postings(field, term))
 
     def collection_frequency(self, field: str, term: str) -> int:
         return sum(p.term_frequency for p in self.postings(field, term))
-
-    def max_term_frequency(self, field: str, term: str) -> int:
-        """Largest per-document tf of ``term`` (0 if absent).
-
-        An upper bound on the tf of every posting, which makes it the
-        tf input to :meth:`~repro.engine.ranking.RankingAlgorithm.
-        weight_upper_bound` for the pruned evaluator's per-term score
-        caps.
-        """
-        return self._max_tf.get(field, {}).get(term, 0)
 
     def vocabulary(self, field: str) -> list[str]:
         """Sorted index vocabulary of a field."""

@@ -91,7 +91,7 @@ class TermMatcher:
         found: set[str] = set()
 
         if not expansions:
-            if self._index.postings(field, base):
+            if self._index.has_postings(field, base):
                 found.add(base)
             return found
 
@@ -102,7 +102,7 @@ class TermMatcher:
         if "thesaurus" in expansions:
             for synonym in self._thesaurus.expand(term.text):
                 normalized = self._analyzer.normalize(synonym, term.language)
-                if self._index.postings(field, normalized):
+                if self._index.has_postings(field, normalized):
                     found.add(normalized)
         if "right-truncation" in expansions:
             prefix = self._analyzer.normalize(term.text, term.language)
@@ -127,6 +127,6 @@ class TermMatcher:
         matched = set(self._stem_maps[key][1].get(stem, set()))
         # The stemmed query form itself may be an index term (engines
         # that index stems), even if no surface form re-stems onto it.
-        if self._index.postings(field, stem):
+        if self._index.has_postings(field, stem):
             matched.add(stem)
         return matched

@@ -50,12 +50,10 @@ order — to the exhaustive oracles.  Three disciplines make that true:
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from heapq import nlargest
 from typing import TYPE_CHECKING
 
 from repro.engine.evaluation import TermHitStats, _term_key, hit_order_key
-from repro.engine.index import Posting
 from repro.engine.query import EngineQuery, ListQuery, TermQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with search.py
@@ -97,39 +95,6 @@ def supports_pruning(
     return False
 
 
-class _ListAccessor:
-    """Probe/walk access over a materialized posting list."""
-
-    #: Whether :meth:`block_bound` can ever answer; lets the driver
-    #: skip the call entirely on block-less accessors.
-    has_blocks = False
-
-    __slots__ = ("postings", "df", "max_tf", "min_len", "doc_weight", "_doc_ids")
-
-    def __init__(self, postings: list[Posting], max_tf: int) -> None:
-        self.postings = postings
-        self.df = len(postings)
-        self.max_tf = max_tf
-        self.min_len: int | None = None
-        self.doc_weight: dict[int, float] | None = None
-        self._doc_ids: list[int] | None = None
-
-    def tf_map(self) -> dict[int, int]:
-        return {p.doc_id: p.term_frequency for p in self.postings}
-
-    def probe(self, doc_id: int) -> int:
-        doc_ids = self._doc_ids
-        if doc_ids is None:
-            doc_ids = self._doc_ids = [p.doc_id for p in self.postings]
-        slot = bisect_left(doc_ids, doc_id)
-        if slot < len(doc_ids) and doc_ids[slot] == doc_id:
-            return self.postings[slot].term_frequency
-        return 0
-
-    def block_bound(self, doc_id: int) -> tuple[int, int] | None:
-        return None
-
-
 class _MaterializedAccessor:
     """Aggregated access for multi-expansion terms (stems, fan-out).
 
@@ -139,6 +104,7 @@ class _MaterializedAccessor:
     never skipped.  Modifier-heavy terms are rare; correctness wins.
     """
 
+    #: No block column: the driver never asks this accessor to route.
     has_blocks = False
 
     __slots__ = ("doc_tf", "df", "doc_weight", "max_weight")
@@ -154,9 +120,6 @@ class _MaterializedAccessor:
 
     def probe(self, doc_id: int) -> int:
         return self.doc_tf.get(doc_id, 0)
-
-    def block_bound(self, doc_id: int) -> tuple[int, int] | None:
-        return None
 
 
 class _PrunedTerm:
@@ -236,14 +199,7 @@ class PrunedContext:
             for index_term in index_terms
         ]
         if len(pairs) == 1:
-            field_name, index_term = pairs[0]
-            maker = getattr(engine.index, "pruned_postings", None)
-            if maker is not None:
-                return maker(field_name, index_term)
-            return _ListAccessor(
-                engine.index.postings(field_name, index_term),
-                engine.index.max_term_frequency(field_name, index_term),
-            )
+            return engine.index.pruned_postings(*pairs[0])
         # Multi-expansion: aggregate tf exactly as the exhaustive
         # context does, then precompute the same weights.
         doc_tf: dict[int, int] = {}
@@ -325,10 +281,7 @@ class PrunedContext:
                 weights = accessor.doc_weight
                 if weights is None:
                     self.postings_walked += len(tfs)
-                    weights = {
-                        doc_id: term_weight(tf, df, n_docs, token_count(doc_id), avg)
-                        for doc_id, tf in tfs.items()
-                    }
+                    weights = accessor.weight_map(ranking, n_docs, token_count, avg)
                 record.tfs = tfs
                 record.weights = weights
                 if acc:
@@ -346,7 +299,7 @@ class PrunedContext:
                 tfs = record.tfs
                 weights = record.weights
                 probe = accessor.probe
-                block_bound = accessor.block_bound if accessor.has_blocks else None
+                route = accessor.route if accessor.has_blocks else None
                 precomputed = accessor.doc_weight
                 limit = cut * _EPS_DOWN - (record.ub + remaining)
                 limit_rest = cut * _EPS_DOWN - remaining
@@ -356,17 +309,24 @@ class PrunedContext:
                         del acc[doc_id]
                         self._pruned_docs += 1
                         continue
-                    bound = block_bound(doc_id) if block_bound is not None else None
-                    if bound is not None:
-                        block_ub = coef * weight_upper_bound(
-                            bound[0], df, n_docs, bound[1], avg
-                        )
-                        if partial + block_ub < limit_rest:
-                            del acc[doc_id]
-                            self._pruned_docs += 1
-                            self.blocks_skipped += 1
-                            continue
-                    tf = probe(doc_id)
+                    if route is not None:
+                        # One routing step finds whatever holds this id
+                        # (a segment's handle, the tail, nothing) and it
+                        # answers both the bound and the probe.
+                        target = route(doc_id)
+                        bound = target.block_bound(doc_id)
+                        if bound is not None:
+                            block_ub = coef * weight_upper_bound(
+                                bound[0], df, n_docs, bound[1], avg
+                            )
+                            if partial + block_ub < limit_rest:
+                                del acc[doc_id]
+                                self._pruned_docs += 1
+                                self.blocks_skipped += 1
+                                continue
+                        tf = target.probe(doc_id)
+                    else:
+                        tf = probe(doc_id)
                     probes += 1
                     if tf:
                         weight = (

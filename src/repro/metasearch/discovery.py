@@ -15,6 +15,7 @@ from dataclasses import dataclass, field as dataclass_field
 from repro.cache.summaries import SummaryTtlPolicy
 from repro.metasearch.summary_index import SummaryIndex
 from repro.source.sample import SampleResults
+from repro.starts.errors import SoifSyntaxError
 from repro.starts.metadata import SContentSummary, SMetaAttributes
 from repro.transport.client import StartsClient
 from repro.transport.network import TransportError
@@ -41,6 +42,10 @@ class KnownSource:
         return self.summary.num_docs if self.summary is not None else 0
 
 
+#: What one source may do to its own harvest without aborting the round.
+_HARVEST_FAILURES = (TransportError, SoifSyntaxError)
+
+
 @dataclass
 class DiscoveryService:
     """Harvests resources → sources → metadata/summaries/samples.
@@ -62,7 +67,7 @@ class DiscoveryService:
     ttl_policy: SummaryTtlPolicy | None = None
     _sources: dict[str, KnownSource] = dataclass_field(default_factory=dict)
     #: source_id → metadata URL for sources skipped on the last refresh
-    #: because their host was unreachable.
+    #: because their host was unreachable or their metadata malformed.
     unreachable: dict[str, str] = dataclass_field(default_factory=dict)
     #: source_id → clock date of the last successful harvest; feeds the
     #: heuristic TTL ("age at harvest") when :attr:`ttl_policy` is set.
@@ -89,10 +94,11 @@ class DiscoveryService:
         """Fetch a resource's source list and harvest each new source.
 
         Returns the known sources belonging to this resource.  A source
-        whose metadata cannot be fetched (dead or flaky host) is skipped
-        for this round — a stale entry from an earlier harvest is kept
-        rather than dropped, and the source id is recorded in
-        :attr:`unreachable` so callers can see what was missed.
+        whose metadata cannot be fetched (dead or flaky host) or does not
+        decode (:class:`SoifSyntaxError`) is skipped for this round — a
+        stale entry from an earlier harvest is kept rather than dropped,
+        and the source id is recorded in :attr:`unreachable` so callers
+        can see what was missed.
 
         ``client`` fetches this one harvest instead of :attr:`client` —
         how a traced refresh routes its fetch events to the caller's
@@ -109,7 +115,7 @@ class DiscoveryService:
                     known = self._harvest(
                         client, source_id, metadata_url, resource_url
                     )
-                except TransportError:
+                except _HARVEST_FAILURES:
                     self.unreachable[source_id] = metadata_url
                     if known is None:
                         continue
@@ -145,14 +151,14 @@ class DiscoveryService:
                 known.summary = client.fetch_summary(
                     metadata.content_summary_linkage
                 )
-            except TransportError:
+            except _HARVEST_FAILURES:
                 known.summary = None
         if metadata.sample_database_results:
             try:
                 known.sample_results = client.fetch_sample_results(
                     metadata.sample_database_results
                 )
-            except TransportError:
+            except _HARVEST_FAILURES:
                 known.sample_results = None
         return known
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.starts.errors import SoifSyntaxError
+from repro.starts.query import _number
 from repro.starts.soif import SoifObject, parse_soif
 
 __all__ = ["ScanRequest", "ScanEntry", "ScanResponse"]
@@ -41,7 +42,7 @@ class ScanRequest:
         return cls(
             field=obj.get("Field", "any") or "any",
             start_term=obj.get("StartTerm", "") or "",
-            count=int(obj.get("Count", "10") or 10),
+            count=_number(int, "Count", obj.get("Count"), 10),
         )
 
 
@@ -82,12 +83,12 @@ class ScanResponse:
             line = line.strip()
             if not line:
                 continue
-            closing = line.index('"', 1)
-            word = line[1:closing]
+            closing = line.find('"', 1)
             numbers = line[closing + 1 :].split()
-            if len(numbers) != 2:
-                raise SoifSyntaxError(f"bad scan entry: {line!r}")
-            entries.append(ScanEntry(word, int(numbers[0]), int(numbers[1])))
+            if not line.startswith('"') or closing < 0 or len(numbers) != 2:
+                raise SoifSyntaxError(f"bad Entries line: {line!r}")
+            postings, df = (_number(int, "Entries", text, 0) for text in numbers)
+            entries.append(ScanEntry(line[1:closing], postings, df))
         return cls(field=obj.get("Field", "any") or "any", entries=tuple(entries))
 
     @classmethod

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.starts.attributes import FieldRef, ModifierRef
 from repro.starts.errors import SoifSyntaxError
-from repro.starts.query import PROTOCOL_VERSION
+from repro.starts.query import PROTOCOL_VERSION, _number
 from repro.starts.soif import SoifObject
 
 __all__ = [
@@ -87,7 +87,7 @@ def _parse_score(text: str) -> float:
         return float("inf")
     if lowered in ("-inf", "-infinity"):
         return float("-inf")
-    return float(text)
+    return _number(float, "ScoreRange", text, 0.0)
 
 
 @dataclass(frozen=True)
@@ -341,19 +341,24 @@ class SummaryEntryLine:
         line = line.strip()
         if not line.startswith('"'):
             raise SoifSyntaxError(f"summary line must start with a word: {line!r}")
-        closing = line.index('"', 1)
-        word = line[1:closing]
+        closing = line.find('"', 1)
         numbers = line[closing + 1 :].split()
         postings, df = -1, -1
-        if has_postings and has_df:
-            if len(numbers) != 2:
-                raise SoifSyntaxError(f"summary line needs two numbers: {line!r}")
-            postings, df = int(numbers[0]), int(numbers[1])
-        elif has_postings:
-            postings = int(numbers[0])
-        elif has_df:
-            df = int(numbers[0])
-        return cls(word, postings, df)
+        try:  # one line per summary word: the good path stays int()
+            if closing < 0 or (has_postings and has_df and len(numbers) != 2):
+                raise ValueError
+            if has_postings and has_df:
+                postings, df = int(numbers[0]), int(numbers[1])
+            elif has_postings:
+                postings = int(numbers[0])
+            elif has_df:
+                df = int(numbers[0])
+        except (ValueError, IndexError):
+            raise SoifSyntaxError(
+                f"bad TermDocFreq line (a quoted word, then the declared "
+                f"statistics as integers): {line!r}"
+            ) from None
+        return cls(line[1:closing], postings, df)
 
 
 @dataclass(frozen=True)
@@ -549,7 +554,7 @@ class SContentSummary:
                     SummarySection(current_field, current_language, entries)
                 )
         return cls(
-            num_docs=int(obj.get("NumDocs", "0") or 0),
+            num_docs=_number(int, "NumDocs", obj.get("NumDocs"), 0),
             sections=tuple(sections),
             stemming=(obj.get("Stemming", "F") or "F").upper() == "T",
             stop_words=(obj.get("StopWords", "F") or "F").upper() == "T",

@@ -20,6 +20,8 @@ into the heap first.
 
 from __future__ import annotations
 
+from array import array
+
 from repro.engine.index import Posting
 
 __all__ = [
@@ -180,8 +182,8 @@ def decode_posting_list(buf, pos: int, live=None) -> list[Posting]:
 
 
 def scan_posting_block(
-    buf, pos: int, n_docs: int, previous_doc: int
-) -> tuple[list[int], list[int]]:
+    buf, pos: int, n_docs: int, previous_doc: int, live=None
+) -> tuple[array, array]:
     """(doc ids, term frequencies) of one block, skipping positions.
 
     Args:
@@ -192,21 +194,29 @@ def scan_posting_block(
         previous_doc: last doc id of the preceding block (0 for the
             first block — the encoding makes the first doc id of a list
             a delta from 0).
+        live: optional ``doc_id -> bool`` predicate; rejected
+            (tombstoned) ids are left out of both columns.
 
-    Positions are varint-skipped, not materialized: a probe needs only
-    (doc id, tf), and that is the saving block-level access exists for.
+    The columns are ``array('q')`` / ``array('I')`` — 12 bytes per
+    posting, which is what lets the pruned evaluator keep them warm.
+    Positions are never decoded, only stepped over (one byte test per
+    position byte): a probe needs only (doc id, tf), and that is the
+    saving block-level access exists for.
     """
-    doc_ids: list[int] = []
-    tfs: list[int] = []
+    doc_ids = array("q")
+    tfs = array("I")
     doc_id = previous_doc
     for _ in range(n_docs):
         delta, pos = decode_varint(buf, pos)
         doc_id += delta
         n_positions, pos = decode_varint(buf, pos)
         for _ in range(n_positions):
-            _, pos = decode_varint(buf, pos)
-        doc_ids.append(doc_id)
-        tfs.append(n_positions)
+            while buf[pos] & 0x80:
+                pos += 1
+            pos += 1
+        if live is None or live(doc_id):
+            doc_ids.append(doc_id)
+            tfs.append(n_positions)
     return doc_ids, tfs
 
 
@@ -222,7 +232,9 @@ def count_posting_list(buf, pos: int, live=None) -> int:
         doc_id += delta
         n_positions, pos = decode_varint(buf, pos)
         for _ in range(n_positions):
-            _, pos = decode_varint(buf, pos)
+            while buf[pos] & 0x80:
+                pos += 1
+            pos += 1
         if live(doc_id):
             count += 1
     return count

@@ -233,12 +233,14 @@ class TermBlocks:
 class TermHandle:
     """Block-level access to one term's postings in one segment.
 
-    Built per query by the segmented pruned-postings accessor; holds the
-    term's posting-list offset and (for v2 segments) its block-max
-    column, and decodes **single blocks** on demand — skipping position
-    deltas — so probing one document touches at most one block's bytes.
-    Old (v1) segments fall back to scanning the whole list once and
-    answering probes from that memo: correct, just without the skip.
+    Held by the segmented index's memoized term state, so it — and
+    every block it decoded — lives until the store's layout moves
+    (flush, merge, tombstone); it holds the term's posting-list offset
+    and (for v2 segments) its block-max column, and decodes **single
+    blocks** on demand — skipping position deltas — so probing one
+    document touches at most one block's bytes, once.  Old (v1)
+    segments fall back to scanning the whole list once and answering
+    probes from that memo: correct, just without the skip.
     """
 
     __slots__ = ("_buf", "_offset", "blocks", "_block_memo", "_full_memo")
@@ -247,15 +249,20 @@ class TermHandle:
         self._buf = buf
         self._offset = offset
         self.blocks = blocks
-        # block number -> (doc ids, tfs); lives as long as the handle
-        # (one query), so tombstone churn can never make it stale.
-        self._block_memo: dict[int, tuple[list[int], list[int]]] = {}
-        self._full_memo: tuple[list[int], list[int]] | None = None
+        # block number -> (doc ids, tfs) columns.  Not tombstone-
+        # filtered: a tombstone commit moves the layout key, which
+        # retires the handle with everything in here.
+        self._block_memo: dict[int, tuple[array, array]] = {}
+        self._full_memo: tuple[array, array] | None = None
 
-    def _full_scan(self) -> tuple[list[int], list[int]]:
+    def scan(self, live=None) -> tuple[array, array]:
+        """(doc ids, tfs) of the whole list, tombstoned ids dropped."""
+        n_docs, pos = decode_varint(self._buf, self._offset)
+        return scan_posting_block(self._buf, pos, n_docs, 0, live)
+
+    def _full_scan(self) -> tuple[array, array]:
         if self._full_memo is None:
-            n_docs, pos = decode_varint(self._buf, self._offset)
-            self._full_memo = scan_posting_block(self._buf, pos, n_docs, 0)
+            self._full_memo = self.scan()
         return self._full_memo
 
     def document_count(self, live=None) -> int:

@@ -20,23 +20,34 @@ the bulk of the store.
 Reads memoize against two counters: the index's own mutation
 generation (the tail moved) and the store's commit ``epoch`` (the
 segment layout moved).  Flushes and merges change the layout but not
-the content, so only layout-keyed memos (decoded postings,
-vocabularies) refresh; tombstone commits bump the *content* epoch,
-which feeds the inherited ``generation`` so term-matcher expansion
-memos invalidate exactly as they do for in-memory mutation.
+the content, so only layout-keyed memos (decoded postings, the pruned
+evaluator's per-term state, vocabularies) refresh; tombstone commits
+bump the *content* epoch, which feeds the inherited ``generation`` so
+term-matcher expansion memos invalidate exactly as they do for
+in-memory mutation.
+
+The pruned evaluator never goes through :meth:`SegmentedIndex.
+postings`: its per-term state (:class:`_SegmentedTermAccessor`) keeps
+positionless doc-id/tf columns scanned straight from the segments, so
+a source that only ranks builds no :class:`Posting` at all, and
+existence checks (:meth:`SegmentedIndex.has_postings`) read that
+state's ``df`` instead of decoding a list.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from bisect import bisect_left, bisect_right
 
 from repro.engine.documents import Document, DocumentStore
 from repro.engine.index import (
+    TERM_MEMO_LIMIT,
     IndexSnapshot,
     InvertedIndex,
     Posting,
     SummaryEntry,
+    TermState,
 )
 from repro.storage.format import StorageError
 from repro.storage.store import SegmentStore
@@ -45,29 +56,36 @@ from repro.text.soundex import soundex as soundex_code
 __all__ = ["SegmentedIndex", "SegmentedDocumentStore"]
 
 
-class _SegmentedTermAccessor:
-    """Pruned-evaluation access to one term across segments + tail.
+class _NoPostings:
+    """Routing target for ids no segment of the term covers."""
+
+    @staticmethod
+    def block_bound(doc_id: int) -> tuple[int, int]:
+        # The term cannot match the id, which (0, 0) encodes exactly.
+        return (0, 0)
+
+    @staticmethod
+    def probe(doc_id: int) -> int:
+        return 0
+
+
+class _SegmentedTermAccessor(TermState):
+    """One term's warm state across segments + tail.
 
     The pruned driver's contract (df / max tf / min length metadata,
     point probes, per-document block bounds) routed by doc-id range:
     committed ids resolve through each segment's
-    :class:`~repro.storage.segment.TermHandle` (block-max column, no
-    full decode), tail ids bisect the mutable posting list.  ``tf_map``
-    intentionally reuses the index's merged-and-memoized decode — an
-    essential pass walks everything anyway, and sharing the memo keeps
-    repeated queries cheap.
+    :class:`~repro.storage.segment.TermHandle` (block-max column, one
+    block decoded and kept per probe miss), tail ids through the
+    tail's own :class:`TermState`.  The full columns are scanned —
+    positions skipped, tombstoned ids dropped — when a query first
+    walks the whole list.  The index keeps the accessor, with its
+    handles and everything they decoded, until the layout key moves.
     """
 
-    __slots__ = (
-        "_index", "_field", "_term", "_handles", "_bases", "_tail",
-        "_tail_ids", "_tail_floor", "_live", "df", "max_tf", "min_len",
-        "doc_weight", "has_blocks",
-    )
+    __slots__ = ("_handles", "_bases", "_tail", "_tail_floor", "_live")
 
     def __init__(self, index: "SegmentedIndex", field: str, term: str) -> None:
-        self._index = index
-        self._field = field
-        self._term = term
         store = index._segment_store
         live = store.live if store.tombstones else None
         self._live = live
@@ -78,13 +96,13 @@ class _SegmentedTermAccessor:
                 handles.append((reader.doc_base, reader.doc_ceiling, handle))
         self._handles = handles
         self._bases = [base for base, _, _ in handles]
-        tail = list(index._postings.get(field, {}).get(term, ()))
-        self._tail = tail
-        self._tail_ids: list[int] | None = None
-        self._tail_floor = tail[0].doc_id if tail else None
-        self.doc_weight = None
-        df = len(tail)
-        max_tf = InvertedIndex.max_term_frequency(index, field, term)
+        tail = self._tail = InvertedIndex._term_state(index, field, term)
+        tail_ids = tail.columns()[0]
+        self._tail_floor = tail_ids[0] if tail_ids else None
+        self._columns = None
+        self._weights = None
+        df = tail.df
+        max_tf = tail.max_tf
         handle_mins: list[int] = []
         blind = False
         for _, _, handle in handles:
@@ -99,13 +117,15 @@ class _SegmentedTermAccessor:
             else:
                 handle_mins.append(handle_min)
         self.df = df
+        # Tombstones may leave max_tf stale-high (the maximal document
+        # was deleted); that only loosens the bound.
         self.max_tf = max_tf
         # The term-level length bound is the min over every source of
         # the term's documents.  A non-empty tail has no cheap per-doc
         # length column (nor does a v1 segment), so its presence drops
         # the bound to None — the driver then falls back to the
         # store-wide minimum, which is looser but still valid.
-        if tail or blind or not handle_mins:
+        if tail.df or blind or not handle_mins:
             self.min_len = None
         else:
             self.min_len = min(handle_mins)
@@ -113,45 +133,42 @@ class _SegmentedTermAccessor:
             handle.blocks is not None for _, _, handle in handles
         )
 
-    def tf_map(self) -> dict[int, int]:
-        return {
-            posting.doc_id: posting.term_frequency
-            for posting in self._index.postings(self._field, self._term)
-        }
+    def columns(self):
+        columns = self._columns
+        if columns is None:  # built locally, published with one store
+            doc_ids, tfs = array("q"), array("I")
+            for _, _, handle in self._handles:
+                segment_ids, segment_tfs = handle.scan(self._live)
+                doc_ids.extend(segment_ids)
+                tfs.extend(segment_tfs)
+            tail_ids, tail_tfs = self._tail.columns()
+            doc_ids.extend(tail_ids)
+            tfs.extend(tail_tfs)
+            columns = self._columns = (doc_ids, tfs)
+        return columns
 
-    def _route(self, doc_id: int):
-        """The (ceiling, handle) covering ``doc_id``, or None."""
+    def route(self, doc_id: int):
+        """Whatever answers ``block_bound``/``probe`` for ``doc_id``.
+
+        The driver routes once per candidate and asks the target both
+        questions; its candidates come from live-filtered columns, so
+        they need no tombstone check.
+        """
         position = bisect_right(self._bases, doc_id) - 1
         if position >= 0:
             _, ceiling, handle = self._handles[position]
             if doc_id < ceiling:
                 return handle
-        return None
+        if self._tail_floor is not None and doc_id >= self._tail_floor:
+            return self._tail
+        return _NoPostings
 
     def probe(self, doc_id: int) -> int:
         live = self._live
         if live is not None and not live(doc_id):
             return 0
-        handle = self._route(doc_id)
-        if handle is not None:
-            return handle.probe(doc_id)
-        tail_ids = self._tail_ids
-        if tail_ids is None:
-            tail_ids = self._tail_ids = [p.doc_id for p in self._tail]
-        slot = bisect_left(tail_ids, doc_id)
-        if slot < len(tail_ids) and tail_ids[slot] == doc_id:
-            return self._tail[slot].term_frequency
-        return 0
+        return self.route(doc_id).probe(doc_id)
 
-    def block_bound(self, doc_id: int) -> tuple[int, int] | None:
-        if self._tail_floor is not None and doc_id >= self._tail_floor:
-            return None
-        handle = self._route(doc_id)
-        if handle is not None:
-            return handle.block_bound(doc_id)
-        # No segment of this term covers the id and it is below the
-        # tail: the term cannot match it, which (0, 0) encodes exactly.
-        return (0, 0)
 
 #: Decoded-document memo bound (entries, not bytes); cleared wholesale
 #: when full, like the term-matcher's expansion memo.
@@ -232,30 +249,18 @@ class SegmentedIndex(InvertedIndex):
             for reader in store.readers:
                 merged.extend(reader.postings(field, term, live))
             merged.extend(self._postings.get(field, {}).get(term, ()))
-            if len(memo) >= 65536:
+            if len(memo) >= TERM_MEMO_LIMIT:
                 memo.clear()
             memo[cache_key] = merged
         return merged
 
-    def max_term_frequency(self, field: str, term: str) -> int:
-        """Max per-document tf across committed segments and the tail.
-
-        Tombstones may leave this stale-high (the maximal document was
-        deleted); that direction only loosens upper bounds, never
-        invalidates them.
-        """
-        best = super().max_term_frequency(field, term)
-        for reader in self._segment_store.readers:
-            handle = reader.term_handle(field, term)
-            if handle is not None:
-                tf = handle.max_term_frequency()
-                if tf > best:
-                    best = tf
-        return best
-
-    def pruned_postings(self, field: str, term: str) -> _SegmentedTermAccessor:
-        """Block-aware probe access for the pruned evaluation driver."""
+    def _term_state(self, field: str, term: str) -> _SegmentedTermAccessor:
         return _SegmentedTermAccessor(self, field, term)
+
+    def has_postings(self, field: str, term: str) -> bool:
+        """Lexicon presence plus a live document — nothing is decoded
+        into postings, and a fully tombstoned term is still absent."""
+        return self.pruned_postings(field, term).df > 0
 
     # -- reads: vocabulary and fields --------------------------------------
 
@@ -392,6 +397,8 @@ class SegmentedDocumentStore(DocumentStore):
         self._segment_store = store
         self._tail_base = store.document_ceiling
         self._doc_memo: dict[int, Document] = {}
+        # (store epoch, readers, their doc bases) for ``_locate``.
+        self._reader_bases: tuple[int, list, list[int]] = (-1, [], [])
         # Eager small columns: linkage -> id and token counts across
         # every segment.  Token counts sit on the ranking hot path (one
         # lookup per scored posting), so they must not pay a per-call
@@ -466,8 +473,15 @@ class SegmentedDocumentStore(DocumentStore):
     # -- reads -------------------------------------------------------------
 
     def _locate(self, doc_id: int):
-        readers = self._segment_store.readers
-        bases = [reader.doc_base for reader in readers]
+        store = self._segment_store
+        epoch, readers, bases = self._reader_bases
+        if epoch != store.epoch:
+            # Read the epoch first: a commit racing this refresh leaves
+            # a stale epoch beside newer readers, and the next call
+            # simply refreshes again.
+            epoch, readers = store.epoch, store.readers
+            bases = [reader.doc_base for reader in readers]
+            self._reader_bases = (epoch, readers, bases)
         position = bisect_right(bases, doc_id) - 1
         if position < 0:
             return None, None

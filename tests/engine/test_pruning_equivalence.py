@@ -9,11 +9,20 @@ top-k or score floor) must fall back to term-at-a-time transparently.
 """
 
 import random
+import sys
 import tempfile
 import pathlib
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.engine import fields as F
 from repro.engine.documents import Document
@@ -29,6 +38,7 @@ from repro.engine.query import AND_NOT, BooleanQuery, ListQuery, ProxQuery, Term
 from repro.engine.ranking import RANKING_ALGORITHMS
 from repro.engine.search import SearchEngine
 from repro.observability.metrics import MetricsRegistry, set_registry
+from repro.storage.merge import TieredMergePolicy
 
 ALGORITHMS = sorted(RANKING_ALGORITHMS)
 
@@ -459,3 +469,266 @@ def test_random_queries_equivalent_segments(
             assert_pruned_equivalent(engine, ranking_query=query, top_k=top_k)
         finally:
             engine.close()
+
+
+# -- warm term state: lifetime, tagging, sharing --------------------------
+#
+# The pruned driver reads each (field, term) through a memoized accessor
+# that lives until the index's layout key moves.  Everything below is
+# about that lifetime: a stale accessor, an untagged weight column or a
+# mutated shared column each fail one of these.
+
+PLAIN_QUERIES = [
+    ListQuery((t("connect", 0.9), t("database", 0.4), t("gamma", 0.1))),
+    ListQuery((t("gamma"), t("delta", 0.5), t("zeta", 0.25), t("smith"))),
+    ListQuery((t("retention", 0.7), t("epsilon"), t("nosuchword"))),
+    ListQuery((t("gamma", 0.3), t("gamma", 0.8), t("delta"))),
+    t("database"),
+]
+
+
+def by_linkage(engine, hits):
+    """Hits keyed the way STARTS keys them: a memory engine that removed
+    a document renumbers the rest, a tombstoning one does not."""
+    return [(engine.store[hit.doc_id].linkage, hit.score, hit.term_stats) for hit in hits]
+
+
+class WarmTermStateMachine(RuleBasedStateMachine):
+    """add / flush / tombstone / merge interleaved with pruned searches.
+
+    Every search is issued twice on the segments engine — the first may
+    build term state, the second must find it warm — and both must equal
+    a ``storage="memory"`` term-at-a-time engine fed the same history,
+    hit for hit including TermStats.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._tmp = tempfile.TemporaryDirectory()
+        self.live: list[str] = []
+        self.added = 0
+
+    @initialize(algorithm_id=st.sampled_from(ALGORITHMS))
+    def open_engines(self, algorithm_id):
+        self.oracle = SearchEngine(ranking=RANKING_ALGORITHMS[algorithm_id]())
+        self.segmented = SearchEngine(
+            ranking=RANKING_ALGORITHMS[algorithm_id](),
+            evaluation=PRUNED,
+            storage="segments",
+            storage_dir=pathlib.Path(self._tmp.name) / "store",
+            merge_policy=TieredMergePolicy(merge_factor=2),
+        )
+
+    @rule(bodies=st.lists(st.lists(_terms, min_size=1, max_size=12), min_size=1, max_size=6))
+    def add(self, bodies):
+        for words in bodies:
+            document = Document(
+                f"http://x/{self.added}", {F.BODY_OF_TEXT: " ".join(words)}
+            )
+            self.added += 1
+            self.live.append(document.linkage)
+            self.oracle.add(document)
+            self.segmented.add(document)
+
+    @rule()
+    def flush(self):
+        self.segmented.flush()
+
+    @rule()
+    def merge(self):
+        self.segmented.checkpoint(merge=True)
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def tombstone(self, data):
+        linkage = self.live.pop(data.draw(st.integers(0, len(self.live) - 1)))
+        assert self.segmented.tombstone(linkage)
+        assert self.oracle.remove(linkage)
+
+    @rule(query=flat_queries(), top_k=st.sampled_from([1, 3, 8]))
+    def search_cold_then_warm(self, query, top_k):
+        expected = by_linkage(
+            self.oracle, self.oracle.search(ranking_query=query, top_k=top_k)
+        )
+        for _ in ("cold", "warm"):
+            hits = self.segmented.search(ranking_query=query, top_k=top_k)
+            assert by_linkage(self.segmented, hits) == expected
+
+    def teardown(self):
+        if hasattr(self, "segmented"):
+            self.segmented.close()
+        self._tmp.cleanup()
+
+
+def test_warm_state_survives_any_storage_history():
+    run_state_machine_as_test(
+        WarmTermStateMachine,
+        settings=settings(stateful_step_count=30, deadline=None),
+    )
+
+
+def search_all(engine, queries=PLAIN_QUERIES, top_k=3):
+    return [engine.search(ranking_query=query, top_k=top_k) for query in queries]
+
+
+@pytest.fixture
+def warm_reopened(tmp_path):
+    """A flushed, partly tombstoned store served from a warm reopen."""
+    build_segmented_engine(
+        "Okapi-1", seed=41, directory=tmp_path, n_docs=300, flush_every=70,
+        tombstones=(3, 120, 251),
+    ).close()
+    engine = SearchEngine(
+        ranking=RANKING_ALGORITHMS["Okapi-1"](),
+        evaluation=PRUNED,
+        storage="segments",
+        storage_dir=tmp_path / "store",
+    )
+    yield engine
+    engine.close()
+
+
+class TestWarmTermState:
+    @pytest.mark.parametrize("storage", ["memory", "segments"])
+    def test_swapped_ranking_gets_its_own_weights(self, storage, tmp_path):
+        """The weight column is tagged: warm state built under one
+        algorithm must not answer for the next one."""
+        if storage == "memory":
+            engine = build_engine("Okapi-1", seed=42, n_docs=120)
+        else:
+            engine = build_segmented_engine(
+                "Okapi-1", seed=42, directory=tmp_path, n_docs=120, flush_every=50
+            )
+        engine.evaluation = PRUNED
+        search_all(engine)  # warm every column under Okapi-1
+        for algorithm_id in ("Salton-2", "Acme-1", "Okapi-1"):
+            engine.ranking = RANKING_ALGORITHMS[algorithm_id]()
+            oracle = build_engine(algorithm_id, seed=42, n_docs=120)
+            assert search_all(engine) == search_all(oracle)
+            assert search_all(engine) == search_all(oracle)  # and warm
+        engine.close()
+
+    def test_state_is_memoized_until_the_layout_moves(self, tmp_path):
+        engine = build_segmented_engine(
+            "Okapi-1", seed=43, directory=tmp_path, n_docs=40, flush_every=15
+        )
+        engine.segment_store.merge_policy = TieredMergePolicy(merge_factor=2)
+        index = engine.index
+        state = index.pruned_postings(F.BODY_OF_TEXT, "gamma")
+        assert index.pruned_postings(F.BODY_OF_TEXT, "gamma") is state
+        for move in (
+            lambda: engine.add(Document("http://x/new", {F.BODY_OF_TEXT: "gamma"})),
+            engine.flush,
+            lambda: engine.tombstone("http://x/0"),
+            lambda: engine.checkpoint(merge=True),
+        ):
+            move()
+            moved = index.pruned_postings(F.BODY_OF_TEXT, "gamma")
+            assert moved is not state
+            assert moved.tf_map() == {
+                p.doc_id: p.term_frequency
+                for p in index.postings(F.BODY_OF_TEXT, "gamma")
+            }
+            state = moved
+        memory = build_engine("Okapi-1", seed=43).index
+        state = memory.pruned_postings(F.BODY_OF_TEXT, "gamma")
+        assert memory.pruned_postings(F.BODY_OF_TEXT, "gamma") is state
+        memory.add_field_tokens(99, F.BODY_OF_TEXT, [("gamma", "gamma", 0)])
+        assert memory.pruned_postings(F.BODY_OF_TEXT, "gamma") is not state
+        engine.close()
+
+    def test_queries_get_their_own_maps(self, warm_reopened):
+        """Published columns are shared; the dicts the driver writes
+        into during probe passes are not."""
+        state = warm_reopened.index.pruned_postings(F.BODY_OF_TEXT, "gamma")
+        ranking = warm_reopened.ranking
+        args = (
+            ranking,
+            warm_reopened.document_count,
+            warm_reopened.store.token_count,
+            warm_reopened.store.average_token_count(),
+        )
+        first, second = state.tf_map(), state.tf_map()
+        assert first == second and first is not second
+        weights, again = state.weight_map(*args), state.weight_map(*args)
+        assert weights == again and weights is not again
+        first.clear()
+        weights.clear()
+        assert state.tf_map() == second and state.weight_map(*args) == again
+
+    def test_eight_threads_match_serial_answers_and_counters(self, warm_reopened):
+        counters = (
+            "engine_postings_walked_total",
+            "engine_postings_skipped_total",
+            "engine_blocks_skipped_total",
+        )
+
+        def totals(registry):
+            return {
+                name: family.labels().value if (family := registry.family(name)) else 0
+                for name in counters
+            }
+
+        try:
+            serial_registry = set_registry(MetricsRegistry())
+            serial = search_all(warm_reopened, top_k=5)
+            serial_totals = totals(serial_registry)
+            assert serial_totals["engine_postings_skipped_total"] > 0
+
+            threaded_registry = set_registry(MetricsRegistry())
+            answers: list = [None] * 8
+            barrier = threading.Barrier(8)
+
+            def caller(slot):
+                barrier.wait(timeout=30)
+                answers[slot] = search_all(warm_reopened, top_k=5)
+
+            threads = [threading.Thread(target=caller, args=(slot,)) for slot in range(8)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert answers == [serial] * 8
+            assert totals(threaded_registry) == {
+                name: 8 * value for name, value in serial_totals.items()
+            }
+        finally:
+            set_registry(MetricsRegistry())
+
+    def test_ranking_builds_no_posting_on_segments(self, warm_reopened):
+        """Neither the pruned path nor an existence check decodes a list
+        into ``Posting`` objects."""
+        assert any(search_all(warm_reopened))
+        assert warm_reopened.index._merged_postings == {}
+
+    @pytest.mark.parametrize("storage", ["memory", "segments"])
+    def test_has_postings_agrees_with_postings(self, storage, tmp_path):
+        if storage == "memory":
+            engine = build_engine("Okapi-1", seed=44, n_docs=30)
+        else:
+            engine = build_segmented_engine(
+                "Okapi-1", seed=44, directory=tmp_path, n_docs=30, flush_every=12
+            )
+            # One word only these two documents hold: tombstoning both
+            # leaves it in two lexicons with no live posting.
+            for linkage in ("http://only/0", "http://only/1"):
+                engine.add(Document(linkage, {F.BODY_OF_TEXT: "lonely gamma"}))
+                engine.flush()
+            assert engine.index.has_postings(F.BODY_OF_TEXT, "lonely")
+            for linkage in ("http://only/0", "http://only/1"):
+                engine.tombstone(linkage)
+            assert not engine.index.has_postings(F.BODY_OF_TEXT, "lonely")
+            engine.add(Document("http://x/tail", {F.BODY_OF_TEXT: "tailword"}))
+        index = engine.index
+        for field in (*index.fields(), "no-such-field"):
+            for term in (*index.vocabulary(field), "lonely", "nosuchword", ""):
+                assert index.has_postings(field, term) == bool(
+                    index.postings(field, term)
+                ), (field, term)
+        engine.close()

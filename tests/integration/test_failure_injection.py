@@ -68,9 +68,17 @@ class TestMalformedBlobs:
         internet._get_handlers["http://corrupt.example.org/meta"] = (
             lambda: b"@SMetaAttributes{\nbroken"
         )
-        searcher = Metasearcher(internet, [resource_url])
+        # The decode raises the typed error ...
         with pytest.raises(SoifSyntaxError):
-            searcher.refresh()
+            StartsClient(internet).fetch_metadata("http://corrupt.example.org/meta")
+        # ... and a harvest records it against that source and goes on,
+        # exactly as it does for a host that is down.
+        searcher = Metasearcher(internet, [resource_url])
+        searcher.refresh()
+        assert searcher.discovery.unreachable == {
+            "Corrupt": "http://corrupt.example.org/meta"
+        }
+        assert searcher.discovery.known_sources() == []
 
     def test_truncated_result_stream_raises_cleanly(self):
         internet, resource_url = publish_world(

@@ -44,6 +44,37 @@ class TestHarvesting:
         assert set(discovery.summaries()) == {"Fed-DB", "Fed-Med", "Fed-Net"}
 
 
+class TestMalformedBlobs:
+    """One source's undecodable blob is that source's problem only."""
+
+    def test_malformed_metadata_skips_that_source(self, service, monkeypatch):
+        discovery, url, internet = service
+        monkeypatch.setitem(  # the federation is session-scoped: undo after
+            internet._get_handlers,
+            "http://fed-net.example.org/meta",
+            lambda: b"@SMetaAttributes{\nScoreRange{8}: low high\n}\n",
+        )
+        harvested = discovery.refresh_resource(url)
+        assert sorted(s.source_id for s in harvested) == ["Fed-DB", "Fed-Med"]
+        assert discovery.unreachable == {
+            "Fed-Net": "http://fed-net.example.org/meta"
+        }
+
+    def test_malformed_summary_leaves_the_source_without_one(
+        self, service, monkeypatch
+    ):
+        discovery, url, internet = service
+        monkeypatch.setitem(
+            internet._get_handlers,
+            "http://fed-net.example.org/cont_sum.txt",
+            lambda: b"@SContentSummary{\nNumDocs{4}: many\n}\n",
+        )
+        discovery.refresh_resource(url)
+        assert discovery.source("Fed-Net").summary is None
+        assert set(discovery.summaries()) == {"Fed-DB", "Fed-Med"}
+        assert not discovery.unreachable
+
+
 class TestCaching:
     def test_second_refresh_reuses_cache(self, service):
         discovery, url, internet = service

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.source.scan import ScanEntry, ScanRequest, ScanResponse
+from repro.starts.errors import SoifSyntaxError
 from repro.starts.soif import parse_soif
 
 
@@ -47,6 +48,21 @@ class TestScanWire:
             (ScanEntry("algorithm", 100, 53), ScanEntry("analysis", 50, 23)),
         )
         assert ScanResponse.parse(response.to_soif().dump()) == response
+
+    def test_malformed_request_count_is_typed(self):
+        with pytest.raises(SoifSyntaxError, match="Count"):
+            ScanRequest.from_soif(parse_soif("@SScanRequest{\nCount{3}: ten\n}\n"))
+        defaulted = ScanRequest.from_soif(parse_soif("@SScanRequest{\n}\n"))
+        assert defaulted == ScanRequest("any", "", 10)
+
+    @pytest.mark.parametrize(
+        "entries",
+        ['"word" ten 3', '"word" 10 x', '"word 10 3', 'word 10 3', '"word" 10'],
+    )
+    def test_malformed_response_entries_are_typed(self, entries):
+        text = f"@SScanResponse{{\nEntries{{{len(entries)}}}: {entries}\n}}\n"
+        with pytest.raises(SoifSyntaxError, match="Entries"):
+            ScanResponse.parse(text)
 
     def test_scan_over_the_wire(self, source1):
         from repro.transport import SimulatedInternet, StartsClient, publish_source

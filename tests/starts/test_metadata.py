@@ -235,3 +235,50 @@ class TestSResource:
         text = "@SResource{\nSourceList{9}: one-field\n}\n"
         with pytest.raises(SoifSyntaxError):
             SResource.from_soif(parse_soif(text))
+
+
+class TestMalformedValuesAreTyped:
+    """A non-numeric value is a ``SoifSyntaxError`` naming the attribute,
+    never a bare ``ValueError`` (which a harvest would not survive)."""
+
+    @pytest.mark.parametrize(
+        "text, attribute",
+        [
+            ("@SMetaAttributes{\nScoreRange{8}: low high\n}\n", "ScoreRange"),
+            ("@SMetaAttributes{\nScoreRange{7}: 0.0 1,0\n}\n", "ScoreRange"),
+        ],
+    )
+    def test_meta_attributes(self, text, attribute):
+        with pytest.raises(SoifSyntaxError, match=attribute):
+            SMetaAttributes.from_soif(parse_soif(text))
+
+    @pytest.mark.parametrize(
+        "text, attribute",
+        [
+            ("@SContentSummary{\nNumDocs{4}: many\n}\n", "NumDocs"),
+            ('@SContentSummary{\nTermDocFreq{13}: "word" ten 3\n}\n', "TermDocFreq"),
+            ('@SContentSummary{\nTermDocFreq{11}: "word" 10 x\n}\n', "TermDocFreq"),
+            ('@SContentSummary{\nTermDocFreq{8}: "word 10\n}\n', "TermDocFreq"),
+            (
+                "@SContentSummary{\nStatisticsIncluded{2}: df\n"
+                'TermDocFreq{6}: "word"\n}\n',
+                "TermDocFreq",
+            ),
+            (
+                "@SContentSummary{\nStatisticsIncluded{8}: postings\n"
+                'TermDocFreq{8}: "word" x\n}\n',
+                "TermDocFreq",
+            ),
+        ],
+    )
+    def test_content_summary(self, text, attribute):
+        with pytest.raises(SoifSyntaxError, match=attribute):
+            SContentSummary.from_soif(parse_soif(text))
+
+    def test_infinities_and_defaults_still_parse(self):
+        parsed = SMetaAttributes.from_soif(
+            parse_soif("@SMetaAttributes{\nScoreRange{9}: 0.0 +Inf\n}\n")
+        )
+        assert parsed.score_range == (0.0, math.inf)
+        empty = SContentSummary.from_soif(parse_soif("@SContentSummary{\n}\n"))
+        assert empty.num_docs == 0

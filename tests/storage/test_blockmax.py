@@ -11,6 +11,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.engine import fields as F
 from repro.engine.documents import Document
@@ -21,6 +22,7 @@ from repro.engine.search import SearchEngine
 from repro.storage.format import (
     POSTINGS_BLOCK_SIZE,
     StorageError,
+    count_posting_list,
     decode_posting_list,
     decode_varint,
     encode_posting_list,
@@ -79,6 +81,42 @@ class TestCodec:
         assert seen == [
             (posting.doc_id, posting.term_frequency) for posting in postings
         ]
+
+
+#: Position lists the inline skip must step over byte-exactly: empty
+#: ones (tf 0), single-byte deltas, and deltas past 16 383 (three-byte
+#: varints and up).
+_position_lists = st.lists(
+    st.one_of(st.integers(0, 127), st.integers(16_384, 5_000_000)), max_size=5
+).map(lambda positions: tuple(sorted(positions)))
+
+
+@given(
+    rows=st.lists(st.tuples(st.integers(1, 300_000), _position_lists), max_size=300),
+    dead=st.sets(st.integers(0, 299)),
+)
+def test_position_skipping_matches_full_decode(rows, dead):
+    postings, doc_id = [], 0
+    for gap, positions in rows:
+        doc_id += gap
+        postings.append(Posting(doc_id, positions))
+    tombstoned = {postings[slot].doc_id for slot in dead if slot < len(postings)}
+    blob = bytearray(b"\xff")  # a list rarely starts at offset 0
+    blocks: list[tuple[int, int, int]] = []
+    encode_posting_list(blob, postings, blocks)
+    for live in (None, lambda doc_id: doc_id not in tombstoned):
+        expected = decode_posting_list(blob, 1, live)
+        assert count_posting_list(blob, 1, live) == len(expected)
+        seen: list[tuple[int, int]] = []
+        previous_doc = 0
+        for last_doc, start, count in blocks:
+            doc_ids, tfs = scan_posting_block(
+                blob, 1 + start, count, previous_doc, live
+            )
+            assert doc_ids.typecode == "q" and tfs.typecode == "I"
+            seen.extend(zip(doc_ids, tfs))
+            previous_doc = last_doc
+        assert seen == [(p.doc_id, p.term_frequency) for p in expected]
 
 
 def write_segment(directory, postings_by_term, base_length=10):
@@ -189,6 +227,13 @@ class TestBackwardCompatibility:
             assert handle.min_doc_length() is None
             assert handle.block_bound(0) is None
             pruned = warmed.search(ranking_query=query, top_k=5)
+            # The pruned path went through the memoized term state,
+            # which degrades with its handles (no blocks, no length
+            # bound) and answers the same warm as cold.
+            state = warmed.index.pruned_postings(F.BODY_OF_TEXT, "alpha")
+            assert state is warmed.index.pruned_postings(F.BODY_OF_TEXT, "alpha")
+            assert not state.has_blocks and state.min_len is None
+            assert warmed.search(ranking_query=query, top_k=5) == pruned
             warmed.evaluation = TERM_AT_A_TIME
             exhaustive = warmed.search(ranking_query=query, top_k=5)
             assert pruned == exhaustive == expected

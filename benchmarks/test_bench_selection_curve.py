@@ -12,6 +12,7 @@ from repro.experiments import (
     run_selection_experiment,
 )
 from repro.metasearch.selection import VGlossMax
+from repro.metasearch.summary_index import SummaryIndex
 
 
 def test_bench_selection_curve(benchmark, write_table):
@@ -42,9 +43,11 @@ def test_bench_selection_curve(benchmark, write_table):
         assert by_name["vGlOSS-Max"].recall_at_k[k] >= by_name["by-size"].recall_at_k[k]
         assert by_name["bGlOSS"].recall_at_k[k] > by_name["random"].recall_at_k[k]
 
-    summaries = {
-        source_id: source.content_summary()
-        for source_id, source in federation.sources.items()
-    }
+    index = SummaryIndex.from_summaries(
+        {
+            source_id: source.content_summary()
+            for source_id, source in federation.sources.items()
+        }
+    )
     query = federation.workload.queries[0]
-    benchmark(lambda: VGlossMax().rank(list(query.terms), summaries))
+    benchmark(lambda: VGlossMax().rank(list(query.terms), index))

@@ -8,6 +8,7 @@ pass over all summaries.
 
 from repro.experiments import run_selection_experiment
 from repro.metasearch.selection import VGlossMax
+from repro.metasearch.summary_index import SummaryIndex
 
 
 def test_bench_selection_recall(benchmark, federation, write_table):
@@ -28,10 +29,12 @@ def test_bench_selection_recall(benchmark, federation, write_table):
                     > by_name[baseline].recall_at_k[k]
                 ), f"{informed} should beat {baseline} at k={k}"
 
-    summaries = {
-        source_id: source.content_summary()
-        for source_id, source in federation.sources.items()
-    }
+    index = SummaryIndex.from_summaries(
+        {
+            source_id: source.content_summary()
+            for source_id, source in federation.sources.items()
+        }
+    )
     query = federation.workload.queries[0]
     selector = VGlossMax()
-    benchmark(lambda: selector.rank(list(query.terms), summaries))
+    benchmark(lambda: selector.rank(list(query.terms), index))

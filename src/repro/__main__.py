@@ -147,32 +147,15 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    from repro.metasearch import (
-        BGloss,
-        BySize,
-        Cori,
-        RandomSelector,
-        SelectAll,
-        VGlossMax,
-        VGlossSum,
-    )
+    from repro.metasearch import SELECTOR_REGISTRY
 
-    selectors = {
-        "cori": Cori,
-        "bgloss": BGloss,
-        "vgloss-sum": VGlossSum,
-        "vgloss-max": VGlossMax,
-        "by-size": BySize,
-        "select-all": SelectAll,
-        "random": RandomSelector,
-    }
     terms = args.terms.split()
     if not terms:
         print("empty query", file=sys.stderr)
         return 2
     searcher = _build_searcher(args.seed)
     index = searcher.discovery.summary_index()
-    selector = selectors[args.selector]()
+    selector = SELECTOR_REGISTRY[args.selector]()
     chosen = set(selector.select(terms, index, args.k))
     print(f"selector: {args.selector}   terms: {' '.join(terms)}")
     print(f"sources:  {len(index)} harvested, top {args.k} requested")
@@ -552,6 +535,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.metasearch import SELECTOR_REGISTRY
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="STARTS metasearch reproduction — demo CLI",
@@ -602,10 +587,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     select.add_argument("terms", help='query terms, e.g. "distributed databases"')
     select.add_argument(
-        "--selector",
-        choices=["cori", "bgloss", "vgloss-sum", "vgloss-max", "by-size",
-                 "select-all", "random"],
-        default="cori",
+        "--selector", choices=list(SELECTOR_REGISTRY), default="cori"
     )
     select.add_argument("-k", type=int, default=5, help="sources to select")
     select.set_defaults(handler=cmd_select)
@@ -620,8 +602,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     broker.add_argument(
         "--selector",
-        choices=["cori", "bgloss", "vgloss-sum", "vgloss-max", "by-size",
-                 "select-all"],
+        choices=[
+            name
+            for name, selector in SELECTOR_REGISTRY.items()
+            if selector.distributable
+        ],
         default="cori",
     )
     broker.add_argument("-k", type=int, default=5, help="sources to select")

@@ -24,10 +24,9 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from repro.metasearch.brokers import merge_summaries
 from repro.metasearch.selection import SourceSelector
 from repro.metasearch.summary_index import SummaryIndex, TermColumns
-from repro.starts.metadata import SContentSummary
+from repro.starts.metadata import SContentSummary, merge_summaries
 
 __all__ = [
     "CorpusStats",

@@ -25,7 +25,6 @@ from repro.engine.fields import (
     TEXT_FIELDS,
 )
 from repro.engine.evaluation import (
-    DOCUMENT_AT_A_TIME,
     EVALUATION_MODES,
     PRUNED,
     TERM_AT_A_TIME,
@@ -34,11 +33,6 @@ from repro.engine.evaluation import (
 )
 from repro.engine.index import InvertedIndex, Posting
 from repro.engine.pruning import PrunedContext, supports_pruning
-from repro.engine.persistence import (
-    PersistenceError,
-    load_engine,
-    save_engine,
-)
 from repro.engine.query import (
     EngineQuery,
     TermQuery,
@@ -73,7 +67,6 @@ __all__ = [
     "LINKAGE_TYPE",
     "TITLE",
     "TEXT_FIELDS",
-    "DOCUMENT_AT_A_TIME",
     "EVALUATION_MODES",
     "PRUNED",
     "TERM_AT_A_TIME",
@@ -83,9 +76,6 @@ __all__ = [
     "supports_pruning",
     "InvertedIndex",
     "Posting",
-    "PersistenceError",
-    "load_engine",
-    "save_engine",
     "EngineQuery",
     "TermQuery",
     "BooleanQuery",

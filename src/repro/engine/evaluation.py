@@ -1,10 +1,8 @@
 """Term-at-a-time query evaluation with per-query statistics reuse.
 
-The original evaluator was document-at-a-time: ``evaluate_ranking``
-called ``_score_node`` once per candidate document, and every term
-score re-expanded the query term and re-walked *all* of its postings —
-O(candidates × total postings) — then the ``TermStats`` pass walked
-everything again per hit.  :class:`QueryTermContext` inverts the loop:
+:class:`QueryTermContext` is the engine's exhaustive ranking evaluator
+— the reference the pruned driver (:mod:`repro.engine.pruning`) must
+match and the path every query shape it cannot bound falls back to:
 
 * each distinct ranking term is expanded **once** per query;
 * each posting list is walked **once**, materializing ``doc_id → tf``
@@ -18,9 +16,9 @@ everything again per hit.  :class:`QueryTermContext` inverts the loop:
   zero re-traversal.
 
 The produced scores, hit order and ``TermStats`` are exactly those of
-the document-at-a-time path, which stays available on
-``SearchEngine(evaluation="document_at_a_time")`` as a reference
-oracle (see ``tests/engine/test_evaluation_equivalence.py``).
+the per-candidate recursion the engine started from, which lives on as
+a test oracle in ``tests/oracles/daat.py`` (held to the engine by
+``tests/engine/test_evaluation_equivalence.py``).
 
 One contract is worth stating: a document carrying none of the query's
 terms is scored *implicitly* — its node values are the node's
@@ -53,7 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle with search.py
 
 __all__ = [
     "TERM_AT_A_TIME",
-    "DOCUMENT_AT_A_TIME",
     "PRUNED",
     "EVALUATION_MODES",
     "TermHitStats",
@@ -64,16 +61,15 @@ __all__ = [
     "top_k_hits",
 ]
 
-#: The default evaluation strategy: one pass over each posting list.
-TERM_AT_A_TIME = "term_at_a_time"
-#: The original strategy, kept as a bit-exact reference oracle.
-DOCUMENT_AT_A_TIME = "document_at_a_time"
-#: Rank-safe MaxScore/block-max pruning for score-sorted top-k queries;
-#: query shapes it cannot prune fall back to the exhaustive path, so
-#: results are always bit-identical to the oracles (see
+#: The engine default: rank-safe MaxScore/block-max pruning for
+#: score-sorted top-k queries; query shapes it cannot prune fall back to
+#: the exhaustive path, so results are always bit-identical to it (see
 #: :mod:`repro.engine.pruning`).
 PRUNED = "pruned"
-EVALUATION_MODES = (TERM_AT_A_TIME, DOCUMENT_AT_A_TIME, PRUNED)
+#: The exhaustive path alone: one pass over each posting list.  It is
+#: the pruned driver's fallback and the pruning suites' reference.
+TERM_AT_A_TIME = "term_at_a_time"
+EVALUATION_MODES = (PRUNED, TERM_AT_A_TIME)
 
 
 @dataclass(frozen=True, slots=True)

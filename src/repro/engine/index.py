@@ -47,12 +47,11 @@ class Posting:
 class IndexSnapshot:
     """A self-contained copy of an index's contents.
 
-    The public interchange format between an index and anything that
-    persists one — the JSON persistence layer and the segment writer
-    both consume it, so neither reaches into the index's private
-    postings maps.  ``Posting`` objects are immutable and shared;
-    containers and summary entries are copied, so mutating the source
-    index never invalidates a snapshot already taken.
+    The interchange format between an index and what persists it — the
+    segment writer consumes it on flush, so it never reaches into the
+    index's private postings maps.  ``Posting`` objects are immutable
+    and shared; containers and summary entries are copied, so mutating
+    the source index never invalidates a snapshot already taken.
     """
 
     postings: dict[str, dict[str, list["Posting"]]] = dataclass_field(
@@ -356,14 +355,13 @@ class InvertedIndex:
             self._soundex_dirty.discard(field)
         return sorted(self._soundex[field].get(soundex(word), ()))
 
-    # -- snapshot / restore ------------------------------------------------
+    # -- snapshot ----------------------------------------------------------
 
     def snapshot(self) -> IndexSnapshot:
         """A self-contained copy of the index's postings and summaries.
 
         This is the supported way to read an index wholesale — the
-        persistence layer and the segment writer both build on it
-        instead of touching private fields.
+        segment writer builds on it instead of touching private fields.
         """
         return IndexSnapshot(
             postings={
@@ -383,38 +381,6 @@ class InvertedIndex:
             ],
             document_count=self._doc_count,
         )
-
-    def restore(self, snapshot: IndexSnapshot) -> None:
-        """Install a snapshot into this (empty) index.
-
-        The inverse of :meth:`snapshot`: the only supported way to
-        *write* an index wholesale.  Derived structures (sorted
-        vocabularies, soundex maps) are marked dirty for lazy rebuild
-        and the generation counter is bumped so downstream memos
-        (term-matcher expansions) refresh.
-
-        Raises:
-            ValueError: if the index already holds anything.
-        """
-        if self._postings or self._summary or self._doc_count:
-            raise ValueError("restore() needs an empty index")
-        for field, terms in snapshot.postings.items():
-            field_postings = self._postings[field]
-            field_max_tf = self._max_tf[field]
-            for term, plist in terms.items():
-                field_postings[term] = list(plist)
-                field_max_tf[term] = max(
-                    (posting.term_frequency for posting in plist), default=0
-                )
-            self._sorted_vocab_dirty.add(field)
-            self._reversed_vocab_dirty.add(field)
-            self._soundex_dirty.add(field)
-        for field, language, words in snapshot.summary:
-            bucket = self._summary[(field, language)]
-            for word, entry in words.items():
-                bucket[word] = SummaryEntry(entry.postings, entry.document_frequency)
-        self._doc_count = snapshot.document_count
-        self._generation += 1
 
     # -- summary export ----------------------------------------------------
 

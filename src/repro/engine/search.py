@@ -20,10 +20,8 @@ from collections import defaultdict
 from repro.engine import fields as F
 from repro.engine.documents import Document, DocumentStore
 from repro.engine.evaluation import (
-    DOCUMENT_AT_A_TIME,
     EVALUATION_MODES,
     PRUNED,
-    TERM_AT_A_TIME,
     EngineHit,
     QueryTermContext,
     TermHitStats,
@@ -70,15 +68,15 @@ class SearchEngine:
         ranking: the scoring algorithm, or None for a Boolean-only
             engine like Glimpse (``QueryPartsSupported: F``).
         thesaurus: synonym source for the ``thesaurus`` modifier.
-        evaluation: ranking evaluation strategy — ``"term_at_a_time"``
-            (the default: one pass per posting list, statistics reused
-            across scoring and TermStats), ``"document_at_a_time"``
-            (the original per-candidate recursion, kept as a bit-exact
-            reference oracle), or ``"pruned"`` (rank-safe MaxScore /
-            block-max top-k evaluation: bit-identical hits, but
-            postings that provably cannot reach the kth score are
-            never visited; query shapes the pruned driver cannot bound
-            fall back to term-at-a-time transparently).
+        evaluation: ``"pruned"`` (the default and the production path:
+            rank-safe MaxScore / block-max top-k evaluation that never
+            visits postings which provably cannot reach the kth score,
+            falling back to term-at-a-time for query shapes it cannot
+            bound) or ``"term_at_a_time"`` (that exhaustive fallback
+            alone — the in-``src/`` reference of the pruning suites).
+            The parameter survives only because
+            ``benchmarks/suite/worlds.py`` passes ``evaluation=PRUNED``;
+            nothing else should set it.
         storage: ``"memory"`` (the default, and the bit-exactness
             oracle) keeps everything in dicts; ``"segments"`` backs
             the engine with an on-disk :class:`SegmentStore` —
@@ -96,7 +94,7 @@ class SearchEngine:
         analyzer: Analyzer | None = None,
         ranking: RankingAlgorithm | None = CosineTfIdf(),
         thesaurus: Thesaurus | None = None,
-        evaluation: str = TERM_AT_A_TIME,
+        evaluation: str = PRUNED,
         storage: str = "memory",
         storage_dir: str | pathlib.Path | None = None,
         merge_policy: TieredMergePolicy | None = None,
@@ -463,87 +461,7 @@ class SearchEngine:
         """
         if self.ranking is None:
             raise RuntimeError("this engine does not support ranking expressions")
-        if self.evaluation == DOCUMENT_AT_A_TIME:
-            return self._evaluate_ranking_document_at_a_time(query, candidates)
         return QueryTermContext(self, query, candidates).scores()
-
-    def _evaluate_ranking_document_at_a_time(
-        self, query: EngineQuery, candidates: set[int] | None = None
-    ) -> dict[int, float]:
-        """The original per-candidate recursion (the reference oracle)."""
-        assert self.ranking is not None
-        scores: dict[int, float] = {}
-        universe = candidates if candidates is not None else self._candidate_docs(query)
-        for doc_id in universe:
-            score = self._score_node(query, doc_id)
-            if score > 0.0 or candidates is not None:
-                scores[doc_id] = score
-        return self.ranking.finalize(scores)
-
-    def _candidate_docs(self, query: EngineQuery) -> set[int]:
-        docs: set[int] = set()
-        for term in query.terms():
-            docs |= self._term_docs(term)
-        return docs
-
-    def _score_node(self, query: EngineQuery, doc_id: int) -> float:
-        if isinstance(query, TermQuery):
-            return self._term_score(query, doc_id)
-        if isinstance(query, ListQuery):
-            contributions = [
-                (child.weight if isinstance(child, TermQuery) else 1.0,
-                 self._score_node(child, doc_id))
-                for child in query.children
-            ]
-            assert self.ranking is not None
-            return self.ranking.combine(contributions)
-        if isinstance(query, BooleanQuery):
-            child_scores = [self._score_node(child, doc_id) for child in query.children]
-            if query.operator == AND:
-                return min(child_scores)
-            if query.operator == OR:
-                return max(child_scores)
-            if query.operator == AND_NOT:
-                return max(0.0, child_scores[0] - child_scores[1])
-        if isinstance(query, ProxQuery):
-            if doc_id in self._prox_docs(query):
-                return min(
-                    self._term_score(query.left, doc_id),
-                    self._term_score(query.right, doc_id),
-                )
-            return 0.0
-        raise TypeError(f"cannot score node: {type(query).__name__}")
-
-    def _term_score(self, term: TermQuery, doc_id: int) -> float:
-        assert self.ranking is not None
-        tf, df = self._term_doc_stats(term, doc_id)
-        if tf == 0:
-            return 0.0
-        weight = self.ranking.term_weight(
-            tf,
-            df,
-            self.document_count,
-            self.store.token_count(doc_id),
-            self.store.average_token_count(),
-        )
-        return term.weight * weight
-
-    def _term_doc_stats(self, term: TermQuery, doc_id: int) -> tuple[int, int]:
-        """(tf in this doc, df in the source) for a query term.
-
-        The term's modifier expansion is honoured: tf/df aggregate over
-        every index term the query term denotes, and df counts distinct
-        documents.
-        """
-        tf = 0
-        df_docs: set[int] = set()
-        for field_name, index_terms in self.matcher.expand(term).items():
-            for index_term in index_terms:
-                for posting in self.index.postings(field_name, index_term):
-                    df_docs.add(posting.doc_id)
-                    if posting.doc_id == doc_id:
-                        tf += posting.term_frequency
-        return tf, len(df_docs)
 
     # -- the combined search entry point -------------------------------------
 
@@ -672,54 +590,23 @@ class SearchEngine:
                 pruned.threshold,
             )
 
-        context: QueryTermContext | None = None
-        if self.evaluation == DOCUMENT_AT_A_TIME:
-            scores = self._evaluate_ranking_document_at_a_time(
-                ranking_query, candidates
-            )
-        else:
-            # ``evaluation="pruned"`` lands here too for shapes the
-            # pruned driver cannot evaluate rank-safely (filters,
-            # non-flat queries, unprunable algorithms, no bound).
-            context = QueryTermContext(self, ranking_query, candidates)
-            scores = context.scores(min_score=min_score)
-
-        if min_score > 0.0 and (context is None or not context.applied_min_score):
+        # ``evaluation="pruned"`` lands here too for shapes the pruned
+        # driver cannot evaluate rank-safely (filters, non-flat queries,
+        # unprunable algorithms, no bound).
+        context = QueryTermContext(self, ranking_query, candidates)
+        scores = context.scores(min_score=min_score)
+        if min_score > 0.0 and not context.applied_min_score:
             scores = {
                 doc_id: score
                 for doc_id, score in scores.items()
                 if score >= min_score
             }
-        selected = top_k_hits(scores, top_k)
-        walked = context.postings_walked if context is not None else 0
+        hits = [
+            EngineHit(doc_id, score, context.hit_term_stats(doc_id))
+            for doc_id, score in top_k_hits(scores, top_k)
+        ]
         truncated = top_k is not None and len(scores) > top_k
-        if context is not None:
-            hits = [
-                EngineHit(doc_id, score, context.hit_term_stats(doc_id))
-                for doc_id, score in selected
-            ]
-        else:
-            hits = [
-                EngineHit(doc_id, score, self._hit_term_stats(ranking_query, doc_id))
-                for doc_id, score in selected
-            ]
-        return hits, walked, truncated, 0, 0, None
-
-    def _hit_term_stats(self, ranking_query: EngineQuery, doc_id: int) -> list[TermHitStats]:
-        stats: list[TermHitStats] = []
-        for term in ranking_query.terms():
-            tf, df = self._term_doc_stats(term, doc_id)
-            weight = 0.0
-            if tf and self.ranking is not None:
-                weight = self.ranking.term_weight(
-                    tf,
-                    df,
-                    self.document_count,
-                    self.store.token_count(doc_id),
-                    self.store.average_token_count(),
-                )
-            stats.append(TermHitStats(term.field, term.text, tf, weight, df))
-        return stats
+        return hits, context.postings_walked, truncated, 0, 0, None
 
     # -- statistics for metadata export ---------------------------------------
 

@@ -23,6 +23,7 @@ from repro.metasearch.selection import (
     VGlossMax,
     VGlossSum,
 )
+from repro.metasearch.summary_index import SummaryIndex
 
 __all__ = ["SelectionResult", "default_selectors", "run_selection_experiment"]
 
@@ -68,10 +69,12 @@ def run_selection_experiment(
             ablation knob); None uses full summaries.
     """
     selectors = selectors if selectors is not None else default_selectors()
-    summaries = {
-        source_id: source.content_summary(max_words_per_section)
-        for source_id, source in federation.sources.items()
-    }
+    index = SummaryIndex.from_summaries(
+        {
+            source_id: source.content_summary(max_words_per_section)
+            for source_id, source in federation.sources.items()
+        }
+    )
 
     results = []
     for selector in selectors:
@@ -79,7 +82,7 @@ def run_selection_experiment(
         for query in federation.workload.queries:
             ranked = [
                 source_id
-                for source_id, _ in selector.rank(list(query.terms), summaries)
+                for source_id, _ in selector.rank(list(query.terms), index)
             ]
             for k in ks:
                 per_k[k].append(

@@ -13,11 +13,6 @@ from repro.federation import (
     SerialExecutor,
     SourceOutcome,
 )
-from repro.metasearch.brokers import (
-    BrokerNode,
-    HierarchicalSelector,
-    merge_summaries,
-)
 from repro.metasearch.client import Metasearcher, MetasearchResult, StreamEmission
 from repro.metasearch.dedup import collapse_near_duplicates, jaccard, word_shingles
 from repro.metasearch.discovery import DiscoveryService, KnownSource
@@ -63,9 +58,6 @@ __all__ = [
     "QueryPolicy",
     "SerialExecutor",
     "SourceOutcome",
-    "BrokerNode",
-    "HierarchicalSelector",
-    "merge_summaries",
     "collapse_near_duplicates",
     "jaccard",
     "word_shingles",

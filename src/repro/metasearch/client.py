@@ -1037,17 +1037,14 @@ class Metasearcher:
         selector = selector or self.selector
         terms = self._selection_terms(query)
         summaries = self.discovery.summaries()
+        index = self.discovery.summary_index()
 
         lines = [f"plan for terms {terms} (selector {selector.name}, k={k_sources})"]
-        ranked = (
-            selector.rank(terms, self.discovery.summary_index())
-            if summaries
-            else []
-        )
-        estimator = BGloss()
+        ranked = selector.rank(terms, index)
+        estimates = dict(BGloss().rank(terms, index))
         for position, (source_id, goodness) in enumerate(ranked):
             chosen = "->" if position < k_sources else "  "
-            estimate = estimator.score(terms, summaries[source_id])
+            estimate = estimates[source_id]
             lines.append(
                 f"{chosen} {source_id:<14} goodness={goodness:10.3f} "
                 f"est. matches={estimate:6.1f}"

@@ -24,27 +24,22 @@ selectors:
 All selectors are pure functions of the summaries: no document content
 is touched, which is the protocol's whole point.
 
-Every selector runs on one of two backends:
-
-* ``backend="indexed"`` (the default) — when handed a
-  :class:`~repro.metasearch.summary_index.SummaryIndex`, score
-  *sparsely* against its term shards: only sources containing at least
-  one query term are visited, per-term defaults (BGloss's zero product,
-  CORI's 0.4 absent-term belief) are folded in analytically for
-  everyone else, BGloss intersects shards rarest-first so zero products
-  short-circuit, and :meth:`~SourceSelector.select` keeps a bounded
-  heap instead of sorting the full ranking.
-* ``backend="dense"`` — the original dict-of-summaries scan, kept
-  byte-identical as the oracle the equivalence suite pins the sparse
-  path against.  A selector built with this backend runs the dense
-  path even when handed an index (over :meth:`SummaryIndex.summaries`).
-
-A plain ``dict[str, SContentSummary]`` argument always takes the dense
-path — there is nothing sparse to exploit — so existing callers see
-unchanged behaviour.  Both entry points feed the ``selection_eval_ms``
-histogram in the process metrics registry, labelled by selector and the
-backend actually used; a disabled registry turns those observations
-into no-ops.
+Every selector scores a
+:class:`~repro.metasearch.summary_index.SummaryIndex` *sparsely*: only
+sources containing at least one query term are visited, per-term
+defaults (BGloss's zero product, CORI's 0.4 absent-term belief) are
+folded in analytically for everyone else, BGloss intersects shards
+rarest-first so zero products short-circuit, and
+:meth:`~SourceSelector.select` keeps a bounded heap instead of sorting
+the full ranking.  A plain ``dict[str, SContentSummary]`` argument is
+indexed once on entry (:meth:`SummaryIndex.from_summaries`) and scored
+the same way; callers that select repeatedly over the same summaries
+build the index themselves, once.  The per-summary dict scan these
+formulas started from is the oracle in
+``tests/oracles/dense_selection.py``.  Every entry point feeds the
+``selection_eval_ms`` histogram in the process metrics registry,
+labelled by selector; a disabled registry turns those observations into
+no-ops.
 """
 
 from __future__ import annotations
@@ -70,17 +65,11 @@ __all__ = [
     "RandomSelector",
     "BySize",
     "CostAware",
-    "INDEXED",
-    "DENSE",
     "SELECTOR_REGISTRY",
     "order_key",
 ]
 
-#: Backend names accepted by every selector's ``backend`` argument.
-INDEXED = "indexed"
-DENSE = "dense"
-
-Summaries = "dict[str, SContentSummary] | SummaryIndex"
+Summaries = dict[str, SContentSummary] | SummaryIndex
 
 
 def order_key(pair: tuple[str, float]) -> tuple[float, str]:
@@ -88,30 +77,27 @@ def order_key(pair: tuple[str, float]) -> tuple[float, str]:
 
     Public because the broker root merges per-leaf candidate lists with
     the very same key — any other order would break bit-exactness with
-    the flat oracle.
+    the flat ranking.
     """
     return (-pair[1], pair[0])
 
 
-_order_key = order_key
+def _as_index(summaries: Summaries) -> SummaryIndex:
+    if isinstance(summaries, SummaryIndex):
+        return summaries
+    return SummaryIndex.from_summaries(summaries)
 
 
-def _observe_selection(selector: str, backend: str, duration_ms: float) -> None:
+def _observe_selection(selector: str, started: float) -> None:
     get_registry().histogram(
         "selection_eval_ms",
         "Wall-clock duration of one source-selection evaluation.",
-        labels=("selector", "backend"),
-    ).labels(selector=selector, backend=backend).observe(duration_ms)
+        labels=("selector",),
+    ).labels(selector=selector).observe((time.perf_counter() - started) * 1000.0)
 
 
 class SourceSelector:
-    """Interface: score every source for a query, best first.
-
-    Args:
-        backend: ``"indexed"`` scores sparsely against a
-            :class:`SummaryIndex` when one is passed; ``"dense"`` always
-            runs the original per-summary scan (the bit-exact oracle).
-    """
+    """Interface: score every source for a query, best first."""
 
     name = "base"
 
@@ -128,11 +114,6 @@ class SourceSelector:
     #: :meth:`sparse_default`.  Only meaningful when ``distributable``.
     prunable = False
 
-    def __init__(self, backend: str = INDEXED) -> None:
-        if backend not in (INDEXED, DENSE):
-            raise ValueError(f"unknown selection backend: {backend!r}")
-        self.backend = backend
-
     # -- public entry points (timed) ---------------------------------------
 
     def rank(
@@ -146,13 +127,9 @@ class SourceSelector:
         """
         started = time.perf_counter()
         try:
-            return self._rank_impl(terms, summaries)
+            return self._rank(terms, _as_index(summaries))
         finally:
-            _observe_selection(
-                self.name,
-                self._backend_used(summaries),
-                (time.perf_counter() - started) * 1000.0,
-            )
+            _observe_selection(self.name, started)
 
     def select(
         self,
@@ -163,13 +140,13 @@ class SourceSelector:
         """The ids of the top-k sources."""
         started = time.perf_counter()
         try:
-            return self._select_impl(terms, summaries, k)
+            pool = self._candidates(terms, _as_index(summaries), k)
+            return [
+                source_id
+                for source_id, _ in heapq.nsmallest(k, pool, key=order_key)
+            ]
         finally:
-            _observe_selection(
-                self.name,
-                self._backend_used(summaries),
-                (time.perf_counter() - started) * 1000.0,
-            )
+            _observe_selection(self.name, started)
 
     def top_candidates(
         self,
@@ -186,20 +163,10 @@ class SourceSelector:
         """
         started = time.perf_counter()
         try:
-            if isinstance(summaries, SummaryIndex) and self.backend == INDEXED:
-                pool = self._candidates_indexed(terms, summaries, k)
-            else:
-                pool = self._rank_impl(terms, summaries)
+            pool = self._candidates(terms, _as_index(summaries), k)
             return heapq.nsmallest(k, pool, key=order_key)
         finally:
-            _observe_selection(
-                self.name,
-                self._backend_used(summaries),
-                (time.perf_counter() - started) * 1000.0,
-            )
-
-    def score(self, terms: Sequence[str], summary: SContentSummary) -> float:
-        raise NotImplementedError
+            _observe_selection(self.name, started)
 
     def sparse_default(self, terms: Sequence[str], n_sources: int) -> float:
         """The goodness of a source containing none of the query terms.
@@ -210,78 +177,26 @@ class SourceSelector:
         """
         return 0.0
 
-    def _backend_used(self, summaries: Summaries) -> str:
-        if isinstance(summaries, SummaryIndex) and self.backend == INDEXED:
-            return INDEXED
-        return DENSE
-
-    # -- dispatch ----------------------------------------------------------
-
-    def _rank_impl(
-        self, terms: Sequence[str], summaries: Summaries
-    ) -> list[tuple[str, float]]:
-        if isinstance(summaries, SummaryIndex):
-            if self.backend == DENSE:
-                return self._rank_dense(terms, summaries.summaries())
-            return self._rank_indexed(terms, summaries)
-        return self._rank_dense(terms, summaries)
-
-    def _select_impl(
-        self, terms: Sequence[str], summaries: Summaries, k: int
-    ) -> list[str]:
-        if isinstance(summaries, SummaryIndex) and self.backend == INDEXED:
-            return self._select_indexed(terms, summaries, k)
-        return [source_id for source_id, _ in self._rank_impl(terms, summaries)[:k]]
-
-    # -- the dense oracle --------------------------------------------------
-
-    def _rank_dense(
-        self,
-        terms: Sequence[str],
-        summaries: dict[str, SContentSummary],
-    ) -> list[tuple[str, float]]:
-        scored = [
-            (source_id, self.score(terms, summary))
-            for source_id, summary in summaries.items()
-        ]
-        scored.sort(key=_order_key)
-        return scored
-
-    # -- the sparse indexed path -------------------------------------------
+    # -- sparse scoring ----------------------------------------------------
 
     def _sparse_scores(
         self, terms: Sequence[str], index: SummaryIndex
-    ) -> tuple[dict[int, float], float] | None:
-        """``(ordinal → score, default score for everyone else)``.
+    ) -> tuple[dict[int, float], float]:
+        """``(ordinal → score, default score for everyone else)``."""
+        raise NotImplementedError
 
-        ``None`` means the selector has no sparse form; the indexed path
-        then falls back to dense scoring over the index's summaries.
-        """
-        return None
-
-    def _scored_indexed(
+    def _rank(
         self, terms: Sequence[str], index: SummaryIndex
     ) -> list[tuple[str, float]]:
-        sparse = self._sparse_scores(terms, index)
-        if sparse is None:
-            return [
-                (source_id, self.score(terms, index.summary(source_id)))
-                for source_id, _ in index.sorted_sources()
-            ]
-        touched, default = sparse
-        return [
+        touched, default = self._sparse_scores(terms, index)
+        scored = [
             (source_id, touched.get(ordinal, default))
             for source_id, ordinal in index.sorted_sources()
         ]
-
-    def _rank_indexed(
-        self, terms: Sequence[str], index: SummaryIndex
-    ) -> list[tuple[str, float]]:
-        scored = self._scored_indexed(terms, index)
-        scored.sort(key=_order_key)
+        scored.sort(key=order_key)
         return scored
 
-    def _candidates_indexed(
+    def _candidates(
         self, terms: Sequence[str], index: SummaryIndex, k: int
     ) -> list[tuple[str, float]]:
         """An unsorted pool whose k best pairs are the exact top-k.
@@ -290,10 +205,7 @@ class SourceSelector:
         score, so only the first k of them (in id order — exactly how
         their ties break) can possibly make the cut.
         """
-        sparse = self._sparse_scores(terms, index)
-        if sparse is None:
-            return self._scored_indexed(terms, index)
-        touched, default = sparse
+        touched, default = self._sparse_scores(terms, index)
         pool = [
             (index.source_id(ordinal), goodness)
             for ordinal, goodness in touched.items()
@@ -309,33 +221,12 @@ class SourceSelector:
                     break
         return pool
 
-    def _select_indexed(
-        self, terms: Sequence[str], index: SummaryIndex, k: int
-    ) -> list[str]:
-        """Top-k via a bounded heap, never materializing the full sort."""
-        pool = self._candidates_indexed(terms, index, k)
-        return [
-            source_id for source_id, _ in heapq.nsmallest(k, pool, key=_order_key)
-        ]
-
 
 class BGloss(SourceSelector):
     """Boolean GlOSS: expected number of documents matching ALL terms."""
 
     name = "bGlOSS"
     prunable = True
-
-    def score(self, terms: Sequence[str], summary: SContentSummary) -> float:
-        n_docs = summary.num_docs
-        if n_docs <= 0:
-            return 0.0
-        estimate = float(n_docs)
-        for term in terms:
-            df = summary.document_frequency(term)
-            estimate *= df / n_docs
-            if estimate == 0.0:
-                return 0.0
-        return estimate
 
     def _sparse_scores(
         self, terms: Sequence[str], index: SummaryIndex
@@ -386,9 +277,6 @@ class VGlossSum(SourceSelector):
     name = "vGlOSS-Sum"
     prunable = True
 
-    def score(self, terms: Sequence[str], summary: SContentSummary) -> float:
-        return float(sum(summary.total_postings(term) for term in terms))
-
     def _sparse_scores(
         self, terms: Sequence[str], index: SummaryIndex
     ) -> tuple[dict[int, float], float]:
@@ -414,16 +302,6 @@ class VGlossMax(SourceSelector):
     name = "vGlOSS-Max"
     prunable = True
 
-    def score(self, terms: Sequence[str], summary: SContentSummary) -> float:
-        goodness = 0.0
-        for term in terms:
-            df = summary.document_frequency(term)
-            postings = summary.total_postings(term)
-            if df > 0:
-                average_tf = postings / df
-                goodness += df * (1.0 + math.log(max(average_tf, 1.0)))
-        return goodness
-
     def _sparse_scores(
         self, terms: Sequence[str], index: SummaryIndex
     ) -> tuple[dict[int, float], float]:
@@ -432,7 +310,7 @@ class VGlossMax(SourceSelector):
             return {}, 0.0
         # Gather each touched source's (df, postings) per query position
         # into a flat row, then accumulate in query-term order so the
-        # float sums match the dense path bit for bit.
+        # float sums match the dense oracle bit for bit.
         rows: dict[int, list[int]] = {}
         for position, term in enumerate(terms):
             shard = index.term_columns(term)
@@ -464,54 +342,15 @@ class Cori(SourceSelector):
         I = log((C + 0.5) / cf_t) / log(C + 1.0)
         belief = 0.4 + 0.6 * T * I
     where cw_s is the source's total word mass, C the number of
-    sources, and cf_t how many sources contain t.  Requires corpus-level
-    statistics, so ``score`` alone cannot be computed: the dense path
-    rescans the full summary set per call, while the indexed path reads
-    the incrementally maintained corpus columns and visits only sources
-    containing at least one query term — every absent term contributes
-    the default 0.4 belief, folded in analytically for untouched
-    sources.
+    sources, and cf_t how many sources contain t.  The corpus-level
+    statistics are the index's incrementally maintained columns, and
+    only sources containing at least one query term are visited — every
+    absent term contributes the default 0.4 belief, folded in
+    analytically for untouched sources.
     """
 
     name = "CORI"
     prunable = True
-
-    def _rank_dense(
-        self,
-        terms: Sequence[str],
-        summaries: dict[str, SContentSummary],
-    ) -> list[tuple[str, float]]:
-        if not summaries:
-            return []
-        n_sources = len(summaries)
-        word_mass = {
-            source_id: max(1.0, float(summary.total_word_mass()))
-            for source_id, summary in summaries.items()
-        }
-        mean_mass = sum(word_mass.values()) / n_sources
-        collection_frequency = {
-            term: sum(
-                1 for summary in summaries.values() if summary.document_frequency(term) > 0
-            )
-            for term in terms
-        }
-
-        scored: list[tuple[str, float]] = []
-        for source_id, summary in summaries.items():
-            beliefs = []
-            for term in terms:
-                df = summary.document_frequency(term)
-                cf = collection_frequency[term]
-                if df == 0 or cf == 0:
-                    beliefs.append(0.4)
-                    continue
-                t_part = df / (df + 50.0 + 150.0 * word_mass[source_id] / mean_mass)
-                i_part = math.log((n_sources + 0.5) / cf) / math.log(n_sources + 1.0)
-                beliefs.append(0.4 + 0.6 * t_part * max(i_part, 0.0))
-            goodness = sum(beliefs) / len(beliefs) if beliefs else 0.0
-            scored.append((source_id, goodness))
-        scored.sort(key=_order_key)
-        return scored
 
     def _sparse_scores(
         self, terms: Sequence[str], index: SummaryIndex
@@ -542,14 +381,14 @@ class Cori(SourceSelector):
                     row = rows[ordinal] = [0] * n_terms
                 row[position] = dfs[slot]
         # The all-absent belief profile, summed exactly as the dense
-        # path sums a per-term list of 0.4s.
+        # oracle sums a per-term list of 0.4s.
         default_sum = 0.0
         for _ in range(n_terms):
             default_sum += 0.4
         default = default_sum / n_terms
         touched: dict[int, float] = {}
         for ordinal, row in rows.items():
-            # Hoisted per-source mass ratio: the dense path evaluates
+            # Hoisted per-source mass ratio: the dense oracle evaluates
             # the identical sub-expression per term; hoisting it is
             # bit-neutral because the operands never change mid-query.
             mass_ratio = 150.0 * index.clamped_word_mass(ordinal) / mean_mass
@@ -575,18 +414,12 @@ class Cori(SourceSelector):
             default_sum += 0.4
         return default_sum / len(terms)
 
-    def score(self, terms: Sequence[str], summary: SContentSummary) -> float:
-        raise NotImplementedError("CORI needs the full summary set; use rank()")
-
 
 class SelectAll(SourceSelector):
     """Baseline: every source is equally good (score 1)."""
 
     name = "all"
     prunable = True
-
-    def score(self, terms: Sequence[str], summary: SContentSummary) -> float:
-        return 1.0
 
     def sparse_default(self, terms: Sequence[str], n_sources: int) -> float:
         return 1.0
@@ -605,49 +438,35 @@ class RandomSelector(SourceSelector):
     #: permutations merged at a root would be a different shuffle.
     distributable = False
 
-    def __init__(self, seed: int = 0, backend: str = INDEXED) -> None:
-        super().__init__(backend)
+    def __init__(self, seed: int = 0) -> None:
         self._seed = seed
 
-    def _permute(
-        self, terms: Sequence[str], ids: list[str]
+    def _rank(
+        self, terms: Sequence[str], index: SummaryIndex
     ) -> list[tuple[str, float]]:
+        ids = index.source_ids()
         # zlib.crc32 rather than hash(): Python string hashing is
         # randomized per process, which would break reproducibility.
         digest = zlib.crc32(" ".join(terms).encode("utf-8"))
         rng = random.Random((self._seed * 2654435761 + digest) & 0xFFFFFFFF)
         rng.shuffle(ids)
-        return [(source_id, float(len(ids) - index)) for index, source_id in enumerate(ids)]
+        # Already a full permutation in rank order; the order key would
+        # only re-derive it.
+        return [
+            (source_id, float(len(ids) - position))
+            for position, source_id in enumerate(ids)
+        ]
 
-    def _rank_dense(
-        self,
-        terms: Sequence[str],
-        summaries: dict[str, SContentSummary],
+    def _candidates(
+        self, terms: Sequence[str], index: SummaryIndex, k: int
     ) -> list[tuple[str, float]]:
-        return self._permute(terms, sorted(summaries))
-
-    def _scored_indexed(
-        self, terms: Sequence[str], index: SummaryIndex
-    ) -> list[tuple[str, float]]:
-        return self._permute(terms, index.source_ids())
-
-    def _rank_indexed(
-        self, terms: Sequence[str], index: SummaryIndex
-    ) -> list[tuple[str, float]]:
-        # Already a full permutation; the order key would only re-derive it.
-        return self._scored_indexed(terms, index)
-
-    def score(self, terms: Sequence[str], summary: SContentSummary) -> float:
-        raise NotImplementedError("RandomSelector ranks, it does not score")
+        return self._rank(terms, index)
 
 
 class BySize(SourceSelector):
     """Baseline: bigger sources first (crawler intuition, no summaries)."""
 
     name = "by-size"
-
-    def score(self, terms: Sequence[str], summary: SContentSummary) -> float:
-        return float(summary.num_docs)
 
     def _sparse_scores(
         self, terms: Sequence[str], index: SummaryIndex
@@ -666,10 +485,7 @@ class CostAware(SourceSelector):
     """Discount an inner selector's goodness by per-source cost.
 
     ``utility = goodness / (1 + tradeoff * cost)``; costs default to 0,
-    so unspecified sources are unaffected.  The backend is the inner
-    selector's business: the discount itself is the same scalar
-    operation either way, so dense and indexed rankings stay bit-exact
-    together.
+    so unspecified sources are unaffected.
     """
 
     name = "cost-aware"
@@ -684,18 +500,15 @@ class CostAware(SourceSelector):
         costs: dict[str, float],
         tradeoff: float = 1.0,
     ) -> None:
-        super().__init__(inner.backend)
         self._inner = inner
         self._costs = costs
         self._tradeoff = tradeoff
         self.name = f"cost-aware({inner.name})"
 
-    def _rank_impl(
-        self,
-        terms: Sequence[str],
-        summaries: Summaries,
+    def _rank(
+        self, terms: Sequence[str], index: SummaryIndex
     ) -> list[tuple[str, float]]:
-        ranked = self._inner._rank_impl(terms, summaries)
+        ranked = self._inner._rank(terms, index)
         discounted = [
             (
                 source_id,
@@ -703,29 +516,15 @@ class CostAware(SourceSelector):
             )
             for source_id, goodness in ranked
         ]
-        discounted.sort(key=_order_key)
+        discounted.sort(key=order_key)
         return discounted
 
-    def _select_impl(
-        self, terms: Sequence[str], summaries: Summaries, k: int
-    ) -> list[str]:
-        # Discounting can promote a source past the inner top-k, so the
-        # full discounted ranking is required either way; the heap only
-        # skips the final sort.
-        return [
-            source_id
-            for source_id, _ in heapq.nsmallest(
-                k, self._rank_impl(terms, summaries), key=_order_key
-            )
-        ]
-
-    def _candidates_indexed(
+    def _candidates(
         self, terms: Sequence[str], index: SummaryIndex, k: int
     ) -> list[tuple[str, float]]:
-        return self._rank_impl(terms, index)
-
-    def score(self, terms: Sequence[str], summary: SContentSummary) -> float:
-        raise NotImplementedError("CostAware wraps rank(), not score()")
+        # Discounting can promote a source past the inner top-k, so the
+        # full discounted ranking is required.
+        return self._rank(terms, index)
 
 
 #: CLI/wire names → zero-argument selector factories.  What the

@@ -1,14 +1,16 @@
 """Term-sharded summary index: sparse source selection at scale.
 
 The selectors in :mod:`repro.metasearch.selection` are pure functions
-of the harvested content summaries.  Scoring them source-by-source is a
-dense scan: every source × every query term goes through a per-summary
-dict lookup, and CORI additionally recomputes corpus statistics (per-
+of the harvested content summaries.  Scoring them source-by-source
+would be a dense scan: every source × every query term through a
+per-summary dict lookup, with CORI recomputing corpus statistics (per-
 term collection frequency, mean word mass) from the full summary set on
-every call.  At thousands of sources that dense scan *is* the cost of a
-query's selection phase.
+every call.  At thousands of sources that scan *is* the cost of a
+query's selection phase (it survives as the test oracle,
+``tests/oracles/dense_selection.py``).
 
-:class:`SummaryIndex` inverts the summaries once instead:
+:class:`SummaryIndex` inverts the summaries once instead, and is the
+only thing a selector scores:
 
 * **term shards** — ``term → packed columnar postings`` of
   ``(source ordinal, document frequency, total postings)`` held as
@@ -18,15 +20,14 @@ query's selection phase.
   ``total word mass`` / case-sensitivity columns addressed by ordinal;
 * **corpus statistics maintained incrementally** — per-term collection
   frequency (a counter riding on each shard), the total clamped word
-  mass (an exact integer sum, so CORI's mean is bit-identical to the
-  dense recomputation) and the live source count.
+  mass (an exact integer sum, so CORI's mean is bit-identical to a
+  from-scratch recomputation) and the live source count.
 
 Mutations are deltas: :meth:`add` interns or re-harvests one source,
 :meth:`remove` drops it, and every delta bumps :attr:`generation` so
 downstream memos (sorted id order, selector caches) know to refresh.
-The original summary objects are retained, which is what lets a
-selector built with ``backend="dense"`` run the byte-identical oracle
-path over the very same index.
+The original summary objects are retained: checkpoints persist them and
+a leaf broker merges them into its aggregate summary.
 
 Word keying follows each summary's own case rule, exactly as
 :meth:`SContentSummary.lookup` does: a case-insensitive summary is
@@ -264,8 +265,8 @@ class SummaryIndex:
     def mean_clamped_word_mass(self) -> float:
         """Mean clamped word mass over live sources.
 
-        The running total is an exact integer sum, so this equals the
-        dense recomputation bit for bit.
+        The running total is an exact integer sum, so this equals a
+        from-scratch recomputation bit for bit.
         """
         if not self._ordinal_of:
             return 0.0
@@ -284,7 +285,7 @@ class SummaryIndex:
         return [source_id for source_id, _ in self.sorted_sources()]
 
     def summaries(self) -> dict[str, SContentSummary]:
-        """The indexed summaries, for the dense-oracle selector path."""
+        """A copy of the indexed ``source id → summary`` mapping."""
         return dict(self._summaries)
 
     def summary(self, source_id: str) -> SContentSummary:

@@ -2,7 +2,6 @@
 
 from repro.source.capabilities import SourceCapabilities
 from repro.source.execution import QueryTranslator, TranslationOutcome
-from repro.source.persistence import load_source, save_source
 from repro.source.scan import ScanEntry, ScanRequest, ScanResponse
 from repro.source.sample import (
     SampleResults,
@@ -17,8 +16,6 @@ __all__ = [
     "SourceCapabilities",
     "QueryTranslator",
     "TranslationOutcome",
-    "load_source",
-    "save_source",
     "ScanEntry",
     "ScanRequest",
     "ScanResponse",

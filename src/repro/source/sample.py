@@ -23,6 +23,8 @@ from repro.corpus.generator import CollectionSpec, generate_collection
 from repro.engine import fields as F
 from repro.engine.documents import Document
 from repro.engine.query import ListQuery, TermQuery
+from repro.starts.errors import SoifSyntaxError
+from repro.starts.query import _number
 from repro.starts.soif import SoifObject
 
 __all__ = [
@@ -106,9 +108,14 @@ class SampleResults:
             line = line.strip()
             if not line:
                 continue
-            terms_text, _, values_text = line.partition(":")
+            terms_text, colon, values_text = line.partition(":")
+            if not colon:
+                raise SoifSyntaxError(f"bad QueryScores line: {line!r}")
             terms = tuple(terms_text.split(","))
-            scores[terms] = [float(piece) for piece in values_text.split()]
+            scores[terms] = [
+                _number(float, "QueryScores", piece, 0.0)
+                for piece in values_text.split()
+            ]
         return cls(scores)
 
     def __eq__(self, other: object) -> bool:

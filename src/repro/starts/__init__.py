@@ -43,6 +43,7 @@ from repro.starts.metadata import (
     SResource,
     SummaryEntryLine,
     SummarySection,
+    merge_summaries,
 )
 from repro.starts.parser import (
     parse_expression,
@@ -84,6 +85,7 @@ __all__ = [
     "SResource",
     "SummaryEntryLine",
     "SummarySection",
+    "merge_summaries",
     "parse_expression",
     "parse_filter_expression",
     "parse_ranking_expression",

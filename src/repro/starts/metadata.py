@@ -20,6 +20,8 @@ each source's metadata attributes.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.starts.attributes import FieldRef, ModifierRef
@@ -34,6 +36,7 @@ __all__ = [
     "SummaryEntryLine",
     "SummarySection",
     "SContentSummary",
+    "merge_summaries",
     "SResource",
 ]
 
@@ -564,6 +567,63 @@ class SContentSummary:
             has_document_frequencies=has_df,
             version=obj.get("Version", PROTOCOL_VERSION) or PROTOCOL_VERSION,
         )
+
+
+def merge_summaries(summaries: Sequence[SContentSummary]) -> SContentSummary:
+    """The exact content summary of the union of disjoint collections.
+
+    Postings and document frequencies add per (field, language, word);
+    ``NumDocs`` adds.  Header flags are taken as the *weakest* claims
+    (e.g. the merged list is stemmed only if every input was), since a
+    broker can only promise what all of its children provide — but only
+    inputs that actually make a claim participate: an *empty* summary
+    (no sections and no documents) describes nothing, so its default
+    flags must not weaken the merge.  An empty-summary-only (or empty)
+    input list yields the all-defaults empty summary.
+    """
+    totals: dict[tuple[str, str], dict[str, list[int]]] = defaultdict(
+        lambda: defaultdict(lambda: [0, 0])
+    )
+    for summary in summaries:
+        for section in summary.sections:
+            bucket = totals[(section.field, section.language)]
+            for entry in section.entries:
+                bucket[entry.word][0] += max(entry.postings, 0)
+                bucket[entry.word][1] += max(entry.document_frequency, 0)
+
+    sections = []
+    for (field_name, language), words in sorted(totals.items()):
+        entries = tuple(
+            SummaryEntryLine(word, postings, df)
+            for word, (postings, df) in sorted(
+                words.items(), key=lambda item: (-item[1][0], item[0])
+            )
+        )
+        sections.append(SummarySection(field_name, language, entries))
+
+    claiming = [
+        summary
+        for summary in summaries
+        if summary.sections or summary.num_docs > 0
+    ]
+    if not claiming:
+        return SContentSummary(
+            num_docs=sum(summary.num_docs for summary in summaries),
+            sections=tuple(sections),
+        )
+
+    return SContentSummary(
+        num_docs=sum(summary.num_docs for summary in summaries),
+        sections=tuple(sections),
+        stemming=all(summary.stemming for summary in claiming),
+        stop_words=all(summary.stop_words for summary in claiming),
+        case_sensitive=all(summary.case_sensitive for summary in claiming),
+        fields=all(summary.fields for summary in claiming),
+        has_postings=all(summary.has_postings for summary in claiming),
+        has_document_frequencies=all(
+            summary.has_document_frequencies for summary in claiming
+        ),
+    )
 
 
 @dataclass(frozen=True)

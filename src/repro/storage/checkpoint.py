@@ -187,7 +187,7 @@ def save_summary_index(index: SummaryIndex, path: str | pathlib.Path) -> int:
     The file captures the exact internal columns — shard slot order,
     ordinal assignments, the free list, the integer corpus totals — so
     the restored index is *bit-identical* to the saved one: every
-    selector score, sparse or dense-oracle, comes out the same floats.
+    selector score comes out the same floats.
     """
     started = time.perf_counter()
     blob = bytearray()

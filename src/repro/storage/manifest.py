@@ -93,7 +93,7 @@ class Manifest:
         tombstones: sorted global doc ids deleted but not yet merged
             away.
         analyzer: the signature of the analyzer the index was built
-            with (checked on open, as JSON persistence always did).
+            with (checked on open).
         ranking: the configured ranking ``algorithm_id`` (or None).
     """
 

@@ -352,42 +352,6 @@ class SegmentedIndex(InvertedIndex):
     def summary_vocabulary_size(self) -> int:
         return sum(len(words) for _, _, words in self.summary_sections())
 
-    # -- snapshot / restore ------------------------------------------------
-
-    def snapshot(self) -> IndexSnapshot:
-        """The *merged* view (segments + tail), materialized."""
-        postings: dict[str, dict[str, list[Posting]]] = {}
-        for field in self.fields():
-            terms: dict[str, list[Posting]] = {}
-            for term in self.vocabulary(field):
-                plist = self.postings(field, term)
-                if plist:
-                    terms[term] = list(plist)
-            if terms:
-                postings[field] = terms
-        return IndexSnapshot(
-            postings=postings,
-            summary=[
-                (
-                    field,
-                    language,
-                    {
-                        word: SummaryEntry(entry.postings, entry.document_frequency)
-                        for word, entry in words.items()
-                    },
-                )
-                for field, language, words in self.summary_sections()
-            ],
-            document_count=self.document_count,
-        )
-
-    def restore(self, snapshot: IndexSnapshot) -> None:
-        if self._segment_store.readers:
-            raise StorageError(
-                "restore() into a segmented index requires an empty store"
-            )
-        super().restore(snapshot)
-
 
 class SegmentedDocumentStore(DocumentStore):
     """segments + mutable tail, behind the ``DocumentStore`` surface."""

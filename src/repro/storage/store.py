@@ -54,7 +54,7 @@ class SegmentStore:
             when it does not exist yet.
         analyzer: analyzer signature to record/verify — a store built
             by a stemming analyzer must never be served by a
-            non-stemming one (the same guard JSON persistence has).
+            non-stemming one.
         ranking: the engine's configured ranking ``algorithm_id``;
             verified against the manifest on open, mismatch raises.
         merge_policy: the tiered policy steering :meth:`maybe_merge`.

@@ -69,8 +69,8 @@ class Analyzer:
         """The pipeline settings that define index compatibility.
 
         Two engines can serve the same saved index exactly when their
-        signatures match — persistence (JSON and segment manifests
-        alike) records this and refuses to load across a mismatch.
+        signatures match — the segment store's manifest records this
+        and refuses to open across a mismatch.
         """
         return {
             "tokenizer": self.tokenizer.tokenizer_id,

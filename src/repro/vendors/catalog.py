@@ -31,7 +31,6 @@ from repro.engine.ranking import (
     RankingAlgorithm,
     ScaledCosine,
 )
-from repro.engine.evaluation import PRUNED
 from repro.engine.search import SearchEngine
 from repro.source.capabilities import SourceCapabilities
 from repro.source.source import StartsSource
@@ -61,16 +60,8 @@ class VendorProfile:
     native_syntax: NativeSyntax | None = None
 
     def build_engine(self) -> SearchEngine:
-        # Vendors run the pruned evaluator: STARTS sources push
-        # MaxNumberDocuments / MinDocumentScore down to the engine, so
-        # truncated score-sorted queries — the federation's bread and
-        # butter — skip postings.  Hits are bit-identical to the
-        # exhaustive modes, and unprunable shapes fall back on their
-        # own, so vendor observable behavior is unchanged.
         ranking: RankingAlgorithm | None = self.ranking_factory()
-        return SearchEngine(
-            analyzer=self.analyzer_factory(), ranking=ranking, evaluation=PRUNED
-        )
+        return SearchEngine(analyzer=self.analyzer_factory(), ranking=ranking)
 
 
 def _full_fields() -> dict[str, tuple[str, ...]]:

@@ -1,13 +1,13 @@
-"""Property-style equivalence: term-at-a-time vs the document-at-a-time oracle.
+"""Property-style equivalence: the engine vs the document-at-a-time oracle.
 
-The term-at-a-time rewrite (``repro.engine.evaluation``) must be
+Both of the engine's evaluation modes — the pruned default and its
+term-at-a-time fallback (``repro.engine.evaluation``) — must be
 observationally identical to the original per-candidate recursion,
-which stays available behind ``evaluation="document_at_a_time"``.  The
-contract is exact equality — same hits, same float scores, same
-TermStats — across every ranking algorithm, every node type (``list``,
-fuzzy ``and``/``or``/``and-not``, ``prox``), per-term weights, every
-modifier expansion, filter candidates, top-k truncation and minimum
-scores.
+which lives on in ``tests/oracles/daat.py``.  The contract is exact
+equality — same hits, same float scores, same TermStats — across every
+ranking algorithm, every node type (``list``, fuzzy
+``and``/``or``/``and-not``, ``prox``), per-term weights, every modifier
+expansion, filter candidates, top-k truncation and minimum scores.
 """
 
 import random
@@ -17,10 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine import fields as F
 from repro.engine.documents import Document
-from repro.engine.evaluation import DOCUMENT_AT_A_TIME, TERM_AT_A_TIME
+from repro.engine.evaluation import EVALUATION_MODES
 from repro.engine.query import AND, AND_NOT, OR, BooleanQuery, ListQuery, ProxQuery, TermQuery
 from repro.engine.ranking import RANKING_ALGORITHMS
 from repro.engine.search import SearchEngine
+
+from tests.oracles.daat import oracle_evaluate_ranking, oracle_search
 
 ALGORITHMS = sorted(RANKING_ALGORITHMS)
 
@@ -58,19 +60,17 @@ def build_engine(algorithm_id: str, seed: int, n_docs: int = 30) -> SearchEngine
     return engine
 
 
-def both_ways(engine, **kwargs):
-    """The same search on both evaluation paths (restoring the default)."""
-    engine.evaluation = TERM_AT_A_TIME
-    fast = engine.search(**kwargs)
-    engine.evaluation = DOCUMENT_AT_A_TIME
-    oracle = engine.search(**kwargs)
-    engine.evaluation = TERM_AT_A_TIME
-    return fast, oracle
-
-
 def assert_search_equivalent(engine, **kwargs):
-    fast, oracle = both_ways(engine, **kwargs)
-    assert fast == oracle  # doc ids, exact scores, exact TermStats
+    """The same search in both engine modes (restoring the default)."""
+    oracle = oracle_search(engine, **kwargs)
+    default = engine.evaluation
+    try:
+        for mode in EVALUATION_MODES:
+            engine.evaluation = mode
+            # doc ids, exact scores, exact TermStats
+            assert engine.search(**kwargs) == oracle, mode
+    finally:
+        engine.evaluation = default
 
 
 def t(text, weight=1.0, field=F.BODY_OF_TEXT, modifiers=()):
@@ -143,7 +143,6 @@ class TestAllAlgorithms:
     def test_top_k_and_min_score(self, algorithm_id):
         engine = build_engine(algorithm_id, seed=9, n_docs=40)
         query = ListQuery((t("connect"), t("gamma", 0.7), t("database", 0.3)))
-        engine.evaluation = TERM_AT_A_TIME
         full = engine.search(ranking_query=query)
         min_score = full[len(full) // 2].score if full else 0.0
         for top_k in (None, 1, 3, 10_000):
@@ -155,18 +154,13 @@ class TestAllAlgorithms:
     def test_evaluate_ranking_dicts_match(self, algorithm_id):
         engine = build_engine(algorithm_id, seed=10)
         query = BooleanQuery(OR, (t("connect"), t("delta", 0.4)))
-        engine.evaluation = TERM_AT_A_TIME
-        fast = engine.evaluate_ranking(query)
-        engine.evaluation = DOCUMENT_AT_A_TIME
-        oracle = engine.evaluate_ranking(query)
-        engine.evaluation = TERM_AT_A_TIME
-        assert fast == oracle
+        assert engine.evaluate_ranking(query) == oracle_evaluate_ranking(
+            engine, query
+        )
         candidates = set(range(0, engine.document_count, 2))
-        fast = engine.evaluate_ranking(query, candidates)
-        engine.evaluation = DOCUMENT_AT_A_TIME
-        oracle = engine.evaluate_ranking(query, candidates)
-        engine.evaluation = TERM_AT_A_TIME
-        assert fast == oracle
+        assert engine.evaluate_ranking(
+            query, candidates
+        ) == oracle_evaluate_ranking(engine, query, candidates)
 
 
 def test_top_k_truncation_is_prefix_of_full_result():
@@ -215,7 +209,7 @@ def ranking_queries(draw, depth=2):
     return BooleanQuery(kind, children[:2] if kind == "and-not" else children)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(deadline=None)
 @given(
     algorithm_id=st.sampled_from(ALGORITHMS),
     seed=st.integers(0, 7),

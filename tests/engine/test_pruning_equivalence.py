@@ -1,6 +1,7 @@
 """Rank safety of the pruned evaluator: bit-exact against the oracles.
 
-``evaluation="pruned"`` promises the exhaustive answer for less work:
+The pruned evaluator (the engine default) promises the exhaustive answer
+for less work:
 same documents, same float scores, same order, same TermStats — across
 every ranking algorithm, both storage backends, and any mid-history
 mix of flushes, merges, and tombstones.  Shapes the MaxScore driver
@@ -27,7 +28,6 @@ from hypothesis.stateful import (
 from repro.engine import fields as F
 from repro.engine.documents import Document
 from repro.engine.evaluation import (
-    DOCUMENT_AT_A_TIME,
     PRUNED,
     TERM_AT_A_TIME,
     hit_order_key,
@@ -39,6 +39,8 @@ from repro.engine.ranking import RANKING_ALGORITHMS
 from repro.engine.search import SearchEngine
 from repro.observability.metrics import MetricsRegistry, set_registry
 from repro.storage.merge import TieredMergePolicy
+
+from tests.oracles.daat import oracle_search
 
 ALGORITHMS = sorted(RANKING_ALGORITHMS)
 
@@ -189,8 +191,7 @@ class TestMemoryBackend:
 
     def test_against_document_at_a_time_too(self, algorithm_id):
         engine = build_engine(algorithm_id, seed=8, n_docs=40)
-        engine.evaluation = DOCUMENT_AT_A_TIME
-        oracle = engine.search(ranking_query=QUERY, top_k=7)
+        oracle = oracle_search(engine, ranking_query=QUERY, top_k=7)
         engine.evaluation = PRUNED
         pruned = engine.search(ranking_query=QUERY, top_k=7)
         assert pruned == oracle

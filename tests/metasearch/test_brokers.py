@@ -1,10 +1,11 @@
-"""Broker hierarchies: summary aggregation and best-first descent."""
+"""Summary aggregation: what a leaf broker publishes for its shard."""
 
-import pytest
-
-from repro.metasearch.brokers import BrokerNode, HierarchicalSelector, merge_summaries
-from repro.metasearch.selection import VGlossMax
-from repro.starts.metadata import SContentSummary, SummaryEntryLine, SummarySection
+from repro.starts.metadata import (
+    SContentSummary,
+    SummaryEntryLine,
+    SummarySection,
+    merge_summaries,
+)
 
 
 def summary(num_docs, words):
@@ -142,51 +143,3 @@ class TestMergeSummaries:
             assert merged.total_postings(word) == union.total_postings(word)
             assert merged.document_frequency(word) == union.document_frequency(word)
 
-
-@pytest.fixture
-def hierarchy():
-    """Two brokers: CS (db + ir sources) and Med (two medical sources)."""
-    db = BrokerNode.leaf("db", summary(50, {"databases": (200, 40), "query": (80, 30)}))
-    ir = BrokerNode.leaf("ir", summary(50, {"retrieval": (150, 35), "query": (60, 25)}))
-    med1 = BrokerNode.leaf("med1", summary(50, {"patient": (180, 45)}))
-    med2 = BrokerNode.leaf("med2", summary(50, {"diagnosis": (120, 30)}))
-    cs = BrokerNode.broker("cs", [db, ir])
-    med = BrokerNode.broker("med", [med1, med2])
-    return BrokerNode.broker("root", [cs, med])
-
-
-class TestHierarchicalSelection:
-    def test_descends_to_topical_leaf(self, hierarchy):
-        selector = HierarchicalSelector(hierarchy)
-        assert selector.select(["databases"], 1) == ["db"]
-        assert selector.select(["patient"], 1) == ["med1"]
-
-    def test_selects_k_leaves_best_first(self, hierarchy):
-        selector = HierarchicalSelector(hierarchy)
-        selected = selector.select(["query"], 2)
-        assert selected == ["db", "ir"]
-
-    def test_prunes_unpromising_branch(self, hierarchy):
-        """A databases query never scores the medical leaves."""
-        selector = HierarchicalSelector(hierarchy)
-        selector.select(["databases"], 1)
-        # Scored: root + its 2 children + cs's 2 children = 5, not 7.
-        assert selector.summaries_scored == 5
-
-    def test_flat_equivalence_on_leaves(self, hierarchy):
-        """The hierarchy picks the same top source as a flat scan."""
-        flat = VGlossMax()
-        leaves = {
-            node.source_id: node.aggregate_summary() for node in hierarchy.leaves()
-        }
-        flat_best = flat.select(["databases", "query"], leaves, 1)
-        tree_best = HierarchicalSelector(hierarchy).select(["databases", "query"], 1)
-        assert tree_best == flat_best
-
-    def test_k_larger_than_leaves(self, hierarchy):
-        selector = HierarchicalSelector(hierarchy)
-        assert len(selector.select(["query"], 10)) == 4
-
-    def test_aggregate_summary_cached(self, hierarchy):
-        first = hierarchy.aggregate_summary()
-        assert hierarchy.aggregate_summary() is first

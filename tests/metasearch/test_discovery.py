@@ -74,6 +74,21 @@ class TestMalformedBlobs:
         assert set(discovery.summaries()) == {"Fed-DB", "Fed-Med"}
         assert not discovery.unreachable
 
+    def test_malformed_sample_leaves_the_source_without_one(
+        self, service, monkeypatch
+    ):
+        discovery, url, internet = service
+        monkeypatch.setitem(
+            internet._get_handlers,
+            "http://fed-net.example.org/sample",
+            lambda: b"@SSampleResults{\nQueryScores{14}: databases: 0,9\n}\n",
+        )
+        harvested = discovery.refresh_resource(url)
+        assert len(harvested) == 3
+        assert discovery.source("Fed-Net").sample_results is None
+        assert discovery.source("Fed-DB").sample_results is not None
+        assert not discovery.unreachable
+
 
 class TestCaching:
     def test_second_refresh_reuses_cache(self, service):

@@ -49,7 +49,7 @@ class TestBGloss:
         assert ranked["Med"] == 0.0  # no "databases" in Med
 
     def test_empty_source_scores_zero(self):
-        assert BGloss().score(["x"], summary(0, {})) == 0.0
+        assert BGloss().rank(["x"], {"S": summary(0, {})}) == [("S", 0.0)]
 
 
 class TestVGloss:
@@ -60,8 +60,8 @@ class TestVGloss:
     def test_max_prefers_concentrated_usage(self):
         spread = summary(100, {"databases": (100, 100)})  # 1 occurrence/doc
         dense = summary(100, {"databases": (100, 10)})  # 10 occurrences/doc
-        score_spread = VGlossMax().score(["databases"], spread)
-        score_dense = VGlossMax().score(["databases"], dense)
+        [(_, score_spread)] = VGlossMax().rank(["databases"], {"S": spread})
+        [(_, score_dense)] = VGlossMax().rank(["databases"], {"S": dense})
         assert score_spread > 0 and score_dense > 0
         # Max rewards the per-document density signal through avg tf.
         per_doc_dense = score_dense / 10
@@ -90,10 +90,6 @@ class TestCori:
 
     def test_empty_summaries(self):
         assert Cori().rank(["x"], {}) == []
-
-    def test_score_alone_unsupported(self, summaries):
-        with pytest.raises(NotImplementedError):
-            Cori().score(["x"], summaries["DB"])
 
 
 class TestBaselines:

@@ -1,10 +1,11 @@
 """Indexed selection is a bit-exact twin of the dense scan.
 
-Every selector runs twice over the same randomized summary sets — once
-``backend="indexed"`` (sparse, over a :class:`SummaryIndex`), once
-``backend="dense"`` (the original dict scan, the oracle) — and must
-produce the *same floats in the same order*, ties included.  The same
-holds after arbitrary add / re-harvest / remove delta streams.
+Every selector runs over randomized summary sets — sparse over a
+:class:`SummaryIndex`, and again handed the plain dict (which it indexes
+on entry) — and must produce the *same floats in the same order*, ties
+included, as the original per-summary dict scan kept in
+``tests/oracles/dense_selection.py``.  The same holds after arbitrary
+add / re-harvest / remove delta streams.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,8 @@ from repro.metasearch.selection import (
 from repro.metasearch.summary_index import SummaryIndex
 from repro.starts.metadata import SContentSummary, SummaryEntryLine, SummarySection
 
+from tests.oracles.dense_selection import oracle_rank, oracle_select
+
 WORD_POOL = ["alpha", "beta", "Gamma", "delta", "epsilon", "Zeta"]
 QUERY_POOL = WORD_POOL + ["absent", "Missing"]
 
@@ -37,16 +40,6 @@ def _selectors():
         RandomSelector(seed=3),
         CostAware(Cori(), {"S0": 0.4, "S2": 1.5}, tradeoff=0.8),
     ]
-
-
-def _dense_twin(selector):
-    if isinstance(selector, CostAware):
-        return CostAware(
-            Cori(backend="dense"), {"S0": 0.4, "S2": 1.5}, tradeoff=0.8
-        )
-    if isinstance(selector, RandomSelector):
-        return RandomSelector(seed=3, backend="dense")
-    return type(selector)(backend="dense")
 
 
 @st.composite
@@ -89,15 +82,19 @@ def queries(draw):
     )
 
 
-@settings(max_examples=120, deadline=None)
+@settings(deadline=None)
 @given(summaries=summary_sets(), terms=queries(), k=st.integers(0, 10))
 def test_indexed_equals_dense(summaries, terms, k):
     index = SummaryIndex.from_summaries(summaries)
     for selector in _selectors():
-        dense = _dense_twin(selector)
         # Same scores, same order, same floats — not approx.
-        assert selector.rank(terms, index) == dense.rank(terms, summaries)
-        assert selector.select(terms, index, k) == dense.select(terms, summaries, k)
+        ranked = oracle_rank(selector, terms, summaries)
+        assert selector.rank(terms, index) == ranked
+        assert selector.rank(terms, summaries) == ranked
+        selected = oracle_select(selector, terms, summaries, k)
+        assert selector.select(terms, index, k) == selected
+        assert selector.select(terms, summaries, k) == selected
+        assert selector.top_candidates(terms, summaries, k) == ranked[:k]
 
 
 @settings(max_examples=60, deadline=None)
@@ -126,11 +123,12 @@ def test_equivalence_survives_delta_streams(initial, replacement, terms, data):
     assert index.summaries() == live
     rebuilt = SummaryIndex.from_summaries(live)
     for selector in _selectors():
-        dense = _dense_twin(selector)
         ranked = selector.rank(terms, index)
         assert ranked == selector.rank(terms, rebuilt)
-        assert ranked == dense.rank(terms, live)
-        assert selector.select(terms, index, 3) == dense.select(terms, live, 3)
+        assert ranked == oracle_rank(selector, terms, live)
+        assert selector.select(terms, index, 3) == oracle_select(
+            selector, terms, live, 3
+        )
 
 
 class TestTieDeterminism:
@@ -151,7 +149,7 @@ class TestTieDeterminism:
         summaries = self._tied_summaries()
         index = SummaryIndex.from_summaries(summaries)
         indexed = Cori().rank(["alpha", "beta"], index)
-        dense = Cori(backend="dense").rank(["alpha", "beta"], summaries)
+        dense = oracle_rank(Cori(), ["alpha", "beta"], summaries)
         assert indexed == dense
         # All four sources are identical, so every goodness ties and the
         # order must fall back to lexicographic source id.
@@ -163,7 +161,7 @@ class TestTieDeterminism:
         index = SummaryIndex.from_summaries(summaries)
         costs = {"S1": 0.5, "S2": 0.5}  # S1/S2 tie below the S0/S3 tie
         indexed = CostAware(Cori(), costs).rank(["alpha"], index)
-        dense = CostAware(Cori(backend="dense"), costs).rank(["alpha"], summaries)
+        dense = oracle_rank(CostAware(Cori(), costs), ["alpha"], summaries)
         assert indexed == dense
         assert [source_id for source_id, _ in indexed] == ["S0", "S3", "S1", "S2"]
 
@@ -203,17 +201,15 @@ class TestEdgeCases:
         summaries = self._summaries()
         index = SummaryIndex.from_summaries(summaries)
         for selector in _selectors():
-            assert selector.rank([], index) == _dense_twin(selector).rank(
-                [], summaries
-            )
+            assert selector.rank([], index) == oracle_rank(selector, [], summaries)
 
     def test_terms_absent_from_every_source(self):
         summaries = self._summaries()
         index = SummaryIndex.from_summaries(summaries)
         terms = ["nowhere", "tobefound"]
         for selector in _selectors():
-            assert selector.rank(terms, index) == _dense_twin(selector).rank(
-                terms, summaries
+            assert selector.rank(terms, index) == oracle_rank(
+                selector, terms, summaries
             )
         # BGloss: no source can match a conjunctive query with an
         # unknown term; everything scores zero.
@@ -226,7 +222,7 @@ class TestEdgeCases:
         assert ranked["Empty"] == 0.0
         assert ranked["Full"] > 0.0
         cori = dict(Cori().rank(["alpha"], index))
-        assert cori == dict(Cori(backend="dense").rank(["alpha"], summaries))
+        assert cori == dict(oracle_rank(Cori(), ["alpha"], summaries))
 
 
 class TestDiscoveryMaintenance:
@@ -267,6 +263,6 @@ class TestDiscoveryMaintenance:
         assert index.summaries() == discovery.summaries()
         # Selection over the post-forget index matches the dense oracle
         # over the post-forget summaries.
-        assert Cori().rank([word], index) == Cori(backend="dense").rank(
-            [word], discovery.summaries()
+        assert Cori().rank([word], index) == oracle_rank(
+            Cori(), [word], discovery.summaries()
         )

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.source.sample import SampleResults
 from repro.starts.attributes import FieldRef, ModifierRef
 from repro.starts.errors import SoifSyntaxError
 from repro.starts.metadata import (
@@ -274,6 +275,18 @@ class TestMalformedValuesAreTyped:
     def test_content_summary(self, text, attribute):
         with pytest.raises(SoifSyntaxError, match=attribute):
             SContentSummary.from_soif(parse_soif(text))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "@SSampleResults{\nQueryScores{14}: databases: 0,9\n}\n",
+            "@SSampleResults{\nQueryScores{18}: databases: 0.9 top\n}\n",
+            "@SSampleResults{\nQueryScores{13}: databases 0.9\n}\n",
+        ],
+    )
+    def test_sample_results(self, text):
+        with pytest.raises(SoifSyntaxError, match="QueryScores"):
+            SampleResults.from_soif(parse_soif(text))
 
     def test_infinities_and_defaults_still_parse(self):
         parsed = SMetaAttributes.from_soif(

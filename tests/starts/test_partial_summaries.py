@@ -43,7 +43,8 @@ class TestPostingsOnly:
             source.engine, include_document_frequencies=False
         )
         parsed = SContentSummary.from_soif(parse_soif(summary.to_soif().dump()))
-        assert VGlossSum().score(["databases"], parsed) > 0.0
+        [(_, goodness)] = VGlossSum().rank(["databases"], {"Partial": parsed})
+        assert goodness > 0.0
 
 
 class TestDfOnly:
@@ -57,7 +58,8 @@ class TestDfOnly:
         """df-based selection survives the missing postings counts."""
         summary = build_content_summary(source.engine, include_postings=False)
         parsed = SContentSummary.from_soif(parse_soif(summary.to_soif().dump()))
-        assert BGloss().score(["databases"], parsed) > 0.0
+        [(_, goodness)] = BGloss().rank(["databases"], {"Partial": parsed})
+        assert goodness > 0.0
 
 
 class TestInvalid:

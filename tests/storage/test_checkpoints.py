@@ -1,7 +1,7 @@
 """Checkpoint/restore: summary indexes, leaf brokers, cache tiers.
 
 Restoration must be *bit-identical*: the same packed columns, the same
-corpus statistics, the same selector scores (sparse and dense-oracle),
+corpus statistics, the same selector scores (held to the dense oracle),
 the same remaining TTLs.  Leaf checkpoints additionally carry the
 delta-log cursor, so a warm restart replays only the log tail.
 """
@@ -24,6 +24,7 @@ from repro.storage.checkpoint import (
 )
 
 from tests.broker.util import demo_population, make_summary
+from tests.oracles.dense_selection import oracle_rank
 
 TERMS = ["databases", "retrieval", "medicine", "systems"]
 
@@ -71,7 +72,7 @@ class TestSummaryIndexCheckpoint:
         restored = load_summary_index(tmp_path / "summary.ckpt")
         sparse = Cori().rank(TERMS, restored)
         assert sparse == Cori().rank(TERMS, index)
-        assert sparse == Cori(backend="dense").rank(TERMS, restored.summaries())
+        assert sparse == oracle_rank(Cori(), TERMS, restored.summaries())
 
     def test_restored_index_keeps_evolving(self, tmp_path):
         index = churned_index()

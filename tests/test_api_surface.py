@@ -5,6 +5,8 @@ kind of drift that only bites downstream users.
 """
 
 import importlib
+import pathlib
+import re
 
 import pytest
 
@@ -22,6 +24,8 @@ PACKAGES = [
     "repro.observability",
     "repro.cache",
     "repro.metasearch",
+    "repro.broker",
+    "repro.storage",
     "repro.experiments",
     "repro.zdsr",
 ]
@@ -40,6 +44,19 @@ def test_all_has_no_duplicates(package_name):
     package = importlib.import_module(package_name)
     names = list(package.__all__)
     assert len(names) == len(set(names))
+
+
+def test_package_never_imports_the_test_oracles():
+    """Oracles are references the suites compare ``src/`` to — a
+    production path that leans on one has no independent check left."""
+    import repro
+
+    offenders = [
+        str(path)
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py")
+        if re.search(r"^\s*(from|import)\s+tests\b", path.read_text(), re.MULTILINE)
+    ]
+    assert not offenders
 
 
 def test_top_level_has_docstring_quickstart():

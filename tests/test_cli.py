@@ -1,5 +1,7 @@
 """The ``python -m repro`` command-line interface."""
 
+import pytest
+
 from repro.__main__ import main
 
 
@@ -105,6 +107,20 @@ class TestSelectCommand:
 
     def test_empty_query_fails(self, capsys):
         assert main(["select", "   "]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", "databases", "--selector", "no-such-selector"],
+            # A global permutation cannot be evaluated shard by shard.
+            ["broker", "--terms", "databases", "--selector", "random"],
+        ],
+    )
+    def test_selector_outside_the_registry_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestExperimentCommand:

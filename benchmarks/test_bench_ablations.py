@@ -81,14 +81,14 @@ def test_bench_score_range_ablation(benchmark, federation, write_table):
     class UnboundedRange(NormalizedScoreMerge):
         name = "range-normalized(no-range)"
 
-        def score(self, source_id, document, results, context):
+        def prepare(self, source_id, results, context):
             metadata = context.metadata.get(source_id)
             if metadata is not None:
                 context.metadata[source_id] = replace(
                     metadata, score_range=(0.0, float("inf"))
                 )
             try:
-                return super().score(source_id, document, results, context)
+                return super().prepare(source_id, results, context)
             finally:
                 if metadata is not None:
                     context.metadata[source_id] = metadata

@@ -8,19 +8,19 @@ same round as asyncio tasks on one event loop: waiting on a simulated
 so a single process can hold thousands of in-flight source queries
 bounded only by the per-query semaphore.
 
-It satisfies the existing :class:`~repro.federation.executor.Executor`
-protocol (``name`` + ``run`` returning results in task order), so every
-current ``Metasearcher`` caller works unchanged — the sync façade owns
-a private event loop per call.  Two extensions make streaming possible:
+It satisfies the :class:`~repro.federation.executor.Executor` protocol
+(``name``, ``run`` in task order, ``run_stream`` in completion order),
+so every ``Metasearcher`` caller works unchanged — the sync façade owns
+a private event loop per call.  Two things set it apart:
 
 * ``run`` and ``run_stream`` accept *coroutine functions* as well as
   plain callables; the federation runner hands over its per-source
   policy coroutine and the loop multiplexes the waits.  Plain callables
   degrade gracefully to a worker-thread pool.
-* :meth:`run_stream` yields ``(index, result)`` pairs *in completion
-  order* — the primitive under ``Metasearcher.search_stream``'s
-  incremental emission.  Abandoning the generator (early termination)
-  cancels every task still in flight.
+* :meth:`run_stream` — the primitive under ``search_stream``'s
+  incremental emission — hands a finished task to its consumer at the
+  end of the event-loop step it finished in, before any later arrival
+  is processed.  Abandoning the generator cancels whatever is in flight.
 """
 
 from __future__ import annotations
@@ -90,11 +90,8 @@ class AsyncExecutor:
         ``max_concurrency``) or a coroutine function (run natively as
         asyncio tasks).
         """
-        tasks = list(tasks)
-        results: list[ResultT] = [None] * len(tasks)  # type: ignore[list-item]
-        for index, result in self.run_stream(tasks, fn):
-            results[index] = result
-        return results
+        results = dict(self.run_stream(tasks, fn))
+        return [results[index] for index in range(len(results))]
 
     def run_stream(
         self, tasks: Sequence[TaskT], fn: Callable[[TaskT], ResultT]
@@ -102,60 +99,58 @@ class AsyncExecutor:
         """Yield ``(task index, result)`` pairs in *completion* order.
 
         The generator owns the event loop: every task is started up
-        front (semaphore-capped), and each ``next()`` runs the loop
-        until another task finishes.  Closing the generator early
-        cancels all remaining tasks — the cancellation path behind
-        deadline expiry and provably-stable early termination.
+        front (semaphore-capped); a finishing task appends its result to
+        a plain list and stops the loop, which each ``next()`` runs
+        until then.  A finished task thus reaches the consumer at the
+        end of the loop step it finished in — before any later arrival
+        is processed — followed by whatever else finished in that step.
+        Closing the generator early cancels all remaining tasks: the
+        path behind deadline expiry and stable-top-k early termination.
         """
         tasks = list(tasks)
         if not tasks:
             return
-        is_coroutine = inspect.iscoroutinefunction(fn)
-        pool: _ThreadPool | None = None
-        if not is_coroutine:
-            pool = _ThreadPool(max_workers=min(self.max_concurrency, len(tasks)))
         loop = asyncio.new_event_loop()
-        task_objects: list[asyncio.Task] = []
+        pool: _ThreadPool | None = None
+        if not inspect.iscoroutinefunction(fn):
+            pool = _ThreadPool(max_workers=min(self.max_concurrency, len(tasks)))
+        semaphore = asyncio.Semaphore(self.max_concurrency)
+        finished: list[tuple[int, ResultT | None, Exception | None]] = []
+
+        async def drive_one(index: int, task: TaskT) -> None:
+            result = error = None
+            async with semaphore:
+                self._enter_task()
+                try:
+                    if pool is None:
+                        result = await fn(task)
+                    else:
+                        result = await loop.run_in_executor(pool, fn, task)
+                except Exception as raised:
+                    error = raised
+                finally:
+                    self._exit_task()
+            finished.append((index, result, error))
+            loop.stop()
+
+        task_objects = [
+            loop.create_task(drive_one(index, task)) for index, task in enumerate(tasks)
+        ]
         try:
-            semaphore = asyncio.Semaphore(self.max_concurrency)
-            queue: asyncio.Queue = asyncio.Queue()
-
-            async def drive_one(index: int, task: TaskT) -> None:
-                async with semaphore:
-                    self._enter_task()
-                    try:
-                        if is_coroutine:
-                            result = await fn(task)
-                        else:
-                            result = await asyncio.get_running_loop().run_in_executor(
-                                pool, fn, task
-                            )
-                    except Exception as error:
-                        await queue.put((index, None, error))
-                        return
-                    finally:
-                        self._exit_task()
-                await queue.put((index, result, None))
-
-            async def start_all() -> None:
-                for index, task in enumerate(tasks):
-                    task_objects.append(
-                        asyncio.get_running_loop().create_task(drive_one(index, task))
-                    )
-
-            loop.run_until_complete(start_all())
-            for _ in range(len(tasks)):
-                index, result, error = loop.run_until_complete(queue.get())
-                if error is not None:
-                    raise error
-                yield index, result
+            remaining = len(tasks)
+            while remaining:
+                loop.run_forever()
+                step, finished[:] = finished[:], ()  # taken; the list is reused
+                remaining -= len(step)
+                for index, result, error in step:
+                    if error is not None:
+                        raise error
+                    yield index, result
         finally:
             for task_object in task_objects:
                 task_object.cancel()
-            if task_objects:
-                loop.run_until_complete(
-                    asyncio.gather(*task_objects, return_exceptions=True)
-                )
+            settled = asyncio.gather(*task_objects, return_exceptions=True)
+            loop.run_until_complete(settled)
             if pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
             loop.close()
@@ -173,8 +168,7 @@ class AsyncExecutor:
     def _enter_task(self) -> None:
         with self._inflight_lock:
             self._inflight += 1
-            if self._inflight > self.peak_inflight:
-                self.peak_inflight = self._inflight
+            self.peak_inflight = max(self.peak_inflight, self._inflight)
         _inflight_gauge(self.name).inc()
 
     def _exit_task(self) -> None:

@@ -35,13 +35,17 @@ logger = logging.getLogger(__name__)
 
 @runtime_checkable
 class Executor(Protocol):
-    """Drives ``fn`` over ``tasks``; returns results in task order."""
+    """Drives ``fn`` over ``tasks``: results in task order, or as they land."""
 
     name: str
 
     def run(
         self, tasks: Sequence[TaskT], fn: Callable[[TaskT], ResultT]
     ) -> list[ResultT]: ...
+
+    def run_stream(
+        self, tasks: Sequence[TaskT], fn: Callable[[TaskT], ResultT]
+    ) -> Iterator[tuple[int, ResultT]]: ...
 
 
 class SerialExecutor:
@@ -165,7 +169,7 @@ def submit_background(
 ) -> None:
     """Schedule ``fn`` through ``executor.submit`` when it has one.
 
-    Third-party executors only promise :class:`Executor`'s ``run``;
+    Third-party executors only promise the :class:`Executor` protocol;
     for those, background work degrades gracefully to running inline.
 
     A worker exception used to vanish with its daemon thread (or, run

@@ -79,7 +79,7 @@ class QueryPolicy:
     ) -> float:
         """Wall-clock budget (seconds) for one realtime attempt.
 
-        Used by the asyncio executor as the ``asyncio.wait_for`` guard
+        Used by the asyncio executor as the ``asyncio.timeout()`` guard
         around an awaited attempt: the *simulated* deadline decides the
         outcome deterministically (the transport clamps latency to
         ``timeout_ms``), so this bound only has to catch a genuinely

@@ -141,21 +141,14 @@ class QueryDispatcher:
     ) -> Iterator[SourceOutcome]:
         """Yield outcomes *as sources complete*, not in request order.
 
-        Executors with a ``run_stream`` method stream natively (serial:
-        lazily task by task; parallel: thread completion order; async:
-        event-loop completion order).  Closing the iterator early
-        abandons whatever is still in flight — the hook streaming
-        searches use for deadline expiry and stable-top-k termination.
+        Every executor streams natively (serial: lazily task by task;
+        parallel: thread completion order; async: event-loop completion
+        order).  Closing the iterator early abandons whatever is still
+        in flight — the hook streaming searches use for deadline expiry
+        and stable-top-k termination.
         """
-        requests = list(requests)
-        task_function = self._task_function(parent)
-        run_stream = getattr(self.executor, "run_stream", None)
-        if run_stream is None:
-            # Third-party executor with only the protocol's run():
-            # degrade to emitting the completed batch in request order.
-            yield from self.executor.run(requests, task_function)
-            return
-        for _, outcome in run_stream(requests, task_function):
+        stream = self.executor.run_stream(list(requests), self._task_function(parent))
+        for _, outcome in stream:
             yield outcome
 
     def run_one(
@@ -186,19 +179,18 @@ class QueryDispatcher:
 
         The outcome-deciding deadline is the *simulated* ``timeout_ms``
         (enforced deterministically by the transport); in realtime mode
-        an ``asyncio.wait_for`` wall-clock guard additionally backstops
+        an ``asyncio.timeout()`` wall-clock guard additionally backstops
         a genuinely hung backend, with enough slack that scheduler
-        jitter can never flip an outcome.
+        jitter can never flip an outcome.  The guard is a context
+        manager, not a child task: the request resumes in the task that
+        sent it, so its answer is in hand within one event-loop step.
         """
-        sending = self.client.query_with_record_async(
-            request.query_url, request.query, deadline_ms=policy.timeout_ms
-        )
         internet = self.client.internet
-        if not internet.realtime:
-            return await sending
-        return await asyncio.wait_for(
-            sending, timeout=policy.attempt_wall_budget_s(internet.time_scale)
-        )
+        budget_s = policy.attempt_wall_budget_s(internet.time_scale)
+        async with asyncio.timeout(budget_s if internet.realtime else None):
+            return await self.client.query_with_record_async(
+                request.query_url, request.query, deadline_ms=policy.timeout_ms
+            )
 
     # -- the policy loop ---------------------------------------------------
 

@@ -35,6 +35,7 @@ from repro.metasearch.merging import (
     MergeContext,
     MergedDocument,
     MergeStrategy,
+    StreamingMerge,
     TfIdfRecomputeMerge,
 )
 from repro.metasearch.selection import SourceSelector, VGlossMax
@@ -86,8 +87,9 @@ class _Search:
     """One search in flight: what its exit will count and log.
 
     The drivers fill in ``outcome`` (``wire`` / ``stream`` / ``hit`` /
-    ``stale``) and ``result`` as they go; :meth:`Metasearcher._search_scope`
-    reads them exactly once, however the search ends.
+    ``stale``; the scope itself adds ``error`` / ``shed`` / ``abandoned``)
+    and ``result`` as they go; :meth:`Metasearcher._search_scope` reads
+    them exactly once, however the search ends.
     """
 
     tracer: Tracer
@@ -495,6 +497,9 @@ class Metasearcher:
         the negative cache.  An early-terminated result is never stored
         in the result cache; cache hits and stale serves come back as a
         single final emission, exactly as :meth:`search` serves them.
+        A consumer that closes the stream before its final emission
+        cancels what is in flight the same way; that search is counted
+        and logged as ``abandoned``, with whatever had answered by then.
         """
         with self._search_scope(query, tracer or Tracer()) as search:
             plan = self._prepare(
@@ -527,10 +532,11 @@ class Metasearcher:
         """Validate, open the ``search`` span, and account for the exit.
 
         Whatever happens inside — an answer off the wire, a cache serve,
-        an exception — the search is counted and logged exactly once,
-        here.  Only a stream its consumer abandons (no outcome was ever
-        reached) goes unrecorded.  The span is opened explicitly so the
-        scope may straddle a generator's ``yield``.
+        an exception, a stream whose consumer closes it before the final
+        emission (``abandoned``: its wire requests were still paid for)
+        — the search is counted and logged exactly once, here.  The span
+        is opened explicitly so the scope may straddle a generator's
+        ``yield``.
         """
         query.validate()
         if (
@@ -547,6 +553,9 @@ class Metasearcher:
         )
         try:
             yield search
+        except GeneratorExit:
+            search.outcome, search.terminated_early = "abandoned", True
+            raise
         except Exception as error:
             search.outcome, search.error = _failure_outcome(error), repr(error)
             raise
@@ -787,7 +796,10 @@ class Metasearcher:
         )
         # The accumulator narrows the candidates' context to the sources
         # that actually answer, so the final rank matches the batch merge.
-        stream_merge = plan.merger.start_stream(self._merge_context(plan))
+        stream_merge = StreamingMerge(plan.merger, self._merge_context(plan))
+        # Until the round is assembled the search's result is a live view
+        # of what has answered — all an abandoned stream ever gets to log.
+        search.result = MetasearchResult([], plan.selected_ids, outcomes=outcomes)
         k = plan.query.max_number_documents
         pending_ids = {request.source_id for request in requests}
         termination_reason: str | None = None
@@ -808,7 +820,7 @@ class Metasearcher:
                 pending_ids.discard(outcome.source_id)
                 if outcome.ok and outcome.results is not None:
                     stream_merge.feed(outcome.source_id, outcome.results)
-                documents = stream_merge.current_top_k(k or None)
+                search.result.documents = documents = stream_merge.current_top_k(k)
                 elapsed_ms = tracer.now_ms() - search.started_ms
                 if documents and not first_result_seen:
                     first_result_seen = True
@@ -858,7 +870,7 @@ class Metasearcher:
         # Sources are only left pending by an early termination.
         for source_id in sorted(pending_ids):
             outcomes[source_id] = SourceOutcome.cancelled(source_id, termination_reason)
-        documents = list(stream_merge.current_top_k(k or None))
+        documents = list(stream_merge.current_top_k(k))
         return StreamEmission(
             sequence=sequence,
             outcome=None,

@@ -70,12 +70,8 @@ class MergeContext:
         streaming accumulator both narrow the candidates' context here.
         """
 
-        def kept(per_source: dict) -> dict:
-            return {
-                source_id: value
-                for source_id, value in per_source.items()
-                if source_id in source_ids
-            }
+        def kept(entries: dict) -> dict:
+            return {key: value for key, value in entries.items() if key in source_ids}
 
         return MergeContext(
             kept(self.metadata),
@@ -96,38 +92,53 @@ class MergedDocument:
 
 
 class MergeStrategy:
-    """Interface: per-source results → one merged, deduplicated rank."""
+    """Interface: per-source results → one merged, deduplicated rank.
+
+    A strategy is two steps, and batch :meth:`merge` and the
+    :class:`StreamingMerge` accumulator are nothing but those two:
+
+    * :meth:`prepare` — *per source*, run once per source: reads only
+      that source's results and its own slice of the context and keeps
+      everything no later arrival can change.
+    * :meth:`combine` — *across sources*, run once per merged rank:
+      computes whatever depends on *which* sources answered and folds
+      it over the prepared parts.
+    """
 
     name = "base"
     #: True when a document's merged score depends only on its *own*
-    #: source's results and context slice — never on which other sources
-    #: answered.  Stable strategies can merge incrementally (feed one
-    #: source at a time) and support provably-sound early termination;
-    #: unstable ones (CORI's belief normalization, tf·idf's global
-    #: document frequencies) rescore as the answering set grows.
+    #: source's results and context slice, never on which other sources
+    #: answered (as CORI's belief normalization and tf·idf's global
+    #: document frequencies do).  Only :meth:`StreamingMerge.is_stable_top_k`
+    #: consults it: sound early termination needs scores that cannot move.
     stable_scores = False
 
     def merge(
         self, results: dict[str, SQResults], context: MergeContext
     ) -> list[MergedDocument]:
         """Merged rank, best first; duplicates collapse to the best copy."""
-        scored: list[MergedDocument] = []
-        for source_id in sorted(results):
-            for document in results[source_id].documents:
-                score = self.score(source_id, document, results, context)
-                scored.append(
-                    MergedDocument(document.linkage, score, source_id, document)
-                )
-        return _dedupe_and_sort(scored)
+        prepared = {
+            source_id: self.prepare(source_id, results[source_id], context)
+            for source_id in sorted(results)
+        }
+        return self.combine(prepared, context)
 
-    def score(
-        self,
-        source_id: str,
-        document: SQRDocument,
-        results: dict[str, SQResults],
-        context: MergeContext,
-    ) -> float:
+    def prepare(self, source_id: str, results: SQResults, context: MergeContext):
+        """One entry per document of ``source_id``, in the source's order.
+
+        Stable strategies return finished :class:`MergedDocument` s; the
+        others return whatever their :meth:`combine` folds into one.
+        """
         raise NotImplementedError
+
+    def combine(
+        self, prepared: dict[str, list], context: MergeContext
+    ) -> list[MergedDocument]:
+        """The rank over ``prepared`` (source id → :meth:`prepare` output,
+        in source-id order); ``context`` is narrowed to those sources."""
+        return _dedupe_and_sort(
+            [merged for part in prepared.values() for merged in part]
+        )
 
     def score_upper_bound(self, source_id: str, context: MergeContext) -> float:
         """Largest merged score any document from ``source_id`` can get.
@@ -139,68 +150,43 @@ class MergeStrategy:
         """
         return math.inf
 
-    def start_stream(self, context: MergeContext) -> "StreamingMerge":
-        """An incremental accumulator over this strategy.
-
-        Feed per-source results as they arrive; the accumulator's final
-        rank is bit-identical to a batch :meth:`merge` over the same
-        per-source results and (suitably filtered) context.
-        """
-        return StreamingMerge(self, context)
-
 
 class StreamingMerge:
     """Incremental rank-merge: feed sources one at a time, read the rank.
 
-    For stable-score strategies each source is scored exactly once on
-    arrival (its per-source slice of a batch merge) and the global rank
-    is a cheap dedupe-and-sort of the cached pieces.  For unstable
-    strategies the accumulator re-runs the full batch merge over the
-    sources fed so far, with the context narrowed to the fed sources by
-    the same :meth:`MergeContext.restricted_to` the batch path uses —
-    either way the final rank equals the batch oracle by construction.
+    :meth:`feed` runs the strategy's per-source step — each document is
+    scored (or taken apart) once per search, on arrival — and
+    :meth:`merged` the cross-source step over the parts held so far, in
+    source-id order, under the same :meth:`MergeContext.restricted_to`
+    narrowing the batch path uses.  That is :meth:`MergeStrategy.merge`
+    by definition, so the rank equals the batch merge of the fed sources.
     """
 
     def __init__(self, strategy: MergeStrategy, context: MergeContext) -> None:
         self.strategy = strategy
         self.context = context
-        self._fed: dict[str, SQResults] = {}
-        self._scored: list[MergedDocument] = []  # stable path's cache
-        self._rank: list[MergedDocument] = []
-        self._dirty = False
-
-    @property
-    def fed_source_ids(self) -> tuple[str, ...]:
-        return tuple(self._fed)
+        self._prepared: dict[str, list] = {}
+        self._rank: list[MergedDocument] | None = []  # None: stale
 
     def feed(self, source_id: str, results: SQResults) -> None:
         """Add one source's results (at most once per source)."""
-        if source_id in self._fed:
+        if source_id in self._prepared:
             raise ValueError(f"source {source_id!r} already fed")
-        self._fed[source_id] = results
-        if self.strategy.stable_scores:
-            self._scored.extend(
-                self.strategy.merge(
-                    {source_id: results}, self.context.restricted_to(self._fed)
-                )
-            )
-        self._dirty = True
+        prepared = self.strategy.prepare(source_id, results, self.context)
+        self._prepared[source_id] = prepared
+        self._rank = None
 
     def merged(self) -> list[MergedDocument]:
         """The merged rank over every source fed so far, best first."""
-        if self._dirty:
-            if self.strategy.stable_scores:
-                self._rank = _dedupe_and_sort(list(self._scored))
-            else:
-                self._rank = self.strategy.merge(
-                    dict(self._fed), self.context.restricted_to(self._fed)
-                )
-            self._dirty = False
+        if self._rank is None:
+            prepared = dict(sorted(self._prepared.items()))
+            narrowed = self.context.restricted_to(prepared)
+            self._rank = self.strategy.combine(prepared, narrowed)
         return self._rank
 
     def current_top_k(self, k: int | None = None) -> list[MergedDocument]:
-        rank = self.merged()
-        return rank if k is None else rank[:k]
+        """The best ``k`` of :meth:`merged` (all of it for a falsy ``k``)."""
+        return self.merged()[: k or None]
 
     def is_stable_top_k(self, k: int, pending_source_ids) -> bool:
         """Can no pending source change the top ``k`` of the rank?
@@ -212,18 +198,13 @@ class StreamingMerge:
         arriving at exactly the bound could not raise any held score
         past one strictly above it.
         """
-        if not self.strategy.stable_scores:
-            return False
         rank = self.merged()
-        if len(rank) < k:
+        if not self.strategy.stable_scores or len(rank) < k:
             return False
-        bounds = [
-            self.strategy.score_upper_bound(source_id, self.context)
+        return all(
+            rank[k - 1].score > self.strategy.score_upper_bound(source_id, self.context)
             for source_id in pending_source_ids
-        ]
-        if not bounds:
-            return True
-        return rank[k - 1].score > max(bounds)
+        )
 
 
 def _dedupe_and_sort(scored: list[MergedDocument]) -> list[MergedDocument]:
@@ -237,14 +218,22 @@ def _dedupe_and_sort(scored: list[MergedDocument]) -> list[MergedDocument]:
     return ordered
 
 
+def _finished(source_id: str, results: SQResults, score) -> list[MergedDocument]:
+    """A stable strategy's per-source step: ``score(document)`` is final."""
+    return [
+        MergedDocument(document.linkage, score(document), source_id, document)
+        for document in results.documents
+    ]
+
+
 class RawScoreMerge(MergeStrategy):
     """Baseline: trust the raw scores across engines (incorrectly)."""
 
     name = "raw-score"
     stable_scores = True
 
-    def score(self, source_id, document, results, context) -> float:
-        return document.raw_score
+    def prepare(self, source_id, results, context) -> list[MergedDocument]:
+        return _finished(source_id, results, lambda document: document.raw_score)
 
     def score_upper_bound(self, source_id, context) -> float:
         metadata = context.metadata.get(source_id)
@@ -268,16 +257,17 @@ class NormalizedScoreMerge(MergeStrategy):
     def score_upper_bound(self, source_id, context) -> float:
         return 1.0
 
-    def score(self, source_id, document, results, context) -> float:
+    def prepare(self, source_id, results, context) -> list[MergedDocument]:
         metadata = context.metadata.get(source_id)
         low, high = metadata.score_range if metadata else (0.0, 1.0)
         if math.isinf(high) or high <= low:
-            observed = [doc.raw_score for doc in results[source_id].documents]
-            high = max(observed) if observed else 1.0
-            low = 0.0
+            observed = (document.raw_score for document in results.documents)
+            low, high = 0.0, max(observed, default=1.0)
         if high <= low:
-            return 0.0
-        return (document.raw_score - low) / (high - low)
+            return _finished(source_id, results, lambda document: 0.0)
+        return _finished(
+            source_id, results, lambda doc: (doc.raw_score - low) / (high - low)
+        )
 
 
 class TermFrequencyMerge(MergeStrategy):
@@ -286,8 +276,11 @@ class TermFrequencyMerge(MergeStrategy):
     name = "term-frequency"
     stable_scores = True
 
-    def score(self, source_id, document, results, context) -> float:
-        return float(sum(stats.term_frequency for stats in document.term_stats))
+    def prepare(self, source_id, results, context) -> list[MergedDocument]:
+        def total_tf(document: SQRDocument) -> float:
+            return float(sum(stats.term_frequency for stats in document.term_stats))
+
+        return _finished(source_id, results, total_tf)
 
 
 class TfIdfRecomputeMerge(MergeStrategy):
@@ -298,30 +291,55 @@ class TfIdfRecomputeMerge(MergeStrategy):
     global collection size N = Σ NumDocs.  A document's score is
     Σ (tf / doc_count) · log(1 + N / df) — length-normalized tf times
     global idf, i.e. the "single large collection" view of §4.2.
+
+    A line's length-normalized tf is fixed once its source answers
+    (:meth:`prepare`); N and the idfs depend on who answered, so
+    :meth:`combine` derives them per rank, one idf per distinct word.
     """
 
     name = "tfidf-recompute"
 
-    def score(self, source_id, document, results, context) -> float:
-        total_docs = sum(
-            summary.num_docs for summary in context.summaries.values()
-        )
+    def prepare(self, source_id, results, context) -> list:
+        """Per document, its ``(tf / doc length, word, TermStats df)``
+        triples, in ``TermStats`` order, for the lines with ``tf > 0``."""
+        return [
+            (
+                document,
+                [
+                    (
+                        stats.term_frequency / max(document.doc_count, 1),
+                        stats.term.lstring.text,
+                        stats.document_frequency,
+                    )
+                    for stats in document.term_stats
+                    if stats.term_frequency > 0
+                ],
+            )
+            for document in results.documents
+        ]
+
+    def combine(self, prepared, context) -> list[MergedDocument]:
+        summaries = list(context.summaries.values())
+        total_docs = sum(summary.num_docs for summary in summaries)
         if total_docs <= 0:
-            total_docs = sum(len(r.documents) for r in results.values()) or 1
-        score = 0.0
-        doc_length = max(document.doc_count, 1)
-        for stats in document.term_stats:
-            if stats.term_frequency <= 0:
-                continue
-            word = stats.term.lstring.text
-            global_df = 0
-            for summary in context.summaries.values():
-                global_df += summary.document_frequency(word)
-            if global_df == 0:
-                global_df = max(stats.document_frequency, 1)
-            idf = math.log(1.0 + total_docs / global_df)
-            score += (stats.term_frequency / doc_length) * idf
-        return score
+            total_docs = sum(len(part) for part in prepared.values()) or 1
+        idfs: dict[str, float] = {}  # per word some summary knows
+        scored: list[MergedDocument] = []
+        for source_id, part in prepared.items():
+            for document, lines in part:
+                score = 0.0
+                for weight, word, local_df in lines:
+                    idf = idfs.get(word)
+                    if idf is None:
+                        df = sum(known.document_frequency(word) for known in summaries)
+                        idf = math.log(1.0 + total_docs / (df or max(local_df, 1)))
+                        if df:  # else the line's own df stands in: not shared
+                            idfs[word] = idf
+                    score += weight * idf
+                scored.append(
+                    MergedDocument(document.linkage, score, source_id, document)
+                )
+        return _dedupe_and_sort(scored)
 
 
 class CoriMerge(MergeStrategy):
@@ -329,45 +347,38 @@ class CoriMerge(MergeStrategy):
 
     ``final = D · (1 + 0.4 · C) / 1.4`` with D the range-normalized
     document score and C the source's CORI belief normalized over the
-    queried sources — the classic heuristic of ref [5].
+    queried sources — the classic heuristic of ref [5].  D is fixed per
+    source (:meth:`prepare`); C is :meth:`combine`'s to recompute.
     """
 
     name = "cori-weighted"
+    prepare = NormalizedScoreMerge.prepare  # D, exactly as that strategy scores
 
-    def __init__(self) -> None:
-        self._normalizer = NormalizedScoreMerge()
-
-    def merge(self, results, context) -> list[MergedDocument]:
-        beliefs = self._source_beliefs(results, context)
+    def combine(self, prepared, context) -> list[MergedDocument]:
+        beliefs = self._source_beliefs(prepared, context)
         scored: list[MergedDocument] = []
-        for source_id in sorted(results):
-            belief = beliefs.get(source_id, 0.0)
-            for document in results[source_id].documents:
-                normalized = self._normalizer.score(
-                    source_id, document, results, context
+        for source_id, part in prepared.items():
+            weight = 1.0 + 0.4 * beliefs.get(source_id, 0.0)
+            scored.extend(
+                MergedDocument(
+                    held.linkage, held.score * weight / 1.4, source_id, held.document
                 )
-                score = normalized * (1.0 + 0.4 * belief) / 1.4
-                scored.append(
-                    MergedDocument(document.linkage, score, source_id, document)
-                )
+                for held in part
+            )
         return _dedupe_and_sort(scored)
 
-    def _source_beliefs(self, results, context) -> dict[str, float]:
+    def _source_beliefs(self, answered, context) -> dict[str, float]:
         summaries = {
             source_id: summary
             for source_id, summary in context.summaries.items()
-            if source_id in results
+            if source_id in answered
         }
-        if not summaries or not context.query_terms:
-            return {source_id: 1.0 for source_id in results}
-        ranked = Cori().rank(context.query_terms, summaries)
+        rankable = summaries and context.query_terms
+        ranked = Cori().rank(context.query_terms, summaries) if rankable else []
         if not ranked:
-            return {source_id: 1.0 for source_id in results}
+            return {source_id: 1.0 for source_id in answered}
         top = max(goodness for _, goodness in ranked) or 1.0
         return {source_id: goodness / top for source_id, goodness in ranked}
-
-    def score(self, source_id, document, results, context) -> float:
-        raise NotImplementedError("CoriMerge overrides merge()")
 
 
 class RoundRobinMerge(MergeStrategy):
@@ -384,22 +395,11 @@ class RoundRobinMerge(MergeStrategy):
     def score_upper_bound(self, source_id, context) -> float:
         return 1.0
 
-    def merge(self, results, context) -> list[MergedDocument]:
-        scored: list[MergedDocument] = []
-        for source_id in sorted(results):
-            for position, document in enumerate(results[source_id].documents):
-                scored.append(
-                    MergedDocument(
-                        document.linkage,
-                        1.0 / (position + 1),
-                        source_id,
-                        document,
-                    )
-                )
-        return _dedupe_and_sort(scored)
-
-    def score(self, source_id, document, results, context) -> float:
-        raise NotImplementedError("RoundRobinMerge overrides merge()")
+    def prepare(self, source_id, results, context) -> list[MergedDocument]:
+        return [
+            MergedDocument(document.linkage, 1.0 / (position + 1), source_id, document)
+            for position, document in enumerate(results.documents)
+        ]
 
 
 class CalibratedMerge(MergeStrategy):
@@ -413,15 +413,12 @@ class CalibratedMerge(MergeStrategy):
     name = "sample-calibrated"
     stable_scores = True
 
-    def score(self, source_id, document, results, context) -> float:
+    def prepare(self, source_id, results, context) -> list[MergedDocument]:
         sample = context.samples.get(source_id)
-        if sample is None:
-            return document.raw_score
-        top_scores = sample.all_scores()
-        scale = max(top_scores) if top_scores else 0.0
+        scale = max(sample.all_scores(), default=0.0) if sample is not None else 0.0
         if scale <= 0:
-            return document.raw_score
-        return document.raw_score / scale
+            return _finished(source_id, results, lambda document: document.raw_score)
+        return _finished(source_id, results, lambda doc: doc.raw_score / scale)
 
 
 #: Registry used by experiments to sweep every strategy.

@@ -37,7 +37,8 @@ class QueryLogRecord:
 
     ``outcome`` is how the answer was produced: ``wire`` (a full query
     round), ``hit`` / ``stale`` (served from the result cache),
-    ``stream`` (a streaming round), ``error`` or ``shed`` (the search
+    ``stream`` (a streaming round), ``abandoned`` (a stream its consumer
+    closed before the final emission), ``error`` or ``shed`` (the search
     raised).  ``trace_id`` pivots into the matching trace.
     """
 

@@ -6,6 +6,8 @@ import time
 
 import pytest
 
+from repro.cache import CachePolicy
+from repro.corpus import source1_documents
 from repro.federation import (
     AsyncExecutor,
     Executor,
@@ -15,8 +17,16 @@ from repro.federation import (
     SourceRequest,
 )
 from repro.experiments import FederationSpec, build_federation
-from repro.starts import SQuery, parse_expression
-from repro.transport import StartsClient
+from repro.metasearch import Metasearcher, SelectAll
+from repro.resource import Resource
+from repro.source import StartsSource
+from repro.starts import SQuery, parse_expression, parse_soif
+from repro.transport import (
+    HostProfile,
+    SimulatedInternet,
+    StartsClient,
+    publish_resource,
+)
 
 
 def ranking_query() -> SQuery:
@@ -119,6 +129,140 @@ class TestRunStream:
 
         executor.run(list(range(8)), work)
         assert executor.peak_inflight == 8
+
+
+class TestDelivery:
+    """A finished task reaches the consumer at the end of the loop step
+    it finished in — asserted by what has run, never by the clock."""
+
+    def test_same_step_finishers_are_all_yielded_in_completion_order(self):
+        executor = AsyncExecutor(max_concurrency=4)
+        gate = asyncio.Event()
+        finished = []
+
+        async def work(n):
+            if n == 0:
+                await asyncio.sleep(0.002)
+                gate.set()  # wakes 2 then 1, both in the next loop step
+            else:
+                await asyncio.sleep(0.0005 * (2 - n))  # 2 reaches the gate first
+                await gate.wait()
+            finished.append(n)
+            return n * 10
+
+        stream = executor.run_stream([0, 1, 2], work)
+        assert next(stream) == (0, 0)
+        assert finished == [0]  # the waiters have not been resumed yet
+        assert next(stream) == (2, 20)
+        assert finished == [0, 2, 1]  # ... and 1 finished in that same step
+        assert next(stream) == (1, 10)
+        assert list(stream) == []
+
+    def test_close_while_others_are_mid_flight(self):
+        """Cancelled, awaited, no stray ``loop.stop()``: fifty times over,
+        with stragglers due in the same step, the next one, or never."""
+        for round_number in range(50):
+            executor = AsyncExecutor(max_concurrency=8)
+            started, cancelled = [], []
+
+            async def work(n):
+                started.append(asyncio.current_task())
+                try:
+                    await asyncio.sleep(0.001 + 0.0002 * n * (round_number % 5))
+                    if n == 5:
+                        await asyncio.sleep(60.0)
+                    return n
+                except asyncio.CancelledError:
+                    cancelled.append(n)
+                    raise
+
+            stream = executor.run_stream(list(range(6)), work)
+            index, result = next(stream)
+            assert index == result
+            stream.close()  # must not raise "Event loop stopped before ..."
+            assert len(started) == 6
+            assert all(task.done() for task in started)
+            assert 5 in cancelled
+            assert sum(task.cancelled() for task in started) == len(cancelled)
+            assert executor._inflight == 0
+
+    def test_exception_surfaces_at_the_next_that_reaches_it(self):
+        executor = AsyncExecutor(max_concurrency=4)
+        cancelled = []
+
+        async def work(n):
+            try:
+                await asyncio.sleep((0.001, 0.01, 60.0)[n])
+            except asyncio.CancelledError:
+                cancelled.append(n)
+                raise
+            if n == 1:
+                raise RuntimeError("boom")
+            return n
+
+        stream = executor.run_stream([0, 1, 2], work)
+        assert next(stream) == (0, 0)
+        with pytest.raises(RuntimeError, match="boom"):
+            next(stream)
+        assert cancelled == [2]
+        assert list(stream) == []
+
+    def test_first_answer_is_emitted_before_later_arrivals_are_handled(self):
+        """Six realtime hosts 2 ms apart, each handler busy for ~3 ms:
+        when the first documents reach the ``search_stream`` consumer at
+        most two handlers have run (two only if the loop woke late enough
+        for two timers to fall due together).  Behind a ``wait_for``
+        child task and a queue, all six used to."""
+        internet = SimulatedInternet(seed=3)
+        sources = [
+            StartsSource(
+                f"Src-{index}", source1_documents(), base_url=f"http://host{index}.org/s"
+            )
+            for index in range(6)
+        ]
+        publish_resource(
+            internet,
+            Resource("Fleet", sources),
+            "http://fleet.org",
+            source_profiles={
+                source.source_id: HostProfile(latency_ms=10.0 + 2.0 * index, jitter_ms=0.0)
+                for index, source in enumerate(sources)
+            },
+        )
+        handled = []
+
+        def busy_handler(source):
+            def handle(body: bytes) -> bytes:
+                until = time.perf_counter() + 0.003
+                while time.perf_counter() < until:
+                    pass
+                handled.append(source.source_id)
+                results = source.search(SQuery.from_soif(parse_soif(body)))
+                return results.to_soif_stream().encode("utf-8")
+
+            return handle
+
+        for source in sources:
+            internet.register_post(f"{source.base_url}/query", busy_handler(source))
+        searcher = Metasearcher(
+            internet,
+            ["http://fleet.org/resource"],
+            selector=SelectAll(),
+            executor=AsyncExecutor(),
+            cache_policy=CachePolicy.disabled(),
+        )
+        searcher.refresh()
+        internet.realtime = True
+
+        stream = searcher.search_stream(ranking_query(), k_sources=6, early_stop=False)
+        first = next(emission for emission in stream if emission.documents)
+        handled_at_first = list(handled)
+        rest = list(stream)
+
+        assert 1 <= len(handled_at_first) <= 2
+        assert first.outcome.source_id == handled_at_first[0] == "Src-0"
+        assert handled == [source.source_id for source in sources]
+        assert rest[-1].is_final and len(rest[-1].result.outcomes) == 6
 
 
 class TestDispatcherIntegration:

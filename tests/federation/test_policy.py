@@ -323,3 +323,43 @@ class TestOnePolicyCoreThreeDrivers:
         # 5% slack: an event loop may fire a timer a clock tick early.
         assert wall_s >= 0.95 * (backoff_s + latency_s)
         assert outcome_facts(outcome) == outcome_facts(expected)
+
+
+class _NoSlack(QueryPolicy):
+    """The default policy with a 2 ms realtime wall guard (normally 5 s+)."""
+
+    def attempt_wall_budget_s(self, time_scale=1.0, hang_cap_ms=60_000.0, slack_s=5.0):
+        return 0.002
+
+
+class TestRealtimeWallGuard:
+    """The ``asyncio.timeout()`` backstop: a backend that really keeps the
+    client waiting past the wall budget ends ``TIMEOUT``, never raises."""
+
+    @pytest.mark.parametrize("streamed", [False, True], ids=["batch", "stream"])
+    def test_expiry_is_a_timeout_outcome(self, streamed):
+        dispatcher, requests = dispatcher_for(
+            "ok", AsyncExecutor(max_concurrency=4), n_sources=2, realtime_scale=1.0
+        )
+        dispatcher.policy = _NoSlack(max_retries=1, backoff_base_ms=1.0)
+        started = time.perf_counter()
+        if streamed:
+            outcomes = list(dispatcher.dispatch_stream(requests))
+        else:
+            outcomes = dispatcher.dispatch(requests)
+        # The hosts really sleep 20 ms per request; nobody waited for them.
+        assert time.perf_counter() - started < 2.0
+        assert sorted(outcome.source_id for outcome in outcomes) == ["S1", "S2"]
+        for outcome in outcomes:
+            assert outcome.status is OutcomeStatus.TIMEOUT
+            assert outcome.error == "wall-clock attempt budget exceeded"
+            assert outcome.results is None
+            assert outcome.requests == 2  # the retry expired the same way
+        assert dispatcher.tracer.counters["S1"].timeouts == 2
+
+    def test_a_generous_guard_never_fires(self):
+        dispatcher, requests = dispatcher_for(
+            "ok", AsyncExecutor(max_concurrency=4), realtime_scale=0.1
+        )
+        (outcome,) = dispatcher.dispatch(requests)
+        assert outcome.status is OutcomeStatus.OK

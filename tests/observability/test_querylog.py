@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro import Metasearcher, SQuery, parse_expression, quick_federation
+from repro.federation import AsyncExecutor, SerialExecutor
 from repro.observability import (
     QueryLog,
     QueryLogRecord,
@@ -146,6 +147,57 @@ class TestMetasearcherWiring:
         list(searcher.search_stream(self._query("medicine"), k_sources=2))
         outcomes = [record.outcome for record in fresh_query_log.records()]
         assert outcomes[-1] == "stream"
+
+    @staticmethod
+    def _search_counts(registry):
+        family = registry.family("metasearch_searches_total")
+        return {labels[0]: child.value for labels, child in family.children()}
+
+    @pytest.mark.parametrize("executor", [SerialExecutor, AsyncExecutor])
+    def test_abandoned_stream_is_counted_and_logged_once(
+        self, fresh_query_log, fresh_registry, executor
+    ):
+        searcher = self._searcher()
+        stream = searcher.search_stream(
+            self._query("medicine"), k_sources=3, early_stop=False, executor=executor()
+        )
+        first = next(stream)
+        assert not first.is_final
+        stream.close()
+
+        (record,) = fresh_query_log.records()
+        assert record.outcome == "abandoned"
+        assert record.terminated_early
+        assert len(record.selected_sources) == 3
+        # Only what had answered by then is on record — and paid for.
+        assert record.sources_ok == (1 if first.outcome.ok else 0)
+        assert record.requests >= 1
+        assert record.n_results == len(first.documents)
+        assert "query" in record.phase_ms
+        assert self._search_counts(fresh_registry) == {"abandoned": 1}
+        histogram = fresh_registry.family("metasearch_search_ms")
+        assert histogram.labels().count == 1
+
+    def test_drained_stream_is_still_recorded_exactly_once(
+        self, fresh_query_log, fresh_registry
+    ):
+        searcher = self._searcher()
+        stream = searcher.search_stream(self._query("medicine"), k_sources=3)
+        emissions = list(stream)
+        stream.close()  # closing a finished stream records nothing more
+        assert emissions[-1].is_final
+        assert [r.outcome for r in fresh_query_log.records()] == ["stream"]
+        assert self._search_counts(fresh_registry) == {"stream": 1}
+
+    def test_closing_at_the_final_emission_is_not_an_abandonment(
+        self, fresh_query_log
+    ):
+        searcher = self._searcher()
+        stream = searcher.search_stream(self._query("medicine"), k_sources=2)
+        for emission in stream:
+            if emission.is_final:
+                stream.close()
+        assert [r.outcome for r in fresh_query_log.records()] == ["stream"]
 
     def test_disabled_log_keeps_search_silent(self, fresh_query_log):
         set_query_log(QueryLog.disabled())

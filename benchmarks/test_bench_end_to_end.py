@@ -7,17 +7,9 @@ a fraction of the requests, latency and monetary cost.  The benchmark
 times one full metasearch (select → translate → query → merge).
 """
 
-import json
-import pathlib
-import threading
-import time
-from collections import Counter
-
 from repro.cache import CachePolicy
-from repro.experiments import FederationSpec, build_federation, run_end_to_end_experiment
-from repro.metasearch import Metasearcher, ParallelExecutor, SerialExecutor
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+from repro.experiments import run_end_to_end_experiment
+from repro.metasearch import Metasearcher
 
 
 def test_bench_end_to_end_pipeline(benchmark, federation, write_table):
@@ -45,124 +37,3 @@ def test_bench_end_to_end_pipeline(benchmark, federation, write_table):
     searcher.refresh()
     query = federation.workload.queries[0].to_squery(max_documents=10)
     benchmark(lambda: searcher.search(query, k_sources=3))
-
-
-def test_bench_e2e_latency_json(write_table):
-    """Serial vs. parallel fan-out wall-clock, written as JSON.
-
-    Builds a fresh 8-source world, refreshes with instantaneous
-    simulated time, then flips the internet into realtime mode so each
-    ~20 ms host latency is actually slept — making the executor choice
-    visible on the wall clock.  Also measures the streaming path:
-    time-to-first-result through ``search_stream`` and the p99 stream
-    latency under concurrent load.  The figures land in
-    ``BENCH_e2e_latency.json`` so future runs have a perf trajectory.
-    """
-    spec = FederationSpec(
-        n_sources=8,
-        docs_per_source=30,
-        n_queries=5,
-        seed=2,
-        slow_source_index=None,
-        charging_source_index=None,
-    )
-    world = build_federation(spec)
-    searcher = Metasearcher(world.internet, [world.resource_url])
-    searcher.refresh()
-    query = world.workload.queries[0].to_squery(max_documents=10)
-
-    world.internet.realtime = True
-    outcome_counts: Counter[str] = Counter()
-    walls: dict[str, float] = {}
-    simulated: dict[str, float] = {}
-    for executor in (SerialExecutor(), ParallelExecutor()):
-        started = time.perf_counter()
-        result = searcher.search(query, k_sources=8, executor=executor)
-        walls[executor.name] = (time.perf_counter() - started) * 1000.0
-        simulated[executor.name] = (
-            result.query_latency_serial_ms
-            if executor.name == "serial"
-            else result.query_latency_parallel_ms
-        )
-        outcome_counts.update(result.outcome_counts())
-
-    # Streaming columns: the first merged emission lands long before the
-    # whole round does, and concurrent streams stay bounded at p99.
-    def streaming_searcher() -> Metasearcher:
-        fresh = Metasearcher(
-            world.internet,
-            [world.resource_url],
-            cache_policy=CachePolicy.disabled(),
-        )
-        world.internet.realtime = False
-        fresh.refresh()
-        world.internet.realtime = True
-        return fresh
-
-    def stream_once(searcher: Metasearcher) -> tuple[float, float]:
-        """(time to first merged documents, total stream wall) in ms."""
-        started = time.perf_counter()
-        first_ms = None
-        for emission in searcher.search_stream(
-            query, k_sources=8, executor=ParallelExecutor()
-        ):
-            if first_ms is None and emission.documents:
-                first_ms = (time.perf_counter() - started) * 1000.0
-        total_ms = (time.perf_counter() - started) * 1000.0
-        return first_ms if first_ms is not None else total_ms, total_ms
-
-    time_to_first_ms, _ = stream_once(streaming_searcher())
-
-    stream_walls: list[float] = []
-    lock = threading.Lock()
-
-    def worker() -> None:
-        searcher = streaming_searcher()
-        for _ in range(4):
-            _, total_ms = stream_once(searcher)
-            with lock:
-                stream_walls.append(total_ms)
-
-    threads = [threading.Thread(target=worker) for _ in range(4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    stream_walls.sort()
-    p99_index = min(len(stream_walls) - 1, int(len(stream_walls) * 0.99))
-    p99_under_concurrency_ms = stream_walls[p99_index]
-    world.internet.realtime = False
-
-    payload = {
-        "benchmark": "e2e_latency",
-        "n_sources": spec.n_sources,
-        "k_sources": 8,
-        "serial_wall_ms": round(walls["serial"], 3),
-        "parallel_wall_ms": round(walls["parallel"], 3),
-        "simulated_serial_ms": round(simulated["serial"], 3),
-        "simulated_parallel_ms": round(simulated["parallel"], 3),
-        "time_to_first_result_ms": round(time_to_first_ms, 3),
-        "p99_under_concurrency_ms": round(p99_under_concurrency_ms, 3),
-        "outcome_counts": dict(sorted(outcome_counts.items())),
-    }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_e2e_latency.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-
-    write_table(
-        "E5_latency_wallclock",
-        [
-            "E5: serial vs parallel fan-out over 8 realtime sources",
-            "",
-            f"serial    wall={payload['serial_wall_ms']:.1f}ms "
-            f"simulated={payload['simulated_serial_ms']:.1f}ms",
-            f"parallel  wall={payload['parallel_wall_ms']:.1f}ms "
-            f"simulated={payload['simulated_parallel_ms']:.1f}ms",
-            f"stream    first-result={payload['time_to_first_result_ms']:.1f}ms "
-            f"p99-under-concurrency={payload['p99_under_concurrency_ms']:.1f}ms",
-        ],
-    )
-
-    assert payload["parallel_wall_ms"] < payload["serial_wall_ms"]
-    assert payload["time_to_first_result_ms"] < payload["serial_wall_ms"]
-    assert not set(payload["outcome_counts"]) - {"ok", "skipped"}

@@ -1,7 +1,7 @@
 """Fault-tolerant federation: partial results over a misbehaving world.
 
-Four sources — two healthy, one dead, one that hangs — queried in
-parallel under a per-source policy (500 ms deadline, two retries with
+Four sources — two healthy, one dead, one that hangs — queried
+concurrently under a per-source policy (500 ms deadline, two retries with
 exponential backoff).  The search still returns merged results from the
 survivors, and the trace shows exactly what every source cost.
 
@@ -12,7 +12,6 @@ from repro import (
     FaultProfile,
     HostProfile,
     Metasearcher,
-    ParallelExecutor,
     QueryPolicy,
     Resource,
     SimulatedInternet,
@@ -22,6 +21,7 @@ from repro import (
     publish_resource,
 )
 from repro.corpus import source1_documents, source2_documents
+from repro.federation import AsyncExecutor
 from repro.metasearch import SelectAll
 
 
@@ -51,7 +51,7 @@ def main() -> None:
     searcher = Metasearcher(
         internet,
         ["http://troubled.org/resource"],
-        executor=ParallelExecutor(),
+        executor=AsyncExecutor(),
         query_policy=QueryPolicy(timeout_ms=500.0, max_retries=2, backoff_base_ms=10.0),
     )
     searcher.refresh()

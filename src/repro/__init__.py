@@ -12,7 +12,7 @@ package layers:
 * :mod:`repro.vendors` — six heterogeneous simulated engine vendors;
 * :mod:`repro.transport` — SOIF over a simulated internet (latency,
   cost and deterministic fault injection);
-* :mod:`repro.federation` — the query-round runtime: serial/parallel
+* :mod:`repro.federation` — the query-round runtime: serial/asyncio
   executors, per-source policies (deadlines, retries, hedging) and
   partial-result outcomes;
 * :mod:`repro.observability` — spans and per-source counters threaded
@@ -50,7 +50,6 @@ from repro.corpus import CollectionSpec, build_workload, generate_collection
 from repro.engine import make_snippet
 from repro.federation import (
     OutcomeStatus,
-    ParallelExecutor,
     QueryPolicy,
     SerialExecutor,
     SourceOutcome,
@@ -96,7 +95,6 @@ __all__ = [
     "build_workload",
     "generate_collection",
     "OutcomeStatus",
-    "ParallelExecutor",
     "QueryPolicy",
     "SerialExecutor",
     "SourceOutcome",

@@ -13,7 +13,8 @@ Commands:
 * ``broker [--sources N] [--leaves N] [--terms "..."]`` — shard a
   synthetic summary population across a root/leaf broker hierarchy and
   print the routing table, per-leaf shard statistics, and (with
-  ``--terms``) one brokered selection.
+  ``--terms``) one brokered selection: each selected source with its
+  owning leaf, and how many leaves the root descended into.
 * ``parse EXPR`` — parse an expression and print its canonical form and
   PQF encoding.
 * ``metrics`` — run a few searches and print the process metrics in
@@ -170,6 +171,7 @@ def cmd_broker(args: argparse.Namespace) -> int:
     from repro.broker import build_hierarchy
     from repro.corpus import SummaryPopulationSpec, generate_source_summaries
     from repro.metasearch import SELECTOR_REGISTRY
+    from repro.observability import MetricsRegistry, get_registry, set_registry
 
     spec = SummaryPopulationSpec(n_sources=args.sources, seed=args.seed)
     summaries = generate_source_summaries(spec)
@@ -181,28 +183,30 @@ def cmd_broker(args: argparse.Namespace) -> int:
     print(f"hierarchy: root over {args.leaves} leaves, "
           f"{len(summaries)} sources on the ring")
     print()
-    print(f"{'leaf':<10} {'sources':>8} {'terms':>8} {'gen':>6} "
-          f"{'lag':>4}  first sources owned")
+    print(f"{'leaf':<10} {'sources':>8} {'terms':>8} {'gen':>6}  "
+          "first sources owned")
     for leaf in root.handles():
         stats = leaf.shard_stats()
         owned = table[leaf.leaf_id]
         preview = ", ".join(owned[:3]) + (", ..." if len(owned) > 3 else "")
         print(
             f"{stats['leaf']:<10} {stats['sources']:>8} {stats['terms']:>8} "
-            f"{stats['generation']:>6} {stats['replication_lag']:>4}  {preview}"
+            f"{stats['generation']:>6}  {preview}"
         )
 
     terms = args.terms.split() if args.terms else []
     if terms:
         selector = SELECTOR_REGISTRY[args.selector]()
-        selected = root.select(selector, terms, args.k)
+        previous = get_registry()
+        registry = set_registry(MetricsRegistry())
+        try:
+            selected = root.select(selector, terms, args.k)
+        finally:
+            set_registry(previous)
+        ((_, depth),) = registry.family("broker_route_depth").children()
         print()
         print(f"selection: {args.selector} over {' '.join(terms)}, "
-              f"top {args.k}")
-        print(f"  descended leaves (parallel {root.last_parallel_ms:.2f} ms, "
-              f"serial {root.last_serial_ms:.2f} ms):")
-        for leaf_id, elapsed in sorted(root.last_leaf_elapsed_ms.items()):
-            print(f"    {leaf_id:<10} {elapsed:8.2f} ms")
+              f"top {args.k} (descended {depth.sum:.0f} of {args.leaves} leaves)")
         for rank, source_id in enumerate(selected, 1):
             print(f"  {rank:>4}  {source_id}  (leaf {root.ring.locate(source_id)})")
     return 0

@@ -1,53 +1,41 @@
 """Tiered broker subsystem: the metasearcher sharded root-over-leaves.
 
 The GlOSS reference of the paper ([8], "broker hierarchies") and
-ZBroker's query routing both anticipate the same wall: a flat
-metasearcher that compares every content summary per query stops
-scaling somewhere in the thousands of sources.  This package shards
-the selection phase instead:
+ZBroker's query routing both route a query across brokers that each
+know a part of the federation.  This package is what a deployment of
+separately running leaf brokers would be built from — the partitioner,
+the leaf protocol and the exact root:
 
-* :class:`LeafBroker` — owns a consistent-hash partition of the
-  sources and the :class:`~repro.metasearch.SummaryIndex` shard for
-  it, fed by the discovery delta stream; the same log replays into a
-  standby index for generation-checked replication and failover.
+* :class:`ConsistentHashRing` — which leaf owns which source.
+* :class:`LeafBroker` — one :class:`~repro.metasearch.SummaryIndex`
+  shard fed by the discovery delta stream, checkpointed with its
+  position in that stream.
 * :class:`RootBroker` — probes the leaves' exact aggregate statistics,
-  prunes shards no query term touches, descends into the rest
-  concurrently over the :class:`~repro.federation.Executor` protocol,
-  and merges the per-shard fragments into the **bit-exact** flat
-  top-k.  Admission control and load shedding ride on per-leaf
-  :class:`~repro.observability.SourceHealth` scores.
+  prunes shards no query term touches, descends into the rest over the
+  :class:`~repro.federation.Executor` protocol, and merges the
+  per-shard fragments into the **bit-exact** flat top-k.  Roots nest.
 * :class:`NetworkLeafHandle` / ``publish_broker_leaf`` — leaves as
   endpoints on the simulated internet, so the hierarchy spans
-  processes and fault profiles.
+  processes and fault profiles; both sides of that wire fail typed.
 * :class:`BrokeredMetasearcher` — the one-line swap preserving the
-  whole ``Metasearcher`` search/search_stream surface.
+  whole ``Metasearcher`` search/search_stream surface, answering from
+  the flat index whenever a leaf cannot be consulted.
 
 The flat single-broker index remains the oracle: for every
 distributable selector, hierarchical selection is bit-identical to
-``selector.select(terms, flat_index, k)``.
+``selector.select(terms, flat_index, k)``.  In one process it is also
+the faster of the two at every size measured (docs/architecture.md),
+which is why the tree has no replication, failover, admission or
+lossy-routing machinery of its own.
 """
 
 from repro.broker.facade import BrokeredMetasearcher, build_hierarchy
-from repro.broker.leaf import (
-    CorpusStats,
-    GlobalStatsView,
-    LeafBroker,
-    LeafProbe,
-    LeafUnavailableError,
-)
+from repro.broker.leaf import CorpusStats, GlobalStatsView, LeafBroker, LeafProbe
 from repro.broker.partition import ConsistentHashRing
 from repro.broker.remote import NetworkLeafHandle, selector_wire_name
-from repro.broker.root import (
-    AdmissionPolicy,
-    BrokerOverloadedError,
-    LeafHandle,
-    RootBroker,
-    RoutingPolicy,
-)
+from repro.broker.root import LeafHandle, RootBroker
 
 __all__ = [
-    "AdmissionPolicy",
-    "BrokerOverloadedError",
     "BrokeredMetasearcher",
     "ConsistentHashRing",
     "CorpusStats",
@@ -55,10 +43,8 @@ __all__ = [
     "LeafBroker",
     "LeafHandle",
     "LeafProbe",
-    "LeafUnavailableError",
     "NetworkLeafHandle",
     "RootBroker",
-    "RoutingPolicy",
     "build_hierarchy",
     "selector_wire_name",
 ]

@@ -2,12 +2,10 @@
 
 A leaf owns the :class:`~repro.metasearch.SummaryIndex` for its
 partition of sources, maintained by the same delta stream (source id +
-fresh summary, or ``None`` on forget) that maintains the flat index —
-and replays that same delta log into a *standby* index, so a failed
-primary is replaced by promoting the standby and replaying only the
-deltas it had not yet seen.  The index's generation counter is the
-replication cursor: primary and standby were built from the identical
-delta sequence, so equal generations mean bit-identical shards.
+fresh summary, or ``None`` on forget) that maintains the flat index.
+It keeps no copy of that stream, only a cursor into it: a checkpoint
+records the shard with how many deltas it covers, so a restarted leaf
+replays the stream suffix past the cursor, never the history.
 
 Scoring stays bit-exact with the flat oracle through
 :class:`GlobalStatsView`: the leaf's local shard masquerading as the
@@ -33,12 +31,7 @@ __all__ = [
     "GlobalStatsView",
     "LeafBroker",
     "LeafProbe",
-    "LeafUnavailableError",
 ]
-
-
-class LeafUnavailableError(RuntimeError):
-    """The leaf's primary index is down; fail over before retrying."""
 
 
 @dataclass(frozen=True)
@@ -68,14 +61,10 @@ class LeafProbe:
     leaf_id: str
     n_sources: int
     clamped_mass_total: int
-    generation: int
     #: per query term: sources in this shard listing it.
     term_lengths: tuple[int, ...]
     #: per query term: sources listing it with positive df (cf_t).
     term_collection_frequencies: tuple[int, ...]
-    #: per query term: total postings — additive, so the root's routing
-    #: goodness over these equals vGlOSS-Sum of the merged summary.
-    term_postings: tuple[int, ...]
     #: the first k source ids in id order — exactly the sources that
     #: can still make the global top-k if this whole leaf scores the
     #: selector's sparse default.
@@ -157,29 +146,23 @@ class GlobalStatsView(SummaryIndex):
 
 
 class LeafBroker:
-    """One shard: a primary index, a standby, and the delta log between.
+    """One shard: a summary index fed by deltas, and the stream cursor.
 
     Args:
         leaf_id: the leaf's name on the ring and in metrics labels.
-        eager_replication: replay each delta into the standby as it
-            arrives (zero recovery lag, double write cost) instead of
-            batching replays until :meth:`replicate` or a failover.
     """
 
-    def __init__(self, leaf_id: str, eager_replication: bool = False) -> None:
+    def __init__(self, leaf_id: str) -> None:
         self.leaf_id = leaf_id
-        self.eager_replication = eager_replication
         self.index = SummaryIndex()
-        self._standby = SummaryIndex()
-        #: the shard's delta log, the replication source of truth.
-        self._log: list[tuple[str, SContentSummary | None]] = []
-        self._standby_applied = 0
-        self._down = False
-        self._aggregate_cache: tuple[int, SContentSummary] | None = None
+        #: how many deltas of the upstream stream this shard reflects —
+        #: what a checkpoint records next to the index.
+        self.log_position = 0
         #: how much of the upstream delta stream a warm restore already
         #: covers (0 for a cold broker); the caller replays only the
         #: stream suffix past this cursor.
         self.restored_log_position = 0
+        self._aggregate_cache: tuple[int, SContentSummary] | None = None
 
     # -- checkpointing -----------------------------------------------------
 
@@ -190,9 +173,7 @@ class LeafBroker:
         return save_leaf_checkpoint(self, path)
 
     @classmethod
-    def from_checkpoint(
-        cls, path, eager_replication: bool = False
-    ) -> "LeafBroker":
+    def from_checkpoint(cls, path) -> "LeafBroker":
         """Warm a broker from a checkpoint instead of replaying history.
 
         The returned broker's :attr:`restored_log_position` is the
@@ -201,76 +182,19 @@ class LeafBroker:
         """
         from repro.storage.checkpoint import load_leaf_checkpoint
 
-        return load_leaf_checkpoint(path, eager_replication)
+        return load_leaf_checkpoint(path)
 
     # -- delta stream ------------------------------------------------------
 
     def apply_delta(self, source_id: str, summary: SContentSummary | None) -> None:
-        """One discovery delta: add/replace on a summary, remove on None.
-
-        Deltas are accepted even while the primary is down — harvesting
-        is upstream of serving — and replayed into whichever index is
-        promoted next.
-        """
-        self._log.append((source_id, summary))
+        """One discovery delta: add/replace on a summary, remove on None."""
+        self.log_position += 1
         self.index.update(source_id, summary)
-        if self.eager_replication:
-            self.replicate()
-
-    def replicate(self) -> int:
-        """Replay the delta-log suffix the standby has not seen yet.
-
-        Returns how many deltas were replayed.  Afterwards the standby's
-        generation equals the primary's: both indexes were built from
-        the identical delta sequence.
-        """
-        pending = self._log[self._standby_applied :]
-        for source_id, summary in pending:
-            self._standby.update(source_id, summary)
-        self._standby_applied = len(self._log)
-        return len(pending)
-
-    @property
-    def replication_lag(self) -> int:
-        """Deltas the standby is behind — what a failover must replay."""
-        return len(self._log) - self._standby_applied
-
-    @property
-    def in_sync(self) -> bool:
-        return self.replication_lag == 0
-
-    # -- failure and failover ----------------------------------------------
-
-    @property
-    def is_down(self) -> bool:
-        return self._down
-
-    def fail(self) -> None:
-        """Simulate losing the primary: serving raises until failover."""
-        self._down = True
-
-    def fail_over(self) -> None:
-        """Promote the standby: catch it up from the log, then swap.
-
-        The old primary is discarded and a cold standby takes its place;
-        the next :meth:`replicate` rebuilds it from the full log.
-        """
-        self.replicate()
-        self.index = self._standby
-        self._standby = SummaryIndex()
-        self._standby_applied = 0
-        self._down = False
-        self._aggregate_cache = None
-
-    def _require_up(self) -> None:
-        if self._down:
-            raise LeafUnavailableError(f"leaf {self.leaf_id!r} is down")
 
     # -- serving -----------------------------------------------------------
 
     def probe(self, terms: Sequence[str], k: int) -> LeafProbe:
         """Round one: aggregate statistics only, no per-source data."""
-        self._require_up()
         index = self.index
         columns = [index.term_columns(term) for term in terms]
         fill: list[str] = []
@@ -282,12 +206,10 @@ class LeafBroker:
             leaf_id=self.leaf_id,
             n_sources=len(index),
             clamped_mass_total=index.clamped_mass_total,
-            generation=index.generation,
             term_lengths=tuple(len(column) for column in columns),
             term_collection_frequencies=tuple(
                 column.collection_frequency for column in columns
             ),
-            term_postings=tuple(sum(column.postings) for column in columns),
             fill_ids=tuple(fill),
         )
 
@@ -299,22 +221,10 @@ class LeafBroker:
         stats: CorpusStats,
     ) -> list[tuple[str, float]]:
         """Round two: this shard's exact fragment of the global top-k."""
-        self._require_up()
         return selector.top_candidates(terms, GlobalStatsView(self.index, stats), k)
-
-    def rank_all(
-        self,
-        selector: SourceSelector,
-        terms: Sequence[str],
-        stats: CorpusStats,
-    ) -> list[tuple[str, float]]:
-        """Every local source scored with global statistics, best first."""
-        self._require_up()
-        return selector.rank(terms, GlobalStatsView(self.index, stats))
 
     def aggregate_summary(self) -> SContentSummary:
         """The exact merged summary of the shard (generation-cached)."""
-        self._require_up()
         cached = self._aggregate_cache
         if cached is not None and cached[0] == self.index.generation:
             return cached[1]
@@ -322,13 +232,11 @@ class LeafBroker:
         self._aggregate_cache = (self.index.generation, merged)
         return merged
 
-    def shard_stats(self) -> dict[str, int | bool | str]:
+    def shard_stats(self) -> dict[str, int | str]:
         """One row of the CLI's per-leaf table (and the wire endpoint)."""
         return {
             "leaf": self.leaf_id,
             "sources": len(self.index),
             "terms": self.index.term_count,
             "generation": self.index.generation,
-            "replication_lag": self.replication_lag,
-            "in_sync": self.in_sync,
         }

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
+from dataclasses import asdict
 
 from repro.broker.leaf import CorpusStats, LeafProbe
 from repro.metasearch.selection import SELECTOR_REGISTRY, SourceSelector
+from repro.starts.errors import ProtocolError
 from repro.starts.metadata import SContentSummary
-from repro.starts.soif import parse_soif
+from repro.transport.client import trace_headers
 from repro.transport.network import SimulatedInternet
 
 __all__ = ["NetworkLeafHandle", "selector_wire_name"]
@@ -46,45 +48,56 @@ def selector_wire_name(selector: SourceSelector) -> str:
     )
 
 
-def _stats_payload(stats: CorpusStats) -> dict:
-    return {
-        "n_sources": stats.n_sources,
-        "clamped_mass_total": stats.clamped_mass_total,
-        "collection_frequencies": dict(stats.collection_frequencies),
-    }
+# -- the one decode per side -----------------------------------------------
+#
+# A request (decoded by the ``publish_broker_leaf`` handlers) or a reply
+# (decoded by the handle below) comes from another process: whatever is
+# not the expected shape raises ProtocolError naming the endpoint and the
+# field here, never a stray KeyError / TypeError further in.
 
 
-def stats_from_payload(payload: dict) -> CorpusStats:
-    return CorpusStats(
-        n_sources=payload["n_sources"],
-        clamped_mass_total=payload["clamped_mass_total"],
-        collection_frequencies=payload["collection_frequencies"],
-    )
+def decode_wire_object(body: bytes, where: str) -> dict:
+    """``body`` as a JSON object, or :class:`ProtocolError`."""
+    try:
+        payload = json.loads(body)
+    except ValueError as error:  # undecodable bytes and bad JSON alike
+        raise ProtocolError(f"{where}: body is not JSON ({error})") from None
+    if not isinstance(payload, dict):
+        raise ProtocolError(f"{where}: expected a JSON object")
+    return payload
 
 
-def probe_payload(probe: LeafProbe) -> dict:
-    return {
-        "leaf": probe.leaf_id,
-        "n_sources": probe.n_sources,
-        "clamped_mass_total": probe.clamped_mass_total,
-        "generation": probe.generation,
-        "term_lengths": list(probe.term_lengths),
-        "term_collection_frequencies": list(probe.term_collection_frequencies),
-        "term_postings": list(probe.term_postings),
-        "fill_ids": list(probe.fill_ids),
-    }
+def wire_field(payload: dict, name: str, kind, where: str, of=None):
+    """``payload[name]``, checked to be a ``kind`` (holding only ``of``)."""
+    value = payload.get(name)
+    well_typed = isinstance(value, kind)
+    if well_typed and of is not None:
+        items = value.values() if isinstance(value, dict) else value
+        well_typed = all(isinstance(item, of) for item in items)
+    if not well_typed:
+        problem = "ill-typed" if name in payload else "missing"
+        raise ProtocolError(f"{where}: {problem} field {name!r}")
+    return value
 
 
-def _probe_from_payload(payload: dict) -> LeafProbe:
+def _probe_from_payload(
+    payload: dict, leaf_id: str, n_terms: int, where: str
+) -> LeafProbe:
+    """A probe reply; filed under the id the *root* knows the leaf by."""
+
+    def per_term(name: str) -> tuple[int, ...]:
+        values = wire_field(payload, name, list, where, of=int)
+        if len(values) != n_terms:
+            raise ProtocolError(f"{where}: field {name!r} is not one per term")
+        return tuple(values)
+
     return LeafProbe(
-        leaf_id=payload["leaf"],
-        n_sources=payload["n_sources"],
-        clamped_mass_total=payload["clamped_mass_total"],
-        generation=payload["generation"],
-        term_lengths=tuple(payload["term_lengths"]),
-        term_collection_frequencies=tuple(payload["term_collection_frequencies"]),
-        term_postings=tuple(payload["term_postings"]),
-        fill_ids=tuple(payload["fill_ids"]),
+        leaf_id=leaf_id,
+        n_sources=wire_field(payload, "n_sources", int, where),
+        clamped_mass_total=wire_field(payload, "clamped_mass_total", int, where),
+        term_lengths=per_term("term_lengths"),
+        term_collection_frequencies=per_term("term_collection_frequencies"),
+        fill_ids=tuple(wire_field(payload, "fill_ids", list, where, of=str)),
     )
 
 
@@ -98,20 +111,17 @@ class NetworkLeafHandle:
         self.base_url = base_url
         self.leaf_id = leaf_id
 
-    def _post(self, endpoint: str, payload: dict) -> dict:
-        from repro.transport.client import trace_headers
-
+    def _post(self, endpoint: str, payload: dict) -> tuple[dict, str]:
+        """One request; the decoded reply and the name to blame it by."""
+        url = f"{self.base_url}/{endpoint}"
         body = json.dumps(payload).encode("utf-8")
-        return json.loads(
-            self.internet.post(
-                f"{self.base_url}/{endpoint}", body, headers=trace_headers()
-            )
-        )
+        reply = self.internet.post(url, body, headers=trace_headers())
+        where = f"reply from {url}"
+        return decode_wire_object(reply, where), where
 
     def probe(self, terms: Sequence[str], k: int) -> LeafProbe:
-        return _probe_from_payload(
-            self._post("probe", {"terms": list(terms), "k": k})
-        )
+        reply, where = self._post("probe", {"terms": list(terms), "k": k})
+        return _probe_from_payload(reply, self.leaf_id, len(terms), where)
 
     def select_candidates(
         self,
@@ -120,32 +130,24 @@ class NetworkLeafHandle:
         k: int,
         stats: CorpusStats,
     ) -> list[tuple[str, float]]:
-        response = self._post(
+        reply, where = self._post(
             "select",
             {
                 "selector": selector_wire_name(selector),
                 "terms": list(terms),
                 "k": k,
-                "stats": _stats_payload(stats),
+                "stats": asdict(stats),
             },
         )
-        return [(source_id, score) for source_id, score in response["candidates"]]
-
-    def rank_all(
-        self,
-        selector: SourceSelector,
-        terms: Sequence[str],
-        stats: CorpusStats,
-    ) -> list[tuple[str, float]]:
-        response = self._post(
-            "rank",
-            {
-                "selector": selector_wire_name(selector),
-                "terms": list(terms),
-                "stats": _stats_payload(stats),
-            },
-        )
-        return [(source_id, score) for source_id, score in response["ranking"]]
+        candidates = wire_field(reply, "candidates", list, where, of=list)
+        if not all(
+            len(pair) == 2
+            and isinstance(pair[0], str)
+            and isinstance(pair[1], (int, float))
+            for pair in candidates
+        ):
+            raise ProtocolError(f"{where}: ill-typed field 'candidates'")
+        return [(source_id, score) for source_id, score in candidates]
 
     def apply_delta(self, source_id: str, summary: SContentSummary | None) -> None:
         self._post(
@@ -158,19 +160,7 @@ class NetworkLeafHandle:
             },
         )
 
-    def fail_over(self) -> None:
-        self._post("failover", {})
-
     def shard_stats(self) -> dict:
-        from repro.transport.client import trace_headers
-
-        return json.loads(
-            self.internet.fetch(f"{self.base_url}/stats", headers=trace_headers())
-        )
-
-
-def parse_summary_text(text: str | None) -> SContentSummary | None:
-    """The delta endpoint's summary field: SOIF text or ``None``."""
-    if text is None:
-        return None
-    return SContentSummary.from_soif(parse_soif(text.encode("utf-8")))
+        url = f"{self.base_url}/stats"
+        reply = self.internet.fetch(url, headers=trace_headers())
+        return decode_wire_object(reply, f"reply from {url}")

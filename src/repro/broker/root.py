@@ -18,33 +18,26 @@ A query round against the hierarchy is two fan-outs over the
    index's top-k bit for bit.
 
 The root is itself a leaf handle — ``probe`` / ``select_candidates`` /
-``rank_all`` / ``apply_delta`` — so hierarchies nest: a sub-root
-aggregates its own children's probes and passes the *global* statistics
-it was handed straight down, keeping exactness through any depth.
+``apply_delta`` — so hierarchies nest: a sub-root aggregates its own
+children's probes and passes the *global* statistics it was handed
+straight down, keeping exactness through any depth.
 
-Operationally the root adds what a front door needs: admission control
-(shed on concurrent-query pressure or on a broadly unhealthy leaf
-fleet, counted in ``broker_shed_total``), per-leaf
-:class:`~repro.observability.SourceHealth` scoring fed by every
-consultation, and one automatic failover retry when a leaf raises —
-the standby is promoted and the consultation repeated before the error
-is allowed to surface.
+The root carries no recovery machinery.  A child that cannot be
+consulted raises its typed error (``TransportError`` / ``ProtocolError``
+for a network leaf) out of the selection; the flat index the hierarchy
+is fed from answers then — see :class:`~repro.broker.BrokeredMetasearcher`.
 """
 
 from __future__ import annotations
 
 import heapq
-import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
-from threading import Lock
 from typing import Protocol, runtime_checkable
 
 from repro.broker.leaf import CorpusStats, LeafProbe
 from repro.broker.partition import ConsistentHashRing
-from repro.federation.executor import Executor, SerialExecutor, run_tasks_catching
+from repro.federation.executor import Executor, SerialExecutor
 from repro.metasearch.selection import SourceSelector, order_key
-from repro.observability.health import HealthPolicy, SourceHealth
 from repro.observability.metrics import get_registry, linear_buckets
 from repro.observability.tracing import (
     ambient_span,
@@ -53,26 +46,11 @@ from repro.observability.tracing import (
 )
 from repro.starts.metadata import SContentSummary
 
-__all__ = [
-    "AdmissionPolicy",
-    "BrokerOverloadedError",
-    "LeafHandle",
-    "RootBroker",
-    "RoutingPolicy",
-]
+__all__ = ["LeafHandle", "RootBroker"]
 
-
-class BrokerOverloadedError(RuntimeError):
-    """The root shed this query instead of admitting it.
-
-    Attributes:
-        reason: the shed counter label — ``"inflight"``,
-            ``"unhealthy"``, or ``"budget"``.
-    """
-
-    def __init__(self, message: str, reason: str) -> None:
-        super().__init__(message)
-        self.reason = reason
+#: Virtual nodes per leaf on the routing ring: enough to keep the
+#: shard-size spread, and with it the slowest leaf of a fan-out, tight.
+_RING_VIRTUAL_NODES = 128
 
 
 @runtime_checkable
@@ -91,66 +69,7 @@ class LeafHandle(Protocol):
         stats: CorpusStats,
     ) -> list[tuple[str, float]]: ...
 
-    def rank_all(
-        self,
-        selector: SourceSelector,
-        terms: Sequence[str],
-        stats: CorpusStats,
-    ) -> list[tuple[str, float]]: ...
-
     def apply_delta(self, source_id: str, summary: SContentSummary | None) -> None: ...
-
-    def fail_over(self) -> None: ...
-
-
-@dataclass(frozen=True)
-class AdmissionPolicy:
-    """When the root refuses work instead of degrading everyone's.
-
-    Attributes:
-        max_inflight: concurrent selections admitted at once; ``None``
-            admits everything.
-        min_mean_leaf_health: shed while the mean 0-1 health score of
-            the leaf fleet is below this — queries that would mostly
-            hit failing shards are better refused than half-answered.
-        min_budget_remaining: shed while the tightest SLO error budget
-            (per the broker's :class:`~repro.observability.SloMonitor`)
-            is below this 0-1 floor — spend latency slack on fewer
-            queries rather than miss the promise for all of them.
-            Ignored when the broker has no monitor.
-    """
-
-    max_inflight: int | None = None
-    min_mean_leaf_health: float | None = None
-    min_budget_remaining: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_inflight is not None and self.max_inflight < 0:
-            raise ValueError("max_inflight must be >= 0")
-        if self.min_budget_remaining is not None and not (
-            0.0 <= self.min_budget_remaining <= 1.0
-        ):
-            raise ValueError("min_budget_remaining must be within [0, 1]")
-
-
-@dataclass(frozen=True)
-class RoutingPolicy:
-    """How far a selection may descend.
-
-    Attributes:
-        max_fanout: cap on leaves descended per selection; the most
-            promising leaves (by summed query-term postings of their
-            aggregate summaries — additive, so this *is* vGlOSS-Sum of
-            the merged summary) are kept.  ``None`` descends into every
-            touched leaf and keeps the result bit-exact; a cap trades
-            exactness for bounded fan-out, GlOSS-style.
-    """
-
-    max_fanout: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_fanout is not None and self.max_fanout < 1:
-            raise ValueError("max_fanout must be >= 1")
 
 
 def _aggregate_stats(terms: Sequence[str], probes: Sequence[LeafProbe]) -> CorpusStats:
@@ -174,30 +93,14 @@ class RootBroker:
         handles: the children — :class:`~repro.broker.LeafBroker`,
             network handles, or nested :class:`RootBroker` instances.
         executor: drives both fan-out rounds; defaults to serial.
-        admission: shed policy; the default admits everything.
-        routing: descent policy; the default stays bit-exact.
-        health: per-leaf health tracker (a fresh one by default), fed
-            by every consultation and read by admission control.
         broker_id: this node's name as a child of a bigger hierarchy.
-        ring_replicas: virtual nodes per leaf on the routing ring; more
-            replicas tighten the shard-size spread, which directly caps
-            the slowest leaf in a parallel fan-out.
-        slo_monitor: optional :class:`~repro.observability.SloMonitor`;
-            with it (and ``admission.min_budget_remaining``) the broker
-            sheds while the tightest error budget is burning low.
     """
 
     def __init__(
         self,
         handles: Sequence[LeafHandle],
         executor: Executor | None = None,
-        admission: AdmissionPolicy | None = None,
-        routing: RoutingPolicy | None = None,
-        health: SourceHealth | None = None,
-        health_policy: HealthPolicy | None = None,
         broker_id: str = "root",
-        ring_replicas: int = 128,
-        slo_monitor=None,
     ) -> None:
         seen: set[str] = set()
         for handle in handles:
@@ -208,19 +111,7 @@ class RootBroker:
         self._handles: list[LeafHandle] = list(handles)
         self._by_id = {handle.leaf_id: handle for handle in self._handles}
         self.executor: Executor = executor or SerialExecutor()
-        self.admission = admission or AdmissionPolicy()
-        self.routing = routing or RoutingPolicy()
-        self.health = health or SourceHealth(policy=health_policy)
-        self.slo_monitor = slo_monitor
-        self.ring = ConsistentHashRing(self._by_id, replicas=ring_replicas)
-        self._inflight = 0
-        self._inflight_lock = Lock()
-        #: per-leaf wall time of the last selection's consultations,
-        #: and the max/sum across leaves — the parallel- and serial-
-        #: deployment costs of that selection (see the scale benchmark).
-        self.last_leaf_elapsed_ms: dict[str, float] = {}
-        self.last_parallel_ms = 0.0
-        self.last_serial_ms = 0.0
+        self.ring = ConsistentHashRing(self._by_id, replicas=_RING_VIRTUAL_NODES)
 
     # -- topology ----------------------------------------------------------
 
@@ -240,71 +131,18 @@ class RootBroker:
         """Route one discovery delta to the owning child."""
         self._by_id[self.ring.locate(source_id)].apply_delta(source_id, summary)
 
-    def fail_over(self) -> None:
-        """A root has no standby of its own; children fail over alone."""
-
-    # -- admission ---------------------------------------------------------
-
-    def _shed(self, reason: str, message: str) -> None:
-        get_registry().counter(
-            "broker_shed_total",
-            "Selections refused by broker admission control, by reason.",
-            labels=("reason",),
-        ).labels(reason=reason).inc()
-        raise BrokerOverloadedError(message, reason)
-
-    def _admit(self) -> None:
-        limit = self.admission.max_inflight
-        if limit is not None:
-            with self._inflight_lock:
-                if self._inflight >= limit:
-                    self._shed(
-                        "inflight",
-                        f"{self._inflight} selections in flight (limit {limit})",
-                    )
-                self._inflight += 1
-        floor = self.admission.min_mean_leaf_health
-        if floor is not None and self._handles:
-            mean = sum(
-                self.health.score(handle.leaf_id) for handle in self._handles
-            ) / len(self._handles)
-            if mean < floor:
-                if limit is not None:
-                    self._release()
-                self._shed(
-                    "unhealthy",
-                    f"mean leaf health {mean:.2f} below {floor:.2f}",
-                )
-        budget_floor = self.admission.min_budget_remaining
-        if budget_floor is not None and self.slo_monitor is not None:
-            remaining = self.slo_monitor.min_budget_remaining()
-            if remaining < budget_floor:
-                if limit is not None:
-                    self._release()
-                self._shed(
-                    "budget",
-                    f"SLO error budget {remaining:.2f} below "
-                    f"{budget_floor:.2f}",
-                )
-
-    def _release(self) -> None:
-        if self.admission.max_inflight is not None:
-            with self._inflight_lock:
-                self._inflight -= 1
-
     # -- consulting children -----------------------------------------------
 
     def _consult(
         self,
         handles: Sequence[LeafHandle],
         fn: Callable[[LeafHandle], object],
-        op: str = "consult",
+        op: str,
     ) -> list[object]:
-        """Fan out ``fn`` with per-leaf timing, health, and failover.
+        """Fan ``fn`` out over ``handles``; results in handle order.
 
-        A failing leaf gets one failover-and-retry (standby promotion)
-        before its error surfaces; every attempt feeds the health
-        tracker either way.
+        A child that raises ends the selection with that error — the
+        root does not retry.
 
         When an ambient span is active in the *calling* thread, each
         per-leaf call gets its own ``rpc:{op}:{leaf}`` child span, with
@@ -312,14 +150,14 @@ class RootBroker:
         context is what a :class:`~repro.broker.NetworkLeafHandle`
         injects on the wire, so server-side fragments stitch under the
         exact RPC span that issued them.  Contextvars do not cross the
-        executor's thread pool, hence the explicit capture here.
+        executor's worker threads, hence the explicit capture here.
         """
         ambient = current_ambient_span()
+        if ambient is None:
+            return self.executor.run(handles, fn)
+        tracer, parent = ambient
 
         def traced(handle: LeafHandle) -> object:
-            if ambient is None:
-                return fn(handle)
-            tracer, parent = ambient
             rpc = tracer.open_span(f"rpc:{op}:{handle.leaf_id}", parent=parent)
             try:
                 with ambient_span(tracer, rpc), trace_context(
@@ -332,90 +170,14 @@ class RootBroker:
             finally:
                 tracer.close_span(rpc)
 
-        def timed(handle: LeafHandle) -> tuple[object, float]:
-            started = time.perf_counter()
-            result = traced(handle)
-            return result, (time.perf_counter() - started) * 1000.0
-
-        outcomes = run_tasks_catching(self.executor, handles, timed)
-        results: list[object] = []
-        for handle, (outcome, error) in zip(handles, outcomes):
-            if error is None:
-                result, elapsed_ms = outcome
-                self.health.record_attempt(handle.leaf_id, "ok", elapsed_ms)
-                self._note_elapsed(handle.leaf_id, elapsed_ms)
-                results.append(result)
-                continue
-            self.health.record_attempt(handle.leaf_id, "error", 0.0)
-            get_registry().counter(
-                "broker_failovers_total",
-                "Leaf failovers triggered by a failed consultation.",
-                labels=("leaf",),
-            ).labels(leaf=handle.leaf_id).inc()
-            handle.fail_over()
-            started = time.perf_counter()
-            result = traced(handle)  # a second failure surfaces to the caller
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
-            self.health.record_attempt(handle.leaf_id, "ok", elapsed_ms)
-            self._note_elapsed(handle.leaf_id, elapsed_ms)
-            results.append(result)
-        return results
-
-    def _note_elapsed(self, leaf_id: str, elapsed_ms: float) -> None:
-        total = self.last_leaf_elapsed_ms.get(leaf_id, 0.0) + elapsed_ms
-        self.last_leaf_elapsed_ms[leaf_id] = total
-        self.last_serial_ms += elapsed_ms
-        self.last_parallel_ms = max(self.last_parallel_ms, total)
-
-    def _reset_timings(self) -> None:
-        self.last_leaf_elapsed_ms = {}
-        self.last_parallel_ms = 0.0
-        self.last_serial_ms = 0.0
+        return self.executor.run(handles, traced)
 
     # -- selection ---------------------------------------------------------
 
-    def _require_distributable(self, selector: SourceSelector) -> None:
-        if not getattr(selector, "distributable", False):
-            raise ValueError(
-                f"selector {selector.name!r} is not distributable across "
-                "broker shards; use the flat index for it"
-            )
-
-    def _plan_descent(
-        self,
-        selector: SourceSelector,
-        terms: Sequence[str],
-        probes: Sequence[LeafProbe],
-    ) -> tuple[list[LeafProbe], list[LeafProbe]]:
-        """(descend, pruned) — pruning only when provably exact.
-
-        A leaf is prunable when the selector promises that a shard with
-        no query term scores every source at ``sparse_default`` — then
-        the probe's fill ids stand in for the whole leaf.  An optional
-        ``max_fanout`` additionally keeps only the most promising
-        touched leaves (by additive postings mass), which is the lossy
-        GlOSS trade — never applied by default.
-        """
-        if not getattr(selector, "prunable", False) or not terms:
-            descend = list(probes)
-            pruned: list[LeafProbe] = []
-        else:
-            descend = [probe for probe in probes if probe.touches()]
-            pruned = [probe for probe in probes if not probe.touches()]
-        cap = self.routing.max_fanout
-        if cap is not None and len(descend) > cap:
-            descend.sort(key=lambda probe: (-sum(probe.term_postings), probe.leaf_id))
-            descend, capped = descend[:cap], descend[cap:]
-            pruned.extend(capped)
-        return descend, pruned
-
-    def _probe_round(
-        self, terms: Sequence[str], k: int
-    ) -> tuple[list[LeafProbe], CorpusStats]:
-        probes = self._consult(
+    def _probe_children(self, terms: Sequence[str], k: int) -> list[LeafProbe]:
+        return self._consult(  # type: ignore[return-value]
             self._handles, lambda handle: handle.probe(terms, k), op="probe"
         )
-        return probes, _aggregate_stats(terms, probes)  # type: ignore[arg-type]
 
     def _descend(
         self,
@@ -425,8 +187,17 @@ class RootBroker:
         stats: CorpusStats,
         probes: Sequence[LeafProbe],
     ) -> list[tuple[str, float]]:
-        """Rounds two and three: descend, fill, merge — the exact top-k."""
-        descend, pruned = self._plan_descent(selector, terms, probes)
+        """Rounds two and three: descend, fill, merge — the exact top-k.
+
+        Pruning only when provably exact: a leaf is prunable when the
+        selector promises that a shard with no query term scores every
+        source at ``sparse_default`` — then the probe's fill ids stand
+        in for the whole leaf.
+        """
+        descend, pruned = list(probes), []
+        if getattr(selector, "prunable", False) and terms:
+            descend = [probe for probe in probes if probe.touches()]
+            pruned = [probe for probe in probes if not probe.touches()]
         registry = get_registry()
         selections = registry.counter(
             "broker_leaf_selections_total",
@@ -462,17 +233,22 @@ class RootBroker:
         terms: Sequence[str],
         k: int,
     ) -> list[tuple[str, float]]:
-        """The hierarchy's exact global top-k ``(source_id, goodness)``."""
-        self._require_distributable(selector)
+        """The hierarchy's exact global top-k ``(source_id, goodness)``.
+
+        With ``k`` at or above the source count this is the full global
+        ranking — the same path, nothing pruned out of the answer.
+        """
+        if not getattr(selector, "distributable", False):
+            raise ValueError(
+                f"selector {selector.name!r} is not distributable across "
+                "broker shards; use the flat index for it"
+            )
         if k <= 0 or not self._handles:
             return []
-        self._admit()
-        try:
-            self._reset_timings()
-            probes, stats = self._probe_round(terms, k)
-            return self._descend(selector, terms, k, stats, probes)
-        finally:
-            self._release()
+        probes = self._probe_children(terms, k)
+        return self._descend(
+            selector, terms, k, _aggregate_stats(terms, probes), probes
+        )
 
     def select(
         self,
@@ -484,75 +260,42 @@ class RootBroker:
         """The ids of the exact top-k sources, best first.
 
         Bit-identical to ``selector.select(terms, flat_index, k)`` for
-        any distributable selector (and any routing without a fan-out
-        cap) — the flat index stays the oracle of this subsystem.
+        any distributable selector — the flat index stays the oracle of
+        this subsystem.
         """
         if tracer is None:
-            return [source_id for source_id, _ in self.top_candidates(selector, terms, k)]
-        with tracer.span(
-            "select:broker", selector=selector.name, k=k, leaves=len(self._handles)
-        ) as span:
-            with ambient_span(tracer, span), trace_context(
-                tracer.context_for(span)
-            ):
-                merged = self.top_candidates(selector, terms, k)
-            span.annotate(
-                selected=" ".join(source_id for source_id, _ in merged),
-                parallel_ms=round(self.last_parallel_ms, 3),
-            )
+            merged = self.top_candidates(selector, terms, k)
+        else:
+            with tracer.span(
+                "select:broker", selector=selector.name, k=k, leaves=len(self._handles)
+            ) as span:
+                with ambient_span(tracer, span), trace_context(
+                    tracer.context_for(span)
+                ):
+                    merged = self.top_candidates(selector, terms, k)
+                span.annotate(selected=" ".join(source_id for source_id, _ in merged))
         return [source_id for source_id, _ in merged]
-
-    def rank(
-        self, selector: SourceSelector, terms: Sequence[str]
-    ) -> list[tuple[str, float]]:
-        """The full global ranking — every leaf consulted, no pruning."""
-        self._require_distributable(selector)
-        if not self._handles:
-            return []
-        self._admit()
-        try:
-            self._reset_timings()
-            probes, stats = self._probe_round(terms, 0)
-            rankings = self._consult(
-                self._handles,
-                lambda handle: handle.rank_all(selector, terms, stats),
-                op="rank",
-            )
-            merged: list[tuple[str, float]] = []
-            for ranking in rankings:
-                merged.extend(ranking)  # type: ignore[arg-type]
-            merged.sort(key=order_key)
-            return merged
-        finally:
-            self._release()
 
     # -- the LeafHandle protocol: roots nest -------------------------------
 
     def probe(self, terms: Sequence[str], k: int) -> LeafProbe:
         """Aggregate the children's probes into this subtree's claim."""
-        probes = self._consult(
-            self._handles, lambda handle: handle.probe(terms, k), op="probe"
-        )
+        probes = self._probe_children(terms, k)
         fill: list[str] = []
         for probe in probes:
-            fill.extend(probe.fill_ids)  # type: ignore[union-attr]
+            fill.extend(probe.fill_ids)
         fill.sort()
         n_terms = len(terms)
         return LeafProbe(
             leaf_id=self.leaf_id,
             n_sources=sum(probe.n_sources for probe in probes),
             clamped_mass_total=sum(probe.clamped_mass_total for probe in probes),
-            generation=sum(probe.generation for probe in probes),
             term_lengths=tuple(
                 sum(probe.term_lengths[position] for probe in probes)
                 for position in range(n_terms)
             ),
             term_collection_frequencies=tuple(
                 sum(probe.term_collection_frequencies[position] for probe in probes)
-                for position in range(n_terms)
-            ),
-            term_postings=tuple(
-                sum(probe.term_postings[position] for probe in probes)
                 for position in range(n_terms)
             ),
             fill_ids=tuple(fill[:k]),
@@ -566,24 +309,6 @@ class RootBroker:
         stats: CorpusStats,
     ) -> list[tuple[str, float]]:
         """Descend this subtree under the *caller's* global statistics."""
-        probes = self._consult(
-            self._handles, lambda handle: handle.probe(terms, k), op="probe"
+        return self._descend(
+            selector, terms, k, stats, self._probe_children(terms, k)
         )
-        return self._descend(selector, terms, k, stats, probes)
-
-    def rank_all(
-        self,
-        selector: SourceSelector,
-        terms: Sequence[str],
-        stats: CorpusStats,
-    ) -> list[tuple[str, float]]:
-        rankings = self._consult(
-            self._handles,
-            lambda handle: handle.rank_all(selector, terms, stats),
-            op="rank",
-        )
-        merged: list[tuple[str, float]] = []
-        for ranking in rankings:
-            merged.extend(ranking)  # type: ignore[arg-type]
-        merged.sort(key=order_key)
-        return merged

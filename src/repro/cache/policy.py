@@ -32,8 +32,8 @@ class CachePolicy:
             disables stale-while-revalidate (expired = miss).
         revalidate_in_background: schedule the refresh of a
             stale-served entry through the executor's ``submit`` hook
-            (the :class:`~repro.federation.ParallelExecutor` refreshes
-            on a background thread; the serial executor revalidates
+            (the :class:`~repro.federation.AsyncExecutor` refreshes on
+            a background thread; the serial executor revalidates
             inline, keeping single-threaded runs deterministic).
         result_max_documents: optional bound on the *sum* of cached
             result sizes, in documents.

@@ -1,7 +1,7 @@
 """The federation executor layer: concurrent, fault-tolerant dispatch.
 
 Extracted from the metasearcher's query round so per-source execution
-is a first-class, testable subsystem: executors (serial vs thread-pool
+is a first-class, testable subsystem: executors (serial vs asyncio
 fan-out), per-source query policies (deadline, retries with backoff,
 hedging), and partial-result outcomes that keep a search alive when
 individual sources fail.
@@ -10,9 +10,7 @@ individual sources fail.
 from repro.federation.aio import AsyncExecutor
 from repro.federation.executor import (
     Executor,
-    ParallelExecutor,
     SerialExecutor,
-    run_tasks_catching,
     submit_background,
 )
 from repro.federation.outcomes import Attempt, OutcomeStatus, SourceOutcome
@@ -22,9 +20,7 @@ from repro.federation.runner import QueryDispatcher, SourceRequest
 __all__ = [
     "AsyncExecutor",
     "Executor",
-    "ParallelExecutor",
     "SerialExecutor",
-    "run_tasks_catching",
     "submit_background",
     "Attempt",
     "OutcomeStatus",

@@ -1,12 +1,11 @@
 """The asyncio-native executor: thousands of source queries in flight.
 
-The thread-pool :class:`~repro.federation.executor.ParallelExecutor`
-fans a query round out at one OS thread per source — fine for eight
-sources, ruinous for eight hundred.  :class:`AsyncExecutor` drives the
-same round as asyncio tasks on one event loop: waiting on a simulated
-(or real) network costs a suspended coroutine, not a blocked thread,
-so a single process can hold thousands of in-flight source queries
-bounded only by the per-query semaphore.
+One OS thread per in-flight source is fine for eight sources and
+ruinous for eight hundred.  :class:`AsyncExecutor` drives a query round
+as asyncio tasks on one event loop: waiting on a simulated (or real)
+network costs a suspended coroutine, not a blocked thread, so a single
+process can hold thousands of in-flight source queries bounded only by
+the per-query semaphore.
 
 It satisfies the :class:`~repro.federation.executor.Executor` protocol
 (``name``, ``run`` in task order, ``run_stream`` in completion order),

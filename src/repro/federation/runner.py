@@ -83,7 +83,7 @@ class QueryDispatcher:
 
     Args:
         client: the transport client queries go through.
-        executor: serial or parallel dispatch (default serial).
+        executor: serial or asyncio dispatch (default serial).
         policy: the default :class:`QueryPolicy`.
         policies: per-source-id overrides of the default policy.
         tracer: receives one span per source (with per-attempt child
@@ -142,10 +142,9 @@ class QueryDispatcher:
         """Yield outcomes *as sources complete*, not in request order.
 
         Every executor streams natively (serial: lazily task by task;
-        parallel: thread completion order; async: event-loop completion
-        order).  Closing the iterator early abandons whatever is still
-        in flight — the hook streaming searches use for deadline expiry
-        and stable-top-k termination.
+        async: event-loop completion order).  Closing the iterator
+        early abandons whatever is still in flight — the hook streaming
+        searches use for deadline expiry and stable-top-k termination.
         """
         stream = self.executor.run_stream(list(requests), self._task_function(parent))
         for _, outcome in stream:

@@ -8,7 +8,6 @@ re-exported here for convenience.
 from repro.federation import (
     AsyncExecutor,
     OutcomeStatus,
-    ParallelExecutor,
     QueryPolicy,
     SerialExecutor,
     SourceOutcome,
@@ -54,7 +53,6 @@ from repro.metasearch.translation import (
 __all__ = [
     "AsyncExecutor",
     "OutcomeStatus",
-    "ParallelExecutor",
     "QueryPolicy",
     "SerialExecutor",
     "SourceOutcome",

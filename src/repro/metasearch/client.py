@@ -7,7 +7,7 @@ transport layer, using only what sources export through STARTS.
 
 The query round itself is delegated to the federation runtime
 (:mod:`repro.federation`): an executor fans the translated per-source
-requests out (serially or over a thread pool), per-source policies
+requests out (serially or on an event loop), per-source policies
 bound how long a slow source is waited for and how often a flaky one is
 retried, and a source that fails or times out becomes a recorded
 :class:`~repro.federation.SourceOutcome` instead of an exception —
@@ -87,7 +87,7 @@ class _Search:
     """One search in flight: what its exit will count and log.
 
     The drivers fill in ``outcome`` (``wire`` / ``stream`` / ``hit`` /
-    ``stale``; the scope itself adds ``error`` / ``shed`` / ``abandoned``)
+    ``stale``; the scope itself adds ``error`` / ``abandoned``)
     and ``result`` as they go; :meth:`Metasearcher._search_scope` reads
     them exactly once, however the search ends.
     """
@@ -183,11 +183,6 @@ class _Plan:
     group_by_resource: bool
     #: The result-cache key; ``None`` when result caching is off.
     key: str | None
-
-
-def _failure_outcome(error: BaseException) -> str:
-    """``shed`` for admission-control refusals, ``error`` otherwise."""
-    return "shed" if type(error).__name__ == "BrokerOverloadedError" else "error"
 
 
 def _answered(outcomes: dict[str, SourceOutcome]) -> dict[str, SQResults]:
@@ -333,8 +328,8 @@ class Metasearcher:
         merger: rank-merging strategy (default tf·idf recompute).
         executor: how the query round is driven — the default
             :class:`~repro.federation.SerialExecutor` is deterministic;
-            pass :class:`~repro.federation.ParallelExecutor` for real
-            concurrent fan-out.
+            pass :class:`~repro.federation.AsyncExecutor` to overlap the
+            waits on sources that really take time to answer.
         query_policy: default per-source execution policy (deadline,
             retries, backoff, hedging).
         query_policies: per-source-id policy overrides.
@@ -557,7 +552,7 @@ class Metasearcher:
             search.outcome, search.terminated_early = "abandoned", True
             raise
         except Exception as error:
-            search.outcome, search.error = _failure_outcome(error), repr(error)
+            search.outcome, search.error = "error", repr(error)
             raise
         finally:
             tracer.close_span(search.span)
@@ -1014,7 +1009,7 @@ class Metasearcher:
         files its result under it) on a private tracer, so nothing it
         records lands in the caller's trace.
         Scheduling goes through the executor's ``submit`` hook: the
-        serial executor revalidates inline (deterministic), the parallel
+        serial executor revalidates inline (deterministic), the async
         one on a daemon thread.
         """
         if not self.result_cache.begin_revalidation(plan.key):

@@ -5,14 +5,14 @@ query?"; traces answer it one operation at a time but are too heavy to
 keep for every request.  The wide-event log is the middle layer modern
 observability practice settles on: a single flat, richly-attributed
 record per top-level operation — query shape, selected sources,
-per-phase latency, cache/retry/hedge/shed tallies, the trace id to
+per-phase latency, cache/retry/hedge tallies, the trace id to
 pivot into the full trace — ring-buffered in memory and exportable as
 NDJSON for any log pipeline.
 
 :class:`~repro.metasearch.client.Metasearcher` emits one
 :class:`QueryLogRecord` per ``search``/``search_stream`` call on every
-exit path (wire answers, cache hits, stream terminations, errors and
-sheds alike) into the process-wide :class:`QueryLog`
+exit path (wire answers, cache hits, stream terminations and errors
+alike) into the process-wide :class:`QueryLog`
 (:func:`get_query_log`); ``python -m repro querylog`` tails it.
 """
 
@@ -38,8 +38,8 @@ class QueryLogRecord:
     ``outcome`` is how the answer was produced: ``wire`` (a full query
     round), ``hit`` / ``stale`` (served from the result cache),
     ``stream`` (a streaming round), ``abandoned`` (a stream its consumer
-    closed before the final emission), ``error`` or ``shed`` (the search
-    raised).  ``trace_id`` pivots into the matching trace.
+    closed before the final emission) or ``error`` (the search raised).
+    ``trace_id`` pivots into the matching trace.
     """
 
     terms: str

@@ -8,7 +8,7 @@ declarative :class:`SloObjective`\\ s straight from a
 
 * **availability** objectives read a labeled counter family and count
   the children whose label value is in ``bad_values`` as failures
-  (default: searches that ended ``error`` or ``shed``);
+  (default: searches that ended ``error``);
 * **latency** objectives read a histogram family and count the
   observations at or under ``threshold_ms`` as good — exact whenever
   the threshold is a bucket bound, conservative otherwise.
@@ -18,10 +18,7 @@ of the allowed failure rate still unspent) and multi-window **burn
 rates** (Google-SRE-style long/short window pairs: a page fires only
 when both windows burn faster than the pair's factor, so one bad
 second cannot page and a slow leak still does).  The monitor exports a
-``slo_error_budget_remaining`` gauge family back into the registry and
-feeds :class:`~repro.broker.AdmissionPolicy` via
-:meth:`SloMonitor.min_budget_remaining`, letting the broker shed load
-while the budget is burning instead of after it is gone.
+``slo_error_budget_remaining`` gauge family back into the registry.
 """
 
 from __future__ import annotations
@@ -163,7 +160,7 @@ class SloPolicy:
                     target=0.99,
                     family="metasearch_searches_total",
                     label="result",
-                    bad_values=("error", "shed"),
+                    bad_values=("error",),
                 ),
                 SloObjective(
                     name="search-latency-p99",
@@ -333,18 +330,6 @@ class SloMonitor:
                     )
             reports.append(report)
         return reports
-
-    def min_budget_remaining(self) -> float:
-        """The tightest objective's remaining budget (1.0 when idle).
-
-        This is the one number admission control keys on: when any
-        objective's budget is nearly gone, shedding some load now beats
-        missing the promise for everyone later.
-        """
-        reports = self.evaluate()
-        if not reports:
-            return 1.0
-        return min(report.budget_remaining for report in reports)
 
     def export_gauges(self) -> None:
         """Publish per-objective gauges back into the registry."""

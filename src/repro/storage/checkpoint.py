@@ -220,12 +220,12 @@ def load_summary_index(path: str | pathlib.Path) -> SummaryIndex:
 def save_leaf_checkpoint(broker, path: str | pathlib.Path) -> int:
     """Checkpoint a :class:`~repro.broker.leaf.LeafBroker`'s shard.
 
-    Records the broker's **delta-log position** alongside its primary
-    index, so a restart only replays the deltas logged after this
-    point (see :func:`load_leaf_checkpoint`).  Returns that position.
+    Records the broker's **delta-log position** alongside its index, so
+    a restart only replays the deltas logged after this point (see
+    :func:`load_leaf_checkpoint`).  Returns that position.
     """
     started = time.perf_counter()
-    log_position = len(broker._log)
+    log_position = broker.log_position
     blob = bytearray()
     blob += _LEAF_MAGIC
     encode_varint(blob, FORMAT_VERSION)
@@ -237,14 +237,13 @@ def save_leaf_checkpoint(broker, path: str | pathlib.Path) -> int:
     return log_position
 
 
-def load_leaf_checkpoint(path: str | pathlib.Path, eager_replication: bool = False):
+def load_leaf_checkpoint(path: str | pathlib.Path):
     """Warm a fresh leaf broker from a checkpoint.
 
-    Both the primary and the standby start from the checkpointed index
-    (two independent copies), the delta log starts empty, and the
-    broker's ``restored_log_position`` says how much of the upstream
-    delta stream the checkpoint already covers — the caller replays
-    only ``deltas[restored_log_position:]`` through
+    The broker starts from the checkpointed index, and its
+    ``restored_log_position`` says how much of the upstream delta
+    stream the checkpoint already covers — the caller replays only
+    ``deltas[restored_log_position:]`` through
     :meth:`~repro.broker.leaf.LeafBroker.apply_delta` to catch up,
     never the whole history.
     """
@@ -260,14 +259,9 @@ def load_leaf_checkpoint(path: str | pathlib.Path, eager_replication: bool = Fal
         raise StorageError(f"unsupported checkpoint version: {version}")
     leaf_id, pos = decode_string(buf, pos)
     log_position, pos = decode_varint(buf, pos)
-    primary, _ = _index_from_blob(buf, pos)
-    standby, _ = _index_from_blob(buf, pos)
-
-    broker = LeafBroker(leaf_id, eager_replication=eager_replication)
-    broker.index = primary
-    broker._standby = standby
-    broker._standby_applied = 0
-    broker.restored_log_position = log_position
+    broker = LeafBroker(leaf_id)
+    broker.index, _ = _index_from_blob(buf, pos)
+    broker.log_position = broker.restored_log_position = log_position
     _observe("checkpoint_load_ms", "leaf", started)
     return broker
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from repro.observability.tracing import TraceCollector, TraceContext, Tracer
 from repro.resource.resource import Resource
 from repro.source.source import StartsSource
+from repro.starts.errors import ProtocolError, SoifSyntaxError
 from repro.starts.query import SQuery
 from repro.starts.soif import parse_soif
 from repro.transport.network import (
@@ -173,75 +174,98 @@ def publish_broker_leaf(
 
     * ``POST {base}/probe``    — aggregate shard statistics for terms
     * ``POST {base}/select``   — the shard's exact top-k fragment
-    * ``POST {base}/rank``     — the full locally-scored ranking
     * ``POST {base}/delta``    — one summary delta (SOIF text or null)
-    * ``POST {base}/failover`` — promote the standby
     * ``GET  {base}/stats``    — shard stats (sources/terms/generation)
 
     so a :class:`~repro.broker.RootBroker` holding
     :class:`~repro.broker.NetworkLeafHandle`\\ s drives it exactly like
-    an in-process leaf, latency and fault profiles included.  Returns
-    the base URL.
+    an in-process leaf, latency and fault profiles included.  A request
+    body that does not decode to the expected fields raises
+    :class:`~repro.starts.errors.ProtocolError` naming the endpoint and
+    the field.  Returns the base URL.
     """
     import json
+    from dataclasses import asdict
 
-    from repro.broker.remote import parse_summary_text, probe_payload
+    from repro.broker.leaf import CorpusStats
+    from repro.broker.remote import decode_wire_object, wire_field
     from repro.metasearch.selection import SELECTOR_REGISTRY
+    from repro.starts.metadata import SContentSummary
 
     host = base_url.split("//", 1)[-1].split("/", 1)[0]
     internet.register_host(host, profile, faults)
 
-    def _selector(payload: dict):
-        name = payload["selector"]
+    def _selector(payload: dict, where: str):
+        name = wire_field(payload, "selector", str, where)
         factory = SELECTOR_REGISTRY.get(name)
         if factory is None:
-            raise ValueError(f"unknown selector on the wire: {name!r}")
+            raise ProtocolError(f"{where}: unknown selector on the wire: {name!r}")
         return factory()
 
-    def _stats(payload: dict):
-        from repro.broker.remote import stats_from_payload
+    def _stats(payload: dict, where: str) -> CorpusStats:
+        stats = wire_field(payload, "stats", dict, where)
+        return CorpusStats(
+            n_sources=wire_field(stats, "n_sources", int, where),
+            clamped_mass_total=wire_field(stats, "clamped_mass_total", int, where),
+            collection_frequencies=wire_field(
+                stats, "collection_frequencies", dict, where, of=int
+            ),
+        )
 
-        return stats_from_payload(payload["stats"])
+    def _summary(payload: dict, where: str) -> SContentSummary | None:
+        """The delta's summary field: SOIF text, or null on forget."""
+        if payload.get("summary") is None:
+            return None
+        text = wire_field(payload, "summary", str, where)
+        try:
+            return SContentSummary.from_soif(parse_soif(text.encode("utf-8")))
+        except SoifSyntaxError as error:
+            raise ProtocolError(
+                f"{where}: ill-typed field 'summary': {error}"
+            ) from None
 
-    def handle_probe(body: bytes) -> bytes:
-        payload = json.loads(body)
-        probe = leaf.probe(payload["terms"], payload["k"])
-        return json.dumps(probe_payload(probe)).encode("utf-8")
+    def handle_probe(payload: dict, where: str) -> dict:
+        probe = leaf.probe(
+            wire_field(payload, "terms", list, where, of=str),
+            wire_field(payload, "k", int, where),
+        )
+        return asdict(probe)
 
-    def handle_select(body: bytes) -> bytes:
-        payload = json.loads(body)
+    def handle_select(payload: dict, where: str) -> dict:
         candidates = leaf.select_candidates(
-            _selector(payload), payload["terms"], payload["k"], _stats(payload)
+            _selector(payload, where),
+            wire_field(payload, "terms", list, where, of=str),
+            wire_field(payload, "k", int, where),
+            _stats(payload, where),
         )
-        return json.dumps({"candidates": candidates}).encode("utf-8")
+        return {"candidates": candidates}
 
-    def handle_rank(body: bytes) -> bytes:
-        payload = json.loads(body)
-        ranking = leaf.rank_all(
-            _selector(payload), payload["terms"], _stats(payload)
+    def handle_delta(payload: dict, where: str) -> dict:
+        leaf.apply_delta(
+            wire_field(payload, "source", str, where),
+            _summary(payload, where),
         )
-        return json.dumps({"ranking": ranking}).encode("utf-8")
+        return {"generation": leaf.index.generation}
 
-    def handle_delta(body: bytes) -> bytes:
-        payload = json.loads(body)
-        leaf.apply_delta(payload["source"], parse_summary_text(payload["summary"]))
-        return json.dumps({"generation": leaf.index.generation}).encode("utf-8")
+    def decoded(url: str, handler):
+        """The endpoint's one decode and one encode around ``handler``."""
 
-    def handle_failover(body: bytes) -> bytes:
-        leaf.fail_over()
-        return json.dumps({"generation": leaf.index.generation}).encode("utf-8")
+        def handle(body: bytes) -> bytes:
+            reply = handler(decode_wire_object(body, url), url)
+            return json.dumps(reply).encode("utf-8")
+
+        return handle
 
     leaf_id = getattr(leaf, "leaf_id", "leaf")
     for endpoint, handler in (
         ("probe", handle_probe),
         ("select", handle_select),
-        ("rank", handle_rank),
         ("delta", handle_delta),
-        ("failover", handle_failover),
     ):
+        url = f"{base_url}/{endpoint}"
         internet.register_post(
-            f"{base_url}/{endpoint}",
-            _traced(f"leaf:{leaf_id}:{endpoint}", handler, trace_sink),
+            url,
+            _traced(f"leaf:{leaf_id}:{endpoint}", decoded(url, handler), trace_sink),
         )
     internet.register_get(
         f"{base_url}/stats",

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.broker import AdmissionPolicy
+from repro import BrokeredMetasearcher, SQuery, parse_expression, quick_federation
+from repro.broker import LeafBroker, NetworkLeafHandle, RootBroker
 from repro.metasearch.selection import Cori
 from repro.observability import (
     MetricsRegistry,
@@ -10,8 +11,22 @@ from repro.observability import (
     render_prometheus,
     set_registry,
 )
+from repro.transport import FaultProfile, publish_broker_leaf
 
 from tests.broker.util import demo_population, populated
+
+
+def _search_through_a_dead_leaf():
+    """One brokered search whose only leaf stopped answering."""
+    internet, url = quick_federation(seed=11, docs_per_source=12)
+    base = "http://leaf-0.example.org/broker"
+    publish_broker_leaf(internet, LeafBroker("leaf-0"), base)
+    root = RootBroker([NetworkLeafHandle(internet, base, "leaf-0")])
+    searcher = BrokeredMetasearcher(internet, [url], broker=root)
+    searcher.refresh()
+    internet.set_fault_profile("leaf-0.example.org", FaultProfile.dead())
+    query = SQuery(ranking_expression=parse_expression('(body-of-text "databases")'))
+    return searcher.search(query, k_sources=2)
 
 
 @pytest.fixture
@@ -34,23 +49,9 @@ class TestPrometheusExport:
         assert 'broker_route_depth_bucket{le="16"' in text or "broker_route_depth_bucket" in text
         assert "broker_route_depth_count 1" in text
 
-    def test_shed_counter_renders_with_reason(self, registry):
-        from repro.broker import BrokerOverloadedError
-
-        root = populated(
-            2, demo_population(), admission=AdmissionPolicy(max_inflight=0)
-        )
-        with pytest.raises(BrokerOverloadedError):
-            root.select(Cori(), ["databases"], 1)
-        text = render_prometheus(registry)
-        assert 'broker_shed_total{reason="inflight"} 1' in text
-
-    def test_failover_counter_renders(self, registry):
-        root = populated(2, demo_population())
-        root.handles()[0].fail()
-        root.select(Cori(), ["databases"], 1)
-        text = render_prometheus(registry)
-        assert 'broker_failovers_total{leaf="leaf-00"} 1' in text
+    def test_fallback_counter_renders(self, registry):
+        assert _search_through_a_dead_leaf().documents
+        assert "broker_fallbacks_total 1" in render_prometheus(registry)
 
 
 class TestDisabledNeutrality:
@@ -74,12 +75,12 @@ class TestDisabledNeutrality:
 
         assert disabled_result == enabled_result
 
-    def test_disabled_registry_keeps_failover_and_shed_paths_working(self):
+    def test_disabled_registry_keeps_the_fallback_path_working(self):
         previous = get_registry()
         try:
             set_registry(MetricsRegistry.disabled())
-            root = populated(2, demo_population())
-            root.handles()[1].fail()
-            assert root.select(Cori(), ["databases"], 2)
+            result = _search_through_a_dead_leaf()
         finally:
             set_registry(previous)
+        assert result.documents
+        assert "broker_fallback" in result.trace.find("select").attributes

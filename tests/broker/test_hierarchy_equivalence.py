@@ -1,16 +1,22 @@
 """Property suite: hierarchical selection is a bit-exact twin of flat.
 
 For every distributable selector, over randomized summary populations,
-partition widths (leaf fan-outs) and queries — with and without
-mid-stream re-harvest and ``forget`` deltas — the hierarchy's top-k and
-full ranking must equal the flat index's *floats in the same order*,
-ties included.  The flat single-broker index stays the oracle of the
-subsystem.
+partition widths (leaf fan-outs), executors and queries — with and
+without mid-stream re-harvest and ``forget`` deltas — the hierarchy's
+top-k and full ranking must equal the flat index's *floats in the same
+order*, ties included.  The flat single-broker index stays the oracle
+of the subsystem — and, by the same property, its standby: whatever
+happens to the leaves, a brokered search answers what a flat one does.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.broker import RootBroker, build_hierarchy
+from repro import BrokeredMetasearcher, Metasearcher, SQuery, parse_expression
+from repro import quick_federation
+from repro.broker import LeafBroker, NetworkLeafHandle, RootBroker, build_hierarchy
+from repro.cache import CachePolicy
+from repro.federation import AsyncExecutor, SerialExecutor
 from repro.metasearch.selection import (
     BGloss,
     BySize,
@@ -20,7 +26,9 @@ from repro.metasearch.selection import (
     VGlossSum,
 )
 from repro.metasearch.summary_index import SummaryIndex
+from repro.observability import MetricsRegistry, get_registry, set_registry
 from repro.starts.metadata import SContentSummary, SummaryEntryLine, SummarySection
+from repro.transport import FaultProfile, publish_broker_leaf
 
 WORD_POOL = ["alpha", "beta", "Gamma", "delta", "epsilon", "Zeta"]
 QUERY_POOL = WORD_POOL + ["absent", "Missing"]
@@ -70,11 +78,25 @@ def queries(draw):
     )
 
 
-def _build(n_leaves, summaries):
-    root = build_hierarchy(n_leaves)
+EXECUTORS = {
+    "serial": SerialExecutor,
+    "async": lambda: AsyncExecutor(max_concurrency=4),
+}
+
+
+def _build(n_leaves, summaries, executor=None):
+    root = build_hierarchy(n_leaves, executor=executor)
     for source_id in sorted(summaries):
         root.apply_delta(source_id, summaries[source_id])
     return root
+
+
+def _assert_equals_flat(root, index, terms, k):
+    """Top-k ids, and the whole ranking through the same path (k = N)."""
+    for selector in _selectors():
+        assert root.select(selector, terms, k) == selector.select(terms, index, k)
+        ranking = root.top_candidates(selector, terms, len(index))
+        assert ranking == selector.rank(terms, index)
 
 
 @settings(max_examples=80, deadline=None)
@@ -82,14 +104,13 @@ def _build(n_leaves, summaries):
     summaries=summary_sets(),
     terms=queries(),
     k=st.integers(0, 12),
-    n_leaves=st.integers(1, 5),
+    n_leaves=st.integers(1, 8),
+    executor=st.sampled_from(sorted(EXECUTORS)),
 )
-def test_hierarchical_equals_flat(summaries, terms, k, n_leaves):
+def test_hierarchical_equals_flat(summaries, terms, k, n_leaves, executor):
     index = SummaryIndex.from_summaries(summaries)
-    root = _build(n_leaves, summaries)
-    for selector in _selectors():
-        assert root.select(selector, terms, k) == selector.select(terms, index, k)
-        assert root.rank(selector, terms) == selector.rank(terms, index)
+    root = _build(n_leaves, summaries, EXECUTORS[executor]())
+    _assert_equals_flat(root, index, terms, k)
 
 
 @settings(max_examples=50, deadline=None)
@@ -126,9 +147,7 @@ def test_equivalence_survives_delta_streams(
         for source_id in leaf.index.source_ids()
     }
     assert sharded == set(live)
-    for selector in _selectors():
-        assert root.select(selector, terms, 3) == selector.select(terms, index, 3)
-        assert root.rank(selector, terms) == selector.rank(terms, index)
+    _assert_equals_flat(root, index, terms, 3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -150,18 +169,107 @@ def test_nested_hierarchy_equals_flat(summaries, terms, k, split):
         assert top.select(selector, terms, k) == selector.select(terms, index, k)
 
 
+# -- the flat index as the standby ------------------------------------------
+
+N_NETWORK_LEAVES = 3
+#: what a leaf can do to the root, and the error the root then raises.
+RAISES = {
+    "dead": "TransportError",
+    "hangs": "TransportTimeout",
+    "garbage": "ProtocolError",
+}
+FAULTS = ("none", *RAISES)
+HOST_FAULTS = {"dead": FaultProfile.dead(), "hangs": FaultProfile.hangs()}
+
+
+def _leaf_base(index):
+    return f"http://leaf-{index}.example.org/broker"
+
+
+@pytest.fixture(scope="module")
+def flat_and_brokered():
+    """A flat searcher and one selecting through three network leaves,
+    over identically seeded federations; caches off, so every search
+    selects."""
+    internet_a, url_a = quick_federation(seed=11, docs_per_source=12)
+    internet_b, url_b = quick_federation(seed=11, docs_per_source=12)
+    leaves = [LeafBroker(f"leaf-{index}") for index in range(N_NETWORK_LEAVES)]
+    root = RootBroker(
+        [
+            NetworkLeafHandle(internet_b, _leaf_base(index), leaf.leaf_id)
+            for index, leaf in enumerate(leaves)
+        ]
+    )
+    for index, leaf in enumerate(leaves):
+        publish_broker_leaf(internet_b, leaf, _leaf_base(index))
+    flat = Metasearcher(internet_a, [url_a], cache_policy=CachePolicy.disabled())
+    brokered = BrokeredMetasearcher(
+        internet_b, [url_b], broker=root, cache_policy=CachePolicy.disabled()
+    )
+    flat.refresh()
+    brokered.refresh()
+    return flat, brokered, leaves
+
+
+def _ranks(result):
+    return [
+        (doc.score.hex(), doc.source_id, doc.linkage) for doc in result.documents
+    ]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    summaries=summary_sets(),
-    terms=queries(),
-    k=st.integers(0, 8),
-    n_leaves=st.integers(2, 5),
-    failing=st.integers(0, 4),
+    faults=st.lists(
+        st.sampled_from(FAULTS), min_size=N_NETWORK_LEAVES, max_size=N_NETWORK_LEAVES
+    ),
+    text=st.sampled_from(["databases", "retrieval systems", "medicine", "absent"]),
+    k_sources=st.integers(1, 4),
 )
-def test_equivalence_survives_failover(summaries, terms, k, n_leaves, failing):
-    """A failed leaf is promoted mid-selection without losing exactness."""
-    index = SummaryIndex.from_summaries(summaries)
-    root = _build(n_leaves, summaries)
-    root.handles()[failing % n_leaves].fail()
-    for selector in _selectors():
-        assert root.select(selector, terms, k) == selector.select(terms, index, k)
+def test_search_survives_leaf_faults_by_fallback(
+    flat_and_brokered, faults, text, k_sources
+):
+    """Any subset of leaves dead, hanging or answering garbage: the
+    search still returns the flat answer, bit for bit — counted once,
+    and said on the ``select`` span."""
+    flat, brokered, leaves = flat_and_brokered
+    internet = brokered.client.internet
+    for index, (leaf, fault) in enumerate(zip(leaves, faults)):
+        base = _leaf_base(index)
+        publish_broker_leaf(internet, leaf, base)  # undo an earlier example's garbage
+        internet.set_fault_profile(
+            f"leaf-{index}.example.org", HOST_FAULTS.get(fault)
+        )
+        if fault == "garbage":
+            for endpoint in ("probe", "select"):
+                internet.register_post(
+                    f"{base}/{endpoint}", lambda body: b"<html>502</html>"
+                )
+    query = SQuery(
+        ranking_expression=parse_expression(
+            "list(" + " ".join(f'(body-of-text "{word}")' for word in text.split()) + ")"
+        ),
+        max_number_documents=8,
+    )
+    expected = flat.search(query, k_sources=k_sources)
+
+    previous = get_registry()
+    registry = set_registry(MetricsRegistry())
+    try:
+        result = brokered.search(query, k_sources=k_sources)
+    finally:
+        set_registry(previous)
+
+    assert result.selected_sources == expected.selected_sources
+    assert _ranks(result) == _ranks(expected)
+    select = result.trace.find("select")
+    assert select.attributes["brokered"] is True
+    fallbacks = registry.family("broker_fallbacks_total")
+    if set(faults) == {"none"}:
+        assert "broker_fallback" not in select.attributes
+        assert fallbacks is None
+    else:
+        # Serial fan-out: the first faulty leaf is the one that raised.
+        first = next(fault for fault in faults if fault != "none")
+        assert select.attributes["broker_fallback"].startswith(RAISES[first])
+        ((_, counter),) = fallbacks.children()
+        assert counter.value == 1

@@ -1,9 +1,8 @@
-"""Leaf brokers: the delta log, standby replication, failover, probes."""
+"""Leaf brokers: the delta stream and its cursor, probes, the stats view."""
 
 import pytest
 
-from repro.broker import CorpusStats, GlobalStatsView, LeafBroker, LeafUnavailableError
-from repro.metasearch.selection import Cori
+from repro.broker import CorpusStats, GlobalStatsView, LeafBroker
 
 from tests.broker.util import make_summary
 
@@ -31,63 +30,11 @@ class TestDeltaStream:
         assert leaf.index.collection_frequency("databases") == 0
         assert leaf.index.collection_frequency("networks") == 1
 
-
-class TestReplication:
-    def test_lag_counts_unreplayed_deltas(self, leaf):
-        assert leaf.replication_lag == 2
-        assert not leaf.in_sync
-        assert leaf.replicate() == 2
-        assert leaf.in_sync
-
-    def test_replicate_converges_generations(self, leaf):
-        leaf.replicate()
-        assert leaf._standby.generation == leaf.index.generation
-        assert leaf._standby.summaries() == leaf.index.summaries()
-
-    def test_eager_replication_never_lags(self):
-        broker = LeafBroker("leaf-00", eager_replication=True)
-        for index in range(5):
-            broker.apply_delta(f"S{index}", make_summary(1, {"query": (1, 1)}))
-            assert broker.in_sync
-
-    def test_replicate_is_incremental(self, leaf):
-        leaf.replicate()
-        leaf.apply_delta("S2", make_summary(3, {"systems": (2, 1)}))
-        assert leaf.replication_lag == 1
-        assert leaf.replicate() == 1
-
-
-class TestFailover:
-    def test_down_leaf_refuses_to_serve(self, leaf):
-        leaf.fail()
-        assert leaf.is_down
-        with pytest.raises(LeafUnavailableError):
-            leaf.probe(["databases"], 1)
-        with pytest.raises(LeafUnavailableError):
-            leaf.select_candidates(Cori(), ["databases"], 1, _stats(leaf))
-        with pytest.raises(LeafUnavailableError):
-            leaf.aggregate_summary()
-
-    def test_deltas_accepted_while_down(self, leaf):
-        leaf.fail()
-        leaf.apply_delta("S2", make_summary(3, {"systems": (2, 1)}))
-        leaf.fail_over()
-        assert "S2" in leaf.index
-
-    def test_failover_promotes_an_identical_index(self, leaf):
-        before = leaf.index.summaries()
-        generation = leaf.index.generation
-        leaf.fail()
-        leaf.fail_over()
-        assert not leaf.is_down
-        assert leaf.index.summaries() == before
-        assert leaf.index.generation == generation
-
-    def test_fresh_standby_rebuilds_from_the_full_log(self, leaf):
-        leaf.fail_over()
-        assert leaf.replication_lag == len(leaf._log)
-        leaf.replicate()
-        assert leaf._standby.summaries() == leaf.index.summaries()
+    def test_cursor_counts_every_delta(self, leaf):
+        assert leaf.log_position == 2
+        leaf.apply_delta("S0", None)
+        leaf.apply_delta("S0", None)  # a no-op forget is still a delta
+        assert leaf.log_position == 4
 
 
 class TestProbe:
@@ -97,7 +44,6 @@ class TestProbe:
         assert probe.n_sources == 2
         assert probe.term_lengths == (1, 0)
         assert probe.term_collection_frequencies == (1, 0)
-        assert probe.term_postings == (30, 0)
         assert probe.touches()
 
     def test_probe_fill_is_first_k_in_id_order(self, leaf):
@@ -147,9 +93,9 @@ class TestAggregateSummary:
     def test_shard_stats_row(self, leaf):
         stats = leaf.shard_stats()
         assert stats["leaf"] == "leaf-00"
-        assert stats["sources"] == 2
-        assert stats["replication_lag"] == 2
-        assert stats["in_sync"] is False
+        assert stats == {
+            "leaf": "leaf-00", "sources": 2, "terms": 2, "generation": 2
+        }
 
 
 def _stats(leaf):

@@ -1,16 +1,9 @@
-"""The root broker: exact descent, pruning, admission, failover, nesting."""
+"""The root broker: exact descent, pruning, topology, nesting."""
 
 import pytest
 
-from repro.broker import (
-    AdmissionPolicy,
-    BrokerOverloadedError,
-    LeafBroker,
-    RootBroker,
-    RoutingPolicy,
-    build_hierarchy,
-)
-from repro.federation import ParallelExecutor
+from repro.broker import LeafBroker, RootBroker, build_hierarchy
+from repro.federation import AsyncExecutor
 from repro.metasearch.selection import (
     BGloss,
     BySize,
@@ -54,16 +47,21 @@ class TestExactness:
 
     @pytest.mark.parametrize("selector_cls", SELECTORS)
     def test_rank_matches_flat_with_identical_floats(self, selector_cls):
+        # k = the source count: the whole ranking, through the one path
+        # that ships.
         population = demo_population()
         index = flat_index(population)
         root = populated(3, population)
         terms = ["databases", "query"]
-        assert root.rank(selector_cls(), terms) == selector_cls().rank(terms, index)
+        ranking = root.top_candidates(selector_cls(), terms, len(index))
+        assert ranking == selector_cls().rank(terms, index)
 
     def test_parallel_executor_preserves_exactness(self):
+        # Leaf consultations are plain callables: AsyncExecutor runs
+        # them on its worker pool, several leaves at once.
         population = demo_population()
         index = flat_index(population)
-        root = populated(4, population, executor=ParallelExecutor(max_workers=4))
+        root = populated(4, population, executor=AsyncExecutor(max_concurrency=4))
         terms = ["retrieval", "systems"]
         assert root.select(Cori(), terms, 5) == Cori().select(terms, index, 5)
 
@@ -114,150 +112,6 @@ class TestPruning:
         assert histogram.count == 2
         assert histogram.sum == 3.0
 
-    def test_max_fanout_caps_descent(self, registry):
-        population = demo_population()
-        root = populated(4, population, routing=RoutingPolicy(max_fanout=2))
-        root.select(Cori(), ["databases"], 3)
-        scored = registry.family("broker_leaf_selections_total").children()
-        assert sum(child.value for _, child in scored) == 2
-
-    def test_max_fanout_validated(self):
-        with pytest.raises(ValueError):
-            RoutingPolicy(max_fanout=0)
-
-
-class TestAdmission:
-    def test_inflight_limit_sheds(self, registry):
-        root = populated(2, demo_population(), admission=AdmissionPolicy(max_inflight=0))
-        with pytest.raises(BrokerOverloadedError) as excinfo:
-            root.select(Cori(), ["databases"], 1)
-        assert excinfo.value.reason == "inflight"
-        shed = registry.family("broker_shed_total")
-        assert dict(shed.children())[("inflight",)].value == 1
-
-    def test_inflight_released_after_success(self):
-        root = populated(2, demo_population(), admission=AdmissionPolicy(max_inflight=1))
-        for _ in range(3):  # a non-zero limit admits sequential queries
-            root.select(Cori(), ["databases"], 1)
-
-    def test_unhealthy_fleet_sheds(self, registry):
-        root = populated(
-            2,
-            demo_population(),
-            admission=AdmissionPolicy(min_mean_leaf_health=0.9),
-        )
-        for handle in root.handles():
-            for _ in range(10):
-                root.health.record_attempt(handle.leaf_id, "error", 0.0)
-        with pytest.raises(BrokerOverloadedError) as excinfo:
-            root.select(Cori(), ["databases"], 1)
-        assert excinfo.value.reason == "unhealthy"
-        shed = registry.family("broker_shed_total")
-        assert dict(shed.children())[("unhealthy",)].value == 1
-
-    def test_unhealthy_shed_releases_the_inflight_slot(self):
-        root = populated(
-            2,
-            demo_population(),
-            admission=AdmissionPolicy(max_inflight=1, min_mean_leaf_health=0.9),
-        )
-        for handle in root.handles():
-            for _ in range(10):
-                root.health.record_attempt(handle.leaf_id, "error", 0.0)
-        for _ in range(2):
-            with pytest.raises(BrokerOverloadedError) as excinfo:
-                root.select(Cori(), ["databases"], 1)
-            assert excinfo.value.reason == "unhealthy"  # never "inflight"
-
-    def test_admission_validated(self):
-        with pytest.raises(ValueError):
-            AdmissionPolicy(max_inflight=-1)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(min_budget_remaining=1.5)
-
-    def _budget_root(self, registry, bad, admission):
-        from repro.observability import SloMonitor, SloObjective, SloPolicy
-
-        counter = registry.counter(
-            "metasearch_searches_total", labels=("result",)
-        )
-        for _ in range(100 - bad):
-            counter.labels(result="wire").inc()
-        for _ in range(bad):
-            counter.labels(result="error").inc()
-        monitor = SloMonitor(
-            policy=SloPolicy(
-                objectives=(
-                    SloObjective(
-                        name="search-availability",
-                        kind="availability",
-                        target=0.9,
-                        family="metasearch_searches_total",
-                        label="result",
-                        bad_values=("error", "shed"),
-                    ),
-                )
-            ),
-            registry=registry,
-        )
-        return populated(
-            2, demo_population(), admission=admission, slo_monitor=monitor
-        )
-
-    def test_burned_error_budget_sheds(self, registry):
-        admission = AdmissionPolicy(min_budget_remaining=0.2)
-        root = self._budget_root(registry, bad=10, admission=admission)  # spent
-        with pytest.raises(BrokerOverloadedError) as excinfo:
-            root.select(Cori(), ["databases"], 1)
-        assert excinfo.value.reason == "budget"
-        shed = registry.family("broker_shed_total")
-        assert dict(shed.children())[("budget",)].value == 1
-
-    def test_intact_budget_admits(self, registry):
-        admission = AdmissionPolicy(min_budget_remaining=0.2)
-        root = self._budget_root(registry, bad=0, admission=admission)
-        root.select(Cori(), ["databases"], 1)
-
-    def test_budget_floor_without_monitor_is_ignored(self, registry):
-        root = populated(
-            2,
-            demo_population(),
-            admission=AdmissionPolicy(min_budget_remaining=0.99),
-        )
-        root.select(Cori(), ["databases"], 1)
-
-    def test_budget_shed_releases_the_inflight_slot(self, registry):
-        admission = AdmissionPolicy(max_inflight=1, min_budget_remaining=0.2)
-        root = self._budget_root(registry, bad=10, admission=admission)
-        for _ in range(2):
-            with pytest.raises(BrokerOverloadedError) as excinfo:
-                root.select(Cori(), ["databases"], 1)
-            assert excinfo.value.reason == "budget"  # never "inflight"
-
-
-class TestFailover:
-    def test_failed_leaf_recovers_mid_selection(self, registry):
-        population = demo_population()
-        index = flat_index(population)
-        root = populated(3, population)
-        victim = root.handles()[1]
-        victim.fail()
-        assert root.select(Cori(), ["databases"], 4) == Cori().select(
-            ["databases"], index, 4
-        )
-        assert not victim.is_down
-        failovers = registry.family("broker_failovers_total")
-        assert dict(failovers.children())[(victim.leaf_id,)].value == 1
-
-    def test_failures_feed_the_health_tracker(self):
-        root = populated(2, demo_population())
-        victim = root.handles()[0]
-        victim.fail()
-        root.select(Cori(), ["databases"], 2)
-        assert root.health.score(victim.leaf_id) < root.health.score(
-            root.handles()[1].leaf_id
-        )
-
 
 class TestTopology:
     def test_duplicate_leaf_ids_rejected(self):
@@ -298,13 +152,5 @@ class TestNesting:
             for k in (1, 4, 40):
                 assert top.select(Cori(), terms, k) == Cori().select(terms, index, k)
         terms = ["databases", "networks"]
-        assert top.rank(VGlossSum(), terms) == VGlossSum().rank(terms, index)
-
-    def test_timing_accounting_resets_per_selection(self):
-        root = populated(3, demo_population())
-        root.select(Cori(), ["databases"], 2)
-        first = dict(root.last_leaf_elapsed_ms)
-        assert first and root.last_parallel_ms <= root.last_serial_ms
-        assert root.last_parallel_ms == max(first.values())
-        root.select(Cori(), ["databases"], 2)
-        assert root.last_parallel_ms <= root.last_serial_ms
+        ranking = top.top_candidates(VGlossSum(), terms, len(index))
+        assert ranking == VGlossSum().rank(terms, index)

@@ -1,182 +1,36 @@
-"""Executors: serial vs. thread-pool fan-out of the query round.
+"""The executor protocol, over both drivers.
 
-The wall-clock test is the tentpole's acceptance criterion: over eight
-sources at 20 ms simulated latency each, a realtime search through the
-:class:`ParallelExecutor` must finish in under twice the slowest
-source's latency, where the serial round pays roughly the sum.
+:class:`AsyncExecutor` has its own suite (``test_async_executor.py``:
+ordering, delivery, cancellation, the wall-clock overlap); this file
+holds what the two drivers share.
 """
 
-import gc
-import time
-
-import pytest
-
-from repro.cache import CachePolicy
-from repro.corpus import source1_documents
-from repro.federation import Executor, ParallelExecutor, SerialExecutor
-from repro.metasearch import Metasearcher, SelectAll
-from repro.resource import Resource
-from repro.source import StartsSource
-from repro.starts import SQuery, parse_expression
-from repro.transport import HostProfile, SimulatedInternet, publish_resource
-
-N_SOURCES = 8
-LATENCY_MS = 20.0
-
-
-def ranking_query() -> SQuery:
-    return SQuery(
-        ranking_expression=parse_expression('list((body-of-text "databases"))')
-    )
-
-
-@pytest.fixture
-def eight_source_world():
-    """Eight identical sources on eight hosts, 20 ms each, no jitter."""
-    internet = SimulatedInternet(seed=3)
-    sources = [
-        StartsSource(
-            f"Src-{index}",
-            source1_documents(),
-            base_url=f"http://host{index}.org/s",
-        )
-        for index in range(N_SOURCES)
-    ]
-    resource = Resource("Fleet", sources)
-    publish_resource(
-        internet,
-        resource,
-        "http://fleet.org",
-        source_profiles={
-            source.source_id: HostProfile(latency_ms=LATENCY_MS, jitter_ms=0.0)
-            for source in sources
-        },
-    )
-    # The wall-clock assertions repeat one query on purpose; the result
-    # cache would serve the repeats without touching the wire.
-    searcher = Metasearcher(
-        internet, ["http://fleet.org/resource"], cache_policy=CachePolicy.disabled()
-    )
-    searcher.refresh()
-    return internet, searcher
+from repro.federation import AsyncExecutor, Executor, SerialExecutor
 
 
 class TestExecutors:
     def test_protocol_conformance(self):
         assert isinstance(SerialExecutor(), Executor)
-        assert isinstance(ParallelExecutor(), Executor)
+        assert isinstance(AsyncExecutor(), Executor)
         assert SerialExecutor().name == "serial"
-        assert ParallelExecutor().name == "parallel"
+        assert AsyncExecutor().name == "async"
+
+    def test_submit_is_part_of_the_protocol(self):
+        class RunOnly:
+            name = "run-only"
+
+            def run(self, tasks, fn): ...
+
+            def run_stream(self, tasks, fn): ...
+
+        assert not isinstance(RunOnly(), Executor)
 
     def test_results_keep_task_order(self):
         tasks = list(range(20))
-        for executor in (SerialExecutor(), ParallelExecutor(max_workers=4)):
+        for executor in (SerialExecutor(), AsyncExecutor(max_concurrency=4)):
             assert executor.run(tasks, lambda n: n * n) == [n * n for n in tasks]
 
     def test_empty_and_single_task(self):
-        assert ParallelExecutor().run([], str) == []
-        assert ParallelExecutor().run([7], str) == ["7"]
-
-
-class TestWallClock:
-    def test_parallel_beats_serial_on_the_wall_clock(self, eight_source_world):
-        internet, searcher = eight_source_world
-        query = ranking_query()
-        # Warm up the pipeline (imports, caches) with instantaneous time.
-        searcher.search(query, k_sources=N_SOURCES, selector=SelectAll())
-
-        def timed(executor):
-            # Best of three: wall-clock asserts must not fail on a GC
-            # pause or scheduler hiccup unrelated to the executor.
-            best, best_result = None, None
-            for _ in range(3):
-                gc.collect()
-                started = time.perf_counter()
-                result = searcher.search(
-                    query, k_sources=N_SOURCES, selector=SelectAll(),
-                    executor=executor,
-                )
-                elapsed = time.perf_counter() - started
-                if best is None or elapsed < best:
-                    best, best_result = elapsed, result
-            return best, best_result
-
-        internet.realtime = True
-        try:
-            serial_wall, serial = timed(SerialExecutor())
-            parallel_wall, parallel = timed(ParallelExecutor())
-        finally:
-            internet.realtime = False
-
-        # Serial pays ~8 × 20 ms; parallel must land under 2 × 20 ms.
-        assert serial_wall > (N_SOURCES - 2) * LATENCY_MS / 1000.0
-        assert parallel_wall < 2 * LATENCY_MS / 1000.0
-        assert parallel_wall < serial_wall
-
-        # The simulated accounting agrees regardless of wall clock.
-        for result in (serial, parallel):
-            assert result.query_latency_serial_ms == pytest.approx(
-                N_SOURCES * LATENCY_MS
-            )
-            assert result.query_latency_parallel_ms == pytest.approx(LATENCY_MS)
-            assert len(result.ok_sources()) == N_SOURCES
-            assert result.documents
-
-    def test_parallel_and_serial_agree_on_results(self, eight_source_world):
-        _, searcher = eight_source_world
-        query = ranking_query()
-        serial = searcher.search(
-            query, k_sources=N_SOURCES, selector=SelectAll(), executor=SerialExecutor()
-        )
-        parallel = searcher.search(
-            query,
-            k_sources=N_SOURCES,
-            selector=SelectAll(),
-            executor=ParallelExecutor(),
-        )
-        assert serial.linkages() == parallel.linkages()
-        assert serial.outcome_counts() == parallel.outcome_counts()
-
-
-class TestRunTasksCatching:
-    """Per-task exception capture over any executor."""
-
-    def _run(self, executor):
-        from repro.federation import run_tasks_catching
-
-        def fn(task):
-            if task % 3 == 0:
-                raise RuntimeError(f"task {task} failed")
-            return task * 10
-
-        return run_tasks_catching(executor, [1, 2, 3, 4, 5, 6], fn)
-
-    @pytest.mark.parametrize(
-        "executor", [SerialExecutor(), ParallelExecutor(max_workers=3)]
-    )
-    def test_results_and_errors_in_task_order(self, executor):
-        outcomes = self._run(executor)
-        assert [result for result, _ in outcomes] == [10, 20, None, 40, 50, None]
-        errors = [error for _, error in outcomes]
-        assert errors[0] is None and errors[1] is None
-        assert isinstance(errors[2], RuntimeError)
-        assert "task 3 failed" in str(errors[2])
-        assert isinstance(errors[5], RuntimeError)
-
-    def test_one_failure_does_not_poison_the_batch(self):
-        from repro.federation import run_tasks_catching
-
-        outcomes = run_tasks_catching(
-            SerialExecutor(), ["ok", "boom", "ok"],
-            lambda task: (_ for _ in ()).throw(ValueError(task))
-            if task == "boom"
-            else task.upper(),
-        )
-        assert outcomes[0] == ("OK", None)
-        assert outcomes[2] == ("OK", None)
-        assert isinstance(outcomes[1][1], ValueError)
-
-    def test_empty_tasks(self):
-        from repro.federation import run_tasks_catching
-
-        assert run_tasks_catching(SerialExecutor(), [], lambda t: t) == []
+        for executor in (SerialExecutor(), AsyncExecutor()):
+            assert executor.run([], str) == []
+            assert executor.run([7], str) == ["7"]

@@ -12,7 +12,6 @@ from repro.corpus import source1_documents, source2_documents
 from repro.federation import (
     AsyncExecutor,
     OutcomeStatus,
-    ParallelExecutor,
     QueryPolicy,
     SerialExecutor,
 )
@@ -76,7 +75,7 @@ class TestPartialResults:
             ranking_query(),
             k_sources=4,
             selector=SelectAll(),
-            executor=ParallelExecutor(),
+            executor=AsyncExecutor(),
         )
 
         # The search did not abort: the healthy sources merged.
@@ -160,9 +159,7 @@ class TestGarbledSource:
         return searcher, expected
 
     @pytest.mark.parametrize("garbage", [b"\xff\xfe garbage", b"@SQResults{"])
-    @pytest.mark.parametrize(
-        "executor", [SerialExecutor, ParallelExecutor, AsyncExecutor]
-    )
+    @pytest.mark.parametrize("executor", [SerialExecutor, AsyncExecutor])
     @pytest.mark.parametrize("streamed", [False, True], ids=["batch", "stream"])
     def test_the_other_three_sources_still_answer(self, garbage, executor, streamed):
         searcher, expected = self.world(garbage)

@@ -8,7 +8,6 @@ from repro.corpus import source1_documents
 from repro.federation import (
     AsyncExecutor,
     OutcomeStatus,
-    ParallelExecutor,
     QueryDispatcher,
     QueryPolicy,
     SerialExecutor,
@@ -120,7 +119,6 @@ CASES = {
 
 EXECUTORS = {
     "serial": SerialExecutor,
-    "parallel": lambda: ParallelExecutor(max_workers=4),
     "async": lambda: AsyncExecutor(max_concurrency=4),
 }
 
@@ -279,8 +277,9 @@ def span_tree(tracer):
 
 
 class TestOnePolicyCoreThreeDrivers:
-    """Every executor runs the same policy loop: same outcomes, same
-    spans, same counters — batch or streamed — as the blocking driver."""
+    """The blocking driver (``run_one``), the serial executor and the
+    event loop run the same policy loop: same outcomes, same spans, same
+    counters — batch or streamed."""
 
     @pytest.mark.parametrize("streamed", [False, True], ids=["batch", "stream"])
     @pytest.mark.parametrize("executor", EXECUTORS)

@@ -13,7 +13,7 @@ one trace id — root span → per-leaf ``rpc:*`` spans → server-side
 import json
 
 from repro.broker import LeafBroker, NetworkLeafHandle, RootBroker
-from repro.federation import ParallelExecutor
+from repro.federation import AsyncExecutor
 from repro.metasearch.selection import Cori
 from repro.observability import (
     TraceCollector,
@@ -111,9 +111,10 @@ class TestStitchedConsultation:
         )
 
     def test_parallel_executor_stitches_identically(self):
-        # Contextvars do not cross the thread pool; the explicit capture
-        # in RootBroker._consult must keep the stitch intact anyway.
-        trace, _, rows = self._run(executor=ParallelExecutor(max_workers=4))
+        # Contextvars do not cross AsyncExecutor's worker pool (leaf
+        # consultations are plain callables); the explicit capture in
+        # RootBroker._consult must keep the stitch intact anyway.
+        trace, _, rows = self._run(executor=AsyncExecutor(max_concurrency=4))
         spans = _span_rows(rows)
         assert {row["trace_id"] for row in spans} == {trace.trace_id}
         rpc_ids = {

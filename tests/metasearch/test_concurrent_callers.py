@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from repro.cache import CachePolicy
 from repro.experiments import FederationSpec, build_federation
-from repro.federation import ParallelExecutor
+from repro.federation import AsyncExecutor
 from repro.metasearch import Metasearcher
 from repro.observability import Tracer
 from repro.starts import SQuery, parse_expression
@@ -65,7 +65,7 @@ class TestConcurrentCallers:
         searcher = Metasearcher(
             fed.internet,
             [fed.resource_url],
-            executor=ParallelExecutor(max_workers=3),
+            executor=AsyncExecutor(max_concurrency=3),
             cache_policy=cache_policy,
         )
         searcher.refresh()

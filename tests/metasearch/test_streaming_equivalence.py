@@ -17,7 +17,6 @@ from repro.experiments import FederationSpec, build_federation
 from repro.federation import (
     AsyncExecutor,
     OutcomeStatus,
-    ParallelExecutor,
     QueryPolicy,
     SerialExecutor,
 )
@@ -29,7 +28,6 @@ from repro.transport import HostProfile, SimulatedInternet, publish_resource
 
 EXECUTORS = {
     "serial": SerialExecutor,
-    "parallel": ParallelExecutor,
     "async": lambda: AsyncExecutor(max_concurrency=8),
 }
 

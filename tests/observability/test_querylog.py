@@ -49,7 +49,7 @@ class TestRingBuffer:
         log.record(_record("wire"))
         assert len(log.records("wire")) == 2
         assert len(log.records("hit")) == 1
-        assert log.records("shed") == []
+        assert log.records("error") == []
 
     def test_disabled_log_drops_records(self):
         log = QueryLog.disabled()

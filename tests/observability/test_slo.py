@@ -106,7 +106,6 @@ class TestBudget:
         (report,) = monitor.evaluate()
         assert report.compliance == 1.0
         assert report.budget_remaining == 1.0
-        assert monitor.min_budget_remaining() == 1.0
 
     def test_budget_halves_at_half_the_allowed_failures(self):
         registry = MetricsRegistry()
@@ -122,15 +121,6 @@ class TestBudget:
         (report,) = self._monitor(registry).evaluate()
         assert report.budget_remaining == 0.0
         assert "EXHAUSTED" in report.describe()
-
-    def test_min_budget_takes_the_tightest_objective(self):
-        registry = MetricsRegistry()
-        _count(registry, "ok", 995)
-        _count(registry, "error", 5)
-        registry.histogram("ops_ms", buckets=(100.0,)).observe(10.0)
-        policy = SloPolicy(objectives=(_availability(), _latency()))
-        monitor = SloMonitor(policy=policy, registry=registry)
-        assert monitor.min_budget_remaining() == pytest.approx(0.5)
 
 
 class TestBurnAlerts:

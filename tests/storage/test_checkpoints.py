@@ -6,6 +6,8 @@ the same remaining TTLs.  Leaf checkpoints additionally carry the
 delta-log cursor, so a warm restart replays only the log tail.
 """
 
+import pathlib
+
 import pytest
 
 from repro.broker import LeafBroker
@@ -27,6 +29,7 @@ from tests.broker.util import demo_population, make_summary
 from tests.oracles.dense_selection import oracle_rank
 
 TERMS = ["databases", "retrieval", "medicine", "systems"]
+DATA = pathlib.Path(__file__).parent.parent / "data"
 
 
 def churned_index():
@@ -126,37 +129,32 @@ class TestLeafCheckpoint:
         warmed = LeafBroker.from_checkpoint(tmp_path / "leaf.ckpt")
         assert warmed.leaf_id == "leaf-07"
         assert warmed.restored_log_position == 8
-        assert len(warmed._log) == 0  # the checkpoint compacted the log away
         for source_id, summary in deltas[warmed.restored_log_position :]:
             warmed.apply_delta(source_id, summary)
+        # The cursor stays a position in the *upstream* stream, so the
+        # next checkpoint of the warmed leaf resumes from the right delta.
+        assert warmed.log_position == live.log_position == len(deltas)
         assert warmed.index.generation == live.index.generation
         assert warmed.index.summaries() == live.index.summaries()
         assert Cori().rank(TERMS, warmed.index) == Cori().rank(TERMS, live.index)
 
-    def test_standby_restored_independently(self, tmp_path):
-        live = LeafBroker("leaf-00")
-        for source_id, summary in self.deltas():
-            live.apply_delta(source_id, summary)
-        live.save_checkpoint(tmp_path / "leaf.ckpt")
-
-        warmed = LeafBroker.from_checkpoint(tmp_path / "leaf.ckpt")
-        assert warmed._standby is not warmed.index
-        assert warmed._standby.generation == warmed.index.generation
-        assert warmed.in_sync
-        # failover right after a warm restart serves the same shard
-        warmed.fail()
-        warmed.fail_over()
-        assert warmed.index.summaries() == live.index.summaries()
-
-    def test_eager_replication_flag_propagates(self, tmp_path):
-        live = LeafBroker("leaf-00")
-        live.apply_delta("S0", make_summary(3, {"query": (2, 1)}))
-        live.save_checkpoint(tmp_path / "leaf.ckpt")
-        warmed = LeafBroker.from_checkpoint(
-            tmp_path / "leaf.ckpt", eager_replication=True
-        )
-        warmed.apply_delta("S1", make_summary(1, {"query": (1, 1)}))
-        assert warmed.in_sync
+    def test_checkpoint_written_by_the_previous_commit_still_loads(self):
+        """``tests/data/leaf_checkpoint_pr17.ckpt``: five deltas (three
+        adds, a forget, an add) saved by PR 17's ``save_leaf_checkpoint``,
+        when a leaf still carried a standby and a retained log."""
+        warmed = load_leaf_checkpoint(DATA / "leaf_checkpoint_pr17.ckpt")
+        assert warmed.leaf_id == "leaf-07"
+        assert warmed.restored_log_position == warmed.log_position == 5
+        assert warmed.index.generation == 5
+        assert warmed.index.source_ids() == ["S0", "S2", "S3"]
+        assert [
+            (source_id, score.hex())
+            for source_id, score in Cori().rank(["databases", "query"], warmed.index)
+        ] == [
+            ("S0", (0.4033943041971346).hex()),
+            ("S2", (0.4020580690282375).hex()),
+            ("S3", (0.40156321568052156).hex()),
+        ]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

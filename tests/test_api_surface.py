@@ -78,3 +78,32 @@ def test_conformance_and_snippets_at_top_level():
 
     assert callable(repro.check_source)
     assert callable(repro.make_snippet)
+
+
+def test_broker_exports_the_partitioner_the_leaf_protocol_and_the_exact_root():
+    """And nothing else: no replication, admission or routing policy."""
+    import repro.broker
+
+    assert sorted(repro.broker.__all__) == [
+        "BrokeredMetasearcher",
+        "ConsistentHashRing",
+        "CorpusStats",
+        "GlobalStatsView",
+        "LeafBroker",
+        "LeafHandle",
+        "LeafProbe",
+        "NetworkLeafHandle",
+        "RootBroker",
+        "build_hierarchy",
+        "selector_wire_name",
+    ]
+
+
+def test_two_executors_not_three():
+    import repro
+    import repro.federation
+    import repro.metasearch
+
+    for package in (repro, repro.federation, repro.metasearch):
+        assert "ParallelExecutor" not in package.__all__
+    assert {"AsyncExecutor", "SerialExecutor"} <= set(repro.federation.__all__)

@@ -224,8 +224,9 @@ class TestBrokerCommand:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "selection: cori over databases" in out
-        assert "parallel" in out
+        assert "selection: cori over databases, top 3" in out
+        assert "of 2 leaves)" in out
+        assert out.count("(leaf leaf-0") == 3  # each pick with its owning leaf
 
 
 class TestCheckpointCommand:

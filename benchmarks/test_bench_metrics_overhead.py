@@ -31,7 +31,12 @@ import statistics
 import time
 
 from repro import Metasearcher, SQuery, parse_expression, quick_federation
-from repro.broker import LeafBroker, NetworkLeafHandle, RootBroker
+from repro.broker import (
+    LeafBroker,
+    NetworkLeafHandle,
+    RootBroker,
+    publish_broker_leaf,
+)
 from repro.cache import CachePolicy
 from repro.corpus import (
     CollectionSpec,
@@ -54,7 +59,7 @@ from repro.observability import (
     set_query_log,
     set_registry,
 )
-from repro.transport import SimulatedInternet, publish_broker_leaf
+from repro.transport import SimulatedInternet
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 

@@ -2,13 +2,16 @@
 
 Everything else in the examples runs over the simulated internet; this
 one starts an actual HTTP server (stdlib, threading) serving two STARTS
-sources, then runs the whole metasearch pipeline against it with
-measured wall-clock latencies.
+sources — the same endpoint tables ``publish_resource`` mounts on the
+simulated internet — then runs the whole metasearch pipeline against it
+with measured wall-clock latencies, the asyncio executor overlapping the
+socket waits.
 
 Run:  python examples/http_federation.py
 """
 
 from repro.corpus import source1_documents, source2_documents
+from repro.federation import AsyncExecutor
 from repro.metasearch import Metasearcher
 from repro.resource import Resource
 from repro.source import StartsSource
@@ -30,7 +33,9 @@ def main() -> None:
         print(f"  query Source-1: {server.source_query_url('Source-1')}\n")
 
         transport = HttpTransport()
-        searcher = Metasearcher(transport, [server.resource_url()])
+        searcher = Metasearcher(
+            transport, [server.resource_url()], executor=AsyncExecutor()
+        )
         for known in searcher.refresh():
             print(
                 f"harvested {known.source_id}: {known.num_docs} docs, "

@@ -28,7 +28,12 @@ from repro import (
     generate_collection,
     publish_resource,
 )
-from repro.broker import LeafBroker, NetworkLeafHandle, RootBroker
+from repro.broker import (
+    LeafBroker,
+    NetworkLeafHandle,
+    RootBroker,
+    publish_broker_leaf,
+)
 from repro.cache import CachePolicy
 from repro.corpus import build_workload, zipf_replay
 from repro.metasearch.selection import Cori
@@ -42,7 +47,7 @@ from repro.observability import (
     set_registry,
     stitch_traces,
 )
-from repro.transport import StartsClient, publish_broker_leaf, publish_metrics
+from repro.transport import StartsClient, publish_metrics
 from repro.vendors import build_vendor_source
 
 FLAKY = "Dash-Db"

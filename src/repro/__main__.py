@@ -2,12 +2,12 @@
 
 Commands:
 
-* ``demo`` — build the quick federation and run one metasearch.
-* ``query EXPR`` — run a STARTS ranking expression over the quick
-  federation (e.g. ``python -m repro query '(body-of-text "databases")'``).
-* ``search EXPR [--stream]`` — run a metasearch; with ``--stream``,
-  print merged results incrementally (with per-emission latency) as
-  sources answer, via the asyncio executor.
+* ``search [EXPR] [--filter] [--stream]`` — build the quick federation
+  and run one metasearch over it (e.g. ``python -m repro search
+  '(body-of-text "databases")'``; without ``EXPR``, a canned demo
+  query); ``--filter`` treats the expression as a filter instead of a
+  ranking; with ``--stream``, print merged results incrementally (with
+  per-emission latency) as sources answer, via the asyncio executor.
 * ``experiment {E1,E2,E3,E4,E5,E6}`` — run one experiment and print its
   table (smaller federation than benchmarks/, for quick looks).
 * ``broker [--sources N] [--leaves N] [--terms "..."]`` — shard a
@@ -34,70 +34,58 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from repro import Metasearcher, SQuery, parse_expression, quick_federation
 
 
-def _build_searcher(seed: int) -> Metasearcher:
+def _build_searcher(seed: int, tracer=None) -> Metasearcher:
     internet, resource_url = quick_federation(seed=seed)
     searcher = Metasearcher(internet, [resource_url])
-    searcher.refresh()
+    searcher.refresh(tracer)
     return searcher
 
 
-def cmd_demo(args: argparse.Namespace) -> int:
-    searcher = _build_searcher(args.seed)
-    query = SQuery(
-        ranking_expression=parse_expression(
-            'list((body-of-text "distributed") (body-of-text "databases"))'
-        ),
-        max_number_documents=5,
-    )
-    result = searcher.search(query, k_sources=2)
-    print("selected sources:", ", ".join(result.selected_sources))
-    for document in result.documents:
+@contextlib.contextmanager
+def _fresh_registry():
+    """A new process-wide metrics registry for the block; the previous
+    one is back in place afterwards."""
+    from repro.observability import MetricsRegistry, get_registry, set_registry
+
+    previous = get_registry()
+    try:
+        yield set_registry(MetricsRegistry())
+    finally:
+        set_registry(previous)
+
+
+#: What ``search`` and ``trace`` run when given no expression.
+_DEMO_EXPRESSION = 'list((body-of-text "distributed") (body-of-text "databases"))'
+
+
+def _print_rank(documents) -> None:
+    for document in documents:
         print(f"{document.score:10.4f}  [{document.source_id}]  {document.linkage}")
-    return 0
 
 
-def cmd_query(args: argparse.Namespace) -> int:
-    expression = parse_expression(args.expression)
-    if expression is None:
-        print("empty expression", file=sys.stderr)
-        return 2
+def cmd_search(args: argparse.Namespace) -> int:
     searcher = _build_searcher(args.seed)
+    expression = args.expression
     if args.filter:
         query = SQuery(filter_expression=expression, max_number_documents=args.limit)
     else:
         query = SQuery(ranking_expression=expression, max_number_documents=args.limit)
-    result = searcher.search(query, k_sources=args.sources)
-    print("selected sources:", ", ".join(result.selected_sources))
-    for document in result.documents:
-        print(f"{document.score:10.4f}  [{document.source_id}]  {document.linkage}")
-    return 0
-
-
-def cmd_search(args: argparse.Namespace) -> int:
-    expression = parse_expression(args.expression)
-    if expression is None:
-        print("empty expression", file=sys.stderr)
-        return 2
-    searcher = _build_searcher(args.seed)
-    executor = None
-    if args.stream:
-        from repro.federation import AsyncExecutor
-
-        if args.realtime:
-            searcher.client.internet.realtime = True
-        executor = AsyncExecutor(max_concurrency=max(args.sources, 1))
-    query = SQuery(ranking_expression=expression, max_number_documents=args.limit)
     if not args.stream:
         result = searcher.search(query, k_sources=args.sources)
         print("selected sources:", ", ".join(result.selected_sources))
-        for document in result.documents:
-            print(f"{document.score:10.4f}  [{document.source_id}]  {document.linkage}")
+        _print_rank(result.documents)
         return 0
+    from repro.federation import AsyncExecutor
+
+    if args.realtime:
+        searcher.client.internet.realtime = True
+    executor = AsyncExecutor(max_concurrency=max(args.sources, 1))
     final = None
     for emission in searcher.search_stream(
         query, k_sources=args.sources, executor=executor
@@ -116,33 +104,24 @@ def cmd_search(args: argparse.Namespace) -> int:
         return 1
     flag = "  (terminated early)" if final.terminated_early else ""
     print(f"final after {final.elapsed_ms:.1f} ms{flag}:")
-    for document in final.documents:
-        print(f"{document.score:10.4f}  [{document.source_id}]  {document.linkage}")
+    _print_rank(final.documents)
     return 0
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    expression = parse_expression(args.expression)
-    if expression is None:
-        print("empty expression", file=sys.stderr)
-        return 2
-    print("canonical:", expression.serialize())
+    print("canonical:", args.expression.serialize())
     try:
         from repro.zdsr import starts_to_pqf
 
-        print("pqf:      ", starts_to_pqf(expression))
+        print("pqf:      ", starts_to_pqf(args.expression))
     except KeyError as error:
         print(f"pqf:       (no ZDSR mapping for {error})")
     return 0
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    expression = parse_expression(args.expression)
-    if expression is None:
-        print("empty expression", file=sys.stderr)
-        return 2
     searcher = _build_searcher(args.seed)
-    query = SQuery(ranking_expression=expression)
+    query = SQuery(ranking_expression=args.expression)
     print(searcher.explain_plan(query, k_sources=args.sources))
     return 0
 
@@ -171,7 +150,6 @@ def cmd_broker(args: argparse.Namespace) -> int:
     from repro.broker import build_hierarchy
     from repro.corpus import SummaryPopulationSpec, generate_source_summaries
     from repro.metasearch import SELECTOR_REGISTRY
-    from repro.observability import MetricsRegistry, get_registry, set_registry
 
     spec = SummaryPopulationSpec(n_sources=args.sources, seed=args.seed)
     summaries = generate_source_summaries(spec)
@@ -197,12 +175,8 @@ def cmd_broker(args: argparse.Namespace) -> int:
     terms = args.terms.split() if args.terms else []
     if terms:
         selector = SELECTOR_REGISTRY[args.selector]()
-        previous = get_registry()
-        registry = set_registry(MetricsRegistry())
-        try:
+        with _fresh_registry() as registry:
             selected = root.select(selector, terms, args.k)
-        finally:
-            set_registry(previous)
         ((_, depth),) = registry.family("broker_route_depth").children()
         print()
         print(f"selection: {args.selector} over {' '.join(terms)}, "
@@ -227,12 +201,18 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     federation = build_federation(
         FederationSpec(n_sources=6, docs_per_source=40, n_queries=20, seed=args.seed)
     )
+    tables = {
+        "E1": lambda: run_selection_experiment(federation),
+        "E2": lambda: run_merging_experiment(federation, n_queries=15),
+        "E4": run_summary_size_experiment,
+        "E5": lambda: run_end_to_end_experiment(federation, n_queries=10),
+        "E6": lambda: run_merging_experiment(
+            federation, n_queries=15, withhold_term_stats=True
+        ),
+    }
     experiment = args.id.upper()
-    if experiment == "E1":
-        for row in run_selection_experiment(federation):
-            print(row.row())
-    elif experiment == "E2":
-        for row in run_merging_experiment(federation, n_queries=15):
+    if experiment in tables:
+        for row in tables[experiment]():
             print(row.row())
     elif experiment == "E3":
         cells = run_translation_experiment(federation)
@@ -241,17 +221,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         print(f"lossless cells:       {lossless}/{len(cells)}")
         print(f"predictions correct:  {predicted}/{len(cells)}")
         print(f"least common denom.:  {', '.join(least_common_denominator(cells))}")
-    elif experiment == "E4":
-        for row in run_summary_size_experiment():
-            print(row.row())
-    elif experiment == "E5":
-        for row in run_end_to_end_experiment(federation, n_queries=10):
-            print(row.row())
-    elif experiment == "E6":
-        for row in run_merging_experiment(
-            federation, n_queries=15, withhold_term_stats=True
-        ):
-            print(row.row())
     else:
         print(f"unknown experiment: {args.id}", file=sys.stderr)
         return 2
@@ -276,16 +245,9 @@ def cmd_conformance(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.observability import (
-        MetricsRegistry,
-        get_registry,
-        render_prometheus,
-        set_registry,
-    )
+    from repro.observability import render_prometheus
 
-    previous = get_registry()
-    set_registry(MetricsRegistry())
-    try:
+    with _fresh_registry() as registry:
         searcher = _build_searcher(args.seed)
         for text in ("databases", "medicine", "distributed systems"):
             expression = parse_expression(f'(body-of-text "{text}")')
@@ -293,9 +255,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
                 SQuery(ranking_expression=expression, max_number_documents=5),
                 k_sources=2,
             )
-        print(render_prometheus(get_registry()), end="")
-    finally:
-        set_registry(previous)
+        print(render_prometheus(registry), end="")
     return 0
 
 
@@ -358,17 +318,9 @@ def cmd_querylog(args: argparse.Namespace) -> int:
 
 
 def cmd_slo(args: argparse.Namespace) -> int:
-    from repro.observability import (
-        MetricsRegistry,
-        SloMonitor,
-        get_registry,
-        render_prometheus,
-        set_registry,
-    )
+    from repro.observability import SloMonitor, render_prometheus
 
-    previous = get_registry()
-    set_registry(MetricsRegistry())
-    try:
+    with _fresh_registry() as registry:
         searcher = _build_searcher(args.seed)
         monitor = SloMonitor()
         monitor.snapshot()
@@ -383,31 +335,20 @@ def cmd_slo(args: argparse.Namespace) -> int:
         print(monitor.describe())
         if args.metrics:
             print()
-            print(render_prometheus(get_registry()), end="")
-    finally:
-        set_registry(previous)
+            print(render_prometheus(registry), end="")
     return 0
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.observability import Tracer, render_chrome_trace, render_ndjson
 
-    expression = parse_expression(
-        args.expression
-        or 'list((body-of-text "distributed") (body-of-text "databases"))'
-    )
-    if expression is None:
-        print("empty expression", file=sys.stderr)
-        return 2
-    internet, resource_url = quick_federation(seed=args.seed)
-    searcher = Metasearcher(internet, [resource_url])
     # One tracer across discovery and the search, so the exported
     # timeline shows the whole round: discover → select → translate →
     # query (with per-source children) → merge.
     tracer = Tracer()
-    searcher.refresh(tracer)
+    searcher = _build_searcher(args.seed, tracer)
     result = searcher.search(
-        SQuery(ranking_expression=expression, max_number_documents=5),
+        SQuery(ranking_expression=args.expression, max_number_documents=5),
         k_sources=args.sources,
         tracer=tracer,
     )
@@ -502,6 +443,8 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    import threading
+
     from repro import CollectionSpec, generate_collection
     from repro.resource import Resource
     from repro.transport import StartsHttpServer
@@ -518,23 +461,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
         )
         resource.add_source(build_vendor_source(vendor, source_id, documents))
 
-    server = StartsHttpServer(resource, port=args.port)
-    server.start()
-    print(f"STARTS federation serving at {server.base_url}")
-    print(f"  resource:  {server.resource_url()}")
-    for source_id, _, _ in plans:
-        print(f"  {source_id}: {server.source_query_url(source_id)}")
-    if args.once:
-        server.stop()
-        return 0
-    print("Ctrl-C to stop.")
-    try:
-        import time
-
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        server.stop()
+    with StartsHttpServer(resource, port=args.port) as server:
+        print(f"STARTS federation serving at {server.base_url}")
+        print(f"  resource:  {server.resource_url()}")
+        for source_id, _, _ in plans:
+            print(f"  {source_id}: {server.source_query_url(source_id)}")
+        if not args.once:
+            print("Ctrl-C to stop.")
+            with contextlib.suppress(KeyboardInterrupt):
+                threading.Event().wait()
     return 0
 
 
@@ -548,21 +483,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=7, help="federation seed")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    commands.add_parser("demo", help="run a canned metasearch").set_defaults(
-        handler=cmd_demo
-    )
-
-    query = commands.add_parser("query", help="run a STARTS expression")
-    query.add_argument("expression")
-    query.add_argument("--filter", action="store_true", help="treat as filter")
-    query.add_argument("--limit", type=int, default=10)
-    query.add_argument("--sources", type=int, default=2)
-    query.set_defaults(handler=cmd_query)
-
     search = commands.add_parser(
         "search", help="run a metasearch, optionally streaming merged results"
     )
-    search.add_argument("expression")
+    search.add_argument("expression", nargs="?", default=_DEMO_EXPRESSION)
+    search.add_argument("--filter", action="store_true", help="treat as filter")
     search.add_argument(
         "--stream",
         action="store_true",
@@ -650,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
     slo.set_defaults(handler=cmd_slo)
 
     trace = commands.add_parser("trace", help="run one traced search")
-    trace.add_argument("expression", nargs="?", default=None)
+    trace.add_argument("expression", nargs="?", default=_DEMO_EXPRESSION)
     trace.add_argument("--sources", type=int, default=2)
     trace.add_argument("--chrome", metavar="PATH", help="write Chrome trace JSON")
     trace.add_argument("--ndjson", metavar="PATH", help="write NDJSON event log")
@@ -679,6 +604,11 @@ def main(argv: list[str] | None = None) -> int:
     serve.set_defaults(handler=cmd_serve)
 
     args = parser.parse_args(argv)
+    if "expression" in args:  # every command that takes one takes it parsed
+        args.expression = parse_expression(args.expression)
+        if args.expression is None:
+            print("empty expression", file=sys.stderr)
+            return 2
     return args.handler(args)
 
 

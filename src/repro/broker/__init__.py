@@ -14,9 +14,10 @@ the leaf protocol and the exact root:
   prunes shards no query term touches, descends into the rest over the
   :class:`~repro.federation.Executor` protocol, and merges the
   per-shard fragments into the **bit-exact** flat top-k.  Roots nest.
-* :class:`NetworkLeafHandle` / ``publish_broker_leaf`` — leaves as
-  endpoints on the simulated internet, so the hierarchy spans
-  processes and fault profiles; both sides of that wire fail typed.
+* :class:`NetworkLeafHandle` / :func:`publish_broker_leaf` — leaves as
+  endpoints on the simulated internet or a socket, so the hierarchy
+  spans processes and fault profiles; both sides of that wire fail
+  typed.
 * :class:`BrokeredMetasearcher` — the one-line swap preserving the
   whole ``Metasearcher`` search/search_stream surface, answering from
   the flat index whenever a leaf cannot be consulted.
@@ -32,7 +33,11 @@ lossy-routing machinery of its own.
 from repro.broker.facade import BrokeredMetasearcher, build_hierarchy
 from repro.broker.leaf import CorpusStats, GlobalStatsView, LeafBroker, LeafProbe
 from repro.broker.partition import ConsistentHashRing
-from repro.broker.remote import NetworkLeafHandle, selector_wire_name
+from repro.broker.remote import (
+    NetworkLeafHandle,
+    publish_broker_leaf,
+    selector_wire_name,
+)
 from repro.broker.root import LeafHandle, RootBroker
 
 __all__ = [
@@ -46,5 +51,6 @@ __all__ = [
     "NetworkLeafHandle",
     "RootBroker",
     "build_hierarchy",
+    "publish_broker_leaf",
     "selector_wire_name",
 ]

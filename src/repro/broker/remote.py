@@ -1,12 +1,13 @@
-"""Leaf brokers as network endpoints on the simulated internet.
+"""Leaf brokers as network endpoints: both halves of the leaf wire.
 
 A leaf need not live in the root's process: ZBroker-style, each leaf
-can be published as a set of HTTP-ish endpoints under a base URL and
-consulted over the wire.  :class:`NetworkLeafHandle` implements the
+can be published (:func:`publish_broker_leaf`) as a set of endpoints
+under a base URL — on the simulated internet, whose latency/fault
+profiles then apply to broker traffic just as they do to source
+traffic, or on a :class:`~repro.transport.StartsHttpServer` socket —
+and consulted over the wire.  :class:`NetworkLeafHandle` implements the
 same handle protocol a local :class:`~repro.broker.LeafBroker` does, so
-a :class:`~repro.broker.RootBroker` cannot tell the difference — and
-the simulated internet's latency/fault profiles apply to broker
-traffic just as they do to source traffic.
+a :class:`~repro.broker.RootBroker` cannot tell the difference.
 
 The wire format is JSON (floats round-trip exactly through ``repr``,
 so candidate scores merge bit-identically to the in-process path);
@@ -22,15 +23,31 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import asdict
+from typing import TYPE_CHECKING
 
-from repro.broker.leaf import CorpusStats, LeafProbe
+from repro.broker.leaf import CorpusStats, LeafBroker, LeafProbe
 from repro.metasearch.selection import SELECTOR_REGISTRY, SourceSelector
-from repro.starts.errors import ProtocolError
+from repro.observability.tracing import TraceCollector
+from repro.starts.errors import ProtocolError, SoifSyntaxError
 from repro.starts.metadata import SContentSummary
-from repro.transport.client import trace_headers
-from repro.transport.network import SimulatedInternet
+from repro.starts.soif import parse_soif
+from repro.transport.client import send
+from repro.transport.network import (
+    FaultProfile,
+    HostProfile,
+    SimulatedInternet,
+    Transport,
+)
+from repro.transport.server import publish_endpoints, traced
 
-__all__ = ["NetworkLeafHandle", "selector_wire_name"]
+if TYPE_CHECKING:
+    from repro.transport.http import StartsHttpServer
+
+__all__ = [
+    "NetworkLeafHandle",
+    "publish_broker_leaf",
+    "selector_wire_name",
+]
 
 
 def selector_wire_name(selector: SourceSelector) -> str:
@@ -101,12 +118,108 @@ def _probe_from_payload(
     )
 
 
-class NetworkLeafHandle:
-    """Consult a published leaf broker over the simulated internet."""
+def publish_broker_leaf(
+    mount: "SimulatedInternet | StartsHttpServer",
+    leaf: LeafBroker,
+    base_url: str,
+    profile: HostProfile | None = None,
+    faults: FaultProfile | None = None,
+    trace_sink: TraceCollector | None = None,
+) -> str:
+    """Mount a :class:`~repro.broker.LeafBroker` as JSON endpoints:
 
-    def __init__(
-        self, internet: SimulatedInternet, base_url: str, leaf_id: str
-    ) -> None:
+    * ``POST {base}/probe``    — aggregate shard statistics for terms
+    * ``POST {base}/select``   — the shard's exact top-k fragment
+    * ``POST {base}/delta``    — one summary delta (SOIF text or null)
+    * ``GET  {base}/stats``    — shard stats (sources/terms/generation)
+
+    so a :class:`~repro.broker.RootBroker` holding
+    :class:`NetworkLeafHandle`\\ s drives it exactly like an in-process
+    leaf — on the simulated internet, latency and fault profiles
+    included.  A request body that does not decode to the expected
+    fields raises :class:`~repro.starts.errors.ProtocolError` naming the
+    endpoint and the field; with ``trace_sink``, requests carrying a
+    ``traceparent`` header record a ``leaf:<id>:<endpoint>`` span into
+    the sink.  Returns the base URL.
+    """
+
+    def _selector(payload: dict, where: str):
+        name = wire_field(payload, "selector", str, where)
+        factory = SELECTOR_REGISTRY.get(name)
+        if factory is None:
+            raise ProtocolError(f"{where}: unknown selector on the wire: {name!r}")
+        return factory()
+
+    def _stats(payload: dict, where: str) -> CorpusStats:
+        stats = wire_field(payload, "stats", dict, where)
+        return CorpusStats(
+            n_sources=wire_field(stats, "n_sources", int, where),
+            clamped_mass_total=wire_field(stats, "clamped_mass_total", int, where),
+            collection_frequencies=wire_field(
+                stats, "collection_frequencies", dict, where, of=int
+            ),
+        )
+
+    def _summary(payload: dict, where: str) -> SContentSummary | None:
+        """The delta's summary field: SOIF text, or null on forget."""
+        if payload.get("summary") is None:
+            return None
+        text = wire_field(payload, "summary", str, where)
+        try:
+            return SContentSummary.from_soif(parse_soif(text.encode("utf-8")))
+        except SoifSyntaxError as error:
+            raise ProtocolError(
+                f"{where}: ill-typed field 'summary': {error}"
+            ) from None
+
+    def handle_probe(payload: dict, where: str) -> dict:
+        probe = leaf.probe(
+            wire_field(payload, "terms", list, where, of=str),
+            wire_field(payload, "k", int, where),
+        )
+        return asdict(probe)
+
+    def handle_select(payload: dict, where: str) -> dict:
+        candidates = leaf.select_candidates(
+            _selector(payload, where),
+            wire_field(payload, "terms", list, where, of=str),
+            wire_field(payload, "k", int, where),
+            _stats(payload, where),
+        )
+        return {"candidates": candidates}
+
+    def handle_delta(payload: dict, where: str) -> dict:
+        leaf.apply_delta(
+            wire_field(payload, "source", str, where),
+            _summary(payload, where),
+        )
+        return {"generation": leaf.index.generation}
+
+    def decoded(endpoint: str, handler):
+        """The endpoint's one decode and one encode around ``handler``,
+        under its server-side span."""
+        url = f"{base_url}/{endpoint}"
+
+        def handle(body: bytes) -> bytes:
+            reply = handler(decode_wire_object(body, url), url)
+            return json.dumps(reply).encode("utf-8")
+
+        return traced(f"leaf:{leaf.leaf_id}:{endpoint}", handle, trace_sink)
+
+    endpoints = {
+        ("POST", "probe"): decoded("probe", handle_probe),
+        ("POST", "select"): decoded("select", handle_select),
+        ("POST", "delta"): decoded("delta", handle_delta),
+        ("GET", "stats"): lambda: json.dumps(leaf.shard_stats()).encode("utf-8"),
+    }
+    publish_endpoints(mount, base_url, endpoints, profile, faults)
+    return base_url
+
+
+class NetworkLeafHandle:
+    """Consult a published leaf broker over any transport."""
+
+    def __init__(self, internet: Transport, base_url: str, leaf_id: str) -> None:
         self.internet = internet
         self.base_url = base_url
         self.leaf_id = leaf_id
@@ -115,7 +228,7 @@ class NetworkLeafHandle:
         """One request; the decoded reply and the name to blame it by."""
         url = f"{self.base_url}/{endpoint}"
         body = json.dumps(payload).encode("utf-8")
-        reply = self.internet.post(url, body, headers=trace_headers())
+        reply, _ = send(self.internet.perform, url, "POST", body)
         where = f"reply from {url}"
         return decode_wire_object(reply, where), where
 
@@ -162,5 +275,5 @@ class NetworkLeafHandle:
 
     def shard_stats(self) -> dict:
         url = f"{self.base_url}/stats"
-        reply = self.internet.fetch(url, headers=trace_headers())
+        reply, _ = send(self.internet.perform, url)
         return decode_wire_object(reply, f"reply from {url}")

@@ -176,9 +176,11 @@ class QueryDispatcher:
     ) -> tuple[SQResults, AccessRecord]:
         """The awaitable request path, wall-guarded in realtime mode.
 
-        The outcome-deciding deadline is the *simulated* ``timeout_ms``
-        (enforced deterministically by the transport); in realtime mode
-        an ``asyncio.timeout()`` wall-clock guard additionally backstops
+        The outcome-deciding deadline is ``timeout_ms``, enforced by the
+        transport (deterministically in simulation, as the socket
+        timeout over HTTP); on a ``realtime``
+        :class:`~repro.transport.network.Transport` an
+        ``asyncio.timeout()`` wall-clock guard additionally backstops
         a genuinely hung backend, with enough slack that scheduler
         jitter can never flip an outcome.  The guard is a context
         manager, not a child task: the request resumes in the task that

@@ -50,7 +50,7 @@ from repro.starts.metadata import SContentSummary
 from repro.starts.query import SQuery
 from repro.starts.results import SQResults
 from repro.transport.client import StartsClient
-from repro.transport.network import SimulatedInternet
+from repro.transport.network import Transport
 
 __all__ = ["MetasearchResult", "Metasearcher", "StreamEmission"]
 
@@ -319,10 +319,11 @@ class StreamEmission:
 
 
 class Metasearcher:
-    """A configurable metasearcher over a simulated internet.
+    """A configurable metasearcher over any :class:`Transport`.
 
     Args:
-        internet: the network where sources are published.
+        internet: the network where sources are published — the
+            simulated internet or real sockets (``HttpTransport``).
         resource_urls: @SResource URLs to harvest on :meth:`refresh`.
         selector: source-selection strategy (default vGlOSS-Max).
         merger: rank-merging strategy (default tf·idf recompute).
@@ -349,7 +350,7 @@ class Metasearcher:
 
     def __init__(
         self,
-        internet: SimulatedInternet,
+        internet: Transport,
         resource_urls: list[str] | None = None,
         selector: SourceSelector | None = None,
         merger: MergeStrategy | None = None,

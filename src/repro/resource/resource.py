@@ -16,6 +16,8 @@ letting the metasearcher decide for itself.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from repro.starts.errors import UnknownSourceError
 from repro.starts.metadata import SResource
 from repro.starts.query import SQuery
@@ -106,11 +108,14 @@ class Resource:
 
     # -- metadata (Example 12) ------------------------------------------------
 
-    def describe(self) -> SResource:
-        """The SResource object: source list with metadata URLs."""
+    def describe(self, source_base: Callable[[str], str] | None = None) -> SResource:
+        """The SResource object: source list with metadata URLs, under
+        each source's ``base_url`` — or under ``source_base(source_id)``,
+        for sources served somewhere else."""
+        base = source_base or (lambda source_id: self._sources[source_id].base_url)
         return SResource(
             source_list=tuple(
-                (source_id, f"{self._sources[source_id].base_url}/meta")
+                (source_id, f"{base(source_id)}/meta")
                 for source_id in self.source_ids()
             )
         )

@@ -1,4 +1,4 @@
-"""Transport: SOIF over a simulated internet with latency/cost accounting."""
+"""Transport: SOIF over a simulated internet (latency/cost accounting) or sockets."""
 
 from repro.transport.client import StartsClient
 from repro.transport.filestore import (
@@ -12,11 +12,11 @@ from repro.transport.network import (
     FaultProfile,
     HostProfile,
     SimulatedInternet,
+    Transport,
     TransportError,
     TransportTimeout,
 )
 from repro.transport.server import (
-    publish_broker_leaf,
     publish_metrics,
     publish_resource,
     publish_source,
@@ -33,9 +33,9 @@ __all__ = [
     "FaultProfile",
     "HostProfile",
     "SimulatedInternet",
+    "Transport",
     "TransportError",
     "TransportTimeout",
-    "publish_broker_leaf",
     "publish_metrics",
     "publish_resource",
     "publish_source",

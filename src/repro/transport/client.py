@@ -1,4 +1,4 @@
-"""Client-side transport: typed fetchers over the simulated internet.
+"""Client-side transport: typed fetchers over any :class:`Transport`.
 
 The metasearcher never touches sources directly — it speaks SOIF over
 the network, exactly as a real STARTS client would.  Each method posts
@@ -6,20 +6,25 @@ or fetches a blob and decodes it into the corresponding protocol
 object.  An optional :class:`~repro.observability.Tracer` records one
 event per discovery fetch; query traffic is traced by the federation
 runner, which sees retries and hedges the client alone cannot.
+
+Every outbound request of the package — the client's below and a
+broker's leaf RPCs — leaves through :func:`send`, the one place the
+ambient trace context becomes a ``traceparent`` header.
 """
 
 from __future__ import annotations
 
 from repro.observability.tracing import current_trace_context
 from repro.source.sample import SampleResults
+from repro.source.scan import ScanRequest, ScanResponse
 from repro.starts.errors import SoifSyntaxError
 from repro.starts.metadata import SContentSummary, SMetaAttributes, SResource
 from repro.starts.query import SQuery
 from repro.starts.results import SQResults
 from repro.starts.soif import parse_soif
-from repro.transport.network import AccessRecord, SimulatedInternet
+from repro.transport.network import AccessRecord, Transport
 
-__all__ = ["StartsClient", "trace_headers"]
+__all__ = ["StartsClient", "send", "trace_headers"]
 
 
 def trace_headers() -> dict[str, str] | None:
@@ -32,6 +37,18 @@ def trace_headers() -> dict[str, str] | None:
     if context is None:
         return None
     return {"traceparent": context.to_traceparent()}
+
+
+def send(
+    perform,
+    url: str,
+    method: str = "GET",
+    body: bytes | None = None,
+    deadline_ms: float | None = None,
+):
+    """One outbound request through a transport's ``perform`` (or, to be
+    awaited, its ``perform_async``); whatever that returns."""
+    return perform(url, method, body, deadline_ms=deadline_ms, headers=trace_headers())
 
 
 def _decode_results(
@@ -52,18 +69,10 @@ def _decode_results(
 class StartsClient:
     """A thin, typed STARTS client bound to one network."""
 
-    def __init__(self, internet: SimulatedInternet, tracer=None) -> None:
-        self._internet = internet
+    def __init__(self, internet: Transport, tracer=None) -> None:
+        #: The network this client is bound to.
+        self.internet = internet
         self.tracer = tracer
-
-    @property
-    def internet(self) -> SimulatedInternet:
-        """The network this client is bound to."""
-        return self._internet
-
-    def access_log(self) -> list[AccessRecord]:
-        """The network's live access log (shared with other clients)."""
-        return self._internet.log
 
     def query(self, query_url: str, query: SQuery) -> SQResults:
         """POST an @SQuery; decode the @SQResults stream."""
@@ -82,8 +91,8 @@ class StartsClient:
         to implement per-source query deadlines.
         """
         body = query.to_soif().dump().encode("utf-8")
-        response, record = self._internet.perform(
-            query_url, "POST", body, deadline_ms=deadline_ms, headers=trace_headers()
+        response, record = send(
+            self.internet.perform, query_url, "POST", body, deadline_ms
         )
         return _decode_results(response, record)
 
@@ -98,8 +107,8 @@ class StartsClient:
         queries in flight.
         """
         body = query.to_soif().dump().encode("utf-8")
-        response, record = await self._internet.perform_async(
-            query_url, "POST", body, deadline_ms=deadline_ms, headers=trace_headers()
+        response, record = await send(
+            self.internet.perform_async, query_url, "POST", body, deadline_ms
         )
         return _decode_results(response, record)
 
@@ -126,7 +135,7 @@ class StartsClient:
         return self._fetch(metrics_url, "metrics").decode("utf-8")
 
     def _fetch(self, url: str, kind: str) -> bytes:
-        payload, record = self._internet.perform(url, "GET", headers=trace_headers())
+        payload, record = send(self.internet.perform, url)
         if self.tracer is not None:
             self.tracer.event(
                 f"fetch:{kind}",
@@ -140,8 +149,6 @@ class StartsClient:
         self, scan_url: str, field: str, start_term: str, count: int = 10
     ):
         """POST an @SScanRequest; decode the vocabulary slice."""
-        from repro.source.scan import ScanRequest, ScanResponse
-
-        request = ScanRequest(field, start_term, count)
-        body = request.to_soif().dump().encode("utf-8")
-        return ScanResponse.parse(self._internet.post(scan_url, body))
+        body = ScanRequest(field, start_term, count).to_soif().dump().encode("utf-8")
+        payload, _ = send(self.internet.perform, scan_url, "POST", body)
+        return ScanResponse.parse(payload)

@@ -1,42 +1,70 @@
-"""A real HTTP transport over localhost sockets.
+"""The socket wire: the same endpoints and the same client over real HTTP.
 
-The simulated internet is ideal for experiments (deterministic latency,
-cost accounting); this module is the deployment-shaped alternative: a
-threading HTTP server that mounts STARTS sources and resources on real
-URLs, and an :class:`HttpTransport` that plugs into the same
-:class:`~repro.transport.client.StartsClient` (it implements the same
-``fetch``/``post``/``log`` surface as
-:class:`~repro.transport.network.SimulatedInternet`, with measured
-wall-clock latencies in the log).
-
-Endpoint layout mirrors ``publish_resource``: each source under
-``/<source-id>/...`` and the resource blob at ``/resource``.
+The simulated internet is ideal for experiments (seeded latency, cost
+accounting, fault injection — what only a simulation can do); this
+module is the deployment-shaped alternative, and it is only a wire.
+:class:`StartsHttpServer` is a *mount* (see
+:mod:`repro.transport.server`): a threading HTTP server around a
+``(method, path) -> handler`` lookup that knows no endpoint, decodes no
+request and opens no span — it serves whatever endpoint tables are
+mounted on it, a resource's by default, a broker leaf's just as well.
+:class:`HttpTransport` is the client half: a
+:class:`~repro.transport.network.Transport` whose waits are real and
+whose log holds measured wall-clock latencies, so ``StartsClient``,
+``Metasearcher`` under either executor and ``NetworkLeafHandle`` run
+over it unchanged.
 """
 
 from __future__ import annotations
 
+import asyncio
+import functools
+import http.client
 import http.server
 import threading
 import time
+import urllib.error
 import urllib.request
 
 from repro.resource.resource import Resource
-from repro.source.scan import ScanRequest
-from repro.source.source import StartsSource
 from repro.starts.errors import StartsError
-from repro.starts.query import SQuery
-from repro.starts.soif import parse_soif
-from repro.transport.network import AccessRecord, TransportError, TransportTimeout
+from repro.transport.network import (
+    AccessRecord,
+    Endpoints,
+    TransportError,
+    TransportTimeout,
+    _AccessLog,
+    _call_handler,
+)
+from repro.transport.server import (
+    publish_metrics,
+    resource_endpoints,
+    source_endpoints,
+)
 
 __all__ = ["StartsHttpServer", "HttpTransport"]
 
+#: The largest request body the server reads and response the client
+#: does (the benchmark suite's largest are under 1 kB and ≈ 26 kB).
+MAX_REQUEST_BYTES = 1 << 20
+MAX_RESPONSE_BYTES = 16 << 20
+#: How much of a 4xx/5xx response body rides on the raised error.
+_ERROR_DETAIL_BYTES = 4096
+#: Prometheus scrapers expect the exposition format's version here.
+_CONTENT_TYPES = {"metrics": "text/plain; version=0.0.4; charset=utf-8"}
+
 
 class StartsHttpServer:
-    """Serves one resource (and its sources) over HTTP on localhost.
+    """A socket mount on localhost, publishing one resource on itself.
 
-    Besides the STARTS endpoints, ``GET /metrics`` serves the process
-    metrics registry in the Prometheus text exposition format —
-    ``registry`` defaults to the process-wide one at request time.
+    The resource blob is served at ``/resource``, each source under
+    ``/<source-id>/...`` (their metadata advertising those URLs), and
+    ``GET /metrics`` the process metrics registry — ``registry``
+    defaults to the process-wide one at request time.  With
+    ``trace_sink`` (a :class:`~repro.observability.TraceCollector`),
+    query POSTs carrying a ``traceparent`` header record a server-side
+    span fragment there, stitched under the caller's trace.  Further
+    tables — a broker leaf's, say — go on with :meth:`mount`.
     """
 
     def __init__(
@@ -47,16 +75,21 @@ class StartsHttpServer:
         registry=None,
         trace_sink=None,
     ) -> None:
-        self._resource = resource
-        self._registry = registry
-        #: Optional :class:`~repro.observability.TraceCollector`: query
-        #: POSTs carrying a ``traceparent`` header record a server-side
-        #: span fragment here, stitched under the caller's trace.
-        self.trace_sink = trace_sink
-        self._server = http.server.ThreadingHTTPServer(
-            (host, port), self._make_handler()
-        )
+        self._server = http.server.ThreadingHTTPServer((host, port), _Handler)
+        self._server.routes = self._routes = {}
         self._thread: threading.Thread | None = None
+        base = self.base_url
+
+        def source_base(source_id: str) -> str:
+            return f"{base}/{source_id}"
+
+        self.mount(base, resource_endpoints(resource, source_base))
+        publish_metrics(self, base, registry)
+        for source_id in resource.source_ids():
+            endpoints = source_endpoints(
+                resource.source(source_id), source_base(source_id), resource, trace_sink
+            )
+            self.mount(source_base(source_id), endpoints)
 
     @property
     def base_url(self) -> str:
@@ -68,6 +101,14 @@ class StartsHttpServer:
 
     def source_query_url(self, source_id: str) -> str:
         return f"{self.base_url}/{source_id}/query"
+
+    def mount(self, base_url: str, endpoints: Endpoints) -> None:
+        """Serve an endpoint table under ``base_url``, a URL on this server."""
+        if not f"{base_url}/".startswith(f"{self.base_url}/"):
+            raise ValueError(f"{base_url} is not served by {self.base_url}")
+        path = base_url[len(self.base_url) :]
+        for (method, name), handler in endpoints.items():
+            self._routes[method, f"{path}/{name}"] = handler
 
     def start(self) -> str:
         """Start serving in a daemon thread; returns the base URL."""
@@ -90,169 +131,67 @@ class StartsHttpServer:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    # -- request handling -------------------------------------------------
 
-    def _make_handler(self):
-        resource = self._resource
-        base_url = lambda: self.base_url  # noqa: E731 - resolved per request
-        registry_now = lambda: self._registry  # noqa: E731 - resolved per request
-        sink_now = lambda: self.trace_sink  # noqa: E731 - resolved per request
+class _Handler(http.server.BaseHTTPRequestHandler):
+    """One request: a lookup in the server's routes, the handler's
+    bytes or its failure as a status."""
 
-        class Handler(http.server.BaseHTTPRequestHandler):
-            def log_message(self, *args) -> None:  # quiet test output
-                pass
+    def log_message(self, *args) -> None:  # quiet test output
+        pass
 
-            def _send(self, status: int, body: bytes) -> None:
-                self.send_response(status)
-                self.send_header("Content-Type", "text/plain; charset=utf-8")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
+    def _send(self, status: int, body: bytes) -> None:
+        name = self.path.rsplit("/", 1)[-1]
+        self.send_response(status)
+        self.send_header(
+            "Content-Type", _CONTENT_TYPES.get(name, "text/plain; charset=utf-8")
+        )
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
 
-            def _source_for(self, source_id: str) -> StartsSource | None:
-                if source_id in resource:
-                    return resource.source(source_id)
-                return None
+    def _serve(self, method: str) -> None:
+        handler = self.server.routes.get((method, self.path))
+        if handler is None:
+            return self._send(404, b"not found")
+        arguments = ()
+        if method == "POST":
+            declared = self.headers.get("Content-Length", "0")
+            if not declared.isdecimal():
+                return self._send(400, f"bad Content-Length {declared!r}".encode())
+            if int(declared) > MAX_REQUEST_BYTES:
+                return self._send(413, b"request body too large")
+            arguments = (self.rfile.read(int(declared)),)
+        headers = {name.lower(): value for name, value in self.headers.items()}
+        try:
+            payload = _call_handler(handler, headers, *arguments)
+        except StartsError as error:
+            # The request's own fault: a body that does not decode, or
+            # a query the protocol rejects.
+            return self._send(400, str(error).encode("utf-8"))
+        except Exception as error:
+            return self._send(500, repr(error).encode("utf-8"))
+        self._send(200, payload)
 
-            def do_GET(self) -> None:
-                parts = self.path.strip("/").split("/")
-                if parts == ["metrics"]:
-                    from repro.observability.export import render_prometheus
-                    from repro.observability.metrics import get_registry
-
-                    registry = registry_now() or get_registry()
-                    body = render_prometheus(registry).encode("utf-8")
-                    self.send_response(200)
-                    self.send_header(
-                        "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-                    )
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
-                    return
-                if parts == ["resource"]:
-                    described = resource.describe()
-                    # Rewrite metadata URLs onto this server.
-                    from repro.starts.metadata import SResource
-
-                    rewritten = SResource(
-                        source_list=tuple(
-                            (source_id, f"{base_url()}/{source_id}/meta")
-                            for source_id, _ in described.source_list
-                        )
-                    )
-                    self._send(200, rewritten.to_soif().dump().encode("utf-8"))
-                    return
-                if len(parts) == 2:
-                    source = self._source_for(parts[0])
-                    if source is not None:
-                        blob = self._get_blob(source, parts[1])
-                        if blob is not None:
-                            self._send(200, blob)
-                            return
-                self._send(404, b"not found")
-
-            def _get_blob(self, source: StartsSource, name: str) -> bytes | None:
-                if name == "meta":
-                    metadata = source.metadata()
-                    # The source's own base_url is not served here;
-                    # rewrite the linkages onto this server.
-                    from dataclasses import replace
-
-                    metadata = replace(
-                        metadata,
-                        linkage=f"{base_url()}/{source.source_id}/query",
-                        content_summary_linkage=(
-                            f"{base_url()}/{source.source_id}/cont_sum.txt"
-                        ),
-                        sample_database_results=(
-                            f"{base_url()}/{source.source_id}/sample"
-                        ),
-                    )
-                    return metadata.to_soif().dump().encode("utf-8")
-                if name == "cont_sum.txt":
-                    return source.content_summary().to_soif().dump().encode("utf-8")
-                if name == "sample":
-                    return source.sample_results().to_soif().dump().encode("utf-8")
-                return None
-
-            def _serve_query(self, source: StartsSource, query: SQuery):
-                sink = sink_now()
-                handle = lambda: resource.search(  # noqa: E731
-                    source.source_id, query
-                )
-                if sink is None:
-                    return handle()
-                from repro.observability.tracing import TraceContext, Tracer
-
-                context = TraceContext.from_traceparent(
-                    self.headers.get("traceparent")
-                )
-                if context is None or not context.sampled:
-                    return handle()
-                tracer = Tracer(context=context)
-                span = tracer.open_span(f"serve:query:{source.source_id}")
-                try:
-                    return handle()
-                except Exception as error:
-                    span.annotate(error=repr(error))
-                    raise
-                finally:
-                    tracer.close_span(span)
-                    sink.add(tracer.trace())
-
-            def do_POST(self) -> None:
-                length = int(self.headers.get("Content-Length", "0"))
-                body = self.rfile.read(length)
-                parts = self.path.strip("/").split("/")
-                if len(parts) != 2:
-                    self._send(404, b"not found")
-                    return
-                source = self._source_for(parts[0])
-                if source is None:
-                    self._send(404, b"unknown source")
-                    return
-                try:
-                    if parts[1] == "query":
-                        query = SQuery.from_soif(parse_soif(body))
-                        results = self._serve_query(source, query)
-                        self._send(200, results.to_soif_stream().encode("utf-8"))
-                        return
-                    if parts[1] == "scan":
-                        request = ScanRequest.from_soif(parse_soif(body))
-                        response = source.scan(
-                            request.field, request.start_term, request.count
-                        )
-                        self._send(200, response.to_soif().dump().encode("utf-8"))
-                        return
-                except StartsError as error:
-                    # The request's own fault: a body that does not
-                    # decode, or a query the protocol rejects.
-                    self._send(400, str(error).encode("utf-8"))
-                    return
-                except Exception as error:
-                    self._send(500, repr(error).encode("utf-8"))
-                    return
-                self._send(404, b"not found")
-
-        return Handler
+    do_GET = functools.partialmethod(_serve, "GET")
+    do_POST = functools.partialmethod(_serve, "POST")
 
 
-class HttpTransport:
-    """``fetch``/``post`` over real HTTP; drop-in for SimulatedInternet
-    wherever only the client surface is needed."""
+class HttpTransport(_AccessLog):
+    """The :class:`~repro.transport.network.Transport` over real HTTP.
+
+    Each request is logged with its measured wall-clock latency and a
+    cost of zero.  ``timeout`` (seconds) caps every request; a tighter
+    per-request ``deadline_ms`` maps to the socket timeout.
+    """
+
+    #: Waits over sockets are real: backoffs are slept, awaited attempts
+    #: wall-guarded, and a millisecond is a millisecond.
+    realtime = True
+    time_scale = 1.0
 
     def __init__(self, timeout: float = 10.0) -> None:
         self._timeout = timeout
         self.log: list[AccessRecord] = []
-
-    def fetch(self, url: str) -> bytes:
-        payload, _ = self.perform(url, "GET")
-        return payload
-
-    def post(self, url: str, body: bytes) -> bytes:
-        payload, _ = self.perform(url, "POST", body)
-        return payload
 
     def perform(
         self,
@@ -262,39 +201,57 @@ class HttpTransport:
         deadline_ms: float | None = None,
         headers: dict[str, str] | None = None,
     ) -> tuple[bytes, AccessRecord]:
-        """One measured request; ``deadline_ms`` maps to the socket timeout."""
-        request = urllib.request.Request(url, data=body, method=method)
-        from repro.transport.client import trace_headers
+        """One measured request; returns ``(payload, record)``.
 
-        for name, value in {**(trace_headers() or {}), **(headers or {})}.items():
-            request.add_header(name, value)
+        Whatever goes wrong — refused, reset, timed out, a 4xx/5xx
+        status (whose body says why), an oversized response, a URL that
+        is none — raises :class:`TransportError` carrying the record.
+        """
         timeout = self._timeout
         if deadline_ms is not None:
             timeout = min(timeout, deadline_ms / 1000.0)
         started = time.perf_counter()
         try:
-            with urllib.request.urlopen(request, timeout=timeout) as response:
-                payload = response.read()
-        except Exception as error:
-            elapsed_ms = (time.perf_counter() - started) * 1000.0
-            timed_out = isinstance(error, TimeoutError) or "timed out" in str(error)
+            request = urllib.request.Request(
+                url, data=body, method=method, headers=headers or {}
+            )
+            payload = self._read(request, timeout)
+        except (
+            TransportError, OSError, http.client.HTTPException, ValueError
+        ) as error:
+            timed_out = isinstance(error, TimeoutError) or isinstance(
+                getattr(error, "reason", None), TimeoutError
+            )
             status = "timeout" if timed_out else "error"
-            record = AccessRecord(url, method, elapsed_ms, 0.0, status)
-            self.log.append(record)
+            record = self._record(url, method, started, status)
             exc_type = TransportTimeout if timed_out else TransportError
             raise exc_type(f"{method} {url} failed: {error}", record) from error
+        return payload, self._record(url, method, started)
+
+    async def perform_async(self, *args, **kwargs) -> tuple[bytes, AccessRecord]:
+        """:meth:`perform` on a worker thread, so one event loop overlaps
+        the waits of many sockets."""
+        return await asyncio.to_thread(self.perform, *args, **kwargs)
+
+    @staticmethod
+    def _read(request: urllib.request.Request, timeout: float) -> bytes:
+        """The response body, within the size bound; an error status
+        raises with the start of its body as the explanation."""
+        try:
+            with urllib.request.urlopen(request, timeout=timeout) as response:
+                payload = response.read(MAX_RESPONSE_BYTES + 1)
+        except urllib.error.HTTPError as error:
+            with error:
+                detail = error.read(_ERROR_DETAIL_BYTES).decode("utf-8", "replace")
+            raise TransportError(f"{error}: {detail}") from error
+        if len(payload) > MAX_RESPONSE_BYTES:
+            raise TransportError(f"response exceeds {MAX_RESPONSE_BYTES} bytes")
+        return payload
+
+    def _record(
+        self, url: str, method: str, started: float, status: str = "ok"
+    ) -> AccessRecord:
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        record = AccessRecord(url, method, elapsed_ms, 0.0)
+        record = AccessRecord(url, method, elapsed_ms, 0.0, status)
         self.log.append(record)
-        return payload, record
-
-    def total_latency_ms(self) -> float:
-        return sum(record.latency_ms for record in self.log)
-
-    def request_count(self, host: str | None = None) -> int:
-        if host is None:
-            return len(self.log)
-        return sum(1 for record in self.log if host in record.url)
-
-    def reset_log(self) -> None:
-        self.log.clear()
+        return record

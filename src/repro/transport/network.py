@@ -5,7 +5,7 @@ blobs through an in-process network that nevertheless behaves like the
 one the paper worries about: some sources are slow, some charge per
 query (§3.3 — "Some of these sources might charge for their use.  Some
 of the sources might have large response times") — and some fail.
-Every fetch/post is logged with its simulated latency, monetary cost
+Every request is logged with its simulated latency, monetary cost
 and status, giving the cost-aware source-selection experiments and the
 fault-tolerance tests a measurable substrate.
 
@@ -33,25 +33,35 @@ import random
 import threading
 import time
 import zlib
+from collections.abc import Callable
 from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Protocol, runtime_checkable
 from urllib.parse import urlparse
 
 __all__ = [
     "HostProfile",
     "FaultProfile",
     "AccessRecord",
+    "Endpoints",
     "SimulatedInternet",
+    "Transport",
     "TransportError",
     "TransportTimeout",
     "current_request_headers",
 ]
 
+#: An endpoint table, what a publisher declares once and either mount
+#: serves: ``(method, name) -> handler``.  GET handlers take no
+#: argument, POST handlers the request body; both return the response
+#: bytes.  Mounted under a base URL, ``name`` answers at ``{base}/{name}``.
+Endpoints = dict[tuple[str, str], Callable[..., bytes]]
 
-#: The headers of the request currently being handled.  The simulated
-#: internet sets this around each handler invocation, so server-side
-#: code (published sources, broker leaves) reads its inbound headers —
-#: e.g. ``traceparent`` — without the handler signature changing.
+#: The headers of the request currently being handled.  Both mounts set
+#: this around each handler invocation (:func:`_call_handler`), so
+#: server-side code (published sources, broker leaves) reads its
+#: inbound headers — e.g. ``traceparent`` — without the handler
+#: signature changing.
 _REQUEST_HEADERS: ContextVar[dict[str, str] | None] = ContextVar(
     "repro_request_headers", default=None
 )
@@ -60,6 +70,17 @@ _REQUEST_HEADERS: ContextVar[dict[str, str] | None] = ContextVar(
 def current_request_headers() -> dict[str, str]:
     """The inbound headers of the request being handled (may be empty)."""
     return dict(_REQUEST_HEADERS.get() or {})
+
+
+def _call_handler(handler, headers: dict[str, str] | None, *arguments) -> bytes:
+    """Run an endpoint handler as the "server side" of one request: it
+    sees exactly the headers the request carried, never the caller's
+    ambient context."""
+    token = _REQUEST_HEADERS.set(dict(headers) if headers else None)
+    try:
+        return handler(*arguments)
+    finally:
+        _REQUEST_HEADERS.reset(token)
 
 
 class TransportError(Exception):
@@ -175,7 +196,64 @@ class _HostState:
     requests: int = 0
 
 
-class SimulatedInternet:
+@runtime_checkable
+class Transport(Protocol):
+    """Everything the client side — ``StartsClient``, the federation
+    dispatcher, a broker's network leaf handles — may touch of a network.
+
+    ``realtime`` / ``time_scale`` say how a simulated millisecond
+    becomes wall-clock waiting (whether backoffs are slept and awaited
+    attempts wall-guarded); real sockets are ``True`` / ``1.0``.
+    """
+
+    log: list[AccessRecord]
+    realtime: bool
+    time_scale: float
+
+    def perform(
+        self,
+        url: str,
+        method: str = "GET",
+        body: bytes | None = None,
+        deadline_ms: float | None = None,
+        headers: dict[str, str] | None = None,
+    ) -> tuple[bytes, AccessRecord]: ...
+
+    async def perform_async(
+        self,
+        url: str,
+        method: str = "GET",
+        body: bytes | None = None,
+        deadline_ms: float | None = None,
+        headers: dict[str, str] | None = None,
+    ) -> tuple[bytes, AccessRecord]: ...
+
+
+class _AccessLog:
+    """Accounting over ``self.log``, the same for every transport."""
+
+    log: list[AccessRecord]
+
+    def total_latency_ms(self) -> float:
+        return sum(record.latency_ms for record in self.log)
+
+    def total_cost(self) -> float:
+        return sum(record.cost for record in self.log)
+
+    def request_count(self, host: str | None = None) -> int:
+        if host is None:
+            return len(self.log)
+        return sum(1 for record in self.log if _host_of(record.url) == host)
+
+    def failure_count(self) -> int:
+        """Logged requests that did not complete (error or timeout)."""
+        return sum(1 for record in self.log if record.status != "ok")
+
+    def reset_log(self) -> None:
+        self.log.clear()
+
+
+class SimulatedInternet(_AccessLog):
     """URL → handler registry with latency/cost/fault simulation.
 
     Handlers are callables: GET handlers take no arguments and return
@@ -260,19 +338,13 @@ class SimulatedInternet:
         self.register_host(_host_of(url))
         self._post_handlers[url] = handler
 
+    def mount(self, base_url: str, endpoints: Endpoints) -> None:
+        """Serve an endpoint table under ``base_url``."""
+        for (method, name), handler in endpoints.items():
+            register = self.register_post if method == "POST" else self.register_get
+            register(f"{base_url}/{name}", handler)
+
     # -- traffic ------------------------------------------------------------
-
-    def fetch(self, url: str, headers: dict[str, str] | None = None) -> bytes:
-        """GET a URL; raises :class:`TransportError` if unregistered."""
-        payload, _ = self.perform(url, "GET", headers=headers)
-        return payload
-
-    def post(
-        self, url: str, body: bytes, headers: dict[str, str] | None = None
-    ) -> bytes:
-        """POST a body to a URL; raises :class:`TransportError`."""
-        payload, _ = self.perform(url, "POST", body, headers=headers)
-        return payload
 
     def perform(
         self,
@@ -295,7 +367,8 @@ class SimulatedInternet:
         handler, latency, status, detail, record = self._begin(
             url, method, deadline_ms
         )
-        self._sleep(latency)
+        if self.realtime and latency > 0.0:
+            time.sleep(latency * self.time_scale / 1000.0)
         return self._finish(handler, method, body, status, detail, record, headers)
 
     async def perform_async(
@@ -365,38 +438,8 @@ class SimulatedInternet:
             raise TransportTimeout(f"{method} {record.url} timed out: {detail}", record)
         if status == "error":
             raise TransportError(f"{method} {record.url} failed: {detail}", record)
-        # The handler is the "server side": it sees exactly the headers
-        # the request carried, never the caller's ambient context.
-        token = _REQUEST_HEADERS.set(dict(headers) if headers else None)
-        try:
-            payload = handler(body) if method == "POST" else handler()
-        finally:
-            _REQUEST_HEADERS.reset(token)
-        return payload, record
-
-    def _sleep(self, latency_ms: float) -> None:
-        if self.realtime and latency_ms > 0.0:
-            time.sleep(latency_ms * self.time_scale / 1000.0)
-
-    # -- accounting --------------------------------------------------------
-
-    def total_latency_ms(self) -> float:
-        return sum(record.latency_ms for record in self.log)
-
-    def total_cost(self) -> float:
-        return sum(record.cost for record in self.log)
-
-    def request_count(self, host: str | None = None) -> int:
-        if host is None:
-            return len(self.log)
-        return sum(1 for record in self.log if _host_of(record.url) == host)
-
-    def failure_count(self) -> int:
-        """Logged requests that did not complete (error or timeout)."""
-        return sum(1 for record in self.log if record.status != "ok")
-
-    def reset_log(self) -> None:
-        self.log.clear()
+        arguments = (body,) if method == "POST" else ()
+        return _call_handler(handler, headers, *arguments), record
 
     def known_urls(self) -> list[str]:
         return sorted(set(self._get_handlers) | set(self._post_handlers))

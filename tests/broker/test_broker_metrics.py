@@ -3,7 +3,12 @@
 import pytest
 
 from repro import BrokeredMetasearcher, SQuery, parse_expression, quick_federation
-from repro.broker import LeafBroker, NetworkLeafHandle, RootBroker
+from repro.broker import (
+    LeafBroker,
+    NetworkLeafHandle,
+    RootBroker,
+    publish_broker_leaf,
+)
 from repro.metasearch.selection import Cori
 from repro.observability import (
     MetricsRegistry,
@@ -11,7 +16,7 @@ from repro.observability import (
     render_prometheus,
     set_registry,
 )
-from repro.transport import FaultProfile, publish_broker_leaf
+from repro.transport import FaultProfile
 
 from tests.broker.util import demo_population, populated
 

@@ -14,7 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro import BrokeredMetasearcher, Metasearcher, SQuery, parse_expression
 from repro import quick_federation
-from repro.broker import LeafBroker, NetworkLeafHandle, RootBroker, build_hierarchy
+from repro.broker import (
+    LeafBroker,
+    NetworkLeafHandle,
+    RootBroker,
+    build_hierarchy,
+    publish_broker_leaf,
+)
 from repro.cache import CachePolicy
 from repro.federation import AsyncExecutor, SerialExecutor
 from repro.metasearch.selection import (
@@ -28,7 +34,7 @@ from repro.metasearch.selection import (
 from repro.metasearch.summary_index import SummaryIndex
 from repro.observability import MetricsRegistry, get_registry, set_registry
 from repro.starts.metadata import SContentSummary, SummaryEntryLine, SummarySection
-from repro.transport import FaultProfile, publish_broker_leaf
+from repro.transport import FaultProfile
 
 WORD_POOL = ["alpha", "beta", "Gamma", "delta", "epsilon", "Zeta"]
 QUERY_POOL = WORD_POOL + ["absent", "Missing"]

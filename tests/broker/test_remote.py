@@ -8,16 +8,12 @@ from repro.broker import (
     LeafBroker,
     NetworkLeafHandle,
     RootBroker,
+    publish_broker_leaf,
     selector_wire_name,
 )
 from repro.metasearch.selection import Cori, CostAware, VGlossSum
 from repro.starts.errors import ProtocolError
-from repro.transport import (
-    FaultProfile,
-    SimulatedInternet,
-    TransportError,
-    publish_broker_leaf,
-)
+from repro.transport import FaultProfile, SimulatedInternet, TransportError
 
 from tests.broker.util import demo_population, flat_index
 
@@ -150,7 +146,7 @@ class TestTypedWire:
         base = "http://net-0.example.org/broker"
         publish_broker_leaf(internet, LeafBroker("net-0"), base)
         with pytest.raises(ProtocolError, match=complaint) as raised:
-            internet.post(f"{base}/{endpoint}", body)
+            internet.perform(f"{base}/{endpoint}", "POST", body)
         assert f"{base}/{endpoint}" in str(raised.value)
 
     @pytest.mark.parametrize("endpoint, reply, complaint", MALFORMED_REPLIES)
@@ -210,4 +206,4 @@ class TestWireNames:
         publish_broker_leaf(internet, LeafBroker("net-0"), base)
         request = {"selector": "bogus", "terms": [], "k": 1, "stats": STATS}
         with pytest.raises(ProtocolError, match="unknown selector"):
-            internet.post(f"{base}/select", _json(request))
+            internet.perform(f"{base}/select", "POST", _json(request))

@@ -347,6 +347,9 @@ class TestDispatcherIntegration:
             assert all(o.ok for o in outcomes)
             best_wall_ms = min(best_wall_ms, wall_ms)
         assert best_wall_ms < serial_wall_ms / 2
+        # Every wait was a suspended coroutine, not a queued thread: all
+        # 64 requests were in flight at once through the one executor.
+        assert dispatcher.executor.peak_inflight == 64
 
 
 class TestSubmitBackground:

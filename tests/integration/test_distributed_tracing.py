@@ -12,7 +12,12 @@ one trace id — root span → per-leaf ``rpc:*`` spans → server-side
 
 import json
 
-from repro.broker import LeafBroker, NetworkLeafHandle, RootBroker
+from repro.broker import (
+    LeafBroker,
+    NetworkLeafHandle,
+    RootBroker,
+    publish_broker_leaf,
+)
 from repro.federation import AsyncExecutor
 from repro.metasearch.selection import Cori
 from repro.observability import (
@@ -23,7 +28,7 @@ from repro.observability import (
     stitched_chrome_trace,
     trace_events,
 )
-from repro.transport import SimulatedInternet, publish_broker_leaf
+from repro.transport import SimulatedInternet
 
 from tests.broker.util import demo_population
 

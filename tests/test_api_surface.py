@@ -95,6 +95,7 @@ def test_broker_exports_the_partitioner_the_leaf_protocol_and_the_exact_root():
         "NetworkLeafHandle",
         "RootBroker",
         "build_hierarchy",
+        "publish_broker_leaf",
         "selector_wire_name",
     ]
 
@@ -107,3 +108,23 @@ def test_two_executors_not_three():
     for package in (repro, repro.federation, repro.metasearch):
         assert "ParallelExecutor" not in package.__all__
     assert {"AsyncExecutor", "SerialExecutor"} <= set(repro.federation.__all__)
+
+
+def test_both_wires_are_transports():
+    from repro.transport import HttpTransport, SimulatedInternet, Transport
+
+    assert isinstance(SimulatedInternet(), Transport)
+    assert isinstance(HttpTransport(), Transport)
+
+
+def test_transport_sits_below_the_broker_and_the_metasearcher():
+    """The wire serves whatever is mounted on it; it imports none of it
+    (the leaf's endpoints live with the leaf, in ``repro.broker``)."""
+    import repro.transport
+
+    offenders = [
+        str(path)
+        for path in pathlib.Path(repro.transport.__file__).parent.glob("*.py")
+        if re.search(r"repro\.(broker|metasearch)", path.read_text())
+    ]
+    assert not offenders

@@ -17,38 +17,6 @@ class TestParseCommand:
         assert main(["parse", "   "]) == 2
 
 
-class TestDemoCommand:
-    def test_demo_prints_results(self, capsys):
-        assert main(["--seed", "3", "demo"]) == 0
-        out = capsys.readouterr().out
-        assert "selected sources:" in out
-        assert "http://" in out
-
-
-class TestQueryCommand:
-    def test_ranking_query(self, capsys):
-        code = main(
-            ["--seed", "3", "query", '(body-of-text "databases")', "--sources", "1"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "selected sources:" in out
-
-    def test_filter_query(self, capsys):
-        code = main(
-            [
-                "--seed",
-                "3",
-                "query",
-                '(date-last-modified > "1994-01-01")',
-                "--filter",
-                "--limit",
-                "3",
-            ]
-        )
-        assert code == 0
-
-
 class TestSearchCommand:
     def test_batch_search_prints_rank(self, capsys):
         code = main(["--seed", "3", "search", '(body-of-text "databases")'])
@@ -87,6 +55,45 @@ class TestSearchCommand:
 
     def test_empty_expression_fails(self, capsys):
         assert main(["search", "   "]) == 2
+
+    def test_without_an_expression_runs_the_demo_query(self, capsys):
+        assert main(["--seed", "3", "search", "--limit", "5", "--sources", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "selected sources:" in out
+        assert "http://" in out
+
+    def test_sources_flag_bounds_the_selection(self, capsys):
+        code = main(
+            ["--seed", "3", "search", '(body-of-text "databases")', "--sources", "1"]
+        )
+        assert code == 0
+        (selected,) = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("selected sources:")
+        ]
+        assert "," not in selected
+
+    def test_filter_flag_treats_the_expression_as_a_filter(self, capsys):
+        code = main(
+            [
+                "--seed",
+                "3",
+                "search",
+                '(date-last-modified > "1994-01-01")',
+                "--filter",
+                "--limit",
+                "3",
+            ]
+        )
+        assert code == 0
+        assert "selected sources:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["demo", "query"])
+    def test_the_folded_subcommands_are_gone(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command])
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestSelectCommand:

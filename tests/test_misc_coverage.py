@@ -33,10 +33,10 @@ class TestFederationHostProfiles:
         federation.internet.reset_log()
         slow_source = federation.sources["Exp-02"]
         fast_source = federation.sources["Exp-00"]
-        federation.internet.fetch(f"{slow_source.base_url}/meta")
+        federation.internet.perform(f"{slow_source.base_url}/meta")
         slow = federation.internet.total_latency_ms()
         federation.internet.reset_log()
-        federation.internet.fetch(f"{fast_source.base_url}/meta")
+        federation.internet.perform(f"{fast_source.base_url}/meta")
         fast = federation.internet.total_latency_ms()
         assert slow > fast * 5
 

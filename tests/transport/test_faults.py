@@ -27,7 +27,7 @@ def outcome_stream(internet, n=20):
     stream = []
     for _ in range(n):
         try:
-            internet.fetch(URL)
+            internet.perform(URL)
         except TransportError:
             pass
         stream.append((internet.log[-1].status, internet.log[-1].latency_ms))
@@ -55,22 +55,22 @@ class TestFaultShapes:
         internet = make_internet(FaultProfile.flaky(2))
         for _ in range(2):
             with pytest.raises(TransportError):
-                internet.fetch(URL)
-        assert internet.fetch(URL) == b"payload"
+                internet.perform(URL)
+        assert internet.perform(URL)[0] == b"payload"
         assert internet.failure_count() == 2
 
     def test_timeout_after_good_requests(self):
         internet = make_internet(FaultProfile.hangs(after=1, hang_ms=2_000.0))
-        assert internet.fetch(URL) == b"payload"
+        assert internet.perform(URL)[0] == b"payload"
         with pytest.raises(TransportTimeout):
-            internet.fetch(URL)
+            internet.perform(URL)
         assert internet.log[-1].latency_ms == pytest.approx(2_000.0)
 
     def test_dead_host_always_errors(self):
         internet = make_internet(FaultProfile.dead())
         for _ in range(3):
             with pytest.raises(TransportError):
-                internet.fetch(URL)
+                internet.perform(URL)
 
     def test_timeout_is_a_transport_error(self):
         assert issubclass(TransportTimeout, TransportError)
@@ -78,13 +78,13 @@ class TestFaultShapes:
     def test_set_fault_profile_mid_run_restarts_schedule(self):
         internet = make_internet()
         for _ in range(5):
-            internet.fetch(URL)  # pre-outage traffic
+            internet.perform(URL)  # pre-outage traffic
         internet.set_fault_profile("flaky.org", FaultProfile.flaky(1))
         with pytest.raises(TransportError):
-            internet.fetch(URL)  # schedule counts from attachment
-        assert internet.fetch(URL) == b"payload"
+            internet.perform(URL)  # schedule counts from attachment
+        assert internet.perform(URL)[0] == b"payload"
         internet.set_fault_profile("flaky.org", None)
-        assert internet.fetch(URL) == b"payload"
+        assert internet.perform(URL)[0] == b"payload"
 
 
 class TestDeadlines:
@@ -111,6 +111,6 @@ class TestDeadlines:
             profile=HostProfile(latency_ms=20.0, jitter_ms=0.0, cost_per_query=3.0),
         )
         with pytest.raises(TransportError) as excinfo:
-            internet.fetch(URL)
+            internet.perform(URL)
         assert excinfo.value.record.cost == pytest.approx(3.0)
         assert internet.total_cost() == pytest.approx(3.0)

@@ -56,15 +56,15 @@ class TestFileUrls:
         internet = SimulatedInternet()
         url = register_file_url(internet, written["summary"])
         assert url.startswith("file://")
-        assert internet.fetch(url) == written["summary"].read_bytes()
+        assert internet.perform(url)[0] == written["summary"].read_bytes()
 
     def test_lazy_read_sees_re_exports(self, source1, tmp_path):
         written = export_source_blobs(source1, tmp_path)
         internet = SimulatedInternet()
         url = register_file_url(internet, written["summary"])
-        first = internet.fetch(url)
+        first = internet.perform(url)[0]
         written["summary"].write_text("@SContentSummary{\nNumDocs{1}: 0\n}\n")
-        assert internet.fetch(url) != first
+        assert internet.perform(url)[0] != first
 
     def test_discovery_from_disk(self, paper_resource, tmp_path):
         """A metasearcher can harvest a resource exported to files."""

@@ -1,4 +1,9 @@
-"""The real-HTTP transport: sockets, servers, and the shared client."""
+"""The socket wire's own edges: statuses, the full pipeline, accounting.
+
+What every endpoint answers is checked once for both mounts in
+``test_endpoints.py``; what the two transports must agree on in
+``test_transport_parity.py``.
+"""
 
 import pytest
 
@@ -7,9 +12,7 @@ from repro.metasearch import Metasearcher
 from repro.resource import Resource
 from repro.source import StartsSource
 from repro.starts import SQuery, parse_expression
-from repro.transport import StartsClient
 from repro.transport.http import HttpTransport, StartsHttpServer
-from repro.transport.network import TransportError
 
 
 @pytest.fixture(scope="module")
@@ -31,54 +34,6 @@ def ranking_query():
             'list((body-of-text "distributed") (body-of-text "databases"))'
         )
     )
-
-
-class TestEndpoints:
-    def test_resource_blob(self, server):
-        client = StartsClient(HttpTransport())
-        resource = client.fetch_resource(server.resource_url())
-        assert resource.source_ids() == ["Source-1", "Source-2"]
-        for source_id in resource.source_ids():
-            assert resource.metadata_url(source_id).startswith(server.base_url)
-
-    def test_metadata_links_rewritten_to_server(self, server):
-        client = StartsClient(HttpTransport())
-        metadata = client.fetch_metadata(f"{server.base_url}/Source-1/meta")
-        assert metadata.linkage == server.source_query_url("Source-1")
-        assert metadata.content_summary_linkage.startswith(server.base_url)
-
-    def test_query_round_trip(self, server):
-        client = StartsClient(HttpTransport())
-        results = client.query(server.source_query_url("Source-1"), ranking_query())
-        assert results.sources == ("Source-1",)
-        assert results.documents
-
-    def test_summary_and_sample(self, server):
-        client = StartsClient(HttpTransport())
-        summary = client.fetch_summary(f"{server.base_url}/Source-1/cont_sum.txt")
-        assert summary.num_docs == 3
-        sample = client.fetch_sample_results(f"{server.base_url}/Source-1/sample")
-        assert sample.all_scores()
-
-    def test_scan_over_http(self, server):
-        client = StartsClient(HttpTransport())
-        response = client.scan(
-            f"{server.base_url}/Source-1/scan", "body-of-text", "data", count=3
-        )
-        assert response.entries
-
-    def test_sources_attribute_routes_through_resource(self, server):
-        client = StartsClient(HttpTransport())
-        query = ranking_query().with_sources("Source-2")
-        results = client.query(server.source_query_url("Source-1"), query)
-        assert set(results.sources) == {"Source-1", "Source-2"}
-
-    def test_unknown_paths_404(self, server):
-        transport = HttpTransport()
-        with pytest.raises(TransportError):
-            transport.fetch(f"{server.base_url}/nope")
-        with pytest.raises(TransportError):
-            transport.post(f"{server.base_url}/NoSource/query", b"@SQuery{\n}\n")
 
 
 class TestErrorStatuses:
@@ -138,8 +93,11 @@ class TestMetasearcherOverHttp:
 class TestTransportAccounting:
     def test_latency_measured(self, server):
         transport = HttpTransport()
-        transport.fetch(f"{server.base_url}/Source-1/meta")
+        transport.perform(f"{server.base_url}/Source-1/meta")
         assert transport.request_count() == 1
+        host = server.base_url.removeprefix("http://")
+        assert transport.request_count(host) == 1
+        assert transport.request_count("127.0.0") == 0  # the netloc, not a substring
         assert transport.total_latency_ms() > 0.0
         transport.reset_log()
         assert transport.request_count() == 0

@@ -8,8 +8,8 @@ Commands:
   query); ``--filter`` treats the expression as a filter instead of a
   ranking; with ``--stream``, print merged results incrementally (with
   per-emission latency) as sources answer, via the asyncio executor.
-* ``experiment {E1,E2,E3,E4,E5,E6}`` — run one experiment and print its
-  table (smaller federation than benchmarks/, for quick looks).
+* ``experiment {F1,T1-T3,E1,E1b,E2-E7,A1a,A1b,A1c,A2,A3}`` — regenerate
+  one table of EXPERIMENTS.md exactly as ``benchmarks/results/`` holds it.
 * ``broker [--sources N] [--leaves N] [--terms "..."]`` — shard a
   synthetic summary population across a root/leaf broker hierarchy and
   print the routing table, per-leaf shard statistics, and (with
@@ -187,43 +187,14 @@ def cmd_broker(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.experiments import (
-        FederationSpec,
-        build_federation,
-        run_end_to_end_experiment,
-        run_merging_experiment,
-        run_selection_experiment,
-        run_summary_size_experiment,
-        run_translation_experiment,
-        least_common_denominator,
-    )
+    from repro.experiments import ARTIFACTS
 
-    federation = build_federation(
-        FederationSpec(n_sources=6, docs_per_source=40, n_queries=20, seed=args.seed)
-    )
-    tables = {
-        "E1": lambda: run_selection_experiment(federation),
-        "E2": lambda: run_merging_experiment(federation, n_queries=15),
-        "E4": run_summary_size_experiment,
-        "E5": lambda: run_end_to_end_experiment(federation, n_queries=10),
-        "E6": lambda: run_merging_experiment(
-            federation, n_queries=15, withhold_term_stats=True
-        ),
-    }
-    experiment = args.id.upper()
-    if experiment in tables:
-        for row in tables[experiment]():
-            print(row.row())
-    elif experiment == "E3":
-        cells = run_translation_experiment(federation)
-        lossless = sum(1 for cell in cells if cell.lossless)
-        predicted = sum(1 for cell in cells if cell.prediction_matches_actual)
-        print(f"lossless cells:       {lossless}/{len(cells)}")
-        print(f"predictions correct:  {predicted}/{len(cells)}")
-        print(f"least common denom.:  {', '.join(least_common_denominator(cells))}")
-    else:
+    build = ARTIFACTS.get(args.id.capitalize())
+    if build is None:
         print(f"unknown experiment: {args.id}", file=sys.stderr)
         return 2
+    lines, _ = build()
+    print("\n".join(lines))
     return 0
 
 
@@ -541,8 +512,13 @@ def main(argv: list[str] | None = None) -> int:
     broker.add_argument("-k", type=int, default=5, help="sources to select")
     broker.set_defaults(handler=cmd_broker)
 
-    experiment = commands.add_parser("experiment", help="run one experiment")
-    experiment.add_argument("id", help="E1..E6")
+    experiment = commands.add_parser(
+        "experiment",
+        help="print one table of EXPERIMENTS.md",
+        description="Print one table of EXPERIMENTS.md as benchmarks/results/ holds "
+        "it; its sizes and seed are part of its definition, so --seed does not apply.",
+    )
+    experiment.add_argument("id", help="F1, T1..T3, E1, E1b, E2..E7, A1a..A1c, A2, A3")
     experiment.set_defaults(handler=cmd_experiment)
 
     conformance = commands.add_parser(

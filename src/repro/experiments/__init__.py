@@ -1,6 +1,7 @@
-"""Experiment runners backing EXPERIMENTS.md and the benchmark harness.
+"""Experiment runners, and the tables of EXPERIMENTS.md built from them
+(``ARTIFACTS``, :mod:`~repro.experiments.artifacts`).
 
-One module per experiment family (see DESIGN.md §3):
+One runner module per experiment family (see DESIGN.md §3):
 
 * E1 — :mod:`~repro.experiments.selection` (source selection / GlOSS)
 * E2/E6 — :mod:`~repro.experiments.merging` (rank merging / calibration)
@@ -13,6 +14,7 @@ All runners share the reproducible federation from
 :mod:`~repro.experiments.metrics`.
 """
 
+from repro.experiments.artifacts import ARTIFACTS
 from repro.experiments.endtoend import PipelineResult, run_end_to_end_experiment
 from repro.experiments.federation import Federation, FederationSpec, build_federation
 from repro.experiments.merging import (
@@ -41,6 +43,7 @@ from repro.experiments.translation import (
 )
 
 __all__ = [
+    "ARTIFACTS",
     "PipelineResult",
     "run_end_to_end_experiment",
     "Federation",

@@ -10,14 +10,11 @@ latency and monetary cost.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from repro.cache.policy import CachePolicy
 from repro.experiments.federation import Federation
 from repro.experiments.metrics import mean, precision_at_k
-from repro.federation.executor import Executor
-from repro.federation.policy import QueryPolicy
 from repro.metasearch import (
     Metasearcher,
     RawScoreMerge,
@@ -25,7 +22,6 @@ from repro.metasearch import (
     TfIdfRecomputeMerge,
     VGlossMax,
 )
-from repro.observability.tracing import Tracer
 
 __all__ = ["PipelineResult", "run_end_to_end_experiment"]
 
@@ -40,65 +36,27 @@ class PipelineResult:
     latency_ms_per_query: float
     cost_per_query: float
     parallel_latency_ms_per_query: float = 0.0
-    outcome_counts: dict[str, int] = dataclass_field(default_factory=dict)
-    #: result-cache tallies over the whole run (hits/stale_hits/misses/
-    #: negative_skips); empty when the run was uncached.
-    cache_counts: dict[str, int] = dataclass_field(default_factory=dict)
 
     def row(self) -> str:
-        line = (
+        return (
             f"{self.name:<22} P@10={self.precision_at_10:.3f} "
             f"reqs={self.requests_per_query:.1f} "
             f"latency={self.latency_ms_per_query:.0f}ms "
             f"(parallel {self.parallel_latency_ms_per_query:.0f}ms) "
             f"cost={self.cost_per_query:.2f}"
         )
-        failures = sum(
-            count
-            for status, count in self.outcome_counts.items()
-            if status in ("error", "timeout")
-        )
-        if failures:
-            line += f" failures={failures}"
-        if self.cache_counts:
-            line += (
-                f" cache={self.cache_counts.get('hits', 0)}h/"
-                f"{self.cache_counts.get('stale_hits', 0)}s/"
-                f"{self.cache_counts.get('misses', 0)}m"
-            )
-            skips = self.cache_counts.get("negative_skips", 0)
-            if skips:
-                line += f" negskips={skips}"
-        return line
 
 
 def run_end_to_end_experiment(
     federation: Federation,
     n_queries: int = 20,
     k_sources: int = 3,
-    executor: Executor | None = None,
-    query_policy: QueryPolicy | None = None,
-    tracer: Tracer | None = None,
-    cache_policy: CachePolicy | None = None,
 ) -> list[PipelineResult]:
     """Run E5: STARTS pipeline vs. query-all/raw-merge baseline.
 
-    Args:
-        executor: passed through to the :class:`Metasearcher` — sweep
-            serial vs. parallel fan-out over the same federation.
-        query_policy: per-source execution policy, for federations with
-            fault injection enabled.
-        tracer: when given, every search of every configuration records
-            into it, so per-source counters aggregate across the run.
-        cache_policy: caching configuration for the searchers.  The
-            experiment defaults to **disabled** — the workload's
-            distinct queries make caching pure overhead, and the
-            paper-faithful numbers must not depend on it.  Pass an
-            enabled policy to measure a cached deployment; the
-            per-configuration result then reports hit/miss tallies in
-            :attr:`PipelineResult.cache_counts`.
+    The searchers run uncached: the workload's queries are distinct, and
+    the paper-faithful numbers must not depend on a cache.
     """
-    cache_policy = cache_policy or CachePolicy.disabled()
     configurations = [
         ("starts(vGlOSS+tfidf)", VGlossMax(), TfIdfRecomputeMerge(), k_sources),
         ("baseline(all+raw)", SelectAll(), RawScoreMerge(), len(federation.sources)),
@@ -112,35 +70,22 @@ def run_end_to_end_experiment(
             [federation.resource_url],
             selector=selector,
             merger=merger,
-            executor=executor,
-            query_policy=query_policy,
-            cache_policy=cache_policy,
+            cache_policy=CachePolicy.disabled(),
         )
         searcher.refresh()
         federation.internet.reset_log()
 
         precisions = []
         parallel_latencies = []
-        outcome_counts: Counter[str] = Counter()
         for query in queries:
             search_result = searcher.search(
-                query.to_squery(max_documents=20), k_sources=k, tracer=tracer
+                query.to_squery(max_documents=20), k_sources=k
             )
             precisions.append(
                 precision_at_k(search_result.linkages(), set(query.relevant), 10)
             )
             parallel_latencies.append(search_result.query_latency_parallel_ms)
-            outcome_counts.update(search_result.outcome_counts())
         n = max(len(queries), 1)
-        cache_counts: dict[str, int] = {}
-        if searcher.result_cache is not None:
-            stats = searcher.result_cache.stats
-            cache_counts = {
-                "hits": stats.hits,
-                "stale_hits": stats.stale_hits,
-                "misses": stats.misses,
-                "negative_skips": searcher.negative_cache.skips,
-            }
         results.append(
             PipelineResult(
                 name,
@@ -149,8 +94,6 @@ def run_end_to_end_experiment(
                 federation.internet.total_latency_ms() / n,
                 federation.internet.total_cost() / n,
                 parallel_latency_ms_per_query=mean(parallel_latencies),
-                outcome_counts=dict(outcome_counts),
-                cache_counts=cache_counts,
             )
         )
     return results

@@ -20,6 +20,7 @@ query-language syntax used in the paper's examples, and the parser in
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from decimal import Decimal
 
 from repro.starts.attributes import FieldRef, ModifierRef
 from repro.starts.errors import ProtocolError
@@ -94,8 +95,10 @@ class STerm(SNode):
 
 
 def _format_weight(weight: float) -> str:
-    text = f"{weight:.4f}".rstrip("0")
-    return text + "0" if text.endswith(".") else text
+    # The shortest decimal that reads back as the same float; the
+    # grammar's NUMBER has no exponent form, so a tiny weight is spelled out.
+    text = repr(weight)
+    return format(Decimal(text), "f") if "e" in text else text
 
 
 class _Nary(SNode):

@@ -1,7 +1,7 @@
 """The experiment runners themselves: determinism and basic shapes.
 
 These run on a deliberately tiny federation so the whole file stays
-fast; the full-size shape assertions live in benchmarks/.
+fast; the full-size shape assertions live in test_artifacts.py.
 """
 
 import pytest

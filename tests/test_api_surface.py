@@ -128,3 +128,20 @@ def test_transport_sits_below_the_broker_and_the_metasearcher():
         if re.search(r"repro\.(broker|metasearch)", path.read_text())
     ]
     assert not offenders
+
+
+def test_the_suite_is_the_only_benchmark_and_nothing_times_by_hand():
+    """``benchmarks/suite/`` is the one measuring instrument: no legacy
+    ``test_bench_*.py`` producer beside it and no pytest-benchmark import
+    anywhere (the paper's tables come from ``python -m repro
+    experiment``, checked by ``tests/experiments/test_artifacts.py``)."""
+    repo = pathlib.Path(__file__).parents[1]
+    suite = repo / "benchmarks" / "suite"
+    sources = list(repo.rglob("*.py"))
+    assert not [
+        str(path)
+        for path in sources
+        if path.name.startswith("test_bench_") and suite not in path.parents
+    ]
+    imports = re.compile(r"^\s*(from|import)\s+pytest_benchmark\b", re.MULTILINE)
+    assert not [str(path) for path in sources if imports.search(path.read_text())]

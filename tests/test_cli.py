@@ -1,5 +1,7 @@
 """The ``python -m repro`` command-line interface."""
 
+import pathlib
+
 import pytest
 
 from repro.__main__ import main
@@ -131,12 +133,15 @@ class TestSelectCommand:
 
 
 class TestExperimentCommand:
-    def test_e4_runs_quickly(self, capsys):
-        assert main(["experiment", "E4"]) == 0
-        assert "corpus=" in capsys.readouterr().out
+    def test_e4_prints_the_committed_table(self, capsys):
+        committed = pathlib.Path(__file__).parents[1] / "benchmarks" / "results"
+        # Ids are matched whatever their case; --seed is not part of a table.
+        assert main(["--seed", "3", "experiment", "e4"]) == 0
+        assert capsys.readouterr().out == (committed / "E4_summary_size.txt").read_text()
 
     def test_unknown_id(self, capsys):
         assert main(["experiment", "E99"]) == 2
+        assert "unknown experiment: E99" in capsys.readouterr().err
 
 
 class TestServeCommand:

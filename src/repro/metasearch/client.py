@@ -685,7 +685,10 @@ class Metasearcher:
             with _phase(tracer, f"translate:{entry_id}", parent) as span:
                 source = self.discovery.source(entry_id)
                 translated, report = self.translator.translate(
-                    plan.query, source.metadata, summary=plan.summaries.get(entry_id)
+                    plan.query,
+                    source.metadata,
+                    summary=plan.summaries.get(entry_id),
+                    target=source.translation_target,
                 )
                 reports[entry_id] = report
                 span.annotate(

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 from repro.cache.summaries import SummaryTtlPolicy
 from repro.metasearch.summary_index import SummaryIndex
+from repro.metasearch.translation import translation_target
 from repro.source.sample import SampleResults
 from repro.starts.errors import SoifSyntaxError
 from repro.starts.metadata import SContentSummary, SMetaAttributes
@@ -40,6 +42,14 @@ class KnownSource:
     @property
     def num_docs(self) -> int:
         return self.summary.num_docs if self.summary is not None else 0
+
+    @cached_property
+    def translation_target(self):
+        """:func:`translation_target` of ``metadata``, built by the first
+        query routed here (≈ 17 kB: too much to build for every source
+        of a large harvest) and kept until a re-harvest replaces this
+        object, metadata and all."""
+        return translation_target(self.metadata)
 
 
 #: What one source may do to its own harvest without aborting the round.

@@ -58,6 +58,17 @@ def capabilities_from_metadata(metadata: SMetaAttributes) -> SourceCapabilities:
     )
 
 
+def translation_target(metadata: SMetaAttributes) -> tuple[SourceCapabilities, Analyzer]:
+    """What translating for one source takes from its metadata: the
+    capability declaration, and an analyzer over the source's own stop
+    list, so the client can predict stop-word elimination.  Neither
+    depends on the query, so a caller that keeps the metadata can keep
+    these beside it."""
+    stop_list = StopWordList(metadata.stop_word_list, name=metadata.source_id)
+    analyzer = Analyzer(stop_words={"en": stop_list, "es": stop_list})
+    return capabilities_from_metadata(metadata), analyzer
+
+
 @dataclass
 class TranslationReport:
     """What the client-side translation changed for one source."""
@@ -95,15 +106,17 @@ class ClientTranslator:
         query: SQuery,
         metadata: SMetaAttributes,
         summary=None,
+        target: tuple[SourceCapabilities, Analyzer] | None = None,
     ) -> tuple[SQuery, TranslationReport]:
         """The per-source query and a report of everything lost.
 
         The returned query is what the metasearcher actually sends; its
         expressions are already pruned to the source's declared
         capabilities, so the source's actual-query report should match
-        it (tests assert exactly that).
+        it (tests assert exactly that).  ``target`` is a kept
+        :func:`translation_target` of ``metadata``.
         """
-        capabilities = capabilities_from_metadata(metadata)
+        capabilities, analyzer = target or translation_target(metadata)
         report = TranslationReport(metadata.source_id)
 
         filter_expression = query.filter_expression
@@ -120,10 +133,6 @@ class ClientTranslator:
                 for note in filter_rewrites.rewritten + ranking_rewrites.rewritten
             )
 
-        # The source's own stop list, reconstructed from metadata, so
-        # the client can predict stop-word elimination.
-        stop_list = StopWordList(metadata.stop_word_list, name=metadata.source_id)
-        analyzer = Analyzer(stop_words={"en": stop_list, "es": stop_list})
         translator = QueryTranslator(capabilities, analyzer, query.default_language)
 
         drop_stop_words = query.drop_stop_words

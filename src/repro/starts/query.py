@@ -119,9 +119,13 @@ class SQuery:
     def from_soif(cls, obj: SoifObject) -> "SQuery":
         if obj.template != "SQuery":
             raise SoifSyntaxError(f"expected @SQuery, got @{obj.template}")
-        filter_text = obj.get("FilterExpression", "") or ""
-        ranking_text = obj.get("RankingExpression", "") or ""
-        sort_text = obj.get("SortByFields")
+        # Names match case-insensitively and an attribute's first value wins.
+        first: dict[str, str] = {}
+        for name, value in obj:
+            first.setdefault(name.lower(), value)
+        get = first.get
+        filter_text, ranking_text = get("filterexpression"), get("rankingexpression")
+        sort_text = get("sortbyfields")
         if sort_text:
             sort_keys = tuple(
                 SortKey.parse(piece.strip())
@@ -130,26 +134,26 @@ class SQuery:
             )
         else:
             sort_keys = (SortKey(SCORE_SORT_FIELD, descending=True),)
-        answer_text = obj.get("AnswerFields")
+        answer_text = get("answerfields")
         answer_fields = (
             tuple(answer_text.split()) if answer_text else DEFAULT_ANSWER_FIELDS
         )
         return cls(
-            filter_expression=parse_expression(filter_text),
-            ranking_expression=parse_expression(ranking_text),
-            drop_stop_words=_parse_flag(obj.get("DropStopWords", "T") or "T"),
-            default_attribute_set=obj.get("DefaultAttributeSet", "basic-1") or "basic-1",
-            default_language=obj.get("DefaultLanguage", "en-US") or "en-US",
-            sources=tuple((obj.get("Sources") or "").split()),
+            filter_expression=parse_expression(filter_text) if filter_text else None,
+            ranking_expression=parse_expression(ranking_text) if ranking_text else None,
+            drop_stop_words=_parse_flag(get("dropstopwords") or "T"),
+            default_attribute_set=get("defaultattributeset") or "basic-1",
+            default_language=get("defaultlanguage") or "en-US",
+            sources=tuple(get("sources", "").split()),
             answer_fields=answer_fields,
             sort_keys=sort_keys,
             min_document_score=_number(
-                float, "MinDocumentScore", obj.get("MinDocumentScore"), 0.0
+                float, "MinDocumentScore", get("mindocumentscore"), 0.0
             ),
             max_number_documents=_number(
-                int, "MaxNumberDocuments", obj.get("MaxNumberDocuments"), 20
+                int, "MaxNumberDocuments", get("maxnumberdocuments"), 20
             ),
-            version=obj.get("Version", PROTOCOL_VERSION) or PROTOCOL_VERSION,
+            version=get("version") or PROTOCOL_VERSION,
         )
 
 

@@ -24,19 +24,33 @@ from repro.starts.ast import SNode, STerm
 from repro.starts.errors import ProtocolError, QuerySyntaxError, SoifSyntaxError
 from repro.starts.parser import parse_expression
 from repro.starts.query import PROTOCOL_VERSION, _format_float, _number
-from repro.starts.soif import SoifObject, attribute_line, parse_soif_stream
+from repro.starts.soif import Span, _read_object, _read_stream, attribute_line
 
 __all__ = ["TermStats", "SQRDocument", "SQResults"]
 
+#: The SQRDocument attributes rank merging reads, decoded with the stream.
+_MERGE_ATTRIBUTES = frozenset(("linkage", "rawscore", "termstats", "docsize", "doccount"))
 #: Attributes of SQRDocument that are not document fields.
-_RESERVED_DOC_ATTRIBUTES = frozenset(
-    ("version", "rawscore", "sources", "linkage", "termstats", "docsize", "doccount")
+_RESERVED_DOC_ATTRIBUTES = _MERGE_ATTRIBUTES | {"version", "sources"}
+_HEADER_ATTRIBUTES = frozenset(
+    ("version", "sources", "actualfilterexpression", "actualrankingexpression", "numdocsoifs")
 )
 
 
-def _expression(header: SoifObject, attribute: str) -> SNode | None:
+def _first_values(data: bytes, spans: list[Span], wanted: frozenset[str]) -> dict[str, str]:
+    """The ``wanted`` attributes among ``spans``, keyed in lower case:
+    names match case-insensitively and an attribute's first value wins."""
+    found: dict[str, str] = {}
+    for name, start, end in spans:
+        key = name.lower()
+        if key in wanted and key not in found:
+            found[key] = data[start:end].decode()
+    return found
+
+
+def _expression(header: dict[str, str], attribute: str) -> SNode | None:
     try:
-        return parse_expression(header.get(attribute) or "")
+        return parse_expression(header.get(attribute.lower(), ""))
     except (QuerySyntaxError, ProtocolError, ValueError) as error:
         raise SoifSyntaxError(f"bad {attribute}: {error}") from error
 
@@ -95,12 +109,28 @@ class TermStats:
         return cls(term, tf, weight, df)
 
 
-@dataclass(frozen=True)
-class SQRDocument:
+#: How a frozen document is filled in outside its ``__init__``.
+_set = object.__setattr__
+
+
+class _Retained:
+    """What a decoded document keeps in place of the attributes not
+    built yet: the response it came in and the offset of its ``@``."""
+
+    __slots__ = ("_response", "_offset")
+
+
+@dataclass(frozen=True, slots=True)
+class SQRDocument(_Retained):
     """One document in a query result.
 
     ``fields`` holds the answer fields the query asked for (title,
     author, ...); ``linkage`` is always present per the protocol.
+
+    A document decoded from a stream carries what rank merging reads;
+    ``fields``, ``sources`` and ``version`` are built from the retained
+    response when first read.  The decode has checked all of it, so
+    reading them cannot fail.
     """
 
     linkage: str
@@ -117,40 +147,51 @@ class SQRDocument:
             return self.linkage
         return self.fields.get(name, default)
 
+    def __getattr__(self, name: str):
+        # Reached only for an attribute not set yet.  Racing readers
+        # each build the same values from the same bytes.
+        if name not in ("fields", "sources", "version"):
+            raise AttributeError(name)
+        data = self._response
+        _, spans, _ = _read_object(data, self._offset)
+        first = _first_values(data, spans, _RESERVED_DOC_ATTRIBUTES)
+        _set(self, "sources", tuple(first.get("sources", "").split()))
+        _set(self, "version", first.get("version") or PROTOCOL_VERSION)
+        # Every attribute that is not reserved is an answer field, in
+        # wire order.
+        fields = {
+            attribute: data[start:end].decode()
+            for attribute, start, end in spans
+            if attribute.lower() not in _RESERVED_DOC_ATTRIBUTES
+        }
+        _set(self, "fields", fields)
+        return getattr(self, name)
+
     @classmethod
-    def from_soif(
-        cls, obj: SoifObject, terms: dict[str, STerm] | None = None
+    def _decode(
+        cls, data: bytes, offset: int, spans: list[Span], terms: dict[str, STerm]
     ) -> "SQRDocument":
-        """Decode one ``@SQRDocument``; ``terms`` as in :meth:`TermStats.parse`."""
-        if obj.template != "SQRDocument":
-            raise SoifSyntaxError(f"expected @SQRDocument, got @{obj.template}")
-        # Reserved names match case-insensitively and their first value
-        # wins; every other attribute is an answer field, in wire order.
-        reserved: dict[str, str] = {}
-        fields: dict[str, str] = {}
-        for name, value in obj:
-            key = name.lower()
-            if key in _RESERVED_DOC_ATTRIBUTES:
-                reserved.setdefault(key, value)
-            else:
-                fields[name] = value
-        linkage = reserved.get("linkage")
+        """The ``@SQRDocument`` at ``offset`` of ``data``, checking what
+        the walk that found ``spans`` could not: the numbers and the
+        ``TermStats`` lines.  ``terms`` as in :meth:`TermStats.parse`."""
+        first = _first_values(data, spans, _MERGE_ATTRIBUTES)
+        linkage = first.get("linkage")
         if linkage is None:
             raise SoifSyntaxError("SQRDocument without linkage")
-        return cls(
-            linkage=linkage,
-            raw_score=_number(float, "RawScore", reserved.get("rawscore"), 0.0),
-            sources=tuple(reserved.get("sources", "").split()),
-            fields=fields,
-            term_stats=tuple(
-                TermStats.parse(line, terms)
-                for line in reserved.get("termstats", "").splitlines()
-                if line.strip()
-            ),
-            doc_size=_number(int, "DocSize", reserved.get("docsize"), 1),
-            doc_count=_number(int, "DocCount", reserved.get("doccount"), 0),
-            version=reserved.get("version") or PROTOCOL_VERSION,
-        )
+        term_stats = [
+            TermStats.parse(line, terms)
+            for line in first.get("termstats", "").splitlines()
+            if line.strip()
+        ]
+        document = object.__new__(cls)
+        _set(document, "_response", data)
+        _set(document, "_offset", offset)
+        _set(document, "linkage", linkage)
+        _set(document, "raw_score", _number(float, "RawScore", first.get("rawscore"), 0.0))
+        _set(document, "term_stats", tuple(term_stats))
+        _set(document, "doc_size", _number(int, "DocSize", first.get("docsize"), 1))
+        _set(document, "doc_count", _number(int, "DocCount", first.get("doccount"), 0))
+        return document
 
 
 @dataclass(frozen=True)
@@ -222,22 +263,27 @@ class SQResults:
     def from_soif_stream(cls, text: str | bytes) -> "SQResults":
         """Decode a result stream; whatever is wrong with it — framing,
         encoding, a number or expression that does not parse — raises
-        :class:`SoifSyntaxError`."""
-        objects = parse_soif_stream(text)
-        if not objects or objects[0].template != "SQResults":
+        :class:`SoifSyntaxError` here, although the documents build
+        their answer fields only when first read."""
+        data, objects = _read_stream(text)
+        if not objects or objects[0][1] != "SQResults":
             raise SoifSyntaxError("result stream must start with @SQResults")
-        header = objects[0]
+        header = _first_values(data, objects[0][2], _HEADER_ATTRIBUTES)
         # Each distinct term text of this response is parsed once; the
         # memo dies with the call.
         terms: dict[str, STerm] = {}
-        documents = tuple(SQRDocument.from_soif(obj, terms) for obj in objects[1:])
-        count, declared = len(documents), header.get("NumDocSOIFs")
+        documents = []
+        for offset, template, spans in objects[1:]:
+            if template != "SQRDocument":
+                raise SoifSyntaxError(f"expected @SQRDocument, got @{template}")
+            documents.append(SQRDocument._decode(data, offset, spans, terms))
+        count, declared = len(documents), header.get("numdocsoifs")
         if declared is not None and _number(int, "NumDocSOIFs", declared, -1) != count:
             raise SoifSyntaxError(f"NumDocSOIFs says {declared} but stream has {count}")
         return cls(
-            sources=tuple((header.get("Sources") or "").split()),
+            sources=tuple(header.get("sources", "").split()),
             actual_filter_expression=_expression(header, "ActualFilterExpression"),
             actual_ranking_expression=_expression(header, "ActualRankingExpression"),
-            documents=documents,
-            version=header.get("Version") or PROTOCOL_VERSION,
+            documents=tuple(documents),
+            version=header.get("version") or PROTOCOL_VERSION,
         )

@@ -118,93 +118,112 @@ def dump_soif(objects: Iterable[SoifObject]) -> str:
 
 
 #: ASCII whitespace, exactly the bytes ``bytes.isspace()`` accepts.
-_skip_whitespace = re.compile(rb"[ \t\n\r\x0b\x0c]*").match
+#: Every quantifier below is possessive, so garbage fails in one scan.
+_WHITESPACE = rb"[ \t\n\r\x0b\x0c]*+"
+_skip_whitespace = re.compile(_WHITESPACE).match
+_object_start = re.compile(rb"@([^{]*+)\{").match
+#: Past any whitespace: the ``}`` that closes an object (group 1), or
+#: one attribute header ``name{count}:`` (groups 2 and 3) with the one
+#: space that conventionally follows the colon — accepted when absent,
+#: for robustness.
+_next_attribute = re.compile(
+    _WHITESPACE + rb"(?:(\})|([^{]*+)\{([^}]*+)\}:\ ?)"
+).match
+
+#: One attribute of a walked object: ``(name, value_start, value_end)``.
+Span = tuple[str, int, int]
 
 
-def _read_object(data: bytes, pos: int) -> tuple[SoifObject, int]:
-    """Read the object whose ``@`` should sit at ``pos``.
+def _read_object(data: bytes, pos: int) -> tuple[str, list[Span], int]:
+    """Walk the object whose ``@`` should sit at ``pos`` of ``data``,
+    which is valid UTF-8 as a whole (:func:`_read_stream` checks).
 
-    Returns it with the offset of the next non-whitespace byte.  Byte
-    counts refer to UTF-8 bytes, so the walk is over ``bytes``; each
-    template, name and value is decoded on its own.
+    Returns its template, its attributes' spans and the offset of the
+    next non-whitespace byte.  Byte counts refer to UTF-8 bytes, so the
+    walk is over ``bytes``.  Every framing rule is enforced here and no
+    value is decoded: a value's ends fall between characters, so
+    ``data[value_start:value_end]`` decodes for whoever wants it,
+    whenever.
     """
-    end = len(data)
-    find = data.find
-    template = name = None
+    opening = _object_start(data, pos)
+    if opening is None:
+        raise SoifSyntaxError(f"no '@template{{' opens a SOIF object at offset {pos}")
+    template = opening[1].strip().decode()
+    if not template:
+        raise SoifSyntaxError("empty SOIF template name")
+    spans: list[Span] = []
+    add = spans.append
+    pos, end = opening.end(), len(data)
+    while True:
+        header = _next_attribute(data, pos)
+        if header is None:
+            raise SoifSyntaxError(
+                f"SOIF object @{template} has neither a 'name{{count}}:' "
+                f"header nor its closing '}}' at offset {pos}"
+            )
+        raw_name, raw_count = header.group(2, 3)
+        if raw_name is None:
+            return template, spans, _skip_whitespace(data, header.end()).end()
+        name = raw_name.strip().decode()
+        try:
+            # As text, from which ``int`` takes any Unicode digit or space.
+            count = int(raw_count.decode())
+        except ValueError:
+            raise SoifSyntaxError(
+                f"bad byte count {raw_count!r} for attribute {name!r}"
+            ) from None
+        pos = header.end()
+        value_end = pos + count
+        # After its last value an object still needs its closing brace.
+        if count < 0 or value_end >= end:
+            raise SoifSyntaxError(
+                f"byte count {count} of attribute {name!r} does not fit the input"
+            )
+        if data[value_end] & 0xC0 == 0x80:
+            raise SoifSyntaxError(
+                f"byte count of attribute {name!r} ends inside a character"
+            )
+        add((name, pos, value_end))
+        pos = value_end
+
+
+def _read_stream(text: str | bytes) -> tuple[bytes, list[tuple[int, str, list[Span]]]]:
+    """The UTF-8 bytes of a stream, checked once as a whole, and per
+    object in it the offset of its ``@``, its template and its spans."""
+    data = text.encode("utf-8") if isinstance(text, str) else text
     try:
-        if pos >= end or data[pos] != 0x40:  # "@"
-            raise SoifSyntaxError("SOIF object must start with '@'")
-        brace = find(b"{", pos)
-        if brace < 0:
-            raise SoifSyntaxError("missing b'{' in SOIF input")
-        template = data[pos + 1 : brace].strip().decode("utf-8")
-        if not template:
-            raise SoifSyntaxError("empty SOIF template name")
-        pairs: list[tuple[str, str]] = []
-        pos = brace + 1
-        while True:
-            pos = _skip_whitespace(data, pos).end()
-            if pos >= end:
-                raise SoifSyntaxError(f"unterminated SOIF object @{template}")
-            if data[pos] == 0x7D:  # "}"
-                pos = _skip_whitespace(data, pos + 1).end()
-                return SoifObject(template, pairs), pos
-            brace = find(b"{", pos)
-            if brace < 0:
-                raise SoifSyntaxError("missing b'{' in SOIF input")
-            name = data[pos:brace].strip().decode("utf-8")
-            pos = find(b"}", brace)
-            if pos < 0:
-                raise SoifSyntaxError("missing b'}' in SOIF input")
-            count_text = data[brace + 1 : pos].strip().decode("utf-8")
-            try:
-                count = int(count_text)
-            except ValueError:
-                raise SoifSyntaxError(
-                    f"bad byte count {count_text!r} for attribute {name!r}"
-                ) from None
-            if count < 0:
-                raise SoifSyntaxError(f"negative byte count for attribute {name!r}")
-            pos += 1
-            if pos >= end or data[pos] != 0x3A:  # ":"
-                raise SoifSyntaxError(f"expected ':' after {name}{{{count}}}")
-            # Exactly one space conventionally follows the colon; accept
-            # its absence for robustness.
-            pos += 2 if data[pos + 1 : pos + 2] == b" " else 1
-            value_end = pos + count
-            if value_end > end:
-                raise SoifSyntaxError("truncated SOIF value")
-            pairs.append((name, data[pos:value_end].decode("utf-8")))
-            pos = value_end
-    except UnicodeDecodeError:
+        data.decode("utf-8")
+    except UnicodeDecodeError as error:
+        before = data[max(0, error.start - 40) : error.start]
         raise SoifSyntaxError(
-            f"non-UTF-8 bytes in SOIF object @{template} at or after attribute {name!r}"
+            f"non-UTF-8 bytes in SOIF input at offset {error.start}, after {before!r}"
         ) from None
+    objects = []
+    pos = _skip_whitespace(data).end()
+    while pos < len(data):
+        template, spans, after = _read_object(data, pos)
+        objects.append((pos, template, spans))
+        pos = after
+    return data, objects
 
 
-def _as_bytes(text: str | bytes) -> bytes:
-    return text.encode("utf-8") if isinstance(text, str) else text
+def parse_soif_stream(text: str | bytes) -> list[SoifObject]:
+    """Parse a stream of SOIF objects (e.g. SQResults + SQRDocuments)."""
+    data, objects = _read_stream(text)
+    return [
+        SoifObject(template, [(name, data[a:b].decode()) for name, a, b in spans])
+        for _, template, spans in objects
+    ]
 
 
 def parse_soif(text: str | bytes) -> SoifObject:
     """Parse exactly one SOIF object.
 
     Raises:
-        SoifSyntaxError: on malformed input or trailing non-whitespace.
+        SoifSyntaxError: on malformed input or anything but whitespace
+            around the object.
     """
-    data = _as_bytes(text)
-    obj, pos = _read_object(data, _skip_whitespace(data).end())
-    if pos < len(data):
-        raise SoifSyntaxError("trailing data after SOIF object")
-    return obj
-
-
-def parse_soif_stream(text: str | bytes) -> list[SoifObject]:
-    """Parse a stream of SOIF objects (e.g. SQResults + SQRDocuments)."""
-    data = _as_bytes(text)
-    objects: list[SoifObject] = []
-    pos = _skip_whitespace(data).end()
-    while pos < len(data):
-        obj, pos = _read_object(data, pos)
-        objects.append(obj)
-    return objects
+    objects = parse_soif_stream(text)
+    if len(objects) != 1:
+        raise SoifSyntaxError(f"expected one SOIF object, found {len(objects)}")
+    return objects[0]

@@ -17,10 +17,14 @@ from repro.starts import SQuery, parse_expression
 from repro.transport import SimulatedInternet, publish_resource
 from repro.vendors import build_vendor_source
 
-# ``--hypothesis-profile=ci``: the same examples on every run, and more
-# of them, for the wire-fuzz step of the CI workflow.  Tests that pin
-# their own ``max_examples`` keep it.
+# Tier-1 runs the same examples every time, so "no worse than the seed"
+# compares like with like; looking for new ones is the job of
+# ``--hypothesis-profile=ci`` (the fuzz steps of the CI workflow): also
+# repeatable, and five times as many.  Tests that pin their own
+# ``max_examples`` keep it.
+settings.register_profile("tier1", derandomize=True)
 settings.register_profile("ci", derandomize=True, max_examples=500, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ from repro.corpus import source1_documents
 from repro.metasearch.translation import (
     ClientTranslator,
     capabilities_from_metadata,
+    translation_target,
 )
 from repro.source import SourceCapabilities, StartsSource
 from repro.starts import SQuery, parse_expression
@@ -98,6 +99,50 @@ class TestClientTranslation:
         terms = [t.lstring.text for t in translated.ranking_expression.terms()]
         assert terms == ["databases"]
         assert any("stop word" in note for note in report.dropped)
+
+
+class TestKeptTranslationTarget:
+    """What translation derives from metadata alone is derived once by
+    whoever keeps the metadata; handing it in changes nothing."""
+
+    @pytest.mark.parametrize("vendor", ["AcmeSearch", "OkapiWorks", "InferNet", "ZeusFind"])
+    def test_a_kept_target_translates_exactly_as_a_fresh_one(self, vendor):
+        metadata = build_vendor_source(vendor, "S", source1_documents()).metadata()
+        kept = translation_target(metadata)
+        for query in (
+            query_with_everything(),
+            SQuery(ranking_expression=parse_expression('"the who"'), drop_stop_words=False),
+        ):
+            fresh = ClientTranslator().translate(query, metadata)
+            assert ClientTranslator().translate(query, metadata, target=kept) == fresh
+            assert ClientTranslator().translate(query, metadata, target=kept) == fresh
+
+    def test_a_search_derives_each_routed_source_once(self, small_federation, monkeypatch):
+        import repro.metasearch.discovery as discovery_module
+        from repro.metasearch import Metasearcher
+        from repro.metasearch.translation import translation_target as derive
+
+        derived = []
+
+        def recording(metadata):
+            derived.append(metadata.source_id)
+            return derive(metadata)
+
+        monkeypatch.setattr(discovery_module, "translation_target", recording)
+        internet, resource_url, _ = small_federation
+        searcher = Metasearcher(internet, [resource_url])
+        searcher.refresh()
+        assert derived == []  # nothing is built for a source no query reached
+        for _ in range(3):
+            searcher.search(query_with_everything(), k_sources=2)
+        assert len(derived) == len(set(derived)) == 2
+        known = searcher.discovery.source(derived[0])
+        searcher.discovery.forget(known.source_id)
+        searcher.refresh()
+        # A re-harvest replaces the metadata and what was derived from it.
+        assert searcher.discovery.source(known.source_id) is not known
+        searcher.search(query_with_everything(), k_sources=2)
+        assert derived.count(known.source_id) == 2
 
 
 class TestWorthQuerying:

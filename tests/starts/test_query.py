@@ -97,6 +97,32 @@ class TestSoifRoundTrip:
         assert query.max_number_documents == 20
         assert query.answer_fields == ("title",)
 
+    def test_names_match_in_any_case_and_the_first_value_wins(self):
+        text = (
+            "@SQuery{\nMAXNUMBERDOCUMENTS{1}: 7\nmaxnumberdocuments{1}: 9\n"
+            'rankingexpression{17}: list("databases")\nAnswerFields{6}: author\n'
+            "ANSWERFIELDS{5}: title\n}\n"
+        )
+        query = SQuery.from_soif(parse_soif(text))
+        assert query.max_number_documents == 7
+        assert query.ranking_expression == parse_expression('list("databases")')
+        assert query.answer_fields == ("author",)
+
+    def test_an_absent_or_empty_expression_never_reaches_the_parser(self, monkeypatch):
+        import repro.starts.query as query_module
+
+        parsed = []
+
+        def recording(text):
+            parsed.append(text)
+            return parse_expression(text)
+
+        monkeypatch.setattr(query_module, "parse_expression", recording)
+        text = '@SQuery{\nFilterExpression{0}: \nRankingExpression{17}: list("databases")\n}\n'
+        query = SQuery.from_soif(parse_soif(text))
+        assert parsed == ['list("databases")']
+        assert query.filter_expression is None
+
     def test_wrong_template_rejected(self):
         with pytest.raises(SoifSyntaxError):
             SQuery.from_soif(parse_soif("@Wrong{\n}\n"))

@@ -1,6 +1,14 @@
 """SQResults / SQRDocument / TermStats wire behaviour."""
 
+import copy
+import dataclasses
+import pickle
+import sys
+import threading
+import tracemalloc
+
 import pytest
+from hypothesis import given
 
 from repro.starts.ast import STerm
 from repro.starts.attributes import FieldRef
@@ -8,7 +16,8 @@ from repro.starts.errors import SoifSyntaxError
 from repro.starts.lstring import LString
 from repro.starts.parser import parse_expression
 from repro.starts.results import SQRDocument, SQResults, TermStats
-from repro.starts.soif import parse_soif_stream
+from tests.oracles.soif_decode import oracle_results_from_soif_stream
+from tests.starts.test_soif_equivalence import facts, results
 
 
 def stats(text="distributed", tf=10, weight=0.31, df=190):
@@ -49,13 +58,11 @@ class TestSQRDocument:
     def test_round_trip(self):
         doc = document()
         stream = SQResults(sources=("Source-1",), documents=(doc,)).to_soif_stream()
-        assert SQRDocument.from_soif(parse_soif_stream(stream)[1]) == doc
+        assert SQResults.from_soif_stream(stream).documents == (doc,)
 
     def test_linkage_always_present(self):
-        from repro.starts.soif import parse_soif
-
-        with pytest.raises(SoifSyntaxError):
-            SQRDocument.from_soif(parse_soif("@SQRDocument{\n}\n"))
+        with pytest.raises(SoifSyntaxError, match="linkage"):
+            SQResults.from_soif_stream(result_stream("@SQRDocument{\n}\n"))
 
     def test_get_returns_linkage_and_fields(self):
         doc = document()
@@ -177,6 +184,10 @@ class TestMalformedStreamsRaiseTypedErrors:
             b"@SQResults{\nSources{1\xff}: S\n}\n",  # count
             b"@SQResults{\nSources{2}: \xff\xfe\n}\n",  # value
             b"@SQResults{\nSources{2}: \xc3\n}\n",  # value cut inside a character
+            # Valid UTF-8 as a whole: the count stops inside the "\xc3\xa9",
+            # whose second byte would then start the next name.
+            b"@SQResults{\nSources{2}: S\xc3\xa9{1}: x\n}\n",
+            b"@SQResults{\nSources{1}: S\n}\n@SQRDocument{\nlinkage{1}: u\ntitle{1}: \xc3\xa9\n}\n",
         ],
     )
     def test_non_utf8_and_broken_framing(self, stream):
@@ -248,3 +259,143 @@ class TestTermMemo:
             with pytest.raises(SoifSyntaxError):
                 TermStats.parse('((a "x") and (b "y")) 1 0.5 2', terms)
         assert terms == {}
+
+
+def untouched(original: SQResults) -> SQResults:
+    """``original`` through the wire: documents that have built none of
+    ``fields``, ``sources`` and ``version`` yet."""
+    return SQResults.from_soif_stream(original.to_soif_stream().encode("utf-8"))
+
+
+class TestDecodedDocumentsBuildTheirAnswerFieldsWhenFirstRead:
+    """A decoded document is an ordinary ``SQRDocument`` whatever is done
+    to it first, and reading it cannot fail: the decode checked it all."""
+
+    @given(results())
+    def test_every_attribute_reads_as_the_oracle_decoded_it(self, original):
+        stream = original.to_soif_stream()
+        decoded = SQResults.from_soif_stream(stream)
+        for document in decoded.documents:
+            assert isinstance(document, SQRDocument)
+            for field in dataclasses.fields(document):
+                getattr(document, field.name)
+            assert document.get("linkage") == document.linkage
+        assert facts(decoded) == facts(oracle_results_from_soif_stream(stream))
+
+    @given(results())
+    def test_equal_to_the_built_document_from_either_side(self, original):
+        assert untouched(original).documents == original.documents
+        assert original.documents == untouched(original).documents
+        assert untouched(original) == untouched(original)
+
+    @given(results())
+    def test_repr_replace_asdict_deepcopy_and_pickle(self, original):
+        for built, document in zip(original.documents, untouched(original).documents):
+            assert repr(document) == repr(built)
+        for built, document in zip(original.documents, untouched(original).documents):
+            # What experiments/merging.py does to every document.
+            stripped = dataclasses.replace(document, term_stats=())
+            assert stripped == dataclasses.replace(built, term_stats=())
+        for built, document in zip(original.documents, untouched(original).documents):
+            assert dataclasses.asdict(document) == dataclasses.asdict(built)
+        assert copy.deepcopy(untouched(original)) == original
+        assert copy.copy(untouched(original).documents) == original.documents
+        for protocol in (2, pickle.HIGHEST_PROTOCOL):
+            assert pickle.loads(pickle.dumps(untouched(original), protocol)) == original
+
+    @given(results())
+    def test_reencoding_untouched_documents_is_byte_identical(self, original):
+        stream = original.to_soif_stream()
+        assert SQResults.from_soif_stream(stream).to_soif_stream() == stream
+
+    def test_only_the_three_late_attributes_are_ever_built(self):
+        decoded = untouched(SQResults(sources=("S",), documents=(document(),))).documents[0]
+        with pytest.raises(AttributeError):
+            decoded.no_such_attribute
+        # A document that is no decode's (``copy`` and ``pickle`` make
+        # such shells) has nothing to build from, and must not recurse.
+        shell = object.__new__(SQRDocument)
+        for name in ("fields", "sources", "version", "linkage", "__deepcopy__"):
+            with pytest.raises(AttributeError):
+                getattr(shell, name)
+
+    def test_eight_threads_first_reading_one_document_agree(self):
+        original = SQResults(sources=("S",), documents=(document(),) * 50)
+        expected = document()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                decoded = untouched(original)
+                barrier = threading.Barrier(8)
+                seen = []
+
+                def read():
+                    barrier.wait(timeout=10)
+                    for doc in decoded.documents:
+                        seen.append((doc.sources, dict(doc.fields), doc.version))
+
+                threads = [threading.Thread(target=read) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(seen) == 8 * 50
+                assert all(
+                    read == (expected.sources, expected.fields, expected.version)
+                    for read in seen
+                )
+                assert decoded == original
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_held_untouched_responses_retain_no_more_than_built_ones(self):
+        """The result cache pins every decoded response.  An untouched
+        document swaps its ``fields`` dict, strings and ``sources`` for a
+        share of the response text; anything kept per document on top of
+        that (a span table, say) shows here before it shows as
+        ``peak_rss_mb`` on ``zipf_cached``."""
+        streams = [
+            SQResults(
+                sources=(f"Src-{number:04d}",),
+                actual_ranking_expression=parse_expression('(body-of-text "evaluation")'),
+                documents=tuple(
+                    SQRDocument(
+                        linkage=f"http://src-{number:04d}.example.org/doc{rank:04d}.html",
+                        raw_score=0.3385 / (rank + 1),
+                        sources=(f"Src-{number:04d}",),
+                        fields={"title": f"Towards Scalable Precedent over arbitration {rank}"},
+                        term_stats=(stats("evaluation", rank + 1, 0.33 / (rank + 1), 14),),
+                        doc_count=110 + rank,
+                    )
+                    for rank in range(10)
+                ),
+            )
+            .to_soif_stream()
+            .encode("utf-8")
+            for number in range(200)
+        ]
+
+        def built(stream):
+            decoded = SQResults.from_soif_stream(stream)
+            documents = tuple(dataclasses.replace(doc) for doc in decoded.documents)
+            return dataclasses.replace(decoded, documents=documents)
+
+        def retained(decode):
+            tracemalloc.start()
+            try:
+                # Each decode gets its own copy of the response, as from
+                # a transport; only a decode that keeps it pays for it.
+                held = [decode(bytes(bytearray(stream))) for stream in streams]
+                return tracemalloc.get_traced_memory()[0], held
+            finally:
+                tracemalloc.stop()
+
+        lazily, _ = retained(SQResults.from_soif_stream)
+        eagerly, _ = retained(built)
+        as_before, _ = retained(oracle_results_from_soif_stream)
+        assert lazily <= as_before
+        # Within the suite's own bound on peak_rss_mb of what the same
+        # documents hold once built and the response is let go.
+        assert lazily <= 1.05 * eagerly

@@ -7,7 +7,12 @@ and the production ``SQResults`` decode must rebuild what the encoder
 was given and agree with the oracle field for field.
 
 The one sanctioned difference: where the oracle lets a
-``UnicodeDecodeError`` escape, production raises ``SoifSyntaxError``.
+``UnicodeDecodeError`` escape (or, decoding results, a ``ValueError`` or
+a parser error), production raises ``SoifSyntaxError``.
+
+Production documents build ``fields``, ``sources`` and ``version`` when
+first read; ``facts`` reads all of them, so every comparison below also
+checks that a stream accepted at decode never fails later.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from hypothesis import given, strategies as st
 
 from repro.starts.ast import STerm
 from repro.starts.attributes import FieldRef
-from repro.starts.errors import SoifSyntaxError
+from repro.starts.errors import SoifSyntaxError, StartsError
 from repro.starts.lstring import LString
 from repro.starts.parser import parse_expression
 from repro.starts.results import SQRDocument, SQResults, TermStats
@@ -174,7 +179,7 @@ finite = st.floats(allow_nan=False)
 counts = st.integers(-5, 10**6)
 tokens = st.text(alphabet="ABCabc-1.", min_size=1, max_size=8)
 field_names = st.one_of(
-    st.sampled_from(["title", "Title", "author", "date/time-last-modified"]),
+    st.sampled_from(["title", "Title", "author", "date/time-last-modified", "Tïtle", "名前"]),
     st.text(alphabet="ABCdef-", min_size=1, max_size=8),
 ).filter(lambda name: name.lower() not in RESERVED)
 expressions = st.sampled_from(
@@ -258,3 +263,69 @@ def test_reserved_names_in_odd_case_and_duplicated(original, data):
     decoded = SQResults.from_soif_stream(stream)
     assert facts(decoded) == facts(original)
     assert facts(decoded) == facts(oracle_results_from_soif_stream(stream))
+
+
+# -- mutated result streams ---------------------------------------------------
+
+
+def assert_result_decodes_agree(data: bytes):
+    """Same accept / reject, and the same facts of what is accepted."""
+    try:
+        expected = oracle_results_from_soif_stream(data)
+    except (StartsError, UnicodeDecodeError, ValueError):
+        expected = REJECTED
+    decoded = production(SQResults.from_soif_stream, data)
+    if REJECTED in (expected, decoded):
+        assert decoded == expected
+    else:
+        # ``repr``: a flipped byte can spell ``nan``, which is not ``==`` itself.
+        assert repr(facts(decoded)) == repr(facts(expected))
+
+
+result_streams = results().map(lambda original: original.to_soif_stream().encode("utf-8"))
+
+
+@given(result_streams, st.data())
+def test_truncated_result_streams_agree(stream, data):
+    assert_result_decodes_agree(stream[: data.draw(st.integers(0, len(stream)))])
+
+
+@given(result_streams, st.data())
+def test_result_streams_with_one_byte_flipped_agree(stream, data):
+    index = data.draw(st.integers(0, len(stream) - 1))
+    flipped = stream[index] ^ data.draw(st.integers(1, 255))
+    assert_result_decodes_agree(stream[:index] + bytes([flipped]) + stream[index + 1 :])
+
+
+@given(
+    result_streams,
+    st.one_of(
+        st.binary(min_size=1, max_size=12),
+        st.text(alphabet="@{}: \n\r\t-+_0123456789abé٣", min_size=1, max_size=12).map(
+            lambda text: text.encode("utf-8")
+        ),
+    ),
+    st.booleans(),
+    st.data(),
+)
+def test_result_streams_with_bytes_spliced_in_agree(stream, chunk, overwrite, data):
+    """Random and framing-shaped bytes, inserted or written over what
+    was there — which also moves values out from under their counts."""
+    index = data.draw(st.integers(0, len(stream)))
+    rest = stream[index + len(chunk) :] if overwrite else stream[index:]
+    assert_result_decodes_agree(stream[:index] + chunk + rest)
+
+
+@given(results(), st.data())
+def test_byte_counts_that_end_inside_a_character_are_rejected_at_decode(original, data):
+    """The buffer as a whole stays valid UTF-8; only the one value whose
+    count was shortened stops in the middle of its last character."""
+    stream = original.to_soif_stream()
+    value = data.draw(st.text(alphabet="aé🔍", min_size=0, max_size=5)) + "é"
+    nbytes = len(value.encode("utf-8"))
+    # Before the brace that closes the header, or the last object.
+    brace = stream.index("}\n") if data.draw(st.booleans()) else len(stream) - 2
+    cut = f"title{{{nbytes - 1}}}: {value}\n"
+    mutated = (stream[:brace] + cut + stream[brace:]).encode("utf-8")
+    assert production(SQResults.from_soif_stream, mutated) == REJECTED
+    assert_result_decodes_agree(mutated)

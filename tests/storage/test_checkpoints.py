@@ -227,6 +227,24 @@ class TestCacheCheckpoint:
         assert "b" not in warmed
         assert all(key in warmed for key in ("a", "c", "d"))
 
+    def test_results_decoded_but_never_read_restore_equal(self, tmp_path, source1):
+        """What a metasearcher caches are decoded responses whose
+        documents have built no answer fields yet."""
+        from repro.starts import SQResults, SQuery, parse_expression
+
+        query = SQuery(
+            ranking_expression=parse_expression('(body-of-text "databases")'),
+            answer_fields=("title", "author"),
+        )
+        answered = source1.search(query)
+        assert answered.documents and answered.documents[0].fields
+        cache, _ = self.make()
+        cache.store("q", {"Source-1": SQResults.from_soif_stream(answered.to_soif_stream())})
+        assert cache.save_checkpoint(tmp_path / "cache.ckpt") == 1
+        warmed, _ = self.make()
+        assert warmed.load_checkpoint(tmp_path / "cache.ckpt") == 1
+        assert warmed.lookup("q") == ({"Source-1": answered}, FRESH)
+
     def test_restore_requires_empty_cache(self, tmp_path):
         cache, _ = self.make()
         cache.store("k", 1)

@@ -3,7 +3,7 @@
 The same three-source federation is queried twice with the default
 `CachePolicy`: the first round pays the full wire cost, the repeat is
 served from the query-result cache without a single request — visible
-in `explain_trace()` as `result cache: hit` plus the cache counters.
+in `explain()` as `result cache: hit` plus the cache counters.
 Then one host dies: after the first failed round the negative cache
 skips the dead source outright instead of re-probing it every search.
 
@@ -60,7 +60,7 @@ def main() -> None:
     warm = searcher.search(query, k_sources=3)
     print(f"cache_status={warm.cache_status!r}")
     print(f"new wire requests: {internet.request_count() - cold_requests}")
-    print(warm.explain_trace())
+    print(warm.explain())
 
     print("\n=== Negative caching of a dead host ===")
     internet.set_fault_profile("shaky.org", FaultProfile.dead())

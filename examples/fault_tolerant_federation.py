@@ -76,8 +76,8 @@ def main() -> None:
     print(f"\nOutcome counts: {result.outcome_counts()}")
     print(f"ok={result.ok_sources()} failed={result.failed_sources()}")
 
-    print("\nWhat every source cost (explain_trace):")
-    print(result.explain_trace())
+    print("\nWhat every source did and cost (explain):")
+    print(result.explain())
 
 
 if __name__ == "__main__":

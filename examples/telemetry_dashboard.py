@@ -1,20 +1,13 @@
-"""Telemetry dashboard: a live federation seen through /metrics.
+"""Telemetry dashboard: a live federation seen through /metrics and explain().
 
 A Zipf-skewed query replay runs against a three-vendor federation where
 one source turns flaky mid-flight.  The process-wide metrics registry
 records every layer — wire requests, cache tiers, engine evaluation,
-pipeline phases — and the health scorer folds the flaky source's track
-record into a score that hedges it, deprioritizes it, and extends its
-negative-cache hold.  An :class:`SloMonitor` snapshots the same
-registry after every replay round and turns the raw counters into the
-numbers an on-call reads first: per-objective compliance and how much
-error budget is left.  Finally a broker hierarchy published over the
-same simulated internet serves one traced source selection, and the
-server-side span fragments are stitched back under the client's trace
-id — the single cross-process tree an operator would pull up to
-explain a slow consultation.  At the end the script scrapes its own
-published ``/metrics`` endpoint and prints the per-source health
-table: the dashboard a metasearch operator would actually watch.
+pipeline phases — and the script scrapes its own published ``/metrics``
+endpoint for the lines an operator watches.  Then one more search is
+explained: per source what happened to it (the flaky one is by now held
+down by the negative cache), and the span tree with each source's
+server-side span stitched under the client span that called it.
 
 Run:  python examples/telemetry_dashboard.py
 """
@@ -25,27 +18,17 @@ from repro import (
     Metasearcher,
     Resource,
     SimulatedInternet,
+    SQuery,
     generate_collection,
+    parse_expression,
     publish_resource,
 )
-from repro.broker import (
-    LeafBroker,
-    NetworkLeafHandle,
-    RootBroker,
-    publish_broker_leaf,
-)
-from repro.cache import CachePolicy
 from repro.corpus import build_workload, zipf_replay
-from repro.metasearch.selection import Cori
 from repro.observability import (
     MetricsRegistry,
-    SloMonitor,
-    SourceHealth,
     TraceCollector,
-    Tracer,
     get_registry,
     set_registry,
-    stitch_traces,
 )
 from repro.transport import StartsClient, publish_metrics
 from repro.vendors import build_vendor_source
@@ -54,16 +37,14 @@ FLAKY = "Dash-Db"
 
 INTERESTING = (
     "source_requests_total",
-    "source_hedges_total",
-    "source_health_score",
-    "negative_cache_ttl_ms",
+    "source_outcomes_total",
+    "cache_negative_skips_total",
     "cache_reads_total",
     "metasearch_searches_total",
-    "slo_error_budget_remaining",
 )
 
 
-def build_federation():
+def build_federation(collector: TraceCollector):
     internet = SimulatedInternet(seed=9)
     resource = Resource("Dashboard")
     collections = {}
@@ -78,62 +59,19 @@ def build_federation():
         )
         collections[source_id] = documents
         resource.add_source(build_vendor_source(vendor, source_id, documents))
-    publish_resource(internet, resource, "http://dash.example.org")
+    publish_resource(
+        internet, resource, "http://dash.example.org", trace_sink=collector
+    )
     return internet, "http://dash.example.org/resource", collections
-
-
-def print_stitched_trace(internet, summaries):
-    """One traced consultation of a network broker root, stitched."""
-    collector = TraceCollector()
-    handles = []
-    for index in range(2):
-        leaf = LeafBroker(f"dash-leaf-{index}")
-        base = f"http://broker-{index}.example.org/broker"
-        publish_broker_leaf(internet, leaf, base, trace_sink=collector)
-        handles.append(NetworkLeafHandle(internet, base, leaf.leaf_id))
-    root = RootBroker(handles)
-    for source_id in sorted(summaries):
-        root.apply_delta(source_id, summaries[source_id])
-
-    tracer = Tracer()
-    chosen = root.select(Cori(), ["databases", "medicine"], 2, tracer=tracer)
-    rows = [
-        row
-        for row in stitch_traces(tracer.trace(), collector.traces())
-        if row["kind"] == "span"
-    ]
-    print(f"\nstitched cross-process trace {tracer.trace_id} "
-          f"(selected {', '.join(chosen)}):")
-    children = {}
-    for row in rows:
-        children.setdefault(row["parent_id"], []).append(row)
-    known = {row["span_id"] for row in rows}
-
-    def show(row, depth):
-        where = "leaf server" if row["name"].startswith("leaf:") else "client"
-        print(f"  {'  ' * depth}{row['name']:<{30 - 2 * depth}} "
-              f"{row['duration_ms']:7.2f} ms  [{where}]")
-        for child in children.get(row["span_id"], []):
-            show(child, depth + 1)
-
-    for row in rows:
-        if row["parent_id"] is None or row["parent_id"] not in known:
-            show(row, 0)
 
 
 def main() -> None:
     previous = set_registry(MetricsRegistry())
     try:
-        internet, resource_url, collections = build_federation()
+        collector = TraceCollector()
+        internet, resource_url, collections = build_federation(collector)
         metrics_url = publish_metrics(internet, "http://metrics.example.org")
-
-        health = SourceHealth()
-        searcher = Metasearcher(
-            internet,
-            [resource_url],
-            health=health,
-            cache_policy=CachePolicy(negative_failure_threshold=3),
-        )
+        searcher = Metasearcher(internet, [resource_url])
         searcher.refresh()
 
         # The trouble starts after discovery: one source begins dropping
@@ -147,34 +85,25 @@ def main() -> None:
         print(f"replaying {len(replay)} requests over "
               f"{len(workload.queries)} distinct queries "
               f"(zipf skew=1.1, {FLAKY} dropping every request)\n")
-        monitor = SloMonitor()
-        monitor.snapshot()
         for query in replay:
             searcher.search(query.to_squery(max_documents=5), k_sources=3)
-            monitor.snapshot()
-        monitor.export_gauges()
-
-        print("per-source health (SourceHealth.snapshot):")
-        print(f"  {'source':<10} {'score':>6} {'samples':>8} "
-              f"{'err%':>6} {'tmo%':>6} {'ewma ms':>8}")
-        for source_id, snap in health.snapshot().items():
-            flag = "  <- unhealthy" if health.is_unhealthy(source_id) else ""
-            print(f"  {source_id:<10} {snap.score:6.2f} {snap.samples:8d} "
-                  f"{snap.error_rate * 100:6.1f} {snap.timeout_rate * 100:6.1f} "
-                  f"{snap.latency_ewma_ms:8.1f}{flag}")
-
-        print("\nerror budgets (SloMonitor.describe):")
-        for line in monitor.describe().splitlines():
-            print(f"  {line}")
-
-        print_stitched_trace(internet, searcher.discovery.summaries())
 
         text = StartsClient(internet).fetch_metrics(metrics_url)
-        print(f"\nscraped {metrics_url}: "
+        print(f"scraped {metrics_url}: "
               f"{len(text.splitlines())} lines; the interesting ones:")
         for line in text.splitlines():
             if line.startswith(INTERESTING) and not line.startswith("#"):
                 print(f"  {line}")
+
+        print("\none more search, explained:")
+        expression = parse_expression(
+            'list((body-of-text "databases") (body-of-text "routing"))'
+        )
+        result = searcher.search(
+            SQuery(ranking_expression=expression, max_number_documents=5),
+            k_sources=3,
+        )
+        print(result.explain(collector.traces()))
     finally:
         set_registry(previous)
     assert get_registry() is previous

@@ -16,9 +16,9 @@ package layers:
   executors, per-source policies (deadlines, retries, hedging) and
   partial-result outcomes;
 * :mod:`repro.observability` — spans and per-source counters threaded
-  through every search, a process-wide metrics registry with
-  Prometheus/Chrome-trace/NDJSON exporters, and source health scoring
-  that feeds back into federation policy;
+  through every search, a process-wide metrics registry (Prometheus
+  text), the per-search query log, and ``MetasearchResult.explain()``
+  reading all three;
 * :mod:`repro.cache` — the multi-tier caching subsystem: query-result
   cache (canonical keys, stale-while-revalidate), summary TTLs from
   MBasic-1 dates, negative caching of unreachable sources;
@@ -56,9 +56,7 @@ from repro.federation import (
 )
 from repro.metasearch import Metasearcher, MetasearchResult
 from repro.observability import (
-    HealthPolicy,
     MetricsRegistry,
-    SourceHealth,
     Tracer,
     get_registry,
     render_prometheus,
@@ -100,9 +98,7 @@ __all__ = [
     "SourceOutcome",
     "Metasearcher",
     "MetasearchResult",
-    "HealthPolicy",
     "MetricsRegistry",
-    "SourceHealth",
     "Tracer",
     "get_registry",
     "render_prometheus",
@@ -136,13 +132,15 @@ _QUICK_TOPICS = [
 ]
 
 
-def quick_federation(seed: int = 0, docs_per_source: int = 60):
+def quick_federation(seed: int = 0, docs_per_source: int = 60, trace_sink=None):
     """Build a ready-to-query four-vendor federation on one resource.
 
     Returns ``(internet, resource_url)`` — everything a
     :class:`~repro.metasearch.Metasearcher` needs to get started.  The
     federation mixes four vendors (different ranking algorithms, score
     ranges and tokenizers) over four topically distinct collections.
+    With ``trace_sink`` (a :class:`~repro.observability.TraceCollector`)
+    the sources record their server-side spans of traced queries there.
     """
     internet = SimulatedInternet(seed=seed)
     resource = Resource("QuickFederation")
@@ -157,5 +155,5 @@ def quick_federation(seed: int = 0, docs_per_source: int = 60):
         )
         resource.add_source(build_vendor_source(vendor, source_id, documents))
     resource_url = "http://quick.example.org"
-    publish_resource(internet, resource, resource_url)
+    publish_resource(internet, resource, resource_url, trace_sink=trace_sink)
     return internet, f"{resource_url}/resource"

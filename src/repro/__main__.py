@@ -8,27 +8,31 @@ Commands:
   query); ``--filter`` treats the expression as a filter instead of a
   ranking; with ``--stream``, print merged results incrementally (with
   per-emission latency) as sources answer, via the asyncio executor.
-* ``experiment {F1,T1-T3,E1,E1b,E2-E7,A1a,A1b,A1c,A2,A3}`` — regenerate
-  one table of EXPERIMENTS.md exactly as ``benchmarks/results/`` holds it.
+* ``parse EXPR`` — parse an expression and print its canonical form and
+  PQF encoding.
+* ``select TERMS [--selector NAME] [-k N]`` — harvest the quick
+  federation's summaries and print every source's rank and goodness.
 * ``broker [--sources N] [--leaves N] [--terms "..."]`` — shard a
   synthetic summary population across a root/leaf broker hierarchy and
   print the routing table, per-leaf shard statistics, and (with
   ``--terms``) one brokered selection: each selected source with its
   owning leaf, and how many leaves the root descended into.
-* ``parse EXPR`` — parse an expression and print its canonical form and
-  PQF encoding.
-* ``metrics`` — run a few searches and print the process metrics in
-  Prometheus text format.
-* ``querylog`` — run a zipf-skewed search replay and print the wide
-  query-log events (one flat record per search; ``--ndjson`` exports).
-* ``slo`` — run a zipf-skewed replay under the default SLO policy and
-  print per-objective compliance, error budgets, and burn alerts.
+* ``experiment {F1,T1-T3,E1,E1b,E2-E7,A1a,A1b,A1c,A2,A3}`` — regenerate
+  one table of EXPERIMENTS.md exactly as ``benchmarks/results/`` holds it.
+* ``conformance`` — conformance-check every built-in vendor.
+* ``explain [EXPR] [--sources N] [--ndjson PATH]`` — run one traced
+  search and say what it did: the selection rank table, then
+  ``MetasearchResult.explain()`` — per source the outcome, what
+  translation dropped and the actual expressions the source reported,
+  the span tree with the sources' server-side spans stitched in and a
+  self-time column, the per-source and cache counters, and the query-log
+  record; ``--ndjson`` writes the same rows and record as an event log.
 * ``checkpoint {save,load,inspect} DIR`` — build a segmented demo
   index and checkpoint it, warm-start an engine from the directory,
   or print the manifest (segments, generation, tombstones) without
   paging in any segment data.
-* ``trace [EXPR]`` — run one traced search; print the timeline, or
-  export it with ``--chrome trace.json`` / ``--ndjson events.ndjson``.
+* ``serve [--port N] [--once]`` — serve a demo federation over real
+  HTTP (``GET /metrics`` is the Prometheus exposition).
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ import sys
 from repro import Metasearcher, SQuery, parse_expression, quick_federation
 
 
-def _build_searcher(seed: int, tracer=None) -> Metasearcher:
-    internet, resource_url = quick_federation(seed=seed)
+def _build_searcher(seed: int, tracer=None, trace_sink=None) -> Metasearcher:
+    internet, resource_url = quick_federation(seed=seed, trace_sink=trace_sink)
     searcher = Metasearcher(internet, [resource_url])
     searcher.refresh(tracer)
     return searcher
@@ -60,7 +64,7 @@ def _fresh_registry():
         set_registry(previous)
 
 
-#: What ``search`` and ``trace`` run when given no expression.
+#: What ``search`` and ``explain`` run when given no expression.
 _DEMO_EXPRESSION = 'list((body-of-text "distributed") (body-of-text "databases"))'
 
 
@@ -119,11 +123,18 @@ def cmd_parse(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_plan(args: argparse.Namespace) -> int:
-    searcher = _build_searcher(args.seed)
-    query = SQuery(ranking_expression=args.expression)
-    print(searcher.explain_plan(query, k_sources=args.sources))
-    return 0
+def _print_selection(
+    searcher: Metasearcher, name: str, selector, terms: list[str], k: int
+) -> None:
+    """Every harvested source's rank and goodness, the top ``k`` starred."""
+    index = searcher.discovery.summary_index()
+    chosen = set(selector.select(terms, index, k))
+    print(f"selector: {name}   terms: {' '.join(terms)}")
+    print(f"sources:  {len(index)} harvested, top {k} requested")
+    print(f"{'rank':>4}  {'goodness':>12}  source")
+    for rank, (source_id, goodness) in enumerate(selector.rank(terms, index), 1):
+        marker = "*" if source_id in chosen else " "
+        print(f"{rank:>4}{marker} {goodness:>12.4f}  {source_id}")
 
 
 def cmd_select(args: argparse.Namespace) -> int:
@@ -134,15 +145,8 @@ def cmd_select(args: argparse.Namespace) -> int:
         print("empty query", file=sys.stderr)
         return 2
     searcher = _build_searcher(args.seed)
-    index = searcher.discovery.summary_index()
     selector = SELECTOR_REGISTRY[args.selector]()
-    chosen = set(selector.select(terms, index, args.k))
-    print(f"selector: {args.selector}   terms: {' '.join(terms)}")
-    print(f"sources:  {len(index)} harvested, top {args.k} requested")
-    print(f"{'rank':>4}  {'goodness':>12}  source")
-    for rank, (source_id, goodness) in enumerate(selector.rank(terms, index), 1):
-        marker = "*" if source_id in chosen else " "
-        print(f"{rank:>4}{marker} {goodness:>12.4f}  {source_id}")
+    _print_selection(searcher, args.selector, selector, terms, args.k)
     return 0
 
 
@@ -215,125 +219,38 @@ def cmd_conformance(args: argparse.Namespace) -> int:
     return worst
 
 
-def cmd_metrics(args: argparse.Namespace) -> int:
-    from repro.observability import render_prometheus
+def cmd_explain(args: argparse.Namespace) -> int:
+    import json
 
-    with _fresh_registry() as registry:
-        searcher = _build_searcher(args.seed)
-        for text in ("databases", "medicine", "distributed systems"):
-            expression = parse_expression(f'(body-of-text "{text}")')
-            searcher.search(
-                SQuery(ranking_expression=expression, max_number_documents=5),
-                k_sources=2,
-            )
-        print(render_prometheus(registry), end="")
-    return 0
-
-
-#: The replayed query pool for the querylog/slo commands: a small head
-#: of topics whose zipf-skewed repetition exercises the result cache.
-_REPLAY_TOPICS = (
-    "databases",
-    "medicine",
-    "distributed systems",
-    "networking",
-    "compilers",
-)
-
-
-def _zipf_search_replay(searcher: Metasearcher, n_requests: int, seed: int):
-    """Run a zipf-skewed replay; yields after each search completes."""
-    from repro.corpus import zipf_replay
-
-    for topic in zipf_replay(list(_REPLAY_TOPICS), n_requests, seed=seed):
-        expression = parse_expression(f'(body-of-text "{topic}")')
-        searcher.search(
-            SQuery(ranking_expression=expression, max_number_documents=5),
-            k_sources=2,
-        )
-        yield topic
-
-
-def cmd_querylog(args: argparse.Namespace) -> int:
     from repro.observability import (
-        QueryLog,
+        TraceCollector,
+        Tracer,
         get_query_log,
-        set_query_log,
+        render_ndjson,
     )
 
-    previous = get_query_log()
-    log = set_query_log(QueryLog(slow_ms=args.slow_ms))
-    try:
-        searcher = _build_searcher(args.seed)
-        for _ in _zipf_search_replay(searcher, args.requests, args.seed):
-            pass
-        records = log.records()
-        print(
-            f"{len(records)} searches logged "
-            f"({len(log.records('hit')) + len(log.records('stale'))} cache-served, "
-            f"{log.total_slow} slow at >= {args.slow_ms:.0f} ms)"
-        )
-        print(f"{'outcome':<8} {'ms':>8} {'src':>4} {'docs':>5}  terms")
-        for record in records:
-            print(
-                f"{record.outcome:<8} {record.total_ms:>8.2f} "
-                f"{len(record.selected_sources):>4} {record.n_results:>5}  "
-                f"{record.terms}"
-            )
-        if args.ndjson:
-            count = log.write_ndjson(args.ndjson)
-            print(f"{count} records written to {args.ndjson}")
-    finally:
-        set_query_log(previous)
-    return 0
-
-
-def cmd_slo(args: argparse.Namespace) -> int:
-    from repro.observability import SloMonitor, render_prometheus
-
-    with _fresh_registry() as registry:
-        searcher = _build_searcher(args.seed)
-        monitor = SloMonitor()
-        monitor.snapshot()
-        for index, _ in enumerate(
-            _zipf_search_replay(searcher, args.requests, args.seed), 1
-        ):
-            if index % 10 == 0:
-                monitor.snapshot()
-        monitor.snapshot()
-        monitor.export_gauges()
-        print(f"SLO readout after a {args.requests}-request zipf replay:")
-        print(monitor.describe())
-        if args.metrics:
-            print()
-            print(render_prometheus(registry), end="")
-    return 0
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.observability import Tracer, render_chrome_trace, render_ndjson
-
-    # One tracer across discovery and the search, so the exported
-    # timeline shows the whole round: discover → select → translate →
-    # query (with per-source children) → merge.
+    # One tracer across discovery and the search, so the timeline shows
+    # the whole round; the sources hand their server-side spans to the
+    # collector.
+    collector = TraceCollector()
     tracer = Tracer()
-    searcher = _build_searcher(args.seed, tracer)
+    searcher = _build_searcher(args.seed, tracer, collector)
     result = searcher.search(
         SQuery(ranking_expression=args.expression, max_number_documents=5),
         k_sources=args.sources,
         tracer=tracer,
     )
-    trace = result.trace
-    if args.chrome:
-        with open(args.chrome, "w", encoding="utf-8") as handle:
-            handle.write(render_chrome_trace(trace, indent=2))
-        print(f"chrome trace written to {args.chrome}")
+    terms = result.trace.find("search").attributes["terms"].split()
+    selector = searcher.selector
+    _print_selection(searcher, selector.name, selector, terms, args.sources)
+    print()
+    print(result.explain(collector.traces()))
     if args.ndjson:
         with open(args.ndjson, "w", encoding="utf-8") as handle:
-            handle.write(render_ndjson(trace))
+            handle.write(render_ndjson(result.trace, collector.traces()))
+            for record in get_query_log().records(trace_id=tracer.trace_id):
+                handle.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
         print(f"ndjson events written to {args.ndjson}")
-    if not args.chrome and not args.ndjson:
-        print(result.explain_trace())
     return 0
 
 
@@ -477,11 +394,6 @@ def main(argv: list[str] | None = None) -> int:
     parse.add_argument("expression")
     parse.set_defaults(handler=cmd_parse)
 
-    plan = commands.add_parser("plan", help="dry-run a query (no network)")
-    plan.add_argument("expression")
-    plan.add_argument("--sources", type=int, default=2)
-    plan.set_defaults(handler=cmd_plan)
-
     select = commands.add_parser(
         "select", help="harvest summaries and rank sources for query terms"
     )
@@ -526,36 +438,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     conformance.set_defaults(handler=cmd_conformance)
 
-    metrics = commands.add_parser(
-        "metrics", help="run a few searches and print Prometheus metrics"
+    explain = commands.add_parser(
+        "explain", help="run one traced search and say what it did"
     )
-    metrics.set_defaults(handler=cmd_metrics)
-
-    querylog = commands.add_parser(
-        "querylog", help="replay searches and print the wide query log"
-    )
-    querylog.add_argument("--requests", type=int, default=25)
-    querylog.add_argument(
-        "--slow-ms", type=float, default=50.0, help="slow-query threshold"
-    )
-    querylog.add_argument("--ndjson", metavar="PATH", help="write NDJSON log")
-    querylog.set_defaults(handler=cmd_querylog)
-
-    slo = commands.add_parser(
-        "slo", help="replay searches and print SLO error budgets"
-    )
-    slo.add_argument("--requests", type=int, default=40)
-    slo.add_argument(
-        "--metrics", action="store_true", help="also print the gauge exposition"
-    )
-    slo.set_defaults(handler=cmd_slo)
-
-    trace = commands.add_parser("trace", help="run one traced search")
-    trace.add_argument("expression", nargs="?", default=_DEMO_EXPRESSION)
-    trace.add_argument("--sources", type=int, default=2)
-    trace.add_argument("--chrome", metavar="PATH", help="write Chrome trace JSON")
-    trace.add_argument("--ndjson", metavar="PATH", help="write NDJSON event log")
-    trace.set_defaults(handler=cmd_trace)
+    explain.add_argument("expression", nargs="?", default=_DEMO_EXPRESSION)
+    explain.add_argument("--sources", type=int, default=3)
+    explain.add_argument("--ndjson", metavar="PATH", help="write NDJSON event log")
+    explain.set_defaults(handler=cmd_explain)
 
     checkpoint = commands.add_parser(
         "checkpoint", help="save, warm-load, or inspect a segment store"

@@ -1,8 +1,7 @@
 """The one-line swap: a :class:`Metasearcher` whose selection is tiered.
 
 ``BrokeredMetasearcher`` satisfies the whole ``Metasearcher`` surface —
-``search``, ``search_stream``, ``explain_plan``, caching, health,
-policies — and changes exactly one phase: source selection runs
+``search``, ``search_stream``, caching, policies — and changes exactly one phase: source selection runs
 through a root/leaf broker hierarchy instead of the flat summary
 index.  The hierarchy is fed by the discovery delta stream (every
 harvest, re-harvest and ``forget`` routed through the consistent-hash

@@ -63,18 +63,9 @@ class NegativeSourceCache:
         self.skips = 0  #: probes avoided because the source was down
 
     def record_failure(
-        self,
-        source_id: str,
-        status: str = "error",
-        error: str | None = None,
-        ttl_ms: float | None = None,
+        self, source_id: str, status: str = "error", error: str | None = None
     ) -> NegativeEntry:
-        """One more failed round for ``source_id``; returns its entry.
-
-        ``ttl_ms`` overrides the cache-wide TTL for this hold — health
-        scoring passes a longer one for sources with bad track records.
-        """
-        hold_ms = self.ttl_ms if ttl_ms is None else ttl_ms
+        """One more failed round for ``source_id``; returns its entry."""
         with self._lock:
             entry = self._entries.get(source_id)
             if entry is None:
@@ -83,15 +74,8 @@ class NegativeSourceCache:
             entry.failures += 1
             entry.last_status = status
             entry.last_error = error
-            held = entry.failures >= self.failure_threshold
-            if held:
-                entry.down_until_ms = self._clock() + hold_ms
-        if held:
-            get_registry().gauge(
-                "negative_cache_ttl_ms",
-                "Current negative-cache hold applied to each down source.",
-                labels=("source_id",),
-            ).labels(source_id=source_id).set(hold_ms)
+            if entry.failures >= self.failure_threshold:
+                entry.down_until_ms = self._clock() + self.ttl_ms
         return entry
 
     def record_success(self, source_id: str) -> None:

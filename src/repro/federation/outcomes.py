@@ -110,7 +110,7 @@ class SourceOutcome:
 
         Unlike a skip, the request may already have been on the wire
         (and paid for); unlike an error, the source did nothing wrong —
-        negative caching and health scoring treat it as neutral.
+        negative caching treats it as neutral.
         """
         return cls(
             source_id,
@@ -120,12 +120,14 @@ class SourceOutcome:
         )
 
     def describe(self) -> str:
-        """One display line: status, attempts, wire time, cost."""
+        """One display line: status, attempts, hedges, wire time, cost."""
         if self.status in (OutcomeStatus.SKIPPED, OutcomeStatus.CANCELLED):
             return f"{self.source_id}: {self.status.value} ({self.skip_reason})"
+        hedges = sum(attempt.hedged for attempt in self.attempts)
         detail = (
             f"{self.source_id}: {self.status.value} after {self.requests} request(s)"
-            f" ({self.retries} retr{'y' if self.retries == 1 else 'ies'}),"
+            f" ({self.retries} retr{'y' if self.retries == 1 else 'ies'}"
+            f"{f', {hedges} hedged' if hedges else ''}),"
             f" {self.elapsed_ms:.1f}ms wire, cost {self.cost:.2f}"
         )
         if self.error:

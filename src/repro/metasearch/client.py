@@ -12,12 +12,13 @@ bound how long a slow source is waited for and how often a flaky one is
 retried, and a source that fails or times out becomes a recorded
 :class:`~repro.federation.SourceOutcome` instead of an exception —
 merging proceeds over the survivors.  Every phase is traced;
-:meth:`MetasearchResult.explain_trace` renders the whole timeline.
+:meth:`MetasearchResult.explain` renders the whole round.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+import json
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
 
@@ -40,7 +41,6 @@ from repro.metasearch.merging import (
 )
 from repro.metasearch.selection import SourceSelector, VGlossMax
 from repro.metasearch.translation import ClientTranslator, TranslationReport
-from repro.observability.health import HealthPolicy, SourceHealth
 from repro.observability.metrics import get_registry
 from repro.observability.querylog import QueryLogRecord, get_query_log
 from repro.observability.render import render_trace
@@ -265,22 +265,50 @@ class MetasearchResult:
             counts[outcome.status.value] = counts.get(outcome.status.value, 0) + 1
         return counts
 
-    def explain_trace(self) -> str:
-        """The full query timeline: spans, attempts, retries, counters."""
+    def explain(self, fragments: Iterable[Trace] = ()) -> str:
+        """What this search did, from what the round recorded.
+
+        Result-cache status; per entry source its outcome (attempts,
+        retries, hedges, wire time, cost — or why it was skipped or
+        cancelled), what translation dropped, and the *actual*
+        expressions the source reported evaluating (§4.2); the span
+        tree with a self-time column, each of ``fragments`` (the
+        server-side traces a :class:`~repro.observability.TraceCollector`
+        gathered) under the client span that issued its request; the
+        per-source and cache counters; and the search's query-log record.
+        Nothing is recomputed.  A cache-served result shows the outcomes
+        of the round that filled the cache beside its own short trace.
+        """
         lines = []
         if self.cache_status is not None:
-            lines.append(f"result cache: {self.cache_status}")
-        if self.outcomes:
-            lines.append("source outcomes:")
-            lines.extend(
-                f"  {self.outcomes[sid].describe()}" for sid in self.outcomes
+            lines.append(
+                f"result cache: {self.cache_status} (the outcomes below are "
+                "those of the round that filled it)"
             )
-        if self.trace is not None:
-            if lines:
-                lines.append("")
-            lines.append(render_trace(self.trace))
-        if not lines:
-            return "(no trace recorded)"
+        for source_id, outcome in self.outcomes.items():
+            lines.append(outcome.describe())
+            if outcome.sibling_ids:
+                lines.append(f"  also answers for: {' '.join(outcome.sibling_ids)}")
+            report = self.translation_reports.get(source_id)
+            if report is not None:
+                notes = report.dropped or ["lossless"]
+                lines.extend(f"  translation: {note}" for note in notes)
+            answer = self.per_source_results.get(source_id)
+            if answer is not None:
+                for label, expression in (
+                    ("filter", answer.actual_filter_expression),
+                    ("ranking", answer.actual_ranking_expression),
+                ):
+                    text = expression.serialize() if expression else "(none)"
+                    lines.append(f"  actual {label}: {text}")
+        if lines:
+            lines.append("")
+        if self.trace is None:
+            lines.append("(no trace recorded)")
+            return "\n".join(lines)
+        lines.append(render_trace(self.trace, fragments))
+        for record in get_query_log().records(trace_id=self.trace.trace_id):
+            lines += ["", "query log: " + json.dumps(record.to_json(), sort_keys=True)]
         return "\n".join(lines)
 
 
@@ -339,13 +367,6 @@ class Metasearcher:
             :class:`~repro.cache.CachePolicy` with everything on; pass
             ``CachePolicy.disabled()`` for the paper-faithful pipeline
             with no caching anywhere.
-        health: opt-in source health scoring — pass a
-            :class:`~repro.observability.SourceHealth` (or just a
-            :class:`~repro.observability.HealthPolicy` to have one
-            built).  When present, every query-round outcome feeds the
-            scorer, unhealthy sources are deprioritized in selection
-            and hedged immediately, and their negative-cache holds are
-            scaled up.  ``None`` (the default) changes nothing.
     """
 
     def __init__(
@@ -358,7 +379,6 @@ class Metasearcher:
         query_policy: QueryPolicy | None = None,
         query_policies: dict[str, QueryPolicy] | None = None,
         cache_policy: CachePolicy | None = None,
-        health: SourceHealth | HealthPolicy | None = None,
     ) -> None:
         self.client = StartsClient(internet)
         self.cache_policy = cache_policy or CachePolicy()
@@ -374,9 +394,6 @@ class Metasearcher:
         self.executor: Executor = executor or SerialExecutor()
         self.query_policy = query_policy or QueryPolicy()
         self.query_policies = dict(query_policies or {})
-        self.health: SourceHealth | None = (
-            SourceHealth(health) if isinstance(health, HealthPolicy) else health
-        )
         self.resource_urls = list(resource_urls or [])
         self.result_cache: QueryResultCache | None = None
         self.negative_cache: NegativeSourceCache | None = None
@@ -489,10 +506,10 @@ class Metasearcher:
 
         Sources still in flight at termination are cancelled (the
         executor abandons their tasks) and recorded as ``CANCELLED``
-        outcomes — visible in the result, neutral to health scoring and
-        the negative cache.  An early-terminated result is never stored
-        in the result cache; cache hits and stale serves come back as a
-        single final emission, exactly as :meth:`search` serves them.
+        outcomes — visible in the result, neutral to the negative cache.
+        An early-terminated result is never stored in the result cache;
+        cache hits and stale serves come back as a single final
+        emission, exactly as :meth:`search` serves them.
         A consumer that closes the stream before its final emission
         cancels what is in flight the same way; that search is counted
         and logged as ``abandoned``, with whatever had answered by then.
@@ -587,11 +604,6 @@ class Metasearcher:
                 # first k by id stand in.
                 known = self.discovery.known_sources()
                 selected_ids = [source.source_id for source in known[:k_sources]]
-            if self.health is not None:
-                reordered = self.health.order_by_health(selected_ids)
-                if reordered != selected_ids:
-                    span.annotate(deprioritized=True)
-                selected_ids = reordered
             span.annotate(summaries=indexed, selected=" ".join(selected_ids))
         search.selected_ids = selected_ids
         key: str | None = None
@@ -715,7 +727,7 @@ class Metasearcher:
                     )
 
         # A negative-cached entry source never reaches the wire; the skip
-        # is an outcome, a tracer tally and a line in explain_trace().
+        # is an outcome, a tracer tally and a line in explain().
         requests: list[SourceRequest] = []
         for request in translated_requests:
             reason = (
@@ -738,7 +750,7 @@ class Metasearcher:
             self.client,
             executor=plan.executor,
             policy=self.query_policy,
-            policies=self._adapted_policies(requests),
+            policies=self.query_policies,
             tracer=tracer,
         )
         return dispatcher, requests, outcomes, reports
@@ -915,8 +927,8 @@ class Metasearcher:
         documents: list[MergedDocument],
         complete: bool = True,
     ) -> MetasearchResult:
-        """Feed the outcomes back (health, negative cache), assemble the
-        result, and file it in the result cache.
+        """Feed the outcomes back (negative cache), assemble the result,
+        and file it in the result cache.
 
         Only a ``complete`` round is cacheable: a cancelled one answered
         with fewer sources than the key promises.  ``trace`` is attached
@@ -967,42 +979,16 @@ class Metasearcher:
             cache_status=cache_status,
         )
 
-    def _adapted_policies(
-        self, requests: list[SourceRequest]
-    ) -> dict[str, QueryPolicy]:
-        """Per-source policies for this round, health adaptation applied.
-
-        Without a health scorer this is just the configured overrides.
-        With one, each entry source's effective policy is run through
-        :meth:`~repro.observability.SourceHealth.adapt` — unhealthy
-        sources get their hedge fired immediately.
-        """
-        if self.health is None:
-            return self.query_policies
-        policies = dict(self.query_policies)
-        for request in requests:
-            base = policies.get(request.source_id, self.query_policy)
-            policies[request.source_id] = self.health.adapt(request.source_id, base)
-        return policies
-
     def _record_outcomes(self, outcomes: dict[str, SourceOutcome]) -> None:
-        """Feed query-round outcomes back into health and negative cache."""
-        if self.health is not None:
-            for outcome in outcomes.values():
-                self.health.record_outcome(outcome)
+        """Feed query-round outcomes back into the negative cache."""
         if self.negative_cache is None:
             return
         for source_id, outcome in outcomes.items():
             if outcome.ok:
                 self.negative_cache.record_success(source_id)
             elif outcome.status in (OutcomeStatus.ERROR, OutcomeStatus.TIMEOUT):
-                ttl_ms = None
-                if self.health is not None:
-                    ttl_ms = self.health.negative_ttl_ms(
-                        source_id, self.negative_cache.ttl_ms
-                    )
                 self.negative_cache.record_failure(
-                    source_id, outcome.status.value, outcome.error, ttl_ms=ttl_ms
+                    source_id, outcome.status.value, outcome.error
                 )
 
     def _schedule_revalidation(self, plan: _Plan) -> None:
@@ -1029,62 +1015,6 @@ class Metasearcher:
             submit_background(plan.executor, refresh)
         else:
             refresh()
-
-    def explain_plan(
-        self,
-        query: SQuery,
-        k_sources: int = 3,
-        selector: SourceSelector | None = None,
-    ) -> str:
-        """A dry run: what *would* happen, without touching the network.
-
-        Renders the selection ranking (with goodness and bGlOSS result
-        estimates) and, for each source that would be contacted, the
-        translated query and everything translation would drop.
-        """
-        from repro.metasearch.selection import BGloss
-
-        query.validate()
-        selector = selector or self.selector
-        terms = self._selection_terms(query)
-        summaries = self.discovery.summaries()
-        index = self.discovery.summary_index()
-
-        lines = [f"plan for terms {terms} (selector {selector.name}, k={k_sources})"]
-        ranked = selector.rank(terms, index)
-        estimates = dict(BGloss().rank(terms, index))
-        for position, (source_id, goodness) in enumerate(ranked):
-            chosen = "->" if position < k_sources else "  "
-            estimate = estimates[source_id]
-            lines.append(
-                f"{chosen} {source_id:<14} goodness={goodness:10.3f} "
-                f"est. matches={estimate:6.1f}"
-            )
-
-        for source_id, _ in ranked[:k_sources]:
-            known = self.discovery.source(source_id)
-            translated, report = self.translator.translate(
-                query, known.metadata, summary=summaries.get(source_id)
-            )
-            lines.append(f"\n{source_id}:")
-            filter_text = (
-                translated.filter_expression.serialize()
-                if translated.filter_expression
-                else "(none)"
-            )
-            ranking_text = (
-                translated.ranking_expression.serialize()
-                if translated.ranking_expression
-                else "(none)"
-            )
-            lines.append(f"  filter:  {filter_text}")
-            lines.append(f"  ranking: {ranking_text}")
-            if report.dropped:
-                for note in report.dropped:
-                    lines.append(f"  note: {note}")
-            else:
-                lines.append("  note: lossless")
-        return "\n".join(lines)
 
     def _route(
         self, selected_ids: list[str], group_by_resource: bool

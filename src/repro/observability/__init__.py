@@ -1,44 +1,29 @@
-"""Observability: traces, process-wide metrics, exporters, health.
+"""Observability: traces, process-wide metrics, the query log, exporters.
 
 Layers, from one operation outward:
 
 * tracing (:class:`Tracer` / :class:`Trace`) — one operation's span
-  tree and per-source counters, rendered by :func:`render_trace`;
-  :class:`TraceContext` carries the operation across processes (W3C
-  ``traceparent`` on the wire) and :class:`TraceCollector` gathers the
-  server-side fragments :func:`stitch_traces` merges back into one
-  cross-process tree;
+  tree and per-source counters; :class:`TraceContext` carries the
+  operation across processes (W3C ``traceparent`` on the wire) and
+  :class:`TraceCollector` gathers the server-side fragments.
+  :func:`stitch_traces` turns a trace and its fragments into one list
+  of rows forming one cross-process tree, which :func:`render_trace`
+  prints as text and :func:`render_ndjson` as a structured event log;
 * metrics (:class:`MetricsRegistry`) — longitudinal counters, gauges
   and histograms accumulated across every operation, exported as
   Prometheus text by :func:`render_prometheus` (histogram buckets can
   carry trace-id exemplars);
 * the query log (:class:`QueryLog`) — one wide, flat
-  :class:`QueryLogRecord` per search, ring-buffered and NDJSON-ready;
-* SLOs (:class:`SloMonitor`) — declarative objectives evaluated from
-  the live registry into error budgets and burn-rate alerts;
-* health (:class:`SourceHealth`) — per-source 0–1 scores folded from
-  the observed windows, feeding back into federation policy and
-  negative-cache TTLs.
+  :class:`QueryLogRecord` per search, ring-buffered and NDJSON-ready.
 
-Traces additionally export as Chrome trace JSON
-(:func:`render_chrome_trace`) and structured NDJSON
-(:func:`render_ndjson`).
+``MetasearchResult.explain()`` (``python -m repro explain``) is the one
+reader that puts the three side by side for a finished search.
 """
 
 from repro.observability.export import (
-    chrome_trace,
-    render_chrome_trace,
     render_ndjson,
     render_prometheus,
-    render_stitched_ndjson,
     stitch_traces,
-    stitched_chrome_trace,
-    trace_events,
-)
-from repro.observability.health import (
-    HealthPolicy,
-    SourceHealth,
-    SourceHealthSnapshot,
 )
 from repro.observability.metrics import (
     DEFAULT_LATENCY_BUCKETS_MS,
@@ -58,19 +43,7 @@ from repro.observability.querylog import (
     get_query_log,
     set_query_log,
 )
-from repro.observability.render import (
-    render_cache_counters,
-    render_counters,
-    render_trace,
-)
-from repro.observability.slo import (
-    BurnAlert,
-    BurnWindow,
-    SloMonitor,
-    SloObjective,
-    SloPolicy,
-    SloReport,
-)
+from repro.observability.render import render_trace
 from repro.observability.tracing import (
     CacheCounters,
     SourceCounters,
@@ -86,17 +59,9 @@ from repro.observability.tracing import (
 )
 
 __all__ = [
-    "chrome_trace",
-    "render_chrome_trace",
     "render_ndjson",
     "render_prometheus",
-    "render_stitched_ndjson",
     "stitch_traces",
-    "stitched_chrome_trace",
-    "trace_events",
-    "HealthPolicy",
-    "SourceHealth",
-    "SourceHealthSnapshot",
     "DEFAULT_LATENCY_BUCKETS_MS",
     "Counter",
     "Gauge",
@@ -111,15 +76,7 @@ __all__ = [
     "QueryLogRecord",
     "get_query_log",
     "set_query_log",
-    "render_cache_counters",
-    "render_counters",
     "render_trace",
-    "BurnAlert",
-    "BurnWindow",
-    "SloMonitor",
-    "SloObjective",
-    "SloPolicy",
-    "SloReport",
     "CacheCounters",
     "SourceCounters",
     "Span",

@@ -1,29 +1,23 @@
-"""Exporters: Prometheus text exposition, Chrome trace JSON, NDJSON.
-
-Three renderings of the telemetry layer, one per audience:
+"""Exporters: Prometheus text exposition and the trace's row form.
 
 * :func:`render_prometheus` — the registry's families in the Prometheus
   text exposition format, ready to serve from a ``/metrics`` endpoint
   (both transports do; see :mod:`repro.transport`);
-* :func:`chrome_trace` / :func:`render_chrome_trace` — a finished
-  :class:`~repro.observability.Trace` as ``chrome://tracing`` /
-  Perfetto JSON (complete ``"X"`` events, microsecond timestamps), so
-  an end-to-end metasearch round can be inspected visually;
-* :func:`trace_events` / :func:`render_ndjson` — the same trace as a
-  structured NDJSON event log: one JSON object per span, with the
-  operation's trace id and parent/child span ids threaded through, the
-  shape a log pipeline ingests.
-
-Cross-process traces stitch here too: :func:`stitch_traces` merges a
-client-side trace with the server-side fragments a
-:class:`~repro.observability.TraceCollector` gathered (matched by trace
-id, nested by the fragments' remote parent span ids) into one flat
-NDJSON event list; :func:`stitched_chrome_trace` renders the same
-merge as a multi-process Perfetto file.
+* :func:`stitch_traces` — a finished :class:`~repro.observability.Trace`
+  as a flat list of structured rows: one per span, with the operation's
+  trace id and the spans' stable hex ids threaded through, then the
+  per-source and cache counters.  Server-side fragments a
+  :class:`~repro.observability.TraceCollector` gathered join the same
+  list (matched by trace id, nested by the fragments' remote parent span
+  ids), so a local trace is a stitch with no fragments.  It is the one
+  row producer: :func:`render_ndjson` prints the rows as the NDJSON event
+  log a pipeline ingests, and
+  :func:`~repro.observability.render_trace` as the text timeline.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from collections.abc import Iterable
@@ -31,16 +25,7 @@ from collections.abc import Iterable
 from repro.observability.metrics import Histogram, MetricsRegistry
 from repro.observability.tracing import Span, Trace
 
-__all__ = [
-    "render_prometheus",
-    "chrome_trace",
-    "render_chrome_trace",
-    "trace_events",
-    "render_ndjson",
-    "stitch_traces",
-    "render_stitched_ndjson",
-    "stitched_chrome_trace",
-]
+__all__ = ["render_prometheus", "stitch_traces", "render_ndjson"]
 
 
 # -- Prometheus text exposition -------------------------------------------
@@ -159,87 +144,21 @@ def render_prometheus(registry: MetricsRegistry, exemplars: bool = False) -> str
     return "\n".join(lines) + "\n" if lines else ""
 
 
-# -- Chrome trace format ---------------------------------------------------
+# -- the trace as rows -------------------------------------------------------
 
 
-def _chrome_events(
-    span: Span, parent_name: str | None, trace_id: str, events: list[dict]
-) -> None:
-    args: dict[str, object] = {str(k): v for k, v in span.attributes.items()}
-    if parent_name is not None:
-        args["parent"] = parent_name
-    if span.is_open:
-        args["open"] = True
-    events.append(
-        {
-            "name": span.name,
-            "cat": "metasearch",
-            "ph": "X",
-            "ts": round(span.start_ms * 1000.0, 1),  # microseconds
-            "dur": round(span.duration_ms * 1000.0, 1),
-            "pid": 1,
-            "tid": 1,
-            "args": args,
-        }
-    )
-    for child in span.children:
-        _chrome_events(child, span.name, trace_id, events)
+def _trace_rows(trace: Trace) -> list[dict]:
+    """One trace's spans depth first, then its counter rows.
 
-
-def chrome_trace(trace: Trace) -> dict:
-    """A trace as a ``chrome://tracing`` / Perfetto JSON object.
-
-    Spans become complete (``"X"``) events whose timestamp containment
-    mirrors the span tree; each event additionally carries its parent
-    span's name in ``args.parent`` so the hierarchy survives tools that
-    ignore nesting.  Open spans are exported with their elapsed-so-far
-    duration and ``args.open = true``.
-    """
-    events: list[dict] = []
-    for span in trace.spans:
-        _chrome_events(span, None, trace.trace_id, events)
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"trace_id": trace.trace_id},
-    }
-
-
-def render_chrome_trace(trace: Trace, indent: int | None = None) -> str:
-    return json.dumps(chrome_trace(trace), indent=indent, sort_keys=True)
-
-
-# -- NDJSON structured event log -------------------------------------------
-
-
-def trace_events(trace: Trace, stable_ids: bool = False) -> list[dict]:
-    """The trace as a flat list of structured span events.
-
-    By default span ids are assigned depth-first at export time
-    (1-based integers); ``parent_id`` is ``None`` for roots.  With
-    ``stable_ids=True`` the rows carry the spans' tracer-assigned hex
-    ids instead — the ids that cross the wire in ``traceparent``
-    headers — and a root span continuing a remote trace reports that
-    caller's span id as its ``parent_id``, which is what lets
-    :func:`stitch_traces` splice fragments from different processes
-    into one tree.  (Hand-built spans without an id get a synthesized
-    ``local-N`` id.)  Per-source counters follow the spans as
-    ``kind="source_counters"`` rows so one NDJSON stream carries the
-    whole operation.
+    Span ids are the tracer-assigned hex ids — the ids that cross the
+    wire in ``traceparent`` headers — and a root span continuing a
+    remote trace reports that caller's span id as its ``parent_id``.
+    (Hand-built spans without an id get a synthesized ``local-N`` id.)
     """
     rows: list[dict] = []
-    next_id = [0]
 
-    def span_key(span: Span):
-        next_id[0] += 1
-        if not stable_ids:
-            return next_id[0]
-        return span.span_id or f"local-{next_id[0]}"
-
-    def visit(span: Span, parent_id) -> None:
-        span_id = span_key(span)
-        if parent_id is None and stable_ids and span.remote_parent_id:
-            parent_id = span.remote_parent_id
+    def visit(span: Span, parent_id: str | None) -> None:
+        span_id = span.span_id or f"local-{len(rows) + 1}"
         rows.append(
             {
                 "kind": "span",
@@ -257,7 +176,7 @@ def trace_events(trace: Trace, stable_ids: bool = False) -> list[dict]:
             visit(child, span_id)
 
     for span in trace.spans:
-        visit(span, None)
+        visit(span, span.remote_parent_id or None)
     for source_id in sorted(trace.counters):
         tally = trace.counters[source_id]
         rows.append(
@@ -275,73 +194,35 @@ def trace_events(trace: Trace, stable_ids: bool = False) -> list[dict]:
                 "cost": round(tally.cost, 4),
             }
         )
+    if trace.cache is not None:
+        rows.append(
+            {"kind": "cache_counters", "trace_id": trace.trace_id}
+            | dataclasses.asdict(trace.cache)
+        )
     return rows
 
 
-def render_ndjson(trace: Trace) -> str:
-    """One JSON object per line: spans depth-first, then counters."""
-    rows = trace_events(trace)
-    return "\n".join(json.dumps(row, sort_keys=True) for row in rows) + (
-        "\n" if rows else ""
-    )
-
-
-# -- cross-process stitching -----------------------------------------------
-
-
-def stitch_traces(root: Trace, fragments: Iterable[Trace]) -> list[dict]:
-    """Merge a client trace with its server-side fragments into one log.
+def stitch_traces(root: Trace, fragments: Iterable[Trace] = ()) -> list[dict]:
+    """A trace — with its server-side fragments, if any — as one row list.
 
     ``fragments`` is typically ``collector.traces()`` from one or more
     :class:`~repro.observability.TraceCollector` sinks; only fragments
-    sharing the root's trace id are taken.  Every row uses stable hex
-    span ids, so a fragment's root span — whose ``parent_id`` is the
-    caller's span id carried in the ``traceparent`` header — hangs off
-    the exact client-side span that issued the request.  The result is
-    one flat NDJSON-ready event list forming a single cross-process
-    tree under one trace id.
+    sharing the root's trace id are taken.  A fragment's root span —
+    whose ``parent_id`` is the caller's span id carried in the
+    ``traceparent`` header — hangs off the exact client-side span that
+    issued the request, so the rows form a single cross-process tree
+    under one trace id.
     """
-    rows = trace_events(root, stable_ids=True)
+    rows = _trace_rows(root)
     for fragment in fragments:
-        if fragment.trace_id != root.trace_id:
-            continue
-        rows.extend(trace_events(fragment, stable_ids=True))
+        if fragment.trace_id == root.trace_id:
+            rows.extend(_trace_rows(fragment))
     return rows
 
 
-def render_stitched_ndjson(root: Trace, fragments: Iterable[Trace]) -> str:
-    """:func:`stitch_traces` as NDJSON text."""
-    rows = stitch_traces(root, fragments)
-    return "\n".join(json.dumps(row, sort_keys=True) for row in rows) + (
-        "\n" if rows else ""
+def render_ndjson(trace: Trace, fragments: Iterable[Trace] = ()) -> str:
+    """:func:`stitch_traces` as NDJSON: one JSON object per line."""
+    return "".join(
+        json.dumps(row, sort_keys=True) + "\n"
+        for row in stitch_traces(trace, fragments)
     )
-
-
-def stitched_chrome_trace(root: Trace, fragments: Iterable[Trace]) -> dict:
-    """A multi-process Perfetto file: the client trace plus fragments.
-
-    The client's spans render as pid 1; each matching fragment gets its
-    own pid (2, 3, …) since its timestamps come from the serving
-    process's own clock and only nest logically, not temporally.  Each
-    fragment root carries ``args.remote_parent`` — the client-side span
-    id it hangs under — so the cross-process link survives visually.
-    """
-    doc = chrome_trace(root)
-    events = doc["traceEvents"]
-    pid = 1
-    for fragment in fragments:
-        if fragment.trace_id != root.trace_id:
-            continue
-        pid += 1
-        fragment_events: list[dict] = []
-        for span in fragment.spans:
-            root_index = len(fragment_events)
-            _chrome_events(span, None, fragment.trace_id, fragment_events)
-            if span.remote_parent_id:
-                fragment_events[root_index]["args"]["remote_parent"] = (
-                    span.remote_parent_id
-                )
-        for event in fragment_events:
-            event["pid"] = pid
-        events.extend(fragment_events)
-    return doc

@@ -7,7 +7,7 @@ rates, error ratios, latency percentiles accumulated across every
 search the process has run.  This module is that layer:
 
 * :class:`Counter` — a monotonically increasing total;
-* :class:`Gauge` — a value that goes both ways (health scores, TTLs,
+* :class:`Gauge` — a value that goes both ways (sizes, depths,
   live entry counts);
 * :class:`Histogram` — fixed log-scale bucket bounds with streaming
   p50/p95/p99 estimation plus exact sum/count;

@@ -13,7 +13,8 @@ NDJSON for any log pipeline.
 :class:`QueryLogRecord` per ``search``/``search_stream`` call on every
 exit path (wire answers, cache hits, stream terminations and errors
 alike) into the process-wide :class:`QueryLog`
-(:func:`get_query_log`); ``python -m repro querylog`` tails it.
+(:func:`get_query_log`); ``MetasearchResult.explain()`` shows a
+search's record beside its trace.
 """
 
 from __future__ import annotations
@@ -143,13 +144,18 @@ class QueryLog:
             if self.slow_ms is not None and record.total_ms >= self.slow_ms:
                 self.total_slow += 1
 
-    def records(self, outcome: str | None = None) -> list[QueryLogRecord]:
-        """Buffered records oldest-first, optionally one outcome only."""
+    def records(
+        self, outcome: str | None = None, trace_id: str | None = None
+    ) -> list[QueryLogRecord]:
+        """Buffered records oldest-first, optionally only those of one
+        outcome and / or one trace."""
         with self._lock:
             snapshot = list(self._records)
-        if outcome is None:
-            return snapshot
-        return [record for record in snapshot if record.outcome == outcome]
+        return [
+            record
+            for record in snapshot
+            if outcome in (None, record.outcome) and trace_id in (None, record.trace_id)
+        ]
 
     def slow_queries(self) -> list[QueryLogRecord]:
         """Buffered records at or above the slow threshold, slowest first."""

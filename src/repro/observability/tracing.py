@@ -242,8 +242,7 @@ class Trace:
     spans: list[Span] = dataclass_field(default_factory=list)
     counters: dict[str, SourceCounters] = dataclass_field(default_factory=dict)
     cache: CacheCounters | None = None
-    #: The owning operation's id, threaded through every exported span
-    #: (NDJSON event log, Chrome trace metadata).
+    #: The owning operation's id, threaded through every exported row.
     trace_id: str = ""
 
     def walk(self) -> Iterator[Span]:
@@ -256,11 +255,6 @@ class Trace:
             if span.name == name:
                 return span
         return None
-
-    def render(self) -> str:
-        from repro.observability.render import render_trace
-
-        return render_trace(self)
 
 
 class Tracer:

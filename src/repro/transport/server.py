@@ -196,6 +196,7 @@ def publish_resource(
     profile: HostProfile | None = None,
     source_profiles: dict[str, HostProfile] | None = None,
     source_faults: dict[str, FaultProfile] | None = None,
+    trace_sink: TraceCollector | None = None,
 ) -> str:
     """Mount a resource and all of its sources; returns the SResource URL.
 
@@ -206,6 +207,7 @@ def publish_resource(
         profile: host profile for the resource's own host.
         source_profiles: optional per-source-id host profiles.
         source_faults: optional per-source-id fault-injection profiles.
+        trace_sink: as in :func:`source_endpoints`, for every source.
     """
     publish_endpoints(mount, base_url, resource_endpoints(resource), profile)
     for source_id in resource.source_ids():
@@ -215,6 +217,7 @@ def publish_resource(
             (source_profiles or {}).get(source_id),
             resource=resource,
             faults=(source_faults or {}).get(source_id),
+            trace_sink=trace_sink,
         )
     return f"{base_url}/resource"
 

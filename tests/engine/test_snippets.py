@@ -1,7 +1,5 @@
 """KWIC snippet generation."""
 
-import pytest
-
 from repro.engine.snippets import make_snippet
 from repro.text.analysis import Analyzer
 

@@ -1,6 +1,5 @@
 """Evaluation metrics: exact values on hand-checkable cases."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.experiments.metrics import (

@@ -100,7 +100,7 @@ class TestPartialResults:
         result = searcher.search(
             ranking_query(), k_sources=4, selector=SelectAll()
         )
-        rendered = result.explain_trace()
+        rendered = result.explain()
         for expected in (
             "GoodA",
             "Dead: error after 3 request(s) (2 retries)",
@@ -243,4 +243,4 @@ class TestSkipPath:
         assert result.outcome_counts() == {"ok": 1, "skipped": 1}
         # No wire traffic went to the skipped source.
         assert internet.request_count("fonly.org") == 0
-        assert "skipped" in result.explain_trace()
+        assert "skipped" in result.explain()

@@ -11,6 +11,10 @@ one trace id — root span → per-leaf ``rpc:*`` spans → server-side
 """
 
 import json
+import re
+import time
+
+import pytest
 
 from repro.broker import (
     LeafBroker,
@@ -20,15 +24,25 @@ from repro.broker import (
 )
 from repro.federation import AsyncExecutor
 from repro.metasearch.selection import Cori
+from repro.cache import CachePolicy
+from repro.corpus import CollectionSpec, generate_collection
+from repro.metasearch import Metasearcher
 from repro.observability import (
     TraceCollector,
     Tracer,
-    render_stitched_ndjson,
+    render_ndjson,
     stitch_traces,
-    stitched_chrome_trace,
-    trace_events,
 )
-from repro.transport import SimulatedInternet
+from repro.resource import Resource
+from repro.source import StartsSource
+from repro.starts import SQuery, parse_expression
+from repro.transport import (
+    HttpTransport,
+    SimulatedInternet,
+    StartsHttpServer,
+    publish_resource,
+)
+from repro.vendors import build_vendor_source
 
 from tests.broker.util import demo_population
 
@@ -131,27 +145,10 @@ class TestStitchedConsultation:
 
     def test_ndjson_is_one_json_object_per_line(self):
         trace, collector, _ = self._run()
-        text = render_stitched_ndjson(trace, collector.traces())
+        text = render_ndjson(trace, collector.traces())
         lines = text.strip().split("\n")
         parsed = [json.loads(line) for line in lines]
         assert all(row["trace_id"] == trace.trace_id for row in parsed)
-
-    def test_chrome_trace_gives_fragments_their_own_pids(self):
-        trace, collector, _ = self._run()
-        doc = stitched_chrome_trace(trace, collector.traces())
-        pids = {event["pid"] for event in doc["traceEvents"]}
-        assert 1 in pids  # the client
-        assert len(pids) > 1  # at least one serving process
-        remote_parents = [
-            event["args"]["remote_parent"]
-            for event in doc["traceEvents"]
-            if "remote_parent" in event["args"]
-        ]
-        client_ids = {
-            span.span_id for span in trace.walk() if span.span_id
-        }
-        assert remote_parents
-        assert all(parent in client_ids for parent in remote_parents)
 
     def test_unrelated_fragments_are_not_stitched(self):
         trace, collector, _ = self._run()
@@ -182,6 +179,123 @@ class TestUntracedPathUnchanged:
         tracer = Tracer()
         assert root.select(Cori(), ["databases"], 3, tracer=tracer)
         # The client side still traces; there is just nothing to stitch.
-        assert stitch_traces(tracer.trace(), []) == trace_events(
-            tracer.trace(), stable_ids=True
+        names = [row["name"] for row in stitch_traces(tracer.trace())]
+        assert any(name.startswith("rpc:") for name in names)
+        assert not any(name.startswith("leaf:") for name in names)
+
+
+SLOW, SLOW_MS = "Trace-Net", 20.0
+
+
+def _slow_source_resource() -> Resource:
+    """Three sources, every one matching the query; one takes 20 ms."""
+    resource = Resource("TraceFederation")
+    for index, (source_id, vendor) in enumerate(
+        [("Trace-DB", "AcmeSearch"), (SLOW, "OkapiWorks"), ("Trace-Med", "InferNet")]
+    ):
+        documents = generate_collection(
+            CollectionSpec(
+                name=source_id, topics={"databases": 1.0}, size=30, seed=300 + index
+            )
         )
+        resource.add_source(build_vendor_source(vendor, source_id, documents))
+    slow = resource.source(SLOW)
+    fast_search = slow.search
+
+    def slow_search(query):
+        time.sleep(SLOW_MS / 1000.0)
+        return fast_search(query)
+
+    slow.search = slow_search
+    return resource
+
+
+def _explained_tree(text: str) -> dict[str, tuple[str | None, float]]:
+    """``{span name: (parent span name, total ms)}`` from explain()'s tree."""
+    stack: list[str] = []
+    tree = {}
+    for line in text.splitlines():
+        match = re.match(r"( *)(\S+) +(\d+\.\d)ms", line)
+        if match:
+            del stack[len(match[1]) // 2 :]
+            tree[match[2]] = (stack[-1] if stack else None, float(match[3]))
+            stack.append(match[2])
+    return tree
+
+
+class TestExplainNamesTheSlowSource:
+    """ROADMAP item 1's acceptance, at the one server boundary there is."""
+
+    @pytest.fixture(params=["simulated", "socket"])
+    def explained(self, request):
+        collector = TraceCollector()
+        resource = _slow_source_resource()
+        if request.param == "simulated":
+            net = SimulatedInternet(seed=5)
+            url = publish_resource(
+                net, resource, "http://trace.example.org", trace_sink=collector
+            )
+            yield self._search(net, url), collector
+        else:
+            with StartsHttpServer(resource, trace_sink=collector) as server:
+                yield self._search(HttpTransport(), server.resource_url()), collector
+
+    @staticmethod
+    def _search(transport, resource_url):
+        searcher = Metasearcher(
+            transport, [resource_url], cache_policy=CachePolicy.disabled()
+        )
+        searcher.refresh()
+        query = SQuery(
+            ranking_expression=parse_expression('(body-of-text "databases")'),
+            max_number_documents=5,
+        )
+        return searcher.search(query, k_sources=3)
+
+    def test_the_slow_fragment_sits_under_the_span_that_issued_it(self, explained):
+        result, collector = explained
+        assert sorted(result.ok_sources()) == ["Trace-DB", "Trace-Med", SLOW]
+        tree = _explained_tree(result.explain(collector.traces()))
+        for source_id in result.ok_sources():
+            parent, ms = tree[f"serve:query:{source_id}"]
+            assert parent == f"query:{source_id}"
+            assert (ms >= SLOW_MS) == (source_id == SLOW), (source_id, ms)
+
+    def test_without_fragments_only_the_client_side_is_told(self, explained):
+        result, _ = explained
+        text = result.explain()
+        assert f"query:{SLOW}" in text
+        assert "serve:query:" not in text
+
+
+class TestExplainCommandNdjson:
+    def test_the_same_rows_come_out_of_ndjson(self, tmp_path, capsys, monkeypatch):
+        from repro.__main__ import main
+
+        slow, fast_search = "Source-IR", StartsSource.search
+
+        def search(self, query):
+            if self.source_id == slow:
+                time.sleep(SLOW_MS / 1000.0)
+            return fast_search(self, query)
+
+        monkeypatch.setattr(StartsSource, "search", search)
+        path = tmp_path / "explain.ndjson"
+        assert main(["--seed", "3", "explain", "--ndjson", str(path)]) == 0
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        spans = {row["span_id"]: row for row in rows if row["kind"] == "span"}
+        served = {
+            row["name"].removeprefix("serve:query:"): row
+            for row in spans.values()
+            if row["name"].startswith("serve:query:")
+        }
+        assert slow in served and len(served) == 3
+        for source_id, row in served.items():
+            assert spans[row["parent_id"]]["name"] == f"query:{source_id}"
+            assert (row["duration_ms"] >= SLOW_MS) == (source_id == slow)
+        # The text names the same fragment, and the record closes the log.
+        text = capsys.readouterr().out
+        (line,) = [l for l in text.splitlines() if f"serve:query:{slow}" in l]
+        assert float(line.split()[1].removesuffix("ms")) >= SLOW_MS
+        assert rows[-1]["kind"] == "query"
+        assert rows[-1]["trace_id"] == rows[0]["trace_id"]

@@ -54,7 +54,7 @@ class TestResultCacheHits:
         result = searcher.search(query)
         assert result.trace.cache is not None
         assert result.trace.cache.hits == 1
-        rendered = result.explain_trace()
+        rendered = result.explain()
         assert "result cache: hit" in rendered
         assert "cache counters:" in rendered
         assert searcher.result_cache.stats.hits == 1
@@ -133,7 +133,9 @@ class TestDisabledPolicy:
         assert first.cache_status is None and second.cache_status is None
         # The trace renders exactly as the uncached pipeline always did.
         assert second.trace.cache is None
-        assert "cache" not in second.explain_trace()
+        explained = second.explain()
+        assert "result cache" not in explained
+        assert "cache counters:" not in explained
 
 
 class TestStaleWhileRevalidate:
@@ -172,7 +174,7 @@ class TestStaleWhileRevalidate:
         clock["now"] = 500.0
         stale = searcher.search(query)
         assert stale.trace.cache.stale_hits == 1
-        assert "result cache: stale" in stale.explain_trace()
+        assert "result cache: stale" in stale.explain()
 
 
 class TestNegativeCaching:

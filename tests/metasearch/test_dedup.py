@@ -1,7 +1,5 @@
 """Cross-source near-duplicate collapsing."""
 
-import pytest
-
 from repro.metasearch.dedup import collapse_near_duplicates, jaccard, word_shingles
 from repro.metasearch.merging import MergedDocument
 from repro.starts.results import SQRDocument

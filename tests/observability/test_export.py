@@ -1,17 +1,14 @@
-"""The exporters: Prometheus text, Chrome trace JSON, NDJSON events."""
+"""The exporters: Prometheus text, and the trace as rows / NDJSON."""
 
 import json
 
-import pytest
-
 from repro.observability import (
     MetricsRegistry,
+    TraceContext,
     Tracer,
-    chrome_trace,
-    render_chrome_trace,
     render_ndjson,
     render_prometheus,
-    trace_events,
+    stitch_traces,
 )
 
 
@@ -22,7 +19,7 @@ def _registry_with_traffic() -> MetricsRegistry:
     )
     requests.labels(source_id="S1", outcome="ok").inc(3)
     requests.labels(source_id="S1", outcome="error").inc()
-    registry.gauge("source_health_score", "Health.", labels=("source_id",)).labels(
+    registry.gauge("queue_depth", "Depth.", labels=("source_id",)).labels(
         source_id="S1"
     ).set(0.75)
     histogram = registry.histogram(
@@ -42,8 +39,8 @@ class TestPrometheus:
         assert "# TYPE source_requests_total counter" in lines
         assert 'source_requests_total{source_id="S1",outcome="ok"} 3' in lines
         assert 'source_requests_total{source_id="S1",outcome="error"} 1' in lines
-        assert "# TYPE source_health_score gauge" in lines
-        assert 'source_health_score{source_id="S1"} 0.75' in lines
+        assert "# TYPE queue_depth gauge" in lines
+        assert 'queue_depth{source_id="S1"} 0.75' in lines
         assert "# TYPE latency_ms histogram" in lines
         # Cumulative buckets plus +Inf, sum and count.
         assert 'latency_ms_bucket{source_id="S1",le="1"} 1' in lines
@@ -79,7 +76,7 @@ class TestPrometheus:
                     base = name[: -len(suffix)]
             assert base in seen_types
         assert set(seen_types) == {
-            "source_requests_total", "source_health_score", "latency_ms",
+            "source_requests_total", "queue_depth", "latency_ms",
         }
 
     def test_label_values_escaped(self):
@@ -111,47 +108,42 @@ def _traced_round() -> Tracer:
     return tracer
 
 
-class TestChromeTrace:
-    def test_events_mirror_the_span_tree(self):
-        payload = chrome_trace(_traced_round().trace())
-        events = payload["traceEvents"]
-        names = [event["name"] for event in events]
-        assert names == ["search", "select", "query", "query:S1", "query:S2", "merge"]
-        by_name = {event["name"]: event for event in events}
-        assert by_name["query:S1"]["args"]["parent"] == "query"
-        assert by_name["select"]["args"]["parent"] == "search"
-        assert "parent" not in by_name["search"]["args"]
-        assert all(event["ph"] == "X" for event in events)
-        # Timestamps are microseconds; children start inside the parent.
-        search, query = by_name["search"], by_name["query"]
-        assert query["ts"] >= search["ts"]
-        assert query["ts"] + query["dur"] <= search["ts"] + search["dur"] + 1
-        assert payload["otherData"]["trace_id"] == "t-42"
-
-    def test_open_spans_are_flagged(self):
-        tracer = Tracer()
-        with tracer.span("outer"):
-            payload = chrome_trace(tracer.trace())
-        assert payload["traceEvents"][0]["args"]["open"] is True
-
-    def test_render_is_valid_json(self):
-        text = render_chrome_trace(_traced_round().trace(), indent=2)
-        assert json.loads(text)["displayTimeUnit"] == "ms"
-
-
 class TestNdjson:
+    """The one row producer: ``stitch_traces`` (a local trace is a
+    stitch with no fragments)."""
+
     def test_span_ids_are_depth_first_with_parent_links(self):
-        rows = trace_events(_traced_round().trace())
+        tracer = _traced_round()
+        rows = stitch_traces(tracer.trace())
         spans = [row for row in rows if row["kind"] == "span"]
-        assert [row["span_id"] for row in spans] == [1, 2, 3, 4, 5, 6]
+        # Stable ids: the tracer's own hex ids, in depth-first order.
+        assert [row["span_id"] for row in spans] == [
+            span.span_id for span in tracer.trace().walk()
+        ]
+        assert all(len(row["span_id"]) == 16 for row in spans)
         by_name = {row["name"]: row for row in spans}
         assert by_name["search"]["parent_id"] is None
         assert by_name["select"]["parent_id"] == by_name["search"]["span_id"]
         assert by_name["query:S1"]["parent_id"] == by_name["query"]["span_id"]
         assert all(row["trace_id"] == "t-42" for row in rows)
 
+    def test_root_parent_is_the_remote_callers_span(self):
+        tracer = Tracer(context=TraceContext("ab" * 8, "cd" * 8))
+        with tracer.span("serve:query:S1"):
+            pass
+        (row,) = stitch_traces(tracer.trace())
+        assert row["parent_id"] == "cd" * 8
+        assert row["trace_id"] == "ab" * 8
+
+    def test_cache_counters_get_a_row_of_their_own(self):
+        tracer = _traced_round()
+        assert not [r for r in stitch_traces(tracer.trace()) if r["kind"] == "cache_counters"]
+        tracer.count_cache(hits=1, cost_saved=2.5)
+        (row,) = [r for r in stitch_traces(tracer.trace()) if r["kind"] == "cache_counters"]
+        assert (row["hits"], row["misses"], row["cost_saved"]) == (1, 0, 2.5)
+
     def test_counters_follow_the_spans(self):
-        rows = trace_events(_traced_round().trace())
+        rows = stitch_traces(_traced_round().trace())
         counters = [row for row in rows if row["kind"] == "source_counters"]
         assert counters == [
             {
@@ -179,6 +171,15 @@ class TestNdjson:
     def test_empty_trace_renders_empty(self):
         assert render_ndjson(Tracer().trace()) == ""
 
+    def test_open_spans_are_flagged_with_their_elapsed_time(self):
+        clock = [0.0]
+        tracer = Tracer(clock=lambda: clock[0])
+        with tracer.span("work"):
+            clock[0] = 0.1
+            (row,) = stitch_traces(tracer.trace())
+        assert row["open"] is True
+        assert row["duration_ms"] == 100.0
+
 
 class TestTraceIds:
     def test_tracer_ids_are_unique_by_default(self):
@@ -186,11 +187,3 @@ class TestTraceIds:
 
     def test_explicit_id_flows_to_trace(self):
         assert Tracer(trace_id="abc").trace().trace_id == "abc"
-
-    def test_chrome_dur_uses_elapsed_for_open_spans(self):
-        clock = [0.0]
-        tracer = Tracer(clock=lambda: clock[0])
-        with tracer.span("work"):
-            clock[0] = 0.1
-            event = chrome_trace(tracer.trace())["traceEvents"][0]
-            assert event["dur"] == pytest.approx(100_000.0)  # 100ms in us

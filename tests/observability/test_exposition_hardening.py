@@ -2,13 +2,11 @@
 
 import math
 
-import pytest
-
 from repro.observability import (
     MetricsRegistry,
     Tracer,
     render_prometheus,
-    trace_events,
+    stitch_traces,
 )
 
 
@@ -106,21 +104,12 @@ class TestExemplars:
 
 
 class TestStableIdExport:
-    def test_default_ndjson_ids_unchanged(self):
-        tracer = Tracer(trace_id="tt")
-        with tracer.span("a"):
-            with tracer.span("b"):
-                pass
-        rows = trace_events(tracer.trace())
-        assert [row["span_id"] for row in rows] == [1, 2]
-        assert rows[1]["parent_id"] == 1
-
     def test_stable_ids_are_the_tracer_assigned_hex(self):
         tracer = Tracer(trace_id="tt")
         with tracer.span("a") as span_a:
             with tracer.span("b") as span_b:
                 pass
-        rows = trace_events(tracer.trace(), stable_ids=True)
+        rows = stitch_traces(tracer.trace())
         assert rows[0]["span_id"] == span_a.span_id
         assert rows[1]["span_id"] == span_b.span_id
         assert rows[1]["parent_id"] == span_a.span_id
@@ -129,5 +118,5 @@ class TestStableIdExport:
         from repro.observability import Span, Trace
 
         trace = Trace(spans=[Span(name="manual", start_ms=10.0)], trace_id="m")
-        rows = trace_events(trace, stable_ids=True)
+        rows = stitch_traces(trace)
         assert rows[0]["span_id"] == "local-1"

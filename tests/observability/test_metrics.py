@@ -4,6 +4,8 @@ import threading
 
 import pytest
 
+from repro.corpus import CollectionSpec, generate_collection
+from repro.metasearch import Metasearcher
 from repro.observability import (
     Counter,
     Gauge,
@@ -13,6 +15,10 @@ from repro.observability import (
     log_scale_buckets,
     set_registry,
 )
+from repro.resource import Resource
+from repro.starts import SQuery, parse_expression
+from repro.transport import SimulatedInternet, publish_resource
+from repro.vendors import build_vendor_source
 
 
 class TestLogScaleBuckets:
@@ -217,3 +223,56 @@ class TestLinearBuckets:
         histogram = Histogram(linear_buckets(0.0, 16.0))
         histogram.observe(3.0)
         assert histogram.count == 1
+
+
+def _federation(seed: int = 7):
+    """A private three-vendor federation (swapping the process registry
+    around a shared session-scoped one would leak)."""
+    internet = SimulatedInternet(seed=seed)
+    resource = Resource("NeutralityFederation")
+    plans = [
+        ("Hf-Db", "AcmeSearch", {"databases": 1.0}),
+        ("Hf-Net", "OkapiWorks", {"networking": 1.0}),
+        ("Hf-Med", "InferNet", {"medicine": 1.0}),
+    ]
+    for index, (source_id, vendor, topics) in enumerate(plans):
+        documents = generate_collection(
+            CollectionSpec(name=source_id, topics=topics, size=40, seed=200 + index)
+        )
+        resource.add_source(build_vendor_source(vendor, source_id, documents))
+    url = "http://health.example.org"
+    publish_resource(internet, resource, url)
+    return internet, f"{url}/resource"
+
+
+def _query(text: str):
+    return SQuery(
+        ranking_expression=parse_expression(f'(body-of-text "{text}")'),
+        max_number_documents=5,
+    )
+
+
+class TestDisabledRegistryNeutrality:
+    @staticmethod
+    def _run(registry: MetricsRegistry):
+        internet, resource_url = _federation(seed=13)
+        previous = set_registry(registry)
+        try:
+            searcher = Metasearcher(internet, [resource_url])
+            searcher.refresh()
+            result = searcher.search(_query("databases networking"), k_sources=3)
+        finally:
+            set_registry(previous)
+        return result
+
+    def test_disabled_registry_restores_pre_instrumentation_behavior(self):
+        enabled = self._run(MetricsRegistry())
+        disabled = self._run(MetricsRegistry.disabled())
+        assert (
+            [(d.linkage, d.score, d.source_id) for d in enabled.documents]
+            == [(d.linkage, d.score, d.source_id) for d in disabled.documents]
+        )
+        assert enabled.selected_sources == disabled.selected_sources
+        assert enabled.outcome_counts() == disabled.outcome_counts()
+        # The simulated wire is seeded, so even latencies agree.
+        assert enabled.query_latency_serial_ms == disabled.query_latency_serial_ms

@@ -6,8 +6,8 @@ import pytest
 
 from repro.observability import (
     SourceCounters,
+    Trace,
     Tracer,
-    render_counters,
     render_trace,
 )
 
@@ -224,10 +224,42 @@ class TestRendering:
 
     def test_render_empty_trace(self):
         assert render_trace(Tracer().trace()) == "(empty trace)"
-        assert render_counters({}) == []
 
     def test_render_counters_table_has_header_and_rows(self):
-        lines = render_counters({"S1": SourceCounters(requests=3, cost=2.0)})
-        assert len(lines) == 2
-        assert "reqs" in lines[0] and "cost" in lines[0]
-        assert lines[1].startswith("S1")
+        trace = Trace(counters={"S1": SourceCounters(requests=3, cost=2.0)})
+        title, header, row = render_trace(trace).splitlines()
+        assert title.startswith("per-source counters")
+        assert "reqs" in header and "cost" in header
+        assert row.startswith("S1")
+
+    def test_self_time_is_what_no_child_accounts_for(self):
+        clock = [0.0]
+        tracer = Tracer(clock=lambda: clock[0])
+        with tracer.span("search"):
+            clock[0] = 0.010
+            with tracer.span("query"):
+                clock[0] = 0.040
+            clock[0] = 0.045
+        header, search, query = render_trace(tracer.trace()).splitlines()
+        assert header.split() == ["span", "total", "self"]
+        assert search.split() == ["search", "45.0ms", "15.0ms"]
+        assert query.split() == ["query", "30.0ms", "30.0ms"]
+
+    def test_fragments_render_under_the_span_that_called_them(self):
+        tracer = Tracer()
+        with tracer.span("search"):
+            with tracer.span("query:S1") as client_span:
+                pass
+        server = Tracer(context=tracer.context_for(client_span))
+        with server.span("serve:query:S1"):
+            pass
+        stranger = Tracer()
+        with stranger.span("serve:query:other"):
+            pass
+        lines = render_trace(
+            tracer.trace(), [server.trace(), stranger.trace()]
+        ).splitlines()
+        assert [line.split()[0] for line in lines[1:]] == [
+            "search", "query:S1", "serve:query:S1",
+        ]
+        assert lines[3].startswith("    serve:query:S1")

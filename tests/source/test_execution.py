@@ -1,7 +1,5 @@
 """Query down-translation: pruning, degradation, stop words."""
 
-import pytest
-
 from repro.engine.query import BooleanQuery, ListQuery, ProxQuery, TermQuery
 from repro.source.capabilities import SourceCapabilities
 from repro.source.execution import QueryTranslator

@@ -1,7 +1,5 @@
 """The Document-text and Free-form-text fields, end to end."""
 
-import pytest
-
 from repro.corpus import source1_documents
 from repro.source import SourceCapabilities, StartsSource
 from repro.starts import SQuery, parse_expression

@@ -1,8 +1,5 @@
 """Modifier semantics through the full source path."""
 
-import pytest
-
-from repro.corpus import source1_documents
 from repro.engine.ranking import CosineTfIdf
 from repro.engine.search import SearchEngine
 from repro.source import StartsSource

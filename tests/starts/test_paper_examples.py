@@ -6,18 +6,13 @@ paper prints.  Together with the attribute-table tests these are the
 reproduction's golden targets (see DESIGN.md §3).
 """
 
-import pytest
-
-from repro.corpus import source1_documents, source2_documents
+from repro.corpus import source1_documents
 from repro.engine import fields as F
 from repro.source import SourceCapabilities, StartsSource
 from repro.starts import (
     SQuery,
     SQResults,
-    SAnd,
-    SList,
     SProx,
-    STerm,
     parse_expression,
     parse_soif,
 )

@@ -1,10 +1,14 @@
 """The ``python -m repro`` command-line interface."""
 
+import json
 import pathlib
+import re
 
 import pytest
 
 from repro.__main__ import main
+
+REPO = pathlib.Path(__file__).parents[1]
 
 
 class TestParseCommand:
@@ -91,7 +95,9 @@ class TestSearchCommand:
         assert code == 0
         assert "selected sources:" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["demo", "query"])
+    @pytest.mark.parametrize(
+        "command", ["demo", "query", "plan", "trace", "metrics", "querylog", "slo"]
+    )
     def test_the_folded_subcommands_are_gone(self, command, capsys):
         with pytest.raises(SystemExit):
             main([command])
@@ -134,7 +140,7 @@ class TestSelectCommand:
 
 class TestExperimentCommand:
     def test_e4_prints_the_committed_table(self, capsys):
-        committed = pathlib.Path(__file__).parents[1] / "benchmarks" / "results"
+        committed = REPO / "benchmarks" / "results"
         # Ids are matched whatever their case; --seed is not part of a table.
         assert main(["--seed", "3", "experiment", "e4"]) == 0
         assert capsys.readouterr().out == (committed / "E4_summary_size.txt").read_text()
@@ -152,72 +158,100 @@ class TestServeCommand:
         assert "http://127.0.0.1:" in out
 
 
-class TestMetricsCommand:
-    def test_metrics_prints_prometheus_text(self, capsys, fresh_registry):
-        assert main(["--seed", "3", "metrics"]) == 0
+class TestExplainCommand:
+    def test_demo_query_prints_every_section(self, capsys, fresh_registry):
+        assert main(["--seed", "3", "explain"]) == 0
         out = capsys.readouterr().out
-        assert "# TYPE source_requests_total counter" in out
-        assert "# TYPE metasearch_phase_ms histogram" in out
-        assert 'metasearch_searches_total{result="wire"}' in out
+        for section in (
+            "selector: vGlOSS-Max   terms: distributed databases",
+            ": ok after 1 request(s)",
+            "translation: lossless",
+            "actual ranking: list(",
+            "discover",
+            "search",
+            "      serve:query:",  # a server-side span, under its query:<id>
+            "per-source counters",
+            "cache counters:",
+            'query log: {"cache_hits": 0',
+        ):
+            assert section in out, section
 
-    def test_metrics_restores_the_process_registry(self, capsys, fresh_registry):
-        from repro.observability import get_registry
-
-        main(["--seed", "3", "metrics"])
-        assert get_registry() is fresh_registry
-        # The command ran on its own registry; ours stayed clean.
-        assert fresh_registry.families() == []
-
-
-class TestTraceCommand:
-    def test_trace_renders_timeline(self, capsys, fresh_registry):
-        assert main(["--seed", "3", "trace"]) == 0
+    def test_sources_flag_bounds_the_selection(self, capsys, fresh_registry):
+        assert main(["--seed", "3", "explain", "--sources", "1"]) == 0
         out = capsys.readouterr().out
-        assert "discover" in out
-        assert "search" in out
-        assert "per-source counters" in out
+        assert "top 1 requested" in out
+        assert out.count("  query:") == 1
 
-    def test_trace_writes_chrome_and_ndjson(self, tmp_path, capsys, fresh_registry):
-        import json
+    def test_output_is_deterministic_apart_from_the_wall_clock(
+        self, capsys, fresh_registry
+    ):
+        def run() -> str:
+            assert main(["--seed", "3", "explain", '(body-of-text "patient")']) == 0
+            out = capsys.readouterr().out
+            # Wall-clock columns: span total/self, and the record's times.
+            out = re.sub(r" +\d+\.\dms(\+ \[open\])? +\d+\.\dms", " <ms>", out)
+            out = re.sub(r'"trace_id": "[0-9a-f]{16}"', "<id>", out)
+            return re.sub(
+                r'"(\w+_ms|discover|select|translate|query|merge)": [\d.]+', "<ms>", out
+            )
 
-        chrome = tmp_path / "trace.json"
-        ndjson = tmp_path / "events.ndjson"
+        assert run() == run()
+
+    def test_ndjson_holds_the_stitched_rows_and_the_record(
+        self, tmp_path, capsys, fresh_registry
+    ):
+        path = tmp_path / "explain.ndjson"
         code = main(
-            [
-                "--seed",
-                "3",
-                "trace",
-                '(body-of-text "databases")',
-                "--chrome",
-                str(chrome),
-                "--ndjson",
-                str(ndjson),
-            ]
+            ["--seed", "3", "explain", '(body-of-text "databases")', "--ndjson", str(path)]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert str(chrome) in out
-        assert str(ndjson) in out
-        payload = json.loads(chrome.read_text())
-        names = {event["name"] for event in payload["traceEvents"]}
-        assert "discover" in names
-        assert "search" in names
-        assert any(name.startswith("query") for name in names)
-        lines = ndjson.read_text().splitlines()
-        assert lines
-        for line in lines:
-            assert json.loads(line)["trace_id"]
+        assert str(path) in capsys.readouterr().out
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len({row["trace_id"] for row in rows}) == 1
+        names = {row["name"] for row in rows if row["kind"] == "span"}
+        assert {"discover", "search", "select", "query", "merge"} <= names
+        assert any(name.startswith("serve:query:") for name in names)
+        assert [row["kind"] for row in rows].count("query") == 1
+        assert rows[-1]["kind"] == "query" and rows[-1]["outcome"] == "wire"
+
+    def test_empty_expression_fails(self, capsys):
+        assert main(["explain", "  "]) == 2
 
 
-class TestPlanCommand:
-    def test_plan_renders(self, capsys):
-        assert main(["--seed", "3", "plan", '(body-of-text "patient")']) == 0
-        out = capsys.readouterr().out
-        assert "plan for terms" in out
-        assert "->" in out
+COMMANDS = {
+    "search", "parse", "select", "broker", "experiment",
+    "conformance", "explain", "checkpoint", "serve",
+}
 
-    def test_plan_empty_expression(self, capsys):
-        assert main(["plan", "  "]) == 2
+
+def _braced_commands(text: str) -> set[str]:
+    """The one ``{a,b,...}`` command list in ``text``."""
+    (listed,) = set(re.findall(r"\{([a-z]+(?:,[a-z]+){4,})\}", text))
+    return set(listed.split(","))
+
+
+class TestCommandSurface:
+    """One list of subcommands, wherever it is written down."""
+
+    def test_help_docstring_readme_and_verify_skill_agree(self, capsys):
+        import repro.__main__ as cli
+
+        with pytest.raises(SystemExit) as raised:
+            main(["--help"])
+        assert raised.value.code == 0
+        assert _braced_commands(capsys.readouterr().out) == COMMANDS
+        documented = set(re.findall(r"^\* ``(\w+)", cli.__doc__, flags=re.M))
+        assert documented == COMMANDS
+        assert _braced_commands((REPO / "README.md").read_text()) == COMMANDS
+        skill = REPO / ".claude" / "skills" / "verify" / "SKILL.md"
+        assert _braced_commands(skill.read_text()) == COMMANDS
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_subcommand_answers_help(self, command, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main([command, "--help"])
+        assert raised.value.code == 0
+        assert f"python -m repro {command}" in capsys.readouterr().out
 
 
 class TestBrokerCommand:

@@ -6,7 +6,6 @@ rotting as the library evolves.
 
 import pathlib
 import runpy
-import sys
 
 import pytest
 

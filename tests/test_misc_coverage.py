@@ -1,9 +1,6 @@
 """Remaining corners: small behaviours the focused suites skip."""
 
-import pytest
-
 from repro.corpus import source1_documents
-from repro.source import StartsSource
 
 
 class TestZdsrRankedActualQuery:

@@ -1,7 +1,5 @@
 """File-based blob export and file:// harvesting."""
 
-import pytest
-
 from repro.metasearch import Metasearcher
 from repro.starts import SContentSummary, SMetaAttributes, SResource, parse_soif
 from repro.transport import (

@@ -1,7 +1,7 @@
 """The caching subsystem: repeat queries off the wire, dead hosts held back.
 
-The same three-source federation is queried twice with the default
-`CachePolicy`: the first round pays the full wire cost, the repeat is
+The same three-source federation is queried twice with caching on (the
+default): the first round pays the full wire cost, the repeat is
 served from the query-result cache without a single request — visible
 in `explain()` as `result cache: hit` plus the cache counters.
 Then one host dies: after the first failed round the negative cache
@@ -11,13 +11,13 @@ Run:  python examples/cached_metasearch.py
 """
 
 from repro import (
-    CachePolicy,
     FaultProfile,
     Metasearcher,
     Resource,
     SimulatedInternet,
     SQuery,
     StartsSource,
+    get_registry,
     parse_expression,
     publish_resource,
 )
@@ -36,12 +36,10 @@ def main() -> None:
     )
     publish_resource(internet, resource, "http://cached.org")
 
-    # Caching is on by default; CachePolicy tunes or disables it.
-    searcher = Metasearcher(
-        internet,
-        ["http://cached.org/resource"],
-        cache_policy=CachePolicy(result_ttl_ms=300_000.0),
-    )
+    # Caching is on by default; cache_policy=CachePolicy.disabled() turns
+    # it off, and assigning a QueryResultCache(ttl_ms=...) to
+    # searcher.result_cache tunes it.
+    searcher = Metasearcher(internet, ["http://cached.org/resource"])
     searcher.refresh()
 
     query = SQuery(
@@ -79,10 +77,13 @@ def main() -> None:
     print(f"  reason: {outcome.skip_reason}")
     print(f"  sources the cache is holding back: {searcher.negative_cache.down_sources()}")
 
-    stats = searcher.result_cache.stats
+    # One search's tallies are on its trace; the process's are in the
+    # registry (what GET /metrics prints).
+    reads = get_registry().family("cache_reads_total").children()
     print(
-        f"\nresult cache: hits={stats.hits} misses={stats.misses} "
-        f"hit_rate={stats.hit_rate():.2f} cost_saved={stats.cost_saved:.1f}"
+        f"\nwarm repeat: hits={warm.trace.cache.hits} "
+        f"cost_saved={warm.trace.cache.cost_saved:.1f}; reads this process: "
+        + " ".join(f"{labels[1]}={int(child.value)}" for labels, child in reads)
     )
 
 

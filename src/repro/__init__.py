@@ -19,9 +19,9 @@ package layers:
   through every search, a process-wide metrics registry (Prometheus
   text), the per-search query log, and ``MetasearchResult.explain()``
   reading all three;
-* :mod:`repro.cache` — the multi-tier caching subsystem: query-result
-  cache (canonical keys, stale-while-revalidate), summary TTLs from
-  MBasic-1 dates, negative caching of unreachable sources;
+* :mod:`repro.cache` — what the client remembers between queries: a
+  result cache (canonical keys, stale-while-revalidate), the list of
+  unreachable sources, the staleness rule for MBasic-1 dates;
 * :mod:`repro.metasearch` — the client: source selection, query
   translation, rank merging;
 * :mod:`repro.corpus` — reproducible synthetic collections and query

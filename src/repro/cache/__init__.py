@@ -1,35 +1,26 @@
-"""Multi-tier caching for the STARTS metasearcher.
+"""What the STARTS metasearcher remembers between queries.
 
-A metasearcher pays for the same answers over and over: the same
-popular queries hit the same popular sources, harvested metadata and
-content summaries drift stale at source-specific rates, and dead
-sources burn a full timeout budget per probe.  This package caches at
-all three tiers:
+Sources are slow and may charge (§3.3), and MBasic-1 exports
+``DateChanged`` / ``DateExpires`` so a client knows when harvested
+knowledge goes bad (§4.3.1).  Three small things follow from that:
 
-* :class:`LruTtlCache` — the bounded core: LRU eviction, per-entry
-  TTLs, size/cost accounting and full hit/miss/eviction statistics;
-* :class:`QueryResultCache` + :func:`query_cache_key` — whole merged
-  results keyed on the *canonical* query (order-insensitive where
-  order carries no meaning), with stale-while-revalidate semantics;
-* :class:`SummaryTtlPolicy` — staleness for harvested MBasic-1
-  metadata, deriving per-source TTLs from ``DateExpires`` /
-  ``DateChanged``;
-* :class:`NegativeSourceCache` — remembers unreachable sources so the
-  federation layer skips them instead of re-probing every search.
+* :class:`QueryResultCache` + :func:`query_cache_key` — a bounded
+  LRU+TTL cache of whole merged results keyed on the *canonical* query
+  (order-insensitive where order carries no meaning), with
+  stale-while-revalidate reads (:data:`FRESH` / :data:`STALE` /
+  :data:`MISS`) and per-source invalidation;
+* :class:`NegativeSourceCache` — the list of dead sources: remembers
+  unreachable ones so the federation layer skips them instead of
+  re-probing every search;
+* :class:`SummaryTtlPolicy` — the staleness rule discovery applies to
+  harvested metadata (``DateExpires`` first, a ``DateChanged``
+  heuristic otherwise).
 
-:class:`CachePolicy` configures the whole subsystem in one object;
-``CachePolicy.disabled()`` restores the paper-faithful uncached
-pipeline byte-for-byte.
+:class:`CachePolicy` is the one switch: ``CachePolicy.disabled()``
+restores the paper-faithful uncached pipeline byte-for-byte.
 """
 
-from repro.cache.core import (
-    FRESH,
-    MISS,
-    STALE,
-    CacheEntry,
-    CacheStats,
-    LruTtlCache,
-)
+from repro.cache.core import FRESH, MISS, STALE
 from repro.cache.keys import canonical_expression, canonical_text, query_cache_key
 from repro.cache.negative import NegativeEntry, NegativeSourceCache
 from repro.cache.policy import CachePolicy
@@ -40,9 +31,6 @@ __all__ = [
     "FRESH",
     "STALE",
     "MISS",
-    "CacheEntry",
-    "CacheStats",
-    "LruTtlCache",
     "canonical_expression",
     "canonical_text",
     "query_cache_key",

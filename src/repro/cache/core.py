@@ -1,329 +1,10 @@
-"""The bounded LRU+TTL cache every caching tier is built on.
+"""The three states a result-cache read can come back in."""
 
-A production metasearcher lives or dies by what it can avoid re-doing:
-ZBroker-style brokers cache routing state, result caches absorb the
-Zipf head of real query traffic, and summary caches keep discovery off
-the wire.  All of those tiers share one mechanism, so it lives here
-once: an :class:`LruTtlCache` with
+__all__ = ["FRESH", "STALE", "MISS"]
 
-* a **capacity bound** (entry count) and an optional **size bound**
-  (sum of per-entry ``size`` units), evicting least-recently-used
-  entries when either is exceeded;
-* **per-entry TTLs** with an explicit three-state read — ``fresh``,
-  ``stale`` (expired but within a caller-supplied grace window, the
-  raw material of stale-while-revalidate) or ``miss``;
-* **per-entry cost** (whatever producing the value cost: simulated
-  wire milliseconds, money) so hits can report how much they saved;
-* **tags** for group invalidation (e.g. drop every cached result that
-  involved a forgotten source);
-* a :class:`CacheStats` ledger — hits, misses, stale hits, stores,
-  evictions, expirations, invalidations, cost saved.
-
-The clock is injectable (milliseconds, monotonic by default) so tests
-and simulations control time; everything is thread safe.
-"""
-
-from __future__ import annotations
-
-import threading
-import time
-from collections import OrderedDict
-from dataclasses import dataclass, field as dataclass_field
-
-from repro.observability.metrics import get_registry
-
-__all__ = ["CacheStats", "CacheEntry", "LruTtlCache"]
-
-#: Read states returned by :meth:`LruTtlCache.get`.
+#: Inside its TTL: served, and promoted to most recently used.
 FRESH = "fresh"
+#: Past its TTL but inside the grace window: served while a refresh runs.
 STALE = "stale"
+#: Absent, or expired beyond the grace window (the entry is dropped).
 MISS = "miss"
-
-
-@dataclass
-class CacheStats:
-    """Counters accumulated over a cache's lifetime."""
-
-    hits: int = 0
-    misses: int = 0
-    stale_hits: int = 0
-    stores: int = 0
-    evictions: int = 0
-    expirations: int = 0
-    invalidations: int = 0
-    cost_saved: float = 0.0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses + self.stale_hits
-
-    def hit_rate(self) -> float:
-        """Fraction of lookups answered from cache (stale serves count)."""
-        lookups = self.lookups
-        if lookups == 0:
-            return 0.0
-        return (self.hits + self.stale_hits) / lookups
-
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stale_hits": self.stale_hits,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "expirations": self.expirations,
-            "invalidations": self.invalidations,
-            "cost_saved": round(self.cost_saved, 3),
-            "hit_rate": round(self.hit_rate(), 4),
-        }
-
-
-@dataclass
-class CacheEntry:
-    """One cached value with its accounting metadata."""
-
-    key: str
-    value: object
-    stored_at_ms: float
-    ttl_ms: float | None = None
-    size: int = 1
-    cost: float = 0.0
-    tags: frozenset[str] = dataclass_field(default_factory=frozenset)
-
-    def expires_at_ms(self) -> float | None:
-        if self.ttl_ms is None:
-            return None
-        return self.stored_at_ms + self.ttl_ms
-
-    def age_ms(self, now_ms: float) -> float:
-        return now_ms - self.stored_at_ms
-
-    def state_at(self, now_ms: float, stale_grace_ms: float) -> str:
-        """``fresh``/``stale``/``miss`` for a read at ``now_ms``."""
-        expires = self.expires_at_ms()
-        if expires is None or now_ms <= expires:
-            return FRESH
-        if now_ms <= expires + stale_grace_ms:
-            return STALE
-        return MISS
-
-
-def _monotonic_ms() -> float:
-    return time.monotonic() * 1000.0
-
-
-#: Distinguishes "ttl not given" from an explicit ``ttl_ms=None``.
-_UNSET = object()
-
-
-class LruTtlCache:
-    """A thread-safe bounded LRU cache with TTLs, sizes, costs and tags.
-
-    Args:
-        capacity: maximum number of entries; the least recently used
-            entry is evicted when a store would exceed it.
-        max_size: optional bound on the *sum of entry sizes* (units are
-            the caller's — bytes, documents, result rows).
-        default_ttl_ms: TTL applied when ``put`` gives none; ``None``
-            means entries never expire.
-        clock: a zero-argument callable returning milliseconds;
-            defaults to a monotonic wall clock.
-        tier: when set, this cache also reports reads/stores/evictions
-            to the process-wide metrics registry under that tier label
-            (``cache_reads_total{tier,result}`` and friends).
-    """
-
-    def __init__(
-        self,
-        capacity: int = 256,
-        max_size: int | None = None,
-        default_ttl_ms: float | None = None,
-        clock=None,
-        tier: str | None = None,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if max_size is not None and max_size < 1:
-            raise ValueError("max_size must be >= 1")
-        self.capacity = capacity
-        self.max_size = max_size
-        self.default_ttl_ms = default_ttl_ms
-        self.tier = tier
-        self._clock = clock or _monotonic_ms
-        self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
-        self._size = 0
-        self._lock = threading.Lock()
-        self.stats = CacheStats()
-
-    # -- reads -------------------------------------------------------------
-
-    def get(
-        self, key: str, stale_grace_ms: float = 0.0
-    ) -> tuple[object | None, str]:
-        """Look up ``key``; returns ``(value, state)``.
-
-        ``state`` is ``"fresh"`` (counted as a hit, entry promoted to
-        most recently used), ``"stale"`` (expired but within
-        ``stale_grace_ms`` — the value is returned so the caller can
-        serve it while revalidating) or ``"miss"`` (absent, or expired
-        beyond the grace window — the entry is dropped and counted as
-        an expiration).
-        """
-        now = self._clock()
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                value, state = None, MISS
-            else:
-                state = entry.state_at(now, stale_grace_ms)
-                if state == MISS:
-                    self._drop(entry)
-                    self.stats.expirations += 1
-                    self.stats.misses += 1
-                    value = None
-                elif state == STALE:
-                    self.stats.stale_hits += 1
-                    value = entry.value
-                else:
-                    self._entries.move_to_end(key)
-                    self.stats.hits += 1
-                    self.stats.cost_saved += entry.cost
-                    value = entry.value
-        if self.tier is not None:
-            get_registry().counter(
-                "cache_reads_total",
-                "Cache lookups per tier and read result (fresh/stale/miss).",
-                labels=("tier", "result"),
-            ).labels(tier=self.tier, result=state).inc()
-        return value, state
-
-    def peek_entry(self, key: str) -> CacheEntry | None:
-        """The entry for ``key`` without touching LRU order or stats."""
-        with self._lock:
-            return self._entries.get(key)
-
-    # -- writes ------------------------------------------------------------
-
-    def put(
-        self,
-        key: str,
-        value: object,
-        ttl_ms: object = _UNSET,
-        size: int = 1,
-        cost: float = 0.0,
-        tags: frozenset[str] | tuple[str, ...] = (),
-    ) -> int:
-        """Store ``key``; returns how many entries were evicted for room.
-
-        ``ttl_ms`` defaults to the cache's ``default_ttl_ms``; pass
-        ``None`` explicitly for a never-expiring entry.
-        """
-        if size < 0:
-            raise ValueError("entry size must be >= 0")
-        effective_ttl = self.default_ttl_ms if ttl_ms is _UNSET else ttl_ms
-        entry = CacheEntry(
-            key,
-            value,
-            self._clock(),
-            ttl_ms=effective_ttl,
-            size=size,
-            cost=cost,
-            tags=frozenset(tags),
-        )
-        with self._lock:
-            old = self._entries.get(key)
-            if old is not None:
-                self._drop(old)
-            self._entries[key] = entry
-            self._size += entry.size
-            self.stats.stores += 1
-            evicted = self._evict_over_bounds(keep=key)
-            live = len(self._entries)
-        if self.tier is not None:
-            registry = get_registry()
-            registry.counter(
-                "cache_stores_total",
-                "Entries written per cache tier.",
-                labels=("tier",),
-            ).labels(tier=self.tier).inc()
-            if evicted:
-                registry.counter(
-                    "cache_evictions_total",
-                    "LRU evictions forced by capacity or size bounds, per tier.",
-                    labels=("tier",),
-                ).labels(tier=self.tier).inc(evicted)
-            registry.gauge(
-                "cache_entries",
-                "Live entries per cache tier.",
-                labels=("tier",),
-            ).labels(tier=self.tier).set(live)
-        return evicted
-
-    def _evict_over_bounds(self, keep: str) -> int:
-        evicted = 0
-        while len(self._entries) > self.capacity or (
-            self.max_size is not None and self._size > self.max_size
-        ):
-            oldest_key = next(iter(self._entries))
-            if oldest_key == keep and len(self._entries) == 1:
-                break  # never evict the entry just stored to emptiness
-            if oldest_key == keep:
-                self._entries.move_to_end(oldest_key)
-                continue
-            self._drop(self._entries[oldest_key])
-            self.stats.evictions += 1
-            evicted += 1
-        return evicted
-
-    def _drop(self, entry: CacheEntry) -> None:
-        """Remove ``entry`` (lock held); size accounting follows."""
-        if self._entries.get(entry.key) is entry:
-            del self._entries[entry.key]
-            self._size -= entry.size
-
-    # -- invalidation ------------------------------------------------------
-
-    def invalidate(self, key: str) -> bool:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return False
-            self._drop(entry)
-            self.stats.invalidations += 1
-            return True
-
-    def invalidate_tagged(self, tag: str) -> int:
-        """Drop every entry carrying ``tag``; returns how many fell."""
-        with self._lock:
-            doomed = [e for e in self._entries.values() if tag in e.tags]
-            for entry in doomed:
-                self._drop(entry)
-            self.stats.invalidations += len(doomed)
-            return len(doomed)
-
-    def clear(self) -> None:
-        with self._lock:
-            self.stats.invalidations += len(self._entries)
-            self._entries.clear()
-            self._size = 0
-
-    # -- introspection -----------------------------------------------------
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    @property
-    def size(self) -> int:
-        """Sum of the sizes of every live entry."""
-        with self._lock:
-            return self._size
-
-    def keys(self) -> list[str]:
-        with self._lock:
-            return list(self._entries)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.starts.ast import SAnd, SAndNot, SList, SNode, SOr, SProx, STerm
+from repro.starts.ast import SAnd, SAndNot, SList, SNode, SOr, STerm
 from repro.starts.query import SQuery, _format_float
 
 __all__ = ["canonical_expression", "canonical_text", "query_cache_key"]
@@ -56,9 +56,7 @@ def canonical_expression(node: SNode | None) -> SNode | None:
         return SAndNot(
             canonical_expression(node.positive), canonical_expression(node.negative)
         )
-    if isinstance(node, SProx):
-        return node  # both operands are atomic terms; order is meaning
-    return node
+    return node  # prox: both operands are atomic terms; order is meaning
 
 
 def _sorted_children(children: tuple[SNode, ...]) -> tuple[SNode, ...]:

@@ -60,7 +60,6 @@ class NegativeSourceCache:
         self._clock = clock or (lambda: time.monotonic() * 1000.0)
         self._entries: dict[str, NegativeEntry] = {}
         self._lock = threading.Lock()
-        self.skips = 0  #: probes avoided because the source was down
 
     def record_failure(
         self, source_id: str, status: str = "error", error: str | None = None
@@ -91,9 +90,9 @@ class NegativeSourceCache:
     def skip_reason(self, source_id: str) -> str | None:
         """Why ``source_id`` should be skipped right now, or ``None``.
 
-        A non-``None`` return increments :attr:`skips`.  An entry whose
-        hold has expired is dropped — the source gets a fresh probe and
-        a clean failure count.
+        A non-``None`` return is counted in ``cache_negative_skips_total``.
+        An entry whose hold has expired is dropped — the source gets a
+        fresh probe and a clean failure count.
         """
         with self._lock:
             entry = self._entries.get(source_id)
@@ -102,7 +101,6 @@ class NegativeSourceCache:
             if self._clock() >= entry.down_until_ms:
                 del self._entries[source_id]
                 return None
-            self.skips += 1
             detail = f" ({entry.last_error})" if entry.last_error else ""
             reason = (
                 f"negative-cached: {entry.last_status} on "

@@ -1,9 +1,9 @@
-"""The query-result cache: canonical keys, stale-while-revalidate.
+"""The query-result cache: a bounded LRU with TTLs and stale-while-revalidate.
 
-The hot tier.  Keys come from :func:`repro.cache.keys.query_cache_key`
-(canonical filter/ranking ASTs + the selected source set + the answer
-spec), values are whole merged search results, and reads distinguish
-three states:
+Keys come from :func:`repro.cache.keys.query_cache_key` (canonical
+filter/ranking ASTs + the selected source set + the answer spec),
+values are whole merged search results, and reads distinguish three
+states:
 
 * **fresh** — serve it, the wire is never touched;
 * **stale** — the TTL has passed but the entry is inside the
@@ -14,30 +14,44 @@ three states:
 
 Entries are tagged with every source id that contributed, so
 forgetting a source (or learning it changed) can surgically invalidate
-exactly the results it took part in.
+exactly the results it took part in.  The clock is injectable
+(milliseconds, monotonic by default) so tests and simulations control
+time; everything is thread safe.
+
+The cache reports to the process-wide metrics registry (the
+``cache_*`` families, ``tier="result"``); what one search read and
+stored is on its trace (``result.trace.cache``).
 """
 
 from __future__ import annotations
 
 import threading
+import time
+from collections import OrderedDict
 
-from repro.cache.core import CacheStats, LruTtlCache
+from repro.cache.core import FRESH, MISS, STALE
+from repro.observability.metrics import get_registry
 
 __all__ = ["QueryResultCache"]
 
+_TIER = "result"
+
+
+def _monotonic_ms() -> float:
+    return time.monotonic() * 1000.0
+
 
 class QueryResultCache:
-    """A bounded result cache with stale-while-revalidate bookkeeping.
+    """A thread-safe bounded result cache with stale-while-revalidate.
 
     Args:
-        capacity: maximum cached results.
+        capacity: maximum cached results; the least recently used entry
+            is evicted when a store would exceed it.
         ttl_ms: freshness lifetime of an entry (``None`` = forever).
         stale_grace_ms: how far past expiry an entry may still be
-            served while a revalidation runs.
-        max_size: optional bound on the sum of entry sizes (callers
-            pass result document counts, so this bounds memory by
-            payload rather than entry count).
-        clock: millisecond clock, injectable for tests.
+            served while a revalidation runs; ``0`` makes expired a miss.
+        clock: a zero-argument callable returning milliseconds,
+            injectable for tests.
     """
 
     def __init__(
@@ -45,17 +59,17 @@ class QueryResultCache:
         capacity: int = 256,
         ttl_ms: float | None = 300_000.0,
         stale_grace_ms: float = 600_000.0,
-        max_size: int | None = None,
         clock=None,
     ) -> None:
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
         self.ttl_ms = ttl_ms
         self.stale_grace_ms = stale_grace_ms
-        self._cache = LruTtlCache(
-            capacity=capacity,
-            max_size=max_size,
-            default_ttl_ms=ttl_ms,
-            clock=clock,
-            tier="result",
+        self._clock = clock or _monotonic_ms
+        #: key → (value, stored_at_ms, source ids), least recently used first.
+        self._entries: OrderedDict[str, tuple[object, float, frozenset[str]]] = (
+            OrderedDict()
         )
         self._revalidating: set[str] = set()
         self._lock = threading.Lock()
@@ -63,51 +77,146 @@ class QueryResultCache:
     # -- the read/write surface -------------------------------------------
 
     def lookup(self, key: str) -> tuple[object | None, str]:
-        """``(value, state)`` with state ``fresh`` / ``stale`` / ``miss``."""
-        return self._cache.get(key, stale_grace_ms=self.stale_grace_ms)
+        """``(value, state)`` with state ``fresh`` / ``stale`` / ``miss``.
+
+        A fresh read promotes the entry to most recently used; a stale
+        one returns the value and keeps the entry for its revalidation;
+        an entry expired beyond the grace window is dropped.
+        """
+        now = self._clock()
+        value, state, live = None, MISS, None
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                state = self._state_at(entry[1], now)
+                if state == MISS:
+                    del self._entries[key]
+                    live = len(self._entries)
+                else:
+                    value = entry[0]
+                    if state == FRESH:
+                        self._entries.move_to_end(key)
+        get_registry().counter(
+            "cache_reads_total",
+            "Cache lookups per tier and read result (fresh/stale/miss).",
+            labels=("tier", "result"),
+        ).labels(tier=_TIER, result=state).inc()
+        if live is not None:
+            self._report_entries(live)
+        return value, state
+
+    def _state_at(self, stored_at_ms: float, now_ms: float) -> str:
+        if self.ttl_ms is None or now_ms <= stored_at_ms + self.ttl_ms:
+            return FRESH
+        if now_ms <= stored_at_ms + self.ttl_ms + self.stale_grace_ms:
+            return STALE
+        return MISS
 
     def store(
         self,
         key: str,
         value: object,
         source_ids: tuple[str, ...] | list[str] = (),
-        size: int = 1,
-        cost: float = 0.0,
     ) -> int:
         """Cache ``value``; returns the number of evictions it forced."""
-        return self._cache.put(
-            key,
-            value,
-            size=max(size, 1),
-            cost=cost,
-            tags=frozenset(source_ids),
-        )
+        tags = frozenset(source_ids)
+        with self._lock:
+            evicted = self._put(key, value, self._clock(), tags)
+            live = len(self._entries)
+        registry = get_registry()
+        registry.counter(
+            "cache_stores_total",
+            "Entries written per cache tier.",
+            labels=("tier",),
+        ).labels(tier=_TIER).inc()
+        if evicted:
+            registry.counter(
+                "cache_evictions_total",
+                "LRU evictions forced by capacity or size bounds, per tier.",
+                labels=("tier",),
+            ).labels(tier=_TIER).inc(evicted)
+        self._report_entries(live)
+        return evicted
+
+    def _put(
+        self, key: str, value: object, stored_at_ms: float, tags: frozenset[str]
+    ) -> int:
+        """Write one entry as most recently used (lock held); returns
+        how many least recently used entries fell to make room."""
+        self._entries[key] = (value, stored_at_ms, tags)
+        self._entries.move_to_end(key)
+        evicted = 0
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            evicted += 1
+        return evicted
 
     def invalidate_source(self, source_id: str) -> int:
         """Drop every cached result the source contributed to."""
-        return self._cache.invalidate_tagged(source_id)
+        with self._lock:
+            doomed = [
+                key for key, entry in self._entries.items() if source_id in entry[2]
+            ]
+            for key in doomed:
+                del self._entries[key]
+            live = len(self._entries)
+        if doomed:
+            self._report_entries(live)
+        return len(doomed)
 
     def clear(self) -> None:
-        self._cache.clear()
+        with self._lock:
+            self._entries.clear()
+        self._report_entries(0)
+
+    @staticmethod
+    def _report_entries(live: int) -> None:
+        get_registry().gauge(
+            "cache_entries",
+            "Live entries per cache tier.",
+            labels=("tier",),
+        ).labels(tier=_TIER).set(live)
 
     # -- checkpointing -----------------------------------------------------
+
+    def checkpoint_rows(self) -> list[tuple[str, object, float, list[str]]]:
+        """``(key, value, age_ms, source ids)`` per live entry, least
+        recently used first.  Ages, not timestamps: a monotonic clock
+        does not survive the process, remaining TTL does."""
+        with self._lock:
+            now = self._clock()
+            return [
+                (key, value, now - stored_at_ms, sorted(tags))
+                for key, (value, stored_at_ms, tags) in self._entries.items()
+            ]
+
+    def restore_rows(self, rows: list[tuple[str, object, float, list[str]]]) -> int:
+        """Write :meth:`checkpoint_rows` output back in order, ages
+        re-anchored to this cache's clock and the capacity bound applied
+        as a store would; returns how many entries are live after."""
+        with self._lock:
+            now = self._clock()
+            for key, value, age_ms, tags in rows:
+                self._put(key, value, now - age_ms, frozenset(tags))
+            live = len(self._entries)
+        self._report_entries(live)
+        return live
 
     def save_checkpoint(self, path) -> int:
         """Persist live entries (atomic write); returns the count."""
         from repro.storage.checkpoint import save_cache
 
-        return save_cache(self._cache, path)
+        return save_cache(self, path)
 
     def load_checkpoint(self, path) -> int:
         """Restore entries into this (empty) cache; returns the count.
 
-        Remaining TTLs survive the restart: entry ages are re-anchored
-        to this process's clock, so stale-while-revalidate behaves as
-        if the process had never died.
+        Remaining TTLs survive the restart, so stale-while-revalidate
+        behaves as if the process had never died.
         """
         from repro.storage.checkpoint import load_cache
 
-        return load_cache(self._cache, path)
+        return load_cache(self, path)
 
     # -- single-flight revalidation ---------------------------------------
 
@@ -125,12 +234,10 @@ class QueryResultCache:
 
     # -- introspection -----------------------------------------------------
 
-    @property
-    def stats(self) -> CacheStats:
-        return self._cache.stats
-
     def __len__(self) -> int:
-        return len(self._cache)
+        with self._lock:
+            return len(self._entries)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._cache
+        with self._lock:
+            return key in self._entries

@@ -15,11 +15,11 @@ from __future__ import annotations
 import bisect
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from repro.text.soundex import soundex
 
-__all__ = ["Posting", "InvertedIndex", "IndexSnapshot", "SummaryEntry", "TermState"]
+__all__ = ["Posting", "InvertedIndex", "SummaryEntry", "TermState"]
 
 #: Entry cap of the per-(field, term) memos an index keeps between
 #: mutations (term state here, merged postings on segments); a memo
@@ -41,29 +41,6 @@ class Posting:
     @property
     def term_frequency(self) -> int:
         return len(self.positions)
-
-
-@dataclass(slots=True)
-class IndexSnapshot:
-    """A self-contained copy of an index's contents.
-
-    The interchange format between an index and what persists it — the
-    segment writer consumes it on flush, so it never reaches into the
-    index's private postings maps.  ``Posting`` objects are immutable
-    and shared; containers and summary entries are copied, so mutating
-    the source index never invalidates a snapshot already taken.
-    """
-
-    postings: dict[str, dict[str, list["Posting"]]] = dataclass_field(
-        default_factory=dict
-    )
-    summary: list[tuple[str, str, dict[str, "SummaryEntry"]]] = dataclass_field(
-        default_factory=list
-    )
-    document_count: int = 0
-
-    def is_empty(self) -> bool:
-        return not self.postings and not self.summary and not self.document_count
 
 
 @dataclass(slots=True)
@@ -178,8 +155,6 @@ class InvertedIndex:
         self._max_tf: dict[str, dict[str, int]] = defaultdict(dict)
         # (field, language) -> surface word -> SummaryEntry.
         self._summary: dict[tuple[str, str], dict[str, SummaryEntry]] = defaultdict(dict)
-        # (field, language, word) -> doc id of last df increment.
-        self._summary_last_doc: dict[tuple[str, str, str], int] = {}
         # field -> sorted vocabulary (rebuilt lazily for truncation).
         self._sorted_vocab: dict[str, list[str]] = {}
         self._sorted_vocab_dirty: set[str] = set()
@@ -221,9 +196,17 @@ class InvertedIndex:
             language: language tag string for summary grouping.
         """
         by_term: dict[str, list[int]] = defaultdict(list)
+        words = self._summary[(field, language)] if tokens else {}
+        counted: set[str] = set()  # surfaces this document already added to df
         for term, surface, position in tokens:
             by_term[term].append(position)
-            self._record_summary(doc_id, field, language, surface)
+            entry = words.get(surface)
+            if entry is None:
+                entry = words[surface] = SummaryEntry()
+            entry.postings += 1
+            if surface not in counted:
+                counted.add(surface)
+                entry.document_frequency += 1
         field_postings = self._postings[field]
         field_max_tf = self._max_tf[field]
         for term, positions in by_term.items():
@@ -237,14 +220,6 @@ class InvertedIndex:
         self._soundex_dirty.add(field)
         self._doc_count = max(self._doc_count, doc_id + 1)
         self._generation += 1
-
-    def _record_summary(self, doc_id: int, field: str, language: str, surface: str) -> None:
-        entry = self._summary[(field, language)].setdefault(surface, SummaryEntry())
-        entry.postings += 1
-        key = (field, language, surface)
-        if self._summary_last_doc.get(key) != doc_id:
-            entry.document_frequency += 1
-            self._summary_last_doc[key] = doc_id
 
     # -- basic lookups ---------------------------------------------------
 
@@ -354,33 +329,6 @@ class InvertedIndex:
             self._soundex[field] = dict(codes)
             self._soundex_dirty.discard(field)
         return sorted(self._soundex[field].get(soundex(word), ()))
-
-    # -- snapshot ----------------------------------------------------------
-
-    def snapshot(self) -> IndexSnapshot:
-        """A self-contained copy of the index's postings and summaries.
-
-        This is the supported way to read an index wholesale — the
-        segment writer builds on it instead of touching private fields.
-        """
-        return IndexSnapshot(
-            postings={
-                field: {term: list(plist) for term, plist in terms.items()}
-                for field, terms in self._postings.items()
-            },
-            summary=[
-                (
-                    field,
-                    language,
-                    {
-                        word: SummaryEntry(entry.postings, entry.document_frequency)
-                        for word, entry in words.items()
-                    },
-                )
-                for (field, language), words in sorted(self._summary.items())
-            ],
-            document_count=self._doc_count,
-        )
 
     # -- summary export ----------------------------------------------------
 

@@ -242,9 +242,7 @@ class SearchEngine:
         rows = store.tail_rows()
         if not rows:
             return False
-        snapshot = index.tail_snapshot()
-        self.segment_store.commit_segment(rows, snapshot.postings, snapshot.summary)
-        index.absorb_flush()
+        index.commit_tail(rows)
         store.absorb_flush()
         return True
 

@@ -362,11 +362,13 @@ class Metasearcher:
         query_policy: default per-source execution policy (deadline,
             retries, backoff, hedging).
         query_policies: per-source-id policy overrides.
-        cache_policy: configuration of the caching subsystem (result
-            cache, negative source cache, summary TTLs).  Defaults to
-            :class:`~repro.cache.CachePolicy` with everything on; pass
+        cache_policy: caching on (the default: a
+            :class:`~repro.cache.QueryResultCache` in
+            :attr:`result_cache`, a
+            :class:`~repro.cache.NegativeSourceCache` in
+            :attr:`negative_cache` — assign your own to tune either) or
             ``CachePolicy.disabled()`` for the paper-faithful pipeline
-            with no caching anywhere.
+            with every search on the wire.
     """
 
     def __init__(
@@ -382,12 +384,7 @@ class Metasearcher:
     ) -> None:
         self.client = StartsClient(internet)
         self.cache_policy = cache_policy or CachePolicy()
-        self.discovery = DiscoveryService(
-            self.client,
-            ttl_policy=self.cache_policy.summary_ttl
-            if self.cache_policy.enabled
-            else None,
-        )
+        self.discovery = DiscoveryService(self.client)
         self.selector = selector or VGlossMax()
         self.merger = merger or TfIdfRecomputeMerge()
         self.translator = ClientTranslator()
@@ -398,16 +395,8 @@ class Metasearcher:
         self.result_cache: QueryResultCache | None = None
         self.negative_cache: NegativeSourceCache | None = None
         if self.cache_policy.enabled:
-            self.result_cache = QueryResultCache(
-                capacity=self.cache_policy.result_capacity,
-                ttl_ms=self.cache_policy.result_ttl_ms,
-                stale_grace_ms=self.cache_policy.stale_grace_ms,
-                max_size=self.cache_policy.result_max_documents,
-            )
-            self.negative_cache = NegativeSourceCache(
-                ttl_ms=self.cache_policy.negative_ttl_ms,
-                failure_threshold=self.cache_policy.negative_failure_threshold,
-            )
+            self.result_cache = QueryResultCache()
+            self.negative_cache = NegativeSourceCache()
             self.discovery.add_purge_hook(self._purge_source)
 
     def _purge_source(self, source_id: str) -> None:
@@ -955,9 +944,7 @@ class Metasearcher:
             evictions = self.result_cache.store(
                 plan.key,
                 _CachedSearch(self._copy_result(result), wire_cost),
-                source_ids=tuple(plan.selected_ids),
-                size=len(documents),
-                cost=wire_cost,
+                source_ids=plan.selected_ids,
             )
             tracer.count_cache(stores=1, evictions=evictions)
         return result
@@ -1011,10 +998,7 @@ class Metasearcher:
             finally:
                 self.result_cache.finish_revalidation(plan.key)
 
-        if self.cache_policy.revalidate_in_background:
-            submit_background(plan.executor, refresh)
-        else:
-            refresh()
+        submit_background(plan.executor, refresh)
 
     def _route(
         self, selected_ids: list[str], group_by_resource: bool

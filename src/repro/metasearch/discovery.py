@@ -65,22 +65,21 @@ class DiscoveryService:
         clock: a monotonically advancing date string (``YYYY-MM-DD``);
             entries whose ``DateExpires`` precedes the clock are
             considered stale and re-fetched on the next refresh.
-        ttl_policy: optional staleness policy; when set, sources
-            without an explicit ``DateExpires`` still go stale on a
-            per-source heuristic TTL derived from ``DateChanged`` (see
-            :class:`~repro.cache.SummaryTtlPolicy`).  ``None`` keeps
-            the historic expires-only rule.
+        ttl_policy: the staleness rule: ``DateExpires`` when the source
+            gave one, else a per-source heuristic TTL derived from
+            ``DateChanged`` and the harvest date (see
+            :class:`~repro.cache.SummaryTtlPolicy`).
     """
 
     client: StartsClient
     clock: str = "1996-08-01"
-    ttl_policy: SummaryTtlPolicy | None = None
+    ttl_policy: SummaryTtlPolicy = SummaryTtlPolicy()
     _sources: dict[str, KnownSource] = dataclass_field(default_factory=dict)
     #: source_id → metadata URL for sources skipped on the last refresh
     #: because their host was unreachable or their metadata malformed.
     unreachable: dict[str, str] = dataclass_field(default_factory=dict)
     #: source_id → clock date of the last successful harvest; feeds the
-    #: heuristic TTL ("age at harvest") when :attr:`ttl_policy` is set.
+    #: heuristic TTL ("age at harvest") of :attr:`ttl_policy`.
     fetched_on: dict[str, str] = dataclass_field(default_factory=dict)
     #: callbacks fired with a source id whenever its cached knowledge is
     #: dropped or replaced, so downstream caches (query results,
@@ -143,12 +142,9 @@ class DiscoveryService:
         return harvested
 
     def _is_stale(self, known: KnownSource) -> bool:
-        if self.ttl_policy is not None:
-            return self.ttl_policy.is_stale(
-                known.metadata, self.fetched_on.get(known.source_id), self.clock
-            )
-        expires = known.metadata.date_expires
-        return bool(expires) and expires < self.clock
+        return self.ttl_policy.is_stale(
+            known.metadata, self.fetched_on.get(known.source_id), self.clock
+        )
 
     @staticmethod
     def _harvest(

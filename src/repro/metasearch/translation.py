@@ -141,11 +141,12 @@ class ClientTranslator:
             report.stop_words_preserved = False
             drop_stop_words = True
 
-        filter_outcome = translator.translate_filter(
-            filter_expression, drop_stop_words
+        # Pruning only: the engine IR is the source's business.
+        filter_outcome = translator.prune(
+            filter_expression, drop_stop_words, ranking=False
         )
-        ranking_outcome = translator.translate_ranking(
-            ranking_expression, drop_stop_words
+        ranking_outcome = translator.prune(
+            ranking_expression, drop_stop_words, ranking=True
         )
         report.dropped.extend(filter_outcome.dropped)
         report.dropped.extend(ranking_outcome.dropped)

@@ -91,36 +91,44 @@ class QueryTranslator:
     def translate_filter(
         self, expression: SNode | None, drop_stop_words: bool
     ) -> TranslationOutcome:
-        if expression is None:
-            return TranslationOutcome(None, None)
-        if not self._capabilities.supports_filter():
-            return TranslationOutcome(
-                None, None, ["filter expressions unsupported: expression ignored"]
-            )
         return self._translate(expression, drop_stop_words, ranking=False)
 
     def translate_ranking(
         self, expression: SNode | None, drop_stop_words: bool
     ) -> TranslationOutcome:
-        if expression is None:
-            return TranslationOutcome(None, None)
-        if not self._capabilities.supports_ranking():
-            return TranslationOutcome(
-                None, None, ["ranking expressions unsupported: expression ignored"]
-            )
         return self._translate(expression, drop_stop_words, ranking=True)
 
-    # -- recursive pruning ------------------------------------------------
-
     def _translate(
-        self, expression: SNode, drop_stop_words: bool, ranking: bool
+        self, expression: SNode | None, drop_stop_words: bool, ranking: bool
     ) -> TranslationOutcome:
-        outcome = TranslationOutcome(None, None)
-        pruned = self._prune(expression, drop_stop_words, outcome)
-        outcome.actual = pruned
-        if pruned is not None:
-            outcome.engine_query = self._to_engine(pruned, ranking)
+        outcome = self.prune(expression, drop_stop_words, ranking)
+        if outcome.actual is not None:
+            outcome.engine_query = self._to_engine(outcome.actual, ranking)
         return outcome
+
+    def prune(
+        self, expression: SNode | None, drop_stop_words: bool, ranking: bool
+    ) -> TranslationOutcome:
+        """Steps 1–2 alone: ``actual`` is the expression this source
+        would report back, ``engine_query`` is left ``None``.  What a
+        metasearcher needs to send the source only what it can process."""
+        if expression is None:
+            return TranslationOutcome(None, None)
+        capabilities = self._capabilities
+        part, supported = (
+            ("ranking", capabilities.supports_ranking())
+            if ranking
+            else ("filter", capabilities.supports_filter())
+        )
+        if not supported:
+            return TranslationOutcome(
+                None, None, [f"{part} expressions unsupported: expression ignored"]
+            )
+        outcome = TranslationOutcome(None, None)
+        outcome.actual = self._prune(expression, drop_stop_words, outcome)
+        return outcome
+
+    # -- recursive pruning ------------------------------------------------
 
     def _prune(
         self, node: SNode, drop_stop_words: bool, outcome: TranslationOutcome

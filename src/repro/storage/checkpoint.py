@@ -10,11 +10,11 @@ store; this module covers the *other* state a warm restart needs:
   checkpoint cursor**: a leaf broker that checkpoints also records its
   delta-log position, so a restored leaf replays only the log *tail*
   written after the checkpoint instead of the whole history.
-* :class:`~repro.cache.core.LruTtlCache` (and the tiers wrapping it) —
-  entries pickled in LRU order.  Stored-at times are translated to
-  **ages** on save and re-anchored to the restoring process's clock on
-  load, because the monotonic clock restarts with the process; an
-  entry with 40s of TTL left keeps 40s of TTL left.
+* :class:`~repro.cache.QueryResultCache` — entries pickled in LRU
+  order.  Stored-at times are translated to **ages** on save and
+  re-anchored to the restoring process's clock on load, because the
+  monotonic clock restarts with the process; an entry with 40s of TTL
+  left keeps 40s of TTL left.
 
 Every save/load lands in the ``checkpoint_save_ms`` /
 ``checkpoint_load_ms`` histograms, labelled by kind.
@@ -27,7 +27,7 @@ import pickle
 import time
 from array import array
 
-from repro.cache.core import CacheEntry, LruTtlCache
+from repro.cache.results import QueryResultCache
 from repro.metasearch.summary_index import SummaryIndex, _TermShard
 from repro.observability.metrics import get_registry
 from repro.starts.metadata import SContentSummary
@@ -266,32 +266,18 @@ def load_leaf_checkpoint(path: str | pathlib.Path):
     return broker
 
 
-# -- cache tiers -----------------------------------------------------------
+# -- the result cache ------------------------------------------------------
 
 
-def save_cache(cache: LruTtlCache, path: str | pathlib.Path) -> int:
+def save_cache(cache: QueryResultCache, path: str | pathlib.Path) -> int:
     """Checkpoint a cache's live entries (atomic); returns the count.
 
     Entries are written in LRU order (least recent first) so a restore
-    reproduces the eviction order exactly.  ``stored_at_ms`` is saved
-    as an *age* relative to the cache's clock at save time — monotonic
-    clocks do not survive a process, remaining TTL does.
+    reproduces the eviction order exactly, each with its *age* at save
+    time — monotonic clocks do not survive a process, remaining TTL does.
     """
     started = time.perf_counter()
-    with cache._lock:
-        now = cache._clock()
-        rows = [
-            (
-                entry.key,
-                pickle.dumps(entry.value, protocol=pickle.HIGHEST_PROTOCOL),
-                now - entry.stored_at_ms,
-                entry.ttl_ms,
-                entry.size,
-                entry.cost,
-                sorted(entry.tags),
-            )
-            for entry in cache._entries.values()
-        ]
+    rows = cache.checkpoint_rows()
     payload = _CACHE_MAGIC + pickle.dumps(
         {"version": FORMAT_VERSION, "rows": rows},
         protocol=pickle.HIGHEST_PROTOCOL,
@@ -301,14 +287,16 @@ def save_cache(cache: LruTtlCache, path: str | pathlib.Path) -> int:
     return len(rows)
 
 
-def load_cache(cache: LruTtlCache, path: str | pathlib.Path) -> int:
+def load_cache(cache: QueryResultCache, path: str | pathlib.Path) -> int:
     """Restore checkpointed entries into an *empty* ``cache``.
 
     Each entry's remaining TTL is preserved: its saved age is
     subtracted from the restoring cache's current clock, so an entry
     that had 40s of freshness left still has 40s left (entries already
     expired at save time restore as already expired and fall out on
-    first read).  Returns how many entries were restored.
+    first read).  Rows go in through the cache's own eviction, so a
+    checkpoint from a larger cache keeps its most recent ``capacity``
+    entries.  Returns how many entries the cache holds afterwards.
 
     Raises:
         StorageError: if the file is not a cache checkpoint or the
@@ -323,19 +311,6 @@ def load_cache(cache: LruTtlCache, path: str | pathlib.Path) -> int:
         raise StorageError(f"unsupported checkpoint version: {payload.get('version')}")
     if len(cache):
         raise StorageError("load_cache needs an empty cache")
-    with cache._lock:
-        now = cache._clock()
-        for key, value_blob, age_ms, ttl_ms, size, cost, tags in payload["rows"]:
-            entry = CacheEntry(
-                key,
-                pickle.loads(value_blob),
-                stored_at_ms=now - age_ms,
-                ttl_ms=ttl_ms,
-                size=size,
-                cost=cost,
-                tags=frozenset(tags),
-            )
-            cache._entries[key] = entry
-            cache._size += entry.size
+    restored = cache.restore_rows(payload["rows"])
     _observe("checkpoint_load_ms", "cache", started)
-    return len(payload["rows"])
+    return restored

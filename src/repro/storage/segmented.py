@@ -43,7 +43,6 @@ from bisect import bisect_left, bisect_right
 from repro.engine.documents import Document, DocumentStore
 from repro.engine.index import (
     TERM_MEMO_LIMIT,
-    IndexSnapshot,
     InvertedIndex,
     Posting,
     SummaryEntry,
@@ -207,21 +206,23 @@ class SegmentedIndex(InvertedIndex):
 
     # -- tail flushing -----------------------------------------------------
 
-    def tail_snapshot(self) -> IndexSnapshot:
-        """The mutable tail alone, in snapshot form (for the writer)."""
-        return InvertedIndex.snapshot(self)
+    def commit_tail(self, rows: list[tuple[int, Document, int]]) -> None:
+        """Commit the mutable tail (with its document ``rows``) as one
+        segment, then drop it.
 
-    def absorb_flush(self) -> None:
-        """Drop the tail after the store committed it as a segment.
-
-        The committed segment now serves exactly what the tail held,
-        so observable content is unchanged; only layout memos refresh
+        The commit is synchronous and reads the tail's own maps; the
+        committed segment then serves exactly what the tail held, so
+        observable content is unchanged and only layout memos refresh
         (via the store epoch bumped by the commit).
         """
+        sections = [
+            (field, language, words)
+            for (field, language), words in self._summary.items()
+        ]
+        self._segment_store.commit_segment(rows, self._postings, sections)
         self._postings.clear()
         self._max_tf.clear()
         self._summary.clear()
-        self._summary_last_doc.clear()
         self._sorted_vocab.clear()
         self._sorted_vocab_dirty.clear()
         self._reversed_vocab.clear()

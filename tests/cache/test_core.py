@@ -1,8 +1,9 @@
-"""The bounded LRU+TTL core: eviction order, three-state reads, stats."""
+"""The bounded LRU+TTL behaviour of the result cache: eviction order,
+three-state reads, invalidation."""
 
 import pytest
 
-from repro.cache import FRESH, MISS, STALE, LruTtlCache
+from repro.cache import FRESH, MISS, STALE, QueryResultCache
 
 
 class FakeClock:
@@ -23,140 +24,90 @@ def clock():
 
 class TestLru:
     def test_miss_then_hit(self, clock):
-        cache = LruTtlCache(clock=clock)
-        assert cache.get("k") == (None, MISS)
-        cache.put("k", 42)
-        assert cache.get("k") == (42, FRESH)
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
+        cache = QueryResultCache(clock=clock)
+        assert cache.lookup("k") == (None, MISS)
+        cache.store("k", 42)
+        assert cache.lookup("k") == (42, FRESH)
 
     def test_capacity_evicts_least_recently_used(self, clock):
-        cache = LruTtlCache(capacity=2, clock=clock)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # promote a; b is now the LRU victim
-        evicted = cache.put("c", 3)
+        cache = QueryResultCache(capacity=2, clock=clock)
+        cache.store("a", 1)
+        cache.store("b", 2)
+        cache.lookup("a")  # promote a; b is now the LRU victim
+        evicted = cache.store("c", 3)
         assert evicted == 1
         assert "a" in cache and "c" in cache and "b" not in cache
-        assert cache.stats.evictions == 1
 
     def test_overwrite_does_not_evict(self, clock):
-        cache = LruTtlCache(capacity=2, clock=clock)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.put("a", 10) == 0
-        assert cache.get("a") == (10, FRESH)
+        cache = QueryResultCache(capacity=2, clock=clock)
+        cache.store("a", 1)
+        cache.store("b", 2)
+        assert cache.store("a", 10) == 0
+        assert cache.lookup("a") == (10, FRESH)
         assert len(cache) == 2
-
-    def test_max_size_bound(self, clock):
-        cache = LruTtlCache(capacity=100, max_size=10, clock=clock)
-        cache.put("a", "x", size=4)
-        cache.put("b", "y", size=4)
-        evicted = cache.put("c", "z", size=4)  # 12 units > 10: drop LRU
-        assert evicted == 1
-        assert cache.size == 8
-        assert "a" not in cache
-
-    def test_oversized_entry_survives_alone(self, clock):
-        cache = LruTtlCache(capacity=4, max_size=10, clock=clock)
-        cache.put("huge", "x", size=50)
-        assert "huge" in cache  # never evict the just-stored sole entry
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LruTtlCache(capacity=0)
-        with pytest.raises(ValueError):
-            LruTtlCache(max_size=0)
-        with pytest.raises(ValueError):
-            LruTtlCache().put("k", 1, size=-1)
+            QueryResultCache(capacity=0)
 
 
 class TestTtl:
     def test_fresh_until_expiry(self, clock):
-        cache = LruTtlCache(default_ttl_ms=100.0, clock=clock)
-        cache.put("k", 1)
+        cache = QueryResultCache(ttl_ms=100.0, clock=clock)
+        cache.store("k", 1)
         clock.advance(100.0)
-        assert cache.get("k") == (1, FRESH)
+        assert cache.lookup("k") == (1, FRESH)
 
     def test_expired_is_a_miss_and_drops_the_entry(self, clock):
-        cache = LruTtlCache(default_ttl_ms=100.0, clock=clock)
-        cache.put("k", 1)
+        cache = QueryResultCache(ttl_ms=100.0, stale_grace_ms=0.0, clock=clock)
+        cache.store("k", 1)
         clock.advance(101.0)
-        assert cache.get("k") == (None, MISS)
-        assert cache.stats.expirations == 1
+        assert cache.lookup("k") == (None, MISS)
         assert "k" not in cache
 
     def test_stale_within_grace_window(self, clock):
-        cache = LruTtlCache(default_ttl_ms=100.0, clock=clock)
-        cache.put("k", 1)
+        cache = QueryResultCache(ttl_ms=100.0, stale_grace_ms=100.0, clock=clock)
+        cache.store("k", 1)
         clock.advance(150.0)
-        assert cache.get("k", stale_grace_ms=100.0) == (1, STALE)
+        assert cache.lookup("k") == (1, STALE)
         assert "k" in cache  # the stale entry is kept for revalidation
-        assert cache.stats.stale_hits == 1
+
+    def test_stale_read_does_not_promote(self, clock):
+        cache = QueryResultCache(
+            capacity=2, ttl_ms=100.0, stale_grace_ms=100.0, clock=clock
+        )
+        cache.store("a", 1)
+        cache.store("b", 2)
+        clock.advance(150.0)
+        assert cache.lookup("a") == (1, STALE)
+        cache.store("c", 3)
+        assert "a" not in cache and "b" in cache
 
     def test_beyond_grace_is_a_miss(self, clock):
-        cache = LruTtlCache(default_ttl_ms=100.0, clock=clock)
-        cache.put("k", 1)
+        cache = QueryResultCache(ttl_ms=100.0, stale_grace_ms=100.0, clock=clock)
+        cache.store("k", 1)
         clock.advance(250.0)
-        assert cache.get("k", stale_grace_ms=100.0) == (None, MISS)
-
-    def test_per_entry_ttl_overrides_default(self, clock):
-        cache = LruTtlCache(default_ttl_ms=100.0, clock=clock)
-        cache.put("short", 1, ttl_ms=10.0)
-        cache.put("forever", 2, ttl_ms=None)
-        clock.advance(50.0)
-        assert cache.get("short") == (None, MISS)
-        clock.advance(1e9)
-        assert cache.get("forever") == (2, FRESH)
+        assert cache.lookup("k") == (None, MISS)
+        assert "k" not in cache
 
     def test_no_default_ttl_never_expires(self, clock):
-        cache = LruTtlCache(clock=clock)
-        cache.put("k", 1)
+        cache = QueryResultCache(ttl_ms=None, clock=clock)
+        cache.store("k", 1)
         clock.advance(1e12)
-        assert cache.get("k") == (1, FRESH)
+        assert cache.lookup("k") == (1, FRESH)
 
 
 class TestInvalidation:
-    def test_invalidate_key(self, clock):
-        cache = LruTtlCache(clock=clock)
-        cache.put("k", 1)
-        assert cache.invalidate("k") is True
-        assert cache.invalidate("k") is False
-        assert cache.stats.invalidations == 1
-
     def test_invalidate_tagged(self, clock):
-        cache = LruTtlCache(clock=clock)
-        cache.put("a", 1, tags=("s1", "s2"))
-        cache.put("b", 2, tags=("s2",))
-        cache.put("c", 3, tags=("s3",))
-        assert cache.invalidate_tagged("s2") == 2
-        assert cache.keys() == ["c"]
+        cache = QueryResultCache(clock=clock)
+        cache.store("a", 1, source_ids=("s1", "s2"))
+        cache.store("b", 2, source_ids=("s2",))
+        cache.store("c", 3, source_ids=("s3",))
+        assert cache.invalidate_source("s2") == 2
+        assert "a" not in cache and "b" not in cache and "c" in cache
 
     def test_clear(self, clock):
-        cache = LruTtlCache(clock=clock)
-        cache.put("a", 1, size=3)
+        cache = QueryResultCache(clock=clock)
+        cache.store("a", 1)
         cache.clear()
         assert len(cache) == 0
-        assert cache.size == 0
-
-
-class TestStats:
-    def test_cost_saved_accumulates_on_fresh_hits(self, clock):
-        cache = LruTtlCache(clock=clock)
-        cache.put("k", 1, cost=2.5)
-        cache.get("k")
-        cache.get("k")
-        assert cache.stats.cost_saved == pytest.approx(5.0)
-
-    def test_hit_rate(self, clock):
-        cache = LruTtlCache(default_ttl_ms=10.0, clock=clock)
-        cache.put("k", 1)
-        cache.get("k")  # hit
-        clock.advance(15.0)
-        cache.get("k", stale_grace_ms=100.0)  # stale hit counts as served
-        cache.get("absent")  # miss
-        assert cache.stats.hit_rate() == pytest.approx(2 / 3)
-        assert cache.stats.snapshot()["hit_rate"] == pytest.approx(2 / 3, abs=1e-3)
-
-    def test_empty_cache_hit_rate_is_zero(self):
-        assert LruTtlCache().stats.hit_rate() == 0.0

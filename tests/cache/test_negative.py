@@ -19,13 +19,14 @@ def clock():
 
 
 class TestThreshold:
-    def test_single_failure_trips_default_threshold(self, clock):
+    def test_single_failure_trips_default_threshold(self, clock, fresh_registry):
         cache = NegativeSourceCache(ttl_ms=100.0, clock=clock)
         cache.record_failure("s1", "timeout", "deadline exceeded")
         reason = cache.skip_reason("s1")
         assert reason is not None
         assert "timeout" in reason and "deadline exceeded" in reason
-        assert cache.skips == 1
+        skips = fresh_registry.family("cache_negative_skips_total")
+        assert skips.labels(source_id="s1").value == 1
 
     def test_threshold_above_one_tolerates_a_flake(self, clock):
         cache = NegativeSourceCache(ttl_ms=100.0, failure_threshold=2, clock=clock)
@@ -73,7 +74,7 @@ class TestReset:
         cache.forget("s1")
         assert len(cache) == 0
 
-    def test_skips_not_counted_when_not_skipping(self, clock):
+    def test_skips_not_counted_when_not_skipping(self, clock, fresh_registry):
         cache = NegativeSourceCache(ttl_ms=100.0, clock=clock)
         assert cache.skip_reason("unknown") is None
-        assert cache.skips == 0
+        assert fresh_registry.family("cache_negative_skips_total") is None

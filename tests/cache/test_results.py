@@ -76,13 +76,54 @@ class TestSingleFlight:
         cache.finish_revalidation("never-claimed")
 
 
+def scraped(registry, family: str, **labels: str) -> float:
+    """One child's value as ``/metrics`` would print it; 0 when never set."""
+    found = registry.family(family)
+    return found.labels(**labels).value if found is not None else 0
+
+
 class TestStats:
-    def test_stats_flow_through(self):
-        cache, _ = make_cache()
-        cache.store("k", 1, cost=2.0)
+    def test_stats_flow_through(self, fresh_registry):
+        """The per-process ledger: the ``cache_*`` families, tier ``result``."""
+        cache, _ = make_cache(capacity=1)
+        cache.store("k", 1)
         cache.lookup("k")
         cache.lookup("absent")
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.cost_saved == 2.0
-        assert "k" in cache
+        cache.store("other", 2)  # evicts "k"
+        reads = [
+            scraped(fresh_registry, "cache_reads_total", tier="result", result=state)
+            for state in (FRESH, STALE, MISS)
+        ]
+        assert reads == [1, 0, 1]
+        assert scraped(fresh_registry, "cache_stores_total", tier="result") == 2
+        assert scraped(fresh_registry, "cache_evictions_total", tier="result") == 1
+        assert "other" in cache
+
+
+class TestEntriesGauge:
+    """``cache_entries`` follows the entry count wherever it changes, not
+    only on a store."""
+
+    def entries(self, registry) -> float:
+        return scraped(registry, "cache_entries", tier="result")
+
+    def test_invalidate_source_lowers_the_gauge(self, fresh_registry):
+        cache, _ = make_cache()
+        cache.store("a", 1, source_ids=("s1",))
+        cache.store("b", 2, source_ids=("s2",))
+        assert self.entries(fresh_registry) == 2
+        assert cache.invalidate_source("s1") == 1
+        assert self.entries(fresh_registry) == 1 == len(cache)
+
+    def test_expiry_on_read_lowers_the_gauge(self, fresh_registry):
+        cache, clock = make_cache()
+        cache.store("k", 1)
+        clock.now_ms = 250.0  # beyond TTL + grace
+        assert cache.lookup("k") == (None, MISS)
+        assert self.entries(fresh_registry) == 0 == len(cache)
+
+    def test_clear_zeroes_the_gauge(self, fresh_registry):
+        cache, _ = make_cache()
+        cache.store("k", 1)
+        cache.clear()
+        assert self.entries(fresh_registry) == 0

@@ -57,7 +57,7 @@ class TestResultCacheHits:
         rendered = result.explain()
         assert "result cache: hit" in rendered
         assert "cache counters:" in rendered
-        assert searcher.result_cache.stats.hits == 1
+        assert (result.trace.cache.misses, result.trace.cache.stores) == (0, 0)
 
     def test_served_copies_do_not_share_mutable_state(self, searcher):
         _, searcher = searcher
@@ -123,7 +123,6 @@ class TestDisabledPolicy:
         searcher.refresh()
         assert searcher.result_cache is None
         assert searcher.negative_cache is None
-        assert searcher.discovery.ttl_policy is None
 
         query = ranking_query("databases")
         first = searcher.search(query)
@@ -139,7 +138,7 @@ class TestDisabledPolicy:
 
 
 class TestStaleWhileRevalidate:
-    def test_stale_entry_is_served_then_refreshed(self, searcher):
+    def test_stale_entry_is_served_then_refreshed(self, searcher, fresh_registry):
         internet, searcher = searcher
         clock = {"now": 0.0}
         searcher.result_cache = QueryResultCache(
@@ -156,7 +155,8 @@ class TestStaleWhileRevalidate:
         # The serial executor revalidates inline: the refresh already
         # paid the wire and re-stored the entry.
         assert internet.request_count() > requests_before
-        assert searcher.result_cache.stats.stores == 2
+        stores = fresh_registry.family("cache_stores_total").labels(tier="result")
+        assert stores.value == 2
 
         requests_after_refresh = internet.request_count()
         refreshed = searcher.search(query)

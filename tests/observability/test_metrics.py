@@ -256,7 +256,8 @@ class TestDisabledRegistryNeutrality:
     @staticmethod
     def _run(registry: MetricsRegistry):
         internet, resource_url = _federation(seed=13)
-        previous = set_registry(registry)
+        previous = get_registry()
+        set_registry(registry)
         try:
             searcher = Metasearcher(internet, [resource_url])
             searcher.refresh()

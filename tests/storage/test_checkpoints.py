@@ -212,20 +212,40 @@ class TestCacheCheckpoint:
         assert warmed.lookup("b") == (2, FRESH)
 
     def test_lru_order_survives(self, tmp_path):
-        from repro.cache.core import LruTtlCache
-
-        clock = FakeClock()
-        cache = LruTtlCache(capacity=3, clock=clock)
+        cache, _ = self.make(capacity=3)
         for key in ("a", "b", "c"):
-            cache.put(key, key.upper())
-        cache.get("a")  # "b" is now least recently used
+            cache.store(key, key.upper())
+        cache.lookup("a")  # "b" is now least recently used
         save_cache(cache, tmp_path / "lru.ckpt")
 
-        warmed = LruTtlCache(capacity=3, clock=FakeClock())
+        warmed, _ = self.make(capacity=3)
         load_cache(warmed, tmp_path / "lru.ckpt")
-        warmed.put("d", "D")  # one over capacity: evicts the LRU entry
+        warmed.store("d", "D")  # one over capacity: evicts the LRU entry
         assert "b" not in warmed
         assert all(key in warmed for key in ("a", "c", "d"))
+
+    def test_restore_into_a_smaller_cache_keeps_the_most_recent(self, tmp_path):
+        """A restore goes through the same eviction as a store."""
+        cache, clock = self.make(capacity=5)
+        for age, key in enumerate("abcde"):
+            clock.now_ms = 10.0 * age
+            cache.store(key, key.upper())
+        cache.lookup("a")  # LRU order is now b c d e a
+        clock.now_ms = 60.0
+        assert cache.save_checkpoint(tmp_path / "big.ckpt") == 5
+
+        warmed, warmed_clock = self.make(now_ms=9000.0, capacity=3)
+        assert warmed.load_checkpoint(tmp_path / "big.ckpt") == 3
+        assert len(warmed) == 3
+        assert [key for key in "abcde" if key in warmed] == ["a", "d", "e"]
+        # Remaining TTLs intact: "a" was 60 ms old at save, "d" 30, "e" 20.
+        warmed_clock.now_ms = 9045.0
+        assert warmed.lookup("a") == ("A", STALE)
+        assert warmed.lookup("d") == ("D", FRESH)
+        # LRU order intact: "a" (stale reads do not promote) is the most
+        # recent of the checkpoint, "d" was just promoted, so "e" falls.
+        warmed.store("f", "F")
+        assert "e" not in warmed and all(key in warmed for key in "adf")
 
     def test_results_decoded_but_never_read_restore_equal(self, tmp_path, source1):
         """What a metasearcher caches are decoded responses whose

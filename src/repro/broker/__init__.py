@@ -8,16 +8,11 @@ the leaf protocol and the exact root:
 
 * :class:`ConsistentHashRing` — which leaf owns which source.
 * :class:`LeafBroker` — one :class:`~repro.metasearch.SummaryIndex`
-  shard fed by the discovery delta stream, checkpointed with its
-  position in that stream.
+  shard fed by the discovery delta stream.
 * :class:`RootBroker` — probes the leaves' exact aggregate statistics,
   prunes shards no query term touches, descends into the rest over the
   :class:`~repro.federation.Executor` protocol, and merges the
   per-shard fragments into the **bit-exact** flat top-k.  Roots nest.
-* :class:`NetworkLeafHandle` / :func:`publish_broker_leaf` — leaves as
-  endpoints on the simulated internet or a socket, so the hierarchy
-  spans processes and fault profiles; both sides of that wire fail
-  typed.
 * :class:`BrokeredMetasearcher` — the one-line swap preserving the
   whole ``Metasearcher`` search/search_stream surface, answering from
   the flat index whenever a leaf cannot be consulted.
@@ -33,11 +28,6 @@ lossy-routing machinery of its own.
 from repro.broker.facade import BrokeredMetasearcher, build_hierarchy
 from repro.broker.leaf import CorpusStats, GlobalStatsView, LeafBroker, LeafProbe
 from repro.broker.partition import ConsistentHashRing
-from repro.broker.remote import (
-    NetworkLeafHandle,
-    publish_broker_leaf,
-    selector_wire_name,
-)
 from repro.broker.root import LeafHandle, RootBroker
 
 __all__ = [
@@ -48,9 +38,6 @@ __all__ = [
     "LeafBroker",
     "LeafHandle",
     "LeafProbe",
-    "NetworkLeafHandle",
     "RootBroker",
     "build_hierarchy",
-    "publish_broker_leaf",
-    "selector_wire_name",
 ]

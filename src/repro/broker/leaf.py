@@ -3,9 +3,6 @@
 A leaf owns the :class:`~repro.metasearch.SummaryIndex` for its
 partition of sources, maintained by the same delta stream (source id +
 fresh summary, or ``None`` on forget) that maintains the flat index.
-It keeps no copy of that stream, only a cursor into it: a checkpoint
-records the shard with how many deltas it covers, so a restarted leaf
-replays the stream suffix past the cursor, never the history.
 
 Scoring stays bit-exact with the flat oracle through
 :class:`GlobalStatsView`: the leaf's local shard masquerading as the
@@ -146,7 +143,7 @@ class GlobalStatsView(SummaryIndex):
 
 
 class LeafBroker:
-    """One shard: a summary index fed by deltas, and the stream cursor.
+    """One shard: a summary index fed by the discovery delta stream.
 
     Args:
         leaf_id: the leaf's name on the ring and in metrics labels.
@@ -155,40 +152,12 @@ class LeafBroker:
     def __init__(self, leaf_id: str) -> None:
         self.leaf_id = leaf_id
         self.index = SummaryIndex()
-        #: how many deltas of the upstream stream this shard reflects —
-        #: what a checkpoint records next to the index.
-        self.log_position = 0
-        #: how much of the upstream delta stream a warm restore already
-        #: covers (0 for a cold broker); the caller replays only the
-        #: stream suffix past this cursor.
-        self.restored_log_position = 0
         self._aggregate_cache: tuple[int, SContentSummary] | None = None
-
-    # -- checkpointing -----------------------------------------------------
-
-    def save_checkpoint(self, path) -> int:
-        """Checkpoint this shard; returns the recorded log position."""
-        from repro.storage.checkpoint import save_leaf_checkpoint
-
-        return save_leaf_checkpoint(self, path)
-
-    @classmethod
-    def from_checkpoint(cls, path) -> "LeafBroker":
-        """Warm a broker from a checkpoint instead of replaying history.
-
-        The returned broker's :attr:`restored_log_position` is the
-        delta-stream cursor the checkpoint covers; apply only the
-        deltas logged after it.
-        """
-        from repro.storage.checkpoint import load_leaf_checkpoint
-
-        return load_leaf_checkpoint(path)
 
     # -- delta stream ------------------------------------------------------
 
     def apply_delta(self, source_id: str, summary: SContentSummary | None) -> None:
         """One discovery delta: add/replace on a summary, remove on None."""
-        self.log_position += 1
         self.index.update(source_id, summary)
 
     # -- serving -----------------------------------------------------------
@@ -233,7 +202,7 @@ class LeafBroker:
         return merged
 
     def shard_stats(self) -> dict[str, int | str]:
-        """One row of the CLI's per-leaf table (and the wire endpoint)."""
+        """One row of the CLI's per-leaf table."""
         return {
             "leaf": self.leaf_id,
             "sources": len(self.index),

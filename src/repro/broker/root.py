@@ -23,9 +23,8 @@ children's probes and passes the *global* statistics it was handed
 straight down, keeping exactness through any depth.
 
 The root carries no recovery machinery.  A child that cannot be
-consulted raises its typed error (``TransportError`` / ``ProtocolError``
-for a network leaf) out of the selection; the flat index the hierarchy
-is fed from answers then — see :class:`~repro.broker.BrokeredMetasearcher`.
+consulted raises out of the selection; the flat index the hierarchy is
+fed from answers then — see :class:`~repro.broker.BrokeredMetasearcher`.
 """
 
 from __future__ import annotations
@@ -39,11 +38,7 @@ from repro.broker.partition import ConsistentHashRing
 from repro.federation.executor import Executor, SerialExecutor
 from repro.metasearch.selection import SourceSelector, order_key
 from repro.observability.metrics import get_registry, linear_buckets
-from repro.observability.tracing import (
-    ambient_span,
-    current_ambient_span,
-    trace_context,
-)
+from repro.observability.tracing import ambient_span, current_ambient_span
 from repro.starts.metadata import SContentSummary
 
 __all__ = ["LeafHandle", "RootBroker"]
@@ -55,7 +50,7 @@ _RING_VIRTUAL_NODES = 128
 
 @runtime_checkable
 class LeafHandle(Protocol):
-    """What the root requires of a child — leaf, sub-root, or network."""
+    """What the root requires of a child — a leaf or a sub-root."""
 
     leaf_id: str
 
@@ -90,8 +85,8 @@ class RootBroker:
     """Selection-over-brokers: probe, prune, descend, merge.
 
     Args:
-        handles: the children — :class:`~repro.broker.LeafBroker`,
-            network handles, or nested :class:`RootBroker` instances.
+        handles: the children — :class:`~repro.broker.LeafBroker` or
+            nested :class:`RootBroker` instances.
         executor: drives both fan-out rounds; defaults to serial.
         broker_id: this node's name as a child of a bigger hierarchy.
     """
@@ -145,12 +140,10 @@ class RootBroker:
         root does not retry.
 
         When an ambient span is active in the *calling* thread, each
-        per-leaf call gets its own ``rpc:{op}:{leaf}`` child span, with
-        the matching trace context activated inside the worker — that
-        context is what a :class:`~repro.broker.NetworkLeafHandle`
-        injects on the wire, so server-side fragments stitch under the
-        exact RPC span that issued them.  Contextvars do not cross the
-        executor's worker threads, hence the explicit capture here.
+        per-leaf call gets its own ``rpc:{op}:{leaf}`` child span, which
+        is the ambient span inside the worker (a nested root hangs its
+        own calls under it).  Contextvars do not cross the executor's
+        worker threads, hence the explicit capture here.
         """
         ambient = current_ambient_span()
         if ambient is None:
@@ -160,9 +153,7 @@ class RootBroker:
         def traced(handle: LeafHandle) -> object:
             rpc = tracer.open_span(f"rpc:{op}:{handle.leaf_id}", parent=parent)
             try:
-                with ambient_span(tracer, rpc), trace_context(
-                    tracer.context_for(rpc)
-                ):
+                with ambient_span(tracer, rpc):
                     return fn(handle)
             except Exception as error:
                 rpc.annotate(error=repr(error))
@@ -269,9 +260,7 @@ class RootBroker:
             with tracer.span(
                 "select:broker", selector=selector.name, k=k, leaves=len(self._handles)
             ) as span:
-                with ambient_span(tracer, span), trace_context(
-                    tracer.context_for(span)
-                ):
+                with ambient_span(tracer, span):
                     merged = self.top_candidates(selector, terms, k)
                 span.annotate(selected=" ".join(source_id for source_id, _ in merged))
         return [source_id for source_id, _ in merged]

@@ -120,8 +120,13 @@ class QueryResultCache:
     ) -> int:
         """Cache ``value``; returns the number of evictions it forced."""
         tags = frozenset(source_ids)
+        evicted = 0
         with self._lock:
-            evicted = self._put(key, value, self._clock(), tags)
+            self._entries[key] = (value, self._clock(), tags)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                evicted += 1
             live = len(self._entries)
         registry = get_registry()
         registry.counter(
@@ -136,19 +141,6 @@ class QueryResultCache:
                 labels=("tier",),
             ).labels(tier=_TIER).inc(evicted)
         self._report_entries(live)
-        return evicted
-
-    def _put(
-        self, key: str, value: object, stored_at_ms: float, tags: frozenset[str]
-    ) -> int:
-        """Write one entry as most recently used (lock held); returns
-        how many least recently used entries fell to make room."""
-        self._entries[key] = (value, stored_at_ms, tags)
-        self._entries.move_to_end(key)
-        evicted = 0
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            evicted += 1
         return evicted
 
     def invalidate_source(self, source_id: str) -> int:
@@ -176,47 +168,6 @@ class QueryResultCache:
             "Live entries per cache tier.",
             labels=("tier",),
         ).labels(tier=_TIER).set(live)
-
-    # -- checkpointing -----------------------------------------------------
-
-    def checkpoint_rows(self) -> list[tuple[str, object, float, list[str]]]:
-        """``(key, value, age_ms, source ids)`` per live entry, least
-        recently used first.  Ages, not timestamps: a monotonic clock
-        does not survive the process, remaining TTL does."""
-        with self._lock:
-            now = self._clock()
-            return [
-                (key, value, now - stored_at_ms, sorted(tags))
-                for key, (value, stored_at_ms, tags) in self._entries.items()
-            ]
-
-    def restore_rows(self, rows: list[tuple[str, object, float, list[str]]]) -> int:
-        """Write :meth:`checkpoint_rows` output back in order, ages
-        re-anchored to this cache's clock and the capacity bound applied
-        as a store would; returns how many entries are live after."""
-        with self._lock:
-            now = self._clock()
-            for key, value, age_ms, tags in rows:
-                self._put(key, value, now - age_ms, frozenset(tags))
-            live = len(self._entries)
-        self._report_entries(live)
-        return live
-
-    def save_checkpoint(self, path) -> int:
-        """Persist live entries (atomic write); returns the count."""
-        from repro.storage.checkpoint import save_cache
-
-        return save_cache(self, path)
-
-    def load_checkpoint(self, path) -> int:
-        """Restore entries into this (empty) cache; returns the count.
-
-        Remaining TTLs survive the restart, so stale-while-revalidate
-        behaves as if the process had never died.
-        """
-        from repro.storage.checkpoint import load_cache
-
-        return load_cache(self, path)
 
     # -- single-flight revalidation ---------------------------------------
 

@@ -69,13 +69,6 @@ class ConformanceReport:
     def failures(self) -> list[Finding]:
         return [finding for finding in self.findings if not finding.passed]
 
-    def render(self) -> str:
-        lines = [f"STARTS conformance: {self.source_id}"]
-        lines.extend(finding.row() for finding in self.findings)
-        verdict = "CONFORMANT" if self.passed else "NON-CONFORMANT"
-        lines.append(f"=> {verdict} ({len(self.failures())} failure(s))")
-        return "\n".join(lines)
-
 
 _REQUIRED_METADATA = [spec.name for spec in MBASIC1_ATTRIBUTES if spec.required]
 

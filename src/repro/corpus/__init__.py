@@ -7,7 +7,6 @@ substitution table.
 """
 
 from repro.corpus.canned import (
-    bilingual_documents,
     lagunita_document,
     source1_documents,
     source2_documents,
@@ -28,7 +27,6 @@ from repro.corpus.workload import (
 )
 
 __all__ = [
-    "bilingual_documents",
     "lagunita_document",
     "source1_documents",
     "source2_documents",

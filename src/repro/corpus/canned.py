@@ -2,10 +2,10 @@
 
 The paper's worked examples revolve around two Stanford documents — the
 Ullman "deductive vs. object-oriented databases" comparison at Source-1
-and the Lagunita report at Source-2 — plus a bilingual source with
-English and Spanish titles (Example 11).  These fixtures let the golden
+and the Lagunita report at Source-2.  These fixtures let the golden
 tests (EX1–EX12 in DESIGN.md) run the full stack over exactly the
-paper's scenario.
+paper's scenario (Example 11's bilingual source lives with its one
+test, ``tests/starts/test_paper_examples.py``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = [
     "lagunita_document",
     "source1_documents",
     "source2_documents",
-    "bilingual_documents",
 ]
 
 
@@ -126,44 +125,3 @@ def source2_documents() -> list[Document]:
         },
     )
     return [lagunita_document(), distractor]
-
-
-def bilingual_documents() -> list[Document]:
-    """An English/Spanish mini-collection for the Example 11 summary."""
-    english = [
-        Document(
-            f"http://bilingual.example.org/en{i}.html",
-            {
-                F.TITLE: title,
-                F.AUTHOR: "Maria Rivera",
-                F.BODY_OF_TEXT: body,
-                F.DATE_LAST_MODIFIED: "1996-02-10",
-            },
-            language="en",
-        )
-        for i, (title, body) in enumerate(
-            [
-                ("Algorithm Analysis", "An algorithm for analysis of sorting."),
-                ("Graph Algorithm Survey", "Every algorithm surveyed with analysis."),
-            ]
-        )
-    ]
-    spanish = [
-        Document(
-            f"http://bilingual.example.org/es{i}.html",
-            {
-                F.TITLE: title,
-                F.AUTHOR: "Oscar Navarro",
-                F.BODY_OF_TEXT: body,
-                F.DATE_LAST_MODIFIED: "1996-03-05",
-            },
-            language="es",
-        )
-        for i, (title, body) in enumerate(
-            [
-                ("Algoritmo y datos", "Un algoritmo para datos distribuidos."),
-                ("Datos y consultas", "Consultas sobre datos en redes."),
-            ]
-        )
-    ]
-    return english + spanish

@@ -159,6 +159,11 @@ def generate_collection(spec: CollectionSpec) -> list[Document]:
     return documents
 
 
+#: Total body-word draws per generated summary — the word mass whose
+#: Zipf head shapes the summary statistics.
+_WORDS_PER_SOURCE = 1200
+
+
 @dataclass(frozen=True)
 class SummaryPopulationSpec:
     """Recipe for a federation-sized *population of content summaries*.
@@ -175,8 +180,6 @@ class SummaryPopulationSpec:
         topics_per_source: topics mixed into each source (cycled over
             :data:`repro.corpus.vocabulary.TOPICS` deterministically).
         docs_per_source: inclusive (min, max) document-count range.
-        words_per_source: total body-word draws per source — the word
-            mass whose Zipf head shapes the summary statistics.
         general_fraction: share of draws from the shared general pool
             (cross-source overlap, exactly as in document generation).
         seed: master RNG seed.
@@ -185,7 +188,6 @@ class SummaryPopulationSpec:
     n_sources: int
     topics_per_source: int = 1
     docs_per_source: tuple[int, int] = (40, 400)
-    words_per_source: int = 1200
     general_fraction: float = 0.15
     seed: int = 0
 
@@ -220,8 +222,8 @@ def generate_source_summaries(
             topic_names[(index + offset) % len(topic_names)]
             for offset in range(spec.topics_per_source)
         ]
-        n_general = int(spec.words_per_source * spec.general_fraction)
-        n_topical = spec.words_per_source - n_general
+        n_general = int(_WORDS_PER_SOURCE * spec.general_fraction)
+        n_topical = _WORDS_PER_SOURCE - n_general
         words: list[str] = []
         per_topic = n_topical // len(picked)
         for topic in picked:

@@ -59,14 +59,11 @@ class Document:
             if value:
                 yield name, value
 
-    def full_text(self) -> str:
-        """All text-field values concatenated (used for ``any``/sizes)."""
-        return " ".join(value for _, value in self.text_fields())
-
     def size_kbytes(self) -> int:
         """Document size in whole KBytes, at least 1 (``DocSize``)."""
-        # The UTF-8 length of full_text() without building it: an ASCII
-        # value's length is its byte count; one space joins two values.
+        # The UTF-8 length of the space-joined text fields without
+        # building the string: an ASCII value's length is its byte
+        # count; one space joins two values.
         sizes = [
             len(value) if value.isascii() else len(value.encode("utf-8"))
             for name in F.TEXT_FIELDS

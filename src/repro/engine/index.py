@@ -155,16 +155,6 @@ class InvertedIndex:
         self._max_tf: dict[str, dict[str, int]] = defaultdict(dict)
         # (field, language) -> surface word -> SummaryEntry.
         self._summary: dict[tuple[str, str], dict[str, SummaryEntry]] = defaultdict(dict)
-        # field -> sorted vocabulary (rebuilt lazily for truncation).
-        self._sorted_vocab: dict[str, list[str]] = {}
-        self._sorted_vocab_dirty: set[str] = set()
-        # field -> sorted reversed-term vocabulary (lazily built so
-        # left-truncation is a bisect, mirroring terms_with_prefix).
-        self._reversed_vocab: dict[str, list[str]] = {}
-        self._reversed_vocab_dirty: set[str] = set()
-        # field -> soundex code -> set of terms (built lazily).
-        self._soundex: dict[str, dict[str, set[str]]] = {}
-        self._soundex_dirty: set[str] = set()
         self._doc_count = 0
         # Bumped on every mutation; lets callers (the term matcher)
         # cache derived lookups and invalidate them precisely.
@@ -176,6 +166,11 @@ class InvertedIndex:
             None,
             {},
         )
+        # (layout key, then three lazily filled per-field lookups:
+        # sorted vocabulary, sorted reversed-term vocabulary — so
+        # left-truncation is a bisect, mirroring terms_with_prefix — and
+        # soundex code -> terms), replaced together like the term states.
+        self._vocab_memo: tuple[object, dict, dict, dict] = (None, {}, {}, {})
 
     # -- construction ---------------------------------------------------
 
@@ -215,9 +210,6 @@ class InvertedIndex:
             )
             if len(positions) > field_max_tf.get(term, 0):
                 field_max_tf[term] = len(positions)
-        self._sorted_vocab_dirty.add(field)
-        self._reversed_vocab_dirty.add(field)
-        self._soundex_dirty.add(field)
         self._doc_count = max(self._doc_count, doc_id + 1)
         self._generation += 1
 
@@ -277,12 +269,24 @@ class InvertedIndex:
     def collection_frequency(self, field: str, term: str) -> int:
         return sum(p.term_frequency for p in self.postings(field, term))
 
+    def _vocab_memos(self) -> tuple[dict, dict, dict]:
+        """This layout's (sorted, reversed, soundex) per-field lookups."""
+        key = self._layout_key()
+        memo = self._vocab_memo
+        if memo[0] != key:
+            memo = self._vocab_memo = (key, {}, {}, {})
+        return memo[1:]
+
+    def _sorted_terms(self, field: str) -> list[str]:
+        return sorted(self._postings.get(field, {}))
+
     def vocabulary(self, field: str) -> list[str]:
         """Sorted index vocabulary of a field."""
-        if field in self._sorted_vocab_dirty or field not in self._sorted_vocab:
-            self._sorted_vocab[field] = sorted(self._postings.get(field, {}))
-            self._sorted_vocab_dirty.discard(field)
-        return self._sorted_vocab[field]
+        memo = self._vocab_memos()[0]
+        vocab = memo.get(field)
+        if vocab is None:
+            vocab = memo[field] = self._sorted_terms(field)
+        return vocab
 
     # -- fuzzy/expanded matching -----------------------------------------
 
@@ -304,12 +308,12 @@ class InvertedIndex:
         is a bisect over a lazily maintained sorted list of reversed
         terms — sublinear in the vocabulary, like ``terms_with_prefix``.
         """
-        if field in self._reversed_vocab_dirty or field not in self._reversed_vocab:
-            self._reversed_vocab[field] = sorted(
-                term[::-1] for term in self._postings.get(field, {})
+        memo = self._vocab_memos()[1]
+        reversed_vocab = memo.get(field)
+        if reversed_vocab is None:
+            reversed_vocab = memo[field] = sorted(
+                term[::-1] for term in self.vocabulary(field)
             )
-            self._reversed_vocab_dirty.discard(field)
-        reversed_vocab = self._reversed_vocab[field]
         target = suffix[::-1]
         start = bisect.bisect_left(reversed_vocab, target)
         matches: list[str] = []
@@ -322,13 +326,14 @@ class InvertedIndex:
 
     def terms_with_soundex(self, field: str, word: str) -> list[str]:
         """Vocabulary terms phonetically equal to ``word``."""
-        if field in self._soundex_dirty or field not in self._soundex:
-            codes: dict[str, set[str]] = defaultdict(set)
-            for term in self._postings.get(field, {}):
-                codes[soundex(term)].add(term)
-            self._soundex[field] = dict(codes)
-            self._soundex_dirty.discard(field)
-        return sorted(self._soundex[field].get(soundex(word), ()))
+        memo = self._vocab_memos()[2]
+        codes = memo.get(field)
+        if codes is None:
+            codes = {}
+            for term in self.vocabulary(field):
+                codes.setdefault(soundex(term), set()).add(term)
+            memo[field] = codes
+        return sorted(codes.get(soundex(word), ()))
 
     # -- summary export ----------------------------------------------------
 
@@ -342,7 +347,3 @@ class InvertedIndex:
             (field, language, dict(words))
             for (field, language), words in sorted(self._summary.items())
         ]
-
-    def summary_vocabulary_size(self) -> int:
-        """Distinct (field, language, word) triples tracked for summaries."""
-        return sum(len(words) for words in self._summary.values())

@@ -17,7 +17,7 @@ from repro.engine.index import InvertedIndex
 from repro.engine.query import TermQuery
 from repro.text.analysis import Analyzer
 from repro.text.langtags import parse_language_tag
-from repro.text.thesaurus import Thesaurus, DEFAULT_THESAURUS
+from repro.text.thesaurus import DEFAULT_THESAURUS
 
 __all__ = ["TermMatcher"]
 
@@ -30,15 +30,9 @@ _EXPANSION_MODIFIERS = frozenset(
 class TermMatcher:
     """Expands query terms into concrete (field → index terms) maps."""
 
-    def __init__(
-        self,
-        index: InvertedIndex,
-        analyzer: Analyzer,
-        thesaurus: Thesaurus | None = None,
-    ) -> None:
+    def __init__(self, index: InvertedIndex, analyzer: Analyzer) -> None:
         self._index = index
         self._analyzer = analyzer
-        self._thesaurus = thesaurus or DEFAULT_THESAURUS
         # (field, language) -> (vocab size at build time, stem -> terms).
         self._stem_maps: dict[tuple[str, str], tuple[int, dict[str, set[str]]]] = {}
         # Expansion memo, invalidated whenever the index mutates: the
@@ -100,7 +94,7 @@ class TermMatcher:
         if "phonetic" in expansions:
             found |= set(self._index.terms_with_soundex(field, term.text))
         if "thesaurus" in expansions:
-            for synonym in self._thesaurus.expand(term.text):
+            for synonym in DEFAULT_THESAURUS.expand(term.text):
                 normalized = self._analyzer.normalize(synonym, term.language)
                 if self._index.has_postings(field, normalized):
                     found.add(normalized)

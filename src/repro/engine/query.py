@@ -62,9 +62,6 @@ class TermQuery(EngineQuery):
     def terms(self) -> list["TermQuery"]:
         return [self]
 
-    def with_weight(self, weight: float) -> "TermQuery":
-        return TermQuery(self.field, self.text, self.language, self.modifiers, weight)
-
     def comparison(self) -> str | None:
         """The comparison modifier if present (``=`` is the default)."""
         for modifier in ("<=", ">=", "!=", "<", ">", "="):

@@ -50,7 +50,6 @@ from repro.storage import (
     TieredMergePolicy,
 )
 from repro.text.analysis import Analyzer
-from repro.text.thesaurus import Thesaurus
 
 __all__ = ["TermHitStats", "EngineHit", "SearchEngine", "STORAGE_MODES"]
 
@@ -67,7 +66,6 @@ class SearchEngine:
             observable query model).
         ranking: the scoring algorithm, or None for a Boolean-only
             engine like Glimpse (``QueryPartsSupported: F``).
-        thesaurus: synonym source for the ``thesaurus`` modifier.
         evaluation: ``"pruned"`` (the default and the production path:
             rank-safe MaxScore / block-max top-k evaluation that never
             visits postings which provably cannot reach the kth score,
@@ -93,7 +91,6 @@ class SearchEngine:
         self,
         analyzer: Analyzer | None = None,
         ranking: RankingAlgorithm | None = CosineTfIdf(),
-        thesaurus: Thesaurus | None = None,
         evaluation: str = PRUNED,
         storage: str = "memory",
         storage_dir: str | pathlib.Path | None = None,
@@ -135,7 +132,7 @@ class SearchEngine:
         else:
             self.store = DocumentStore()
             self.index = InvertedIndex()
-        self.matcher = TermMatcher(self.index, self.analyzer, thesaurus)
+        self.matcher = TermMatcher(self.index, self.analyzer)
 
     # -- indexing ---------------------------------------------------------
 
@@ -222,7 +219,7 @@ class SearchEngine:
         else:
             self.store = DocumentStore()
             self.index = InvertedIndex()
-        self.matcher = TermMatcher(self.index, self.analyzer, self.matcher._thesaurus)
+        self.matcher = TermMatcher(self.index, self.analyzer)
         self.add_all(documents)
 
     # -- segment lifecycle -------------------------------------------------
@@ -438,28 +435,6 @@ class SearchEngine:
                 while j < n_right and right[j] == p_right:
                     j += 1
         return False
-
-    # -- ranking evaluation --------------------------------------------------
-
-    def evaluate_ranking(
-        self, query: EngineQuery, candidates: set[int] | None = None
-    ) -> dict[int, float]:
-        """Score documents against a ranking expression.
-
-        Args:
-            query: the ranking expression (``list`` or fuzzy Boolean).
-            candidates: restrict scoring to these doc ids (the filter
-                result); None means every document matching any term.
-
-        Returns:
-            doc id → score, after the algorithm's ``finalize`` pass.
-
-        Raises:
-            RuntimeError: if this is a Boolean-only engine.
-        """
-        if self.ranking is None:
-            raise RuntimeError("this engine does not support ranking expressions")
-        return QueryTermContext(self, query, candidates).scores()
 
     # -- the combined search entry point -------------------------------------
 

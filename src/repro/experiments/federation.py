@@ -62,10 +62,9 @@ class FederationSpec:
     include_boolean_only_source: bool = False
     slow_source_index: int | None = 2
     charging_source_index: int | None = 3
-    #: Index of a source whose first requests fail before recovering
-    #: (None disables; see FaultProfile.flaky).
+    #: Index of a source whose first two requests fail before it
+    #: recovers (None disables; see FaultProfile.flaky).
     flaky_source_index: int | None = None
-    flaky_failures: int = 2
     #: Index of a source whose host is dead — every request fails.
     dead_source_index: int | None = None
 
@@ -123,7 +122,7 @@ def build_federation(spec: FederationSpec = FederationSpec()) -> Federation:
             costs[source_id] = 5.0
         profiles[source_id] = profile
         if index == spec.flaky_source_index:
-            faults[source_id] = FaultProfile.flaky(spec.flaky_failures)
+            faults[source_id] = FaultProfile.flaky(2)
         if index == spec.dead_source_index:
             faults[source_id] = FaultProfile.dead()
 

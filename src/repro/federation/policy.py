@@ -30,8 +30,8 @@ class QueryPolicy:
         hedge_after_ms: if set, a request still unanswered after this
             long gets a duplicate fired at the same source; the faster
             answer wins, both requests are paid for.
-        retry_on_error / retry_on_timeout: which failure kinds are
-            worth another attempt.
+        retry_on_timeout: whether a timeout is worth another attempt
+            (an error always is).
     """
 
     timeout_ms: float | None = None
@@ -40,7 +40,6 @@ class QueryPolicy:
     backoff_multiplier: float = 2.0
     backoff_max_ms: float = 5_000.0
     hedge_after_ms: float | None = None
-    retry_on_error: bool = True
     retry_on_timeout: bool = True
 
     def __post_init__(self) -> None:
@@ -70,9 +69,7 @@ class QueryPolicy:
         """Is another attempt after ``attempt_number`` worth making?"""
         if attempt_number >= self.max_attempts:
             return False
-        if status == "timeout":
-            return self.retry_on_timeout
-        return self.retry_on_error
+        return status != "timeout" or self.retry_on_timeout
 
     def attempt_wall_budget_s(
         self, time_scale: float = 1.0, hang_cap_ms: float = 60_000.0, slack_s: float = 5.0

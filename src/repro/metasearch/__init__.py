@@ -13,7 +13,6 @@ from repro.federation import (
     SourceOutcome,
 )
 from repro.metasearch.client import Metasearcher, MetasearchResult, StreamEmission
-from repro.metasearch.dedup import collapse_near_duplicates, jaccard, word_shingles
 from repro.metasearch.discovery import DiscoveryService, KnownSource
 from repro.metasearch.merging import (
     MERGE_STRATEGIES,
@@ -56,9 +55,6 @@ __all__ = [
     "QueryPolicy",
     "SerialExecutor",
     "SourceOutcome",
-    "collapse_near_duplicates",
-    "jaccard",
-    "word_shingles",
     "Metasearcher",
     "MetasearchResult",
     "StreamEmission",

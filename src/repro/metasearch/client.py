@@ -361,7 +361,6 @@ class Metasearcher:
             waits on sources that really take time to answer.
         query_policy: default per-source execution policy (deadline,
             retries, backoff, hedging).
-        query_policies: per-source-id policy overrides.
         cache_policy: caching on (the default: a
             :class:`~repro.cache.QueryResultCache` in
             :attr:`result_cache`, a
@@ -379,7 +378,6 @@ class Metasearcher:
         merger: MergeStrategy | None = None,
         executor: Executor | None = None,
         query_policy: QueryPolicy | None = None,
-        query_policies: dict[str, QueryPolicy] | None = None,
         cache_policy: CachePolicy | None = None,
     ) -> None:
         self.client = StartsClient(internet)
@@ -390,7 +388,6 @@ class Metasearcher:
         self.translator = ClientTranslator()
         self.executor: Executor = executor or SerialExecutor()
         self.query_policy = query_policy or QueryPolicy()
-        self.query_policies = dict(query_policies or {})
         self.resource_urls = list(resource_urls or [])
         self.result_cache: QueryResultCache | None = None
         self.negative_cache: NegativeSourceCache | None = None
@@ -418,10 +415,6 @@ class Metasearcher:
             for url in self.resource_urls:
                 self.discovery.refresh_resource(url, client=harvester)
         return self.discovery.known_sources()
-
-    def add_resource(self, resource_url: str) -> None:
-        if resource_url not in self.resource_urls:
-            self.resource_urls.append(resource_url)
 
     # -- the three metasearch tasks -------------------------------------------
 
@@ -739,7 +732,6 @@ class Metasearcher:
             self.client,
             executor=plan.executor,
             policy=self.query_policy,
-            policies=self.query_policies,
             tracer=tracer,
         )
         return dispatcher, requests, outcomes, reports

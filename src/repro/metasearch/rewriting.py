@@ -43,10 +43,6 @@ class RewriteReport:
     rewritten: list[str] = dataclass_field(default_factory=list)
     not_rewritable: list[str] = dataclass_field(default_factory=list)
 
-    @property
-    def rewrite_count(self) -> int:
-        return len(self.rewritten)
-
 
 class PredicateRewriter:
     """Rewrites unsupported modifiers against a source's summary."""

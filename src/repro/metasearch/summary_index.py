@@ -26,8 +26,8 @@ only thing a selector scores:
 Mutations are deltas: :meth:`add` interns or re-harvests one source,
 :meth:`remove` drops it, and every delta bumps :attr:`generation` so
 downstream memos (sorted id order, selector caches) know to refresh.
-The original summary objects are retained: checkpoints persist them and
-a leaf broker merges them into its aggregate summary.
+The original summary objects are retained: a leaf broker merges them
+into its aggregate summary.
 
 Word keying follows each summary's own case rule, exactly as
 :meth:`SContentSummary.lookup` does: a case-insensitive summary is

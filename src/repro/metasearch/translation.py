@@ -79,11 +79,6 @@ class TranslationReport:
     ranking_survived: bool = True
     stop_words_preserved: bool = True
 
-    @property
-    def feature_loss(self) -> int:
-        """How many pruning decisions were made (0 = lossless)."""
-        return len(self.dropped)
-
     def is_lossless(self) -> bool:
         return not self.dropped and self.stop_words_preserved
 

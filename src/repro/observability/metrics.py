@@ -3,14 +3,14 @@
 PR 1's :class:`~repro.observability.Tracer` sees one operation at a
 time and evaporates with its trace; serving metasearch at production
 latency/cost targets needs the *longitudinal* view — per-source request
-rates, error ratios, latency percentiles accumulated across every
+rates, error ratios, latency distributions accumulated across every
 search the process has run.  This module is that layer:
 
 * :class:`Counter` — a monotonically increasing total;
 * :class:`Gauge` — a value that goes both ways (sizes, depths,
   live entry counts);
-* :class:`Histogram` — fixed log-scale bucket bounds with streaming
-  p50/p95/p99 estimation plus exact sum/count;
+* :class:`Histogram` — fixed log-scale bucket bounds with exact
+  sum/count (whoever scrapes the buckets estimates the percentiles);
 * :class:`MetricFamily` — a named, typed group of instruments keyed by
   label values (``source_requests_total{source_id,outcome}``);
 * :class:`MetricsRegistry` — the thread-safe home of every family,
@@ -136,14 +136,11 @@ class Gauge:
 
 
 class Histogram:
-    """Bucketed observations with streaming percentile estimation.
+    """Bucketed observations with an exact sum and count.
 
     Bucket bounds are fixed at construction (log-scale by default);
     observations land in the first bucket whose upper bound is >= the
     value, with one implicit overflow bucket past the last bound.
-    Percentiles interpolate linearly inside the winning bucket, which
-    is the standard Prometheus-style estimate: cheap, streaming, and
-    accurate to within one bucket's width.
 
     ``observe`` optionally takes an *exemplar* — a trace id to pin to
     the bucket the observation lands in (last write wins), so a scrape
@@ -175,46 +172,6 @@ class Histogram:
             self.count += 1
             if exemplar is not None:
                 self.exemplars[index] = (exemplar, value)
-
-    def percentile(self, quantile: float) -> float:
-        """Streaming percentile estimate (0 <= quantile <= 1).
-
-        Returns 0.0 when nothing has been observed.  Values in the
-        overflow bucket report the last finite bound — the estimate
-        saturates rather than inventing an upper edge.
-        """
-        if not 0.0 <= quantile <= 1.0:
-            raise ValueError("quantile must be within [0, 1]")
-        with self._lock:
-            if self.count == 0:
-                return 0.0
-            rank = quantile * self.count
-            cumulative = 0
-            for index, bucket_count in enumerate(self.bucket_counts):
-                if bucket_count == 0:
-                    continue
-                previous = cumulative
-                cumulative += bucket_count
-                if cumulative >= rank:
-                    if index >= len(self.bounds):
-                        return self.bounds[-1]
-                    lower = self.bounds[index - 1] if index else 0.0
-                    upper = self.bounds[index]
-                    fraction = (rank - previous) / bucket_count
-                    return lower + (upper - lower) * min(max(fraction, 0.0), 1.0)
-            return self.bounds[-1]
-
-    @property
-    def p50(self) -> float:
-        return self.percentile(0.50)
-
-    @property
-    def p95(self) -> float:
-        return self.percentile(0.95)
-
-    @property
-    def p99(self) -> float:
-        return self.percentile(0.99)
 
     def mean(self) -> float:
         with self._lock:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 
 __all__ = [
@@ -122,7 +123,7 @@ class QueryLog:
         self.slow_ms = slow_ms
         self.enabled = enabled
         self._lock = threading.Lock()
-        self._records: list[QueryLogRecord] = []
+        self._records: deque[QueryLogRecord] = deque(maxlen=capacity)
         self.total_recorded = 0
         self.total_slow = 0
 
@@ -138,8 +139,6 @@ class QueryLog:
             record.unix_ms = time.time() * 1000.0
         with self._lock:
             self._records.append(record)
-            if len(self._records) > self.capacity:
-                del self._records[: len(self._records) - self.capacity]
             self.total_recorded += 1
             if self.slow_ms is not None and record.total_ms >= self.slow_ms:
                 self.total_slow += 1
@@ -156,23 +155,6 @@ class QueryLog:
             for record in snapshot
             if outcome in (None, record.outcome) and trace_id in (None, record.trace_id)
         ]
-
-    def slow_queries(self) -> list[QueryLogRecord]:
-        """Buffered records at or above the slow threshold, slowest first."""
-        if self.slow_ms is None:
-            return []
-        slow = [
-            record for record in self.records() if record.total_ms >= self.slow_ms
-        ]
-        slow.sort(key=lambda record: -record.total_ms)
-        return slow
-
-    def to_ndjson(self) -> str:
-        """The buffer as NDJSON, one record per line, oldest first."""
-        rows = [record.to_json() for record in self.records()]
-        return "\n".join(json.dumps(row, sort_keys=True) for row in rows) + (
-            "\n" if rows else ""
-        )
 
     def write_ndjson(self, path: str) -> int:
         """Write the buffer to ``path``; returns the record count."""

@@ -20,9 +20,11 @@ Everything is dependency-free and cheap enough to leave on by default.
 
 from __future__ import annotations
 
+import re
 import threading
 import time
 import uuid
+from collections import deque
 from collections.abc import Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -41,6 +43,11 @@ __all__ = [
     "current_trace_context",
     "trace_context",
 ]
+
+
+#: The one shape of a ``traceparent`` value: lowercase ASCII hex only,
+#: so no sign, no non-ASCII digit and no ``0x`` rides in as an id.
+_TRACEPARENT = re.compile(r"([0-9a-f]{2})-([0-9a-f]{32})-([0-9a-f]{16})-([0-9a-f]{2})")
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,17 +78,12 @@ class TraceContext:
         A malformed header is dropped rather than raised on — tracing
         must never fail a request that would otherwise succeed.
         """
-        if not header:
+        match = _TRACEPARENT.fullmatch(header.strip()) if header else None
+        if match is None:
             return None
-        parts = header.strip().split("-")
-        if len(parts) != 4:
-            return None
-        version, trace_id, span_id, flags = parts
-        if len(version) != 2 or len(trace_id) != 32 or len(span_id) != 16:
-            return None
-        try:
-            int(trace_id, 16), int(span_id, 16), int(flags, 16)
-        except ValueError:
+        version, trace_id, span_id, flags = match.groups()
+        # W3C: version ff is invalid, and so are all-zero ids.
+        if version == "ff" or not trace_id.strip("0") or not span_id.strip("0"):
             return None
         # Undo the padding to_traceparent applied to this module's
         # 16-hex trace ids, so a round trip compares equal.  Span ids
@@ -418,7 +420,7 @@ class Tracer:
 class TraceCollector:
     """A ring-buffered sink for finished server-side trace fragments.
 
-    A published endpoint (source or broker leaf) that handles a request
+    A published endpoint that handles a request
     carrying a :class:`TraceContext` records its server-side span into a
     per-request :class:`Tracer` and hands the finished :class:`Trace`
     here.  :func:`repro.observability.stitch_traces` merges these
@@ -430,13 +432,11 @@ class TraceCollector:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._traces: list[Trace] = []
+        self._traces: deque[Trace] = deque(maxlen=capacity)
 
     def add(self, trace: Trace) -> None:
         with self._lock:
             self._traces.append(trace)
-            if len(self._traces) > self.capacity:
-                del self._traces[: len(self._traces) - self.capacity]
 
     def traces(self, trace_id: str | None = None) -> list[Trace]:
         """Collected fragments, optionally only those of one trace."""

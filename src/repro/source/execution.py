@@ -39,6 +39,10 @@ from repro.text.analysis import Analyzer
 
 __all__ = ["TranslationOutcome", "QueryTranslator"]
 
+#: How many salient words a ``Document-text`` term (relevance feedback,
+#: §4.1.1) expands into.
+FEEDBACK_TERMS = 10
+
 
 @dataclass
 class TranslationOutcome:
@@ -68,8 +72,6 @@ class QueryTranslator:
             enables the ``Free-form-text`` field, which carries a
             native query verbatim ("so that informed metasearchers
             could use the sources' richer native query languages").
-        feedback_terms: how many salient words a ``Document-text`` term
-            (relevance feedback, §4.1.1) expands into.
     """
 
     def __init__(
@@ -78,13 +80,11 @@ class QueryTranslator:
         analyzer: Analyzer,
         default_language: str = "en-US",
         native_syntax=None,
-        feedback_terms: int = 10,
     ) -> None:
         self._capabilities = capabilities
         self._analyzer = analyzer
         self._default_language = default_language
         self._native_syntax = native_syntax
-        self._feedback_terms = feedback_terms
 
     # -- public API ----------------------------------------------------
 
@@ -312,14 +312,14 @@ class QueryTranslator:
         document; it matches via the document's most salient words.
 
         Salience is within-document frequency after stop-word removal;
-        the top ``feedback_terms`` distinct words become a ``list``
+        the top :data:`FEEDBACK_TERMS` distinct words become a ``list``
         (ranking) or an ``or`` (filter) over the ``Any`` field.
         """
         counts: dict[str, int] = {}
         for token in self._analyzer.analyze(term.lstring.text, language):
             counts[token.term] = counts.get(token.term, 0) + 1
         salient = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-        words = [word for word, _ in salient[: self._feedback_terms]]
+        words = [word for word, _ in salient[:FEEDBACK_TERMS]]
         if not words:
             words = [self._analyzer.normalize(term.lstring.text, language)]
         word_queries = tuple(

@@ -82,10 +82,6 @@ class SampleResults:
     def __init__(self, scores: dict[tuple[str, ...], list[float]]) -> None:
         self.scores = scores
 
-    def top_score(self, terms: tuple[str, ...]) -> float:
-        values = self.scores.get(terms, [])
-        return values[0] if values else 0.0
-
     def all_scores(self) -> list[float]:
         flattened: list[float] = []
         for values in self.scores.values():

@@ -17,7 +17,6 @@ This package is the paper's primary contribution, implemented in full:
 
 from repro.starts.ast import SAnd, SAndNot, SList, SNode, SOr, SProx, STerm
 from repro.starts.attributes import (
-    ATTRIBUTE_SETS,
     BASIC1,
     COMPARISON_MODIFIERS,
     AttributeSet,
@@ -34,7 +33,7 @@ from repro.starts.errors import (
     StartsError,
     UnknownSourceError,
 )
-from repro.starts.lstring import LString, parse_lstring
+from repro.starts.lstring import LString
 from repro.starts.metadata import (
     MBASIC1_ATTRIBUTES,
     MetaAttributeSpec,
@@ -45,14 +44,10 @@ from repro.starts.metadata import (
     SummarySection,
     merge_summaries,
 )
-from repro.starts.parser import (
-    parse_expression,
-    parse_filter_expression,
-    parse_ranking_expression,
-)
+from repro.starts.parser import parse_expression
 from repro.starts.query import PROTOCOL_VERSION, SortKey, SQuery
 from repro.starts.results import SQRDocument, SQResults, TermStats
-from repro.starts.soif import SoifObject, dump_soif, parse_soif, parse_soif_stream
+from repro.starts.soif import SoifObject, parse_soif, parse_soif_stream
 
 __all__ = [
     "SNode",
@@ -62,7 +57,6 @@ __all__ = [
     "SAndNot",
     "SProx",
     "SList",
-    "ATTRIBUTE_SETS",
     "BASIC1",
     "COMPARISON_MODIFIERS",
     "AttributeSet",
@@ -77,7 +71,6 @@ __all__ = [
     "ProtocolError",
     "UnknownSourceError",
     "LString",
-    "parse_lstring",
     "MBASIC1_ATTRIBUTES",
     "MetaAttributeSpec",
     "SContentSummary",
@@ -87,8 +80,6 @@ __all__ = [
     "SummarySection",
     "merge_summaries",
     "parse_expression",
-    "parse_filter_expression",
-    "parse_ranking_expression",
     "PROTOCOL_VERSION",
     "SortKey",
     "SQuery",
@@ -96,7 +87,6 @@ __all__ = [
     "SQResults",
     "TermStats",
     "SoifObject",
-    "dump_soif",
     "parse_soif",
     "parse_soif_stream",
 ]

@@ -20,7 +20,6 @@ __all__ = [
     "ModifierSpec",
     "AttributeSet",
     "BASIC1",
-    "ATTRIBUTE_SETS",
     "FieldRef",
     "ModifierRef",
     "canonical_field_name",
@@ -70,9 +69,6 @@ class AttributeSet:
 
     def required_fields(self) -> list[str]:
         return [name for name, spec in self.fields.items() if spec.required]
-
-    def optional_fields(self) -> list[str]:
-        return [name for name, spec in self.fields.items() if not spec.required]
 
     def __repr__(self) -> str:
         return (
@@ -127,15 +123,6 @@ _BASIC1_MODIFIERS = [
 ]
 
 BASIC1 = AttributeSet("basic-1", _BASIC1_FIELDS, _BASIC1_MODIFIERS)
-
-#: Registry of known attribute sets; queries may reference any of them.
-ATTRIBUTE_SETS: dict[str, AttributeSet] = {BASIC1.name: BASIC1}
-
-
-def register_attribute_set(attribute_set: AttributeSet) -> None:
-    """Register a domain-specific attribute set (the paper's [1] allows
-    sets beyond Basic-1, e.g. for other document domains)."""
-    ATTRIBUTE_SETS[attribute_set.name] = attribute_set
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.starts.errors import QuerySyntaxError
-from repro.text.langtags import DEFAULT_LANGUAGE, LanguageTag, parse_language_tag
+from repro.text.langtags import DEFAULT_LANGUAGE, LanguageTag
 
-__all__ = ["LString", "parse_lstring"]
+__all__ = ["LString"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,9 +36,6 @@ class LString:
         """The language to interpret the string in (default: English)."""
         return self.language if self.language is not None else DEFAULT_LANGUAGE
 
-    def is_qualified(self) -> bool:
-        return self.language is not None
-
     def serialize(self) -> str:
         """Render in query-language syntax.
 
@@ -51,45 +47,5 @@ class LString:
             return quoted
         return f"[{self.language} {quoted}]"
 
-    def encode_utf8(self) -> bytes:
-        """The UTF-8 byte encoding of the text (what travels in SOIF)."""
-        return self.text.encode("utf-8")
-
     def __str__(self) -> str:
         return self.serialize()
-
-
-def parse_lstring(text: str) -> LString:
-    """Parse an l-string from its serialized form.
-
-    Accepts ``"word"``, ``word`` (bare, no spaces) and
-    ``[en-US "word"]``.  This is a convenience for tests and metadata
-    values; full query parsing lives in :mod:`repro.starts.parser`.
-
-    Raises:
-        QuerySyntaxError: on malformed input.
-    """
-    text = text.strip()
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise QuerySyntaxError(f"unterminated language qualification: {text!r}")
-        inner = text[1:-1].strip()
-        try:
-            tag_part, string_part = inner.split(None, 1)
-        except ValueError:
-            raise QuerySyntaxError(f"l-string needs a language and a string: {text!r}")
-        language = parse_language_tag(tag_part)
-        return LString(_unquote(string_part), language)
-    return LString(_unquote(text))
-
-
-def _unquote(text: str) -> str:
-    text = text.strip()
-    if text.startswith('"'):
-        if not text.endswith('"') or len(text) < 2:
-            raise QuerySyntaxError(f"unterminated string: {text!r}")
-        body = text[1:-1]
-        return body.replace('\\"', '"').replace("\\\\", "\\")
-    if '"' in text:
-        raise QuerySyntaxError(f"stray quote in bare string: {text!r}")
-    return text

@@ -395,9 +395,6 @@ class SContentSummary:
     has_document_frequencies: bool = True
     version: str = PROTOCOL_VERSION
 
-    def vocabulary_size(self) -> int:
-        return sum(len(section.entries) for section in self.sections)
-
     def _word_index(
         self,
     ) -> tuple[
@@ -406,10 +403,9 @@ class SContentSummary:
     ]:
         """Lazily built ``word → entries`` / ``(word, field) → entries``.
 
-        Source selection (GlOSS, CORI) probes ``document_frequency`` /
-        ``total_postings`` for every source per query term; scanning
-        every section per probe made selection quadratic in summary
-        size.  The index preserves section traversal order, is built on
+        Source selection (GlOSS, CORI) probes ``document_frequency``
+        for every source per query term; scanning every section per
+        probe made selection quadratic in summary size.  The index preserves section traversal order, is built on
         first use, and is invalidated whenever ``sections`` is swapped
         out (the summary is otherwise immutable).
         """
@@ -443,9 +439,9 @@ class SContentSummary:
         The key is the entry word, lowercased unless the summary is
         case sensitive (the same keying :meth:`lookup` uses); negative
         statistics (absent per the "at least one of" rule) clamp to 0.
-        Built once on first access and memoized, so the per-query probes
-        of :meth:`document_frequency` / :meth:`total_postings` are a
-        single dict get instead of a list walk per call.  Like the word
+        Built once on first access and memoized, so the per-query probe
+        of :meth:`document_frequency` is a single dict get instead of a
+        list walk per call.  Like the word
         index, the memo is invalidated whenever ``sections`` is swapped
         out (the summary is otherwise immutable) — callers that replace
         ``sections`` via ``object.__setattr__`` get fresh statistics on
@@ -475,14 +471,6 @@ class SContentSummary:
         return sum(
             max(entry.document_frequency, 0) for entry in self.lookup(word, field)
         )
-
-    def total_postings(self, word: str, field: str | None = None) -> int:
-        if field is None:
-            if not self.case_sensitive:
-                word = word.lower()
-            stats = self.word_statistics().get(word)
-            return stats[0] if stats is not None else 0
-        return sum(max(entry.postings, 0) for entry in self.lookup(word, field))
 
     def total_word_mass(self) -> int:
         """Total postings across every section (CORI's ``cw`` input).

@@ -35,7 +35,7 @@ from repro.starts.errors import QuerySyntaxError
 from repro.starts.lstring import LString
 from repro.text.langtags import parse_language_tag
 
-__all__ = ["parse_expression", "parse_filter_expression", "parse_ranking_expression"]
+__all__ = ["parse_expression"]
 
 _TOKEN_RE = re.compile(
     r"""
@@ -355,13 +355,3 @@ def parse_expression(text: str) -> SNode | None:
             f"trailing input after expression: {leftover.value!r}", leftover.position
         )
     return node
-
-
-def parse_filter_expression(text: str) -> SNode | None:
-    """Parse a filter expression (Boolean component)."""
-    return parse_expression(text)
-
-
-def parse_ranking_expression(text: str) -> SNode | None:
-    """Parse a ranking expression (vector-space component)."""
-    return parse_expression(text)

@@ -28,7 +28,7 @@ from collections.abc import Iterable, Iterator
 
 from repro.starts.errors import SoifSyntaxError
 
-__all__ = ["SoifObject", "dump_soif", "parse_soif", "parse_soif_stream"]
+__all__ = ["SoifObject", "parse_soif", "parse_soif_stream"]
 
 
 def attribute_line(name: str, value: str) -> str:
@@ -76,11 +76,6 @@ class SoifObject:
     def __contains__(self, name: str) -> bool:
         return self.get(name) is not None
 
-    def get_all(self, name: str) -> list[str]:
-        """All values for ``name``, in order."""
-        wanted = name.lower()
-        return [value for key, value in self._pairs if key.lower() == wanted]
-
     def pairs(self) -> list[tuple[str, str]]:
         """The (name, value) pairs in wire order."""
         return list(self._pairs)
@@ -110,11 +105,6 @@ class SoifObject:
         lines.extend(attribute_line(name, value) for name, value in self._pairs)
         lines.append("}")
         return "\n".join(lines) + "\n"
-
-
-def dump_soif(objects: Iterable[SoifObject]) -> str:
-    """Serialize several SOIF objects as one stream."""
-    return "\n".join(obj.dump() for obj in objects)
 
 
 #: ASCII whitespace, exactly the bytes ``bytes.isspace()`` accepts.

@@ -1,4 +1,4 @@
-"""Immutable segment storage for engines, summaries, and caches.
+"""Immutable segment storage for engines.
 
 The on-disk counterpart of the in-memory engine: write-once segments
 of packed columns (delta-encoded postings, term dictionaries, stored

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 from repro.engine.documents import Document, DocumentStore
 from repro.engine.index import (
@@ -50,7 +50,6 @@ from repro.engine.index import (
 )
 from repro.storage.format import StorageError
 from repro.storage.store import SegmentStore
-from repro.text.soundex import soundex as soundex_code
 
 __all__ = ["SegmentedIndex", "SegmentedDocumentStore"]
 
@@ -185,10 +184,6 @@ class SegmentedIndex(InvertedIndex):
         # (field, term) -> merged postings; keyed by (generation, epoch).
         self._merged_postings: dict[tuple[str, str], list[Posting]] = {}
         self._merged_key: tuple[int, int] | None = None
-        self._vocab_memo: dict[str, list[str]] = {}
-        self._vocab_key: tuple[int, int] | None = None
-        self._suffix_memo: dict[str, list[str]] = {}
-        self._soundex_memo: dict[str, dict[str, set[str]]] = {}
         self._summary_memo: (
             tuple[tuple[int, int], list[tuple[str, str, dict[str, SummaryEntry]]]]
             | None
@@ -223,12 +218,6 @@ class SegmentedIndex(InvertedIndex):
         self._postings.clear()
         self._max_tf.clear()
         self._summary.clear()
-        self._sorted_vocab.clear()
-        self._sorted_vocab_dirty.clear()
-        self._reversed_vocab.clear()
-        self._reversed_vocab_dirty.clear()
-        self._soundex.clear()
-        self._soundex_dirty.clear()
 
     # -- reads: postings ---------------------------------------------------
 
@@ -271,52 +260,16 @@ class SegmentedIndex(InvertedIndex):
             names.update(reader.fields())
         return sorted(names)
 
-    def vocabulary(self, field: str) -> list[str]:
-        key = self._layout_key()
-        if self._vocab_key != key:
-            self._vocab_memo = {}
-            self._suffix_memo = {}
-            self._soundex_memo = {}
-            self._vocab_key = key
-        vocab = self._vocab_memo.get(field)
-        if vocab is None:
-            tail = sorted(self._postings.get(field, {}))
-            lists = [
-                reader.vocabulary(field) for reader in self._segment_store.readers
-            ]
-            lists.append(tail)
-            vocab = []
-            previous = None
-            for term in heapq.merge(*lists):
-                if term != previous:
-                    vocab.append(term)
-                    previous = term
-            self._vocab_memo[field] = vocab
+    def _sorted_terms(self, field: str) -> list[str]:
+        lists = [reader.vocabulary(field) for reader in self._segment_store.readers]
+        lists.append(super()._sorted_terms(field))
+        vocab: list[str] = []
+        previous = None
+        for term in heapq.merge(*lists):
+            if term != previous:
+                vocab.append(term)
+                previous = term
         return vocab
-
-    def terms_with_suffix(self, field: str, suffix: str) -> list[str]:
-        reversed_vocab = self._suffix_memo.get(field)
-        if reversed_vocab is None or self._vocab_key != self._layout_key():
-            reversed_vocab = sorted(term[::-1] for term in self.vocabulary(field))
-            self._suffix_memo[field] = reversed_vocab
-        target = suffix[::-1]
-        matches: list[str] = []
-        start = bisect_left(reversed_vocab, target)
-        for reversed_term in reversed_vocab[start:]:
-            if not reversed_term.startswith(target):
-                break
-            matches.append(reversed_term[::-1])
-        matches.sort()
-        return matches
-
-    def terms_with_soundex(self, field: str, word: str) -> list[str]:
-        codes = self._soundex_memo.get(field)
-        if codes is None or self._vocab_key != self._layout_key():
-            codes = {}
-            for term in self.vocabulary(field):
-                codes.setdefault(soundex_code(term), set()).add(term)
-            self._soundex_memo[field] = codes
-        return sorted(codes.get(soundex_code(word), ()))
 
     # -- reads: counts and summaries ---------------------------------------
 
@@ -349,9 +302,6 @@ class SegmentedIndex(InvertedIndex):
         ]
         self._summary_memo = (key, sections)
         return sections
-
-    def summary_vocabulary_size(self) -> int:
-        return sum(len(words) for _, _, words in self.summary_sections())
 
 
 class SegmentedDocumentStore(DocumentStore):

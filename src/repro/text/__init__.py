@@ -17,7 +17,7 @@ that the STARTS protocol talks about by name:
 * A small thesaurus (``thesaurus``) — the ``thesaurus`` modifier.
 """
 
-from repro.text.analysis import AnalyzedToken, Analyzer, default_analyzer
+from repro.text.analysis import AnalyzedToken, Analyzer
 from repro.text.langtags import LanguageTag, parse_language_tag
 from repro.text.porter import PorterStemmer, porter_stem
 from repro.text.soundex import soundex
@@ -29,15 +29,11 @@ from repro.text.tokenize import (
     SimpleTokenizer,
     WhitespaceTokenizer,
     UnicodeTokenizer,
-    TokenizerRegistry,
-    default_registry,
-    get_tokenizer,
 )
 
 __all__ = [
     "AnalyzedToken",
     "Analyzer",
-    "default_analyzer",
     "LanguageTag",
     "parse_language_tag",
     "PorterStemmer",
@@ -53,7 +49,4 @@ __all__ = [
     "SimpleTokenizer",
     "WhitespaceTokenizer",
     "UnicodeTokenizer",
-    "TokenizerRegistry",
-    "default_registry",
-    "get_tokenizer",
 ]

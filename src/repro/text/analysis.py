@@ -20,7 +20,7 @@ from repro.text.spanish import spanish_stem
 from repro.text.stopwords import ENGLISH_STOP_WORDS, SPANISH_STOP_WORDS, StopWordList
 from repro.text.tokenize import Tokenizer, UnicodeTokenizer
 
-__all__ = ["AnalyzedToken", "Analyzer", "default_analyzer"]
+__all__ = ["AnalyzedToken", "Analyzer"]
 
 #: A stemming function: word -> stem.
 Stemmer = Callable[[str], str]
@@ -141,8 +141,3 @@ class Analyzer:
     def vocabulary(self, text: str, language: LanguageTag | str = "en") -> set[str]:
         """The set of index terms ``text`` produces."""
         return {token.term for token in self.analyze(text, language)}
-
-
-def default_analyzer() -> Analyzer:
-    """A fresh analyzer with the library defaults (Uni-1, en+es stops)."""
-    return Analyzer()

@@ -41,13 +41,6 @@ class LanguageTag:
     language: str
     subtags: tuple[str, ...] = ()
 
-    @property
-    def country(self) -> str | None:
-        """The country subtag, if the first subtag looks like one."""
-        if self.subtags and len(self.subtags[0]) == 2:
-            return self.subtags[0]
-        return None
-
     def matches(self, other: "LanguageTag") -> bool:
         """True if ``self`` covers ``other``.
 

@@ -78,14 +78,6 @@ class StopWordList:
         """Alias for ``word in self`` that reads well at call sites."""
         return word in self
 
-    def union(self, other: "StopWordList") -> "StopWordList":
-        """A combined list (used by multi-language sources)."""
-        return StopWordList(
-            set(self._words) | set(other._words),
-            language=self.language,
-            name=f"{self.name}+{other.name}",
-        )
-
 
 #: Default English list (contains "the" and "who" — see module docstring).
 ENGLISH_STOP_WORDS = StopWordList(_ENGLISH, language="en", name="english")

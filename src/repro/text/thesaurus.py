@@ -9,7 +9,7 @@ corpus generator uses, so the modifier is exercisable end to end.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 
 __all__ = ["Thesaurus", "DEFAULT_THESAURUS"]
 
@@ -49,10 +49,6 @@ class Thesaurus:
 
     def __len__(self) -> int:
         return len({id(group) for group in self._groups.values()})
-
-    def as_mapping(self) -> Mapping[str, frozenset[str]]:
-        """Read-only view of the word → group mapping (for metadata export)."""
-        return dict(self._groups)
 
 
 #: Small CS-flavoured thesaurus matching the synthetic corpus vocabulary.

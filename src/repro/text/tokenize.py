@@ -1,4 +1,4 @@
-"""Named tokenizers and the tokenizer registry.
+"""Named tokenizers.
 
 STARTS abandoned earlier designs (exporting separator characters or
 token regular expressions) in favour of simply *naming* tokenizers: a
@@ -8,10 +8,10 @@ metasearcher learns how a named tokenizer behaves once — by probing any
 source that uses it and inspecting the actual query the source reports —
 rather than per source.
 
-This module provides the tokenizer abstraction, three concrete families
-with genuinely different behaviour (so that the paper's "Z39.50" → is
-it one token or two? question has different answers at different
-sources), and a registry keyed by tokenizer id.
+This module provides the tokenizer abstraction and three concrete
+families with genuinely different behaviour (so that the paper's
+"Z39.50" → is it one token or two? question has different answers at
+different sources), each carrying the ``tokenizer_id`` it is named by.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ __all__ = [
     "SimpleTokenizer",
     "WhitespaceTokenizer",
     "UnicodeTokenizer",
-    "TokenizerRegistry",
-    "default_registry",
-    "get_tokenizer",
 ]
 
 
@@ -128,49 +125,3 @@ class UnicodeTokenizer(_RegexTokenizer):
 
     def tokenize(self, text: str) -> list[Token]:
         return super().tokenize(unicodedata.normalize("NFKC", text))
-
-
-class TokenizerRegistry:
-    """Registry of tokenizers keyed by their ``tokenizer_id``.
-
-    Mirrors the role of ``TokenizerIDList`` on the wire: given an id from
-    source metadata, a metasearcher (or a source implementation) obtains
-    the concrete tokenizer here.
-    """
-
-    def __init__(self) -> None:
-        self._tokenizers: dict[str, Tokenizer] = {}
-
-    def register(self, tokenizer: Tokenizer) -> None:
-        """Register under ``tokenizer.tokenizer_id``; last write wins."""
-        self._tokenizers[tokenizer.tokenizer_id] = tokenizer
-
-    def get(self, tokenizer_id: str) -> Tokenizer:
-        """Look up a tokenizer.
-
-        Raises:
-            KeyError: if no tokenizer has that id.
-        """
-        try:
-            return self._tokenizers[tokenizer_id]
-        except KeyError:
-            raise KeyError(f"unknown tokenizer id: {tokenizer_id!r}") from None
-
-    def known_ids(self) -> list[str]:
-        return sorted(self._tokenizers)
-
-
-_DEFAULT = TokenizerRegistry()
-_DEFAULT.register(SimpleTokenizer())
-_DEFAULT.register(WhitespaceTokenizer())
-_DEFAULT.register(UnicodeTokenizer())
-
-
-def default_registry() -> TokenizerRegistry:
-    """The process-wide registry pre-loaded with the built-in tokenizers."""
-    return _DEFAULT
-
-
-def get_tokenizer(tokenizer_id: str) -> Tokenizer:
-    """Shortcut for ``default_registry().get(tokenizer_id)``."""
-    return _DEFAULT.get(tokenizer_id)

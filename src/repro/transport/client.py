@@ -7,9 +7,8 @@ object.  An optional :class:`~repro.observability.Tracer` records one
 event per discovery fetch; query traffic is traced by the federation
 runner, which sees retries and hedges the client alone cannot.
 
-Every outbound request of the package — the client's below and a
-broker's leaf RPCs — leaves through :func:`send`, the one place the
-ambient trace context becomes a ``traceparent`` header.
+Every outbound request of the package leaves through :func:`send`, the
+one place the ambient trace context becomes a ``traceparent`` header.
 """
 
 from __future__ import annotations

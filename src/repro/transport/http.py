@@ -7,12 +7,11 @@ module is the deployment-shaped alternative, and it is only a wire.
 :mod:`repro.transport.server`): a threading HTTP server around a
 ``(method, path) -> handler`` lookup that knows no endpoint, decodes no
 request and opens no span — it serves whatever endpoint tables are
-mounted on it, a resource's by default, a broker leaf's just as well.
+mounted on it, a resource's by default.
 :class:`HttpTransport` is the client half: a
 :class:`~repro.transport.network.Transport` whose waits are real and
-whose log holds measured wall-clock latencies, so ``StartsClient``,
-``Metasearcher`` under either executor and ``NetworkLeafHandle`` run
-over it unchanged.
+whose log holds measured wall-clock latencies, so ``StartsClient`` and
+``Metasearcher`` under either executor run over it unchanged.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ class StartsHttpServer:
     ``trace_sink`` (a :class:`~repro.observability.TraceCollector`),
     query POSTs carrying a ``traceparent`` header record a server-side
     span fragment there, stitched under the caller's trace.  Further
-    tables — a broker leaf's, say — go on with :meth:`mount`.
+    tables go on with :meth:`mount`.
     """
 
     def __init__(

@@ -17,7 +17,7 @@ Two execution modes:
 
 * the default accounts latency without waiting — experiments over
   thousands of requests stay fast;
-* ``realtime=True`` actually sleeps each request's simulated latency
+* ``internet.realtime = True`` actually sleeps each request's simulated latency
   (scaled by ``time_scale``), so a concurrent executor's wall-clock
   advantage over a serial one is *measurable*, not estimated.
 
@@ -59,7 +59,7 @@ Endpoints = dict[tuple[str, str], Callable[..., bytes]]
 
 #: The headers of the request currently being handled.  Both mounts set
 #: this around each handler invocation (:func:`_call_handler`), so
-#: server-side code (published sources, broker leaves) reads its
+#: server-side code (published sources) reads its
 #: inbound headers — e.g. ``traceparent`` — without the handler
 #: signature changing.
 _REQUEST_HEADERS: ContextVar[dict[str, str] | None] = ContextVar(
@@ -199,7 +199,7 @@ class _HostState:
 @runtime_checkable
 class Transport(Protocol):
     """Everything the client side — ``StartsClient``, the federation
-    dispatcher, a broker's network leaf handles — may touch of a network.
+    dispatcher — may touch of a network.
 
     ``realtime`` / ``time_scale`` say how a simulated millisecond
     becomes wall-clock waiting (whether backoffs are slept and awaited
@@ -245,10 +245,6 @@ class _AccessLog:
             return len(self.log)
         return sum(1 for record in self.log if _host_of(record.url) == host)
 
-    def failure_count(self) -> int:
-        """Logged requests that did not complete (error or timeout)."""
-        return sum(1 for record in self.log if record.status != "ok")
-
     def reset_log(self) -> None:
         self.log.clear()
 
@@ -262,25 +258,25 @@ class SimulatedInternet(_AccessLog):
 
     Args:
         seed: root of the per-host jitter and fault streams.
-        realtime: when True, each request sleeps its simulated latency
-            (scaled by ``time_scale``) before returning, so wall-clock
-            measurements reflect the simulated network.  May be toggled
-            on an existing instance (e.g. off for discovery, on for the
-            measured query round).
+
+    Attributes:
+        realtime: when set True, each request sleeps its simulated
+            latency (scaled by ``time_scale``) before returning, so
+            wall-clock measurements reflect the simulated network.
+            Toggled on an existing instance (off for discovery, on for
+            the measured query round).
         time_scale: multiplier applied to simulated latency when
             sleeping in realtime mode.
     """
 
-    def __init__(
-        self, seed: int = 0, realtime: bool = False, time_scale: float = 1.0
-    ) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._seed = seed
         self._get_handlers: dict[str, object] = {}
         self._post_handlers: dict[str, object] = {}
         self._hosts: dict[str, _HostState] = {}
         self._lock = threading.Lock()
-        self.realtime = realtime
-        self.time_scale = time_scale
+        self.realtime = False
+        self.time_scale = 1.0
         self.log: list[AccessRecord] = []
 
     # -- registration ----------------------------------------------------
@@ -440,9 +436,6 @@ class SimulatedInternet(_AccessLog):
             raise TransportError(f"{method} {record.url} failed: {detail}", record)
         arguments = (body,) if method == "POST" else ()
         return _call_handler(handler, headers, *arguments), record
-
-    def known_urls(self) -> list[str]:
-        return sorted(set(self._get_handlers) | set(self._post_handlers))
 
 
 def _host_of(url: str) -> str:

@@ -16,9 +16,9 @@ A publisher *declares* what it serves as an endpoint table
 
 * a resource (:func:`resource_endpoints`): ``GET {base}/resource``, the
   @SResource blob;
-* the metrics registry (:func:`publish_metrics`): ``GET {base}/metrics``;
-* a broker leaf: ``publish_broker_leaf``, in the broker package beside
-  the handle that speaks to it — this package imports nothing from above.
+* the metrics registry (:func:`publish_metrics`): ``GET {base}/metrics``.
+
+This package imports nothing from above it.
 
 :func:`traced` is the one server-side span wrapper, on either mount.
 """

@@ -3,12 +3,7 @@
 import pytest
 
 from repro import BrokeredMetasearcher, SQuery, parse_expression, quick_federation
-from repro.broker import (
-    LeafBroker,
-    NetworkLeafHandle,
-    RootBroker,
-    publish_broker_leaf,
-)
+from repro.broker import LeafBroker, RootBroker
 from repro.metasearch.selection import Cori
 from repro.observability import (
     MetricsRegistry,
@@ -16,20 +11,17 @@ from repro.observability import (
     render_prometheus,
     set_registry,
 )
-from repro.transport import FaultProfile
 
-from tests.broker.util import demo_population, populated
+from tests.broker.util import FaultyLeaf, demo_population, populated
 
 
 def _search_through_a_dead_leaf():
     """One brokered search whose only leaf stopped answering."""
     internet, url = quick_federation(seed=11, docs_per_source=12)
-    base = "http://leaf-0.example.org/broker"
-    publish_broker_leaf(internet, LeafBroker("leaf-0"), base)
-    root = RootBroker([NetworkLeafHandle(internet, base, "leaf-0")])
-    searcher = BrokeredMetasearcher(internet, [url], broker=root)
+    leaf = FaultyLeaf(LeafBroker("leaf-0"))
+    searcher = BrokeredMetasearcher(internet, [url], broker=RootBroker([leaf]))
     searcher.refresh()
-    internet.set_fault_profile("leaf-0.example.org", FaultProfile.dead())
+    leaf.fault = "dead"
     query = SQuery(ranking_expression=parse_expression('(body-of-text "databases")'))
     return searcher.search(query, k_sources=2)
 

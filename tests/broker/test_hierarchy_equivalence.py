@@ -14,13 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import BrokeredMetasearcher, Metasearcher, SQuery, parse_expression
 from repro import quick_federation
-from repro.broker import (
-    LeafBroker,
-    NetworkLeafHandle,
-    RootBroker,
-    build_hierarchy,
-    publish_broker_leaf,
-)
+from repro.broker import LeafBroker, RootBroker, build_hierarchy
 from repro.cache import CachePolicy
 from repro.federation import AsyncExecutor, SerialExecutor
 from repro.metasearch.selection import (
@@ -34,7 +28,8 @@ from repro.metasearch.selection import (
 from repro.metasearch.summary_index import SummaryIndex
 from repro.observability import MetricsRegistry, get_registry, set_registry
 from repro.starts.metadata import SContentSummary, SummaryEntryLine, SummarySection
-from repro.transport import FaultProfile
+
+from tests.broker.util import RAISES, FaultyLeaf
 
 WORD_POOL = ["alpha", "beta", "Gamma", "delta", "epsilon", "Zeta"]
 QUERY_POOL = WORD_POOL + ["absent", "Missing"]
@@ -177,40 +172,26 @@ def test_nested_hierarchy_equals_flat(summaries, terms, k, split):
 
 # -- the flat index as the standby ------------------------------------------
 
-N_NETWORK_LEAVES = 3
-#: what a leaf can do to the root, and the error the root then raises.
-RAISES = {
-    "dead": "TransportError",
-    "hangs": "TransportTimeout",
-    "garbage": "ProtocolError",
-}
+N_FAULTY_LEAVES = 3
 FAULTS = ("none", *RAISES)
-HOST_FAULTS = {"dead": FaultProfile.dead(), "hangs": FaultProfile.hangs()}
-
-
-def _leaf_base(index):
-    return f"http://leaf-{index}.example.org/broker"
 
 
 @pytest.fixture(scope="module")
 def flat_and_brokered():
-    """A flat searcher and one selecting through three network leaves,
-    over identically seeded federations; caches off, so every search
-    selects."""
+    """A flat searcher and one selecting through three leaves that can
+    be made to fail, over identically seeded federations; caches off, so
+    every search selects."""
     internet_a, url_a = quick_federation(seed=11, docs_per_source=12)
     internet_b, url_b = quick_federation(seed=11, docs_per_source=12)
-    leaves = [LeafBroker(f"leaf-{index}") for index in range(N_NETWORK_LEAVES)]
-    root = RootBroker(
-        [
-            NetworkLeafHandle(internet_b, _leaf_base(index), leaf.leaf_id)
-            for index, leaf in enumerate(leaves)
-        ]
-    )
-    for index, leaf in enumerate(leaves):
-        publish_broker_leaf(internet_b, leaf, _leaf_base(index))
+    leaves = [
+        FaultyLeaf(LeafBroker(f"leaf-{index}")) for index in range(N_FAULTY_LEAVES)
+    ]
     flat = Metasearcher(internet_a, [url_a], cache_policy=CachePolicy.disabled())
     brokered = BrokeredMetasearcher(
-        internet_b, [url_b], broker=root, cache_policy=CachePolicy.disabled()
+        internet_b,
+        [url_b],
+        broker=RootBroker(leaves),
+        cache_policy=CachePolicy.disabled(),
     )
     flat.refresh()
     brokered.refresh()
@@ -226,7 +207,7 @@ def _ranks(result):
 @settings(max_examples=40, deadline=None)
 @given(
     faults=st.lists(
-        st.sampled_from(FAULTS), min_size=N_NETWORK_LEAVES, max_size=N_NETWORK_LEAVES
+        st.sampled_from(FAULTS), min_size=N_FAULTY_LEAVES, max_size=N_FAULTY_LEAVES
     ),
     text=st.sampled_from(["databases", "retrieval systems", "medicine", "absent"]),
     k_sources=st.integers(1, 4),
@@ -238,18 +219,8 @@ def test_search_survives_leaf_faults_by_fallback(
     search still returns the flat answer, bit for bit — counted once,
     and said on the ``select`` span."""
     flat, brokered, leaves = flat_and_brokered
-    internet = brokered.client.internet
-    for index, (leaf, fault) in enumerate(zip(leaves, faults)):
-        base = _leaf_base(index)
-        publish_broker_leaf(internet, leaf, base)  # undo an earlier example's garbage
-        internet.set_fault_profile(
-            f"leaf-{index}.example.org", HOST_FAULTS.get(fault)
-        )
-        if fault == "garbage":
-            for endpoint in ("probe", "select"):
-                internet.register_post(
-                    f"{base}/{endpoint}", lambda body: b"<html>502</html>"
-                )
+    for leaf, fault in zip(leaves, faults):
+        leaf.fault = fault
     query = SQuery(
         ranking_expression=parse_expression(
             "list(" + " ".join(f'(body-of-text "{word}")' for word in text.split()) + ")"
@@ -276,6 +247,6 @@ def test_search_survives_leaf_faults_by_fallback(
     else:
         # Serial fan-out: the first faulty leaf is the one that raised.
         first = next(fault for fault in faults if fault != "none")
-        assert select.attributes["broker_fallback"].startswith(RAISES[first])
+        assert select.attributes["broker_fallback"].startswith(RAISES[first].__name__)
         ((_, counter),) = fallbacks.children()
         assert counter.value == 1

@@ -30,12 +30,6 @@ class TestDeltaStream:
         assert leaf.index.collection_frequency("databases") == 0
         assert leaf.index.collection_frequency("networks") == 1
 
-    def test_cursor_counts_every_delta(self, leaf):
-        assert leaf.log_position == 2
-        leaf.apply_delta("S0", None)
-        leaf.apply_delta("S0", None)  # a no-op forget is still a delta
-        assert leaf.log_position == 4
-
 
 class TestProbe:
     def test_probe_reports_shard_statistics(self, leaf):

@@ -4,7 +4,9 @@ import random
 
 from repro.broker import build_hierarchy
 from repro.metasearch.summary_index import SummaryIndex
+from repro.starts.errors import ProtocolError
 from repro.starts.metadata import SContentSummary, SummaryEntryLine, SummarySection
+from repro.transport import TransportError, TransportTimeout
 
 VOCABULARY = ["databases", "retrieval", "networks", "medicine", "systems", "query"]
 
@@ -45,3 +47,32 @@ def populated(n_leaves, population, **kwargs):
 
 def flat_index(population):
     return SummaryIndex.from_summaries(population)
+
+
+#: what a leaf that is not this process can do to the root: the typed
+#: errors a wire raises, by the name the ``select`` span reports.
+RAISES = {
+    "dead": TransportError,
+    "hangs": TransportTimeout,
+    "garbage": ProtocolError,
+}
+
+
+class FaultyLeaf:
+    """A :class:`~repro.broker.LeafHandle` over a real leaf that fails a
+    consultation the way ``fault`` says; deltas always arrive."""
+
+    def __init__(self, leaf):
+        self.leaf, self.leaf_id, self.fault = leaf, leaf.leaf_id, "none"
+        self.apply_delta = leaf.apply_delta
+
+    def _consulted(self):
+        if self.fault != "none":
+            raise RAISES[self.fault](f"{self.leaf_id} is {self.fault}")
+        return self.leaf
+
+    def probe(self, terms, k):
+        return self._consulted().probe(terms, k)
+
+    def select_candidates(self, selector, terms, k, stats):
+        return self._consulted().select_candidates(selector, terms, k, stats)

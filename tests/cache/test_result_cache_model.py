@@ -100,7 +100,7 @@ def test_cache_agrees_with_the_model(seed):
         else:
             assert getattr(cache, name)(*arguments) == getattr(model, name)(*arguments)
         # Same entries in the same recency order: the next victim is the same.
-        assert [row[0] for row in cache.checkpoint_rows()] == list(model.entries)
+        assert list(cache._entries) == list(model.entries)
         assert len(cache) == len(model.entries)
 
 
@@ -131,4 +131,3 @@ def test_eight_threads_end_within_capacity():
         thread.join()
     assert failures == []
     assert len(cache) <= 16
-    assert len(cache.checkpoint_rows()) == len(cache)

@@ -26,11 +26,6 @@ class TestDocument:
         doc = Document("http://x/1", {F.TITLE: "T", F.AUTHOR: ""})
         assert dict(doc.text_fields()) == {F.TITLE: "T"}
 
-    def test_full_text_concatenates(self):
-        doc = make_doc(title="Alpha", body="beta gamma")
-        assert "Alpha" in doc.full_text()
-        assert "beta gamma" in doc.full_text()
-
     def test_size_kbytes_minimum_one(self):
         assert make_doc(title="x", body="").size_kbytes() == 1
 

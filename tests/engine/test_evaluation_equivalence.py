@@ -22,7 +22,7 @@ from repro.engine.query import AND, AND_NOT, OR, BooleanQuery, ListQuery, ProxQu
 from repro.engine.ranking import RANKING_ALGORITHMS
 from repro.engine.search import SearchEngine
 
-from tests.oracles.daat import oracle_evaluate_ranking, oracle_search
+from tests.oracles.daat import oracle_search
 
 ALGORITHMS = sorted(RANKING_ALGORITHMS)
 
@@ -151,16 +151,11 @@ class TestAllAlgorithms:
                 engine, ranking_query=query, top_k=top_k, min_score=min_score
             )
 
-    def test_evaluate_ranking_dicts_match(self, algorithm_id):
+    def test_fuzzy_or_alone_and_filtered(self, algorithm_id):
         engine = build_engine(algorithm_id, seed=10)
         query = BooleanQuery(OR, (t("connect"), t("delta", 0.4)))
-        assert engine.evaluate_ranking(query) == oracle_evaluate_ranking(
-            engine, query
-        )
-        candidates = set(range(0, engine.document_count, 2))
-        assert engine.evaluate_ranking(
-            query, candidates
-        ) == oracle_evaluate_ranking(engine, query, candidates)
+        assert_search_equivalent(engine, ranking_query=query)
+        assert_search_equivalent(engine, filter_query=t("gamma"), ranking_query=query)
 
 
 def test_top_k_truncation_is_prefix_of_full_result():

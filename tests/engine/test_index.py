@@ -130,7 +130,3 @@ class TestSummaryStatistics:
         entry = sections[0][2]["x"]
         assert entry.postings == 3
         assert entry.document_frequency == 1
-
-    def test_summary_vocabulary_size(self):
-        # body: Alpha, alpha, beta, gamma (surfaces) + title: alpha.
-        assert build_index().summary_vocabulary_size() == 5

@@ -16,9 +16,6 @@ class TestTermQuery:
         assert term.modifiers == frozenset()
         assert term.weight == 1.0
 
-    def test_with_weight(self):
-        assert t("x").with_weight(0.5).weight == 0.5
-
     def test_comparison_extraction(self):
         assert t("1996-01-01", modifiers=frozenset({">"})).comparison() == ">"
         assert t("x").comparison() is None

@@ -12,6 +12,11 @@ def t(text, weight=1.0):
     return TermQuery(F.BODY_OF_TEXT, text, weight=weight)
 
 
+def ranked(engine, query):
+    """doc id → score of a ranking-only search."""
+    return {hit.doc_id: hit.score for hit in engine.search(ranking_query=query)}
+
+
 @pytest.fixture
 def engine():
     e = SearchEngine()
@@ -58,7 +63,7 @@ class TestFuzzyOperators:
 
     def test_and_is_min(self, engine):
         both = BooleanQuery("and", (t("databases"), t("networks")))
-        scores = engine.evaluate_ranking(both)
+        scores = ranked(engine, both)
         # Doc 1 contains both; docs 0 and 2 miss one -> min is 0.
         assert scores.get(0, 0.0) == 0.0
         assert scores[1] > 0.0
@@ -66,36 +71,32 @@ class TestFuzzyOperators:
 
     def test_or_is_max(self, engine):
         either = BooleanQuery("or", (t("databases"), t("networks")))
-        scores = engine.evaluate_ranking(either)
+        scores = ranked(engine, either)
         assert all(score > 0.0 for score in scores.values())
         assert set(scores) == {0, 1, 2}
 
     def test_and_not_subtracts(self, engine):
         query = BooleanQuery("and-not", (t("databases"), t("networks")))
-        scores = engine.evaluate_ranking(query)
+        scores = ranked(engine, query)
         # Doc 0 has no "networks": full score.  Doc 1 has both: reduced.
         assert scores[0] > scores.get(1, 0.0)
 
     def test_and_not_never_negative(self, engine):
         query = BooleanQuery("and-not", (t("databases"), t("networks")))
-        scores = engine.evaluate_ranking(query)
+        scores = ranked(engine, query)
         assert all(score >= 0.0 for score in scores.values())
 
     def test_prox_scores_only_when_satisfied(self, engine):
         close = ProxQuery(t("databases"), t("networks"), distance=1, ordered=True)
-        scores = engine.evaluate_ranking(close)
+        scores = ranked(engine, close)
         assert scores.get(1, 0.0) > 0.0  # "databases and networks"
         assert scores.get(0, 0.0) == 0.0
 
     def test_list_and_and_differ(self, engine):
         """The same terms under list() vs and score differently
         (Example 4's R1 vs R2)."""
-        list_scores = engine.evaluate_ranking(
-            ListQuery((t("databases"), t("networks")))
-        )
-        and_scores = engine.evaluate_ranking(
-            BooleanQuery("and", (t("databases"), t("networks")))
-        )
+        list_scores = ranked(engine, ListQuery((t("databases"), t("networks"))))
+        and_scores = ranked(engine, BooleanQuery("and", (t("databases"), t("networks"))))
         assert list_scores[0] > 0.0
         assert and_scores.get(0, 0.0) == 0.0
 
@@ -124,11 +125,10 @@ class TestFilterPlusRanking:
     def test_no_queries_returns_empty(self, engine):
         assert engine.search() == []
 
-    def test_boolean_only_engine_rejects_ranking(self):
+    def test_boolean_only_engine_has_nothing_to_rank_by(self):
         engine = SearchEngine(ranking=None)
         engine.add(Document("http://x/0", {F.BODY_OF_TEXT: "text"}))
-        with pytest.raises(RuntimeError):
-            engine.evaluate_ranking(ListQuery((t("text"),)))
+        assert engine.search(ranking_query=ListQuery((t("text"),))) == []
 
     def test_boolean_only_engine_filter_still_works(self):
         engine = SearchEngine(ranking=None)

@@ -1,13 +1,12 @@
-"""Distributed tracing: one consultation, one stitched cross-process tree.
+"""Distributed tracing: one search, one stitched cross-process tree.
 
-The acceptance path for the tracing tentpole: a :class:`RootBroker`
-whose children are :class:`NetworkLeafHandle`\\ s over published
-endpoints runs one ``select`` under a client tracer; the trace context
-crosses the (simulated) wire as a ``traceparent`` header, each endpoint
-records its serve-side fragment into a :class:`TraceCollector`, and
-:func:`stitch_traces` splices everything back into a single tree under
-one trace id — root span → per-leaf ``rpc:*`` spans → server-side
-``leaf:*`` spans.
+The trace context crosses the wire (simulated or a socket) as a
+``traceparent`` header, each source endpoint records its serve-side
+fragment into a :class:`TraceCollector`, and ``explain`` /
+:func:`stitch_traces` splice everything back into a single tree under
+one trace id — the client's ``query:<id>`` span → the server's
+``serve:query:<id>`` span.  A brokered selection stays in one process:
+its tree is ``select:broker`` → one ``rpc:*`` span per leaf consulted.
 """
 
 import json
@@ -16,23 +15,12 @@ import time
 
 import pytest
 
-from repro.broker import (
-    LeafBroker,
-    NetworkLeafHandle,
-    RootBroker,
-    publish_broker_leaf,
-)
 from repro.federation import AsyncExecutor
 from repro.metasearch.selection import Cori
 from repro.cache import CachePolicy
 from repro.corpus import CollectionSpec, generate_collection
 from repro.metasearch import Metasearcher
-from repro.observability import (
-    TraceCollector,
-    Tracer,
-    render_ndjson,
-    stitch_traces,
-)
+from repro.observability import TraceCollector, Tracer, stitch_traces
 from repro.resource import Resource
 from repro.source import StartsSource
 from repro.starts import SQuery, parse_expression
@@ -44,144 +32,31 @@ from repro.transport import (
 )
 from repro.vendors import build_vendor_source
 
-from tests.broker.util import demo_population
+from tests.broker.util import demo_population, populated
 
 
-def _traced_network_root(n_leaves=3, executor=None):
-    internet = SimulatedInternet(seed=3)
-    collector = TraceCollector()
-    handles = []
-    for index in range(n_leaves):
-        leaf = LeafBroker(f"net-{index}")
-        base = f"http://net-{index}.example.org/broker"
-        publish_broker_leaf(internet, leaf, base, trace_sink=collector)
-        handles.append(NetworkLeafHandle(internet, base, leaf.leaf_id))
-    root = RootBroker(handles, executor=executor)
-    population = demo_population()
-    for source_id in sorted(population):
-        root.apply_delta(source_id, population[source_id])
-    return root, collector
-
-
-def _span_rows(rows):
-    return [row for row in rows if row["kind"] == "span"]
-
-
-class TestStitchedConsultation:
-    def _run(self, executor=None):
-        root, collector = _traced_network_root(executor=executor)
-        tracer = Tracer()
-        selected = root.select(Cori(), ["databases", "medicine"], 3, tracer=tracer)
-        assert selected
-        trace = tracer.trace()
-        rows = stitch_traces(trace, collector.traces())
-        return trace, collector, rows
-
-    def test_one_trace_id_across_processes(self):
-        trace, collector, rows = self._run()
-        assert collector.traces(trace.trace_id)  # fragments did arrive
-        assert {row["trace_id"] for row in rows} == {trace.trace_id}
-
-    def test_fragments_nest_under_the_issuing_rpc_spans(self):
-        trace, _, rows = self._run()
-        spans = _span_rows(rows)
-        by_id = {row["span_id"]: row for row in spans}
-        client_rpc_ids = {
-            row["span_id"] for row in spans if row["name"].startswith("rpc:")
-        }
-        fragment_roots = [
-            row
-            for row in spans
-            if row["name"].startswith("leaf:") and row["parent_id"] in by_id
-        ]
-        # Every server-side fragment hangs off exactly the client-side
-        # rpc span that issued it — the cross-process stitch.
-        served = [row for row in spans if row["name"].startswith("leaf:")]
-        assert served
-        assert fragment_roots == served
-        for row in served:
-            assert row["parent_id"] in client_rpc_ids
-            parent = by_id[row["parent_id"]]
-            leaf_id = row["name"].split(":")[1]
-            assert parent["name"].endswith(f":{leaf_id}")
-
-    def test_three_level_nesting_root_rpc_leaf(self):
-        trace, _, rows = self._run()
-        spans = _span_rows(rows)
-        by_id = {row["span_id"]: row for row in spans}
-        leaf_row = next(row for row in spans if row["name"].startswith("leaf:"))
-        rpc_row = by_id[leaf_row["parent_id"]]
-        select_row = by_id[rpc_row["parent_id"]]
-        assert select_row["name"] == "select:broker"
-        assert select_row["parent_id"] is None
-
-    def test_probe_and_select_endpoints_both_traced(self):
-        _, _, rows = self._run()
-        names = {row["name"] for row in _span_rows(rows)}
-        assert any(name.startswith("rpc:probe:") for name in names)
-        assert any(name.startswith("rpc:select:") for name in names)
-        assert any(
-            name.startswith("leaf:") and name.endswith(":probe")
-            for name in names
-        )
-        assert any(
-            name.startswith("leaf:") and name.endswith(":select")
-            for name in names
-        )
-
-    def test_parallel_executor_stitches_identically(self):
+class TestBrokerSpans:
+    @pytest.fixture(params=["serial", "async"])
+    def spans(self, request):
         # Contextvars do not cross AsyncExecutor's worker pool (leaf
         # consultations are plain callables); the explicit capture in
-        # RootBroker._consult must keep the stitch intact anyway.
-        trace, _, rows = self._run(executor=AsyncExecutor(max_concurrency=4))
-        spans = _span_rows(rows)
-        assert {row["trace_id"] for row in spans} == {trace.trace_id}
-        rpc_ids = {
-            row["span_id"] for row in spans if row["name"].startswith("rpc:")
-        }
-        served = [row for row in spans if row["name"].startswith("leaf:")]
-        assert served
-        assert all(row["parent_id"] in rpc_ids for row in served)
-
-    def test_ndjson_is_one_json_object_per_line(self):
-        trace, collector, _ = self._run()
-        text = render_ndjson(trace, collector.traces())
-        lines = text.strip().split("\n")
-        parsed = [json.loads(line) for line in lines]
-        assert all(row["trace_id"] == trace.trace_id for row in parsed)
-
-    def test_unrelated_fragments_are_not_stitched(self):
-        trace, collector, _ = self._run()
-        stranger = Tracer(trace_id="f00d" * 4)
-        with stranger.span("serve:query:other"):
-            pass
-        collector.add(stranger.trace())
-        rows = stitch_traces(trace, collector.traces())
-        assert {row["trace_id"] for row in rows} == {trace.trace_id}
-
-
-class TestUntracedPathUnchanged:
-    def test_no_tracer_no_fragments(self):
-        root, collector = _traced_network_root()
-        root.select(Cori(), ["databases"], 3)
-        assert len(collector) == 0
-
-    def test_no_sink_means_bare_handlers(self):
-        internet = SimulatedInternet(seed=3)
-        leaf = LeafBroker("bare-0")
-        base = "http://bare-0.example.org/broker"
-        publish_broker_leaf(internet, leaf, base)  # no sink
-        handle = NetworkLeafHandle(internet, base, leaf.leaf_id)
-        root = RootBroker([handle])
-        population = demo_population()
-        for source_id in sorted(population):
-            root.apply_delta(source_id, population[source_id])
+        # RootBroker._consult must keep the tree intact anyway.
+        executor = AsyncExecutor(max_concurrency=4) if request.param == "async" else None
+        root = populated(3, demo_population(), executor=executor)
         tracer = Tracer()
-        assert root.select(Cori(), ["databases"], 3, tracer=tracer)
-        # The client side still traces; there is just nothing to stitch.
-        names = [row["name"] for row in stitch_traces(tracer.trace())]
-        assert any(name.startswith("rpc:") for name in names)
-        assert not any(name.startswith("leaf:") for name in names)
+        assert root.select(Cori(), ["databases", "medicine"], 3, tracer=tracer)
+        rows = stitch_traces(tracer.trace())
+        return [row for row in rows if row["kind"] == "span"]
+
+    def test_rpc_spans_nest_under_select(self, spans):
+        (select,) = [row for row in spans if row["parent_id"] is None]
+        assert select["name"] == "select:broker"
+        consulted = [row for row in spans if row is not select]
+        assert {row["parent_id"] for row in consulted} == {select["span_id"]}
+        for op in ("probe", "select"):
+            assert {
+                row["name"] for row in consulted if row["name"].startswith(f"rpc:{op}:")
+            } == {f"rpc:{op}:leaf-{index:02d}" for index in range(3)}
 
 
 SLOW, SLOW_MS = "Trace-Net", 20.0
@@ -260,6 +135,15 @@ class TestExplainNamesTheSlowSource:
             parent, ms = tree[f"serve:query:{source_id}"]
             assert parent == f"query:{source_id}"
             assert (ms >= SLOW_MS) == (source_id == SLOW), (source_id, ms)
+
+    def test_strangers_stay_out(self, explained):
+        result, collector = explained
+        stranger = Tracer(trace_id="f00d" * 4)
+        with stranger.span("serve:query:other"):
+            pass
+        rows = stitch_traces(result.trace, [*collector.traces(), stranger.trace()])
+        assert {row["trace_id"] for row in rows} == {result.trace.trace_id}
+        assert any(row.get("name", "").startswith("serve:query:") for row in rows)
 
     def test_without_fragments_only_the_client_side_is_told(self, explained):
         result, _ = explained

@@ -28,8 +28,7 @@ class TestMergeSummaries:
             ]
         )
         assert merged.num_docs == 30
-        assert merged.total_postings("databases") == 40
-        assert merged.document_frequency("databases") == 13
+        assert merged.word_statistics()["databases"] == (40, 13)
         assert merged.document_frequency("networks") == 3
 
     def test_sections_keep_field_language_grouping(self):
@@ -140,6 +139,5 @@ class TestMergeSummaries:
         merged = merge_summaries(separate)
         assert merged.num_docs == union.num_docs
         for word in ("databases", "distributed", "ullman"):
-            assert merged.total_postings(word) == union.total_postings(word)
-            assert merged.document_frequency(word) == union.document_frequency(word)
+            assert merged.word_statistics()[word] == union.word_statistics()[word]
 

@@ -76,7 +76,7 @@ class TestMultiResourceDiscovery:
         searcher = Metasearcher(internet, urls[:1])
         searcher.refresh()
         assert len(searcher.discovery.known_sources()) == 1
-        searcher.add_resource(urls[1])
+        searcher.resource_urls.append(urls[1])
         searcher.refresh()
         assert len(searcher.discovery.known_sources()) == 3
 

@@ -33,7 +33,7 @@ def rewrite(expression_text, source):
 class TestStemRewriting:
     def test_stem_becomes_or_of_variants(self, no_stem_source):
         rewritten, report = rewrite('(title stem "databases")', no_stem_source)
-        assert report.rewrite_count == 1
+        assert len(report.rewritten) == 1
         assert isinstance(rewritten, SOr)
         words = sorted(t.lstring.text for t in rewritten.terms())
         # The summary's title vocabulary contains both surface forms.
@@ -51,7 +51,7 @@ class TestStemRewriting:
             node, source1.metadata(), source1.content_summary()
         )
         assert rewritten == node
-        assert report.rewrite_count == 0
+        assert len(report.rewritten) == 0
 
     def test_no_vocabulary_match_keeps_term(self, no_stem_source):
         rewritten, report = rewrite('(title stem "xylophones")', no_stem_source)
@@ -62,7 +62,7 @@ class TestStemRewriting:
 class TestOtherModifiers:
     def test_phonetic_rewriting(self, no_stem_source):
         rewritten, report = rewrite('(author phonetic "Ullmann")', no_stem_source)
-        assert report.rewrite_count == 1
+        assert len(report.rewritten) == 1
         words = [t.lstring.text for t in rewritten.terms()]
         assert "ullman" in words
 
@@ -78,7 +78,7 @@ class TestOtherModifiers:
             '((body-of-text stem "databases") prox[1,T] (body-of-text "systems"))',
             no_stem_source,
         )
-        assert report.rewrite_count == 0  # prox terms must stay atomic
+        assert len(report.rewritten) == 0  # prox terms must stay atomic
 
 
 class TestEndToEndRecovery:

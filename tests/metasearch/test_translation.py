@@ -161,7 +161,7 @@ class TestWorthQuerying:
 
 
 class TestReport:
-    def test_feature_loss_counts_drops(self):
+    def test_drops_make_the_report_lossy(self):
         source = StartsSource(
             "S",
             source1_documents(),
@@ -170,4 +170,4 @@ class TestReport:
         _, report = ClientTranslator().translate(
             query_with_everything(), source.metadata()
         )
-        assert report.feature_loss == len(report.dropped) > 0
+        assert report.dropped and not report.is_lossless()

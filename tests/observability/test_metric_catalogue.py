@@ -15,37 +15,18 @@ KINDS = {"counter", "gauge", "histogram"}
 
 def declared_families() -> set[str]:
     """Every name a ``.counter(`` / ``.gauge(`` / ``.histogram(`` call
-    under ``src/repro`` registers: a literal first argument, or — where a
-    helper registers the name it was passed (``checkpoint._observe``) —
-    the literals its callers in that module pass."""
+    under ``src/repro`` registers (always a literal first argument)."""
     names: set[str] = set()
     for path in sorted((REPO / "src" / "repro").rglob("*.py")):
-        tree = ast.parse(path.read_text())
-        forwarding: dict[str, int] = {}  # helper -> index of its name parameter
-        for function in ast.walk(tree):
-            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            parameters = [argument.arg for argument in function.args.args]
-            for call in ast.walk(function):
-                if not (
-                    isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Attribute)
-                    and call.func.attr in KINDS
-                    and call.args
-                ):
-                    continue
-                first = call.args[0]
-                if isinstance(first, ast.Constant) and isinstance(first.value, str):
-                    names.add(first.value)
-                elif isinstance(first, ast.Name) and first.id in parameters:
-                    forwarding[function.name] = parameters.index(first.id)
-        for call in ast.walk(tree):
+        for call in ast.walk(ast.parse(path.read_text())):
             if (
                 isinstance(call, ast.Call)
-                and isinstance(call.func, ast.Name)
-                and call.func.id in forwarding
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr in KINDS
+                and call.args
             ):
-                names.add(call.args[forwarding[call.func.id]].value)
+                assert isinstance(call.args[0], ast.Constant), f"{path}:{call.lineno}"
+                names.add(call.args[0].value)
     return names
 
 
@@ -66,8 +47,7 @@ def test_the_catalogue_lists_exactly_the_declared_families():
     declared, documented = declared_families(), set(documented_families())
     assert declared - documented == set(), "declared in src/, missing from the table"
     assert documented - declared == set(), "in the table, declared nowhere in src/"
-    # The collector sees both shapes of declaration.
-    assert {"source_requests_total", "checkpoint_save_ms"} <= declared
+    assert "source_requests_total" in declared
 
 
 def test_every_family_names_its_reader():

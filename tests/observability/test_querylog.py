@@ -69,26 +69,26 @@ class TestRingBuffer:
 
 
 class TestSlowQueries:
-    def test_slowest_first_at_threshold(self):
+    def test_counted_at_threshold(self):
         log = QueryLog(slow_ms=5.0)
         log.record(_record(total_ms=2.0))
         log.record(_record(total_ms=9.0))
         log.record(_record(total_ms=5.0))
-        assert [r.total_ms for r in log.slow_queries()] == [9.0, 5.0]
         assert log.total_slow == 2
 
     def test_no_threshold_means_no_slow_queries(self):
         log = QueryLog()
         log.record(_record(total_ms=1e9))
-        assert log.slow_queries() == []
+        assert log.total_slow == 0
 
 
 class TestNdjson:
-    def test_one_sorted_json_object_per_line(self):
+    def test_one_sorted_json_object_per_line(self, tmp_path):
         log = QueryLog()
         log.record(_record("wire", 1.25, trace_id="abc"))
         log.record(_record("hit", 0.5))
-        lines = log.to_ndjson().strip().split("\n")
+        assert log.write_ndjson(str(tmp_path / "queries.ndjson")) == 2
+        lines = (tmp_path / "queries.ndjson").read_text().strip().split("\n")
         assert len(lines) == 2
         first = json.loads(lines[0])
         assert first["kind"] == "query"
@@ -96,8 +96,9 @@ class TestNdjson:
         assert first["trace_id"] == "abc"
         assert first["total_ms"] == 1.25
 
-    def test_empty_log_renders_empty(self):
-        assert QueryLog().to_ndjson() == ""
+    def test_empty_log_renders_empty(self, tmp_path):
+        assert QueryLog().write_ndjson(str(tmp_path / "queries.ndjson")) == 0
+        assert (tmp_path / "queries.ndjson").read_text() == ""
 
     def test_write_ndjson_round_trips(self, tmp_path):
         log = QueryLog()

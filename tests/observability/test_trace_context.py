@@ -1,6 +1,9 @@
 """Trace context: the traceparent codec and ambient propagation."""
 
+import re
 import threading
+
+from hypothesis import given, strategies as st
 
 from repro.observability import (
     TraceCollector,
@@ -56,6 +59,57 @@ class TestTraceparentCodec:
         ]
         for header in bad:
             assert TraceContext.from_traceparent(header) is None
+
+    def test_only_lowercase_ascii_hex_of_a_known_version_is_an_id(self):
+        """``int(x, 16)`` took all of these: a foreign header's id then rode
+        into ``explain``, the NDJSON export and outbound headers."""
+        trace, span = "ab" * 16, "cd" * 8
+        bad = [
+            f"00-+{'a' * 31}-{span}-01",  # signed
+            f"00-{trace}--{'c' * 15}-01",
+            f"00-{'١' * 32}-{span}-01",  # non-ASCII digits
+            f"00-{trace}-{'１' * 16}-01",
+            f"00-{'AB' * 16}-{span}-01",  # uppercase
+            f"zz-{trace}-{span}-01",  # not a version
+            f"ff-{trace}-{span}-01",  # the version W3C reserves as invalid
+            f"00-{trace}-{span}-0x1",
+            f"00-{trace}-{span}-1",
+            f"00-{trace}-{span}- 1",
+            f"00-{'0' * 32}-{span}-01",  # all-zero ids
+            f"00-{trace}-{'0' * 16}-01",
+        ]
+        for header in bad:
+            assert TraceContext.from_traceparent(header) is None, header
+        future = TraceContext.from_traceparent(f"01-{trace}-{span}-03")
+        assert future == TraceContext(trace, span, sampled=True)
+
+    @given(
+        st.one_of(
+            st.text(max_size=60),
+            # a well-formed header with a few characters swapped out
+            st.tuples(
+                st.lists(st.tuples(st.integers(0, 54), st.characters()), max_size=3),
+                st.sampled_from(["00", "ff", "0a"]),
+            ).map(
+                lambda drawn: "".join(
+                    dict(drawn[0]).get(index, char)
+                    for index, char in enumerate(
+                        f"{drawn[1]}-{'0' * 16}{'5e' * 8}-{'7f' * 8}-01"
+                    )
+                )
+            ),
+        )
+    )
+    def test_arbitrary_text_parses_to_none_or_to_a_clean_round_trip(self, header):
+        context = TraceContext.from_traceparent(header)  # never raises
+        if context is not None:
+            assert re.fullmatch(
+                "[0-9a-f]{2}-[0-9a-f]{32}-[0-9a-f]{16}-[0-9a-f]{2}", header.strip()
+            )
+            assert re.fullmatch("[0-9a-f]{16}|[0-9a-f]{32}", context.trace_id)
+            assert re.fullmatch("[0-9a-f]{16}", context.span_id)
+            assert int(context.trace_id, 16) and int(context.span_id, 16)
+            assert TraceContext.from_traceparent(context.to_traceparent()) == context
 
     def test_child_keeps_trace_and_swaps_span(self):
         context = TraceContext("ab" * 8, "cd" * 8, sampled=False)

@@ -27,7 +27,8 @@ __all__ = ["oracle_size_kbytes", "oracle_to_document", "oracle_search", "OracleS
 
 def oracle_size_kbytes(document: Document) -> int:
     """Document size in whole KBytes, at least 1 (``DocSize``)."""
-    nbytes = len(document.full_text().encode("utf-8"))
+    full_text = " ".join(value for _, value in document.text_fields())
+    nbytes = len(full_text.encode("utf-8"))
     return max(1, round(nbytes / 1024)) if nbytes else 1
 
 

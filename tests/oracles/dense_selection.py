@@ -50,15 +50,21 @@ def _bgloss_score(terms: Sequence[str], summary: SContentSummary) -> float:
     return estimate
 
 
+def _total_postings(summary: SContentSummary, term: str) -> int:
+    if not summary.case_sensitive:
+        term = term.lower()
+    return summary.word_statistics().get(term, (0, 0))[0]
+
+
 def _vgloss_sum_score(terms: Sequence[str], summary: SContentSummary) -> float:
-    return float(sum(summary.total_postings(term) for term in terms))
+    return float(sum(_total_postings(summary, term) for term in terms))
 
 
 def _vgloss_max_score(terms: Sequence[str], summary: SContentSummary) -> float:
     goodness = 0.0
     for term in terms:
         df = summary.document_frequency(term)
-        postings = summary.total_postings(term)
+        postings = _total_postings(summary, term)
         if df > 0:
             average_tf = postings / df
             goodness += df * (1.0 + math.log(max(average_tf, 1.0)))

@@ -3,16 +3,11 @@
 import pytest
 
 from repro.starts.attributes import (
-    ATTRIBUTE_SETS,
     BASIC1,
     COMPARISON_MODIFIERS,
-    AttributeSet,
     FieldRef,
-    FieldSpec,
     ModifierRef,
-    ModifierSpec,
     canonical_field_name,
-    register_attribute_set,
 )
 from repro.starts.errors import QuerySyntaxError
 
@@ -121,21 +116,3 @@ class TestRefs:
         parser = FieldRef.parse if bad.startswith("[") else ModifierRef.parse
         with pytest.raises(QuerySyntaxError):
             parser(bad)
-
-
-class TestRegistry:
-    def test_basic1_registered(self):
-        assert ATTRIBUTE_SETS["basic-1"] is BASIC1
-
-    def test_domain_set_registration(self):
-        """[1] allows other attribute sets for other domains."""
-        geo = AttributeSet(
-            "geo-1",
-            [FieldSpec("place-name", required=True, new=True)],
-            [ModifierSpec("near", default="exact", new=True)],
-        )
-        register_attribute_set(geo)
-        try:
-            assert ATTRIBUTE_SETS["geo-1"].field("place-name").required
-        finally:
-            del ATTRIBUTE_SETS["geo-1"]

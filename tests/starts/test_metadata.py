@@ -169,7 +169,7 @@ class TestSContentSummary:
         of 12 documents; "algorithm" has 100 postings."""
         s = self.summary()
         assert s.document_frequency("datos") == 12
-        assert s.total_postings("algorithm") == 100
+        assert s.word_statistics()["algorithm"][0] == 100
 
     def test_lookup_respects_field_restriction(self):
         s = self.summary()
@@ -179,9 +179,6 @@ class TestSContentSummary:
     def test_case_insensitive_lookup_when_declared(self):
         s = self.summary()
         assert s.document_frequency("Algorithm") == 53
-
-    def test_vocabulary_size(self):
-        assert self.summary().vocabulary_size() == 4
 
     def test_missing_word_is_zero(self):
         assert self.summary().document_frequency("nonexistent") == 0
@@ -193,7 +190,6 @@ class TestSContentSummary:
         assert s.word_statistics() is stats  # built once, reused
         # The memo backs the field-less fast paths.
         assert s.document_frequency("algorithm") == 53
-        assert s.total_postings("algorithm") == 100
 
     def test_word_statistics_invalidated_when_sections_swap(self):
         s = self.summary()
@@ -201,7 +197,7 @@ class TestSContentSummary:
         object.__setattr__(s, "sections", s.sections[:1])
         fresh = s.word_statistics()
         assert "datos" not in fresh
-        assert s.total_postings("datos") == 0
+        assert s.document_frequency("datos") == 0
 
     def test_field_restricted_lookups_bypass_memo(self):
         s = self.summary()
@@ -210,7 +206,7 @@ class TestSContentSummary:
         # whole-summary memo.
         assert s.document_frequency("algorithm", "title") == 53
         assert s.document_frequency("algorithm", "author") == 0
-        assert s.total_postings("datos", "title") == 59
+        assert [entry.postings for entry in s.lookup("datos", "title")] == [59]
 
 
 class TestSResource:

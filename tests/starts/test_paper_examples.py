@@ -8,6 +8,7 @@ reproduction's golden targets (see DESIGN.md §3).
 
 from repro.corpus import source1_documents
 from repro.engine import fields as F
+from repro.engine.documents import Document
 from repro.source import SourceCapabilities, StartsSource
 from repro.starts import (
     SQuery,
@@ -248,11 +249,51 @@ class TestExample10:
         assert parsed.content_summary_linkage.endswith("/cont_sum.txt")
 
 
+def bilingual_documents() -> list[Document]:
+    """An English/Spanish mini-collection for the Example 11 summary."""
+    english = [
+        Document(
+            f"http://bilingual.example.org/en{i}.html",
+            {
+                F.TITLE: title,
+                F.AUTHOR: "Maria Rivera",
+                F.BODY_OF_TEXT: body,
+                F.DATE_LAST_MODIFIED: "1996-02-10",
+            },
+            language="en",
+        )
+        for i, (title, body) in enumerate(
+            [
+                ("Algorithm Analysis", "An algorithm for analysis of sorting."),
+                ("Graph Algorithm Survey", "Every algorithm surveyed with analysis."),
+            ]
+        )
+    ]
+    spanish = [
+        Document(
+            f"http://bilingual.example.org/es{i}.html",
+            {
+                F.TITLE: title,
+                F.AUTHOR: "Oscar Navarro",
+                F.BODY_OF_TEXT: body,
+                F.DATE_LAST_MODIFIED: "1996-03-05",
+            },
+            language="es",
+        )
+        for i, (title, body) in enumerate(
+            [
+                ("Algoritmo y datos", "Un algoritmo para datos distribuidos."),
+                ("Datos y consultas", "Consultas sobre datos en redes."),
+            ]
+        )
+    ]
+    return english + spanish
+
+
 class TestExample11:
     """Bilingual content summary with per-field, per-language sections."""
 
     def test_bilingual_summary_sections(self):
-        from repro.corpus import bilingual_documents
         from repro.vendors import build_vendor_source
 
         source = build_vendor_source("MundoDocs", "Source-Bi", bilingual_documents())

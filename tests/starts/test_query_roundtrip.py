@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 from repro.starts import BASIC1, parse_expression
 from repro.starts.ast import SAnd, SAndNot, SList, SOr, SProx, STerm
 from repro.starts.attributes import FieldRef, ModifierRef
-from repro.starts.lstring import LString, parse_lstring
+from repro.starts.lstring import LString
 from repro.text.langtags import parse_language_tag
 
 _sets = st.sampled_from([None, "basic-1"])
@@ -72,8 +72,3 @@ def test_serialized_expression_parses_back_to_itself(expression):
     a NUMBER the parser accepts — no exponent form, not rounded to zero,
     not rounded at all."""
     assert parse_expression(expression.serialize()) == expression
-
-
-@given(lstrings)
-def test_serialized_lstring_parses_back_to_itself(lstring):
-    assert parse_lstring(lstring.serialize()) == lstring

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.starts.errors import SoifSyntaxError
-from repro.starts.soif import SoifObject, dump_soif, parse_soif, parse_soif_stream
+from repro.starts.soif import SoifObject, parse_soif, parse_soif_stream
 
 
 class TestDump:
@@ -63,7 +63,7 @@ class TestParse:
         obj = SoifObject("S")
         obj.add("Field", "title").add("Field", "author")
         parsed = parse_soif(obj.dump())
-        assert parsed.get_all("Field") == ["title", "author"]
+        assert parsed.pairs() == [("Field", "title"), ("Field", "author")]
         assert parsed.get("Field") == "title"
 
     def test_empty_value(self):
@@ -73,8 +73,8 @@ class TestParse:
 
 class TestStream:
     def test_multiple_objects(self):
-        stream = dump_soif(
-            [SoifObject("A").add("x", "1"), SoifObject("B").add("y", "2")]
+        stream = "\n".join(
+            [SoifObject("A").add("x", "1").dump(), SoifObject("B").add("y", "2").dump()]
         )
         objects = parse_soif_stream(stream)
         assert [obj.template for obj in objects] == ["A", "B"]

@@ -17,7 +17,6 @@ from repro.starts.ast import STerm
 from repro.starts.attributes import FieldRef
 from repro.starts.lstring import LString
 from repro.starts.results import SQRDocument, SQResults, TermStats
-from repro.starts.soif import dump_soif
 from tests.oracles.soif_encode import oracle_dump, oracle_results_to_soif_stream
 from tests.starts.test_soif_equivalence import (
     counts,
@@ -78,7 +77,6 @@ def test_result_stream_bytes_equal_the_oracle_and_decode_back(original):
 def test_dump_equals_the_oracle(objects):
     for obj in objects:
         assert obj.dump() == oracle_dump(obj)
-    assert dump_soif(objects) == "\n".join(oracle_dump(obj) for obj in objects)
 
 
 def test_terms_are_serialized_once_per_response(monkeypatch):

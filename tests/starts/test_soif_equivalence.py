@@ -27,7 +27,7 @@ from repro.starts.errors import SoifSyntaxError, StartsError
 from repro.starts.lstring import LString
 from repro.starts.parser import parse_expression
 from repro.starts.results import SQRDocument, SQResults, TermStats
-from repro.starts.soif import SoifObject, dump_soif, parse_soif, parse_soif_stream
+from repro.starts.soif import SoifObject, parse_soif, parse_soif_stream
 from tests.oracles.soif_decode import (
     oracle_parse_soif,
     oracle_parse_soif_stream,
@@ -115,7 +115,7 @@ def test_well_formed_streams_decode_to_the_generated_objects(case):
 
 @given(st.lists(soif_objects, max_size=4))
 def test_dump_round_trips(objects):
-    assert parse_soif_stream(dump_soif(objects)) == objects
+    assert parse_soif_stream("\n".join(obj.dump() for obj in objects)) == objects
 
 
 @given(rendered_streams(), st.data())
@@ -259,7 +259,7 @@ def test_reserved_names_in_odd_case_and_duplicated(original, data):
             name = data.draw(st.sampled_from(["Version", "RawScore", "linkage", "DocSize"]))
             pairs.append((data.draw(st.sampled_from([name, name.upper()])), "7"))
         noisy.append(SoifObject(obj.template, pairs))
-    stream = dump_soif(noisy)
+    stream = "\n".join(obj.dump() for obj in noisy)
     decoded = SQResults.from_soif_stream(stream)
     assert facts(decoded) == facts(original)
     assert facts(decoded) == facts(oracle_results_from_soif_stream(stream))

@@ -41,10 +41,6 @@ def assert_equivalent(oracle, candidate):
     assert oracle.document_count == candidate.document_count
     assert oracle.store.average_token_count() == candidate.store.average_token_count()
     assert oracle.index.summary_sections() == candidate.index.summary_sections()
-    assert (
-        oracle.index.summary_vocabulary_size()
-        == candidate.index.summary_vocabulary_size()
-    )
     for field in oracle.index.fields():
         assert oracle.index.vocabulary(field) == candidate.index.vocabulary(field)
 

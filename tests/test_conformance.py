@@ -14,7 +14,7 @@ class TestBuiltinsConform:
     def test_every_vendor_passes(self, vendor):
         source = build_vendor_source(vendor, f"{vendor}-c", source1_documents())
         report = check_source(source)
-        assert report.passed, report.render()
+        assert report.passed, [finding.row() for finding in report.failures()]
 
     def test_plain_source_passes(self, source1):
         assert check_source(source1).passed
@@ -81,11 +81,6 @@ class TestBrokenSourcesFail:
 
 
 class TestReportRendering:
-    def test_render_contains_verdict(self, source1):
-        rendered = check_source(source1).render()
-        assert "CONFORMANT" in rendered
-        assert "[PASS]" in rendered
-
     def test_failures_listed(self):
         report = ConformanceReport("X")
         report.add("a", True)

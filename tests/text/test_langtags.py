@@ -17,12 +17,11 @@ class TestParsing:
         tag = parse_language_tag("en")
         assert tag.language == "en"
         assert tag.subtags == ()
-        assert tag.country is None
 
     def test_language_with_country(self):
         tag = parse_language_tag("en-US")
         assert tag.language == "en"
-        assert tag.country == "US"
+        assert tag.subtags == ("US",)
 
     def test_case_is_normalized(self):
         assert parse_language_tag("EN-us") == LanguageTag("en", ("US",))
@@ -30,10 +29,6 @@ class TestParsing:
     def test_multiple_subtags(self):
         tag = parse_language_tag("en-US-boont")
         assert tag.subtags == ("US", "boont")
-
-    def test_long_subtag_is_not_a_country(self):
-        tag = parse_language_tag("en-cockney")
-        assert tag.country is None
 
     @pytest.mark.parametrize("bad", ["", "e!", "en--US", "-en", "en-", "a b"])
     def test_malformed_tags_rejected(self, bad):
@@ -60,7 +55,7 @@ class TestMatching:
 
     def test_module_constants(self):
         assert DEFAULT_LANGUAGE.language == "en"
-        assert EN_US.country == "US"
+        assert EN_US.subtags == ("US",)
 
 
 @given(

@@ -35,13 +35,6 @@ def test_custom_list_construction():
     assert list(custom) == ["bar", "foo"]
 
 
-def test_union_merges_names_and_words():
-    merged = ENGLISH_STOP_WORDS.union(SPANISH_STOP_WORDS)
-    assert "the" in merged
-    assert "el" in merged
-    assert "english" in merged.name and "spanish" in merged.name
-
-
 def test_iteration_is_sorted():
     words = list(ENGLISH_STOP_WORDS)
     assert words == sorted(words)

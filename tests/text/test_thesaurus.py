@@ -33,8 +33,3 @@ def test_contains():
 def test_group_count():
     thesaurus = Thesaurus([("a", "b"), ("c", "d")])
     assert len(thesaurus) == 2
-
-
-def test_as_mapping_is_readonly_copy():
-    mapping = DEFAULT_THESAURUS.as_mapping()
-    assert mapping["database"] == DEFAULT_THESAURUS.expand("database")

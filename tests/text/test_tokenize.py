@@ -1,15 +1,11 @@
 """Named tokenizers: the Z39.50 question and positional output."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.text.tokenize import (
     SimpleTokenizer,
-    TokenizerRegistry,
     UnicodeTokenizer,
     WhitespaceTokenizer,
-    default_registry,
-    get_tokenizer,
 )
 
 
@@ -62,23 +58,6 @@ class TestUnicodeTokenizer:
     def test_nfkc_normalization(self):
         # The ﬁ ligature normalizes to "fi".
         assert UnicodeTokenizer().words("ﬁle") == ["file"]
-
-
-class TestRegistry:
-    def test_default_registry_has_builtin_ids(self):
-        assert set(default_registry().known_ids()) >= {"Acme-1", "Acme-2", "Uni-1"}
-
-    def test_get_tokenizer_by_id(self):
-        assert isinstance(get_tokenizer("Acme-1"), SimpleTokenizer)
-
-    def test_unknown_id_raises(self):
-        with pytest.raises(KeyError):
-            get_tokenizer("NoSuch-99")
-
-    def test_custom_registration(self):
-        registry = TokenizerRegistry()
-        registry.register(SimpleTokenizer())
-        assert registry.known_ids() == ["Acme-1"]
 
 
 @given(st.text(max_size=200))

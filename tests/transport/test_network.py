@@ -26,12 +26,6 @@ class TestRouting:
         with pytest.raises(TransportError):
             net.perform("http://h.org/x", "POST", b"")
 
-    def test_known_urls_listing(self):
-        net = SimulatedInternet()
-        net.register_get("http://h.org/a", lambda: b"")
-        net.register_post("http://h.org/b", lambda body: b"")
-        assert net.known_urls() == ["http://h.org/a", "http://h.org/b"]
-
 
 class TestAccounting:
     def test_every_request_logged(self):

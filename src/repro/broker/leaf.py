@@ -108,9 +108,6 @@ class GlobalStatsView(SummaryIndex):
             columns.positions,
         )
 
-    def collection_frequency(self, term: str) -> int:
-        return self._stats.collection_frequencies.get(term, 0)
-
     # -- per-source reads: the local shard ---------------------------------
 
     def __contains__(self, source_id: str) -> bool:

@@ -31,7 +31,7 @@ from repro.engine.evaluation import (
     QueryTermContext,
     hit_order_key,
 )
-from repro.engine.index import InvertedIndex, Posting
+from repro.engine.index import InvertedIndex
 from repro.engine.pruning import PrunedContext, supports_pruning
 from repro.engine.query import (
     EngineQuery,
@@ -75,7 +75,6 @@ __all__ = [
     "PrunedContext",
     "supports_pruning",
     "InvertedIndex",
-    "Posting",
     "EngineQuery",
     "TermQuery",
     "BooleanQuery",

@@ -87,10 +87,7 @@ class DocumentStore:
         # the per-term-weight hot path — is O(1).  Token counts are
         # integers, so the running sum is exact.
         self._token_total = 0
-        # Memoized min_token_count(); invalidated on every count write
-        # rather than maintained incrementally, because the engine adds
-        # documents with a provisional count of 0 and patches it after
-        # analysis — an incremental minimum would lock onto that 0.
+        # Memoized min_token_count(); invalidated on every write.
         self._min_token_memo: int | None = None
 
     def add(self, document: Document, token_count: int = 0) -> int:
@@ -109,11 +106,6 @@ class DocumentStore:
         # but the resource layer relies on linkage lookups being stable.
         self._by_linkage.setdefault(document.linkage, doc_id)
         return doc_id
-
-    def set_token_count(self, doc_id: int, token_count: int) -> None:
-        self._token_total += token_count - self._token_counts[doc_id]
-        self._token_counts[doc_id] = token_count
-        self._min_token_memo = None
 
     def __len__(self) -> int:
         return len(self._documents)

@@ -5,8 +5,8 @@
 match and the path every query shape it cannot bound falls back to:
 
 * each distinct ranking term is expanded **once** per query;
-* each posting list is walked **once**, materializing ``doc_id → tf``
-  plus the term's document frequency;
+* each term's posting columns are walked **once**, materializing
+  ``doc_id → tf`` plus the term's document frequency;
 * the collection statistics (document count, average document length)
   are read once and the per-(term, document) engine weights are
   precomputed from them;
@@ -125,6 +125,41 @@ def _term_key(term: TermQuery) -> tuple[str, str, str, frozenset[str]]:
     return (term.field, term.text, term.language, term.modifiers)
 
 
+def _materialize(
+    engine: "SearchEngine", expansions: dict[str, set[str]], candidates=None
+) -> tuple[TermPostings, int]:
+    """One pass over a query term's posting columns.
+
+    tf sums over every (field, index term) the term expands to; df
+    counts distinct documents over the whole source even when
+    ``candidates`` restricts the tfs.  Returns the statistics and the
+    postings walked.  The exhaustive context and the pruned driver's
+    multi-expansion terms both materialize through here.
+    """
+    doc_tf: dict[int, int] = {}
+    df_docs: set[int] = set()
+    walked = 0
+    for field_name, index_terms in expansions.items():
+        for index_term in index_terms:
+            postings = engine.index.pruned_postings(field_name, index_term)
+            doc_ids, tfs = postings.columns()
+            walked += len(doc_ids)
+            if candidates is not None:
+                df_docs.update(doc_ids)
+            for doc_id, tf in zip(doc_ids, tfs):
+                if candidates is None or doc_id in candidates:
+                    doc_tf[doc_id] = doc_tf.get(doc_id, 0) + tf
+    df = len(df_docs) if candidates is not None else len(doc_tf)
+    token_count = engine.store.token_count
+    term_weight = engine.ranking.term_weight
+    n_docs, avg = engine.document_count, engine.store.average_token_count()
+    doc_weight = {
+        doc_id: term_weight(tf, df, n_docs, token_count(doc_id), avg)
+        for doc_id, tf in doc_tf.items()
+    }
+    return TermPostings(doc_tf, df, doc_weight), walked
+
+
 class QueryTermContext:
     """Per-query evaluation context for one ranking expression.
 
@@ -152,8 +187,6 @@ class QueryTermContext:
         self._query = query
         self._candidates = candidates
         self._ranking = engine.ranking
-        self._n_docs = engine.document_count
-        self._avg_doc_len = engine.store.average_token_count()
         self._by_term: dict[tuple, TermPostings] = {}
         #: Total postings visited while materializing this query's
         #: statistics — the term-at-a-time work metric.
@@ -161,36 +194,12 @@ class QueryTermContext:
         for term in query.terms():
             key = _term_key(term)
             if key not in self._by_term:
-                self._by_term[key] = self._materialize(term)
+                self._by_term[key], walked = _materialize(
+                    engine, engine.matcher.expand(term), candidates
+                )
+                self.postings_walked += walked
         self._root_scores: dict[int, float] | None = None
         self._root_zero = 0.0
-
-    # -- statistics materialization ------------------------------------
-
-    def _materialize(self, term: TermQuery) -> TermPostings:
-        """One pass over the term's posting lists: tf per doc plus df."""
-        engine = self._engine
-        candidates = self._candidates
-        doc_tf: dict[int, int] = {}
-        df_docs: set[int] = set()
-        for field_name, index_terms in engine.matcher.expand(term).items():
-            for index_term in index_terms:
-                postings = engine.index.postings(field_name, index_term)
-                self.postings_walked += len(postings)
-                for posting in postings:
-                    doc_id = posting.doc_id
-                    df_docs.add(doc_id)
-                    if candidates is None or doc_id in candidates:
-                        doc_tf[doc_id] = doc_tf.get(doc_id, 0) + posting.term_frequency
-        df = len(df_docs)
-        token_count = engine.store.token_count
-        term_weight = self._ranking.term_weight
-        n_docs, avg = self._n_docs, self._avg_doc_len
-        doc_weight = {
-            doc_id: term_weight(tf, df, n_docs, token_count(doc_id), avg)
-            for doc_id, tf in doc_tf.items()
-        }
-        return TermPostings(doc_tf, df, doc_weight)
 
     # -- node scoring ----------------------------------------------------
 

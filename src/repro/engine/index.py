@@ -19,28 +19,7 @@ from dataclasses import dataclass
 
 from repro.text.soundex import soundex
 
-__all__ = ["Posting", "InvertedIndex", "SummaryEntry", "TermState"]
-
-#: Entry cap of the per-(field, term) memos an index keeps between
-#: mutations (term state here, merged postings on segments); a memo
-#: that fills up is cleared wholesale.
-TERM_MEMO_LIMIT = 65536
-
-
-@dataclass(frozen=True, slots=True)
-class Posting:
-    """Occurrences of one term in one document's field.
-
-    ``positions`` are word offsets within the field, in increasing
-    order; ``len(positions)`` is the within-field term frequency.
-    """
-
-    doc_id: int
-    positions: tuple[int, ...]
-
-    @property
-    def term_frequency(self) -> int:
-        return len(self.positions)
+__all__ = ["InvertedIndex", "SummaryEntry", "TermState"]
 
 
 @dataclass(slots=True)
@@ -58,41 +37,67 @@ class SummaryEntry:
 
 
 class TermState:
-    """Warm pruned-evaluation state of one (field, term).
+    """One (field, term)'s postings: the engine's one posting layout.
 
-    What the MaxScore driver reads about a term depends only on the
-    index, so it is derived once per index layout
-    (:meth:`InvertedIndex.pruned_postings` memoizes it) and shared by
-    every query and thread until the layout key moves: ``df`` /
-    ``max_tf`` / ``min_len`` for the score cap, the postings as two
-    parallel **positionless columns** (``array('q')`` doc ids,
-    ``array('I')`` tfs — 12 bytes a posting, no :class:`Posting`), and
-    beside them the ``array('d')`` of exact term weights, tagged with
-    what computed it.  Published columns are never mutated; the driver
-    writes into its maps, so every call hands out a fresh dict.
+    Three parallel columns — doc ids (``array('q')``, ascending), term
+    frequencies (``array('I')``) and every posting's word positions flat
+    in one ``array('I')``, split up by the tfs — plus ``df`` and
+    ``max_tf``.  :meth:`InvertedIndex.add_field_tokens` appends to it,
+    every reader takes it from :meth:`InvertedIndex.pruned_postings` as
+    it is, and a flush writes its columns as they are.  The segment
+    store's per-term accessor is the same contract over committed
+    segments plus this record.
+
+    :meth:`append` publishes a posting by bumping ``df`` after its
+    columns grew, and readers cut every column at the ``df`` they read
+    first, so no reader sees doc ids and tfs at different lengths.
+    Beside the columns sits the ``array('d')`` of exact term weights,
+    tagged with everything that computed it — the ranking, the
+    collection size, the average length and ``df`` — so a record that
+    grew is re-weighted even while the collection statistics read the
+    same.  No reader writes into a column it was handed; the dicts are
+    each reader's own, because the driver writes into its maps.
     """
 
     #: Multi-expansion accessors precompute this; a single list never does.
     doc_weight = None
+    #: Smallest length among the term's documents — unknown in memory.
+    min_len = None
+    #: Whether :meth:`route` exists and its handles can bound blocks.
+    has_blocks = False
 
-    __slots__ = ("df", "max_tf", "min_len", "has_blocks", "_columns", "_weights")
+    __slots__ = ("df", "max_tf", "_doc_ids", "_tfs", "_positions", "_weights")
 
-    def __init__(self, postings: list[Posting], max_tf: int) -> None:
-        self.df = len(postings)
-        self.max_tf = max_tf
-        #: Smallest length among the term's documents, when known.
-        self.min_len: int | None = None
-        #: Whether :meth:`route` exists and its handles can bound blocks.
-        self.has_blocks = False
-        self._columns = (
-            array("q", [posting.doc_id for posting in postings]),
-            array("I", [len(posting.positions) for posting in postings]),
-        )
+    def __init__(self, doc_ids: array, tfs: array, positions: array) -> None:
+        # The first posting's doc-id and tf columns may be shared with
+        # other records (see ``add_field_tokens``): ``append`` copies
+        # them before it writes.
+        self._doc_ids = doc_ids
+        self._tfs = tfs
+        self._positions = positions
+        self.df = len(doc_ids)
+        self.max_tf = max(tfs, default=0)
         self._weights: tuple | None = None
+
+    def append(self, doc_id: int, positions: list[int]) -> None:
+        """Add one document's posting (ids ascend across calls)."""
+        if self.df == 1:
+            self._tfs = array("I", self._tfs)
+            self._doc_ids = array("q", self._doc_ids)
+        self._positions.extend(positions)
+        self._tfs.append(len(positions))
+        self._doc_ids.append(doc_id)
+        self.max_tf = max(self.max_tf, len(positions))
+        self.df += 1
 
     def columns(self) -> tuple[array, array]:
         """(doc ids, tfs) of every live posting, doc-id ascending."""
-        return self._columns
+        df = self.df
+        return self._doc_ids[:df], self._tfs[:df]
+
+    def positions(self) -> tuple[array, array, array]:
+        """:meth:`columns` plus the positions, flat, in tf-sized runs."""
+        return (*self.columns(), self._positions)
 
     def tf_map(self) -> dict[int, int]:
         return dict(zip(*self.columns()))
@@ -103,17 +108,14 @@ class TermState:
         """``doc id -> ranking.term_weight(...)`` over the whole list.
 
         The weight column is computed by whichever query first walks
-        the list and reused while ``(ranking, n_docs, avg)`` are the
-        objects and numbers it was computed from.
+        the list and reused while ``ranking`` is the object and
+        ``(n_docs, avg, df)`` the numbers it was computed from.
         """
         doc_ids, tfs = self.columns()
+        df = len(doc_ids)
+        tag = (n_docs, avg, df)
         cached = self._weights
-        if (
-            cached is None
-            or cached[0] is not ranking
-            or cached[1:3] != (n_docs, avg)
-        ):
-            df = self.df
+        if cached is None or cached[0] is not ranking or cached[1] != tag:
             term_weight = ranking.term_weight
             weights = array(
                 "d",
@@ -122,20 +124,24 @@ class TermState:
                     for doc_id, tf in zip(doc_ids, tfs)
                 ],
             )
-            cached = self._weights = (ranking, n_docs, avg, weights)
-        return dict(zip(doc_ids, cached[3]))
+            cached = self._weights = (ranking, tag, weights)
+        return dict(zip(doc_ids, cached[2]))
 
     def probe(self, doc_id: int) -> int:
         """Term frequency of ``doc_id`` (0 if absent)."""
-        doc_ids, tfs = self._columns
-        slot = bisect.bisect_left(doc_ids, doc_id)
-        if slot < len(doc_ids) and doc_ids[slot] == doc_id:
-            return tfs[slot]
+        df = self.df
+        slot = bisect.bisect_left(self._doc_ids, doc_id, 0, df)
+        if slot < df and self._doc_ids[slot] == doc_id:
+            return self._tfs[slot]
         return 0
 
     def block_bound(self, doc_id: int) -> None:
-        """A plain list has no block column (see ``TermHandle``)."""
+        """A record has no block column (see ``TermHandle``)."""
         return None
+
+
+#: The record of every absent term: never appended to.
+_NO_POSTINGS = TermState(array("q"), array("I"), array("I"))
 
 
 class InvertedIndex:
@@ -146,30 +152,18 @@ class InvertedIndex:
     """
 
     def __init__(self) -> None:
-        # field -> term -> list[Posting], postings in doc-id order.
-        self._postings: dict[str, dict[str, list[Posting]]] = defaultdict(dict)
-        # field -> term -> max per-document term frequency; maintained
-        # incrementally (exact under the append-only contract — removal
-        # rebuilds the index) and the source of per-term score upper
-        # bounds for the pruned evaluator.
-        self._max_tf: dict[str, dict[str, int]] = defaultdict(dict)
+        # field -> term -> TermState, the term's posting columns.
+        self._postings: dict[str, dict[str, TermState]] = defaultdict(dict)
         # (field, language) -> surface word -> SummaryEntry.
         self._summary: dict[tuple[str, str], dict[str, SummaryEntry]] = defaultdict(dict)
         self._doc_count = 0
         # Bumped on every mutation; lets callers (the term matcher)
         # cache derived lookups and invalidate them precisely.
         self._generation = 0
-        # (layout key, (field, term) -> TermState): replaced together
-        # whenever the key moves, so a reader never pairs one key with
-        # another key's states.
-        self._term_states: tuple[object, dict[tuple[str, str], TermState]] = (
-            None,
-            {},
-        )
         # (layout key, then three lazily filled per-field lookups:
         # sorted vocabulary, sorted reversed-term vocabulary — so
         # left-truncation is a bisect, mirroring terms_with_prefix — and
-        # soundex code -> terms), replaced together like the term states.
+        # soundex code -> terms), replaced together whenever the key moves.
         self._vocab_memo: tuple[object, dict, dict, dict] = (None, {}, {}, {})
 
     # -- construction ---------------------------------------------------
@@ -203,13 +197,22 @@ class InvertedIndex:
                 counted.add(surface)
                 entry.document_frequency += 1
         field_postings = self._postings[field]
-        field_max_tf = self._max_tf[field]
+        # A term's first posting shares its one-element doc-id and tf
+        # columns with the document's other new terms: most terms of a
+        # small source never get a second posting, and two arrays of
+        # their own would cost such a term more than the rest of it.
+        first_doc = array("q", (doc_id,))
+        first_tfs: dict[int, array] = {}
         for term, positions in by_term.items():
-            field_postings.setdefault(term, []).append(
-                Posting(doc_id, tuple(sorted(positions)))
-            )
-            if len(positions) > field_max_tf.get(term, 0):
-                field_max_tf[term] = len(positions)
+            positions.sort()
+            record = field_postings.get(term)
+            if record is not None:
+                record.append(doc_id, positions)
+                continue
+            tfs = first_tfs.get(len(positions))
+            if tfs is None:
+                tfs = first_tfs[len(positions)] = array("I", (len(positions),))
+            field_postings[term] = TermState(first_doc, tfs, array("I", positions))
         self._doc_count = max(self._doc_count, doc_id + 1)
         self._generation += 1
 
@@ -227,47 +230,30 @@ class InvertedIndex:
     def fields(self) -> list[str]:
         return sorted(self._postings)
 
-    def postings(self, field: str, term: str) -> list[Posting]:
-        """Postings for ``term`` in ``field`` (empty list if absent)."""
-        return self._postings.get(field, {}).get(term, [])
+    def pruned_postings(self, field: str, term: str) -> TermState:
+        """The term's postings: the one way every reader reaches them.
+
+        In memory this is the record ``add_field_tokens`` appends to,
+        returned as it is (an empty one for an absent term).
+        """
+        return self._postings.get(field, {}).get(term, _NO_POSTINGS)
 
     def has_postings(self, field: str, term: str) -> bool:
-        """Whether ``term`` matches any document — without decoding one."""
-        return bool(self._postings.get(field, {}).get(term))
+        """Whether ``term`` matches any live document — nothing decoded,
+        and a fully tombstoned term is absent."""
+        return self.pruned_postings(field, term).df > 0
+
+    def segment_columns(self) -> dict[str, dict[str, tuple[array, array, array]]]:
+        """``field → term → (doc ids, tfs, positions)``: what a flush
+        writes, the records' own columns."""
+        return {
+            field: {term: record.positions() for term, record in terms.items()}
+            for field, terms in self._postings.items()
+        }
 
     def _layout_key(self):
-        """Moves whenever anything a term memo was derived from moves."""
+        """Moves whenever anything a vocabulary memo was derived from moves."""
         return self.generation
-
-    def pruned_postings(self, field: str, term: str) -> TermState:
-        """The term's warm state for the pruned evaluation driver.
-
-        Memoized per (field, term) until :meth:`_layout_key` moves; the
-        memo is bounded like every other per-term memo of an index.
-        """
-        key = self._layout_key()
-        memo_key, states = self._term_states
-        if memo_key != key:
-            states = {}
-            self._term_states = (key, states)
-        state = states.get((field, term))
-        if state is None:
-            if len(states) >= TERM_MEMO_LIMIT:
-                states.clear()
-            state = states[(field, term)] = self._term_state(field, term)
-        return state
-
-    def _term_state(self, field: str, term: str) -> TermState:
-        return TermState(
-            self._postings.get(field, {}).get(term, ()),
-            self._max_tf.get(field, {}).get(term, 0),
-        )
-
-    def document_frequency(self, field: str, term: str) -> int:
-        return len(self.postings(field, term))
-
-    def collection_frequency(self, field: str, term: str) -> int:
-        return sum(p.term_frequency for p in self.postings(field, term))
 
     def _vocab_memos(self) -> tuple[dict, dict, dict]:
         """This layout's (sorted, reversed, soundex) per-field lookups."""

@@ -53,7 +53,13 @@ from __future__ import annotations
 from heapq import nlargest
 from typing import TYPE_CHECKING
 
-from repro.engine.evaluation import TermHitStats, _term_key, hit_order_key
+from repro.engine.evaluation import (
+    TermHitStats,
+    TermPostings,
+    _materialize,
+    _term_key,
+    hit_order_key,
+)
 from repro.engine.query import EngineQuery, ListQuery, TermQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with search.py
@@ -109,11 +115,11 @@ class _MaterializedAccessor:
 
     __slots__ = ("doc_tf", "df", "doc_weight", "max_weight")
 
-    def __init__(self, doc_tf: dict[int, int], doc_weight: dict[int, float]) -> None:
-        self.doc_tf = doc_tf
-        self.df = len(doc_tf)
-        self.doc_weight = doc_weight
-        self.max_weight = max(doc_weight.values(), default=0.0)
+    def __init__(self, postings: TermPostings) -> None:
+        self.doc_tf = postings.doc_tf
+        self.df = postings.document_frequency
+        self.doc_weight = postings.doc_weight
+        self.max_weight = max(postings.doc_weight.values(), default=0.0)
 
     def tf_map(self) -> dict[int, int]:
         return self.doc_tf
@@ -201,23 +207,10 @@ class PrunedContext:
         if len(pairs) == 1:
             return engine.index.pruned_postings(*pairs[0])
         # Multi-expansion: aggregate tf exactly as the exhaustive
-        # context does, then precompute the same weights.
-        doc_tf: dict[int, int] = {}
-        for field_name, index_term in pairs:
-            postings = engine.index.postings(field_name, index_term)
-            self.postings_walked += len(postings)
-            for posting in postings:
-                doc_id = posting.doc_id
-                doc_tf[doc_id] = doc_tf.get(doc_id, 0) + posting.term_frequency
-        df = len(doc_tf)
-        token_count = engine.store.token_count
-        term_weight = self._ranking.term_weight
-        n_docs, avg = self._n_docs, self._avg_doc_len
-        doc_weight = {
-            doc_id: term_weight(tf, df, n_docs, token_count(doc_id), avg)
-            for doc_id, tf in doc_tf.items()
-        }
-        return _MaterializedAccessor(doc_tf, doc_weight)
+        # context does, with the same weights.
+        postings, walked = _materialize(engine, expansions)
+        self.postings_walked += walked
+        return _MaterializedAccessor(postings)
 
     # -- the driver --------------------------------------------------------
 

@@ -13,7 +13,6 @@ document size and token count.
 from __future__ import annotations
 
 import pathlib
-import shutil
 import time
 from collections import defaultdict
 
@@ -76,10 +75,11 @@ class SearchEngine:
             ``benchmarks/suite/worlds.py`` passes ``evaluation=PRUNED``;
             nothing else should set it.
         storage: ``"memory"`` (the default, and the bit-exactness
-            oracle) keeps everything in dicts; ``"segments"`` backs
-            the engine with an on-disk :class:`SegmentStore` —
-            committed immutable segments plus an in-memory mutable
-            tail that :meth:`flush` turns into new segments.
+            oracle) keeps every term's posting columns in memory;
+            ``"segments"`` backs the engine with an on-disk
+            :class:`SegmentStore` — committed immutable segments plus
+            a mutable tail of the same columns that :meth:`flush`
+            writes as a new segment.
         storage_dir: the segment store directory (required — and only
             meaningful — for ``storage="segments"``).  Opening an
             existing store warms the engine from its segments without
@@ -138,22 +138,20 @@ class SearchEngine:
 
     def add(self, document: Document) -> int:
         """Index one document; returns its dense id."""
-        doc_id = self.store.add(document)
-        total_tokens = 0
+        fields: list[tuple[str, list[tuple[str, str, int]]]] = []
         for field_name, value in document.text_fields():
             analyzed = self.analyzer.analyze(
                 value,
                 document.language,
                 drop_stop_words=not self.analyzer.index_stop_words,
             )
-            total_tokens += len(analyzed)
+            tokens = [(token.term, token.surface, token.position) for token in analyzed]
+            fields.append((field_name, tokens))
+        doc_id = self.store.add(document, sum(len(tokens) for _, tokens in fields))
+        for field_name, tokens in fields:
             self.index.add_field_tokens(
-                doc_id,
-                field_name,
-                [(token.term, token.surface, token.position) for token in analyzed],
-                language=document.language,
+                doc_id, field_name, tokens, language=document.language
             )
-        self.store.set_token_count(doc_id, total_tokens)
         return doc_id
 
     def add_all(self, documents: list[Document]) -> list[int]:
@@ -166,7 +164,9 @@ class SearchEngine:
         fresh store/index, so every statistic (df, summaries, token
         counts) is exact afterwards.  Document ids are reassigned —
         callers must not hold ids across a removal (linkages are the
-        stable identity, as everywhere in STARTS).
+        stable identity, as everywhere in STARTS).  On segments the
+        survivors are committed before this returns: one manifest swap
+        replaces every segment and tombstone with them.
         """
         if self.store.by_linkage(linkage) is None:
             return False
@@ -202,25 +202,23 @@ class SearchEngine:
         return True
 
     def _rebuild(self, documents: list[Document]) -> None:
+        self.store = DocumentStore()
+        self.index = InvertedIndex()
+        self.matcher = TermMatcher(self.index, self.analyzer)
+        self.add_all(documents)
         if self.segment_store is not None:
-            # Exact semantics on segments too: wipe the store and
-            # re-index the survivors (ids reassigned, like in memory).
-            assert self.storage_dir is not None
-            self.segment_store.close()
-            shutil.rmtree(self.storage_dir, ignore_errors=True)
-            self.segment_store = SegmentStore(
-                self.storage_dir,
-                analyzer=self.analyzer.signature(),
-                ranking=self.ranking.algorithm_id if self.ranking else None,
-                merge_policy=self.segment_store.merge_policy,
+            # The in-memory index holds the columns a flush writes.
+            self.segment_store.replace_all(
+                [
+                    (doc_id, self.store[doc_id], self.store.token_count(doc_id))
+                    for doc_id in self.store.ids()
+                ],
+                self.index.segment_columns(),
+                self.index.summary_sections(),
             )
             self.store = SegmentedDocumentStore(self.segment_store)
             self.index = SegmentedIndex(self.segment_store)
-        else:
-            self.store = DocumentStore()
-            self.index = InvertedIndex()
-        self.matcher = TermMatcher(self.index, self.analyzer)
-        self.add_all(documents)
+            self.matcher = TermMatcher(self.index, self.analyzer)
 
     # -- segment lifecycle -------------------------------------------------
 
@@ -312,10 +310,8 @@ class SearchEngine:
         docs: set[int] = set()
         for field_name, index_terms in self.matcher.expand(term).items():
             for index_term in index_terms:
-                docs.update(
-                    posting.doc_id
-                    for posting in self.index.postings(field_name, index_term)
-                )
+                postings = self.index.pruned_postings(field_name, index_term)
+                docs.update(postings.columns()[0])
         return docs
 
     def _metadata_field_docs(self, term: TermQuery) -> set[int]:
@@ -391,8 +387,12 @@ class SearchEngine:
     ) -> dict[int, list[int]]:
         positions: dict[int, list[int]] = defaultdict(list)
         for index_term in index_terms:
-            for posting in self.index.postings(field_name, index_term):
-                positions[posting.doc_id].extend(posting.positions)
+            postings = self.index.pruned_postings(field_name, index_term)
+            doc_ids, tfs, flat = postings.positions()
+            start = 0
+            for doc_id, tf in zip(doc_ids, tfs):
+                positions[doc_id].extend(flat[start : start + tf])
+                start += tf
         return {doc_id: sorted(plist) for doc_id, plist in positions.items()}
 
     @staticmethod
@@ -580,16 +580,3 @@ class SearchEngine:
         ]
         truncated = top_k is not None and len(scores) > top_k
         return hits, context.postings_walked, truncated, 0, 0, None
-
-    # -- statistics for metadata export ---------------------------------------
-
-    def document_frequency(self, term: TermQuery) -> int:
-        """Source-wide df of a query term (for content summaries)."""
-        docs: set[int] = set()
-        for field_name, index_terms in self.matcher.expand(term).items():
-            for index_term in index_terms:
-                docs.update(
-                    posting.doc_id
-                    for posting in self.index.postings(field_name, index_term)
-                )
-        return len(docs)

@@ -336,7 +336,3 @@ class SummaryIndex:
             ordinals, document_frequencies, postings,
             collection_frequency, positions,
         )
-
-    def collection_frequency(self, term: str) -> int:
-        """How many indexed sources contain ``term`` with positive df."""
-        return self.term_columns(term).collection_frequency

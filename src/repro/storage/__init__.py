@@ -13,10 +13,8 @@ either backend.
 from repro.storage.format import (
     FORMAT_VERSION,
     StorageError,
-    decode_posting_list,
     decode_string,
     decode_varint,
-    encode_posting_list,
     encode_string,
     encode_varint,
 )
@@ -49,10 +47,8 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "commit_manifest",
-    "decode_posting_list",
     "decode_string",
     "decode_varint",
-    "encode_posting_list",
     "encode_string",
     "encode_varint",
     "read_manifest",

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from array import array
 
-from repro.engine.index import Posting
-
 __all__ = [
     "FORMAT_VERSION",
     "SUPPORTED_VERSIONS",
@@ -116,9 +114,11 @@ def decode_string(buf, pos: int) -> tuple[str, int]:
 
 
 def encode_posting_list(
-    out: bytearray, postings: list[Posting], blocks: list | None = None
+    out: bytearray, doc_ids, tfs, positions, blocks: list | None = None
 ) -> None:
-    """Append one term's postings (doc-id ascending) to ``out``.
+    """Append one term's posting columns to ``out``: doc ids ascending,
+    their tfs, and every posting's positions flat in tf-sized runs (the
+    layout of :class:`~repro.engine.index.TermState`).
 
     When ``blocks`` is a list, one ``(last_doc_id, start_offset,
     n_docs)`` triple is appended per :data:`POSTINGS_BLOCK_SIZE`-doc
@@ -128,34 +128,33 @@ def encode_posting_list(
     is what keeps ``postings.bin`` byte-compatible with version 1.
     """
     base = len(out)
-    encode_varint(out, len(postings))
+    encode_varint(out, len(doc_ids))
     previous_doc = 0
-    first = True
     block_start = len(out) - base
     block_first_slot = 0
-    for slot, posting in enumerate(postings):
+    start = 0
+    for slot, (doc_id, tf) in enumerate(zip(doc_ids, tfs)):
         if blocks is not None and slot and slot % POSTINGS_BLOCK_SIZE == 0:
             blocks.append((previous_doc, block_start, slot - block_first_slot))
             block_start = len(out) - base
             block_first_slot = slot
-        doc_id = posting.doc_id
-        encode_varint(out, doc_id if first else doc_id - previous_doc)
-        first = False
+        encode_varint(out, doc_id - previous_doc)
         previous_doc = doc_id
-        positions = posting.positions
-        encode_varint(out, len(positions))
+        encode_varint(out, tf)
         previous_pos = 0
-        for position in positions:
+        for position in positions[start : start + tf]:
             encode_varint(out, position - previous_pos)
             previous_pos = position
-    if blocks is not None and postings:
+        start += tf
+    if blocks is not None and len(doc_ids):
         blocks.append(
-            (previous_doc, block_start, len(postings) - block_first_slot)
+            (previous_doc, block_start, len(doc_ids) - block_first_slot)
         )
 
 
-def decode_posting_list(buf, pos: int, live=None) -> list[Posting]:
-    """Decode one posting block starting at ``pos``.
+def decode_posting_list(buf, pos: int, live=None) -> tuple[array, array, array]:
+    """Decode one posting block at ``pos`` into the columns
+    :func:`encode_posting_list` takes.
 
     Args:
         buf: any byte buffer (typically the segment's postings mmap).
@@ -164,21 +163,25 @@ def decode_posting_list(buf, pos: int, live=None) -> list[Posting]:
             documents it rejects (tombstoned ids) are skipped.
     """
     n_docs, pos = decode_varint(buf, pos)
-    postings: list[Posting] = []
+    doc_ids = array("q")
+    tfs = array("I")
+    positions = array("I")
     doc_id = 0
     for _ in range(n_docs):
         delta, pos = decode_varint(buf, pos)
         doc_id += delta
         n_positions, pos = decode_varint(buf, pos)
+        keep = live is None or live(doc_id)
         position = 0
-        positions: list[int] = []
         for _ in range(n_positions):
             step, pos = decode_varint(buf, pos)
             position += step
-            positions.append(position)
-        if live is None or live(doc_id):
-            postings.append(Posting(doc_id, tuple(positions)))
-    return postings
+            if keep:
+                positions.append(position)
+        if keep:
+            doc_ids.append(doc_id)
+            tfs.append(n_positions)
+    return doc_ids, tfs, positions
 
 
 def scan_posting_block(

@@ -34,7 +34,7 @@ from array import array
 from bisect import bisect_left
 
 from repro.engine.documents import Document
-from repro.engine.index import Posting, SummaryEntry
+from repro.engine.index import SummaryEntry
 from repro.storage.format import (
     FORMAT_VERSION,
     POSTINGS_BLOCK_SIZE,
@@ -68,6 +68,26 @@ _FILES = (
 _V2_FILES = ("blockmax.bin",)
 
 
+def fold_summary_sections(
+    section_lists,
+) -> list[tuple[str, str, dict[str, SummaryEntry]]]:
+    """Sum ``(field, language, word → stats)`` sections of disjoint
+    document sets (segments, a tail) into one, sorted by (field,
+    language); a word keeps the position it first appeared at."""
+    folded: dict[tuple[str, str], dict[str, SummaryEntry]] = {}
+    for sections in section_lists:
+        for field_name, language, words in sections:
+            bucket = folded.setdefault((field_name, language), {})
+            for word, entry in words.items():
+                total = bucket.setdefault(word, SummaryEntry())
+                total.postings += entry.postings
+                total.document_frequency += entry.document_frequency
+    return [
+        (field, language, words)
+        for (field, language), words in sorted(folded.items())
+    ]
+
+
 class SegmentWriter:
     """Writes one immutable segment directory.
 
@@ -86,7 +106,7 @@ class SegmentWriter:
     def write(
         self,
         documents: list[tuple[int, Document, int]],
-        postings: dict[str, dict[str, list[Posting]]],
+        postings: dict[str, dict[str, tuple]],
         summary: list[tuple[str, str, dict[str, SummaryEntry]]],
     ) -> SegmentMeta:
         """Write the segment; returns its manifest entry.
@@ -94,8 +114,9 @@ class SegmentWriter:
         Args:
             documents: ``(global doc id, document, token count)`` rows,
                 ascending by id.
-            postings: ``field → term → postings`` with global doc ids
-                (each list doc-id ascending).
+            postings: ``field → term → (doc ids, tfs, positions)``
+                columns with global doc ids (doc-id ascending; see
+                :func:`~repro.storage.format.encode_posting_list`).
             summary: ``(field, language, word → stats)`` sections.
         """
         if not documents:
@@ -141,29 +162,24 @@ class SegmentWriter:
             encode_string(blockmax_blob, field_name)
             encode_varint(blockmax_blob, len(terms))
             for term in sorted(terms):
-                plist = terms[term]
+                doc_ids, tfs, positions = terms[term]
                 encode_string(lexicon_blob, term)
                 encode_varint(lexicon_blob, len(postings_blob))
                 blocks: list[tuple[int, int, int]] = []
-                encode_posting_list(postings_blob, plist, blocks)
+                encode_posting_list(postings_blob, doc_ids, tfs, positions, blocks)
                 encode_varint(blockmax_blob, len(blocks))
                 previous_last = 0
                 previous_start = 0
                 for number, (last_doc, start, n_in_block) in enumerate(blocks):
-                    chunk = plist[
-                        number * POSTINGS_BLOCK_SIZE : number * POSTINGS_BLOCK_SIZE
-                        + n_in_block
-                    ]
+                    first = number * POSTINGS_BLOCK_SIZE
+                    chunk = slice(first, first + n_in_block)
                     encode_varint(blockmax_blob, last_doc - previous_last)
                     encode_varint(blockmax_blob, start - previous_start)
                     encode_varint(blockmax_blob, n_in_block)
+                    encode_varint(blockmax_blob, max(tfs[chunk]))
                     encode_varint(
                         blockmax_blob,
-                        max(posting.term_frequency for posting in chunk),
-                    )
-                    encode_varint(
-                        blockmax_blob,
-                        min(count_of[posting.doc_id] for posting in chunk),
+                        min(count_of[doc_id] for doc_id in doc_ids[chunk]),
                     )
                     previous_last = last_doc
                     previous_start = start
@@ -233,7 +249,7 @@ class TermBlocks:
 class TermHandle:
     """Block-level access to one term's postings in one segment.
 
-    Held by the segmented index's memoized term state, so it — and
+    Held by the segmented index's memoized term accessor, so it — and
     every block it decoded — lives until the store's layout moves
     (flush, merge, tombstone); it holds the term's posting-list offset
     and (for v2 segments) its block-max column, and decodes **single
@@ -259,6 +275,10 @@ class TermHandle:
         """(doc ids, tfs) of the whole list, tombstoned ids dropped."""
         n_docs, pos = decode_varint(self._buf, self._offset)
         return scan_posting_block(self._buf, pos, n_docs, 0, live)
+
+    def positions(self, live=None) -> tuple[array, array, array]:
+        """:meth:`scan` plus the positions — the whole list decoded."""
+        return decode_posting_list(self._buf, self._offset, live)
 
     def _full_scan(self) -> tuple[array, array]:
         if self._full_memo is None:
@@ -421,18 +441,6 @@ class SegmentReader:
         self._load_lexicon()
         assert self._vocab is not None
         return self._vocab.get(field, [])
-
-    def postings(self, field: str, term: str, live=None) -> list[Posting]:
-        """Decode one term's postings; empty when absent.
-
-        ``live`` filters tombstoned doc ids during the decode, so a
-        deleted document never surfaces even before a merge rewrites
-        the segment.
-        """
-        offset = self._load_lexicon().get(field, {}).get(term)
-        if offset is None:
-            return []
-        return decode_posting_list(self._postings_map, offset, live)
 
     def _load_blockmax(self) -> dict[str, dict[str, TermBlocks]]:
         """Parse ``blockmax.bin`` (v2 segments; empty mapping for v1).

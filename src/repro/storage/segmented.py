@@ -1,15 +1,15 @@
 """Segment-backed views satisfying the in-memory engine contracts.
 
 :class:`SegmentedIndex` subclasses :class:`InvertedIndex` and keeps
-the inherited dict-of-postings structures as its **mutable tail**:
-``add_field_tokens`` lands there unchanged, while every read composes
-(committed segments, in doc-base order) + (tail).  Because segments
-cover disjoint ascending doc-id ranges and the tail sits above them
-all, concatenating per-segment posting lists reproduces exactly the
-doc-id-ordered lists the in-memory index serves — term-at-a-time
-evaluation, the term matcher, prox merging and summary export all run
-bit-identically on either backend (``storage="memory"`` stays the
-oracle).
+the inherited per-term records as its **mutable tail**:
+``add_field_tokens`` lands there unchanged, a flush writes their columns
+as they are, and every read composes (committed segments, in doc-base
+order) + (tail).  Because segments cover disjoint ascending doc-id
+ranges and the tail sits above them all, concatenating per-segment
+columns reproduces exactly the doc-id-ordered columns the in-memory
+index serves — term-at-a-time evaluation, the term matcher, prox
+merging and summary export all run bit-identically on either backend
+(``storage="memory"`` stays the oracle).
 
 :class:`SegmentedDocumentStore` is the same composition for stored
 fields: token counts and linkages are loaded eagerly (two small
@@ -17,21 +17,17 @@ columns), documents decode lazily from the docs mmap with a bounded
 memo, so a warmed engine answers its first query without ever reading
 the bulk of the store.
 
-Reads memoize against two counters: the index's own mutation
-generation (the tail moved) and the store's commit ``epoch`` (the
-segment layout moved).  Flushes and merges change the layout but not
-the content, so only layout-keyed memos (decoded postings, the pruned
-evaluator's per-term state, vocabularies) refresh; tombstone commits
-bump the *content* epoch, which feeds the inherited ``generation`` so
-term-matcher expansion memos invalidate exactly as they do for
-in-memory mutation.
-
-The pruned evaluator never goes through :meth:`SegmentedIndex.
-postings`: its per-term state (:class:`_SegmentedTermAccessor`) keeps
-positionless doc-id/tf columns scanned straight from the segments, so
-a source that only ranks builds no :class:`Posting` at all, and
-existence checks (:meth:`SegmentedIndex.has_postings`) read that
-state's ``df`` instead of decoding a list.
+Every reader reaches a term through one memoized accessor
+(:class:`_SegmentedTermAccessor`) that lives until the store's layout
+moves — a flush, merge or tombstone commit bumps its ``epoch`` — and
+follows the tail's record as documents are added, so nothing decoded
+from a segment is thrown away by indexing.  It scans positionless
+doc-id/tf columns straight from the segments and decodes positions
+only when ``prox`` asks, so a source that only ranks decodes none.
+Vocabulary and summary memos key on the tail's mutation generation
+plus the epoch; tombstone commits also bump the *content* epoch, which
+feeds the inherited ``generation`` so term-matcher expansion memos
+invalidate exactly as they do for in-memory mutation.
 """
 
 from __future__ import annotations
@@ -39,19 +35,18 @@ from __future__ import annotations
 import heapq
 from array import array
 from bisect import bisect_right
+from itertools import chain
 
 from repro.engine.documents import Document, DocumentStore
-from repro.engine.index import (
-    TERM_MEMO_LIMIT,
-    InvertedIndex,
-    Posting,
-    SummaryEntry,
-    TermState,
-)
-from repro.storage.format import StorageError
+from repro.engine.index import InvertedIndex, SummaryEntry, TermState
+from repro.storage.segment import fold_summary_sections
 from repro.storage.store import SegmentStore
 
 __all__ = ["SegmentedIndex", "SegmentedDocumentStore"]
+
+#: Entry cap of the per-(field, term) accessor memo; a memo that fills
+#: up is cleared wholesale.
+_ACCESSOR_MEMO_LIMIT = 65536
 
 
 class _NoPostings:
@@ -68,82 +63,93 @@ class _NoPostings:
 
 
 class _SegmentedTermAccessor(TermState):
-    """One term's warm state across segments + tail.
+    """One term across segments + tail: the :class:`TermState`
+    contract every reader uses.
 
     The pruned driver's contract (df / max tf / min length metadata,
     point probes, per-document block bounds) routed by doc-id range:
     committed ids resolve through each segment's
     :class:`~repro.storage.segment.TermHandle` (block-max column, one
-    block decoded and kept per probe miss), tail ids through the
-    tail's own :class:`TermState`.  The full columns are scanned —
-    positions skipped, tombstoned ids dropped — when a query first
-    walks the whole list.  The index keeps the accessor, with its
-    handles and everything they decoded, until the layout key moves.
+    block decoded and kept per probe miss), tail ids through the tail's
+    own record.  The segments' columns are scanned — positions skipped,
+    tombstoned ids dropped — when a reader first walks the whole list,
+    and their positions decoded the first time ``prox`` asks; both are
+    kept beside the handles until the layout moves.  :meth:`follow`
+    counts the tail's record in, so the accessor outlives tail growth.
     """
 
-    __slots__ = ("_handles", "_bases", "_tail", "_tail_floor", "_live")
+    __slots__ = ("min_len", "has_blocks", "_handles", "_bases", "_live", "_tail",
+                 "_tail_floor", "_segment_df", "_segment_tf_bound",
+                 "_segment_min_len", "_segment_columns", "_segment_positions")
 
-    def __init__(self, index: "SegmentedIndex", field: str, term: str) -> None:
-        store = index._segment_store
+    def __init__(
+        self, store: SegmentStore, field: str, term: str, tail: TermState
+    ) -> None:
         live = store.live if store.tombstones else None
         self._live = live
-        handles: list[tuple[int, int, object]] = []
+        self._handles: list[tuple[int, int, object]] = []
+        df = tf_bound = 0
+        lengths: list[int | None] = []
         for reader in store.readers:
             handle = reader.term_handle(field, term)
-            if handle is not None:
-                handles.append((reader.doc_base, reader.doc_ceiling, handle))
-        self._handles = handles
-        self._bases = [base for base, _, _ in handles]
-        tail = self._tail = InvertedIndex._term_state(index, field, term)
-        tail_ids = tail.columns()[0]
-        self._tail_floor = tail_ids[0] if tail_ids else None
-        self._columns = None
-        self._weights = None
-        df = tail.df
-        max_tf = tail.max_tf
-        handle_mins: list[int] = []
-        blind = False
-        for _, _, handle in handles:
+            if handle is None:
+                continue
+            self._handles.append((reader.doc_base, reader.doc_ceiling, handle))
             df += handle.document_count(live)
-            tf = handle.max_term_frequency()
-            if tf > max_tf:
-                max_tf = tf
-            handle_min = handle.min_doc_length()
-            if handle_min is None:
-                # version-1 segment: no block column, no length bound.
-                blind = True
-            else:
-                handle_mins.append(handle_min)
-        self.df = df
+            tf_bound = max(tf_bound, handle.max_term_frequency())
+            # None for a version-1 segment: no block column, no length bound.
+            lengths.append(handle.min_doc_length())
+        self._bases = [base for base, _, _ in self._handles]
+        self._segment_columns = self._segment_positions = self._weights = None
+        self._segment_df = df
         # Tombstones may leave max_tf stale-high (the maximal document
         # was deleted); that only loosens the bound.
-        self.max_tf = max_tf
+        self._segment_tf_bound = tf_bound
+        self._segment_min_len = None if None in lengths or not lengths else min(lengths)
+        self.has_blocks = any(handle.blocks is not None for _, _, handle in self._handles)
+        self.follow(tail)
+
+    def follow(self, tail: TermState) -> None:
+        """Count the tail's record (the term's postings above every
+        segment) into df, max tf, the length bound and routing."""
+        self._tail = tail
+        self._tail_floor = tail._doc_ids[0] if tail.df else None
+        self.df = self._segment_df + tail.df
+        self.max_tf = max(self._segment_tf_bound, tail.max_tf)
         # The term-level length bound is the min over every source of
         # the term's documents.  A non-empty tail has no cheap per-doc
         # length column (nor does a v1 segment), so its presence drops
         # the bound to None — the driver then falls back to the
         # store-wide minimum, which is looser but still valid.
-        if tail.df or blind or not handle_mins:
-            self.min_len = None
-        else:
-            self.min_len = min(handle_mins)
-        self.has_blocks = any(
-            handle.blocks is not None for _, _, handle in handles
-        )
+        self.min_len = None if tail.df else self._segment_min_len
 
     def columns(self):
-        columns = self._columns
+        columns = self._segment_columns
         if columns is None:  # built locally, published with one store
             doc_ids, tfs = array("q"), array("I")
             for _, _, handle in self._handles:
                 segment_ids, segment_tfs = handle.scan(self._live)
                 doc_ids.extend(segment_ids)
                 tfs.extend(segment_tfs)
-            tail_ids, tail_tfs = self._tail.columns()
-            doc_ids.extend(tail_ids)
-            tfs.extend(tail_tfs)
-            columns = self._columns = (doc_ids, tfs)
-        return columns
+            columns = self._segment_columns = (doc_ids, tfs)
+        if not self._tail.df:
+            return columns
+        tail_ids, tail_tfs = self._tail.columns()
+        return columns[0] + tail_ids, columns[1] + tail_tfs
+
+    def positions(self):
+        columns = self._segment_positions
+        if columns is None:
+            columns = (array("q"), array("I"), array("I"))
+            for _, _, handle in self._handles:
+                for column, decoded in zip(columns, handle.positions(self._live)):
+                    column.extend(decoded)
+            self._segment_positions = columns
+        if not self._tail.df:
+            return columns
+        return tuple(
+            column + tail for column, tail in zip(columns, self._tail.positions())
+        )
 
     def route(self, doc_id: int):
         """Whatever answers ``block_bound``/``probe`` for ``doc_id``.
@@ -181,13 +187,12 @@ class SegmentedIndex(InvertedIndex):
         self._segment_store = store
         # doc ids continue above everything already committed.
         self._doc_count = store.document_ceiling
-        # (field, term) -> merged postings; keyed by (generation, epoch).
-        self._merged_postings: dict[tuple[str, str], list[Posting]] = {}
-        self._merged_key: tuple[int, int] | None = None
-        self._summary_memo: (
-            tuple[tuple[int, int], list[tuple[str, str, dict[str, SummaryEntry]]]]
-            | None
-        ) = None
+        # (store epoch, (field, term) -> accessor): replaced together
+        # whenever a commit moves the layout, so a reader never pairs
+        # one layout's handles with another's.
+        self._accessors: tuple[int, dict[tuple[str, str], _SegmentedTermAccessor]]
+        self._accessors = (-1, {})
+        self._summary_memo: tuple[tuple[int, int], list] | None = None
 
     # -- generations -------------------------------------------------------
 
@@ -205,52 +210,38 @@ class SegmentedIndex(InvertedIndex):
         """Commit the mutable tail (with its document ``rows``) as one
         segment, then drop it.
 
-        The commit is synchronous and reads the tail's own maps; the
-        committed segment then serves exactly what the tail held, so
-        observable content is unchanged and only layout memos refresh
-        (via the store epoch bumped by the commit).
+        The commit is synchronous and writes the tail's own columns;
+        the committed segment then serves exactly what the tail held,
+        so observable content is unchanged and only layout memos
+        refresh (via the store epoch bumped by the commit).
         """
-        sections = [
-            (field, language, words)
-            for (field, language), words in self._summary.items()
-        ]
-        self._segment_store.commit_segment(rows, self._postings, sections)
+        self._segment_store.commit_segment(
+            rows, self.segment_columns(), super().summary_sections()
+        )
         self._postings.clear()
-        self._max_tf.clear()
         self._summary.clear()
 
     # -- reads: postings ---------------------------------------------------
 
-    def _memo_postings(self) -> dict[tuple[str, str], list[Posting]]:
-        key = self._layout_key()
-        if self._merged_key != key:
-            self._merged_postings = {}
-            self._merged_key = key
-        return self._merged_postings
-
-    def postings(self, field: str, term: str) -> list[Posting]:
-        memo = self._memo_postings()
-        cache_key = (field, term)
-        merged = memo.get(cache_key)
-        if merged is None:
-            store = self._segment_store
-            live = store.live if store.tombstones else None
-            merged = []
-            for reader in store.readers:
-                merged.extend(reader.postings(field, term, live))
-            merged.extend(self._postings.get(field, {}).get(term, ()))
-            if len(memo) >= TERM_MEMO_LIMIT:
-                memo.clear()
-            memo[cache_key] = merged
-        return merged
-
-    def _term_state(self, field: str, term: str) -> _SegmentedTermAccessor:
-        return _SegmentedTermAccessor(self, field, term)
-
-    def has_postings(self, field: str, term: str) -> bool:
-        """Lexicon presence plus a live document — nothing is decoded
-        into postings, and a fully tombstoned term is still absent."""
-        return self.pruned_postings(field, term).df > 0
+    def pruned_postings(self, field: str, term: str) -> _SegmentedTermAccessor:
+        """The term's accessor, memoized until the store's layout moves
+        and brought up to the tail's record on every lookup."""
+        tail = super().pruned_postings(field, term)
+        epoch = self._segment_store.epoch
+        memo_epoch, accessors = self._accessors
+        if memo_epoch != epoch:
+            accessors = {}
+            self._accessors = (epoch, accessors)
+        accessor = accessors.get((field, term))
+        if accessor is None:
+            if len(accessors) >= _ACCESSOR_MEMO_LIMIT:
+                accessors.clear()
+            accessor = accessors[(field, term)] = _SegmentedTermAccessor(
+                self._segment_store, field, term, tail
+            )
+        else:
+            accessor.follow(tail)
+        return accessor
 
     # -- reads: vocabulary and fields --------------------------------------
 
@@ -282,24 +273,12 @@ class SegmentedIndex(InvertedIndex):
         memo = self._summary_memo
         if memo is not None and memo[0] == key:
             return memo[1]
-        merged: dict[tuple[str, str], dict[str, SummaryEntry]] = {}
-        for reader in self._segment_store.readers:
-            for field, language, words in reader.summary_sections():
-                bucket = merged.setdefault((field, language), {})
-                for word, entry in words.items():
-                    aggregate = bucket.setdefault(word, SummaryEntry())
-                    aggregate.postings += entry.postings
-                    aggregate.document_frequency += entry.document_frequency
-        for (field, language), words in self._summary.items():
-            bucket = merged.setdefault((field, language), {})
-            for word, entry in words.items():
-                aggregate = bucket.setdefault(word, SummaryEntry())
-                aggregate.postings += entry.postings
-                aggregate.document_frequency += entry.document_frequency
-        sections = [
-            (field, language, words)
-            for (field, language), words in sorted(merged.items())
-        ]
+        sections = fold_summary_sections(
+            [
+                *(reader.summary_sections() for reader in self._segment_store.readers),
+                super().summary_sections(),
+            ]
+        )
         self._summary_memo = (key, sections)
         return sections
 
@@ -360,14 +339,6 @@ class SegmentedDocumentStore(DocumentStore):
         self._by_linkage.setdefault(document.linkage, doc_id)
         self._min_token_memo = None
         return doc_id
-
-    def set_token_count(self, doc_id: int, token_count: int) -> None:
-        offset = doc_id - self._tail_base
-        if offset < 0:
-            raise StorageError("cannot reset the token count of a committed document")
-        self._token_total += token_count - self._token_counts[offset]
-        self._token_counts[offset] = token_count
-        self._min_token_memo = None
 
     def note_tombstones(self, doc_ids) -> None:
         """Adjust linkage/statistics for freshly tombstoned doc ids."""
@@ -475,13 +446,7 @@ class SegmentedDocumentStore(DocumentStore):
         for pruning upper bounds.
         """
         if self._min_token_memo is None:
-            candidates = [
-                minimum
-                for minimum in (
-                    min(self._segment_counts.values(), default=None),
-                    min(self._token_counts, default=None),
-                )
-                if minimum is not None
-            ]
-            self._min_token_memo = min(candidates) if candidates else 0
+            self._min_token_memo = min(
+                chain(self._segment_counts.values(), self._token_counts), default=0
+            )
         return self._min_token_memo

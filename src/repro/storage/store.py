@@ -2,12 +2,13 @@
 
 A :class:`SegmentStore` owns one directory: the committed manifest,
 one :class:`~repro.storage.segment.SegmentReader` per live segment,
-and the tombstone set.  All mutation funnels through three commit
+and the tombstone set.  All mutation funnels through four commit
 operations — :meth:`commit_segment` (a flush), :meth:`merge_once`
-(fold a planned group into one segment), and :meth:`add_tombstones` —
-each of which writes the new state *beside* the old and publishes it
-with a single atomic manifest swap, so readers and crashes only ever
-observe a fully committed store.
+(fold a planned group into one segment), :meth:`add_tombstones` and
+:meth:`replace_all` (an engine's exact removal) — each of which writes
+the new state *beside* the old and publishes it with a single atomic
+manifest swap, so readers and crashes only ever observe a fully
+committed store.
 
 Two counters make cache invalidation precise for the index and
 document-store views stacked on top:
@@ -15,7 +16,7 @@ document-store views stacked on top:
 * :attr:`epoch` bumps on **every** commit (the physical layout moved:
   re-derive anything holding reader references or decoded postings);
 * :attr:`content_epoch` bumps only when **observable content** changed
-  (tombstones).  Flushes move the mutable tail into a segment and
+  (tombstones, a replacement).  Flushes move the mutable tail into a segment and
   merges rewrite bytes, but neither changes any query answer, so
   derived caches keyed on content (term expansions, vocabularies) ride
   through them untouched.
@@ -23,13 +24,14 @@ document-store views stacked on top:
 
 from __future__ import annotations
 
+import dataclasses
 import pathlib
 import shutil
 import threading
 import time
 
 from repro.engine.documents import Document
-from repro.engine.index import Posting, SummaryEntry
+from repro.engine.index import SummaryEntry
 from repro.federation.executor import submit_background
 from repro.observability.metrics import get_registry
 from repro.storage.format import StorageError
@@ -41,7 +43,11 @@ from repro.storage.manifest import (
     read_manifest,
 )
 from repro.storage.merge import TieredMergePolicy
-from repro.storage.segment import SegmentReader, SegmentWriter
+from repro.storage.segment import (
+    SegmentReader,
+    SegmentWriter,
+    fold_summary_sections,
+)
 
 __all__ = ["SegmentStore"]
 
@@ -142,30 +148,15 @@ class SegmentStore:
     def commit_segment(
         self,
         documents: list[tuple[int, Document, int]],
-        postings: dict[str, dict[str, list[Posting]]],
+        postings: dict[str, dict[str, tuple]],
         summary: list[tuple[str, str, dict[str, SummaryEntry]]],
     ) -> SegmentMeta:
         """Flush one batch (the engine's mutable tail) as a new segment."""
         started = time.perf_counter()
         with self._commit_lock:
-            manifest = self.manifest
-            name = f"seg-{manifest.next_segment_id:06d}"
-            writer = SegmentWriter(self.directory / name, name)
-            meta = writer.write(documents, postings, summary)
-            if manifest.segments and meta.doc_base < manifest.document_ceiling:
+            if documents and documents[0][0] < self.manifest.document_ceiling:
                 raise StorageError("flushed segment overlaps committed doc ids")
-            updated = Manifest(
-                generation=manifest.generation + 1,
-                next_segment_id=manifest.next_segment_id + 1,
-                segments=manifest.segments + [meta],
-                tombstones=sorted(self.tombstones),
-                analyzer=manifest.analyzer,
-                ranking=manifest.ranking,
-            )
-            commit_manifest(self.directory, updated)
-            self.manifest = updated
-            self.readers = self.readers + [SegmentReader(self.directory / name)]
-            self.epoch += 1
+            meta = self._replace(set(), documents, postings, summary, set())
         registry = get_registry()
         registry.histogram(
             "storage_flush_ms",
@@ -190,21 +181,20 @@ class SegmentStore:
             if not fresh:
                 return 0
             self.tombstones |= fresh
-            manifest = self.manifest
-            updated = Manifest(
-                generation=manifest.generation + 1,
-                next_segment_id=manifest.next_segment_id,
-                segments=manifest.segments,
-                tombstones=sorted(self.tombstones),
-                analyzer=manifest.analyzer,
-                ranking=manifest.ranking,
-            )
-            commit_manifest(self.directory, updated)
-            self.manifest = updated
+            self._publish(tombstones=sorted(self.tombstones))
             self.epoch += 1
             self.content_epoch += 1
         self._update_gauges()
         return len(fresh)
+
+    def _publish(self, **changes) -> None:
+        """Commit the manifest with ``changes`` as the next generation
+        (commit lock held)."""
+        updated = dataclasses.replace(
+            self.manifest, generation=self.manifest.generation + 1, **changes
+        )
+        commit_manifest(self.directory, updated)
+        self.manifest = updated
 
     def _covers(self, doc_id: int) -> bool:
         return any(reader.slot_of(doc_id) is not None for reader in self.readers)
@@ -249,8 +239,7 @@ class SegmentStore:
         live = self.live
 
         documents: list[tuple[int, Document, int]] = []
-        postings: dict[str, dict[str, list[Posting]]] = {}
-        summary: dict[tuple[str, str], dict[str, SummaryEntry]] = {}
+        postings: dict[str, dict[str, tuple]] = {}
         consumed: set[int] = set()
         for reader in readers:
             for slot, doc_id in enumerate(reader.doc_ids()):
@@ -260,53 +249,74 @@ class SegmentStore:
                     )
                 else:
                     consumed.add(doc_id)
+            # Readers ascend by doc base, so per-term concatenation keeps
+            # every column doc-id ascending.
             for field_name in reader.fields():
                 field_postings = postings.setdefault(field_name, {})
                 for term in reader.vocabulary(field_name):
-                    plist = reader.postings(field_name, term, live)
-                    if plist:
-                        field_postings.setdefault(term, []).extend(plist)
-            for field_name, language, words in reader.summary_sections():
-                bucket = summary.setdefault((field_name, language), {})
-                for word, entry in words.items():
-                    merged = bucket.setdefault(word, SummaryEntry())
-                    merged.postings += entry.postings
-                    merged.document_frequency += entry.document_frequency
+                    columns = reader.term_handle(field_name, term).positions(live)
+                    if term in field_postings:
+                        for column, more in zip(field_postings[term], columns):
+                            column.extend(more)
+                    elif columns[0]:
+                        field_postings[term] = columns
+        summary = fold_summary_sections(reader.summary_sections() for reader in readers)
+        return self._replace(names, documents, postings, summary, consumed)
 
+    def replace_all(
+        self,
+        documents: list[tuple[int, Document, int]],
+        postings: dict[str, dict[str, tuple]],
+        summary: list[tuple[str, str, dict[str, SummaryEntry]]],
+    ) -> SegmentMeta | None:
+        """Commit one batch as the store's whole content.
+
+        One manifest swap retires every segment and tombstone — an
+        engine's exact ``remove`` — so a crash leaves either the old
+        store or exactly the batch; an empty batch leaves an empty store.
+        """
+        with self._commit_lock:
+            names = {meta.name for meta in self.manifest.segments}
+            meta = self._replace(names, documents, postings, summary, self.tombstones)
+            self.content_epoch += 1
+        self._update_gauges()
+        return meta
+
+    def _replace(
+        self,
+        names: set[str],
+        documents: list[tuple[int, Document, int]],
+        postings: dict[str, dict[str, tuple]],
+        summary: list[tuple[str, str, dict[str, SummaryEntry]]],
+        consumed: set[int],
+    ) -> SegmentMeta | None:
+        """Swap the ``names`` segments for one written from the batch (or
+        for none when it is empty), retiring the ``consumed`` tombstones;
+        the old directories go only after the swap (commit lock held)."""
         manifest = self.manifest
         survivors = [meta for meta in manifest.segments if meta.name not in names]
         merged_meta: SegmentMeta | None = None
         if documents:
             name = f"seg-{manifest.next_segment_id:06d}"
             writer = SegmentWriter(self.directory / name, name)
-            merged_meta = writer.write(
-                documents,
-                {f: {t: p for t, p in terms.items()} for f, terms in postings.items()},
-                [(f, lang, words) for (f, lang), words in summary.items()],
-            )
+            merged_meta = writer.write(documents, postings, summary)
             survivors.append(merged_meta)
             survivors.sort(key=lambda meta: meta.doc_base)
         remaining = sorted(self.tombstones - consumed)
-        updated = Manifest(
-            generation=manifest.generation + 1,
+        self._publish(
             next_segment_id=manifest.next_segment_id + 1,
             segments=survivors,
             tombstones=remaining,
-            analyzer=manifest.analyzer,
-            ranking=manifest.ranking,
         )
-        commit_manifest(self.directory, updated)
-        self.manifest = updated
         self.tombstones = set(remaining)
-        surviving_readers = [
-            reader for reader in self.readers if reader.name not in names
-        ]
+        retired = [reader for reader in self.readers if reader.name in names]
+        readers = [reader for reader in self.readers if reader.name not in names]
         if merged_meta is not None:
-            surviving_readers.append(SegmentReader(self.directory / merged_meta.name))
-            surviving_readers.sort(key=lambda reader: reader.doc_base)
-        self.readers = surviving_readers
+            readers.append(SegmentReader(self.directory / merged_meta.name))
+            readers.sort(key=lambda reader: reader.doc_base)
+        self.readers = readers
         self.epoch += 1
-        for reader in readers:
+        for reader in retired:
             reader.close()
             shutil.rmtree(reader.directory, ignore_errors=True)
         return merged_meta

@@ -18,17 +18,17 @@ def leaf():
 class TestDeltaStream:
     def test_deltas_build_the_primary(self, leaf):
         assert len(leaf.index) == 2
-        assert leaf.index.collection_frequency("databases") == 1
+        assert leaf.index.term_columns("databases").collection_frequency == 1
 
     def test_none_delta_removes(self, leaf):
         leaf.apply_delta("S0", None)
         assert "S0" not in leaf.index
-        assert leaf.index.collection_frequency("databases") == 0
+        assert leaf.index.term_columns("databases").collection_frequency == 0
 
     def test_reharvest_replaces(self, leaf):
         leaf.apply_delta("S0", make_summary(5, {"networks": (4, 2)}))
-        assert leaf.index.collection_frequency("databases") == 0
-        assert leaf.index.collection_frequency("networks") == 1
+        assert leaf.index.term_columns("databases").collection_frequency == 0
+        assert leaf.index.term_columns("networks").collection_frequency == 1
 
 
 class TestProbe:
@@ -58,9 +58,8 @@ class TestGlobalStatsView:
         view = GlobalStatsView(leaf.index, stats)
         assert len(view) == 100
         assert view.mean_clamped_word_mass() == 50.0
-        assert view.collection_frequency("databases") == 37
         assert view.term_columns("databases").collection_frequency == 37
-        assert view.collection_frequency("absent") == 0
+        assert view.term_columns("absent").collection_frequency == 0
 
     def test_per_source_reads_come_from_the_shard(self, leaf):
         view = GlobalStatsView(leaf.index, _stats(leaf))

@@ -68,8 +68,8 @@ class TestDocumentStore:
         store = DocumentStore()
         doc_id = store.add(make_doc(), token_count=7)
         assert store.token_count(doc_id) == 7
-        store.set_token_count(doc_id, 9)
-        assert store.token_count(doc_id) == 9
+        other = store.add(make_doc("http://x/b"), token_count=9)
+        assert (store.token_count(doc_id), store.token_count(other)) == (7, 9)
 
     def test_average_token_count(self):
         store = DocumentStore()
@@ -82,17 +82,14 @@ class TestDocumentStore:
 
     def test_running_average_stays_exact(self):
         """The O(1) running-sum average must equal a fresh recompute
-        across adds and (repeated) set_token_count updates."""
+        after every add, and so must the memoized minimum."""
         import random
 
         rng = random.Random(42)
         store = DocumentStore()
         for i in range(50):
-            doc_id = store.add(make_doc(f"http://x/{i}"), token_count=rng.randint(0, 40))
-            if rng.random() < 0.6:
-                store.set_token_count(doc_id, rng.randint(0, 40))
-            if rng.random() < 0.2 and len(store) > 1:
-                store.set_token_count(rng.randrange(len(store)), rng.randint(0, 40))
+            store.add(make_doc(f"http://x/{i}"), token_count=rng.randint(0, 40))
+            assert store.min_token_count() == min(map(store.token_count, store.ids()))
             expected = sum(store.token_count(d) for d in store.ids()) / len(store)
             assert store.average_token_count() == expected
 

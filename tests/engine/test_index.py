@@ -1,6 +1,6 @@
 """The positional inverted index."""
 
-from repro.engine.index import InvertedIndex, Posting
+from repro.engine.index import InvertedIndex
 
 
 def build_index():
@@ -16,23 +16,24 @@ def build_index():
 class TestPostings:
     def test_positions_and_tf(self):
         index = build_index()
-        postings = index.postings("body", "alpha")
-        assert len(postings) == 1
-        assert postings[0] == Posting(0, (0, 2))
-        assert postings[0].term_frequency == 2
+        doc_ids, tfs, positions = index.pruned_postings("body", "alpha").positions()
+        assert list(doc_ids) == [0]
+        assert list(positions) == [0, 2]
+        assert list(tfs) == [2]
 
     def test_per_field_isolation(self):
         index = build_index()
-        assert index.document_frequency("body", "alpha") == 1
-        assert index.document_frequency("title", "alpha") == 1
+        assert index.pruned_postings("body", "alpha").df == 1
+        assert index.pruned_postings("title", "alpha").df == 1
 
     def test_absent_term_is_empty(self):
-        assert build_index().postings("body", "zeta") == []
+        doc_ids, tfs = build_index().pruned_postings("body", "zeta").columns()
+        assert len(doc_ids) == len(tfs) == 0
 
     def test_document_and_collection_frequency(self):
         index = build_index()
-        assert index.document_frequency("body", "beta") == 2
-        assert index.collection_frequency("body", "alpha") == 2
+        assert index.pruned_postings("body", "beta").df == 2
+        assert sum(index.pruned_postings("body", "alpha").columns()[1]) == 2
 
     def test_document_count_tracks_max_id(self):
         assert build_index().document_count == 2

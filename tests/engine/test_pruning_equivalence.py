@@ -568,6 +568,15 @@ def test_warm_state_survives_any_storage_history():
     )
 
 
+def stored_tfs(engine, word):
+    """``doc id -> tf`` of ``word`` read off the live stored documents."""
+    counts = {
+        doc_id: engine.store[doc_id].body.split().count(word)
+        for doc_id in engine.store.ids()
+    }
+    return {doc_id: tf for doc_id, tf in counts.items() if tf}
+
+
 def search_all(engine, queries=PLAIN_QUERIES, top_k=3):
     return [engine.search(ranking_query=query, top_k=top_k) for query in queries]
 
@@ -617,8 +626,11 @@ class TestWarmTermState:
         index = engine.index
         state = index.pruned_postings(F.BODY_OF_TEXT, "gamma")
         assert index.pruned_postings(F.BODY_OF_TEXT, "gamma") is state
+        # An add lands in the tail, which the accessor follows warm.
+        engine.add(Document("http://x/new", {F.BODY_OF_TEXT: "gamma"}))
+        assert index.pruned_postings(F.BODY_OF_TEXT, "gamma") is state
+        assert state.tf_map() == stored_tfs(engine, "gamma")
         for move in (
-            lambda: engine.add(Document("http://x/new", {F.BODY_OF_TEXT: "gamma"})),
             engine.flush,
             lambda: engine.tombstone("http://x/0"),
             lambda: engine.checkpoint(merge=True),
@@ -626,16 +638,55 @@ class TestWarmTermState:
             move()
             moved = index.pruned_postings(F.BODY_OF_TEXT, "gamma")
             assert moved is not state
-            assert moved.tf_map() == {
-                p.doc_id: p.term_frequency
-                for p in index.postings(F.BODY_OF_TEXT, "gamma")
-            }
+            assert moved.tf_map() == stored_tfs(engine, "gamma")
             state = moved
+        # In memory the record is the layout: an add grows it in place.
         memory = build_engine("Okapi-1", seed=43).index
         state = memory.pruned_postings(F.BODY_OF_TEXT, "gamma")
         assert memory.pruned_postings(F.BODY_OF_TEXT, "gamma") is state
+        df = state.df
         memory.add_field_tokens(99, F.BODY_OF_TEXT, [("gamma", "gamma", 0)])
-        assert memory.pruned_postings(F.BODY_OF_TEXT, "gamma") is not state
+        assert memory.pruned_postings(F.BODY_OF_TEXT, "gamma") is state
+        assert state.df == df + 1 and state.probe(99) == 1
+        engine.close()
+
+    @pytest.mark.parametrize("storage", ["memory", "segments"])
+    def test_a_growing_tail_is_reweighted(self, storage, tmp_path):
+        """add → search → add to the same term → search.  The term's
+        record (or the accessor following it) is the same object across
+        the second add, so its weight column must not answer for the
+        longer list — not even for a reader that still passes the
+        collection size and average length it read before the add."""
+        if storage == "memory":
+            engine = build_engine("Okapi-1", seed=45, n_docs=30)
+        else:
+            engine = build_segmented_engine(
+                "Okapi-1", seed=45, directory=tmp_path, n_docs=30, flush_every=12
+            )
+        engine.evaluation = PRUNED
+        oracle = build_engine("Okapi-1", seed=45, n_docs=30)
+        oracle.evaluation = TERM_AT_A_TIME
+        query = ListQuery((t("gamma"), t("delta", 0.5)))
+        growth = ("gamma gamma delta", "delta gamma gamma gamma")
+        for number, body in enumerate(growth):
+            document = Document(f"http://x/grow-{number}", {F.BODY_OF_TEXT: body})
+            engine.add(document)
+            oracle.add(document)
+            state = engine.index.pruned_postings(F.BODY_OF_TEXT, "gamma")
+            if number:
+                assert state is warm
+                assert set(state.weight_map(*read_before)) == set(state.columns()[0])
+            warm = state
+            read_before = (
+                engine.ranking,
+                engine.document_count,
+                engine.store.token_count,
+                engine.store.average_token_count(),
+            )
+            state.weight_map(*read_before)
+            assert by_linkage(
+                engine, engine.search(ranking_query=query, top_k=3)
+            ) == by_linkage(oracle, oracle.search(ranking_query=query, top_k=3))
         engine.close()
 
     def test_queries_get_their_own_maps(self, warm_reopened):
@@ -702,11 +753,13 @@ class TestWarmTermState:
         finally:
             set_registry(MetricsRegistry())
 
-    def test_ranking_builds_no_posting_on_segments(self, warm_reopened):
-        """Neither the pruned path nor an existence check decodes a list
-        into ``Posting`` objects."""
+    def test_ranking_decodes_no_positions(self, warm_reopened):
+        """Neither the pruned path nor an existence check decodes a
+        position: no accessor the searches built holds any."""
         assert any(search_all(warm_reopened))
-        assert warm_reopened.index._merged_postings == {}
+        _, accessors = warm_reopened.index._accessors
+        assert accessors
+        assert all(state._segment_positions is None for state in accessors.values())
 
     @pytest.mark.parametrize("storage", ["memory", "segments"])
     def test_has_postings_agrees_with_postings(self, storage, tmp_path):
@@ -730,6 +783,6 @@ class TestWarmTermState:
         for field in (*index.fields(), "no-such-field"):
             for term in (*index.vocabulary(field), "lonely", "nosuchword", ""):
                 assert index.has_postings(field, term) == bool(
-                    index.postings(field, term)
+                    index.pruned_postings(field, term).columns()[0]
                 ), (field, term)
         engine.close()

@@ -255,11 +255,11 @@ class TestDiscoveryMaintenance:
             entry.word.lower()
             for entry in discovery.summaries()["Fed-DB"].sections[0].entries
         )
-        cf_before = index.collection_frequency(word)
+        cf_before = index.term_columns(word).collection_frequency
         assert cf_before >= 1
         discovery.forget("Fed-DB")
         assert "Fed-DB" not in index
-        assert index.collection_frequency(word) == cf_before - 1
+        assert index.term_columns(word).collection_frequency == cf_before - 1
         assert index.summaries() == discovery.summaries()
         # Selection over the post-forget index matches the dense oracle
         # over the post-forget summaries.

@@ -65,8 +65,8 @@ class TestBuild:
         assert columns.collection_frequency == 0
 
     def test_collection_frequency(self, index):
-        assert index.collection_frequency("databases") == 2
-        assert index.collection_frequency("diagnosis") == 1
+        assert index.term_columns("databases").collection_frequency == 2
+        assert index.term_columns("diagnosis").collection_frequency == 1
 
     def test_mean_clamped_word_mass_matches_dense(self, index):
         dense = [
@@ -86,10 +86,10 @@ class TestDeltas:
         assert index.generation > generation
         assert "Med" not in index
         # diagnosis lived only in Med: its shard is gone entirely.
-        assert index.collection_frequency("diagnosis") == 0
+        assert index.term_columns("diagnosis").collection_frequency == 0
         assert index.term_count == 3
         # patient survives in Mixed; CORI's cf decremented, not zeroed.
-        assert index.collection_frequency("patient") == 1
+        assert index.term_columns("patient").collection_frequency == 1
 
     def test_remove_unknown_is_noop(self, index):
         generation = index.generation
@@ -99,8 +99,8 @@ class TestDeltas:
     def test_reharvest_replaces(self, index):
         index.add("DB", summary(10, {"vldb": (5, 3)}))
         assert len(index) == 3
-        assert index.collection_frequency("query") == 0
-        assert index.collection_frequency("vldb") == 1
+        assert index.term_columns("query").collection_frequency == 0
+        assert index.term_columns("vldb").collection_frequency == 1
         assert index.num_docs(dict(index.sorted_sources())["DB"]) == 10
 
     def test_ordinal_recycling(self, index):
@@ -124,7 +124,7 @@ class TestDeltas:
         index.update("Med", None)
         assert "Med" not in index
         index.update("Med", summary(7, {"patient": (3, 2)}))
-        assert index.collection_frequency("patient") == 2
+        assert index.term_columns("patient").collection_frequency == 2
 
 
 class TestCaseSensitivity:

@@ -4,7 +4,9 @@
 ``_score_node``, ``_term_score``, ``_term_doc_stats`` and
 ``_hit_term_stats`` are moved here verbatim from
 ``repro/engine/search.py``; only the ``self`` receivers became an
-``engine`` argument.  :func:`oracle_search` is the
+``engine`` argument, and the posting lists it re-walks became the
+index's (doc id, tf) columns when the engine stopped building
+per-posting objects.  :func:`oracle_search` is the
 ``evaluation="document_at_a_time"`` route through the old
 ``_search_timed`` (filter, Boolean-only answers, post-hoc
 ``min_score``, ``top_k_hits``, per-hit ``TermStats``) without the
@@ -112,10 +114,11 @@ def _term_doc_stats(
     df_docs: set[int] = set()
     for field_name, index_terms in engine.matcher.expand(term).items():
         for index_term in index_terms:
-            for posting in engine.index.postings(field_name, index_term):
-                df_docs.add(posting.doc_id)
-                if posting.doc_id == doc_id:
-                    tf += posting.term_frequency
+            postings = engine.index.pruned_postings(field_name, index_term)
+            for posting_doc, posting_tf in zip(*postings.columns()):
+                df_docs.add(posting_doc)
+                if posting_doc == doc_id:
+                    tf += posting_tf
     return tf, len(df_docs)
 
 

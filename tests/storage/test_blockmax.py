@@ -9,6 +9,7 @@ directories (no column) still open and answer correctly.
 
 import json
 import random
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +17,6 @@ from hypothesis import given, strategies as st
 from repro.engine import fields as F
 from repro.engine.documents import Document
 from repro.engine.evaluation import PRUNED, TERM_AT_A_TIME
-from repro.engine.index import Posting
 from repro.engine.query import ListQuery, TermQuery
 from repro.engine.search import SearchEngine
 from repro.storage.format import (
@@ -32,17 +32,18 @@ from repro.storage.manifest import MANIFEST_NAME, Manifest, read_manifest
 from repro.storage.segment import SegmentReader, SegmentWriter
 
 
-def make_postings(n_docs: int, seed: int = 0) -> list[Posting]:
+def make_postings(n_docs: int, seed: int = 0) -> tuple[array, array, array]:
+    """(doc ids, tfs, positions) columns of ``n_docs`` random postings."""
     rng = random.Random(seed)
-    postings = []
+    doc_ids, tfs, positions = array("q"), array("I"), array("I")
     doc_id = 0
     for _ in range(n_docs):
         doc_id += rng.randint(1, 5)
-        positions = tuple(
-            sorted(rng.randint(0, 50) for _ in range(rng.randint(1, 4)))
-        )
-        postings.append(Posting(doc_id, positions))
-    return postings
+        run = sorted(rng.randint(0, 50) for _ in range(rng.randint(1, 4)))
+        doc_ids.append(doc_id)
+        tfs.append(len(run))
+        positions.extend(run)
+    return doc_ids, tfs, positions
 
 
 class TestCodec:
@@ -50,22 +51,22 @@ class TestCodec:
     def test_blocks_are_a_pure_overlay(self, n_docs):
         postings = make_postings(n_docs)
         plain = bytearray()
-        encode_posting_list(plain, postings)
+        encode_posting_list(plain, *postings)
         with_blocks = bytearray()
         blocks: list[tuple[int, int, int]] = []
-        encode_posting_list(with_blocks, postings, blocks)
+        encode_posting_list(with_blocks, *postings, blocks)
         assert bytes(plain) == bytes(with_blocks)  # v1-compatible bytes
         assert sum(count for _, _, count in blocks) == n_docs
         expected_blocks = (n_docs + POSTINGS_BLOCK_SIZE - 1) // POSTINGS_BLOCK_SIZE
         assert len(blocks) == expected_blocks
         if blocks:
-            assert blocks[-1][0] == postings[-1].doc_id
+            assert blocks[-1][0] == postings[0][-1]
 
     def test_scan_posting_block_matches_full_decode(self):
         postings = make_postings(400, seed=3)
         blob = bytearray()
         blocks: list[tuple[int, int, int]] = []
-        encode_posting_list(blob, postings, blocks)
+        encode_posting_list(blob, *postings, blocks)
         decoded = decode_posting_list(blob, 0)
         assert decoded == postings
         _, first_data = decode_varint(blob, 0)
@@ -78,9 +79,7 @@ class TestCodec:
                 assert start == first_data
             seen.extend(zip(doc_ids, tfs))
             previous_doc = last_doc
-        assert seen == [
-            (posting.doc_id, posting.term_frequency) for posting in postings
-        ]
+        assert seen == list(zip(postings[0], postings[1]))
 
 
 #: Position lists the inline skip must step over byte-exactly: empty
@@ -96,32 +95,35 @@ _position_lists = st.lists(
     dead=st.sets(st.integers(0, 299)),
 )
 def test_position_skipping_matches_full_decode(rows, dead):
-    postings, doc_id = [], 0
-    for gap, positions in rows:
+    doc_ids, tfs, positions = array("q"), array("I"), array("I")
+    doc_id = 0
+    for gap, run in rows:
         doc_id += gap
-        postings.append(Posting(doc_id, positions))
-    tombstoned = {postings[slot].doc_id for slot in dead if slot < len(postings)}
+        doc_ids.append(doc_id)
+        tfs.append(len(run))
+        positions.extend(run)
+    tombstoned = {doc_ids[slot] for slot in dead if slot < len(doc_ids)}
     blob = bytearray(b"\xff")  # a list rarely starts at offset 0
     blocks: list[tuple[int, int, int]] = []
-    encode_posting_list(blob, postings, blocks)
+    encode_posting_list(blob, doc_ids, tfs, positions, blocks)
     for live in (None, lambda doc_id: doc_id not in tombstoned):
-        expected = decode_posting_list(blob, 1, live)
-        assert count_posting_list(blob, 1, live) == len(expected)
+        expected_ids, expected_tfs, _ = decode_posting_list(blob, 1, live)
+        assert count_posting_list(blob, 1, live) == len(expected_ids)
         seen: list[tuple[int, int]] = []
         previous_doc = 0
         for last_doc, start, count in blocks:
-            doc_ids, tfs = scan_posting_block(
+            scanned_ids, scanned_tfs = scan_posting_block(
                 blob, 1 + start, count, previous_doc, live
             )
-            assert doc_ids.typecode == "q" and tfs.typecode == "I"
-            seen.extend(zip(doc_ids, tfs))
+            assert scanned_ids.typecode == "q" and scanned_tfs.typecode == "I"
+            seen.extend(zip(scanned_ids, scanned_tfs))
             previous_doc = last_doc
-        assert seen == [(p.doc_id, p.term_frequency) for p in expected]
+        assert seen == list(zip(expected_ids, expected_tfs))
 
 
 def write_segment(directory, postings_by_term, base_length=10):
     """One single-field segment whose doc lengths are ``base_length + id``."""
-    doc_ids = sorted({p.doc_id for plist in postings_by_term.values() for p in plist})
+    doc_ids = sorted({d for columns in postings_by_term.values() for d in columns[0]})
     documents = [
         (doc_id, Document(f"http://seg/{doc_id}", {F.BODY_OF_TEXT: "x"}), base_length + doc_id)
         for doc_id in doc_ids
@@ -133,6 +135,7 @@ def write_segment(directory, postings_by_term, base_length=10):
 class TestTermHandle:
     def test_handle_metadata_and_probes(self, tmp_path):
         postings = make_postings(300, seed=5)
+        doc_ids, tfs, _ = postings
         write_segment(tmp_path, {"alpha": postings})
         reader = SegmentReader(tmp_path / "seg-000000")
         try:
@@ -140,21 +143,19 @@ class TestTermHandle:
             assert handle is not None and handle.blocks is not None
             assert len(handle.blocks) == (300 + POSTINGS_BLOCK_SIZE - 1) // POSTINGS_BLOCK_SIZE
             assert handle.document_count() == 300
-            assert handle.max_term_frequency() == max(
-                posting.term_frequency for posting in postings
-            )
+            assert handle.max_term_frequency() == max(tfs)
             # Doc lengths are base + id, so the term-wide min length is
             # the first posting's.
-            assert handle.min_doc_length() == 10 + postings[0].doc_id
-            by_id = {p.doc_id: p.term_frequency for p in postings}
-            probe_ids = [p.doc_id for p in postings[::17]]
-            probe_ids += [postings[0].doc_id - 1, postings[-1].doc_id + 100]
+            assert handle.min_doc_length() == 10 + doc_ids[0]
+            by_id = dict(zip(doc_ids, tfs))
+            probe_ids = list(doc_ids[::17])
+            probe_ids += [doc_ids[0] - 1, doc_ids[-1] + 100]
             for doc_id in probe_ids:
                 assert handle.probe(doc_id) == by_id.get(doc_id, 0)
             # Past the last posting no block can match.
-            assert handle.block_bound(postings[-1].doc_id + 100) == (0, 0)
-            covered = handle.block_bound(postings[0].doc_id)
-            assert covered is not None and covered[0] >= postings[0].term_frequency
+            assert handle.block_bound(doc_ids[-1] + 100) == (0, 0)
+            covered = handle.block_bound(doc_ids[0])
+            assert covered is not None and covered[0] >= tfs[0]
             assert reader.term_handle(F.BODY_OF_TEXT, "missing") is None
         finally:
             reader.close()
@@ -165,10 +166,10 @@ class TestTermHandle:
         reader = SegmentReader(tmp_path / "seg-000000")
         try:
             handle = reader.term_handle(F.BODY_OF_TEXT, "alpha")
-            for posting in postings:
-                max_tf, min_len = handle.block_bound(posting.doc_id)
-                assert max_tf >= posting.term_frequency
-                assert min_len <= 10 + posting.doc_id
+            for doc_id, tf in zip(postings[0], postings[1]):
+                max_tf, min_len = handle.block_bound(doc_id)
+                assert max_tf >= tf
+                assert min_len <= 10 + doc_id
         finally:
             reader.close()
 

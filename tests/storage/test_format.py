@@ -1,9 +1,10 @@
 """Codec round-trips for the segment file format."""
 
+from array import array
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.engine.index import Posting
 from repro.storage.format import (
     count_posting_list,
     decode_posting_list,
@@ -61,38 +62,51 @@ class TestString:
 
 @st.composite
 def posting_lists(draw):
+    """(doc ids, tfs, positions) columns: the engine's posting layout."""
     doc_ids = draw(
         st.lists(st.integers(0, 10_000), min_size=1, max_size=12, unique=True)
     )
     doc_ids.sort()
-    postings = []
-    for doc_id in doc_ids:
-        positions = draw(
-            st.lists(st.integers(0, 500), min_size=1, max_size=6, unique=True)
-        )
-        postings.append(Posting(doc_id, tuple(sorted(positions))))
-    return postings
+    tfs, positions = array("I"), array("I")
+    for _ in doc_ids:
+        run = draw(st.lists(st.integers(0, 500), min_size=1, max_size=6, unique=True))
+        tfs.append(len(run))
+        positions.extend(sorted(run))
+    return array("q", doc_ids), tfs, positions
+
+
+def without(postings, dead):
+    """The columns with the postings of ``dead`` documents left out."""
+    kept = (array("q"), array("I"), array("I"))
+    start = 0
+    for doc_id, tf in zip(postings[0], postings[1]):
+        if doc_id not in dead:
+            kept[0].append(doc_id)
+            kept[1].append(tf)
+            kept[2].extend(postings[2][start : start + tf])
+        start += tf
+    return kept
 
 
 class TestPostingList:
     @given(posting_lists())
     def test_round_trip(self, postings):
         blob = bytearray()
-        encode_posting_list(blob, postings)
+        encode_posting_list(blob, *postings)
         decoded = decode_posting_list(bytes(blob), 0)
         assert decoded == postings
 
     @given(posting_lists())
     def test_count_matches(self, postings):
         blob = bytearray()
-        encode_posting_list(blob, postings)
-        assert count_posting_list(bytes(blob), 0) == len(postings)
+        encode_posting_list(blob, *postings)
+        assert count_posting_list(bytes(blob), 0) == len(postings[0])
 
     @given(posting_lists(), st.sets(st.integers(0, 10_000)))
     def test_live_filter_drops_tombstoned(self, postings, dead):
         blob = bytearray()
-        encode_posting_list(blob, postings)
+        encode_posting_list(blob, *postings)
         decoded = decode_posting_list(
             bytes(blob), 0, live=lambda doc_id: doc_id not in dead
         )
-        assert decoded == [p for p in postings if p.doc_id not in dead]
+        assert decoded == without(postings, dead)

@@ -1,9 +1,11 @@
 """Segment writer/reader round trips and the store's commit protocol."""
 
+from array import array
+
 import pytest
 
 from repro.engine.documents import Document
-from repro.engine.index import Posting, SummaryEntry
+from repro.engine.index import SummaryEntry
 from repro.storage.format import StorageError
 from repro.storage.merge import TieredMergePolicy
 from repro.storage.segment import SegmentReader, SegmentWriter
@@ -14,19 +16,29 @@ def doc(i, body="hello world"):
     return Document(f"http://d/{i}", {"title": f"doc {i}", "body-of-text": body})
 
 
+def column(ids, position):
+    """(doc ids, tfs, positions): one occurrence at ``position`` per doc."""
+    return array("q", ids), array("I", [1] * len(ids)), array("I", [position] * len(ids))
+
+
 def simple_batch(ids):
     documents = [(i, doc(i), 2) for i in ids]
     postings = {
-        "title": {"doc": [Posting(i, (0,)) for i in ids]},
+        "title": {"doc": column(ids, 0)},
         "body-of-text": {
-            "hello": [Posting(i, (0,)) for i in ids],
-            "world": [Posting(i, (1,)) for i in ids],
+            "hello": column(ids, 0),
+            "world": column(ids, 1),
         },
     }
     summary = [
         ("body-of-text", "en", {"hello": SummaryEntry(len(ids), len(ids))}),
     ]
     return documents, postings, summary
+
+
+def decoded(reader, field, term, live=None):
+    handle = reader.term_handle(field, term)
+    return handle.positions(live) if handle is not None else None
 
 
 class TestWriterReader:
@@ -40,10 +52,8 @@ class TestWriterReader:
         reader = SegmentReader(tmp_path / "seg-000000")
         assert reader.fields() == ["body-of-text", "title"]
         assert reader.vocabulary("body-of-text") == ["hello", "world"]
-        assert reader.postings("body-of-text", "hello") == [
-            Posting(0, (0,)), Posting(1, (0,)), Posting(2, (0,)),
-        ]
-        assert reader.postings("body-of-text", "absent") == []
+        assert decoded(reader, "body-of-text", "hello") == column([0, 1, 2], 0)
+        assert decoded(reader, "body-of-text", "absent") is None
         assert reader.slot_of(1) == 1
         assert reader.slot_of(99) is None
         assert reader.document_at(0) == doc(0)
@@ -79,9 +89,7 @@ class TestWriterReader:
         SegmentWriter(tmp_path / "seg", "seg").write(documents, postings, summary)
         reader = SegmentReader(tmp_path / "seg")
         live = lambda doc_id: doc_id != 1  # noqa: E731
-        assert reader.postings("body-of-text", "hello", live) == [
-            Posting(0, (0,)), Posting(2, (0,)),
-        ]
+        assert decoded(reader, "body-of-text", "hello", live) == column([0, 2], 0)
         reader.close()
 
 
@@ -98,7 +106,7 @@ class TestSegmentStore:
         reopened = SegmentStore(tmp_path)
         assert reopened.segment_count == 2
         assert reopened.generation == 2
-        assert [p.doc_id for p in reopened.readers[1].postings("title", "doc")] == [2, 3]
+        assert list(decoded(reopened.readers[1], "title", "doc")[0]) == [2, 3]
         reopened.close()
 
     def test_overlapping_segment_refused(self, tmp_path):
@@ -140,7 +148,7 @@ class TestSegmentStore:
         assert store.merge_once() is not None
         assert store.segment_count == 1
         assert store.tombstones == set()  # consumed by the merge
-        assert [p.doc_id for p in store.readers[0].postings("title", "doc")] == [0, 2, 3]
+        assert list(decoded(store.readers[0], "title", "doc")[0]) == [0, 2, 3]
         # summary statistics were summed across the group
         sections = store.readers[0].summary_sections()
         assert sections[0][2]["hello"].postings == 4

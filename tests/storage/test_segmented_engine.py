@@ -158,6 +158,26 @@ class TestMutation:
         assert_equivalent(oracle, segmented)
         segmented.close()
 
+    def test_remove_commits_exactly_the_survivors(self, tmp_path):
+        """No flush after ``remove``: a reopen must still find every
+        committed survivor, the tail's too — and nothing else."""
+        documents = corpus()
+        oracle, segmented = build_pair(tmp_path, documents[:9], flush_every=4)
+        assert segmented.store.tail_rows()  # one document only in the tail
+        victim = documents[2].linkage
+        assert oracle.remove(victim)
+        assert segmented.remove(victim)
+        segmented.close()
+        reopened = SearchEngine(storage="segments", storage_dir=tmp_path / "store")
+        assert_equivalent(oracle, reopened)
+        for document in documents[:9]:
+            assert reopened.remove(document.linkage) == (document.linkage != victim)
+        reopened.close()
+        emptied = SearchEngine(storage="segments", storage_dir=tmp_path / "store")
+        assert emptied.document_count == 0
+        assert [p.name for p in (tmp_path / "store").iterdir() if p.is_dir()] == []
+        emptied.close()
+
     def test_replace_after_checkpoint(self, tmp_path):
         documents = corpus()
         oracle, segmented = build_pair(tmp_path, documents, flush_every=3)

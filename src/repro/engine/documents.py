@@ -11,7 +11,7 @@ their member sources.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 from repro.engine import fields as F
@@ -126,9 +126,6 @@ class DocumentStore:
     def by_linkage(self, linkage: str) -> int | None:
         """The id of the document with this URL, if stored."""
         return self._by_linkage.get(linkage)
-
-    def linkages(self) -> Iterable[str]:
-        return self._by_linkage.keys()
 
     def average_token_count(self) -> float:
         """Mean document length, used by length-normalizing scorers."""

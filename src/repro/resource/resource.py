@@ -17,12 +17,14 @@ letting the metasearcher decide for itself.
 from __future__ import annotations
 
 from collections.abc import Callable
+from operator import attrgetter
 
+from repro.engine.documents import Document
 from repro.starts.errors import UnknownSourceError
 from repro.starts.metadata import SResource
 from repro.starts.query import SQuery
 from repro.starts.results import SQRDocument, SQResults
-from repro.source.source import StartsSource
+from repro.source.source import StartsSource, order_answers
 
 __all__ = ["Resource"]
 
@@ -61,50 +63,52 @@ class Resource:
     # -- querying (Figure 1) -----------------------------------------------
 
     def search(self, source_id: str, query: SQuery) -> SQResults:
-        """Evaluate ``query`` at ``source_id`` plus ``query.sources``.
+        """The decode of :meth:`respond`, exactly what a client sees."""
+        return SQResults.from_soif_stream(self.respond(source_id, query))
+
+    def respond(self, source_id: str, query: SQuery) -> bytes:
+        """Evaluate ``query`` at ``source_id`` plus ``query.sources``: the
+        result stream's UTF-8 bytes.
 
         The query's ``Sources`` attribute names *additional* local
-        sources.  Results are merged with duplicate elimination; the
-        actual expressions reported are those of the entry source
-        (per-source actual queries can be obtained by querying each
-        source individually).
+        sources.  Their results are merged with duplicate elimination and
+        put in the query's sort order (a field key reads the stored
+        document of the first source that answered with it); the actual
+        expressions reported are the entry source's.
 
         Raises:
             UnknownSourceError: if any named source is absent.
         """
         entry = self.source(source_id)
         extra = [self.source(name) for name in query.sources if name != source_id]
-
-        entry_result = entry.search(query)
         if not extra:
-            return entry_result
+            return entry.respond(query)
 
+        results = [(source, source.search(query)) for source in (entry, *extra)]
         merged: dict[str, SQRDocument] = {}
-        order: list[str] = []
-        all_sources: list[str] = []
-        for result in [entry_result, *(source.search(query) for source in extra)]:
-            for name in result.sources:
-                if name not in all_sources:
-                    all_sources.append(name)
+        holders: dict[str, StartsSource] = {}
+        for source, result in results:
             for document in result.documents:
                 existing = merged.get(document.linkage)
                 if existing is None:
                     merged[document.linkage] = document
-                    order.append(document.linkage)
+                    holders[document.linkage] = source
                 else:
                     merged[document.linkage] = _merge_duplicate(existing, document)
-
-        documents = sorted(
-            (merged[linkage] for linkage in order),
-            key=lambda doc: -doc.raw_score,
+        documents = order_answers(
+            merged.values(),
+            query.sort_keys,
+            attrgetter("raw_score"),
+            lambda document: _stored(holders[document.linkage], document.linkage),
         )
-        documents = documents[: query.max_number_documents]
-        return SQResults(
-            sources=tuple(all_sources),
+        entry_result = results[0][1]
+        answer = SQResults(
+            sources=tuple(dict.fromkeys(name for _, r in results for name in r.sources)),
             actual_filter_expression=entry_result.actual_filter_expression,
             actual_ranking_expression=entry_result.actual_ranking_expression,
-            documents=tuple(documents),
+            documents=tuple(documents[: query.max_number_documents]),
         )
+        return answer.to_soif_stream().encode("utf-8")
 
     # -- metadata (Example 12) ------------------------------------------------
 
@@ -122,6 +126,11 @@ class Resource:
 
     def __repr__(self) -> str:
         return f"Resource({self.name!r}, sources={self.source_ids()})"
+
+
+def _stored(source: StartsSource, linkage: str) -> Document:
+    store = source.engine.store
+    return store[store.by_linkage(linkage)]
 
 
 def _merge_duplicate(first: SQRDocument, second: SQRDocument) -> SQRDocument:

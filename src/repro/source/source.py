@@ -3,34 +3,68 @@
 Wraps a search engine behind the protocol: accepts :class:`SQuery`
 objects, down-translates them against declared capabilities, executes,
 applies the answer specification (answer fields, sort order, minimum
-score, maximum documents) and returns :class:`SQResults` carrying the
-actual query and per-term statistics.  Also exports the two metadata
-blobs (MBasic-1 attributes and the content summary) and the
-sample-database results.  Sources are sessionless and stateless: every
-``search`` call is self-contained.
+score, maximum documents) and writes the result stream — the actual
+query and per-term statistics — straight from the engine's hits
+(:meth:`StartsSource.respond`; ``search`` is its decode).  Also exports
+the two metadata blobs (MBasic-1 attributes and the content summary)
+and the sample-database results.  Sources are sessionless and
+stateless: every query is self-contained.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import replace
+from operator import attrgetter
 
 from repro.engine import fields as F
 from repro.engine.documents import Document
-from repro.engine.ranking import RankingAlgorithm
 from repro.engine.search import EngineHit, SearchEngine
 from repro.source.capabilities import SourceCapabilities
 from repro.source.execution import QueryTranslator
 from repro.source.sample import SampleResults, run_sample_queries
+from repro.source.scan import ScanEntry, ScanResponse
 from repro.source.summaries import build_content_summary
 from repro.starts.ast import STerm
 from repro.starts.attributes import FieldRef, ModifierRef, canonical_field_name
 from repro.starts.lstring import LString
 from repro.starts.metadata import SContentSummary, SMetaAttributes
-from repro.starts.query import SCORE_SORT_FIELD, SQuery
-from repro.starts.results import SQRDocument, SQResults, TermStats
+from repro.starts.query import PROTOCOL_VERSION, SCORE_SORT_FIELD, SortKey, SQuery
+from repro.starts.results import (
+    SQResults,
+    document_head,
+    term_stats_row,
+    write_document,
+    write_header,
+)
+from repro.starts.soif import attribute_line
 from repro.text.analysis import Analyzer
 
 __all__ = ["StartsSource"]
+
+_DEFAULT_SORT = (SortKey(SCORE_SORT_FIELD, descending=True),)
+_hit_score = attrgetter("score")
+
+
+def order_answers(answers: Iterable, sort_keys, score, stored) -> list:
+    """``answers`` ordered by ``sort_keys`` (score-descending if none),
+    least-significant key first.  ``score(answer)`` is an answer's raw
+    score; a field key reads ``stored(answer)``, its stored document,
+    whether or not the query asked for that field back."""
+    ordered = list(answers)
+    for key in reversed(sort_keys or _DEFAULT_SORT):
+        if key.field == SCORE_SORT_FIELD:
+            ordered.sort(key=score, reverse=key.descending)
+        else:
+            name = canonical_field_name(key.field)
+            ordered.sort(
+                key=lambda answer: _field(stored(answer), name), reverse=key.descending
+            )
+    return ordered
+
+
+def _field(document: Document, name: str) -> str:
+    return document.linkage if name == F.LINKAGE else document.get(name)
 
 
 class StartsSource:
@@ -124,7 +158,14 @@ class StartsSource:
     # -- querying -------------------------------------------------------
 
     def search(self, query: SQuery) -> SQResults:
-        """Evaluate a STARTS query at this single source."""
+        """Evaluate a STARTS query at this single source: the decode of
+        :meth:`respond`, exactly what a client of the query endpoint sees."""
+        return SQResults.from_soif_stream(self.respond(query))
+
+    def respond(self, query: SQuery) -> bytes:
+        """Evaluate a STARTS query at this single source: the result
+        stream's UTF-8 bytes, written straight from the engine's hits and
+        the stored documents."""
         query.validate()
         translator = QueryTranslator(
             self.capabilities,
@@ -135,126 +176,73 @@ class StartsSource:
         drop_stop_words = query.drop_stop_words
         if not self.capabilities.turn_off_stop_words:
             drop_stop_words = True
-
-        filter_outcome = translator.translate_filter(
-            query.filter_expression, drop_stop_words
-        )
-        ranking_outcome = translator.translate_ranking(
-            query.ranking_expression, drop_stop_words
-        )
-
-        if filter_outcome.engine_query is None and ranking_outcome.engine_query is None:
-            return SQResults(
-                sources=(self.source_id,),
-                actual_filter_expression=filter_outcome.actual,
-                actual_ranking_expression=ranking_outcome.actual,
-                documents=(),
-            )
+        filtered = translator.translate_filter(query.filter_expression, drop_stop_words)
+        ranked = translator.translate_ranking(query.ranking_expression, drop_stop_words)
 
         limit = query.max_number_documents
         if self.capabilities.result_cap is not None:
             limit = min(limit, self.capabilities.result_cap)
-
-        # When the answer specification orders by score (the default),
-        # the engine can truncate to the answer limit itself — the tail
-        # is never materialized and never gets TermStats.  Any other
-        # sort order needs the full result before sorting.
-        min_score = 0.0
-        if ranking_outcome.engine_query is not None:
-            min_score = query.min_document_score
-        hits = self.engine.search(
-            filter_query=filter_outcome.engine_query,
-            ranking_query=ranking_outcome.engine_query,
-            top_k=limit if self._score_ordered(query) else None,
-            min_score=min_score,
-        )
-
-        documents = self._to_documents(hits, query)
-        documents = self._sort_documents(documents, query)
-        documents = documents[:limit]
-
-        return SQResults(
-            sources=(self.source_id,),
-            actual_filter_expression=filter_outcome.actual,
-            actual_ranking_expression=ranking_outcome.actual,
-            documents=tuple(documents),
-        )
-
-    def _to_documents(self, hits: list[EngineHit], query: SQuery) -> list[SQRDocument]:
-        """One response's documents.  What depends only on the response
-        is done once, here: the canonical answer-field names (``linkage``
-        is always present on SQRDocument), the ``Sources`` tuple and one
-        ``STerm`` per distinct ranking term — a memo that dies with the call.
-        """
         store = self.engine.store
-        sources = (self.source_id,)
+        filter_query, ranking_query = filtered.engine_query, ranked.engine_query
+        hits: list[EngineHit] = []
+        if filter_query is not None or ranking_query is not None:
+            # The engine orders by descending score, then ascending doc id:
+            # when every sort key is score-descending (the default), that is
+            # the answer's order and the engine truncates to the answer
+            # limit itself — the tail is never materialized and never gets
+            # TermStats.  Any other sort order needs the full result first.
+            score_ordered = all(
+                key.field == SCORE_SORT_FIELD and key.descending
+                for key in query.sort_keys
+            )
+            hits = self.engine.search(
+                filter_query=filter_query,
+                ranking_query=ranking_query,
+                top_k=limit if score_ordered else None,
+                min_score=query.min_document_score,
+            )
+            if not score_ordered:
+                hits = order_answers(
+                    hits, query.sort_keys, _hit_score, lambda hit: store[hit.doc_id]
+                )
+            hits = hits[:limit]
+
+        lines: list[str] = []
+        write_header(
+            lines,
+            PROTOCOL_VERSION,
+            self.source_id,
+            filtered.actual,
+            ranked.actual,
+            len(hits),
+        )
+        # What depends only on the response is done once: the canonical
+        # answer-field names (``linkage`` is always written), the lines
+        # every document shares and, in a memo that dies with the call,
+        # each distinct ranking term's serialization.
         wanted = dict.fromkeys(map(canonical_field_name, query.answer_fields))
         wanted.pop(F.LINKAGE, None)
-        terms: dict[tuple[str, str], STerm] = {}
-        documents = []
+        head = document_head(PROTOCOL_VERSION)
+        sources = attribute_line("Sources", self.source_id)
+        terms: dict[tuple[str, str], str] = {}
         for hit in hits:
             document = store[hit.doc_id]
             get = document.fields.get
-            term_stats = []
+            rows = []
             for stats in hit.term_stats if self.export_term_stats else ():
                 key = (stats.field, stats.text)
                 term = terms.get(key)
                 if term is None:
-                    term = STerm(LString(stats.text), FieldRef(stats.field))
+                    term = STerm(LString(stats.text), FieldRef(stats.field)).serialize()
                     terms[key] = term
-                term_stats.append(
-                    TermStats(
-                        term,
-                        stats.term_frequency,
-                        stats.term_weight,
-                        stats.document_frequency,
-                    )
-                )
-            documents.append(
-                SQRDocument(
-                    linkage=document.linkage,
-                    raw_score=hit.score,
-                    sources=sources,
-                    fields={name: value for name in wanted if (value := get(name))},
-                    term_stats=tuple(term_stats),
-                    doc_size=document.size_kbytes(),
-                    doc_count=store.token_count(hit.doc_id),
-                )
+                tf, df = stats.term_frequency, stats.document_frequency
+                rows.append(term_stats_row(term, tf, stats.term_weight, df))
+            write_document(
+                lines, head, hit.score, sources, document.linkage,
+                [(name, value) for name in wanted if (value := get(name))],
+                "\n".join(rows), document.size_kbytes(), store.token_count(hit.doc_id),
             )
-        return documents
-
-    @staticmethod
-    def _score_ordered(query: SQuery) -> bool:
-        """True when the requested sort preserves the engine's order.
-
-        The engine returns hits by descending score with ascending doc
-        id tie-breaks; score-descending sort keys (including the empty
-        sort) keep that order, so engine-side top-k truncation returns
-        exactly the documents the full pipeline would.
-        """
-        return all(
-            key.field == SCORE_SORT_FIELD and key.descending
-            for key in query.sort_keys
-        )
-
-    def _sort_documents(
-        self, documents: list[SQRDocument], query: SQuery
-    ) -> list[SQRDocument]:
-        """Apply the query's sort keys, score-descending by default.
-
-        Multi-key sorts are applied least-significant key first (stable
-        sort composition).
-        """
-        ordered = list(documents)
-        for key in reversed(query.sort_keys):
-            if key.field == SCORE_SORT_FIELD:
-                ordered.sort(key=lambda doc: doc.raw_score, reverse=key.descending)
-            else:
-                field_name = canonical_field_name(key.field)
-                ordered.sort(
-                    key=lambda doc: doc.get(field_name, ""), reverse=key.descending
-                )
-        return ordered
+        return ("\n".join(lines) + "\n").encode("utf-8")
 
     # -- metadata export ----------------------------------------------------
 
@@ -269,20 +257,14 @@ class StartsSource:
             (ModifierRef(name, "basic-1"), langs)
             for name, langs in sorted(self.capabilities.modifiers.items())
         )
-        combinations: tuple[tuple[FieldRef, ModifierRef], ...] = ()
-        if self.capabilities.combinations is not None:
-            combinations = tuple(
-                (FieldRef(field_name, "basic-1"), ModifierRef(modifier_name, "basic-1"))
-                for field_name, modifier_name in sorted(self.capabilities.combinations)
-            )
+        combinations = tuple(
+            (FieldRef(field_name, "basic-1"), ModifierRef(modifier_name, "basic-1"))
+            for field_name, modifier_name in sorted(self.capabilities.combinations or ())
+        )
 
-        ranking: RankingAlgorithm | None = self.engine.ranking
-        if ranking is not None:
-            score_range = ranking.score_range
-            algorithm_id = ranking.algorithm_id
-        else:
-            score_range = (0.0, 0.0)
-            algorithm_id = "none"
+        ranking = self.engine.ranking
+        score_range = (0.0, 0.0) if ranking is None else ranking.score_range
+        algorithm_id = "none" if ranking is None else ranking.algorithm_id
 
         stop_words: list[str] = []
         for language in ("en", "es"):
@@ -332,7 +314,7 @@ class StartsSource:
         """The source's content summary (Example 11)."""
         return build_content_summary(self.engine, max_words_per_section)
 
-    def scan(self, field: str, start_term: str, count: int = 10) -> "ScanResponse":
+    def scan(self, field: str, start_term: str, count: int = 10) -> ScanResponse:
         """Browse the vocabulary of ``field`` from ``start_term`` on.
 
         The optional Scan extension (after Z39.50's Scan service, §5):
@@ -340,8 +322,6 @@ class StartsSource:
         lexicographic order, each with its postings count and document
         frequency, aggregated over languages.
         """
-        from repro.source.scan import ScanEntry, ScanResponse
-
         canonical = canonical_field_name(field)
         totals: dict[str, list[int]] = {}
         for section_field, _, words in self.engine.index.summary_sections():
@@ -372,17 +352,7 @@ class StartsSource:
         kept = self._sample
         if kept is None or kept[0] is not analyzer or kept[1] is not ranking:
             results = run_sample_queries(
-                lambda: SearchEngine(
-                    analyzer=Analyzer(
-                        tokenizer=analyzer.tokenizer,
-                        stop_words=analyzer.stop_words,
-                        stem=analyzer.stem,
-                        case_sensitive=analyzer.case_sensitive,
-                        can_disable_stop_words=analyzer.can_disable_stop_words,
-                        index_stop_words=analyzer.index_stop_words,
-                    ),
-                    ranking=ranking,
-                )
+                lambda: SearchEngine(analyzer=replace(analyzer), ranking=ranking)
             )
             kept = self._sample = (analyzer, ranking, results)
         return kept[2]

@@ -55,6 +55,54 @@ def _expression(header: dict[str, str], attribute: str) -> SNode | None:
         raise SoifSyntaxError(f"bad {attribute}: {error}") from error
 
 
+# -- the one result writer, fed objects by ``SQResults.to_soif_stream`` and
+# engine hits by ``StartsSource.respond``: ``write_header``, one
+# ``write_document`` per document, the lines joined and ended by newlines.
+
+
+def write_header(lines, version, sources, actual_filter, actual_ranking, count) -> None:
+    """Append the ``@SQResults`` object; ``sources`` space-separated."""
+    line = attribute_line
+    lines += ("@SQResults{", line("Version", version), line("Sources", sources))
+    if actual_filter is not None:
+        lines.append(line("ActualFilterExpression", actual_filter.serialize()))
+    if actual_ranking is not None:
+        lines.append(line("ActualRankingExpression", actual_ranking.serialize()))
+    lines += (line("NumDocSOIFs", str(count)), "}")
+
+
+def document_head(version: str) -> str:
+    """What opens every ``@SQRDocument`` of ``version``: the blank line
+    that separates objects, the template and the ``Version`` line."""
+    return "\n@SQRDocument{\n" + attribute_line("Version", version)
+
+
+def write_document(
+    lines, head, raw_score, sources, linkage, fields, term_stats, doc_size, doc_count
+) -> None:
+    """Append one ``@SQRDocument``: ``head`` from :func:`document_head`,
+    ``sources`` its ``Sources`` line, ``fields`` (name, value) pairs and
+    ``term_stats`` :func:`term_stats_row` rows joined by newlines."""
+    line = attribute_line
+    add = lines.append
+    add(head)
+    add(line("RawScore", _format_float(raw_score)))
+    add(sources)
+    add(line("linkage", linkage))
+    for name, value in fields:
+        add(line(name, value))
+    if term_stats:
+        add(line("TermStats", term_stats))
+    add(line("DocSize", str(doc_size)))
+    add(line("DocCount", str(doc_count)))
+    add("}")
+
+
+def term_stats_row(term: str, term_frequency: int, term_weight: float, df: int) -> str:
+    """One ``TermStats`` row, ``term`` already serialized."""
+    return f"{term} {term_frequency} {_format_float(term_weight)} {df}"
+
+
 @dataclass(frozen=True, slots=True)
 class TermStats:
     """Statistics for one ranking-expression term in one document."""
@@ -75,9 +123,8 @@ class TermStats:
         text = terms.get(id(self.term))
         if text is None:
             text = terms[id(self.term)] = self.term.serialize()
-        return (
-            f"{text} {self.term_frequency} "
-            f"{_format_float(self.term_weight)} {self.document_frequency}"
+        return term_stats_row(
+            text, self.term_frequency, self.term_weight, self.document_frequency
         )
 
     @classmethod
@@ -223,41 +270,23 @@ class SQResults:
 
     def to_soif_stream(self) -> str:
         """The wire form: @SQResults then the @SQRDocument series."""
-        line = attribute_line
-        lines = [
-            "@SQResults{",
-            line("Version", self.version),
-            line("Sources", " ".join(self.sources)),
-        ]
-        add = lines.append
-        for name, expression in (
-            ("ActualFilterExpression", self.actual_filter_expression),
-            ("ActualRankingExpression", self.actual_ranking_expression),
-        ):
-            if expression is not None:
-                add(line(name, expression.serialize()))
-        add(line("NumDocSOIFs", str(self.num_doc_soifs)))
-        add("}")
+        lines: list[str] = []
+        write_header(
+            lines, self.version, " ".join(self.sources), self.actual_filter_expression,
+            self.actual_ranking_expression, self.num_doc_soifs,
+        )
         # Each distinct term object of this response is serialized once;
         # the memo dies with the call.
         terms: dict[int, str] = {}
         for document in self.documents:
-            add("")  # objects are separated by one blank line
-            add("@SQRDocument{")
-            add(line("Version", document.version))
-            add(line("RawScore", _format_float(document.raw_score)))
-            add(line("Sources", " ".join(document.sources)))
-            add(line("linkage", document.linkage))
-            for name, value in document.fields.items():
-                add(line(name, value))
-            if document.term_stats:
-                rows = [stats.serialize(terms) for stats in document.term_stats]
-                add(line("TermStats", "\n".join(rows)))
-            add(line("DocSize", str(document.doc_size)))
-            add(line("DocCount", str(document.doc_count)))
-            add("}")
-        add("")
-        return "\n".join(lines)
+            write_document(
+                lines, document_head(document.version), document.raw_score,
+                attribute_line("Sources", " ".join(document.sources)), document.linkage,
+                document.fields.items(),
+                "\n".join(stats.serialize(terms) for stats in document.term_stats),
+                document.doc_size, document.doc_count,
+            )
+        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_soif_stream(cls, text: str | bytes) -> "SQResults":

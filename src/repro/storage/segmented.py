@@ -429,9 +429,6 @@ class SegmentedDocumentStore(DocumentStore):
     def by_linkage(self, linkage: str) -> int | None:
         return self._by_linkage.get(linkage)
 
-    def linkages(self):
-        return self._by_linkage.keys()
-
     def average_token_count(self) -> float:
         live = len(self)
         if not live:

@@ -115,10 +115,8 @@ def source_endpoints(
     def handle_query(body: bytes) -> bytes:
         query = SQuery.from_soif(parse_soif(body))
         if resource is not None:
-            results = resource.search(source.source_id, query)
-        else:
-            results = source.search(query)
-        return results.to_soif_stream().encode("utf-8")
+            return resource.respond(source.source_id, query)
+        return source.respond(query)
 
     def handle_scan(body: bytes) -> bytes:
         request = ScanRequest.from_soif(parse_soif(body))

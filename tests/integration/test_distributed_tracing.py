@@ -75,13 +75,13 @@ def _slow_source_resource() -> Resource:
         )
         resource.add_source(build_vendor_source(vendor, source_id, documents))
     slow = resource.source(SLOW)
-    fast_search = slow.search
+    fast_respond = slow.respond
 
-    def slow_search(query):
+    def slow_respond(query):
         time.sleep(SLOW_MS / 1000.0)
-        return fast_search(query)
+        return fast_respond(query)
 
-    slow.search = slow_search
+    slow.respond = slow_respond
     return resource
 
 
@@ -156,14 +156,14 @@ class TestExplainCommandNdjson:
     def test_the_same_rows_come_out_of_ndjson(self, tmp_path, capsys, monkeypatch):
         from repro.__main__ import main
 
-        slow, fast_search = "Source-IR", StartsSource.search
+        slow, fast_respond = "Source-IR", StartsSource.respond
 
-        def search(self, query):
+        def respond(self, query):
             if self.source_id == slow:
                 time.sleep(SLOW_MS / 1000.0)
-            return fast_search(self, query)
+            return fast_respond(self, query)
 
-        monkeypatch.setattr(StartsSource, "search", search)
+        monkeypatch.setattr(StartsSource, "respond", respond)
         path = tmp_path / "explain.ndjson"
         assert main(["--seed", "3", "explain", "--ndjson", str(path)]) == 0
         rows = [json.loads(line) for line in path.read_text().splitlines()]

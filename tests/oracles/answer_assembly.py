@@ -1,12 +1,15 @@
-"""The source's answer assembly as it stood before the per-response hoisting.
+"""The source's answer assembly as it stood before the one-pass writer.
 
 ``StartsSource._to_document`` (the answer-field names re-canonicalised
-and a fresh ``STerm`` built per hit) and ``Document.size_kbytes`` (join
-and UTF-8-encode the whole text to count it) are moved here verbatim
-from ``repro/source/source.py`` and ``repro/engine/documents.py``;
-``oracle_search`` is ``StartsSource.search`` as it was, calling them.
-``tests/source/test_answer_assembly.py`` holds the production path to
-these, hit for hit.
+and a fresh ``STerm`` built per hit), ``StartsSource._sort_documents``,
+``StartsSource._score_ordered`` and ``Document.size_kbytes`` (join and
+UTF-8-encode the whole text to count it) are moved here verbatim from
+``repro/source/source.py`` and ``repro/engine/documents.py`` — the sort
+with one fix, marked where it is; ``oracle_search`` is
+``StartsSource.search`` as it was, calling them, an ``SQResults`` of
+``SQRDocument`` objects.
+``tests/source/test_answer_assembly.py`` holds ``StartsSource.respond``
+to these, encoded by ``tests/oracles/soif_encode.py``, byte for byte.
 """
 
 from __future__ import annotations
@@ -19,10 +22,17 @@ from repro.source.source import StartsSource
 from repro.starts.ast import STerm
 from repro.starts.attributes import FieldRef, canonical_field_name
 from repro.starts.lstring import LString
-from repro.starts.query import SQuery
+from repro.starts.query import SCORE_SORT_FIELD, SQuery
 from repro.starts.results import SQRDocument, SQResults, TermStats
+from tests.oracles.soif_encode import oracle_results_to_soif_stream
 
-__all__ = ["oracle_size_kbytes", "oracle_to_document", "oracle_search", "OracleSource"]
+__all__ = [
+    "oracle_size_kbytes",
+    "oracle_to_document",
+    "oracle_sort_documents",
+    "oracle_search",
+    "OracleSource",
+]
 
 
 def oracle_size_kbytes(document: Document) -> int:
@@ -64,6 +74,37 @@ def oracle_to_document(source: StartsSource, hit: EngineHit, query: SQuery) -> S
     )
 
 
+def oracle_sort_documents(
+    source: StartsSource, documents: list[SQRDocument], query: SQuery
+) -> list[SQRDocument]:
+    """Apply the query's sort keys, score-descending by default.
+
+    Multi-key sorts are applied least-significant key first (stable
+    sort composition).
+    """
+    store = source.engine.store
+    ordered = list(documents)
+    for key in reversed(query.sort_keys):
+        if key.field == SCORE_SORT_FIELD:
+            ordered.sort(key=lambda doc: doc.raw_score, reverse=key.descending)
+        else:
+            field_name = canonical_field_name(key.field)
+            # The fix: a field the query did not ask back is not on the
+            # answer, so fall back to the stored document's value.
+            ordered.sort(
+                key=lambda doc: doc.get(field_name)
+                or store[store.by_linkage(doc.linkage)].get(field_name, ""),
+                reverse=key.descending,
+            )
+    return ordered
+
+
+def _score_ordered(query: SQuery) -> bool:
+    return all(
+        key.field == SCORE_SORT_FIELD and key.descending for key in query.sort_keys
+    )
+
+
 def oracle_search(source: StartsSource, query: SQuery) -> SQResults:
     """Evaluate a STARTS query at this single source."""
     query.validate()
@@ -100,12 +141,12 @@ def oracle_search(source: StartsSource, query: SQuery) -> SQResults:
     hits = source.engine.search(
         filter_query=filter_outcome.engine_query,
         ranking_query=ranking_outcome.engine_query,
-        top_k=limit if source._score_ordered(query) else None,
+        top_k=limit if _score_ordered(query) else None,
         min_score=min_score,
     )
 
     documents = [oracle_to_document(source, hit, query) for hit in hits]
-    documents = source._sort_documents(documents, query)
+    documents = oracle_sort_documents(source, documents, query)
     documents = documents[:limit]
 
     return SQResults(
@@ -121,3 +162,7 @@ class OracleSource(StartsSource):
 
     def search(self, query: SQuery) -> SQResults:
         return oracle_search(self, query)
+
+    def respond(self, query: SQuery) -> bytes:
+        answer = oracle_search(self, query)
+        return oracle_results_to_soif_stream(answer).encode("utf-8")

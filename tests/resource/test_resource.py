@@ -3,10 +3,12 @@
 import pytest
 
 from repro.corpus import source1_documents, source2_documents, ullman_dood_document
+from repro.engine.documents import Document
 from repro.resource import Resource
 from repro.source import StartsSource
 from repro.starts import SQuery, parse_expression
 from repro.starts.errors import UnknownSourceError
+from repro.starts.query import SortKey
 
 
 def ranking_query(**overrides):
@@ -67,6 +69,48 @@ class TestFigure1Routing:
             for doc in paper_resource.search("Source-1", query).documents
         ]
         assert scores == sorted(scores, reverse=True)
+
+
+class TestMergedSortOrder:
+    """Naming a second source keeps the query's SortByFields."""
+
+    @pytest.fixture
+    def titled_resource(self):
+        def document(title, body):
+            return Document(f"http://x/{title}", {"title": title, "body-of-text": body})
+
+        first = StartsSource(
+            "S-1", [document("zeta", "data data"), document("alpha", "data x y")]
+        )
+        second = StartsSource("S-2", [document("mid", "data data data")])
+        return Resource("Titled", [first, second])
+
+    @staticmethod
+    def titles(resource, **overrides):
+        query = SQuery(
+            ranking_expression=parse_expression('(body-of-text "data")'),
+            sort_keys=(SortKey("title", descending=False),),
+            **overrides,
+        )
+        answer = resource.search("S-1", query)
+        return [document.linkage.rpartition("/")[2] for document in answer.documents]
+
+    def test_entry_source_alone(self, titled_resource):
+        assert self.titles(titled_resource) == ["alpha", "zeta"]
+
+    def test_with_a_second_source(self, titled_resource):
+        both = self.titles(titled_resource, sources=("S-2",))
+        assert both == ["alpha", "mid", "zeta"]
+
+    def test_truncated_in_sort_order(self, titled_resource):
+        one = self.titles(titled_resource, sources=("S-2",), max_number_documents=1)
+        assert one == ["alpha"]
+
+    def test_on_a_field_not_asked_back(self, titled_resource):
+        unasked = self.titles(
+            titled_resource, sources=("S-2",), answer_fields=("author",)
+        )
+        assert unasked == ["alpha", "mid", "zeta"]
 
 
 class TestDuplicateElimination:

@@ -1,11 +1,14 @@
-"""The per-response answer assembly against the per-hit one it replaced.
+"""The one-pass answer writer against the object assembly it replaced.
 
 ``tests/oracles/answer_assembly.py`` is ``StartsSource.search`` as it
-was: answer-field names canonicalised per hit, a fresh ``STerm`` per hit
-and term, ``DocSize`` from the joined and encoded text.  Over generated
-collections and queries the production search must return the same
-``SQResults`` — documents, order, fields and their order, TermStats,
-sizes — and put the same bytes on the wire.
+was: an ``SQRDocument`` per hit with its answer-field names
+canonicalised, a fresh ``STerm`` per hit and term, ``DocSize`` from the
+joined and encoded text, then the sort.  Over generated collections and
+queries ``StartsSource.respond`` — and ``Resource.respond``, with and
+without a second source — must write exactly the bytes
+``tests/oracles/soif_encode.py`` makes of the oracle's answer, and
+``search``, its decode, must return the same ``SQResults``: documents,
+order, fields and their order, TermStats, sizes.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from repro.engine import fields as F
 from repro.engine.documents import Document
 from repro.resource import Resource
 from repro.source import SourceCapabilities, StartsSource
+from repro.vendors import build_vendor_source
 from repro.starts.ast import SList, STerm
 from repro.starts.attributes import FieldRef
 from repro.starts.lstring import LString
@@ -65,6 +69,12 @@ def term(word: str, field: str) -> STerm:
 
 
 query_terms = st.builds(term, words, st.sampled_from([F.BODY_OF_TEXT, F.TITLE, F.ANY]))
+#: A stop word or a field no source supports: translation drops the term.
+pruned_terms = st.builds(
+    term,
+    st.sampled_from(["the", "data"]),
+    st.sampled_from([F.BODY_OF_TEXT, "no-such-field"]),
+)
 #: Mixed case, the alias, a duplicate, ``linkage`` and an unknown field.
 answer_field_names = st.sampled_from(
     [
@@ -81,26 +91,44 @@ answer_field_names = st.sampled_from(
         "no-such-field",
     ]
 )
+#: Score both ways, linkage, fields the answer may or may not carry (an
+#: alias and a capitalised name among them), several keys, none.
 sort_orders = st.sampled_from(
     [
         (SortKey("score", descending=True),),
         (SortKey("score", descending=False),),
+        (SortKey("linkage", descending=False),),
         (SortKey("title", descending=False),),
+        (SortKey("Date/Time-Last-Modified", descending=True),),
         (SortKey("author", descending=True), SortKey("score", descending=True)),
+        (SortKey("Title", descending=False), SortKey("linkage", descending=True)),
+        (),
     ]
 )
 
 
+def expression(terms):
+    return terms[0] if len(terms) == 1 else SList(tuple(terms))
+
+
 @st.composite
 def queries(draw):
-    ranking = draw(st.lists(query_terms, min_size=1, max_size=3))
+    terms = st.one_of(query_terms, pruned_terms)
+    ranking = draw(st.one_of(st.none(), st.lists(terms, min_size=1, max_size=3)))
+    # A query needs one of the two: without a ranking it is filter-only.
+    filter_ = draw(terms if ranking is None else st.one_of(st.none(), terms))
     return SQuery(
-        filter_expression=draw(st.one_of(st.none(), query_terms)),
-        ranking_expression=ranking[0] if len(ranking) == 1 else SList(tuple(ranking)),
+        filter_expression=filter_,
+        ranking_expression=None if ranking is None else expression(ranking),
         answer_fields=tuple(draw(st.lists(answer_field_names, max_size=6))),
         sort_keys=draw(sort_orders),
+        min_document_score=draw(st.sampled_from([0.0, 0.0, 0.1, 0.3])),
         max_number_documents=draw(st.integers(0, 10)),
     )
+
+
+def oracle_bytes(results) -> bytes:
+    return oracle_results_to_soif_stream(results).encode("utf-8")
 
 
 def assert_same_answer(actual, expected):
@@ -110,29 +138,71 @@ def assert_same_answer(actual, expected):
     assert actual.to_soif_stream() == oracle_results_to_soif_stream(expected)
 
 
-@settings(deadline=None)
-@given(collections(), queries(), st.booleans(), st.sampled_from([None, 2]))
-def test_search_equals_the_oracle_hit_for_hit(documents, query, export, cap):
-    source = StartsSource(
+def source_of(documents, export, cap):
+    return StartsSource(
         "S-1",
         documents,
         capabilities=replace(SourceCapabilities.full_basic1(), result_cap=cap),
         export_term_stats=export,
     )
+
+
+@settings(deadline=None)
+@given(collections(), queries(), st.booleans(), st.sampled_from([None, 2]))
+def test_respond_writes_the_oracle_bytes(documents, query, export, cap):
+    source = source_of(documents, export, cap)
+    assert source.respond(query) == oracle_bytes(oracle_search(source, query))
+
+
+@settings(deadline=None)
+@given(collections(), queries(), st.booleans(), st.sampled_from([None, 2]))
+def test_search_equals_the_oracle_hit_for_hit(documents, query, export, cap):
+    source = source_of(documents, export, cap)
     assert_same_answer(source.search(query), oracle_search(source, query))
+
+
+def resources(first, second):
+    """The same two collections behind production and oracle sources."""
+    return [
+        Resource("R", [kind("S-1", first), kind("S-2", second)])
+        for kind in (StartsSource, OracleSource)
+    ]
+
+
+@settings(deadline=None)
+@given(collections(), collections(), queries(), st.booleans())
+def test_resource_respond_writes_the_oracle_bytes(first, second, query, both):
+    """With ``Sources`` naming the second local source the linkages
+    overlap, so the resource's duplicate merge runs over both answers."""
+    if both:
+        query = query.with_sources("S-2")
+    ours, theirs = resources(first, second)
+    assert ours.respond("S-1", query) == oracle_bytes(theirs.search("S-1", query))
 
 
 @settings(deadline=None)
 @given(collections(), collections(), queries())
 def test_resource_merge_equals_the_oracle(first, second, query):
-    """``Sources`` names a second local source; the linkages overlap, so
-    the resource's duplicate merge runs over both assemblies."""
     query = query.with_sources("S-2")
-    answers = [
-        Resource("R", [kind("S-1", first), kind("S-2", second)]).search("S-1", query)
-        for kind in (StartsSource, OracleSource)
-    ]
-    assert_same_answer(*answers)
+    ours, theirs = resources(first, second)
+    assert_same_answer(ours.search("S-1", query), theirs.search("S-1", query))
+
+
+def test_respond_writes_the_oracle_bytes_over_the_large_answers_world():
+    """Every seed-1 query of the suite's ``large_answers`` workload at
+    every one of its sources: all vendors, every answer field, top 25."""
+    from benchmarks.suite.workloads import workload_named
+    from benchmarks.suite.worlds import generate_inputs
+
+    inputs = generate_inputs(workload_named("large_answers"), 1)
+    answered = 0
+    for spec in inputs.sources:
+        source = build_vendor_source(spec.vendor, spec.source_id, spec.documents)
+        for query in inputs.queries:
+            written = source.respond(query)
+            assert written == oracle_bytes(oracle_search(source, query))
+            answered += written.count(b"@SQRDocument{")
+    assert answered > 10 * len(inputs.queries)
 
 
 @given(collections())

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.corpus import source1_documents
+from repro.engine.documents import Document
 from repro.engine.search import SearchEngine
 from repro.source import SourceCapabilities, StartsSource
 from repro.starts import SQuery, parse_expression
@@ -57,6 +58,27 @@ class TestAnswerSpecification:
         query = replace(ranking_query, sort_keys=(SortKey("title", descending=False),))
         titles = [d.fields["title"] for d in source1.search(query).documents]
         assert titles == sorted(titles)
+
+    def test_field_sort_on_a_field_not_asked_back(self):
+        """SortByFields title with AnswerFields author still orders by
+        title: the sort reads the stored document, not the answer."""
+        source = StartsSource(
+            "S",
+            [
+                Document("http://x/zeta", {"title": "zeta", "body-of-text": "data data"}),
+                Document("http://x/alpha", {"title": "alpha", "body-of-text": "data x y"}),
+            ],
+        )
+        query = SQuery(
+            ranking_expression=parse_expression('(body-of-text "data")'),
+            answer_fields=("author",),
+            sort_keys=(SortKey("title", descending=False),),
+        )
+        by_score = source.search(replace(query, sort_keys=())).documents
+        assert [d.linkage for d in by_score] == ["http://x/zeta", "http://x/alpha"]
+        by_title = source.search(query).documents
+        assert [d.linkage for d in by_title] == ["http://x/alpha", "http://x/zeta"]
+        assert all("title" not in d.fields for d in by_title)
 
     def test_result_cap_applies(self):
         source = StartsSource(

@@ -73,7 +73,7 @@ class TestErrorStatuses:
         def broken(self, query):
             raise RuntimeError("index on fire")
 
-        monkeypatch.setattr(StartsSource, "search", broken)
+        monkeypatch.setattr(StartsSource, "respond", broken)
         body = ranking_query().to_soif().dump().encode("utf-8")
         status, message = self.status_of(server.source_query_url("Source-1"), body)
         assert status == 500

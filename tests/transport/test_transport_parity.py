@@ -104,13 +104,13 @@ class TestAsyncOverSockets:
         ]
         with StartsHttpServer(Resource("Slow", sources)) as server:
             searcher = searcher_over(HttpTransport(), server.resource_url())
-            answer = StartsSource.search
+            answer = StartsSource.respond
 
-            def slow_search(self, query):
+            def slow_respond(self, query):
                 time.sleep(0.03)
                 return answer(self, query)
 
-            monkeypatch.setattr(StartsSource, "search", slow_search)
+            monkeypatch.setattr(StartsSource, "respond", slow_respond)
             walls = {}
             for name, executor in EXECUTORS.items():
                 started = time.perf_counter()

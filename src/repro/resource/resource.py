@@ -64,7 +64,7 @@ class Resource:
 
     def search(self, source_id: str, query: SQuery) -> SQResults:
         """The decode of :meth:`respond`, exactly what a client sees."""
-        return SQResults.from_soif_stream(self.respond(source_id, query))
+        return SQResults.from_soif_stream(self.respond(source_id, query), query)
 
     def respond(self, source_id: str, query: SQuery) -> bytes:
         """Evaluate ``query`` at ``source_id`` plus ``query.sources``: the

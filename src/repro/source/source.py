@@ -160,7 +160,7 @@ class StartsSource:
     def search(self, query: SQuery) -> SQResults:
         """Evaluate a STARTS query at this single source: the decode of
         :meth:`respond`, exactly what a client of the query endpoint sees."""
-        return SQResults.from_soif_stream(self.respond(query))
+        return SQResults.from_soif_stream(self.respond(query), query)
 
     def respond(self, query: SQuery) -> bytes:
         """Evaluate a STARTS query at this single source: the result

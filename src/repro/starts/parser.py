@@ -15,13 +15,14 @@ the paper's Examples 1–7):
     modifier := WORD | "{" set WORD "}"                   (known modifier names)
     lstring  := STRING | "[" langtag STRING "]"
     weight   := NUMBER in (0, 1]
+    STRING   := '"' chars '"' | "``" chars "''"        (backslash escapes)
 
 A bare WORD in term position is a field if it is not a known modifier
 name; ``(stem "databases")`` therefore reads as the ``stem`` modifier
 applied to an ``Any``-field term, while ``(title "databases")`` reads
-as a field.  The paper's typographic quotes (`` ``word'' ``) are
-normalized to plain double quotes before tokenizing so the examples can
-be parsed verbatim.
+as a field.  The second STRING form is the paper's typeset quotes, so
+its examples parse verbatim.  It opens only where a token starts, so
+two backquotes or two apostrophes inside a ``"…"`` string are text.
 """
 
 from __future__ import annotations
@@ -39,10 +40,11 @@ __all__ = ["parse_expression"]
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<string>"(?:[^"\\]|\\.)*")      # quoted string
+    (?P<string>"(?:[^"\\]|\\.)*"           # quoted string
+      | ``(?:[^'\\]|\\.|'(?!'))*'')        # the paper's ``typeset'' quotes
   | (?P<prox>prox\[\s*\d+\s*,\s*[TFtf]\s*\])
   | (?P<punct>[()\[\]{}])
-  | (?P<word>[^\s()\[\]{}"]+)
+  | (?P<word>(?:[^\s()\[\]{}"`]++|`(?!`))+)
     """,
     re.VERBOSE,
 )
@@ -61,11 +63,6 @@ class _Token:
     kind: str  # "string" | "prox" | "punct" | "word"
     value: str
     position: int
-
-
-def _normalize_quotes(text: str) -> str:
-    """Fold the paper's TeX-style quotes into plain double quotes."""
-    return text.replace("``", '"').replace("''", '"')
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -314,7 +311,7 @@ class _Parser:
 
 
 def _unescape(quoted: str) -> str:
-    body = quoted[1:-1]
+    body = quoted[2:-2] if quoted.startswith("``") else quoted[1:-1]
     return body.replace('\\"', '"').replace("\\\\", "\\")
 
 
@@ -343,10 +340,10 @@ def parse_expression(text: str) -> SNode | None:
     Raises:
         QuerySyntaxError: on malformed input or trailing tokens.
     """
-    normalized = _normalize_quotes(text).strip()
-    if not normalized:
+    text = text.strip()
+    if not text:
         return None
-    parser = _Parser(_tokenize(normalized))
+    parser = _Parser(_tokenize(text))
     node = parser.parse_expression()
     if not parser.at_end():
         leftover = parser._peek()

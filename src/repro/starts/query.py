@@ -14,6 +14,7 @@ Beyond the filter and ranking expressions, a query carries:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from repro.starts.ast import SNode
 from repro.starts.errors import ProtocolError, SoifSyntaxError
@@ -97,13 +98,21 @@ class SQuery:
 
     # -- SOIF encoding (Example 6) ---------------------------------------
 
+    @cached_property
+    def serialized_expressions(self) -> tuple[str | None, str | None]:
+        """Both expressions serialized once: for the request, and for the
+        decode of its answer (:meth:`SQResults.from_soif_stream`)."""
+        expressions = (self.filter_expression, self.ranking_expression)
+        return tuple(expression and expression.serialize() for expression in expressions)
+
     def to_soif(self) -> SoifObject:
         obj = SoifObject("SQuery")
         obj.add("Version", self.version)
-        if self.filter_expression is not None:
-            obj.add("FilterExpression", self.filter_expression.serialize())
-        if self.ranking_expression is not None:
-            obj.add("RankingExpression", self.ranking_expression.serialize())
+        filter_text, ranking_text = self.serialized_expressions
+        if filter_text is not None:
+            obj.add("FilterExpression", filter_text)
+        if ranking_text is not None:
+            obj.add("RankingExpression", ranking_text)
         obj.add("DropStopWords", "T" if self.drop_stop_words else "F")
         obj.add("DefaultAttributeSet", self.default_attribute_set)
         obj.add("DefaultLanguage", self.default_language)
@@ -134,9 +143,10 @@ class SQuery:
             )
         else:
             sort_keys = (SortKey(SCORE_SORT_FIELD, descending=True),)
+        # Absent: the §4.1.2 default; present but empty: linkage alone.
         answer_text = get("answerfields")
         answer_fields = (
-            tuple(answer_text.split()) if answer_text else DEFAULT_ANSWER_FIELDS
+            DEFAULT_ANSWER_FIELDS if answer_text is None else tuple(answer_text.split())
         )
         return cls(
             filter_expression=parse_expression(filter_text) if filter_text else None,

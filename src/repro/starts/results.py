@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dataclass_field
 from repro.starts.ast import SNode, STerm
 from repro.starts.errors import ProtocolError, QuerySyntaxError, SoifSyntaxError
 from repro.starts.parser import parse_expression
-from repro.starts.query import PROTOCOL_VERSION, _format_float, _number
+from repro.starts.query import PROTOCOL_VERSION, SQuery, _format_float, _number
 from repro.starts.soif import Span, _read_object, _read_stream, attribute_line
 
 __all__ = ["TermStats", "SQRDocument", "SQResults"]
@@ -48,11 +48,24 @@ def _first_values(data: bytes, spans: list[Span], wanted: frozenset[str]) -> dic
     return found
 
 
-def _expression(header: dict[str, str], attribute: str) -> SNode | None:
+def _expression(header: dict[str, str], attribute: str, memo: dict) -> SNode | None:
+    text = header.get(attribute.lower(), "")
     try:
-        return parse_expression(header.get(attribute.lower(), ""))
+        return memo.get(text) or parse_expression(text)
     except (QuerySyntaxError, ProtocolError, ValueError) as error:
         raise SoifSyntaxError(f"bad {attribute}: {error}") from error
+
+
+def _seed(query: SQuery) -> dict[str, SNode]:
+    """Text -> node for each expression of ``query`` and every term in them:
+    what a lossless answer echoes (exact, as ``parse(serialize(x)) == x``)."""
+    memo: dict[str, SNode] = {}
+    expressions = (query.filter_expression, query.ranking_expression)
+    for expression, text in zip(expressions, query.serialized_expressions):
+        if expression is not None:
+            memo[text] = expression
+            memo.update((term.serialize(), term) for term in expression.terms())
+    return memo
 
 
 # -- the one result writer, fed objects by ``SQResults.to_soif_stream`` and
@@ -128,11 +141,11 @@ class TermStats:
         )
 
     @classmethod
-    def parse(cls, line: str, terms: dict[str, STerm] | None = None) -> "TermStats":
+    def parse(cls, line: str, memo: dict[str, SNode] | None = None) -> "TermStats":
         """Decode one ``TermStats`` line.
 
-        ``terms`` memoizes term text -> parsed term for the caller's
-        one response, whose documents all repeat the query's few terms.
+        ``memo`` maps text -> parsed node for the caller's one response,
+        whose documents all repeat the query's few terms.
         """
         line = line.strip()
         # The term serialization ends at the last ')' or '"'; the three
@@ -141,9 +154,9 @@ class TermStats:
         if len(parts) != 4:
             raise SoifSyntaxError(f"bad TermStats line: {line!r}")
         term_text, tf_text, weight_text, df_text = parts
-        if terms is None:
-            terms = {}
-        term = terms.get(term_text)
+        if memo is None:
+            memo = {}
+        term = memo.get(term_text)
         try:
             if term is None:
                 term = parse_expression(term_text)
@@ -152,7 +165,7 @@ class TermStats:
             raise SoifSyntaxError(f"bad TermStats line: {line!r} ({error})") from error
         if not isinstance(term, STerm):
             raise SoifSyntaxError(f"TermStats entry is not a term: {term_text!r}")
-        terms[term_text] = term
+        memo[term_text] = term
         return cls(term, tf, weight, df)
 
 
@@ -200,7 +213,7 @@ class SQRDocument(_Retained):
         if name not in ("fields", "sources", "version"):
             raise AttributeError(name)
         data = self._response
-        _, spans, _ = _read_object(data, self._offset)
+        _, spans, _ = _read_object(data, self._offset, {})
         first = _first_values(data, spans, _RESERVED_DOC_ATTRIBUTES)
         _set(self, "sources", tuple(first.get("sources", "").split()))
         _set(self, "version", first.get("version") or PROTOCOL_VERSION)
@@ -216,17 +229,17 @@ class SQRDocument(_Retained):
 
     @classmethod
     def _decode(
-        cls, data: bytes, offset: int, spans: list[Span], terms: dict[str, STerm]
+        cls, data: bytes, offset: int, spans: list[Span], memo: dict[str, SNode]
     ) -> "SQRDocument":
         """The ``@SQRDocument`` at ``offset`` of ``data``, checking what
         the walk that found ``spans`` could not: the numbers and the
-        ``TermStats`` lines.  ``terms`` as in :meth:`TermStats.parse`."""
+        ``TermStats`` lines.  ``memo`` as in :meth:`TermStats.parse`."""
         first = _first_values(data, spans, _MERGE_ATTRIBUTES)
         linkage = first.get("linkage")
         if linkage is None:
             raise SoifSyntaxError("SQRDocument without linkage")
         term_stats = [
-            TermStats.parse(line, terms)
+            TermStats.parse(line, memo)
             for line in first.get("termstats", "").splitlines()
             if line.strip()
         ]
@@ -289,30 +302,36 @@ class SQResults:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_soif_stream(cls, text: str | bytes) -> "SQResults":
+    def from_soif_stream(
+        cls, text: str | bytes, query: SQuery | None = None
+    ) -> "SQResults":
         """Decode a result stream; whatever is wrong with it — framing,
         encoding, a number or expression that does not parse — raises
         :class:`SoifSyntaxError` here, although the documents build
-        their answer fields only when first read."""
+        their answer fields only when first read.
+
+        ``query``, the query the stream answers, only saves work: the
+        ``Actual*Expression`` headers and ``TermStats`` terms that echo
+        its text are looked up, not parsed, and decode to its nodes."""
         data, objects = _read_stream(text)
         if not objects or objects[0][1] != "SQResults":
             raise SoifSyntaxError("result stream must start with @SQResults")
         header = _first_values(data, objects[0][2], _HEADER_ATTRIBUTES)
-        # Each distinct term text of this response is parsed once; the
-        # memo dies with the call.
-        terms: dict[str, STerm] = {}
+        # Text -> node: each distinct text of this response is parsed at
+        # most once; the memo dies with the call.
+        memo = {} if query is None else _seed(query)
         documents = []
         for offset, template, spans in objects[1:]:
             if template != "SQRDocument":
                 raise SoifSyntaxError(f"expected @SQRDocument, got @{template}")
-            documents.append(SQRDocument._decode(data, offset, spans, terms))
+            documents.append(SQRDocument._decode(data, offset, spans, memo))
         count, declared = len(documents), header.get("numdocsoifs")
         if declared is not None and _number(int, "NumDocSOIFs", declared, -1) != count:
             raise SoifSyntaxError(f"NumDocSOIFs says {declared} but stream has {count}")
         return cls(
             sources=tuple(header.get("sources", "").split()),
-            actual_filter_expression=_expression(header, "ActualFilterExpression"),
-            actual_ranking_expression=_expression(header, "ActualRankingExpression"),
+            actual_filter_expression=_expression(header, "ActualFilterExpression", memo),
+            actual_ranking_expression=_expression(header, "ActualRankingExpression", memo),
             documents=tuple(documents),
             version=header.get("version") or PROTOCOL_VERSION,
         )

@@ -124,7 +124,7 @@ _next_attribute = re.compile(
 Span = tuple[str, int, int]
 
 
-def _read_object(data: bytes, pos: int) -> tuple[str, list[Span], int]:
+def _read_object(data: bytes, pos: int, names: dict) -> tuple[str, list[Span], int]:
     """Walk the object whose ``@`` should sit at ``pos`` of ``data``,
     which is valid UTF-8 as a whole (:func:`_read_stream` checks).
 
@@ -133,7 +133,8 @@ def _read_object(data: bytes, pos: int) -> tuple[str, list[Span], int]:
     walk is over ``bytes``.  Every framing rule is enforced here and no
     value is decoded: a value's ends fall between characters, so
     ``data[value_start:value_end]`` decodes for whoever wants it,
-    whenever.
+    whenever.  ``names`` memoizes raw name bytes -> name for the
+    caller's one stream, whose objects repeat the same few names.
     """
     opening = _object_start(data, pos)
     if opening is None:
@@ -154,10 +155,12 @@ def _read_object(data: bytes, pos: int) -> tuple[str, list[Span], int]:
         raw_name, raw_count = header.group(2, 3)
         if raw_name is None:
             return template, spans, _skip_whitespace(data, header.end()).end()
-        name = raw_name.strip().decode()
+        name = names.get(raw_name)
+        if name is None:
+            name = names[raw_name] = raw_name.strip().decode()
         try:
-            # As text, from which ``int`` takes any Unicode digit or space.
-            count = int(raw_count.decode())
+            # Not ASCII digits alone: as text, where ``int`` takes any Unicode digit.
+            count = int(raw_count if raw_count.isdigit() else raw_count.decode())
         except ValueError:
             raise SoifSyntaxError(
                 f"bad byte count {raw_count!r} for attribute {name!r}"
@@ -189,9 +192,10 @@ def _read_stream(text: str | bytes) -> tuple[bytes, list[tuple[int, str, list[Sp
             f"non-UTF-8 bytes in SOIF input at offset {error.start}, after {before!r}"
         ) from None
     objects = []
+    names: dict[bytes, str] = {}
     pos = _skip_whitespace(data).end()
     while pos < len(data):
-        template, spans, after = _read_object(data, pos)
+        template, spans, after = _read_object(data, pos, names)
         objects.append((pos, template, spans))
         pos = after
     return data, objects

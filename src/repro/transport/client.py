@@ -51,15 +51,15 @@ def send(
 
 
 def _decode_results(
-    response: bytes, record: AccessRecord
+    response: bytes, record: AccessRecord, query: SQuery
 ) -> tuple[SQResults, AccessRecord]:
-    """Decode a query response that ``record`` accounts for.
+    """Decode the response to ``query`` that ``record`` accounts for.
 
     A response that does not decode was still paid for, so the error
     carries ``record`` the way a :class:`TransportError` does.
     """
     try:
-        return SQResults.from_soif_stream(response), record
+        return SQResults.from_soif_stream(response, query), record
     except SoifSyntaxError as error:
         error.record = record
         raise
@@ -93,7 +93,7 @@ class StartsClient:
         response, record = send(
             self.internet.perform, query_url, "POST", body, deadline_ms
         )
-        return _decode_results(response, record)
+        return _decode_results(response, record, query)
 
     async def query_with_record_async(
         self, query_url: str, query: SQuery, deadline_ms: float | None = None
@@ -109,7 +109,7 @@ class StartsClient:
         response, record = await send(
             self.internet.perform_async, query_url, "POST", body, deadline_ms
         )
-        return _decode_results(response, record)
+        return _decode_results(response, record, query)
 
     def fetch_resource(self, resource_url: str) -> SResource:
         """GET an @SResource blob."""

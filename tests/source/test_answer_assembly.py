@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import fields as F
@@ -26,6 +27,7 @@ from repro.starts.ast import SList, STerm
 from repro.starts.attributes import FieldRef
 from repro.starts.lstring import LString
 from repro.starts.query import SortKey, SQuery
+from repro.starts.results import SQResults
 from tests.oracles.answer_assembly import (
     OracleSource,
     oracle_search,
@@ -205,6 +207,28 @@ def test_respond_writes_the_oracle_bytes_over_the_large_answers_world():
     assert answered > 10 * len(inputs.queries)
 
 
+@pytest.mark.parametrize("workload", ["topk_fanout", "deep_segments"])
+def test_decode_against_the_query_equals_the_decode_without_it_over_a_world(workload):
+    """Every seed-1 query of the workload at every one of its sources:
+    the answer decoded against its query (the client's and
+    ``search``'s decode) equals the plain decode field for field — the
+    two differ only in the memo the expressions and ``TermStats`` terms
+    go through — and looks up the echoed ranking expression."""
+    from benchmarks.suite.workloads import workload_named
+    from benchmarks.suite.worlds import generate_inputs
+
+    inputs = generate_inputs(workload_named(workload), 1)
+    echoed = 0
+    for spec in inputs.sources:
+        source = build_vendor_source(spec.vendor, spec.source_id, spec.documents)
+        for query in inputs.queries:
+            written = source.respond(query)
+            seeded = SQResults.from_soif_stream(written, query)
+            assert seeded == SQResults.from_soif_stream(written)
+            echoed += seeded.actual_ranking_expression is query.ranking_expression
+    assert echoed > len(inputs.queries)
+
+
 @given(collections())
 def test_doc_size_counts_the_same_bytes(documents):
     big = Document("http://x/big", {F.BODY_OF_TEXT: "é" * 2000, F.TITLE: "t" * 700})
@@ -220,18 +244,27 @@ def test_one_term_object_per_response_and_none_across_responses():
             for index in range(4)
         ],
     )
-    query = SQuery(
-        ranking_expression=SList(
-            (term("data", F.BODY_OF_TEXT), term("index", F.BODY_OF_TEXT))
+    def fresh_query():
+        return SQuery(
+            ranking_expression=SList(
+                (term("data", F.BODY_OF_TEXT), term("index", F.BODY_OF_TEXT))
+            )
         )
-    )
 
     def term_objects(results):
         return {
             id(stats.term) for document in results.documents for stats in document.term_stats
         }
 
-    first, second = source.search(query), source.search(query)
+    query = fresh_query()
+    first, second = source.search(query), source.search(fresh_query())
     assert len(first.documents) == 4
-    assert len(term_objects(first)) == 2  # one per distinct term, shared by the hits
+    # One per distinct term, shared by the hits: the query's own terms,
+    # which the decode looked up instead of parsing.
+    assert term_objects(first) == {id(node) for node in query.ranking_expression.terms()}
     assert not term_objects(first) & term_objects(second)  # the memo died with the call
+    # Without the query, each decode parses its own terms.
+    unseeded = [SQResults.from_soif_stream(source.respond(query)) for _ in range(2)]
+    assert len(term_objects(unseeded[0])) == 2
+    assert not term_objects(unseeded[0]) & term_objects(unseeded[1])
+    assert unseeded[0] == first

@@ -97,6 +97,13 @@ class TestSoifRoundTrip:
         assert query.max_number_documents == 20
         assert query.answer_fields == ("title",)
 
+    def test_empty_answer_fields_stay_empty(self):
+        """Present but empty asks for linkage alone, as it does of a
+        source in-process; only an absent one takes the default."""
+        query = SQuery(ranking_expression=ranking(), answer_fields=())
+        assert "AnswerFields{0}: \n" in query.to_soif().dump()
+        assert SQuery.from_soif(parse_soif(query.to_soif().dump())) == query
+
     def test_names_match_in_any_case_and_the_first_value_wins(self):
         text = (
             "@SQuery{\nMAXNUMBERDOCUMENTS{1}: 7\nmaxnumberdocuments{1}: 9\n"

@@ -15,6 +15,7 @@ from repro.starts.attributes import FieldRef
 from repro.starts.errors import SoifSyntaxError
 from repro.starts.lstring import LString
 from repro.starts.parser import parse_expression
+from repro.starts.query import SQuery
 from repro.starts.results import SQRDocument, SQResults, TermStats
 from tests.oracles.soif_decode import oracle_results_from_soif_stream
 from tests.starts.test_soif_equivalence import facts, results
@@ -252,6 +253,38 @@ class TestTermMemo:
         documents.append(raw_document("TermStats", self.GOOD + "\n" + bad))
         with pytest.raises(SoifSyntaxError, match="TermStats"):
             SQResults.from_soif_stream(result_stream(*documents))
+
+    QUERY = SQuery(
+        filter_expression=parse_expression('(author "Ullman")'),
+        ranking_expression=parse_expression('list((body-of-text "x") (title "y" 0.5))'),
+    )
+
+    def test_text_the_query_holds_is_looked_up_not_parsed(self, parses):
+        rows = '(body-of-text "x") 1 1.0 1\n(title "y" 0.5) 2 0.5 1'
+        header = attribute("ActualFilterExpression", '(author "Ullman")') + attribute(
+            "ActualRankingExpression", 'list((body-of-text "x") (title "y" 0.5))'
+        )
+        stream = result_stream(*[raw_document("TermStats", rows)] * 3, header=header)
+        decoded = SQResults.from_soif_stream(stream, self.QUERY)
+        assert parses == []
+        assert decoded.actual_filter_expression is self.QUERY.filter_expression
+        assert decoded.actual_ranking_expression is self.QUERY.ranking_expression
+        terms = self.QUERY.ranking_expression.terms()
+        for document in decoded.documents:
+            pairs = zip(document.term_stats, terms, strict=True)
+            assert all(stats.term is term for stats, term in pairs)
+        assert decoded == SQResults.from_soif_stream(stream)
+        # What the query does not hold is parsed, once per response.
+        parses.clear()
+        other = raw_document("TermStats", '(body-of-text "z") 1 1.0 1')
+        SQResults.from_soif_stream(result_stream(other, other), self.QUERY)
+        assert parses.count('(body-of-text "z")') == 1
+
+    def test_a_hit_that_is_not_a_term_still_raises(self):
+        line = 'list((body-of-text "x") (title "y" 0.5)) 1 0.5 2'
+        stream = result_stream(raw_document("TermStats", self.GOOD + "\n" + line))
+        with pytest.raises(SoifSyntaxError, match="not a term"):
+            SQResults.from_soif_stream(stream, self.QUERY)
 
     def test_a_rejected_entry_is_not_remembered(self):
         terms = {}

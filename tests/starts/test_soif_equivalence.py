@@ -21,11 +21,12 @@ import dataclasses
 
 from hypothesis import given, strategies as st
 
-from repro.starts.ast import STerm
+from repro.starts.ast import SAnd, SAndNot, SList, SProx, STerm
 from repro.starts.attributes import FieldRef
 from repro.starts.errors import SoifSyntaxError, StartsError
 from repro.starts.lstring import LString
 from repro.starts.parser import parse_expression
+from repro.starts.query import SQuery
 from repro.starts.results import SQRDocument, SQResults, TermStats
 from repro.starts.soif import SoifObject, parse_soif, parse_soif_stream
 from tests.oracles.soif_decode import (
@@ -33,6 +34,7 @@ from tests.oracles.soif_decode import (
     oracle_parse_soif_stream,
     oracle_results_from_soif_stream,
 )
+from tests.starts.test_query_roundtrip import expressions as query_expressions
 
 REJECTED = "rejected"
 
@@ -314,6 +316,151 @@ def test_result_streams_with_bytes_spliced_in_agree(stream, chunk, overwrite, da
     index = data.draw(st.integers(0, len(stream)))
     rest = stream[index + len(chunk) :] if overwrite else stream[index:]
     assert_result_decodes_agree(stream[:index] + chunk + rest)
+
+
+# -- decoding against the query the stream answers ---------------------------
+
+
+def degraded(node, draw):
+    """``node`` as a source may report it back (§4.2, Example 7): a term
+    dropped (a stop word, an unsupported field), a field or modifier
+    dropped, ``prox`` degraded to ``and``, a Free-form-text term replaced
+    by the expression a native parser made of its words."""
+    if isinstance(node, STerm):
+        change = draw(st.sampled_from(["keep", "drop", "field", "modifier", "splice"]))
+        if change == "drop":
+            return None
+        if change == "field":
+            return dataclasses.replace(node, field=None)
+        if change == "modifier":
+            return dataclasses.replace(node, modifiers=node.modifiers[1:])
+        if change == "splice":
+            words = node.lstring.text.split() or ["x"]
+            spliced = tuple(STerm(LString(word), FieldRef("body-of-text")) for word in words)
+            return spliced[0] if len(spliced) == 1 else SAnd(spliced)
+        return node
+    if isinstance(node, SProx):
+        return SAnd((node.left, node.right)) if draw(st.booleans()) else node
+    if isinstance(node, SAndNot):
+        positive, negative = degraded(node.positive, draw), degraded(node.negative, draw)
+        if positive is None or negative is None:
+            return positive
+        return SAndNot(positive, negative)
+    kept = tuple(
+        pruned for child in node.children if (pruned := degraded(child, draw)) is not None
+    )
+    if isinstance(node, SList):
+        return SList(kept) if kept else None
+    if len(kept) < 2:
+        return kept[0] if kept else None
+    return type(node)(kept)
+
+
+def reported_terms(term: STerm) -> list[STerm]:
+    """The ``TermStats`` terms a source may write for a sent ``term``: the
+    term itself, its field and l-string alone (what ``respond`` writes),
+    or one row per word of a multi-word l-string."""
+    return [
+        term,
+        STerm(term.lstring, term.field),
+        *(STerm(LString(word), term.field) for word in term.lstring.text.split()),
+    ]
+
+
+def noisy(text: str) -> str:
+    """A non-canonical spelling of the same expression: padded
+    parentheses, a weight's leading zero doubled."""
+    return text.replace("(", "( ").replace(")", " )").replace(" 0.", " 00.")
+
+
+HEADER_ENTRIES = [
+    ("ActualRankingExpression", "list("),
+    ("ActualFilterExpression", '("x" 7)'),
+]
+TERM_STATS_ENTRIES = [
+    '((a "x") and (b "y")) 1 0.5 2',  # not a term
+    '(body-of-text "x") 1 1 1.5',  # df is not an integer
+    '(body-of-text "x 1 1 1',  # term does not parse
+]
+
+
+@st.composite
+def answered_queries(draw):
+    """``(query, stream, echoed)``: a result stream a source may send for
+    ``query``; ``echoed`` where its headers are the query's own text."""
+    query = SQuery(
+        filter_expression=draw(st.none() | query_expressions),
+        ranking_expression=draw(st.none() | query_expressions),
+    )
+    echoed = draw(st.booleans())
+    actual = [
+        expression if echoed or expression is None else degraded(expression, draw)
+        for expression in (query.filter_expression, query.ranking_expression)
+    ]
+    pool = [node for term in query.expression_terms() for node in reported_terms(term)]
+    term_stats = st.lists(
+        st.builds(
+            TermStats,
+            st.sampled_from(pool or [STerm(LString("x"), FieldRef("title"))]),
+            counts,
+            finite,
+            counts,
+        ),
+        max_size=4,
+    ).map(tuple)
+    documents = st.builds(
+        SQRDocument,
+        linkage=tokens,
+        raw_score=finite,
+        sources=st.just(("S",)),
+        term_stats=term_stats,
+        doc_size=counts,
+        doc_count=counts,
+    )
+    stream = SQResults(
+        sources=("S",),
+        actual_filter_expression=actual[0],
+        actual_ranking_expression=actual[1],
+        documents=tuple(draw(st.lists(documents, max_size=4))),
+    ).to_soif_stream()
+    objects = parse_soif_stream(stream)
+    if not echoed and draw(st.booleans()):
+        objects = [
+            SoifObject(obj.template, [(name, noisy(value)) for name, value in obj])
+            for obj in objects
+        ]
+    if draw(st.booleans()):
+        # One bad entry, first so that it is the value read.
+        index = draw(st.integers(0, len(objects) - 1))
+        if index == 0:
+            entry = draw(st.sampled_from(HEADER_ENTRIES))
+        else:
+            entry = ("TermStats", draw(st.sampled_from(TERM_STATS_ENTRIES)))
+        objects[index] = SoifObject(objects[index].template, [entry, *objects[index]])
+        echoed = False
+    return query, "\n".join(obj.dump() for obj in objects).encode("utf-8"), echoed
+
+
+@given(answered_queries())
+def test_a_decode_against_its_query_equals_the_decode_without_it(case):
+    """The lookup only saves work: with or without the query, the decode
+    accepts and rejects the same streams and yields the same facts, and
+    both agree with the oracle.  Where the headers echo the query's own
+    text they decode to the query's own nodes."""
+    query, data, echoed = case
+    assert_result_decodes_agree(data)
+    seeded = production(lambda stream: SQResults.from_soif_stream(stream, query), data)
+    unseeded = production(SQResults.from_soif_stream, data)
+    if REJECTED in (seeded, unseeded):
+        assert seeded == unseeded
+        return
+    assert facts(seeded) == facts(unseeded)
+    assert seeded == unseeded
+    if echoed:
+        nodes = [query.filter_expression, query.ranking_expression]
+        nodes += query.expression_terms()
+        for actual in (seeded.actual_filter_expression, seeded.actual_ranking_expression):
+            assert actual is None or any(actual is node for node in nodes)
 
 
 @given(results(), st.data())

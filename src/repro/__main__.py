@@ -275,7 +275,7 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
                 seed=args.seed,
             )
         )
-        engine = SearchEngine(storage="segments", storage_dir=directory)
+        engine = SearchEngine(storage_dir=directory)
         engine.add_all(documents)
         manifest_path = engine.checkpoint(merge=args.merge)
         store = engine.segment_store
@@ -293,7 +293,7 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
             return 2
         started = time.perf_counter()
         try:
-            engine = SearchEngine(storage="segments", storage_dir=directory)
+            engine = SearchEngine(storage_dir=directory)
         except Exception as error:  # noqa: BLE001 - CLI surface
             print(f"cannot open {directory}: {error}", file=sys.stderr)
             return 2

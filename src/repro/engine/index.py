@@ -17,6 +17,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 
+from repro.engine.documents import CommittedSegments, Document
 from repro.text.soundex import soundex
 
 __all__ = ["InvertedIndex", "SummaryEntry", "TermState"]
@@ -34,6 +35,26 @@ class SummaryEntry:
 
     postings: int = 0
     document_frequency: int = 0
+
+
+def fold_summary_sections(
+    section_lists,
+) -> list[tuple[str, str, dict[str, SummaryEntry]]]:
+    """Sum ``(field, language, word → stats)`` sections of disjoint
+    document sets (segments, a tail) into one, sorted by (field,
+    language); a word keeps the position it first appeared at."""
+    folded: dict[tuple[str, str], dict[str, SummaryEntry]] = {}
+    for sections in section_lists:
+        for field_name, language, words in sections:
+            bucket = folded.setdefault((field_name, language), {})
+            for word, entry in words.items():
+                total = bucket.setdefault(word, SummaryEntry())
+                total.postings += entry.postings
+                total.document_frequency += entry.document_frequency
+    return [
+        (field, language, words)
+        for (field, language), words in sorted(folded.items())
+    ]
 
 
 class TermState:
@@ -144,27 +165,184 @@ class TermState:
 _NO_POSTINGS = TermState(array("q"), array("I"), array("I"))
 
 
+class _NoPostings:
+    """Routing target for ids no segment of the term covers."""
+
+    @staticmethod
+    def block_bound(doc_id: int) -> tuple[int, int]:
+        # The term cannot match the id, which (0, 0) encodes exactly.
+        return (0, 0)
+
+    @staticmethod
+    def probe(doc_id: int) -> int:
+        return 0
+
+
+class _SegmentedTermAccessor(TermState):
+    """One term across segments + tail: the :class:`TermState`
+    contract every reader uses.
+
+    The pruned driver's contract (df / max tf / min length metadata,
+    point probes, per-document block bounds) routed by doc-id range:
+    committed ids resolve through each segment's
+    :class:`~repro.storage.segment.TermHandle` (block-max column, one
+    block decoded and kept per probe miss), tail ids through the tail's
+    own record.  The segments' columns are scanned — positions skipped,
+    tombstoned ids dropped — when a reader first walks the whole list,
+    and their positions decoded the first time ``prox`` asks; both are
+    kept beside the handles until the layout moves.  :meth:`follow`
+    counts the tail's record in, so the accessor outlives tail growth.
+    """
+
+    __slots__ = ("min_len", "has_blocks", "_handles", "_bases", "_live", "_tail",
+                 "_tail_floor", "_segment_df", "_segment_tf_bound",
+                 "_segment_min_len", "_segment_columns", "_segment_positions")
+
+    def __init__(
+        self, store: CommittedSegments, field: str, term: str, tail: TermState
+    ) -> None:
+        live = store.live if store.tombstones else None
+        self._live = live
+        self._handles: list[tuple[int, int, object]] = []
+        df = tf_bound = 0
+        lengths: list[int | None] = []
+        for reader in store.readers:
+            handle = reader.term_handle(field, term)
+            if handle is None:
+                continue
+            self._handles.append((reader.doc_base, reader.doc_ceiling, handle))
+            df += handle.document_count(live)
+            tf_bound = max(tf_bound, handle.max_term_frequency())
+            # None for a version-1 segment: no block column, no length bound.
+            lengths.append(handle.min_doc_length())
+        self._bases = [base for base, _, _ in self._handles]
+        self._segment_columns = self._segment_positions = self._weights = None
+        self._segment_df = df
+        # Tombstones may leave max_tf stale-high (the maximal document
+        # was deleted); that only loosens the bound.
+        self._segment_tf_bound = tf_bound
+        self._segment_min_len = None if None in lengths or not lengths else min(lengths)
+        self.has_blocks = any(handle.blocks is not None for _, _, handle in self._handles)
+        self.follow(tail)
+
+    def follow(self, tail: TermState) -> None:
+        """Count the tail's record (the term's postings above every
+        segment) into df, max tf, the length bound and routing."""
+        self._tail = tail
+        self._tail_floor = tail._doc_ids[0] if tail.df else None
+        self.df = self._segment_df + tail.df
+        self.max_tf = max(self._segment_tf_bound, tail.max_tf)
+        # The term-level length bound is the min over every source of
+        # the term's documents.  A non-empty tail has no cheap per-doc
+        # length column (nor does a v1 segment), so its presence drops
+        # the bound to None — the driver then falls back to the
+        # store-wide minimum, which is looser but still valid.
+        self.min_len = None if tail.df else self._segment_min_len
+
+    def columns(self):
+        columns = self._segment_columns
+        if columns is None:  # built locally, published with one store
+            doc_ids, tfs = array("q"), array("I")
+            for _, _, handle in self._handles:
+                segment_ids, segment_tfs = handle.scan(self._live)
+                doc_ids.extend(segment_ids)
+                tfs.extend(segment_tfs)
+            columns = self._segment_columns = (doc_ids, tfs)
+        if not self._tail.df:
+            return columns
+        tail_ids, tail_tfs = self._tail.columns()
+        return columns[0] + tail_ids, columns[1] + tail_tfs
+
+    def positions(self):
+        columns = self._segment_positions
+        if columns is None:
+            columns = (array("q"), array("I"), array("I"))
+            for _, _, handle in self._handles:
+                for column, decoded in zip(columns, handle.positions(self._live)):
+                    column.extend(decoded)
+            self._segment_positions = columns
+        if not self._tail.df:
+            return columns
+        return tuple(
+            column + tail for column, tail in zip(columns, self._tail.positions())
+        )
+
+    def route(self, doc_id: int):
+        """Whatever answers ``block_bound``/``probe`` for ``doc_id``.
+
+        The driver routes once per candidate and asks the target both
+        questions; its candidates come from live-filtered columns, so
+        they need no tombstone check.
+        """
+        position = bisect.bisect_right(self._bases, doc_id) - 1
+        if position >= 0:
+            _, ceiling, handle = self._handles[position]
+            if doc_id < ceiling:
+                return handle
+        if self._tail_floor is not None and doc_id >= self._tail_floor:
+            return self._tail
+        return _NoPostings
+
+    def probe(self, doc_id: int) -> int:
+        live = self._live
+        if live is not None and not live(doc_id):
+            return 0
+        return self.route(doc_id).probe(doc_id)
+
+
+#: Entry cap of the per-(field, term) accessor memo; a memo that fills
+#: up is cleared wholesale.
+_ACCESSOR_MEMO_LIMIT = 65536
+
+
 class InvertedIndex:
     """Term → postings, per field, plus derived lookup structures.
 
-    Documents must be added in increasing id order (the store hands out
-    dense ids, so building sequentially satisfies this).
+    The committed segments of ``store`` plus the **mutable tail**: one
+    :class:`TermState` record per (field, term) that
+    :meth:`add_field_tokens` appends to and :meth:`commit_tail` writes
+    as it is.  Every read composes (segments, in doc-base order) +
+    (tail).  Segments cover disjoint ascending doc-id ranges and the
+    tail sits above them all, so concatenating their columns gives
+    exactly the columns one record of the whole history would hold.
+    With nothing committed, a read returns the tail's own record.
+
+    Every reader reaches a term through one accessor
+    (:class:`_SegmentedTermAccessor`) memoized until the store's layout
+    moves — a flush, merge or tombstone commit bumps its ``epoch`` —
+    that follows the tail's record as documents are added.  Vocabulary
+    and summary memos key on the tail's mutation generation plus the
+    epoch; tombstone commits also bump the store's *content* epoch,
+    which feeds :attr:`generation`, so the term matcher's expansion
+    memo invalidates on every change of content.
+
+    Documents must be added in increasing id order, above every
+    committed one (the document store hands out such ids).
     """
 
-    def __init__(self) -> None:
-        # field -> term -> TermState, the term's posting columns.
+    def __init__(self, store: CommittedSegments = CommittedSegments()) -> None:
+        self._segment_store = store
+        # field -> term -> TermState, the tail's posting columns.
         self._postings: dict[str, dict[str, TermState]] = defaultdict(dict)
-        # (field, language) -> surface word -> SummaryEntry.
+        # (field, language) -> surface word -> SummaryEntry, the tail's.
         self._summary: dict[tuple[str, str], dict[str, SummaryEntry]] = defaultdict(dict)
-        self._doc_count = 0
-        # Bumped on every mutation; lets callers (the term matcher)
-        # cache derived lookups and invalidate them precisely.
+        # doc ids continue above everything already committed.
+        self._doc_count = store.document_ceiling
+        # Bumped on every tail mutation; with the store's content epoch
+        # it lets callers (the term matcher) cache derived lookups and
+        # invalidate them precisely.
         self._generation = 0
         # (layout key, then three lazily filled per-field lookups:
         # sorted vocabulary, sorted reversed-term vocabulary — so
         # left-truncation is a bisect, mirroring terms_with_prefix — and
         # soundex code -> terms), replaced together whenever the key moves.
         self._vocab_memo: tuple[object, dict, dict, dict] = (None, {}, {}, {})
+        # (store epoch, (field, term) -> accessor): replaced together
+        # whenever a commit moves the layout, so a reader never pairs
+        # one layout's handles with another's.
+        self._accessors: tuple[int, dict[tuple[str, str], _SegmentedTermAccessor]]
+        self._accessors = (-1, {})
+        self._summary_memo: tuple[tuple[int, int], list] | None = None
 
     # -- construction ---------------------------------------------------
 
@@ -216,27 +394,68 @@ class InvertedIndex:
         self._doc_count = max(self._doc_count, doc_id + 1)
         self._generation += 1
 
+    # -- tail flushing -----------------------------------------------------
+
+    def commit_tail(self, rows: list[tuple[int, Document, int]]) -> None:
+        """Commit the mutable tail (with its document ``rows``) as one
+        segment, then drop it.
+
+        The commit writes the tail's own columns; the committed segment
+        then serves exactly what the tail held, so observable content is
+        unchanged and only layout memos refresh (via the store epoch
+        bumped by the commit).
+        """
+        self._segment_store.commit_segment(
+            rows, self.segment_columns(), self._tail_sections()
+        )
+        self._postings.clear()
+        self._summary.clear()
+
     # -- basic lookups ---------------------------------------------------
 
     @property
     def document_count(self) -> int:
-        return self._doc_count
+        return max(self._doc_count, self._segment_store.document_ceiling)
 
     @property
     def generation(self) -> int:
-        """Monotone mutation counter (cache-invalidation token)."""
-        return self._generation
+        """Mutation counter covering the tail *and* committed content
+        (cache-invalidation token)."""
+        return self._generation + self._segment_store.content_epoch
 
     def fields(self) -> list[str]:
-        return sorted(self._postings)
+        names = set(self._postings)
+        for reader in self._segment_store.readers:
+            names.update(reader.fields())
+        return sorted(names)
 
     def pruned_postings(self, field: str, term: str) -> TermState:
         """The term's postings: the one way every reader reaches them.
 
-        In memory this is the record ``add_field_tokens`` appends to,
-        returned as it is (an empty one for an absent term).
+        With nothing committed this is the record ``add_field_tokens``
+        appends to, returned as it is (an empty one for an absent term);
+        otherwise the term's accessor, memoized until the store's layout
+        moves and brought up to the tail's record on every lookup.
         """
-        return self._postings.get(field, {}).get(term, _NO_POSTINGS)
+        tail = self._postings.get(field, {}).get(term, _NO_POSTINGS)
+        store = self._segment_store
+        if not store.readers:
+            return tail
+        epoch = store.epoch
+        memo_epoch, accessors = self._accessors
+        if memo_epoch != epoch:
+            accessors = {}
+            self._accessors = (epoch, accessors)
+        accessor = accessors.get((field, term))
+        if accessor is None:
+            if len(accessors) >= _ACCESSOR_MEMO_LIMIT:
+                accessors.clear()
+            accessor = accessors[(field, term)] = _SegmentedTermAccessor(
+                store, field, term, tail
+            )
+        else:
+            accessor.follow(tail)
+        return accessor
 
     def has_postings(self, field: str, term: str) -> bool:
         """Whether ``term`` matches any live document — nothing decoded,
@@ -245,15 +464,15 @@ class InvertedIndex:
 
     def segment_columns(self) -> dict[str, dict[str, tuple[array, array, array]]]:
         """``field → term → (doc ids, tfs, positions)``: what a flush
-        writes, the records' own columns."""
+        writes, the tail records' own columns."""
         return {
             field: {term: record.positions() for term, record in terms.items()}
             for field, terms in self._postings.items()
         }
 
-    def _layout_key(self):
+    def _layout_key(self) -> tuple[int, int]:
         """Moves whenever anything a vocabulary memo was derived from moves."""
-        return self.generation
+        return (self.generation, self._segment_store.epoch)
 
     def _vocab_memos(self) -> tuple[dict, dict, dict]:
         """This layout's (sorted, reversed, soundex) per-field lookups."""
@@ -264,7 +483,10 @@ class InvertedIndex:
         return memo[1:]
 
     def _sorted_terms(self, field: str) -> list[str]:
-        return sorted(self._postings.get(field, {}))
+        terms = set(self._postings.get(field, ()))
+        for reader in self._segment_store.readers:
+            terms.update(reader.vocabulary(field))
+        return sorted(terms)
 
     def vocabulary(self, field: str) -> list[str]:
         """Sorted index vocabulary of a field."""
@@ -328,7 +550,21 @@ class InvertedIndex:
 
         Sections are sorted by (field, language) for deterministic
         export; words inside a section are left to the caller to order.
+        Committed sections are folded with the tail's once per layout.
         """
+        readers = self._segment_store.readers
+        if not readers:
+            return self._tail_sections()
+        key = self._layout_key()
+        memo = self._summary_memo
+        if memo is None or memo[0] != key:
+            sections = fold_summary_sections(
+                [*(reader.summary_sections() for reader in readers), self._tail_sections()]
+            )
+            memo = self._summary_memo = (key, sections)
+        return memo[1]
+
+    def _tail_sections(self) -> list[tuple[str, str, dict[str, SummaryEntry]]]:
         return [
             (field, language, dict(words))
             for (field, language), words in sorted(self._summary.items())

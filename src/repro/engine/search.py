@@ -41,20 +41,10 @@ from repro.engine.query import (
 )
 from repro.engine.ranking import CosineTfIdf, RankingAlgorithm
 from repro.observability.metrics import get_registry
-from repro.storage import (
-    SegmentedDocumentStore,
-    SegmentedIndex,
-    SegmentStore,
-    StorageError,
-    TieredMergePolicy,
-)
+from repro.storage import SegmentStore, StorageError, TieredMergePolicy
 from repro.text.analysis import Analyzer
 
-__all__ = ["TermHitStats", "EngineHit", "SearchEngine", "STORAGE_MODES"]
-
-#: Supported storage backends: the in-memory oracle and the
-#: segment-backed store (which must answer bit-identically).
-STORAGE_MODES = ("memory", "segments")
+__all__ = ["TermHitStats", "EngineHit", "SearchEngine"]
 
 
 class SearchEngine:
@@ -74,16 +64,17 @@ class SearchEngine:
             The parameter survives only because
             ``benchmarks/suite/worlds.py`` passes ``evaluation=PRUNED``;
             nothing else should set it.
-        storage: ``"memory"`` (the default, and the bit-exactness
-            oracle) keeps every term's posting columns in memory;
-            ``"segments"`` backs the engine with an on-disk
-            :class:`SegmentStore` — committed immutable segments plus
-            a mutable tail of the same columns that :meth:`flush`
-            writes as a new segment.
-        storage_dir: the segment store directory (required — and only
-            meaningful — for ``storage="segments"``).  Opening an
-            existing store warms the engine from its segments without
-            re-indexing anything.
+        storage: ``"segments"`` with a ``storage_dir``, ``"memory"``
+            without one; it decides nothing and is only checked.  It
+            survives only because ``benchmarks/suite/worlds.py`` passes
+            ``storage="segments"``; nothing else should set it.
+        storage_dir: the :class:`SegmentStore` directory.  The engine's
+            index and document store are always the store's committed
+            segments plus a mutable tail of the same columns, which
+            :meth:`flush` writes as a new segment.  Without a directory
+            nothing is ever committed: the tail is the whole engine.
+            Opening an existing store warms the engine from its segments
+            without re-indexing anything.
         merge_policy: tiered merge policy for the segment store.
     """
 
@@ -92,7 +83,7 @@ class SearchEngine:
         analyzer: Analyzer | None = None,
         ranking: RankingAlgorithm | None = CosineTfIdf(),
         evaluation: str = PRUNED,
-        storage: str = "memory",
+        storage: str | None = None,
         storage_dir: str | pathlib.Path | None = None,
         merge_policy: TieredMergePolicy | None = None,
     ) -> None:
@@ -101,37 +92,32 @@ class SearchEngine:
                 f"unknown evaluation mode: {evaluation!r} (expected one of "
                 f"{', '.join(EVALUATION_MODES)})"
             )
-        if storage not in STORAGE_MODES:
+        if storage not in (None, "memory" if storage_dir is None else "segments"):
             raise ValueError(
-                f"unknown storage mode: {storage!r} (expected one of "
-                f"{', '.join(STORAGE_MODES)})"
-            )
-        if (storage == "segments") != (storage_dir is not None):
-            raise ValueError(
-                "storage_dir is required for storage='segments' "
-                "and meaningless otherwise"
+                f"storage mode {storage!r} does not match storage_dir="
+                f"{storage_dir!r}: 'segments' takes a storage_dir, 'memory' none"
             )
         self.analyzer = analyzer or Analyzer()
         self.ranking = ranking
         self.evaluation = evaluation
-        self.storage = storage
         self.storage_dir = (
             pathlib.Path(storage_dir) if storage_dir is not None else None
         )
-        self.segment_store: SegmentStore | None = None
-        if storage == "segments":
-            assert self.storage_dir is not None
-            self.segment_store = SegmentStore(
+        self._open(
+            SegmentStore(
                 self.storage_dir,
                 analyzer=self.analyzer.signature(),
                 ranking=ranking.algorithm_id if ranking is not None else None,
                 merge_policy=merge_policy,
             )
-            self.store: DocumentStore = SegmentedDocumentStore(self.segment_store)
-            self.index: InvertedIndex = SegmentedIndex(self.segment_store)
-        else:
-            self.store = DocumentStore()
-            self.index = InvertedIndex()
+        )
+
+    def _open(self, segment_store: SegmentStore) -> None:
+        """Sit the index and the document store over ``segment_store``:
+        its committed segments plus an empty tail above them."""
+        self.segment_store = segment_store
+        self.store = DocumentStore(segment_store)
+        self.index = InvertedIndex(segment_store)
         self.matcher = TermMatcher(self.index, self.analyzer)
 
     # -- indexing ---------------------------------------------------------
@@ -161,10 +147,10 @@ class SearchEngine:
         """Remove the document with this URL; returns False if absent.
 
         Removal compacts: the surviving documents are re-indexed into a
-        fresh store/index, so every statistic (df, summaries, token
-        counts) is exact afterwards.  Document ids are reassigned —
-        callers must not hold ids across a removal (linkages are the
-        stable identity, as everywhere in STARTS).  On segments the
+        fresh tail, so every statistic (df, summaries, token counts) is
+        exact afterwards.  Document ids are reassigned — callers must
+        not hold ids across a removal (linkages are the stable
+        identity, as everywhere in STARTS).  With a ``storage_dir`` the
         survivors are committed before this returns: one manifest swap
         replaces every segment and tombstone with them.
         """
@@ -182,7 +168,7 @@ class SearchEngine:
         return self.add(document)
 
     def tombstone(self, linkage: str) -> bool:
-        """Delete by tombstone instead of rebuilding (segments only).
+        """Delete by tombstone instead of rebuilding (needs a ``storage_dir``).
 
         The document stops matching queries immediately and its bytes
         are reclaimed by the next merge covering its segment.  Unlike
@@ -191,8 +177,10 @@ class SearchEngine:
         the standard log-structured-store approximation.  The tail is
         flushed first so the target is always in a segment.
         """
-        if self.segment_store is None:
-            raise StorageError("tombstone() requires storage='segments'")
+        if self.storage_dir is None:
+            raise StorageError(
+                "tombstone() needs a storage_dir: this engine has no segments"
+            )
         doc_id = self.store.by_linkage(linkage)
         if doc_id is None:
             return False
@@ -202,43 +190,34 @@ class SearchEngine:
         return True
 
     def _rebuild(self, documents: list[Document]) -> None:
-        self.store = DocumentStore()
-        self.index = InvertedIndex()
-        self.matcher = TermMatcher(self.index, self.analyzer)
+        committed = self.segment_store
+        # Over a store with no directory the documents take ids from 0.
+        self._open(SegmentStore())
         self.add_all(documents)
-        if self.segment_store is not None:
-            # The in-memory index holds the columns a flush writes.
-            self.segment_store.replace_all(
-                [
-                    (doc_id, self.store[doc_id], self.store.token_count(doc_id))
-                    for doc_id in self.store.ids()
-                ],
+        if self.storage_dir is not None:
+            # The tail holds the columns a flush writes.
+            committed.replace_all(
+                self.store.tail_rows(),
                 self.index.segment_columns(),
                 self.index.summary_sections(),
             )
-            self.store = SegmentedDocumentStore(self.segment_store)
-            self.index = SegmentedIndex(self.segment_store)
-            self.matcher = TermMatcher(self.index, self.analyzer)
+            self._open(committed)
 
     # -- segment lifecycle -------------------------------------------------
 
     def flush(self) -> bool:
         """Commit the mutable tail as one immutable segment.
 
-        Returns whether anything was flushed.  A no-op (and False) on
-        ``storage="memory"`` engines and when the tail is empty.
+        Returns whether anything was flushed.  A no-op (and False) for
+        an engine with no ``storage_dir`` and when the tail is empty.
         """
-        if self.segment_store is None:
+        if self.storage_dir is None:
             return False
-        store = self.store
-        index = self.index
-        assert isinstance(store, SegmentedDocumentStore)
-        assert isinstance(index, SegmentedIndex)
-        rows = store.tail_rows()
+        rows = self.store.tail_rows()
         if not rows:
             return False
-        index.commit_tail(rows)
-        store.absorb_flush()
+        self.index.commit_tail(rows)
+        self.store.absorb_flush()
         return True
 
     def checkpoint(self, merge: bool = False) -> pathlib.Path:
@@ -248,8 +227,10 @@ class SearchEngine:
         committed manifest — a new engine opened on ``storage_dir``
         serves the same answers without re-indexing.
         """
-        if self.segment_store is None:
-            raise StorageError("checkpoint() requires storage='segments'")
+        if self.storage_dir is None:
+            raise StorageError(
+                "checkpoint() needs a storage_dir: this engine has no segments"
+            )
         self.flush()
         if merge:
             self.segment_store.merge_all()
@@ -257,14 +238,11 @@ class SearchEngine:
 
     def maybe_merge(self, executor: object | None = None) -> bool:
         """Run (or schedule, given an executor) due segment merges."""
-        if self.segment_store is None:
-            return False
         return self.segment_store.maybe_merge(executor)
 
     def close(self) -> None:
-        """Release segment mmaps (no-op for in-memory engines)."""
-        if self.segment_store is not None:
-            self.segment_store.close()
+        """Release segment mmaps."""
+        self.segment_store.close()
 
     @property
     def document_count(self) -> int:

@@ -1,13 +1,11 @@
 """Immutable segment storage for engines.
 
-The on-disk counterpart of the in-memory engine: write-once segments
-of packed columns (delta-encoded postings, term dictionaries, stored
-fields) published under an atomically swapped manifest, read back
-zero-copy through ``mmap``, and folded together by tiered background
-merges.  :class:`SegmentedIndex` / :class:`SegmentedDocumentStore`
-serve the exact in-memory contracts over (segments + mutable tail),
-so a ``SearchEngine`` runs unchanged — and bit-identically — on
-either backend.
+Write-once segments of packed columns (delta-encoded postings, term
+dictionaries, stored fields) published under an atomically swapped
+manifest, read back zero-copy through ``mmap``, and folded together by
+tiered background merges.  An engine's index and document store are
+the committed segments of one :class:`SegmentStore` plus a mutable
+tail; a memory engine's store is one with no directory.
 """
 
 from repro.storage.format import (
@@ -29,7 +27,6 @@ from repro.storage.manifest import (
 )
 from repro.storage.merge import TieredMergePolicy
 from repro.storage.segment import SegmentReader, SegmentWriter
-from repro.storage.segmented import SegmentedDocumentStore, SegmentedIndex
 from repro.storage.store import SegmentStore
 
 __all__ = [
@@ -40,8 +37,6 @@ __all__ = [
     "SegmentReader",
     "SegmentStore",
     "SegmentWriter",
-    "SegmentedDocumentStore",
-    "SegmentedIndex",
     "StorageError",
     "TieredMergePolicy",
     "atomic_write_bytes",

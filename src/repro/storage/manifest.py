@@ -8,12 +8,14 @@ classic crash-safe two-step:
 1. write the new manifest to ``MANIFEST.json.tmp`` **in the same
    directory** and flush it to stable storage;
 2. ``os.replace`` it over ``MANIFEST.json`` — atomic on POSIX and
-   NTFS alike.
+   NTFS alike — and fsync the directory, so the rename is durable.
 
-A crash before step 2 leaves the old manifest (and the old segment
-set) fully intact; a crash after leaves the new one.  Orphan segment
-directories a crash may strand are swept by the next successful
-commit.  Every commit bumps a **generation counter**, which doubles as
+Every file of a segment the manifest names, and the segment's
+directory, are fsynced before step 1
+(:class:`~repro.storage.segment.SegmentWriter`).  A crash
+before step 2 leaves the old manifest (and the old segment set) fully
+intact; a crash after leaves the new one.  Orphan segment
+directories a crash may strand are swept when the store next opens.  Every commit bumps a **generation counter**, which doubles as
 the checkpoint cursor: a replica that warmed from generation *g* needs
 only the work committed after *g*.
 """
@@ -28,9 +30,28 @@ from dataclasses import dataclass, field as dataclass_field
 from repro.storage.format import FORMAT_VERSION, SUPPORTED_VERSIONS, StorageError
 
 __all__ = ["SegmentMeta", "Manifest", "MANIFEST_NAME", "read_manifest",
-           "commit_manifest", "atomic_write_bytes", "atomic_write_text"]
+           "commit_manifest", "atomic_write_bytes", "atomic_write_text",
+           "sync_directory", "write_synced"]
 
 MANIFEST_NAME = "MANIFEST.json"
+
+
+def write_synced(path: str | pathlib.Path, payload: bytes) -> None:
+    """Write ``payload`` to ``path`` and fsync it."""
+    with open(path, "wb") as handle:
+        handle.write(payload)
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
+def sync_directory(path: str | pathlib.Path) -> None:
+    """Fsync a directory, making the names created or renamed in it
+    durable."""
+    descriptor = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
 
 
 def atomic_write_bytes(path: str | pathlib.Path, payload: bytes) -> None:
@@ -41,10 +62,7 @@ def atomic_write_bytes(path: str | pathlib.Path, payload: bytes) -> None:
     """
     path = pathlib.Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
+    write_synced(tmp, payload)
     os.replace(tmp, path)
 
 
@@ -160,3 +178,4 @@ def commit_manifest(directory: str | pathlib.Path, manifest: Manifest) -> None:
     atomic_write_text(
         directory / MANIFEST_NAME, json.dumps(manifest.to_json(), indent=1)
     )
+    sync_directory(directory)

@@ -49,7 +49,12 @@ from repro.storage.format import (
     encode_varint,
     scan_posting_block,
 )
-from repro.storage.manifest import SegmentMeta, atomic_write_text
+from repro.storage.manifest import (
+    SegmentMeta,
+    atomic_write_text,
+    sync_directory,
+    write_synced,
+)
 
 __all__ = ["SegmentWriter", "SegmentReader", "TermBlocks", "TermHandle"]
 
@@ -66,26 +71,6 @@ _FILES = (
 
 #: Files added by format version 2; their absence marks an old segment.
 _V2_FILES = ("blockmax.bin",)
-
-
-def fold_summary_sections(
-    section_lists,
-) -> list[tuple[str, str, dict[str, SummaryEntry]]]:
-    """Sum ``(field, language, word → stats)`` sections of disjoint
-    document sets (segments, a tail) into one, sorted by (field,
-    language); a word keeps the position it first appeared at."""
-    folded: dict[tuple[str, str], dict[str, SummaryEntry]] = {}
-    for sections in section_lists:
-        for field_name, language, words in sections:
-            bucket = folded.setdefault((field_name, language), {})
-            for word, entry in words.items():
-                total = bucket.setdefault(word, SummaryEntry())
-                total.postings += entry.postings
-                total.document_frequency += entry.document_frequency
-    return [
-        (field, language, words)
-        for (field, language), words in sorted(folded.items())
-    ]
 
 
 class SegmentWriter:
@@ -210,7 +195,7 @@ class SegmentWriter:
             "counts.bin": counts.tobytes(),
         }
         for file_name, payload in payloads.items():
-            (self.directory / file_name).write_bytes(payload)
+            write_synced(self.directory / file_name, payload)
 
         size_bytes = sum(len(payload) for payload in payloads.values())
         header = {
@@ -222,6 +207,9 @@ class SegmentWriter:
             "files": {name: len(payload) for name, payload in payloads.items()},
         }
         atomic_write_text(self.directory / "segment.json", json.dumps(header, indent=1))
+        # Every file is on disk; the directory entries naming them must
+        # be too before a manifest names the segment.
+        sync_directory(self.directory)
         return SegmentMeta(
             name=self.name,
             doc_base=ids[0],

@@ -2,13 +2,15 @@
 
 A :class:`SegmentStore` owns one directory: the committed manifest,
 one :class:`~repro.storage.segment.SegmentReader` per live segment,
-and the tombstone set.  All mutation funnels through four commit
-operations — :meth:`commit_segment` (a flush), :meth:`merge_once`
-(fold a planned group into one segment), :meth:`add_tombstones` and
-:meth:`replace_all` (an engine's exact removal) — each of which writes
-the new state *beside* the old and publishes it with a single atomic
-manifest swap, so readers and crashes only ever observe a fully
-committed store.
+and the tombstone set.  A store with no directory is what a memory
+engine sits over: it has no manifest file, no readers and no
+tombstones, and refuses every commit.  All mutation funnels through
+four commit operations — :meth:`commit_segment` (a flush),
+:meth:`merge_once` (fold a planned group into one segment),
+:meth:`add_tombstones` and :meth:`replace_all` (an engine's exact
+removal) — each of which writes the new state *beside* the old and
+publishes it with a single atomic manifest swap, so readers and
+crashes only ever observe a fully committed store.
 
 Two counters make cache invalidation precise for the index and
 document-store views stacked on top:
@@ -30,8 +32,8 @@ import shutil
 import threading
 import time
 
-from repro.engine.documents import Document
-from repro.engine.index import SummaryEntry
+from repro.engine.documents import CommittedSegments, Document
+from repro.engine.index import SummaryEntry, fold_summary_sections
 from repro.federation.executor import submit_background
 from repro.observability.metrics import get_registry
 from repro.storage.format import StorageError
@@ -43,21 +45,18 @@ from repro.storage.manifest import (
     read_manifest,
 )
 from repro.storage.merge import TieredMergePolicy
-from repro.storage.segment import (
-    SegmentReader,
-    SegmentWriter,
-    fold_summary_sections,
-)
+from repro.storage.segment import SegmentReader, SegmentWriter
 
 __all__ = ["SegmentStore"]
 
 
-class SegmentStore:
+class SegmentStore(CommittedSegments):
     """One directory of immutable segments under an atomic manifest.
 
     Args:
         directory: the store's root; created (with an empty manifest)
-            when it does not exist yet.
+            when it does not exist yet.  None makes a store with no
+            directory: nothing committed, and every commit refused.
         analyzer: analyzer signature to record/verify — a store built
             by a stemming analyzer must never be served by a
             non-stemming one.
@@ -66,20 +65,22 @@ class SegmentStore:
         merge_policy: the tiered policy steering :meth:`maybe_merge`.
     """
 
+    #: A store with no directory keeps this empty manifest; its readers,
+    #: tombstones and epochs stay the base's empty ones.
+    manifest = Manifest()
+
     def __init__(
         self,
-        directory: str | pathlib.Path,
+        directory: str | pathlib.Path | None = None,
         analyzer: dict | None = None,
         ranking: str | None = None,
         merge_policy: TieredMergePolicy | None = None,
     ) -> None:
-        self.directory = pathlib.Path(directory)
+        self.directory = None if directory is None else pathlib.Path(directory)
         self.merge_policy = merge_policy or TieredMergePolicy()
         self._commit_lock = threading.Lock()
-        #: bumped on every commit (layout changed).
-        self.epoch = 0
-        #: bumped only when query-observable content changed.
-        self.content_epoch = 0
+        if self.directory is None:
+            return
 
         manifest = read_manifest(self.directory)
         if manifest is None:
@@ -106,7 +107,6 @@ class SegmentStore:
         ]
         self.tombstones: set[int] = set(manifest.tombstones)
         self.sweep_orphans()
-        self._update_gauges()
 
     # -- introspection -----------------------------------------------------
 
@@ -127,13 +127,9 @@ class SegmentStore:
         return self.manifest.document_ceiling
 
     def live_doc_count(self) -> int:
-        """Documents in segments minus tombstoned ones."""
         return sum(meta.doc_count for meta in self.manifest.segments) - len(
             self.tombstones
         )
-
-    def live(self, doc_id: int) -> bool:
-        return doc_id not in self.tombstones
 
     def manifest_path(self) -> pathlib.Path:
         return self.directory / MANIFEST_NAME
@@ -157,12 +153,10 @@ class SegmentStore:
             if documents and documents[0][0] < self.manifest.document_ceiling:
                 raise StorageError("flushed segment overlaps committed doc ids")
             meta = self._replace(set(), documents, postings, summary, set())
-        registry = get_registry()
-        registry.histogram(
+        get_registry().histogram(
             "storage_flush_ms",
             "Wall-clock time of one tail flush into an immutable segment.",
         ).observe((time.perf_counter() - started) * 1000.0)
-        self._update_gauges()
         return meta
 
     def add_tombstones(self, doc_ids) -> int:
@@ -184,7 +178,6 @@ class SegmentStore:
             self._publish(tombstones=sorted(self.tombstones))
             self.epoch += 1
             self.content_epoch += 1
-        self._update_gauges()
         return len(fresh)
 
     def _publish(self, **changes) -> None:
@@ -193,8 +186,14 @@ class SegmentStore:
         updated = dataclasses.replace(
             self.manifest, generation=self.manifest.generation + 1, **changes
         )
-        commit_manifest(self.directory, updated)
+        commit_manifest(self._root(), updated)
         self.manifest = updated
+
+    def _root(self) -> pathlib.Path:
+        """The directory a commit writes to; a store with none refuses."""
+        if self.directory is None:
+            raise StorageError("a store with no storage_dir commits nothing")
+        return self.directory
 
     def _covers(self, doc_id: int) -> bool:
         return any(reader.slot_of(doc_id) is not None for reader in self.readers)
@@ -229,7 +228,6 @@ class SegmentStore:
             "storage_merges_total",
             "Segment merges executed (tiered policy).",
         ).inc()
-        self._update_gauges()
         return meta
 
     def _merge_group(self, group: list[SegmentMeta]) -> SegmentMeta | None:
@@ -279,7 +277,6 @@ class SegmentStore:
             names = {meta.name for meta in self.manifest.segments}
             meta = self._replace(names, documents, postings, summary, self.tombstones)
             self.content_epoch += 1
-        self._update_gauges()
         return meta
 
     def _replace(
@@ -298,7 +295,7 @@ class SegmentStore:
         merged_meta: SegmentMeta | None = None
         if documents:
             name = f"seg-{manifest.next_segment_id:06d}"
-            writer = SegmentWriter(self.directory / name, name)
+            writer = SegmentWriter(self._root() / name, name)
             merged_meta = writer.write(documents, postings, summary)
             survivors.append(merged_meta)
             survivors.sort(key=lambda meta: meta.doc_base)
@@ -361,18 +358,3 @@ class SegmentStore:
                 shutil.rmtree(child, ignore_errors=True)
                 swept += 1
         return swept
-
-    def _update_gauges(self) -> None:
-        registry = get_registry()
-        registry.gauge(
-            "storage_segments",
-            "Live immutable segments in the store.",
-        ).set(len(self.manifest.segments))
-        registry.gauge(
-            "storage_segment_bytes",
-            "Total bytes across live segment files.",
-        ).set(self.manifest.total_bytes())
-        registry.gauge(
-            "storage_tombstones",
-            "Deleted documents awaiting a merge to reclaim them.",
-        ).set(len(self.tombstones))

@@ -50,6 +50,16 @@ def test_the_catalogue_lists_exactly_the_declared_families():
     assert "source_requests_total" in declared
 
 
+def test_no_unlabelled_family_reports_one_store():
+    """A process runs many segment stores; an unlabelled per-store
+    gauge showed whichever store wrote it last."""
+    assert not declared_families() & {
+        "storage_segments",
+        "storage_segment_bytes",
+        "storage_tombstones",
+    }
+
+
 def test_every_family_names_its_reader():
     assert all(documented_families().values())
     readers = documented_families()

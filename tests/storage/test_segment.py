@@ -1,12 +1,16 @@
 """Segment writer/reader round trips and the store's commit protocol."""
 
+import os
+import pathlib
 from array import array
 
 import pytest
 
 from repro.engine.documents import Document
 from repro.engine.index import SummaryEntry
+from repro.observability import MetricsRegistry, render_prometheus, set_registry
 from repro.storage.format import StorageError
+from repro.storage.manifest import MANIFEST_NAME
 from repro.storage.merge import TieredMergePolicy
 from repro.storage.segment import SegmentReader, SegmentWriter
 from repro.storage.store import SegmentStore
@@ -185,3 +189,94 @@ class TestSegmentStore:
         assert store.segment_count == 0
         assert store.live_doc_count() == 0
         store.close()
+
+    def test_a_store_with_no_directory_commits_nothing(self, tmp_path):
+        store = SegmentStore()
+        assert store.directory is None
+        assert not store.readers and not store.tombstones
+        assert (store.epoch, store.content_epoch, store.generation) == (0, 0, 0)
+        assert (store.segment_count, store.total_bytes(), store.live_doc_count()) == (0, 0, 0)
+        assert store.document_ceiling == 0
+        for commit in (
+            lambda: store.commit_segment(*simple_batch([0, 1])),
+            lambda: store.replace_all(*simple_batch([0])),
+            lambda: store.replace_all([], {}, []),
+        ):
+            with pytest.raises(StorageError, match="storage_dir"):
+                commit()
+        assert store.add_tombstones([0]) == 0  # nothing committed to delete
+        assert store.merge_once() is None and not store.maybe_merge()
+        assert (store.epoch, store.generation, store.segment_count) == (0, 0, 0)
+        store.close()
+        assert list(tmp_path.iterdir()) == []  # and no file anywhere
+
+
+def file_identity(path):
+    stat = os.stat(path)
+    return stat.st_dev, stat.st_ino
+
+
+class TestCommitDurability:
+    """A manifest never names bytes that are not on disk yet."""
+
+    def test_segment_files_are_fsynced_before_the_manifest_names_them(
+        self, tmp_path, monkeypatch
+    ):
+        store = SegmentStore(tmp_path)
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(descriptor):
+            stat = os.fstat(descriptor)
+            events.append(("fsync", (stat.st_dev, stat.st_ino)))
+            fsync(descriptor)
+
+        def recording_replace(source, target):
+            replace(source, target)
+            events.append(("replace", pathlib.Path(target)))
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        meta = store.commit_segment(*simple_batch([0, 1, 2]))
+        monkeypatch.undo()
+
+        swap = events.index(("replace", tmp_path / MANIFEST_NAME))
+        synced_before = {key for kind, key in events[:swap] if kind == "fsync"}
+        segment = tmp_path / meta.name
+        files = sorted(segment.iterdir())
+        assert len(files) == 10  # nine columns and segment.json
+        for path in [*files, segment]:
+            assert file_identity(path) in synced_before, path.name
+        # ...and the swap itself is durable: the store directory after it.
+        assert ("fsync", file_identity(tmp_path)) in events[swap + 1 :]
+        store.close()
+
+
+class TestStoreMetrics:
+    def test_a_second_store_never_changes_what_metrics_says_of_the_first(
+        self, tmp_path
+    ):
+        """Per-store gauges without a label would each show whichever
+        store wrote last; what is left sums over stores correctly."""
+        registry = set_registry(MetricsRegistry())
+        try:
+            first = SegmentStore(tmp_path / "first")
+            for ids in ([0], [1], [2]):
+                first.commit_segment(*simple_batch(ids))
+            before = render_prometheus(registry)
+            second = SegmentStore(tmp_path / "second")
+            assert render_prometheus(registry) == before
+            SegmentStore()  # nor does a store with no directory
+            assert render_prometheus(registry) == before
+            second.commit_segment(*simple_batch([0]))
+            exposition = render_prometheus(registry)
+            assert "storage_flush_ms_count 4" in exposition
+            families = {
+                line.split()[2] for line in exposition.splitlines()
+                if line.startswith("# TYPE")
+            }
+            assert families == {"storage_flush_ms"}
+            first.close()
+            second.close()
+        finally:
+            set_registry(MetricsRegistry())

@@ -1,9 +1,10 @@
 """The heart of the tentpole: segments must be invisible.
 
-A ``storage="segments"`` engine — whatever mix of tail, flushes, and
+An engine with a ``storage_dir`` — whatever mix of tail, flushes, and
 merges its history took — must answer every query **bit-identically**
-to the ``storage="memory"`` oracle over the same documents.  So must
-an engine warmed from the same directory in a "new process".
+to an engine with no directory (the oracle: its tail is the whole
+index) over the same documents.  So must an engine warmed from the
+same directory in a "new process".
 """
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.corpus import CollectionSpec, generate_collection, source1_documents
 from repro.engine import fields as F
+from repro.engine.index import TermState
 from repro.engine.query import BooleanQuery, ListQuery, ProxQuery, TermQuery
 from repro.engine.search import SearchEngine
 from repro.storage import StorageError, TieredMergePolicy
@@ -223,12 +225,68 @@ class TestMutation:
             engine.tombstone("http://nope")
 
 
+def tail_record(engine, field, term):
+    """The tail's own record of ``term``, as ``add_field_tokens`` keeps it."""
+    return engine.index._postings[field][term]
+
+
+class TestOneEngine:
+    """A memory engine is an engine whose store has no directory."""
+
+    def test_no_directory_reads_the_tail_and_commits_nothing(self):
+        engine = SearchEngine()
+        engine.add_all(corpus())
+        assert engine.segment_store.directory is None
+        state = engine.index.pruned_postings(F.BODY_OF_TEXT, "databases")
+        assert type(state) is TermState
+        assert state is tail_record(engine, F.BODY_OF_TEXT, "databases")
+        assert engine.store[3] is engine.store._documents[3]
+        assert engine.flush() is False
+        assert engine.maybe_merge() is False
+        for operation in (lambda: engine.tombstone(corpus()[0].linkage), engine.checkpoint):
+            with pytest.raises(StorageError, match="storage_dir"):
+                operation()
+        assert engine.document_count == len(corpus())  # nothing was lost
+        engine.close()
+
+    def test_before_its_first_flush_a_segments_engine_is_the_same_engine(self, tmp_path):
+        oracle, segmented = build_pair(tmp_path, corpus())
+        assert segmented.segment_store.segment_count == 0
+        state = segmented.index.pruned_postings(F.BODY_OF_TEXT, "databases")
+        assert state is tail_record(segmented, F.BODY_OF_TEXT, "databases")
+        # hits with their TermStats, summary sections and vocabulary
+        assert_equivalent(oracle, segmented)
+        assert oracle.index.fields() == segmented.index.fields()
+        # The first flush moves the term behind an accessor; nothing else.
+        assert segmented.flush()
+        assert type(segmented.index.pruned_postings(F.BODY_OF_TEXT, "databases")) is not TermState
+        assert_equivalent(oracle, segmented)
+        segmented.close()
+
+    def test_remove_keeps_an_engine_without_a_directory_one(self):
+        engine = SearchEngine()
+        documents = corpus()
+        engine.add_all(documents)
+        assert engine.remove(documents[2].linkage)
+        assert engine.segment_store.directory is None
+        assert engine.index._segment_store is engine.segment_store
+        assert engine.store.ids() == list(range(len(documents) - 1))
+        assert engine.flush() is False
+
+
 class TestGuards:
     def test_storage_dir_required(self):
         with pytest.raises(ValueError, match="storage_dir"):
             SearchEngine(storage="segments")
         with pytest.raises(ValueError, match="storage_dir"):
             SearchEngine(storage="memory", storage_dir="/tmp/x")
+
+    def test_storage_dir_alone_decides(self, tmp_path):
+        engine = SearchEngine(storage_dir=tmp_path / "s")
+        engine.add_all(source1_documents())
+        assert engine.flush() and engine.segment_store.segment_count == 1
+        engine.close()
+        assert SearchEngine(storage="memory").segment_store.directory is None
 
     def test_unknown_storage_mode(self):
         with pytest.raises(ValueError, match="storage mode"):
@@ -275,6 +333,8 @@ class TestPropertyEquivalence:
     )
     @given(histories())
     def test_any_history_matches_oracle(self, tmp_path, history):
+        """Flushed, merged and reopened stores against the engine with
+        no directory over the same documents."""
         import shutil
 
         from repro.engine.documents import Document

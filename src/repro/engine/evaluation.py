@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field as dataclass_field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.engine.query import (
     AND,
@@ -72,8 +72,7 @@ TERM_AT_A_TIME = "term_at_a_time"
 EVALUATION_MODES = (PRUNED, TERM_AT_A_TIME)
 
 
-@dataclass(frozen=True, slots=True)
-class TermHitStats:
+class TermHitStats(NamedTuple):
     """Per-query-term statistics for one document (STARTS ``TermStats``).
 
     Attributes:
@@ -188,6 +187,9 @@ class QueryTermContext:
         self._candidates = candidates
         self._ranking = engine.ranking
         self._by_term: dict[tuple, TermPostings] = {}
+        #: ``(field, text, statistics)`` per query term, left to right:
+        #: every hit's TermStats, resolved once per query.
+        self._term_columns: list[tuple[str, str, TermPostings]] = []
         #: Total postings visited while materializing this query's
         #: statistics — the term-at-a-time work metric.
         self.postings_walked = 0
@@ -198,6 +200,7 @@ class QueryTermContext:
                     engine, engine.matcher.expand(term), candidates
                 )
                 self.postings_walked += walked
+            self._term_columns.append((term.field, term.text, self._by_term[key]))
         self._root_scores: dict[int, float] | None = None
         self._root_zero = 0.0
 
@@ -350,14 +353,11 @@ class QueryTermContext:
     def hit_term_stats(self, doc_id: int) -> list[TermHitStats]:
         """STARTS ``TermStats`` for one hit, straight from the context."""
         stats: list[TermHitStats] = []
-        for term in self._query.terms():
-            postings = self._by_term[_term_key(term)]
+        for field, text, postings in self._term_columns:
             tf = postings.doc_tf.get(doc_id, 0)
             weight = postings.doc_weight.get(doc_id, 0.0) if tf else 0.0
             stats.append(
-                TermHitStats(
-                    term.field, term.text, tf, weight, postings.document_frequency
-                )
+                TermHitStats(field, text, tf, weight, postings.document_frequency)
             )
         return stats
 

@@ -84,8 +84,6 @@ class TermState:
     doc_weight = None
     #: Smallest length among the term's documents — unknown in memory.
     min_len = None
-    #: Whether :meth:`route` exists and its handles can bound blocks.
-    has_blocks = False
 
     __slots__ = ("df", "max_tf", "_doc_ids", "_tfs", "_positions", "_weights")
 
@@ -148,54 +146,52 @@ class TermState:
             cached = self._weights = (ranking, tag, weights)
         return dict(zip(doc_ids, cached[2]))
 
+    def spans(self):
+        """The postings as an ascending run of ``(last id, bound,
+        columns)`` spans: the pruned driver's one way through them.
+
+        A span answers for every doc id above the previous span's last
+        id up to its own.  ``bound`` is ``(max tf, min doc length)`` over
+        the span's postings, or None where there is none; ``columns()``
+        returns its (doc ids, tfs), decoded on first use.  A record is
+        one span with no bound.
+        """
+        return ((_LAST_DOC_ID, None, self.columns),)
+
     def probe(self, doc_id: int) -> int:
-        """Term frequency of ``doc_id`` (0 if absent)."""
-        df = self.df
-        slot = bisect.bisect_left(self._doc_ids, doc_id, 0, df)
-        if slot < df and self._doc_ids[slot] == doc_id:
-            return self._tfs[slot]
-        return 0
-
-    def block_bound(self, doc_id: int) -> None:
-        """A record has no block column (see ``TermHandle``)."""
-        return None
+        """Term frequency of the live document ``doc_id`` (0 if the term
+        is absent from it), read off the one span that covers it."""
+        doc_ids, tfs = next(
+            columns for last_id, _, columns in self.spans() if last_id >= doc_id
+        )()
+        slot = bisect.bisect_left(doc_ids, doc_id)
+        return tfs[slot] if slot < len(doc_ids) and doc_ids[slot] == doc_id else 0
 
 
+#: The last id of the span that reaches past every document.
+_LAST_DOC_ID = 2**63 - 1
 #: The record of every absent term: never appended to.
 _NO_POSTINGS = TermState(array("q"), array("I"), array("I"))
-
-
-class _NoPostings:
-    """Routing target for ids no segment of the term covers."""
-
-    @staticmethod
-    def block_bound(doc_id: int) -> tuple[int, int]:
-        # The term cannot match the id, which (0, 0) encodes exactly.
-        return (0, 0)
-
-    @staticmethod
-    def probe(doc_id: int) -> int:
-        return 0
 
 
 class _SegmentedTermAccessor(TermState):
     """One term across segments + tail: the :class:`TermState`
     contract every reader uses.
 
-    The pruned driver's contract (df / max tf / min length metadata,
-    point probes, per-document block bounds) routed by doc-id range:
-    committed ids resolve through each segment's
-    :class:`~repro.storage.segment.TermHandle` (block-max column, one
-    block decoded and kept per probe miss), tail ids through the tail's
-    own record.  The segments' columns are scanned — positions skipped,
-    tombstoned ids dropped — when a reader first walks the whole list,
-    and their positions decoded the first time ``prox`` asks; both are
-    kept beside the handles until the layout moves.  :meth:`follow`
-    counts the tail's record in, so the accessor outlives tail growth.
+    The pruned driver's contract (df / max tf / min length metadata and
+    the run of spans) over doc-id ranges: each segment's
+    :class:`~repro.storage.segment.TermHandle` contributes its blocks
+    (block-max bounds, each block decoded once, on first use), the
+    tail's own record the last span.  The segments' columns are scanned
+    — positions skipped, tombstoned ids dropped — when a reader first
+    walks the whole list, and their positions decoded the first time
+    ``prox`` asks; both are kept beside the handles until the layout
+    moves.  :meth:`follow` counts the tail's record in, so the accessor
+    outlives tail growth.
     """
 
-    __slots__ = ("min_len", "has_blocks", "_handles", "_bases", "_live", "_tail",
-                 "_tail_floor", "_segment_df", "_segment_tf_bound",
+    __slots__ = ("min_len", "_gap", "_handles", "_live", "_tail",
+                 "_segment_df", "_segment_tf_bound",
                  "_segment_min_len", "_segment_columns", "_segment_positions")
 
     def __init__(
@@ -215,21 +211,23 @@ class _SegmentedTermAccessor(TermState):
             tf_bound = max(tf_bound, handle.max_term_frequency())
             # None for a version-1 segment: no block column, no length bound.
             lengths.append(handle.min_doc_length())
-        self._bases = [base for base, _, _ in self._handles]
         self._segment_columns = self._segment_positions = self._weights = None
         self._segment_df = df
         # Tombstones may leave max_tf stale-high (the maximal document
         # was deleted); that only loosens the bound.
         self._segment_tf_bound = tf_bound
         self._segment_min_len = None if None in lengths or not lengths else min(lengths)
-        self.has_blocks = any(handle.blocks is not None for _, _, handle in self._handles)
+        # The bound of an id range no block of the term covers: (0, 0),
+        # "cannot match", once some segment has a block column; a term
+        # with none (v1 segments, the tail alone) bounds nothing.
+        has_blocks = any(handle.blocks is not None for _, _, handle in self._handles)
+        self._gap = (0, 0) if has_blocks else None
         self.follow(tail)
 
     def follow(self, tail: TermState) -> None:
         """Count the tail's record (the term's postings above every
-        segment) into df, max tf, the length bound and routing."""
+        segment) into df, max tf, the length bound and the spans."""
         self._tail = tail
-        self._tail_floor = tail._doc_ids[0] if tail.df else None
         self.df = self._segment_df + tail.df
         self.max_tf = max(self._segment_tf_bound, tail.max_tf)
         # The term-level length bound is the min over every source of
@@ -267,27 +265,23 @@ class _SegmentedTermAccessor(TermState):
             column + tail for column, tail in zip(columns, self._tail.positions())
         )
 
-    def route(self, doc_id: int):
-        """Whatever answers ``block_bound``/``probe`` for ``doc_id``.
-
-        The driver routes once per candidate and asks the target both
-        questions; its candidates come from live-filtered columns, so
-        they need no tombstone check.
+    def spans(self):
+        """Each segment's blocks (``TermHandle.spans``) in doc-base
+        order, then the tail's record; every id range between them is
+        one empty span with the gap bound.  Block columns are not
+        tombstone-filtered: they answer for live ids only, which is
+        all the driver's candidates are.
         """
-        position = bisect.bisect_right(self._bases, doc_id) - 1
-        if position >= 0:
-            _, ceiling, handle = self._handles[position]
-            if doc_id < ceiling:
-                return handle
-        if self._tail_floor is not None and doc_id >= self._tail_floor:
-            return self._tail
-        return _NoPostings
-
-    def probe(self, doc_id: int) -> int:
-        live = self._live
-        if live is not None and not live(doc_id):
-            return 0
-        return self.route(doc_id).probe(doc_id)
+        gap = self._gap
+        for base, ceiling, handle in self._handles:
+            yield base - 1, gap, _NO_POSTINGS.columns
+            yield from handle.spans(ceiling)
+        tail = self._tail
+        if tail.df:
+            yield tail._doc_ids[0] - 1, gap, _NO_POSTINGS.columns
+            yield from tail.spans()
+        else:
+            yield _LAST_DOC_ID, gap, _NO_POSTINGS.columns
 
 
 #: Entry cap of the per-(field, term) accessor memo; a memo that fills

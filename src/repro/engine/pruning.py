@@ -18,10 +18,11 @@ provably cannot reach the kth score:
   nothing but it and cheaper terms could still reach the threshold —
   after that the pass only *probes* surviving candidates, skipping the
   rest of the list outright;
-* on segment-backed indexes a probe first consults the per-block
-  (max tf, min doc length) column: when even the block's cap cannot
-  lift a candidate over the threshold, the candidate dies without the
-  block ever being decoded;
+* a probe pass walks the candidates once, in doc-id order, against the
+  term's postings as an ascending run of spans (one per segment block,
+  one for the tail); a block's (max tf, min doc length) bound is
+  weighed once per pass, and when even it cannot lift a candidate over
+  the threshold, the candidate dies without the block being decoded;
 * the threshold starts at ``MinDocumentScore`` and tightens to the
   kth-best accumulated lower bound as candidates fill in.
 
@@ -50,6 +51,7 @@ order — to the exhaustive oracles.  Three disciplines make that true:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from heapq import nlargest
 from typing import TYPE_CHECKING
 
@@ -60,6 +62,7 @@ from repro.engine.evaluation import (
     _term_key,
     hit_order_key,
 )
+from repro.engine.index import TermState
 from repro.engine.query import EngineQuery, ListQuery, TermQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with search.py
@@ -101,19 +104,17 @@ def supports_pruning(
     return False
 
 
-class _MaterializedAccessor:
+class _MaterializedAccessor(TermState):
     """Aggregated access for multi-expansion terms (stems, fan-out).
 
     Expansion-aggregated tf has no per-list metadata, so these terms
     are materialized upfront exactly like the exhaustive path — their
     cap is the max of their *exact* weights and their postings are
-    never skipped.  Modifier-heavy terms are rare; correctness wins.
+    never skipped: one span with no bound.  Modifier-heavy terms are
+    rare; correctness wins.
     """
 
-    #: No block column: the driver never asks this accessor to route.
-    has_blocks = False
-
-    __slots__ = ("doc_tf", "df", "doc_weight", "max_weight")
+    __slots__ = ("doc_tf", "doc_weight", "max_weight")
 
     def __init__(self, postings: TermPostings) -> None:
         self.doc_tf = postings.doc_tf
@@ -124,8 +125,9 @@ class _MaterializedAccessor:
     def tf_map(self) -> dict[int, int]:
         return self.doc_tf
 
-    def probe(self, doc_id: int) -> int:
-        return self.doc_tf.get(doc_id, 0)
+    def columns(self) -> tuple[list[int], list[int]]:
+        doc_ids = sorted(self.doc_tf)
+        return doc_ids, [self.doc_tf[doc_id] for doc_id in doc_ids]
 
 
 class _PrunedTerm:
@@ -163,7 +165,6 @@ class PrunedContext:
     ) -> None:
         assert engine.ranking is not None
         self._engine = engine
-        self._query = query
         self._ranking = engine.ranking
         self._top_k = top_k
         self._min_score = min_score
@@ -177,21 +178,21 @@ class PrunedContext:
         self._pruned_docs = 0
         self._closed_passes = 0
         self.truncated = False
-        if isinstance(query, TermQuery):
-            self._children: list[tuple[float, TermQuery]] = [(query.weight, query)]
-            self._root_is_term = True
-        else:
-            assert isinstance(query, ListQuery)
-            self._children = [(child.weight, child) for child in query.children]
-            self._root_is_term = False
-        self._child_qs = [q_weight for q_weight, _ in self._children]
+        self._root_is_term = isinstance(query, TermQuery)
+        assert self._root_is_term or isinstance(query, ListQuery)
+        #: ``(q weight, term, its record)`` per child, left to right —
+        #: the scoring order and the TermStats order of every hit.
+        self._children: list[tuple[float, TermQuery, _PrunedTerm]] = []
         self._terms: dict[tuple, _PrunedTerm] = {}
-        for q_weight, term in self._children:
+        for term in query.terms():
             key = _term_key(term)
             record = self._terms.get(key)
             if record is None:
                 record = self._terms[key] = _PrunedTerm(self._make_accessor(term))
+            q_weight = term.weight
             record.coef += q_weight if self._root_is_term else q_weight * q_weight
+            self._children.append((q_weight, term, record))
+        self._child_qs = [q_weight for q_weight, _, _ in self._children]
         self._hits: list[tuple[int, float]] | None = None
 
     # -- term access -------------------------------------------------------
@@ -288,38 +289,43 @@ class PrunedContext:
                 # Non-essential pass: no new document can reach the
                 # threshold, so only probe surviving candidates — and
                 # drop each the moment its ceiling falls below the cut.
+                # The candidates go in doc-id order against the term's
+                # run of spans, with one cursor: a span's bound is
+                # weighed once, its columns decoded only when a
+                # candidate gets past the bound, and each tf is found
+                # by moving forward in them.
                 self._closed_passes += 1
                 tfs = record.tfs
                 weights = record.weights
-                probe = accessor.probe
-                route = accessor.route if accessor.has_blocks else None
                 precomputed = accessor.doc_weight
                 limit = cut * _EPS_DOWN - (record.ub + remaining)
                 limit_rest = cut * _EPS_DOWN - remaining
-                probes = 0
-                for doc_id, partial in list(acc.items()):
+                probes = pruned = blocks_skipped = 0
+                spans = iter(accessor.spans())
+                last_id = -1
+                for doc_id, partial in sorted(acc.items()):
                     if partial < limit:
                         del acc[doc_id]
-                        self._pruned_docs += 1
+                        pruned += 1
                         continue
-                    if route is not None:
-                        # One routing step finds whatever holds this id
-                        # (a segment's handle, the tail, nothing) and it
-                        # answers both the bound and the probe.
-                        target = route(doc_id)
-                        bound = target.block_bound(doc_id)
-                        if bound is not None:
-                            block_ub = coef * weight_upper_bound(
-                                bound[0], df, n_docs, bound[1], avg
-                            )
-                            if partial + block_ub < limit_rest:
-                                del acc[doc_id]
-                                self._pruned_docs += 1
-                                self.blocks_skipped += 1
-                                continue
-                        tf = target.probe(doc_id)
-                    else:
-                        tf = probe(doc_id)
+                    if doc_id > last_id:
+                        for last_id, bound, columns in spans:
+                            if last_id >= doc_id:
+                                break
+                        span_ub = None if bound is None else coef * weight_upper_bound(
+                            bound[0], df, n_docs, bound[1], avg
+                        )
+                        span_ids = None
+                    if span_ub is not None and partial + span_ub < limit_rest:
+                        del acc[doc_id]
+                        pruned += 1
+                        blocks_skipped += 1
+                        continue
+                    if span_ids is None:
+                        span_ids, span_tfs = columns()
+                        slot, size = 0, len(span_ids)
+                    slot = bisect_left(span_ids, doc_id, slot, size)
+                    tf = span_tfs[slot] if slot < size and span_ids[slot] == doc_id else 0
                     probes += 1
                     if tf:
                         weight = (
@@ -333,7 +339,9 @@ class PrunedContext:
                         acc[doc_id] = partial
                     if partial < limit_rest:
                         del acc[doc_id]
-                        self._pruned_docs += 1
+                        pruned += 1
+                self._pruned_docs += pruned
+                self.blocks_skipped += blocks_skipped
                 self.postings_walked += probes
                 if df > probes:
                     self.postings_skipped += df - probes
@@ -367,8 +375,7 @@ class PrunedContext:
         else:
             combine = ranking.combine
             columns = [
-                (q_weight, self._terms[_term_key(term)].weights)
-                for q_weight, term in self._children
+                (q_weight, record.weights) for q_weight, _, record in self._children
             ]
             for doc_id in acc:
                 score = combine(
@@ -405,8 +412,7 @@ class PrunedContext:
     def hit_term_stats(self, doc_id: int) -> list[TermHitStats]:
         """STARTS ``TermStats`` for one returned hit."""
         stats: list[TermHitStats] = []
-        for term in self._query.terms():
-            record = self._terms[_term_key(term)]
+        for _, term, record in self._children:
             tf = record.tfs.get(doc_id, 0)
             weight = record.weights.get(doc_id, 0.0) if tf else 0.0
             stats.append(

@@ -445,10 +445,8 @@ class SearchEngine:
                 ``top_k``, which commutes with it.
         """
         started = time.perf_counter()
-        hits, walked, truncated, skipped, blocks_skipped, threshold = (
-            self._search_timed(
-                filter_query, ranking_query, top_k=top_k, min_score=min_score
-            )
+        hits, walked, truncated, skipped, blocks_skipped = self._search_timed(
+            filter_query, ranking_query, top_k=top_k, min_score=min_score
         )
         registry = get_registry()
         registry.histogram(
@@ -470,11 +468,6 @@ class SearchEngine:
                 "engine_blocks_skipped_total",
                 "Candidate probes resolved by the block-max column alone.",
             ).inc(blocks_skipped)
-        if threshold is not None:
-            registry.gauge(
-                "engine_prune_threshold",
-                "Final score threshold the last pruned search converged to.",
-            ).set(threshold)
         if truncated:
             # On the pruned path this is a conservative signal (a pruned
             # document might not have qualified), but any pruning means
@@ -492,33 +485,33 @@ class SearchEngine:
         *,
         top_k: int | None,
         min_score: float,
-    ) -> tuple[list[EngineHit], int, bool, int, int, float | None]:
+    ) -> tuple[list[EngineHit], int, bool, int, int]:
         """``search`` proper.
 
         Returns ``(hits, postings walked, truncated, postings skipped,
-        blocks skipped, prune threshold)`` — the last three are only
-        non-trivial when the pruned driver ran (threshold is None
-        otherwise).
+        blocks skipped)`` — the last two are only non-zero when the
+        pruned driver ran.  ``top_k=0`` (``MaxNumberDocuments 0``)
+        evaluates nothing.
         """
-        if filter_query is None and ranking_query is None:
-            return [], 0, False, 0, 0, None
+        if top_k == 0 or (filter_query is None and ranking_query is None):
+            return [], 0, False, 0, 0
 
         candidates: set[int] | None = None
         if filter_query is not None:
             candidates = self.evaluate_filter(filter_query)
             if not candidates:
-                return [], 0, False, 0, 0, None
+                return [], 0, False, 0, 0
 
         if ranking_query is None or self.ranking is None:
             if candidates is None:
                 # A Boolean-only engine given only a ranking expression
                 # has nothing it can evaluate.
-                return [], 0, False, 0, 0, None
+                return [], 0, False, 0, 0
             hits = [EngineHit(doc_id, 0.0) for doc_id in sorted(candidates)]
             if ranking_query is not None and min_score > 0.0:
                 hits = [hit for hit in hits if hit.score >= min_score]
             truncated = top_k is not None and len(hits) > top_k
-            return (hits if top_k is None else hits[:top_k]), 0, truncated, 0, 0, None
+            return (hits if top_k is None else hits[:top_k]), 0, truncated, 0, 0
 
         if (
             self.evaluation == PRUNED
@@ -538,7 +531,6 @@ class SearchEngine:
                 pruned.truncated,
                 pruned.postings_skipped,
                 pruned.blocks_skipped,
-                pruned.threshold,
             )
 
         # ``evaluation="pruned"`` lands here too for shapes the pruned
@@ -557,4 +549,4 @@ class SearchEngine:
             for doc_id, score in top_k_hits(scores, top_k)
         ]
         truncated = top_k is not None and len(scores) > top_k
-        return hits, context.postings_walked, truncated, 0, 0, None
+        return hits, context.postings_walked, truncated, 0, 0

@@ -32,6 +32,7 @@ import mmap
 import pathlib
 from array import array
 from bisect import bisect_left
+from functools import partial
 
 from repro.engine.documents import Document
 from repro.engine.index import SummaryEntry
@@ -293,44 +294,31 @@ class TermHandle:
             return min(blocks.min_lens)
         return None
 
-    def block_bound(self, doc_id: int) -> tuple[int, int] | None:
-        """(max tf, min doc length) of the block covering ``doc_id``.
-
-        Returns ``(0, 0)`` when no block can contain the document (the
-        term has no postings at or above it) and None when the segment
-        predates the block-max column.
-        """
+    def spans(self, ceiling: int):
+        """This segment's part of a term's run of spans (see
+        ``TermState.spans``): one per block, bounded by the block's
+        (max tf, min doc length) and decoded on first use — or, for a
+        segment that predates the column, one unbounded span up to
+        ``ceiling`` over the memoized full scan."""
         blocks = self.blocks
         if blocks is None:
-            return None
-        number = bisect_left(blocks.last_ids, doc_id)
-        if number >= len(blocks.last_ids):
-            return (0, 0)
-        return (blocks.max_tfs[number], blocks.min_lens[number])
+            yield ceiling - 1, None, self._full_scan
+            return
+        for number, last_id in enumerate(blocks.last_ids):
+            bound = (blocks.max_tfs[number], blocks.min_lens[number])
+            yield last_id, bound, partial(self._block, number)
 
-    def probe(self, doc_id: int) -> int:
-        """Term frequency of ``doc_id`` (0 if absent), one block decoded."""
-        blocks = self.blocks
-        if blocks is None:
-            doc_ids, tfs = self._full_scan()
-        else:
-            number = bisect_left(blocks.last_ids, doc_id)
-            if number >= len(blocks.last_ids):
-                return 0
-            entry = self._block_memo.get(number)
-            if entry is None:
-                entry = scan_posting_block(
-                    self._buf,
-                    self._offset + blocks.starts[number],
-                    blocks.counts[number],
-                    blocks.last_ids[number - 1] if number else 0,
-                )
-                self._block_memo[number] = entry
-            doc_ids, tfs = entry
-        slot = bisect_left(doc_ids, doc_id)
-        if slot < len(doc_ids) and doc_ids[slot] == doc_id:
-            return tfs[slot]
-        return 0
+    def _block(self, number: int) -> tuple[array, array]:
+        entry = self._block_memo.get(number)
+        if entry is None:
+            blocks = self.blocks
+            entry = self._block_memo[number] = scan_posting_block(
+                self._buf,
+                self._offset + blocks.starts[number],
+                blocks.counts[number],
+                blocks.last_ids[number - 1] if number else 0,
+            )
+        return entry
 
 
 class SegmentReader:

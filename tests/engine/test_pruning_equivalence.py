@@ -382,7 +382,6 @@ class TestPruningObservability:
             engine.evaluation = PRUNED
             baseline = engine.search(ranking_query=QUERY, top_k=3)
             families = {family.name for family in registry.families()}
-            assert "engine_prune_threshold" in families
             assert "engine_postings_skipped_total" in families
             # Disabled registry: identical hits, nothing recorded.
             disabled = MetricsRegistry.disabled()

@@ -4,8 +4,9 @@ import pytest
 
 from repro.engine import fields as F
 from repro.engine.documents import Document
+from repro.engine.evaluation import EVALUATION_MODES
 from repro.engine.query import BooleanQuery, ListQuery, ProxQuery, TermQuery
-from repro.engine.search import SearchEngine
+from repro.engine.search import SearchEngine, TermHitStats
 
 
 def t(text, weight=1.0):
@@ -125,6 +126,17 @@ class TestFilterPlusRanking:
     def test_no_queries_returns_empty(self, engine):
         assert engine.search() == []
 
+    @pytest.mark.parametrize("evaluation", EVALUATION_MODES)
+    def test_top_k_zero_evaluates_nothing(self, engine, evaluation):
+        """``MaxNumberDocuments 0``: no hit, and no posting walked or
+        skipped, on the pruned path and on the exhaustive one."""
+        engine.evaluation = evaluation
+        ranking = ListQuery((t("databases"), t("networks", 0.5)))
+        for filter_query in (None, t("networks")):
+            assert engine._search_timed(
+                filter_query, ranking, top_k=0, min_score=0.0
+            ) == ([], 0, False, 0, 0)
+
     def test_boolean_only_engine_has_nothing_to_rank_by(self):
         engine = SearchEngine(ranking=None)
         engine.add(Document("http://x/0", {F.BODY_OF_TEXT: "text"}))
@@ -145,6 +157,20 @@ class TestTermStatistics:
         assert stats.term_frequency == 3
         assert stats.document_frequency == 2
         assert stats.term_weight > 0.0
+
+    def test_term_stats_are_immutable_five_field_records(self, engine):
+        hits = engine.search(ranking_query=ListQuery((t("databases"),)))
+        stats = hits[0].term_stats[0]
+        assert TermHitStats._fields == (
+            "field", "text", "term_frequency", "term_weight", "document_frequency"
+        )
+        assert repr(stats) == (
+            f"TermHitStats(field='body-of-text', text='databases', "
+            f"term_frequency=3, term_weight={stats.term_weight!r}, "
+            f"document_frequency=2)"
+        )
+        with pytest.raises(AttributeError):
+            stats.term_frequency = 4
 
     def test_stats_for_absent_terms_zero(self, engine):
         hits = engine.search(

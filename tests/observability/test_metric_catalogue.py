@@ -48,15 +48,17 @@ def test_the_catalogue_lists_exactly_the_declared_families():
     assert declared - documented == set(), "declared in src/, missing from the table"
     assert documented - declared == set(), "in the table, declared nowhere in src/"
     assert "source_requests_total" in declared
+    assert len(declared) == 32  # the count docs/architecture.md states
 
 
 def test_no_unlabelled_family_reports_one_store():
-    """A process runs many segment stores; an unlabelled per-store
-    gauge showed whichever store wrote it last."""
+    """A process runs many segment stores and engines; an unlabelled
+    per-store or per-engine gauge showed whichever wrote it last."""
     assert not declared_families() & {
         "storage_segments",
         "storage_segment_bytes",
         "storage_tombstones",
+        "engine_prune_threshold",
     }
 
 

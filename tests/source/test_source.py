@@ -7,6 +7,7 @@ import pytest
 from repro.corpus import source1_documents
 from repro.engine.documents import Document
 from repro.engine.search import SearchEngine
+from repro.observability.metrics import MetricsRegistry, set_registry
 from repro.source import SourceCapabilities, StartsSource
 from repro.starts import SQuery, parse_expression
 from repro.starts.query import SortKey
@@ -41,6 +42,27 @@ class TestAnswerSpecification:
     def test_max_number_documents(self, source1, ranking_query):
         query = replace(ranking_query, max_number_documents=1)
         assert len(source1.search(query).documents) == 1
+
+    def test_max_number_documents_zero_evaluates_nothing(self, source1, ranking_query):
+        """``MaxNumberDocuments 0`` is answered by the header alone: the
+        engine walks no posting, and the bytes are those a full
+        evaluation truncated to nothing gave."""
+        registry = set_registry(MetricsRegistry())
+        try:
+            answer = source1.respond(replace(ranking_query, max_number_documents=0))
+            counters = {family.name for family in registry.families()}
+            assert not counters & {
+                "engine_postings_walked_total",
+                "engine_postings_skipped_total",
+                "engine_blocks_skipped_total",
+            }
+        finally:
+            set_registry(MetricsRegistry())
+        assert answer == (
+            b"@SQResults{\nVersion{10}: STARTS 1.0\nSources{8}: Source-1\n"
+            b'ActualRankingExpression{61}: list((body-of-text "distributed")'
+            b' (body-of-text "databases"))\nNumDocSOIFs{1}: 0\n}\n'
+        )
 
     def test_min_document_score_filters(self, source1, ranking_query):
         unfiltered = source1.search(ranking_query)

@@ -132,6 +132,16 @@ def write_segment(directory, postings_by_term, base_length=10):
     return writer.write(documents, {F.BODY_OF_TEXT: postings_by_term}, [])
 
 
+def covering_span(handle, ceiling, doc_id):
+    """``(bound, tf)`` from the one span of ``handle.spans`` that answers
+    for ``doc_id``; None past the last block (the term accessor's gap
+    span answers there)."""
+    for last_id, bound, columns in handle.spans(ceiling):
+        if last_id >= doc_id:
+            return bound, dict(zip(*columns())).get(doc_id, 0)
+    return None
+
+
 class TestTermHandle:
     def test_handle_metadata_and_probes(self, tmp_path):
         postings = make_postings(300, seed=5)
@@ -147,14 +157,20 @@ class TestTermHandle:
             # Doc lengths are base + id, so the term-wide min length is
             # the first posting's.
             assert handle.min_doc_length() == 10 + doc_ids[0]
+            ceiling = reader.doc_ceiling
+            # One span per block, ascending, the last ending on the last
+            # posting.
+            spans = list(handle.spans(ceiling))
+            last_ids = [last_id for last_id, _, _ in spans]
+            assert last_ids == handle.blocks.last_ids == sorted(set(last_ids))
+            assert spans[-1][0] == doc_ids[-1]
             by_id = dict(zip(doc_ids, tfs))
-            probe_ids = list(doc_ids[::17])
-            probe_ids += [doc_ids[0] - 1, doc_ids[-1] + 100]
+            probe_ids = list(doc_ids[::17]) + [doc_ids[0] - 1]
             for doc_id in probe_ids:
-                assert handle.probe(doc_id) == by_id.get(doc_id, 0)
-            # Past the last posting no block can match.
-            assert handle.block_bound(doc_ids[-1] + 100) == (0, 0)
-            covered = handle.block_bound(doc_ids[0])
+                assert covering_span(handle, ceiling, doc_id)[1] == by_id.get(doc_id, 0)
+            # Past the last posting no block answers.
+            assert covering_span(handle, ceiling, doc_ids[-1] + 100) is None
+            covered, _ = covering_span(handle, ceiling, doc_ids[0])
             assert covered is not None and covered[0] >= tfs[0]
             assert reader.term_handle(F.BODY_OF_TEXT, "missing") is None
         finally:
@@ -167,7 +183,8 @@ class TestTermHandle:
         try:
             handle = reader.term_handle(F.BODY_OF_TEXT, "alpha")
             for doc_id, tf in zip(postings[0], postings[1]):
-                max_tf, min_len = handle.block_bound(doc_id)
+                (max_tf, min_len), found = covering_span(handle, reader.doc_ceiling, doc_id)
+                assert found == tf
                 assert max_tf >= tf
                 assert min_len <= 10 + doc_id
         finally:
@@ -226,14 +243,20 @@ class TestBackwardCompatibility:
             handle = reader.term_handle(F.BODY_OF_TEXT, "alpha")
             assert handle is not None and handle.blocks is None
             assert handle.min_doc_length() is None
-            assert handle.block_bound(0) is None
+            # One unbounded span over the whole segment.
+            spans = list(handle.spans(reader.doc_ceiling))
+            assert [(last_id, bound) for last_id, bound, _ in spans] == [
+                (reader.doc_ceiling - 1, None)
+            ]
             pruned = warmed.search(ranking_query=query, top_k=5)
             # The pruned path went through the memoized term state,
-            # which degrades with its handles (no blocks, no length
-            # bound) and answers the same warm as cold.
+            # which degrades with its handles (no bound on any span,
+            # not even the gaps; no length bound) and answers the same
+            # warm as cold.
             state = warmed.index.pruned_postings(F.BODY_OF_TEXT, "alpha")
             assert state is warmed.index.pruned_postings(F.BODY_OF_TEXT, "alpha")
-            assert not state.has_blocks and state.min_len is None
+            assert all(bound is None for _, bound, _ in state.spans())
+            assert state.min_len is None
             assert warmed.search(ranking_query=query, top_k=5) == pruned
             warmed.evaluation = TERM_AT_A_TIME
             exhaustive = warmed.search(ranking_query=query, top_k=5)

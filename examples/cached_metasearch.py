@@ -3,7 +3,8 @@
 The same three-source federation is queried twice with caching on (the
 default): the first round pays the full wire cost, the repeat is
 served from the query-result cache without a single request — visible
-in `explain()` as `result cache: hit` plus the cache counters.
+in `explain()` as `result cache: hit`, its `cache` event and the
+query-log record.
 Then one host dies: after the first failed round the negative cache
 skips the dead source outright instead of re-probing it every search.
 
@@ -77,12 +78,13 @@ def main() -> None:
     print(f"  reason: {outcome.skip_reason}")
     print(f"  sources the cache is holding back: {searcher.negative_cache.down_sources()}")
 
-    # One search's tallies are on its trace; the process's are in the
-    # registry (what GET /metrics prints).
+    # One search's cache decision is one `cache` event on its trace; the
+    # process's tallies are in the registry (what GET /metrics prints).
+    hit = warm.trace.find("cache").attributes
     reads = get_registry().family("cache_reads_total").children()
     print(
-        f"\nwarm repeat: hits={warm.trace.cache.hits} "
-        f"cost_saved={warm.trace.cache.cost_saved:.1f}; reads this process: "
+        f"\nwarm repeat: {hit['status']} "
+        f"cost_saved={hit['saved_cost']:.1f}; reads this process: "
         + " ".join(f"{labels[1]}={int(child.value)}" for labels, child in reads)
     )
 

@@ -24,9 +24,10 @@ Commands:
   search and say what it did: the selection rank table, then
   ``MetasearchResult.explain()`` — per source the outcome, what
   translation dropped and the actual expressions the source reported,
-  the span tree with the sources' server-side spans stitched in and a
-  self-time column, the per-source and cache counters, and the query-log
-  record; ``--ndjson`` writes the same rows and record as an event log.
+  the span tree with the sources' server-side spans stitched in, a
+  self-time column and every cache decision as one ``cache`` event, and
+  the query-log record; ``--ndjson`` writes the same rows and record as
+  an event log.
 * ``checkpoint {save,load,inspect} DIR`` — build a segmented demo
   index and checkpoint it, warm-start an engine from the directory,
   or print the manifest (segments, generation, tombstones) without

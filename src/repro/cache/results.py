@@ -19,8 +19,8 @@ exactly the results it took part in.  The clock is injectable
 time; everything is thread safe.
 
 The cache reports to the process-wide metrics registry (the
-``cache_*`` families, ``tier="result"``); what one search read and
-stored is on its trace (``result.trace.cache``).
+``cache_*`` families, ``tier="result"``); what one search decided is
+one ``cache`` event on its trace.
 """
 
 from __future__ import annotations

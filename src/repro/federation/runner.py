@@ -6,10 +6,10 @@ takes translated per-source requests, drives them through an
 :class:`~repro.federation.executor.Executor`, and applies each source's
 :class:`~repro.federation.policy.QueryPolicy`: deadline per attempt,
 retries with exponential backoff, optional hedged duplicates.  Every
-request — successful, failed, hedged — is accounted in the returned
-:class:`~repro.federation.outcomes.SourceOutcome` and in the tracer's
-per-source counters, so a slow or dead source costs bounded time and
-leaves a record instead of aborting the search.
+request — successful, failed, hedged — is an attempt of the returned
+:class:`~repro.federation.outcomes.SourceOutcome`, so a slow or dead
+source costs bounded time and leaves a record instead of aborting the
+search.
 """
 
 from __future__ import annotations
@@ -87,8 +87,7 @@ class QueryDispatcher:
         policy: the default :class:`QueryPolicy`.
         policies: per-source-id overrides of the default policy.
         tracer: receives one span per source (with per-attempt child
-            events) and the per-source counters; a fresh tracer is
-            created when none is given.
+            events); a fresh tracer is created when none is given.
     """
 
     def __init__(
@@ -277,7 +276,6 @@ class QueryDispatcher:
     def _note_backoff(
         self, source_id: str, backoff: float, number: int, parent: Span
     ) -> None:
-        self.tracer.count(source_id, backoff_ms=backoff)
         self.tracer.event(
             "backoff", parent=parent, wait_ms=backoff, before_attempt=number
         )
@@ -392,20 +390,6 @@ class QueryDispatcher:
         return Attempt(number, status, latency, cost, backoff_ms, hedged, error), results
 
     def _count(self, source_id: str, number: int, attempt: _AttemptOutcome) -> None:
-        self.tracer.count(
-            source_id,
-            requests=len(attempt.records),
-            retries=1 if number > 1 else 0,
-            failures=sum(
-                1 for rec in attempt.records if rec.status is OutcomeStatus.ERROR
-            ),
-            timeouts=sum(
-                1 for rec in attempt.records if rec.status is OutcomeStatus.TIMEOUT
-            ),
-            hedges=sum(1 for rec in attempt.records if rec.hedged),
-            latency_ms=sum(rec.latency_ms for rec in attempt.records),
-            cost=attempt.cost,
-        )
         registry = get_registry()
         requests = registry.counter(
             "source_requests_total",

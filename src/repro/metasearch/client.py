@@ -18,9 +18,9 @@ merging proceeds over the survivors.  Every phase is traced;
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 from repro.cache.core import FRESH, STALE
 from repro.cache.keys import query_cache_key
@@ -83,32 +83,54 @@ _LOGGED_PHASES = ("discover", "select", "translate", "query", "merge")
 
 
 @dataclass
-class _Search:
-    """One search in flight: what its exit will count and log.
+class _Round:
+    """One search, start to finish: the record every stage reads and writes.
 
-    The drivers fill in ``outcome`` (``wire`` / ``stream`` / ``hit`` /
-    ``stale``; the scope itself adds ``error`` / ``abandoned``)
-    and ``result`` as they go; :meth:`Metasearcher._search_scope` reads
-    them exactly once, however the search ends.
+    The scope opens it (query, terms, merger, executor, grouping, tracer,
+    ``search`` span, start time); ``select`` adds the selected ids, their
+    summaries and the result-cache key; ``translate`` and the drivers
+    fill ``outcomes`` and ``reports`` as they land, so an ``error`` or
+    ``abandoned`` exit logs what actually landed; ``finish`` sets
+    ``result``.  ``outcome`` is how the search ended (``wire`` /
+    ``stream`` / ``hit`` / ``stale``; the scope itself adds ``error`` /
+    ``abandoned``), and :meth:`account` reads all of it exactly once,
+    however the search ends.  A stale entry's revalidation runs a copy
+    on a private tracer, with no span.
     """
 
-    tracer: Tracer
-    span: Span
+    query: SQuery
     terms: list[str]
+    merger: MergeStrategy
+    executor: Executor
+    group_by_resource: bool
+    tracer: Tracer
+    span: Span | None
     started_ms: float
-    selected_ids: Sequence[str] = ()
+    selected_ids: list[str] = dataclass_field(default_factory=list)
+    #: The *selected* sources' content summaries only — everything
+    #: downstream (translation, the merge context) needs no more.
+    summaries: dict[str, SContentSummary] = dataclass_field(default_factory=dict)
+    #: The result-cache key; ``None`` when result caching is off.
+    key: str | None = None
+    outcomes: dict[str, SourceOutcome] = dataclass_field(default_factory=dict)
+    reports: dict[str, TranslationReport] = dataclass_field(default_factory=dict)
+    negative_skips: int = 0
+    #: The ``cache`` miss event; it gets ``evictions`` when the round is stored.
+    cache_event: Span | None = None
     outcome: str | None = None
     result: "MetasearchResult | None" = None
     error: str = ""
     terminated_early: bool = False
 
-    def finish(self) -> None:
+    def account(self) -> None:
         """Count the search and emit the one wide event it owes.
 
         The whole-search histogram gets the wall-clock observation
         (with the trace id as its exemplar), and the process query log
         gets the flat record — query shape, per-phase times folded from
-        the trace's spans, wire/cache tallies from the tracer's counters.
+        the trace's spans, wire tallies summed over the attempts of the
+        outcomes this round recorded (none on a cache serve: its result
+        carries the filling round's), cache tallies from how it ended.
         """
         tracer, result = self.tracer, self.result
         if result is not None:
@@ -131,12 +153,8 @@ class _Search:
             phase = span.name.split(":", 1)[0]
             if phase in _LOGGED_PHASES:
                 phase_ms[phase] = phase_ms.get(phase, 0.0) + span.duration_ms
-        per_source = list(tracer.counters.values())
-
-        def total(name: str) -> float:
-            return sum(getattr(counters, name) for counters in per_source)
-
-        cache = tracer.cache
+        wire = self.outcomes.values()
+        attempts = [attempt for outcome in wire for attempt in outcome.attempts]
         # A failed search has no result: it logs an empty answer.
         answer = result if result is not None else MetasearchResult([], [])
         log.record(
@@ -151,38 +169,19 @@ class _Search:
                 sources_ok=len(answer.ok_sources()),
                 sources_failed=len(answer.failed_sources()),
                 sources_skipped=len(answer.skipped_sources()),
-                requests=total("requests"),
-                retries=total("retries"),
-                hedges=total("hedges"),
-                timeouts=total("timeouts"),
-                failures=total("failures"),
-                cache_hits=cache.hits if cache is not None else 0,
-                cache_stale_hits=cache.stale_hits if cache is not None else 0,
-                negative_skips=cache.negative_skips if cache is not None else 0,
-                cost=float(total("cost")),
+                requests=len(attempts),
+                retries=sum(outcome.retries for outcome in wire),
+                hedges=sum(attempt.hedged for attempt in attempts),
+                timeouts=sum(a.status is OutcomeStatus.TIMEOUT for a in attempts),
+                failures=sum(a.status is OutcomeStatus.ERROR for a in attempts),
+                cache_hits=int(self.outcome == "hit"),
+                cache_stale_hits=int(self.outcome == "stale"),
+                negative_skips=self.negative_skips,
+                cost=float(sum(outcome.cost for outcome in wire)),
                 terminated_early=self.terminated_early,
                 error=self.error,
             )
         )
-
-
-@dataclass
-class _Plan:
-    """What the prepare phase decided: which sources, asked how, keyed how.
-
-    ``summaries`` holds the *selected* sources' content summaries only —
-    everything downstream (translation, the merge context) needs no more.
-    """
-
-    query: SQuery
-    terms: list[str]
-    selected_ids: list[str]
-    summaries: dict[str, SContentSummary]
-    merger: MergeStrategy
-    executor: Executor
-    group_by_resource: bool
-    #: The result-cache key; ``None`` when result caching is off.
-    key: str | None
 
 
 def _answered(outcomes: dict[str, SourceOutcome]) -> dict[str, SQResults]:
@@ -192,19 +191,6 @@ def _answered(outcomes: dict[str, SourceOutcome]) -> dict[str, SQResults]:
         for source_id, outcome in outcomes.items()
         if outcome.ok and outcome.results is not None
     }
-
-
-@dataclass
-class _CachedSearch:
-    """What the result cache stores: the sanitized result + its wire cost.
-
-    ``cost`` is the simulated monetary cost the original round paid
-    (every attempt, failed or hedged, included) — it becomes
-    ``cost_saved`` each time a hit avoids re-paying it.
-    """
-
-    result: "MetasearchResult"
-    cost: float
 
 
 @dataclass
@@ -272,10 +258,11 @@ class MetasearchResult:
         retries, hedges, wire time, cost — or why it was skipped or
         cancelled), what translation dropped, and the *actual*
         expressions the source reported evaluating (§4.2); the span
-        tree with a self-time column, each of ``fragments`` (the
-        server-side traces a :class:`~repro.observability.TraceCollector`
-        gathered) under the client span that issued its request; the
-        per-source and cache counters; and the search's query-log record.
+        tree with a self-time column — each cache decision one ``cache``
+        event in it — and each of ``fragments`` (the server-side traces
+        a :class:`~repro.observability.TraceCollector` gathered) under
+        the client span that issued its request; and the search's
+        query-log record.
         Nothing is recomputed.  A cache-served result shows the outcomes
         of the round that filled the cache beside its own short trace.
         """
@@ -438,20 +425,20 @@ class Metasearcher:
                 server-side.  Appropriate when a resource's sources
                 share an engine, so their raw scores are comparable.
             executor: overrides the searcher's executor for this call.
-            tracer: receives the phase spans and per-source counters; a
-                fresh tracer backs each search when none is given, and
-                its trace is attached to the result either way.
+            tracer: receives the phase spans and events; a fresh tracer
+                backs each search when none is given, and its trace is
+                attached to the result either way.
 
         Raises:
             ProtocolError: if the query has neither expression, or no
                 sources have been discovered yet.
         """
-        with self._search_scope(query, tracer or Tracer()) as search:
-            plan = self._prepare(
-                search, query, k_sources, selector, merger, executor, group_by_resource
-            )
-            if not self._serve_from_cache(search, plan):
-                search.result = self._batch_round(search.tracer, plan, search.span)
+        with self._search_scope(
+            query, tracer or Tracer(), merger, executor, group_by_resource
+        ) as search:
+            self._select(search, k_sources, selector)
+            if not self._serve_from_cache(search):
+                self._batch_round(search)
                 search.outcome = "wire"
         return search.result
 
@@ -469,8 +456,8 @@ class Metasearcher:
     ) -> Iterator[StreamEmission]:
         """The incremental :meth:`search`: emissions as sources answer.
 
-        The same phases — prepare, serve from cache, plan the round,
-        finish the round — but the query round streams: every completed
+        The same stages — select, serve from cache, translate, finish
+        the round — but the query round streams: every completed
         source outcome yields a :class:`StreamEmission` carrying the
         merged rank so far, and the final emission carries the assembled
         :class:`MetasearchResult`.  The final rank is bit-identical to
@@ -496,11 +483,11 @@ class Metasearcher:
         cancels what is in flight the same way; that search is counted
         and logged as ``abandoned``, with whatever had answered by then.
         """
-        with self._search_scope(query, tracer or Tracer()) as search:
-            plan = self._prepare(
-                search, query, k_sources, selector, merger, executor, group_by_resource
-            )
-            if self._serve_from_cache(search, plan):
+        with self._search_scope(
+            query, tracer or Tracer(), merger, executor, group_by_resource
+        ) as search:
+            self._select(search, k_sources, selector)
+            if self._serve_from_cache(search):
                 final = StreamEmission(
                     sequence=0,
                     outcome=None,
@@ -511,20 +498,26 @@ class Metasearcher:
                     result=search.result,
                 )
             else:
-                final = yield from self._stream_round(
-                    search, plan, deadline_ms, early_stop
-                )
-                search.outcome, search.result = "stream", final.result
+                final = yield from self._stream_round(search, deadline_ms, early_stop)
+                search.outcome = "stream"
                 search.terminated_early = final.terminated_early
         # Counted and logged before the final emission goes out: a
         # consumer that stops there leaves nothing undone.
         yield final
 
-    # -- the phases, each written once -------------------------------------
+    # -- the stages, each written once -------------------------------------
 
     @contextmanager
-    def _search_scope(self, query: SQuery, tracer: Tracer) -> Iterator[_Search]:
-        """Validate, open the ``search`` span, and account for the exit.
+    def _search_scope(
+        self,
+        query: SQuery,
+        tracer: Tracer,
+        merger: MergeStrategy | None,
+        executor: Executor | None,
+        group_by_resource: bool,
+    ) -> Iterator[_Round]:
+        """Validate, open the round and its ``search`` span, and account
+        for the exit.
 
         Whatever happens inside — an answer off the wire, a cache serve,
         an exception, a stream whose consumer closes it before the final
@@ -540,10 +533,14 @@ class Metasearcher:
         ):
             raise ProtocolError("no sources discovered; call refresh() first")
         terms = self._selection_terms(query)
-        search = _Search(
+        search = _Round(
+            query,
+            terms,
+            merger or self.merger,
+            executor or self.executor,
+            group_by_resource,
             tracer,
             tracer.open_span("search", terms=" ".join(terms)),
-            terms,
             tracer.now_ms(),
         )
         try:
@@ -557,29 +554,21 @@ class Metasearcher:
         finally:
             tracer.close_span(search.span)
             if search.outcome is not None:
-                search.finish()
+                search.account()
 
-    def _prepare(
-        self,
-        search: _Search,
-        query: SQuery,
-        k_sources: int,
-        selector: SourceSelector | None,
-        merger: MergeStrategy | None,
-        executor: Executor | None,
-        group_by_resource: bool,
-    ) -> _Plan:
-        """Select the sources and derive the result-cache key."""
+    def _select(
+        self, search: _Round, k_sources: int, selector: SourceSelector | None
+    ) -> None:
+        """Select the sources, keep their summaries, derive the cache key."""
         selector = selector or self.selector
-        merger = merger or self.merger
-        tracer, terms = search.tracer, search.terms
+        tracer = search.tracer
         with _phase(
             tracer, "select", search.span, selector=selector.name, k=k_sources
         ) as span:
             indexed = self.discovery.summary_index().source_count
             if indexed:
                 selected_ids = self._pick_sources(
-                    tracer, span, selector, terms, k_sources
+                    tracer, span, selector, search.terms, k_sources
                 )
             else:
                 # No source exported a summary: nothing to score, so the
@@ -588,31 +577,21 @@ class Metasearcher:
                 selected_ids = [source.source_id for source in known[:k_sources]]
             span.annotate(summaries=indexed, selected=" ".join(selected_ids))
         search.selected_ids = selected_ids
-        key: str | None = None
+        search.summaries = {
+            source_id: summary
+            for source_id in selected_ids
+            if (summary := self.discovery.source(source_id).summary) is not None
+        }
         if self.result_cache is not None:
             # The canonical query plus everything else that changes the
             # merged answer for a fixed source set.
-            key = "|".join(
+            search.key = "|".join(
                 (
-                    query_cache_key(query, selected_ids),
-                    f"grp={'T' if group_by_resource else 'F'}",
-                    f"merge={type(merger).__name__}",
+                    query_cache_key(search.query, selected_ids),
+                    f"grp={'T' if search.group_by_resource else 'F'}",
+                    f"merge={type(search.merger).__name__}",
                 )
             )
-        return _Plan(
-            query,
-            terms,
-            selected_ids,
-            {
-                source_id: summary
-                for source_id in selected_ids
-                if (summary := self.discovery.source(source_id).summary) is not None
-            },
-            merger,
-            executor or self.executor,
-            group_by_resource,
-            key,
-        )
 
     def _pick_sources(
         self,
@@ -628,63 +607,58 @@ class Metasearcher:
         instead of a dense scan over every summary)."""
         return selector.select(terms, self.discovery.summary_index(), k_sources)
 
-    def _serve_from_cache(self, search: _Search, plan: _Plan) -> bool:
-        """Answer from the result cache if it holds the plan's key.
+    def _serve_from_cache(self, search: _Round) -> bool:
+        """Answer from the result cache if it holds the round's key.
 
-        A fresh entry is served as a ``hit``; a stale one is served as
-        ``stale`` and a revalidation of the same plan is scheduled.
-        Either way the caller gets a copy — the latency fields keep the
-        *original* wire cost on purpose (they model what the answer cost
-        to compute); the trace and ``cache_status`` show it was not paid
-        again.  Returns False on a miss (or with caching off).
+        A fresh entry is served as a ``hit`` (its ``cache`` event carries
+        the wire cost the filling round paid, now saved); a stale one is
+        served as ``stale`` and a revalidation of the same plan is
+        scheduled.  Either way the caller gets a copy — the latency
+        fields keep the *original* wire cost on purpose (they model what
+        the answer cost to compute); the trace and ``cache_status`` show
+        it was not paid again.  Returns False on a miss (or with caching
+        off).
         """
-        if plan.key is None:
+        if search.key is None:
             return False
-        tracer = search.tracer
-        cached, state = self.result_cache.lookup(plan.key)
+        tracer, parent = search.tracer, search.span
+        cached, state = self.result_cache.lookup(search.key)
         if state == FRESH:
             status = "hit"
-            tracer.count_cache(hits=1, cost_saved=cached.cost)
-            tracer.event(
-                "cache", parent=search.span, status=status, saved_cost=cached.cost
-            )
+            saved = sum(outcome.cost for outcome in cached.outcomes.values())
+            tracer.event("cache", parent=parent, status=status, saved_cost=saved)
         elif state == STALE:
             status = "stale"
-            tracer.count_cache(stale_hits=1)
-            tracer.event("cache", parent=search.span, status=status)
-            self._schedule_revalidation(plan)
+            tracer.event("cache", parent=parent, status=status)
+            self._schedule_revalidation(search)
         else:
-            tracer.count_cache(misses=1)
+            search.cache_event = tracer.event("cache", parent=parent, status="miss")
             return False
         search.outcome = status
-        search.result = self._copy_result(cached.result, cache_status=status)
+        search.result = self._copy_result(cached, cache_status=status)
         return True
 
-    def _plan_round(
-        self, tracer: Tracer, plan: _Plan, parent: Span | None
-    ) -> tuple[QueryDispatcher, list[SourceRequest], dict[str, SourceOutcome], dict]:
-        """Translate per routed group, drop negative-cached groups, and
-        build the dispatcher that will run what is left.
+    def _translate(self, search: _Round) -> list[SourceRequest]:
+        """Translate per routed group and drop negative-cached groups.
 
-        Returns ``(dispatcher, requests, outcomes, reports)``;
-        ``outcomes`` already holds a ``SKIPPED`` entry for every group
-        that will not reach the wire, with the reason on record.
+        Returns the requests left for the wire; ``search.outcomes``
+        already holds a ``SKIPPED`` entry for every group that will not
+        reach it, with the reason on record.
         """
+        tracer = search.tracer
         translated_requests: list[SourceRequest] = []
-        outcomes: dict[str, SourceOutcome] = {}
-        reports: dict[str, TranslationReport] = {}
         for entry_id, sibling_ids in self._route(
-            plan.selected_ids, plan.group_by_resource
+            search.selected_ids, search.group_by_resource
         ):
-            with _phase(tracer, f"translate:{entry_id}", parent) as span:
+            with _phase(tracer, f"translate:{entry_id}", search.span) as span:
                 source = self.discovery.source(entry_id)
                 translated, report = self.translator.translate(
-                    plan.query,
+                    search.query,
                     source.metadata,
-                    summary=plan.summaries.get(entry_id),
+                    summary=search.summaries.get(entry_id),
                     target=source.translation_target,
                 )
-                reports[entry_id] = report
+                search.reports[entry_id] = report
                 span.annotate(
                     lossless=report.is_lossless(), dropped=len(report.dropped)
                 )
@@ -693,7 +667,7 @@ class Metasearcher:
                     and translated.ranking_expression is None
                 ):
                     # Nothing would survive: skip the round trip, on record.
-                    outcomes[entry_id] = SourceOutcome.skip(
+                    search.outcomes[entry_id] = SourceOutcome.skip(
                         entry_id,
                         "translation left neither filter nor ranking expression",
                         tuple(sibling_ids),
@@ -709,7 +683,7 @@ class Metasearcher:
                     )
 
         # A negative-cached entry source never reaches the wire; the skip
-        # is an outcome, a tracer tally and a line in explain().
+        # is an outcome, a ``cache`` event and a line in explain().
         requests: list[SourceRequest] = []
         for request in translated_requests:
             reason = (
@@ -720,59 +694,57 @@ class Metasearcher:
             if reason is None:
                 requests.append(request)
                 continue
-            outcomes[request.source_id] = SourceOutcome.skip(
+            search.outcomes[request.source_id] = SourceOutcome.skip(
                 request.source_id, reason, request.sibling_ids
             )
-            tracer.count_cache(negative_skips=1)
+            search.negative_skips += 1
             tracer.event(
-                "cache", parent=parent, source=request.source_id, status="negative-skip"
+                "cache",
+                parent=search.span,
+                source=request.source_id,
+                status="negative-skip",
             )
+        return requests
 
-        dispatcher = QueryDispatcher(
+    def _dispatcher(self, search: _Round) -> QueryDispatcher:
+        return QueryDispatcher(
             self.client,
-            executor=plan.executor,
+            executor=search.executor,
             policy=self.query_policy,
-            tracer=tracer,
+            tracer=search.tracer,
         )
-        return dispatcher, requests, outcomes, reports
 
-    def _batch_round(
-        self, tracer: Tracer, plan: _Plan, parent: Span | None = None
-    ) -> MetasearchResult:
+    def _batch_round(self, search: _Round) -> None:
         """Dispatch every request, then merge once over what answered."""
-        dispatcher, requests, outcomes, reports = self._plan_round(
-            tracer, plan, parent
-        )
+        tracer, requests = search.tracer, self._translate(search)
         with _phase(
             tracer,
             "query",
-            parent,
-            executor=plan.executor.name,
+            search.span,
+            executor=search.executor.name,
             requests=len(requests),
         ) as query_span:
-            for outcome in dispatcher.dispatch(requests, parent=query_span):
-                outcomes[outcome.source_id] = outcome
-        answered = _answered(outcomes)
+            for outcome in self._dispatcher(search).dispatch(
+                requests, parent=query_span
+            ):
+                search.outcomes[outcome.source_id] = outcome
+        answered = _answered(search.outcomes)
         with _phase(
             tracer,
             "merge",
-            parent,
-            strategy=type(plan.merger).__name__,
+            search.span,
+            strategy=type(search.merger).__name__,
             sources=len(answered),
         ):
-            documents = plan.merger.merge(
-                answered, self._merge_context(plan).restricted_to(answered)
+            documents = search.merger.merge(
+                answered, self._merge_context(search).restricted_to(answered)
             )
-            if plan.query.max_number_documents:
-                documents = documents[: plan.query.max_number_documents]
-        return self._finish_round(tracer, plan, outcomes, reports, documents)
+            if search.query.max_number_documents:
+                documents = documents[: search.query.max_number_documents]
+        self._finish(search, documents)
 
     def _stream_round(
-        self,
-        search: _Search,
-        plan: _Plan,
-        deadline_ms: float | None,
-        early_stop: bool,
+        self, search: _Round, deadline_ms: float | None, early_stop: bool
     ) -> Iterator[StreamEmission]:
         """Dispatch as a stream, merging and emitting per arrival.
 
@@ -782,18 +754,16 @@ class Metasearcher:
         span stays open across the yields, so it is opened explicitly,
         not via :func:`_phase`.
         """
-        tracer = search.tracer
-        dispatcher, requests, outcomes, reports = self._plan_round(
-            tracer, plan, search.span
-        )
+        tracer, requests = search.tracer, self._translate(search)
+        outcomes = search.outcomes
         # The accumulator narrows the candidates' context to the sources
         # that actually answer, so the final rank matches the batch merge.
-        stream_merge = StreamingMerge(plan.merger, self._merge_context(plan))
-        # Until the round is assembled the search's result is a live view
+        stream_merge = StreamingMerge(search.merger, self._merge_context(search))
+        # Until the round is finished the search's result is a live view
         # of what has answered — all an abandoned stream ever gets to log.
-        search.result = MetasearchResult([], plan.selected_ids, outcomes=outcomes)
-        k = plan.query.max_number_documents
-        pending_ids = {request.source_id for request in requests}
+        search.result = MetasearchResult([], search.selected_ids, outcomes=outcomes)
+        k = search.query.max_number_documents
+        pending = {request.source_id: request for request in requests}
         termination_reason: str | None = None
         sequence = 0
         first_result_seen = False
@@ -801,15 +771,17 @@ class Metasearcher:
         query_span = tracer.open_span(
             "query",
             parent=search.span,
-            executor=plan.executor.name,
+            executor=search.executor.name,
             requests=len(requests),
             streaming=True,
         )
-        outcome_stream = dispatcher.dispatch_stream(requests, parent=query_span)
+        outcome_stream = self._dispatcher(search).dispatch_stream(
+            requests, parent=query_span
+        )
         try:
             for outcome in outcome_stream:
                 outcomes[outcome.source_id] = outcome
-                pending_ids.discard(outcome.source_id)
+                del pending[outcome.source_id]
                 if outcome.ok and outcome.results is not None:
                     stream_merge.feed(outcome.source_id, outcome.results)
                 search.result.documents = documents = stream_merge.current_top_k(k)
@@ -827,23 +799,23 @@ class Metasearcher:
                     source=outcome.source_id,
                     status=outcome.status.value,
                     documents=len(documents),
-                    pending=len(pending_ids),
+                    pending=len(pending),
                 )
                 yield StreamEmission(
                     sequence=sequence,
                     outcome=outcome,
                     documents=list(documents),
                     completed=len(outcomes),
-                    pending=len(pending_ids),
+                    pending=len(pending),
                     elapsed_ms=elapsed_ms,
                 )
                 sequence += 1
-                if not pending_ids:
+                if not pending:
                     break
                 if deadline_ms is not None and elapsed_ms >= deadline_ms:
                     termination_reason = "stream deadline expired"
                     break
-                if early_stop and k and stream_merge.is_stable_top_k(k, pending_ids):
+                if early_stop and k and stream_merge.is_stable_top_k(k, pending):
                     termination_reason = (
                         "top-k stable: no pending source can change the answer"
                     )
@@ -860,85 +832,83 @@ class Metasearcher:
             tracer.close_span(query_span)
         _observe_phase("query", query_span.duration_ms)
         # Sources are only left pending by an early termination.
-        for source_id in sorted(pending_ids):
-            outcomes[source_id] = SourceOutcome.cancelled(source_id, termination_reason)
+        for source_id in sorted(pending):
+            outcomes[source_id] = SourceOutcome.cancelled(
+                source_id, termination_reason, pending[source_id].sibling_ids
+            )
         documents = list(stream_merge.current_top_k(k))
         return StreamEmission(
             sequence=sequence,
             outcome=None,
             documents=documents,
             completed=len(outcomes),
-            pending=len(pending_ids),
+            pending=len(pending),
             elapsed_ms=tracer.now_ms() - search.started_ms,
             terminated_early=termination_reason is not None,
-            result=self._finish_round(
-                tracer,
-                plan,
-                outcomes,
-                reports,
-                list(documents),
-                complete=termination_reason is None,
-            ),
+            result=self._finish(search, list(documents)),
         )
 
-    def _merge_context(self, plan: _Plan) -> MergeContext:
+    def _merge_context(self, search: _Round) -> MergeContext:
         """The STARTS raw material of every *candidate* source; merging
         narrows it to the sources that answer (``restricted_to``)."""
         known = {
             source_id: self.discovery.source(source_id)
-            for source_id in plan.selected_ids
+            for source_id in search.selected_ids
         }
         return MergeContext(
             metadata={source_id: source.metadata for source_id, source in known.items()},
-            summaries=plan.summaries,
+            summaries=search.summaries,
             samples={
                 source_id: source.sample_results
                 for source_id, source in known.items()
                 if source.sample_results is not None
             },
-            query_terms=tuple(plan.terms),
+            query_terms=tuple(search.terms),
         )
 
-    def _finish_round(
-        self,
-        tracer: Tracer,
-        plan: _Plan,
-        outcomes: dict[str, SourceOutcome],
-        reports: dict[str, TranslationReport],
-        documents: list[MergedDocument],
-        complete: bool = True,
+    def _finish(
+        self, search: _Round, documents: list[MergedDocument]
     ) -> MetasearchResult:
         """Feed the outcomes back (negative cache), assemble the result,
         and file it in the result cache.
 
-        Only a ``complete`` round is cacheable: a cancelled one answered
-        with fewer sources than the key promises.  ``trace`` is attached
-        when the owning search finishes; a revalidation's result never
-        gets one.
+        Only a round every entry source answered is stored: each outcome
+        ``OK`` or a translation skip (a fixed function of the query and
+        the source's metadata).  An error, a timeout, a negative skip or
+        a cancellation answered with fewer sources than the key promises,
+        and would be served after the source heals.  ``trace`` is
+        attached when the owning search is accounted for; a
+        revalidation's result never gets one.
         """
+        outcomes = search.outcomes
         self._record_outcomes(outcomes)
         # Each outcome is one routed group; its elapsed_ms already sums
         # the requests within the group (attempts, backoff, hedges are
         # sequential on that group's wire).  A serial client pays the
         # sum across groups, a fan-out client the slowest group.
         group_times = [outcome.elapsed_ms for outcome in outcomes.values()]
-        result = MetasearchResult(
+        search.result = result = MetasearchResult(
             documents,
-            list(plan.selected_ids),
+            list(search.selected_ids),
             _answered(outcomes),
-            reports,
+            search.reports,
             query_latency_serial_ms=sum(group_times),
             query_latency_parallel_ms=max(group_times, default=0.0),
             outcomes=outcomes,
         )
-        if complete and plan.key is not None:
-            wire_cost = sum(outcome.cost for outcome in outcomes.values())
-            evictions = self.result_cache.store(
-                plan.key,
-                _CachedSearch(self._copy_result(result), wire_cost),
-                source_ids=plan.selected_ids,
+        if (
+            search.key is not None
+            and not search.negative_skips
+            and all(
+                outcome.ok or outcome.status is OutcomeStatus.SKIPPED
+                for outcome in outcomes.values()
             )
-            tracer.count_cache(stores=1, evictions=evictions)
+        ):
+            evictions = self.result_cache.store(
+                search.key, self._copy_result(result), source_ids=search.selected_ids
+            )
+            if search.cache_event is not None:
+                search.cache_event.annotate(evictions=evictions)
         return result
 
     @staticmethod
@@ -970,27 +940,31 @@ class Metasearcher:
                     source_id, outcome.status.value, outcome.error
                 )
 
-    def _schedule_revalidation(self, plan: _Plan) -> None:
+    def _schedule_revalidation(self, search: _Round) -> None:
         """Refresh a stale entry off the caller's critical path.
 
         Single-flight per key; the refresh re-runs the batch round for
         the *same* plan (the key binds its source set, and the round
-        files its result under it) on a private tracer, so nothing it
-        records lands in the caller's trace.
+        files its result under it) on a copy of the round with a
+        private tracer and nothing recorded yet, so nothing it records
+        lands in the caller's trace or query-log record.
         Scheduling goes through the executor's ``submit`` hook: the
         serial executor revalidates inline (deterministic), the async
         one on a daemon thread.
         """
-        if not self.result_cache.begin_revalidation(plan.key):
+        if not self.result_cache.begin_revalidation(search.key):
             return
+        revalidation = replace(
+            search, tracer=Tracer(), span=None, outcomes={}, reports={}
+        )
 
         def refresh() -> None:
             try:
-                self._batch_round(Tracer(), plan)
+                self._batch_round(revalidation)
             finally:
-                self.result_cache.finish_revalidation(plan.key)
+                self.result_cache.finish_revalidation(search.key)
 
-        submit_background(plan.executor, refresh)
+        submit_background(search.executor, refresh)
 
     def _route(
         self, selected_ids: list[str], group_by_resource: bool

@@ -3,7 +3,7 @@
 Layers, from one operation outward:
 
 * tracing (:class:`Tracer` / :class:`Trace`) — one operation's span
-  tree and per-source counters; :class:`TraceContext` carries the
+  tree; :class:`TraceContext` carries the
   operation across processes (W3C ``traceparent`` on the wire) and
   :class:`TraceCollector` gathers the server-side fragments.
   :func:`stitch_traces` turns a trace and its fragments into one list
@@ -45,8 +45,6 @@ from repro.observability.querylog import (
 )
 from repro.observability.render import render_trace
 from repro.observability.tracing import (
-    CacheCounters,
-    SourceCounters,
     Span,
     Trace,
     TraceCollector,
@@ -77,8 +75,6 @@ __all__ = [
     "get_query_log",
     "set_query_log",
     "render_trace",
-    "CacheCounters",
-    "SourceCounters",
     "Span",
     "Trace",
     "TraceCollector",

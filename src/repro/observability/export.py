@@ -5,8 +5,8 @@
   (both transports do; see :mod:`repro.transport`);
 * :func:`stitch_traces` — a finished :class:`~repro.observability.Trace`
   as a flat list of structured rows: one per span, with the operation's
-  trace id and the spans' stable hex ids threaded through, then the
-  per-source and cache counters.  Server-side fragments a
+  trace id and the spans' stable hex ids threaded through.  Server-side
+  fragments a
   :class:`~repro.observability.TraceCollector` gathered join the same
   list (matched by trace id, nested by the fragments' remote parent span
   ids), so a local trace is a stitch with no fragments.  It is the one
@@ -17,7 +17,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from collections.abc import Iterable
@@ -148,7 +147,7 @@ def render_prometheus(registry: MetricsRegistry, exemplars: bool = False) -> str
 
 
 def _trace_rows(trace: Trace) -> list[dict]:
-    """One trace's spans depth first, then its counter rows.
+    """One trace's spans, depth first.
 
     Span ids are the tracer-assigned hex ids — the ids that cross the
     wire in ``traceparent`` headers — and a root span continuing a
@@ -177,28 +176,6 @@ def _trace_rows(trace: Trace) -> list[dict]:
 
     for span in trace.spans:
         visit(span, span.remote_parent_id or None)
-    for source_id in sorted(trace.counters):
-        tally = trace.counters[source_id]
-        rows.append(
-            {
-                "kind": "source_counters",
-                "trace_id": trace.trace_id,
-                "source_id": source_id,
-                "requests": tally.requests,
-                "retries": tally.retries,
-                "failures": tally.failures,
-                "timeouts": tally.timeouts,
-                "hedges": tally.hedges,
-                "latency_ms": round(tally.latency_ms, 3),
-                "backoff_ms": round(tally.backoff_ms, 3),
-                "cost": round(tally.cost, 4),
-            }
-        )
-    if trace.cache is not None:
-        rows.append(
-            {"kind": "cache_counters", "trace_id": trace.trace_id}
-            | dataclasses.asdict(trace.cache)
-        )
     return rows
 
 

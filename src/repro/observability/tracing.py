@@ -9,13 +9,14 @@ through discover → select → translate → query → merge:
 * :class:`Span` — one timed phase, possibly nested, with free-form
   attributes (wall-clock is measured; simulated network time arrives as
   attributes set by the federation runner);
-* :class:`Tracer` — a thread-safe factory/collector of spans plus a
-  per-source :class:`SourceCounters` table (requests, retries,
-  failures, timeouts, hedges, simulated latency, backoff, cost);
+* :class:`Tracer` — a thread-safe factory/collector of spans;
 * :class:`Trace` — the immutable-ish view a finished operation hands
   back, rendered to text by :func:`repro.observability.render_trace`.
 
-Everything is dependency-free and cheap enough to leave on by default.
+What each source cost — requests, retries, failures, timeouts, hedges,
+simulated latency, backoff, money — is counted once, in its
+:class:`~repro.federation.SourceOutcome`'s attempts.  Everything is
+dependency-free and cheap enough to leave on by default.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field as dataclass_field
 
 __all__ = [
-    "CacheCounters",
     "Span",
-    "SourceCounters",
     "Trace",
     "TraceCollector",
     "TraceContext",
@@ -197,53 +196,10 @@ class Span:
 
 
 @dataclass
-class SourceCounters:
-    """Per-source tallies accumulated across one traced operation.
-
-    ``latency_ms`` and ``backoff_ms`` are *simulated* network time (what
-    the wire charged); span durations are wall-clock.
-    """
-
-    requests: int = 0
-    retries: int = 0
-    failures: int = 0
-    timeouts: int = 0
-    hedges: int = 0
-    latency_ms: float = 0.0
-    backoff_ms: float = 0.0
-    cost: float = 0.0
-
-
-@dataclass
-class CacheCounters:
-    """Cache-tier tallies for one traced operation.
-
-    ``None`` on a :class:`Trace` means the caching subsystem never ran
-    (disabled, or the code path predates it) — distinct from an
-    all-zero tally, and it keeps uncached traces rendering exactly as
-    they always have.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    stale_hits: int = 0  #: stale entries served while a refresh runs
-    stores: int = 0
-    evictions: int = 0
-    negative_skips: int = 0  #: probes avoided via the negative cache
-    cost_saved: float = 0.0  #: simulated wire cost a hit avoided
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.stale_hits + self.misses
-
-
-@dataclass
 class Trace:
-    """A finished operation's spans and counters, ready to render."""
+    """A finished operation's spans, ready to render."""
 
     spans: list[Span] = dataclass_field(default_factory=list)
-    counters: dict[str, SourceCounters] = dataclass_field(default_factory=dict)
-    cache: CacheCounters | None = None
     #: The owning operation's id, threaded through every exported row.
     trace_id: str = ""
 
@@ -260,7 +216,7 @@ class Trace:
 
 
 class Tracer:
-    """Thread-safe span collector with per-source counters.
+    """Thread-safe span collector.
 
     Spans nest automatically within one thread (a thread-local stack);
     code that fans out to worker threads passes ``parent=`` explicitly,
@@ -289,8 +245,6 @@ class Tracer:
         self._span_prefix = uuid.uuid4().hex[:8]
         self._span_seq = 0
         self.spans: list[Span] = []
-        self.counters: dict[str, SourceCounters] = {}
-        self.cache: CacheCounters | None = None
 
     def _new_span_id(self) -> str:
         """A 16-hex span id (caller must hold ``self._lock``)."""
@@ -373,48 +327,13 @@ class Tracer:
             self._adopt(span, owner)
         return span
 
-    def count(self, source_id: str, **deltas: float) -> SourceCounters:
-        """Add ``deltas`` to the named source's counters (thread safe)."""
-        with self._lock:
-            counters = self.counters.setdefault(source_id, SourceCounters())
-            for name, delta in deltas.items():
-                setattr(counters, name, getattr(counters, name) + delta)
-            return counters
-
-    def count_cache(self, **deltas: float) -> CacheCounters:
-        """Add ``deltas`` to the cache-tier tallies (thread safe).
-
-        The first call materialises the :class:`CacheCounters`; until
-        then the trace carries ``cache=None`` and renders unchanged.
-
-        Every field except ``cost_saved`` is an integral tally; a
-        fractional delta for one of those is a caller bug (it used to
-        be silently truncated) and raises :class:`ValueError`.
-        """
-        with self._lock:
-            if self.cache is None:
-                self.cache = CacheCounters()
-            for name, delta in deltas.items():
-                if name != "cost_saved" and delta != int(delta):
-                    raise ValueError(
-                        f"cache counter {name!r} is integral; got fractional "
-                        f"delta {delta!r}"
-                    )
-                current = getattr(self.cache, name)
-                setattr(
-                    self.cache,
-                    name,
-                    current + (delta if name == "cost_saved" else int(delta)),
-                )
-            return self.cache
-
     def context_for(self, span: Span) -> TraceContext:
         """The :class:`TraceContext` an outbound request under ``span`` carries."""
         return TraceContext(self.trace_id, span.span_id)
 
     def trace(self) -> Trace:
-        """The collected spans and counters as a :class:`Trace`."""
-        return Trace(self.spans, self.counters, self.cache, trace_id=self.trace_id)
+        """The collected spans as a :class:`Trace`."""
+        return Trace(self.spans, trace_id=self.trace_id)
 
 
 class TraceCollector:

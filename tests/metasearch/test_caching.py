@@ -5,6 +5,7 @@ import pytest
 
 from repro.cache import CachePolicy, QueryResultCache
 from repro.corpus import source1_documents, source2_documents
+from repro.federation import OutcomeStatus
 from repro.metasearch import Metasearcher
 from repro.resource import Resource
 from repro.source import StartsSource
@@ -52,12 +53,15 @@ class TestResultCacheHits:
         query = ranking_query("databases")
         searcher.search(query)
         result = searcher.search(query)
-        assert result.trace.cache is not None
-        assert result.trace.cache.hits == 1
+        # One decision, one event: the hit, with the cost the filling
+        # round paid and this one did not.
+        (event,) = [span for span in result.trace.walk() if span.name == "cache"]
+        saved = sum(outcome.cost for outcome in result.outcomes.values())
+        assert event.attributes == {"status": "hit", "saved_cost": saved}
         rendered = result.explain()
         assert "result cache: hit" in rendered
-        assert "cache counters:" in rendered
-        assert (result.trace.cache.misses, result.trace.cache.stores) == (0, 0)
+        assert "status=hit" in rendered
+        assert '"cache_hits": 1' in rendered and '"requests": 0' in rendered
 
     def test_served_copies_do_not_share_mutable_state(self, searcher):
         _, searcher = searcher
@@ -93,8 +97,8 @@ class TestResultCacheHits:
             return event.attributes, [span.name for span in result.trace.spans]
 
         assert cache_event(streamed) == cache_event(batch)
-        assert cache_event(batch)[0]["saved_cost"] == batch.trace.cache.cost_saved
-        assert streamed.trace.cache == batch.trace.cache
+        saved = sum(outcome.cost for outcome in batch.outcomes.values())
+        assert cache_event(batch)[0] == {"status": "hit", "saved_cost": saved}
 
         batch_record, stream_record = (record.to_json() for record in log.records())
         for volatile in ("total_ms", "trace_id", "phase_ms", "unix_ms"):
@@ -131,10 +135,10 @@ class TestDisabledPolicy:
         assert internet.request_count() > requests_after_first  # wire paid again
         assert first.cache_status is None and second.cache_status is None
         # The trace renders exactly as the uncached pipeline always did.
-        assert second.trace.cache is None
+        assert second.trace.find("cache") is None
         explained = second.explain()
         assert "result cache" not in explained
-        assert "cache counters:" not in explained
+        assert "status=miss" not in explained
 
 
 class TestStaleWhileRevalidate:
@@ -173,8 +177,11 @@ class TestStaleWhileRevalidate:
         searcher.search(query)
         clock["now"] = 500.0
         stale = searcher.search(query)
-        assert stale.trace.cache.stale_hits == 1
-        assert "result cache: stale" in stale.explain()
+        (event,) = [span for span in stale.trace.walk() if span.name == "cache"]
+        assert event.attributes == {"status": "stale"}
+        explained = stale.explain()
+        assert "result cache: stale" in explained
+        assert '"cache_stale_hits": 1' in explained
 
 
 class TestNegativeCaching:
@@ -218,7 +225,13 @@ class TestNegativeCaching:
             if "doomed.org" in record.url
         ]
         assert doomed_requests == []
-        assert second.trace.cache.negative_skips == 1
+        # Two cache decisions, one event each; a round that skipped a
+        # source is not stored, so the miss never gets its evictions.
+        events = [span.attributes for span in second.trace.walk() if span.name == "cache"]
+        assert events == [
+            {"status": "miss"},
+            {"source": "Doomed", "status": "negative-skip"},
+        ]
 
     def test_recovery_clears_the_negative_entry(self, world_with_dead_source):
         internet, searcher = world_with_dead_source
@@ -230,6 +243,48 @@ class TestNegativeCaching:
         result = searcher.search(ranking_query("stanford"), k_sources=2)
         assert "Doomed" in result.ok_sources()
         assert len(searcher.negative_cache) == 0
+
+    def test_a_round_with_a_failed_source_is_not_served_after_it_heals(
+        self, world_with_dead_source
+    ):
+        internet, searcher = world_with_dead_source
+        query = ranking_query("databases")
+        first = searcher.search(query, k_sources=2)
+        assert first.outcomes["Doomed"].status is OutcomeStatus.ERROR
+        assert len(searcher.result_cache) == 0  # answered with fewer sources
+
+        internet.set_fault_profile("doomed.org", FaultProfile())  # host heals
+        searcher.negative_cache.forget("Doomed")
+        requests_before = internet.request_count()
+        healed = searcher.search(query, k_sources=2)
+        assert healed.cache_status is None  # back on the wire
+        assert internet.request_count() > requests_before
+        assert healed.outcomes["Doomed"].ok
+        assert searcher.search(query, k_sources=2).cache_status == "hit"
+
+    def test_a_failing_revalidation_keeps_the_previous_entry(
+        self, world_with_dead_source
+    ):
+        internet, searcher = world_with_dead_source
+        internet.set_fault_profile("doomed.org", FaultProfile())  # healthy first
+        clock = {"now": 0.0}
+        searcher.result_cache = QueryResultCache(
+            ttl_ms=100.0, stale_grace_ms=1000.0, clock=lambda: clock["now"]
+        )
+        query = ranking_query("databases")
+        good = searcher.search(query, k_sources=2)
+        assert sorted(good.ok_sources()) == ["Alive", "Doomed"]
+
+        internet.set_fault_profile("doomed.org", FaultProfile.dead())
+        clock["now"] = 500.0
+        # The serial executor revalidates inline; the refresh meets the
+        # dead host and must not overwrite the good entry.
+        assert searcher.search(query, k_sources=2).cache_status == "stale"
+        assert "Doomed" in searcher.negative_cache.down_sources()
+        again = searcher.search(query, k_sources=2)
+        assert again.cache_status == "stale"
+        assert again.linkages() == good.linkages()
+        assert again.outcomes["Doomed"].ok
 
 
 class TestInvalidation:

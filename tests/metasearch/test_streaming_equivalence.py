@@ -20,7 +20,7 @@ from repro.federation import (
     QueryPolicy,
     SerialExecutor,
 )
-from repro.metasearch import MERGE_STRATEGIES, Metasearcher, RawScoreMerge
+from repro.metasearch import MERGE_STRATEGIES, Metasearcher, RawScoreMerge, SelectAll
 from repro.resource import Resource
 from repro.source import StartsSource
 from repro.starts import SQuery, parse_expression
@@ -165,6 +165,48 @@ class TestGroupedRouting:
             )
         ).result
         assert rank_of(streamed) == rank_of(batch)
+
+    def test_a_cancelled_entry_keeps_its_siblings(self):
+        """Two resources of two sources each, cut off after the first
+        answer: the cancelled entry still answers for its sibling."""
+        from repro.corpus import source1_documents, source2_documents
+
+        internet = SimulatedInternet(seed=3)
+        for name, documents in (("A", source1_documents()), ("B", source2_documents())):
+            members = [
+                StartsSource(f"{name}{n}", documents, base_url=f"http://{name}{n}.org/s")
+                for n in (1, 2)
+            ]
+            publish_resource(internet, Resource(name, members), f"http://{name}.org")
+        searcher = Metasearcher(
+            internet,
+            ["http://A.org/resource", "http://B.org/resource"],
+            cache_policy=CachePolicy.disabled(),
+        )
+        searcher.refresh()
+        final = final_emission(
+            searcher.search_stream(
+                ranking_query(),
+                k_sources=4,
+                selector=SelectAll(),
+                group_by_resource=True,
+                executor=SerialExecutor(),
+                deadline_ms=0.0,
+            )
+        )
+        (cancelled,) = [
+            outcome
+            for outcome in final.result.outcomes.values()
+            if outcome.status is OutcomeStatus.CANCELLED
+        ]
+        resource = cancelled.source_id[0]
+        assert {cancelled.source_id, *cancelled.sibling_ids} == {
+            f"{resource}1",
+            f"{resource}2",
+        }
+        assert len(cancelled.sibling_ids) == 1
+        sibling = cancelled.sibling_ids[0]
+        assert f"also answers for: {sibling}" in final.result.explain()
 
 
 class TestEarlyTermination:

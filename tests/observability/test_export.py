@@ -104,7 +104,6 @@ def _traced_round() -> Tracer:
                 pass
         with tracer.span("merge"):
             pass
-    tracer.count("S1", requests=2, latency_ms=40.0, cost=1.0)
     return tracer
 
 
@@ -135,38 +134,12 @@ class TestNdjson:
         assert row["parent_id"] == "cd" * 8
         assert row["trace_id"] == "ab" * 8
 
-    def test_cache_counters_get_a_row_of_their_own(self):
-        tracer = _traced_round()
-        assert not [r for r in stitch_traces(tracer.trace()) if r["kind"] == "cache_counters"]
-        tracer.count_cache(hits=1, cost_saved=2.5)
-        (row,) = [r for r in stitch_traces(tracer.trace()) if r["kind"] == "cache_counters"]
-        assert (row["hits"], row["misses"], row["cost_saved"]) == (1, 0, 2.5)
-
-    def test_counters_follow_the_spans(self):
-        rows = stitch_traces(_traced_round().trace())
-        counters = [row for row in rows if row["kind"] == "source_counters"]
-        assert counters == [
-            {
-                "kind": "source_counters",
-                "trace_id": "t-42",
-                "source_id": "S1",
-                "requests": 2,
-                "retries": 0,
-                "failures": 0,
-                "timeouts": 0,
-                "hedges": 0,
-                "latency_ms": 40.0,
-                "backoff_ms": 0.0,
-                "cost": 1.0,
-            }
-        ]
-
     def test_every_line_is_one_json_object(self):
         text = render_ndjson(_traced_round().trace())
         lines = text.splitlines()
-        assert len(lines) == 7  # 6 spans + 1 counter row
+        assert len(lines) == 6  # one row per span, nothing else
         for line in lines:
-            assert isinstance(json.loads(line), dict)
+            assert json.loads(line)["kind"] == "span"
 
     def test_empty_trace_renders_empty(self):
         assert render_ndjson(Tracer().trace()) == ""

@@ -1,15 +1,10 @@
-"""Spans, counters and rendering for the observability layer."""
+"""Spans and rendering for the observability layer."""
 
 import threading
 
 import pytest
 
-from repro.observability import (
-    SourceCounters,
-    Trace,
-    Tracer,
-    render_trace,
-)
+from repro.observability import Tracer, render_trace
 
 
 class TestSpans:
@@ -93,51 +88,6 @@ class TestSpans:
         assert [span.name for span in tracer.trace().spans] == ["query"]
 
 
-class TestCounters:
-    def test_count_accumulates_per_source(self):
-        tracer = Tracer()
-        tracer.count("S1", requests=1, latency_ms=20.0)
-        tracer.count("S1", requests=2, retries=1, latency_ms=40.0, cost=5.0)
-        tracer.count("S2", requests=1)
-        s1 = tracer.counters["S1"]
-        assert (s1.requests, s1.retries) == (3, 1)
-        assert s1.latency_ms == pytest.approx(60.0)
-        assert s1.cost == pytest.approx(5.0)
-        assert tracer.counters["S2"].requests == 1
-
-    def test_counting_is_thread_safe(self):
-        tracer = Tracer()
-
-        def hammer() -> None:
-            for _ in range(200):
-                tracer.count("S", requests=1)
-
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert tracer.counters["S"].requests == 1600
-
-    def test_cache_counters_reject_fractional_integral_deltas(self):
-        tracer = Tracer()
-        with pytest.raises(ValueError, match="integral"):
-            tracer.count_cache(hits=1.5)
-        with pytest.raises(ValueError, match="integral"):
-            tracer.count_cache(misses=0.25)
-        # cost_saved is the one genuinely fractional tally.
-        tracer.count_cache(hits=1, cost_saved=2.75)
-        tracer.count_cache(cost_saved=0.25)
-        assert tracer.cache.hits == 1
-        assert tracer.cache.cost_saved == pytest.approx(3.0)
-
-    def test_whole_valued_floats_still_count(self):
-        tracer = Tracer()
-        tracer.count_cache(hits=2.0, stores=1)
-        assert tracer.cache.hits == 2
-        assert tracer.cache.stores == 1
-
-
 class TestThreadFanOut:
     """One tracer under a real pool: the query round's concurrency shape."""
 
@@ -150,14 +100,12 @@ class TestThreadFanOut:
         barrier = threading.Barrier(workers)
 
         def worker(index: int, query_span) -> None:
-            barrier.wait()  # maximize overlap on the span/counter locks
+            barrier.wait()  # maximize overlap on the span lock
             for round_number in range(rounds):
                 name = f"query:src{index}"
                 with tracer.span(name, parent=query_span, round=round_number):
                     with tracer.span(f"{name}:parse"):
                         pass
-                tracer.count(f"src{index}", requests=1, latency_ms=1.0)
-                tracer.count("shared", requests=1)
 
         with tracer.span("query") as query_span:
             with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -177,9 +125,13 @@ class TestThreadFanOut:
                 f"{child.name}:parse"
             ]
             assert not child.is_open
-        assert tracer.counters["shared"].requests == workers * rounds
         for index in range(workers):
-            assert tracer.counters[f"src{index}"].requests == rounds
+            rounds_seen = sorted(
+                child.attributes["round"]
+                for child in query_span.children
+                if child.name == f"query:src{index}"
+            )
+            assert rounds_seen == list(range(rounds))
 
     def test_sibling_threads_without_parent_become_roots(self):
         tracer = Tracer()
@@ -196,17 +148,18 @@ class TestThreadFanOut:
 
 class TestRendering:
     def test_render_trace_shows_tree_and_counters(self):
+        """A source's counts are its ``query:<id>`` span's attributes
+        (the runner annotates them from the outcome)."""
         tracer = Tracer()
         with tracer.span("search", terms="databases"):
-            with tracer.span("query:S1", url="http://s1.org"):
-                pass
-        tracer.count("S1", requests=2, retries=1, latency_ms=40.0, cost=1.5)
+            with tracer.span("query:S1", url="http://s1.org") as span:
+                span.annotate(requests=2, retries=1, cost=1.5)
         rendered = render_trace(tracer.trace())
         assert "search" in rendered
         assert "  query:S1" in rendered  # indented child
         assert "terms=databases" in rendered
-        assert "per-source counters" in rendered
-        assert "S1" in rendered
+        assert "requests=2 retries=1 cost=1.5" in rendered
+        assert len(rendered.splitlines()) == 3  # header + two spans
 
     def test_render_marks_open_spans(self):
         clock_value = [0.0]
@@ -224,13 +177,6 @@ class TestRendering:
 
     def test_render_empty_trace(self):
         assert render_trace(Tracer().trace()) == "(empty trace)"
-
-    def test_render_counters_table_has_header_and_rows(self):
-        trace = Trace(counters={"S1": SourceCounters(requests=3, cost=2.0)})
-        title, header, row = render_trace(trace).splitlines()
-        assert title.startswith("per-source counters")
-        assert "reqs" in header and "cost" in header
-        assert row.startswith("S1")
 
     def test_self_time_is_what_no_child_accounts_for(self):
         clock = [0.0]

@@ -170,8 +170,7 @@ class TestExplainCommand:
             "discover",
             "search",
             "      serve:query:",  # a server-side span, under its query:<id>
-            "per-source counters",
-            "cache counters:",
+            "status=miss",  # the result-cache decision, one event
             'query log: {"cache_hits": 0',
         ):
             assert section in out, section

@@ -20,9 +20,12 @@ each source's metadata attributes.
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from repro.starts.attributes import FieldRef, ModifierRef
 from repro.starts.errors import SoifSyntaxError
@@ -208,37 +211,41 @@ class SMetaAttributes:
     def from_soif(cls, obj: SoifObject) -> "SMetaAttributes":
         if obj.template != "SMetaAttributes":
             raise SoifSyntaxError(f"expected @SMetaAttributes, got @{obj.template}")
-        score_text = (obj.get("ScoreRange") or "0.0 1.0").split()
+        # Each attribute's first value, by its lower-cased name.
+        values: dict[str, str] = {}
+        for name, value in obj:
+            values.setdefault(name.lower(), value)
+        get = values.get
+        score_text = (get("scorerange") or "0.0 1.0").split()
         if len(score_text) != 2:
-            raise SoifSyntaxError(f"bad ScoreRange: {obj.get('ScoreRange')!r}")
+            raise SoifSyntaxError(f"bad ScoreRange: {get('scorerange')!r}")
         return cls(
-            source_id=obj.get("SourceID", "") or "",
-            fields_supported=_parse_supported(obj.get("FieldsSupported", "") or "", FieldRef),
+            source_id=get("sourceid") or "",
+            fields_supported=_parse_supported(get("fieldssupported") or "", FieldRef),
             modifiers_supported=_parse_supported(
-                obj.get("ModifiersSupported", "") or "", ModifierRef
+                get("modifierssupported") or "", ModifierRef
             ),
             field_modifier_combinations=_parse_combinations(
-                obj.get("FieldModifierCombinations", "") or ""
+                get("fieldmodifiercombinations") or ""
             ),
-            query_parts_supported=obj.get("QueryPartsSupported", "RF") or "RF",
+            query_parts_supported=get("querypartssupported") or "RF",
             score_range=(_parse_score(score_text[0]), _parse_score(score_text[1])),
-            ranking_algorithm_id=obj.get("RankingAlgorithmID", "") or "",
-            tokenizer_id_list=_parse_tokenizers(obj.get("TokenizerIDList", "") or ""),
-            sample_database_results=obj.get("SampleDatabaseResults", "") or "",
-            stop_word_list=tuple((obj.get("StopWordList") or "").split()),
-            turn_off_stop_words=(obj.get("TurnOffStopWords", "T") or "T").upper() == "T",
-            source_languages=tuple((obj.get("source-languages") or "").split()),
-            source_name=obj.get("source-name", "") or "",
-            linkage=obj.get("linkage", "") or "",
-            content_summary_linkage=obj.get("content-summary-linkage", "") or "",
-            date_changed=obj.get("date-changed", "") or "",
-            date_expires=obj.get("date-expires", "") or "",
-            abstract=obj.get("abstract", "") or "",
-            access_constraints=obj.get("access-constraints", "") or "",
-            contact=obj.get("contact", "") or "",
-            default_meta_attribute_set=obj.get("DefaultMetaAttributeSet", "mbasic-1")
-            or "mbasic-1",
-            version=obj.get("Version", PROTOCOL_VERSION) or PROTOCOL_VERSION,
+            ranking_algorithm_id=get("rankingalgorithmid") or "",
+            tokenizer_id_list=_parse_tokenizers(get("tokenizeridlist") or ""),
+            sample_database_results=get("sampledatabaseresults") or "",
+            stop_word_list=tuple((get("stopwordlist") or "").split()),
+            turn_off_stop_words=(get("turnoffstopwords") or "T").upper() == "T",
+            source_languages=tuple((get("source-languages") or "").split()),
+            source_name=get("source-name") or "",
+            linkage=get("linkage") or "",
+            content_summary_linkage=get("content-summary-linkage") or "",
+            date_changed=get("date-changed") or "",
+            date_expires=get("date-expires") or "",
+            abstract=get("abstract") or "",
+            access_constraints=get("access-constraints") or "",
+            contact=get("contact") or "",
+            default_meta_attribute_set=get("defaultmetaattributeset") or "mbasic-1",
+            version=get("version") or PROTOCOL_VERSION,
         )
 
 
@@ -273,6 +280,12 @@ def _split_refs(text: str) -> list[str]:
     return chunks
 
 
+# The capability parsers are pure functions of their text, returning
+# tuples of frozen refs: sources running one vendor's software export the
+# same lists, so each distinct text is parsed once per process.
+
+
+@lru_cache(maxsize=256)
 def _parse_supported(text: str, ref_class):
     """Parse ``[set name]`` / ``{set name}`` refs with ``/lang,lang`` suffixes.
 
@@ -294,6 +307,7 @@ def _parse_supported(text: str, ref_class):
     return tuple(entries)
 
 
+@lru_cache(maxsize=256)
 def _parse_combinations(text: str) -> tuple[tuple[FieldRef, ModifierRef], ...]:
     combos = []
     for chunk in _split_refs(text):
@@ -306,6 +320,7 @@ def _parse_combinations(text: str) -> tuple[tuple[FieldRef, ModifierRef], ...]:
     return tuple(combos)
 
 
+@lru_cache(maxsize=256)
 def _parse_tokenizers(text: str) -> tuple[tuple[str, str], ...]:
     tokenizers = []
     for chunk in _split_refs(text):
@@ -318,50 +333,92 @@ def _parse_tokenizers(text: str) -> tuple[tuple[str, str], ...]:
     return tuple(tokenizers)
 
 
-@dataclass(frozen=True, slots=True)
-class SummaryEntryLine:
+class SummaryEntryLine(NamedTuple):
     """One word's statistics inside a content-summary section.
 
-    ``postings`` or ``document_frequency`` may be -1 when the source
+    ``postings`` or ``document_frequency`` is -1 when the source
     exports only one of the two statistics (the paper requires "at
-    least one").
+    least one").  A plain row, ``(word, postings, document_frequency)``:
+    what the summary writer takes and the reader builds per word.
     """
 
     word: str
     postings: int
     document_frequency: int
 
-    def serialize(self) -> str:
-        parts = [f'"{self.word}"']
-        if self.postings >= 0:
-            parts.append(str(self.postings))
-        if self.document_frequency >= 0:
-            parts.append(str(self.document_frequency))
-        return " ".join(parts)
 
-    @classmethod
-    def parse(cls, line: str, has_postings: bool = True, has_df: bool = True) -> "SummaryEntryLine":
-        line = line.strip()
-        if not line.startswith('"'):
-            raise SoifSyntaxError(f"summary line must start with a word: {line!r}")
-        closing = line.find('"', 1)
-        numbers = line[closing + 1 :].split()
-        postings, df = -1, -1
-        try:  # one line per summary word: the good path stays int()
-            if closing < 0 or (has_postings and has_df and len(numbers) != 2):
-                raise ValueError
-            if has_postings and has_df:
-                postings, df = int(numbers[0]), int(numbers[1])
-            elif has_postings:
-                postings = int(numbers[0])
-            elif has_df:
-                df = int(numbers[0])
-        except (ValueError, IndexError):
+#: One ``TermDocFreq`` line, fully matched, surrounding whitespace
+#: included: the quoted word runs to the line's *last* quote (a count
+#: holds none), then each declared statistic as ASCII decimal digits —
+#: with one declared, whatever follows its count is ignored.  Keyed by
+#: whether both statistics are declared.
+_TERM_DOC_FREQ_LINE = {
+    True: re.compile(r'\s*"(.*)"\s*([0-9]+)\s+([0-9]+)\s*'),
+    False: re.compile(r'\s*"(.*)"\s*([0-9]+)(?:\s[^"]*)?'),
+}
+
+
+def _section_entries(
+    text: str, has_postings: bool, has_df: bool
+) -> tuple[SummaryEntryLine, ...]:
+    """The entries of one ``TermDocFreq`` value; blank lines are skipped."""
+    match = _TERM_DOC_FREQ_LINE[has_postings and has_df].fullmatch
+    rows = []
+    for line in text.splitlines():
+        found = match(line)
+        if found is not None:
+            rows.append(found.groups())
+        elif line and not line.isspace():
             raise SoifSyntaxError(
                 f"bad TermDocFreq line (a quoted word, then the declared "
-                f"statistics as integers): {line!r}"
-            ) from None
-        return cls(line[1:closing], postings, df)
+                f"statistics as ASCII decimal digits): {line!r}"
+            )
+    if has_postings and has_df:
+        return tuple([SummaryEntryLine(w, int(p), int(df)) for w, p, df in rows])
+    if has_postings:
+        return tuple([SummaryEntryLine(w, int(p), -1) for w, p in rows])
+    return tuple([SummaryEntryLine(w, -1, int(df)) for w, df in rows])
+
+
+def write_content_summary(
+    header: "SContentSummary",
+    sections: Iterable[tuple[str, str, Iterable[tuple[str, int, int]]]],
+) -> SoifObject:
+    """The one @SContentSummary writer (Example 11).
+
+    ``header`` gives the flags, ``NumDocs`` and ``Version`` (its own
+    sections are not read); each ``(field, language, rows)`` of
+    ``sections`` becomes a ``Field`` (when the header declares fields),
+    ``Language`` and ``TermDocFreq`` attribute.  A row is ``(word,
+    postings, df)``, as a :class:`SummaryEntryLine` is; only the
+    statistics the header declares are written.
+    """
+    obj = SoifObject("SContentSummary")
+    obj.add("Version", header.version)
+    obj.add("Stemming", "T" if header.stemming else "F")
+    obj.add("StopWords", "T" if header.stop_words else "F")
+    obj.add("CaseSensitive", "T" if header.case_sensitive else "F")
+    obj.add("Fields", "T" if header.fields else "F")
+    postings, df = header.has_postings, header.has_document_frequencies
+    statistics = []
+    if postings:
+        statistics.append("postings")
+    if df:
+        statistics.append("df")
+    obj.add("StatisticsIncluded", " ".join(statistics))
+    obj.add("NumDocs", str(header.num_docs))
+    for field_name, language, rows in sections:
+        if header.fields:
+            obj.add("Field", field_name)
+        obj.add("Language", language)
+        if postings and df:
+            lines = [f'"{word}" {p} {d}' for word, p, d in rows]
+        elif postings:
+            lines = [f'"{word}" {p}' for word, p, _ in rows]
+        else:
+            lines = [f'"{word}" {d}' for word, _, d in rows]
+        obj.add("TermDocFreq", "\n".join(lines))
+    return obj
 
 
 @dataclass(frozen=True)
@@ -403,11 +460,10 @@ class SContentSummary:
     ]:
         """Lazily built ``word → entries`` / ``(word, field) → entries``.
 
-        Source selection (GlOSS, CORI) probes ``document_frequency``
-        for every source per query term; scanning every section per
-        probe made selection quadratic in summary size.  The index preserves section traversal order, is built on
-        first use, and is invalidated whenever ``sections`` is swapped
-        out (the summary is otherwise immutable).
+        Only :meth:`lookup` needs it, so only a lookup builds it.  The
+        index preserves section traversal order and is invalidated
+        whenever ``sections`` is swapped out (the summary is otherwise
+        immutable).
         """
         cache = self.__dict__.get("_word_index_cache")
         if cache is not None and cache[0] is self.sections:
@@ -433,33 +489,38 @@ class SContentSummary:
             return list(by_word.get(word, ()))
         return list(by_word_field.get((word, field), ()))
 
+    def _tallied(self) -> tuple[dict[str, tuple[int, int]], int]:
+        """:meth:`word_statistics` and :meth:`total_word_mass` in one
+        walk over the entries, memoized and invalidated whenever
+        ``sections`` is swapped out (the summary is otherwise immutable)."""
+        cached = self.__dict__.get("_tally_cache")
+        if cached is not None and cached[0] is self.sections:
+            return cached[1], cached[2]
+        statistics: dict[str, tuple[int, int]] = {}
+        mass = 0
+        for section in self.sections:
+            for word, postings, df in section.entries:
+                postings = postings if postings > 0 else 0
+                df = df if df > 0 else 0
+                key = word if self.case_sensitive else word.lower()
+                total = statistics.get(key)
+                statistics[key] = (
+                    (postings, df) if total is None else (total[0] + postings, total[1] + df)
+                )
+                mass += postings
+        object.__setattr__(self, "_tally_cache", (self.sections, statistics, mass))
+        return statistics, mass
+
     def word_statistics(self) -> dict[str, tuple[int, int]]:
         """``word key → (total postings, total df)`` across all sections.
 
         The key is the entry word, lowercased unless the summary is
         case sensitive (the same keying :meth:`lookup` uses); negative
         statistics (absent per the "at least one of" rule) clamp to 0.
-        Built once on first access and memoized, so the per-query probe
-        of :meth:`document_frequency` is a single dict get instead of a
-        list walk per call.  Like the word
-        index, the memo is invalidated whenever ``sections`` is swapped
-        out (the summary is otherwise immutable) — callers that replace
-        ``sections`` via ``object.__setattr__`` get fresh statistics on
-        the next probe.
+        Memoized, so the per-query probe of :meth:`document_frequency`
+        is a single dict get; a decoded summary has it from the decode.
         """
-        cached = self.__dict__.get("_word_stats_cache")
-        if cached is not None and cached[0] is self.sections:
-            return cached[1]
-        by_word, _ = self._word_index()
-        stats = {
-            word: (
-                sum(max(entry.postings, 0) for entry in entries),
-                sum(max(entry.document_frequency, 0) for entry in entries),
-            )
-            for word, entries in by_word.items()
-        }
-        object.__setattr__(self, "_word_stats_cache", (self.sections, stats))
-        return stats
+        return self._tallied()[0]
 
     def document_frequency(self, word: str, field: str | None = None) -> int:
         """Total df of ``word`` across sections (0 if absent)."""
@@ -473,52 +534,39 @@ class SContentSummary:
         )
 
     def total_word_mass(self) -> int:
-        """Total postings across every section (CORI's ``cw`` input).
-
-        Cached alongside the word index so repeated selection rounds do
-        not re-sum the whole summary.
-        """
-        cached = self.__dict__.get("_word_mass_cache")
-        if cached is not None and cached[0] is self.sections:
-            return cached[1]
-        mass = sum(
-            max(entry.postings, 0)
-            for section in self.sections
-            for entry in section.entries
-        )
-        object.__setattr__(self, "_word_mass_cache", (self.sections, mass))
-        return mass
+        """Total postings across every section (CORI's ``cw`` input),
+        memoized with :meth:`word_statistics`."""
+        return self._tallied()[1]
 
     def to_soif(self) -> SoifObject:
-        obj = SoifObject("SContentSummary")
-        obj.add("Version", self.version)
-        obj.add("Stemming", "T" if self.stemming else "F")
-        obj.add("StopWords", "T" if self.stop_words else "F")
-        obj.add("CaseSensitive", "T" if self.case_sensitive else "F")
-        obj.add("Fields", "T" if self.fields else "F")
-        statistics = []
-        if self.has_postings:
-            statistics.append("postings")
-        if self.has_document_frequencies:
-            statistics.append("df")
-        obj.add("StatisticsIncluded", " ".join(statistics))
-        obj.add("NumDocs", str(self.num_docs))
-        for section in self.sections:
-            if self.fields:
-                obj.add("Field", section.field)
-            obj.add("Language", section.language)
-            obj.add(
-                "TermDocFreq",
-                "\n".join(entry.serialize() for entry in section.entries),
-            )
-        return obj
+        return write_content_summary(
+            self, ((s.field, s.language, s.entries) for s in self.sections)
+        )
 
     @classmethod
     def from_soif(cls, obj: SoifObject) -> "SContentSummary":
+        """Decode, with :meth:`word_statistics` and
+        :meth:`total_word_mass` tallied in the same decode.  A count is
+        ASCII decimal digits; anything else raises
+        :class:`SoifSyntaxError` naming ``TermDocFreq`` or ``NumDocs``."""
         if obj.template != "SContentSummary":
             raise SoifSyntaxError(f"expected @SContentSummary, got @{obj.template}")
-        has_fields = (obj.get("Fields", "T") or "T").upper() == "T"
-        statistics_text = obj.get("StatisticsIncluded")
+        # Each attribute's first value by its lower-cased name, and every
+        # TermDocFreq value under the Field and Language before it.
+        header: dict[str, str] = {}
+        texts = []
+        current_field = "any"
+        current_language = "en"
+        for name, value in obj:
+            lowered = name.lower()
+            if lowered == "termdocfreq":
+                texts.append((current_field, current_language, value))
+            elif lowered == "field":
+                current_field = value.strip()
+            elif lowered == "language":
+                current_language = value.strip()
+            header.setdefault(lowered, value)
+        statistics_text = header.get("statisticsincluded")
         if statistics_text is None:
             statistics_text = "postings df"  # legacy blobs: assume both
         statistics = statistics_text.split()
@@ -526,35 +574,28 @@ class SContentSummary:
         has_df = "df" in statistics
         if not (has_postings or has_df):
             raise SoifSyntaxError("summary must include postings or df statistics")
-        sections: list[SummarySection] = []
-        current_field = "any"
-        current_language = "en"
-        for name, value in obj.pairs():
-            lowered = name.lower()
-            if lowered == "field":
-                current_field = value.strip()
-            elif lowered == "language":
-                current_language = value.strip()
-            elif lowered == "termdocfreq":
-                entries = tuple(
-                    SummaryEntryLine.parse(line, has_postings, has_df)
-                    for line in value.splitlines()
-                    if line.strip()
-                )
-                sections.append(
-                    SummarySection(current_field, current_language, entries)
-                )
-        return cls(
-            num_docs=_number(int, "NumDocs", obj.get("NumDocs"), 0),
-            sections=tuple(sections),
-            stemming=(obj.get("Stemming", "F") or "F").upper() == "T",
-            stop_words=(obj.get("StopWords", "F") or "F").upper() == "T",
-            case_sensitive=(obj.get("CaseSensitive", "F") or "F").upper() == "T",
-            fields=has_fields,
+        num_docs = (header.get("numdocs") or "0").strip()
+        if not (num_docs.isdigit() and num_docs.isascii()):
+            raise SoifSyntaxError(
+                f"bad NumDocs value {header['numdocs']!r} (ASCII decimal digits)"
+            )
+        sections = tuple(
+            SummarySection(field_name, language, _section_entries(text, has_postings, has_df))
+            for field_name, language, text in texts
+        )
+        summary = cls(
+            num_docs=int(num_docs),
+            sections=sections,
+            stemming=(header.get("stemming") or "F").upper() == "T",
+            stop_words=(header.get("stopwords") or "F").upper() == "T",
+            case_sensitive=(header.get("casesensitive") or "F").upper() == "T",
+            fields=(header.get("fields") or "T").upper() == "T",
             has_postings=has_postings,
             has_document_frequencies=has_df,
-            version=obj.get("Version", PROTOCOL_VERSION) or PROTOCOL_VERSION,
+            version=header.get("version") or PROTOCOL_VERSION,
         )
+        summary._tallied()
+        return summary
 
 
 def merge_summaries(summaries: Sequence[SContentSummary]) -> SContentSummary:

@@ -35,6 +35,7 @@ from repro.observability.tracing import TraceCollector, TraceContext, Tracer
 from repro.resource.resource import Resource
 from repro.source.scan import ScanRequest
 from repro.source.source import StartsSource
+from repro.source.summaries import _summary_soif
 from repro.starts.query import SQuery
 from repro.starts.soif import parse_soif
 from repro.transport.network import (
@@ -139,7 +140,8 @@ def source_endpoints(
         ),
         ("POST", "scan"): handle_scan,
         ("GET", "meta"): handle_meta,
-        ("GET", "cont_sum.txt"): lambda: _blob(source.content_summary()),
+        # Written from the index's statistics; content_summary() is its decode.
+        ("GET", "cont_sum.txt"): lambda: _summary_soif(source.engine).dump().encode("utf-8"),
         ("GET", "sample"): lambda: _blob(source.sample_results()),
     }
 

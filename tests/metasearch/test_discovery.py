@@ -3,9 +3,13 @@
 import pytest
 
 from repro.cache import SummaryTtlPolicy
+from repro.engine.documents import Document
+from repro.metasearch import Metasearcher
 from repro.metasearch.discovery import DiscoveryService, KnownSource
+from repro.resource import Resource
 from repro.starts import SMetaAttributes
-from repro.transport import SimulatedInternet, StartsClient
+from repro.transport import SimulatedInternet, StartsClient, publish_resource
+from repro.vendors import build_vendor_source
 
 
 @pytest.fixture
@@ -42,6 +46,32 @@ class TestHarvesting:
         discovery, url, _ = service
         discovery.refresh_resource(url)
         assert set(discovery.summaries()) == {"Fed-DB", "Fed-Med", "Fed-Net"}
+
+
+    @pytest.mark.parametrize("vendor", ["OkapiWorks", "GrepMaster"])
+    def test_a_word_holding_a_quote_keeps_the_summary(self, vendor):
+        """A whitespace tokenizer indexes ``rock"n`` whole; the harvest
+        must keep that source's summary, word included."""
+        internet = SimulatedInternet()
+        document = Document("http://q.example.org/1", {"body-of-text": 'rock"n roll'})
+        resource = Resource("Quotes", [build_vendor_source(vendor, "Q", [document])])
+        url = publish_resource(internet, resource, "http://quotes.example.org")
+        discovery = DiscoveryService(StartsClient(internet))
+        discovery.refresh_resource(url)
+        summary = discovery.source("Q").summary
+        assert summary is not None
+        assert summary.word_statistics()['rock"n'] == (1, 1)
+        assert discovery.summary_index().term_columns('rock"n').ordinals
+
+    def test_harvested_summaries_hold_no_word_index(self, small_federation):
+        """Selection reads the decode's statistics; only a field-restricted
+        lookup builds a word index."""
+        internet, url, _ = small_federation
+        searcher = Metasearcher(internet, [url])
+        searcher.refresh()
+        summaries = searcher.discovery.summaries()
+        assert len(summaries) == 3
+        assert not any("_word_index_cache" in s.__dict__ for s in summaries.values())
 
 
 class TestMalformedBlobs:

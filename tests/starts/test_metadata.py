@@ -14,6 +14,7 @@ from repro.starts.metadata import (
     SResource,
     SummaryEntryLine,
     SummarySection,
+    merge_summaries,
 )
 from repro.starts.soif import parse_soif
 
@@ -199,6 +200,38 @@ class TestSContentSummary:
         assert "datos" not in fresh
         assert s.document_frequency("datos") == 0
 
+    def test_a_word_runs_to_the_last_quote_of_its_line(self):
+        """Counts hold no quote: a word holding one (``rock"n``) decodes,
+        and is written back as it came."""
+        text = '@SContentSummary{\nTermDocFreq{12}: "rock"n" 3 2\n}\n'
+        summary = SContentSummary.from_soif(parse_soif(text))
+        assert summary.sections[0].entries == (SummaryEntryLine('rock"n', 3, 2),)
+        assert 'TermDocFreq{12}: "rock"n" 3 2\n' in summary.to_soif().dump()
+
+    def test_only_the_declared_statistics_are_written(self):
+        """A merge with a df-only summary declares df alone; its clamped
+        postings must not be written where a reader expects the df."""
+        df_only = SContentSummary(
+            num_docs=1,
+            sections=(SummarySection("title", "es", (SummaryEntryLine("datos", -1, 1),)),),
+            has_postings=False,
+        )
+        merged = merge_summaries([self.summary(), df_only])
+        assert not merged.has_postings
+        assert SContentSummary.from_soif(parse_soif(merged.to_soif().dump())).document_frequency(
+            "datos"
+        ) == 13
+
+    def test_decode_tallies_the_statistics_without_a_word_index(self):
+        s = SContentSummary.from_soif(parse_soif(self.summary().to_soif().dump()))
+        assert s.word_statistics() == {
+            "algorithm": (100, 53), "analysis": (50, 23), "algoritmo": (23, 11), "datos": (59, 12)
+        }
+        assert s.total_word_mass() == 232
+        assert "_word_index_cache" not in s.__dict__
+        s.document_frequency("datos", "title")  # a field restriction builds it
+        assert "_word_index_cache" in s.__dict__
+
     def test_field_restricted_lookups_bypass_memo(self):
         s = self.summary()
         s.word_statistics()
@@ -266,6 +299,20 @@ class TestMalformedValuesAreTyped:
                 'TermDocFreq{8}: "word" x\n}\n',
                 "TermDocFreq",
             ),
+            # A count is ASCII decimal digits, not whatever int() takes.
+            ('@SContentSummary{\nTermDocFreq{9}: "w" -3 -1\n}\n', "TermDocFreq"),
+            ('@SContentSummary{\nTermDocFreq{11}: "w" 1_000 2\n}\n', "TermDocFreq"),
+            ('@SContentSummary{\nTermDocFreq{8}: "w" +3 2\n}\n', "TermDocFreq"),
+            ('@SContentSummary{\nTermDocFreq{9}: "w" \uff13 2\n}\n', "TermDocFreq"),
+            (
+                "@SContentSummary{\nStatisticsIncluded{8}: postings\n"
+                'TermDocFreq{7}: "w" -3\n}\n',
+                "TermDocFreq",
+            ),
+            ("@SContentSummary{\nNumDocs{2}: -5\n}\n", "NumDocs"),
+            ("@SContentSummary{\nNumDocs{2}: +5\n}\n", "NumDocs"),
+            ("@SContentSummary{\nNumDocs{3}: 1_0\n}\n", "NumDocs"),
+            ("@SContentSummary{\nNumDocs{3}: \uff15\n}\n", "NumDocs"),
         ],
     )
     def test_content_summary(self, text, attribute):

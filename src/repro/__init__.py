@@ -43,7 +43,6 @@ Quickstart::
         print(doc.score, doc.linkage)
 """
 
-from repro.broker import BrokeredMetasearcher
 from repro.cache import CachePolicy
 from repro.conformance import ConformanceReport, check_source
 from repro.corpus import CollectionSpec, build_workload, generate_collection
@@ -84,7 +83,6 @@ from repro.vendors import build_vendor_source, vendor_names
 __version__ = "1.0.0"
 
 __all__ = [
-    "BrokeredMetasearcher",
     "CachePolicy",
     "ConformanceReport",
     "check_source",

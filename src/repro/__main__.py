@@ -12,11 +12,6 @@ Commands:
   PQF encoding.
 * ``select TERMS [--selector NAME] [-k N]`` — harvest the quick
   federation's summaries and print every source's rank and goodness.
-* ``broker [--sources N] [--leaves N] [--terms "..."]`` — shard a
-  synthetic summary population across a root/leaf broker hierarchy and
-  print the routing table, per-leaf shard statistics, and (with
-  ``--terms``) one brokered selection: each selected source with its
-  owning leaf, and how many leaves the root descended into.
 * ``experiment {F1,T1-T3,E1,E1b,E2-E7,A1a,A1b,A1c,A2,A3}`` — regenerate
   one table of EXPERIMENTS.md exactly as ``benchmarks/results/`` holds it.
 * ``conformance`` — conformance-check every built-in vendor.
@@ -50,19 +45,6 @@ def _build_searcher(seed: int, tracer=None, trace_sink=None) -> Metasearcher:
     searcher = Metasearcher(internet, [resource_url])
     searcher.refresh(tracer)
     return searcher
-
-
-@contextlib.contextmanager
-def _fresh_registry():
-    """A new process-wide metrics registry for the block; the previous
-    one is back in place afterwards."""
-    from repro.observability import MetricsRegistry, get_registry, set_registry
-
-    previous = get_registry()
-    try:
-        yield set_registry(MetricsRegistry())
-    finally:
-        set_registry(previous)
 
 
 #: What ``search`` and ``explain`` run when given no expression.
@@ -148,46 +130,6 @@ def cmd_select(args: argparse.Namespace) -> int:
     searcher = _build_searcher(args.seed)
     selector = SELECTOR_REGISTRY[args.selector]()
     _print_selection(searcher, args.selector, selector, terms, args.k)
-    return 0
-
-
-def cmd_broker(args: argparse.Namespace) -> int:
-    from repro.broker import build_hierarchy
-    from repro.corpus import SummaryPopulationSpec, generate_source_summaries
-    from repro.metasearch import SELECTOR_REGISTRY
-
-    spec = SummaryPopulationSpec(n_sources=args.sources, seed=args.seed)
-    summaries = generate_source_summaries(spec)
-    root = build_hierarchy(args.leaves)
-    for source_id, summary in summaries.items():
-        root.apply_delta(source_id, summary)
-
-    table = root.routing_table(sorted(summaries))
-    print(f"hierarchy: root over {args.leaves} leaves, "
-          f"{len(summaries)} sources on the ring")
-    print()
-    print(f"{'leaf':<10} {'sources':>8} {'terms':>8} {'gen':>6}  "
-          "first sources owned")
-    for leaf in root.handles():
-        stats = leaf.shard_stats()
-        owned = table[leaf.leaf_id]
-        preview = ", ".join(owned[:3]) + (", ..." if len(owned) > 3 else "")
-        print(
-            f"{stats['leaf']:<10} {stats['sources']:>8} {stats['terms']:>8} "
-            f"{stats['generation']:>6}  {preview}"
-        )
-
-    terms = args.terms.split() if args.terms else []
-    if terms:
-        selector = SELECTOR_REGISTRY[args.selector]()
-        with _fresh_registry() as registry:
-            selected = root.select(selector, terms, args.k)
-        ((_, depth),) = registry.family("broker_route_depth").children()
-        print()
-        print(f"selection: {args.selector} over {' '.join(terms)}, "
-              f"top {args.k} (descended {depth.sum:.0f} of {args.leaves} leaves)")
-        for rank, source_id in enumerate(selected, 1):
-            print(f"  {rank:>4}  {source_id}  (leaf {root.ring.locate(source_id)})")
     return 0
 
 
@@ -404,26 +346,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     select.add_argument("-k", type=int, default=5, help="sources to select")
     select.set_defaults(handler=cmd_select)
-
-    broker = commands.add_parser(
-        "broker", help="build a root/leaf broker hierarchy and print its shards"
-    )
-    broker.add_argument("--sources", type=int, default=200, help="synthetic sources")
-    broker.add_argument("--leaves", type=int, default=4, help="leaf brokers")
-    broker.add_argument(
-        "--terms", default=None, help='demo a brokered selection, e.g. "databases"'
-    )
-    broker.add_argument(
-        "--selector",
-        choices=[
-            name
-            for name, selector in SELECTOR_REGISTRY.items()
-            if selector.distributable
-        ],
-        default="cori",
-    )
-    broker.add_argument("-k", type=int, default=5, help="sources to select")
-    broker.set_defaults(handler=cmd_broker)
 
     experiment = commands.add_parser(
         "experiment",

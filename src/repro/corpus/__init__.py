@@ -14,9 +14,7 @@ from repro.corpus.canned import (
 )
 from repro.corpus.generator import (
     CollectionSpec,
-    SummaryPopulationSpec,
     generate_collection,
-    generate_source_summaries,
     zipf_weights,
 )
 from repro.corpus.workload import (
@@ -32,9 +30,7 @@ __all__ = [
     "source2_documents",
     "ullman_dood_document",
     "CollectionSpec",
-    "SummaryPopulationSpec",
     "generate_collection",
-    "generate_source_summaries",
     "zipf_weights",
     "GeneratedQuery",
     "Workload",

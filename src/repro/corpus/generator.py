@@ -14,18 +14,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dataclass_field
 
-from collections import Counter
-
 from repro.corpus import vocabulary as V
 from repro.engine import fields as F
 from repro.engine.documents import Document
-from repro.starts.metadata import SContentSummary, SummaryEntryLine, SummarySection
 
 __all__ = [
     "CollectionSpec",
-    "SummaryPopulationSpec",
     "generate_collection",
-    "generate_source_summaries",
     "zipf_weights",
 ]
 
@@ -157,95 +152,3 @@ def generate_collection(spec: CollectionSpec) -> list[Document]:
             Document(linkage, doc_fields, language="es" if is_spanish else "en")
         )
     return documents
-
-
-#: Total body-word draws per generated summary — the word mass whose
-#: Zipf head shapes the summary statistics.
-_WORDS_PER_SOURCE = 1200
-
-
-@dataclass(frozen=True)
-class SummaryPopulationSpec:
-    """Recipe for a federation-sized *population of content summaries*.
-
-    Selection never reads documents — only summaries — so benchmarking
-    it at a thousand sources does not require materializing a thousand
-    document collections.  This spec drives a summary-level generator:
-    each source draws its word mass Zipf-style straight from its topic
-    pools (the same pools and skew :func:`generate_collection` uses),
-    and the counts become a :class:`SContentSummary` directly.
-
-    Attributes:
-        n_sources: how many sources to fabricate.
-        topics_per_source: topics mixed into each source (cycled over
-            :data:`repro.corpus.vocabulary.TOPICS` deterministically).
-        docs_per_source: inclusive (min, max) document-count range.
-        general_fraction: share of draws from the shared general pool
-            (cross-source overlap, exactly as in document generation).
-        seed: master RNG seed.
-    """
-
-    n_sources: int
-    topics_per_source: int = 1
-    docs_per_source: tuple[int, int] = (40, 400)
-    general_fraction: float = 0.15
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.n_sources <= 0:
-            raise ValueError("n_sources must be positive")
-        if not 1 <= self.topics_per_source <= len(V.TOPICS):
-            raise ValueError("topics_per_source out of range")
-        if not 0.0 <= self.general_fraction <= 1.0:
-            raise ValueError("general_fraction must be in [0, 1]")
-
-
-def generate_source_summaries(
-    spec: SummaryPopulationSpec,
-) -> dict[str, SContentSummary]:
-    """``source id → content summary`` for a whole synthetic federation.
-
-    Deterministic for a given spec.  Document frequencies are derived
-    from the sampled occurrence counts under a mild within-document
-    clustering assumption (a word seen c times lands in roughly 3c/4
-    distinct documents, capped by both c and the document count), which
-    keeps df ≤ postings and df ≤ num_docs — the invariants GlOSS-style
-    selectors lean on.
-    """
-    spec.validate()
-    rng = random.Random(spec.seed)
-    topic_names = sorted(V.TOPICS)
-    summaries: dict[str, SContentSummary] = {}
-    for index in range(spec.n_sources):
-        source_rng = random.Random(rng.random())
-        picked = [
-            topic_names[(index + offset) % len(topic_names)]
-            for offset in range(spec.topics_per_source)
-        ]
-        n_general = int(_WORDS_PER_SOURCE * spec.general_fraction)
-        n_topical = _WORDS_PER_SOURCE - n_general
-        words: list[str] = []
-        per_topic = n_topical // len(picked)
-        for topic in picked:
-            sampler = _Sampler(V.TOPICS[topic], source_rng)
-            words.extend(sampler.take(per_topic))
-        if n_general:
-            words.extend(_Sampler(V.GENERAL_WORDS, source_rng).take(n_general))
-        num_docs = source_rng.randint(*spec.docs_per_source)
-        counts = Counter(words)
-        entries = [
-            SummaryEntryLine(
-                word,
-                postings,
-                max(1, min(num_docs, postings, (3 * postings) // 4 + 1)),
-            )
-            for word, postings in counts.items()
-        ]
-        # Most frequent first, then alphabetical — the export order
-        # build_content_summary produces.
-        entries.sort(key=lambda entry: (-entry.postings, entry.word))
-        summaries[f"Source-{index:04d}"] = SContentSummary(
-            num_docs=num_docs,
-            sections=(SummarySection("body-of-text", "en", tuple(entries)),),
-        )
-    return summaries

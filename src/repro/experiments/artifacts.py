@@ -11,11 +11,13 @@ seeds are part of a table's definition, so nothing here takes a parameter.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import re
+import zlib
 from dataclasses import replace
 from functools import cache
 
-from repro.broker import build_hierarchy
 from repro.corpus import source1_documents, source2_documents, ullman_dood_document
 from repro.corpus.generator import CollectionSpec, generate_collection
 from repro.experiments.endtoend import run_end_to_end_experiment
@@ -38,10 +40,9 @@ from repro.metasearch.merging import (
     TfIdfRecomputeMerge,
 )
 from repro.metasearch.rewriting import PredicateRewriter
-from repro.metasearch.selection import VGlossMax
+from repro.metasearch.selection import VGlossMax, order_key
 from repro.metasearch.summary_index import SummaryIndex
 from repro.metasearch.translation import ClientTranslator
-from repro.observability.metrics import MetricsRegistry, get_registry, set_registry
 from repro.resource import Resource
 from repro.source import SourceCapabilities, StartsSource
 from repro.starts import BASIC1, SQuery, parse_expression
@@ -235,25 +236,55 @@ class _NoDeclaredRange(NormalizedScoreMerge):
         )
 
 
+#: Virtual nodes per leaf on A2's routing ring.
+_RING_VIRTUAL_NODES = 128
+
+
+def _ring_point(label: str) -> int:
+    return zlib.crc32(label.encode("utf-8")) & 0xFFFFFFFF
+
+
 def _flat_and_brokered(summaries, n_leaves, queries, k):
     """Select for every query over a flat index and over a root/leaf
-    hierarchy of the same summaries: ``(flat picks, brokered picks, mean
-    leaves descended)``, the last read from the ``broker_route_depth``
-    histogram the root keeps."""
+    hierarchy of the same summaries (ref [8]): ``(flat picks, brokered
+    picks, mean leaves descended)``.
+
+    Each source lives on the leaf owning the first point at or after its
+    crc32 on a consistent-hash ring (128 virtual nodes per leaf, wrapping
+    past the top), and each leaf indexes its own shard.  The root
+    descends into a leaf only when some query term has postings there,
+    pools each descended shard's top k with each pruned shard's first k
+    ids at 0.0 — vGlOSS-Max's score for a source holding no query term —
+    and keeps the k best of the pool.  vGlOSS-Max reads no corpus-level
+    statistic, so a shard scores each of its sources exactly as the flat
+    index does.
+    """
     selector = VGlossMax()
-    index = SummaryIndex.from_summaries(summaries)
-    root = build_hierarchy(n_leaves)
+    leaves = [f"leaf-{index:02d}" for index in range(n_leaves)]
+    ring = sorted(
+        (_ring_point(f"{leaf}#{replica}"), leaf)
+        for leaf in leaves
+        for replica in range(_RING_VIRTUAL_NODES)
+    )
+    shards = {leaf: SummaryIndex() for leaf in leaves}
     for source_id, summary in summaries.items():
-        root.apply_delta(source_id, summary)
-    flat = [selector.select(terms, index, k) for terms in queries]
-    previous = get_registry()
-    registry = set_registry(MetricsRegistry())
-    try:
-        brokered = [root.select(selector, terms, k) for terms in queries]
-    finally:
-        set_registry(previous)
-    ((_, histogram),) = registry.family("broker_route_depth").children()
-    return flat, brokered, histogram.sum / histogram.count
+        point = bisect.bisect_left(ring, (_ring_point(source_id), ""))
+        shards[ring[point % len(ring)][1]].add(source_id, summary)
+    index = SummaryIndex.from_summaries(summaries)
+    flat, brokered, descended = [], [], 0
+    for terms in queries:
+        flat.append(selector.select(terms, index, k))
+        pool = []
+        for shard in shards.values():
+            if not terms or any(len(shard.term_columns(term)) for term in terms):
+                descended += 1
+                pool += selector.rank(terms, shard)[:k]
+            else:
+                pool += [(source_id, 0.0) for source_id in shard.source_ids()[:k]]
+        brokered.append(
+            [source_id for source_id, _ in heapq.nsmallest(k, pool, key=order_key)]
+        )
+    return flat, brokered, descended / len(queries)
 
 
 def _topical_summary(index: int) -> SContentSummary:

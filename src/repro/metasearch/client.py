@@ -432,9 +432,10 @@ class Metasearcher:
         Raises:
             ProtocolError: if the query has neither expression, or no
                 sources have been discovered yet.
+            ValueError: if ``k_sources`` is negative.
         """
         with self._search_scope(
-            query, tracer or Tracer(), merger, executor, group_by_resource
+            query, k_sources, tracer or Tracer(), merger, executor, group_by_resource
         ) as search:
             self._select(search, k_sources, selector)
             if not self._serve_from_cache(search):
@@ -484,7 +485,7 @@ class Metasearcher:
         and logged as ``abandoned``, with whatever had answered by then.
         """
         with self._search_scope(
-            query, tracer or Tracer(), merger, executor, group_by_resource
+            query, k_sources, tracer or Tracer(), merger, executor, group_by_resource
         ) as search:
             self._select(search, k_sources, selector)
             if self._serve_from_cache(search):
@@ -511,6 +512,7 @@ class Metasearcher:
     def _search_scope(
         self,
         query: SQuery,
+        k_sources: int,
         tracer: Tracer,
         merger: MergeStrategy | None,
         executor: Executor | None,
@@ -527,6 +529,8 @@ class Metasearcher:
         ``yield``.
         """
         query.validate()
+        if k_sources < 0:
+            raise ValueError(f"k_sources must be >= 0, got {k_sources}")
         if (
             not self.discovery.summary_index().source_count
             and not self.discovery.known_sources()
@@ -565,11 +569,10 @@ class Metasearcher:
         with _phase(
             tracer, "select", search.span, selector=selector.name, k=k_sources
         ) as span:
-            indexed = self.discovery.summary_index().source_count
+            index = self.discovery.summary_index()
+            indexed = index.source_count
             if indexed:
-                selected_ids = self._pick_sources(
-                    tracer, span, selector, search.terms, k_sources
-                )
+                selected_ids = selector.select(search.terms, index, k_sources)
             else:
                 # No source exported a summary: nothing to score, so the
                 # first k by id stand in.
@@ -592,20 +595,6 @@ class Metasearcher:
                     f"merge={type(search.merger).__name__}",
                 )
             )
-
-    def _pick_sources(
-        self,
-        tracer: Tracer,
-        span: Span,
-        selector: SourceSelector,
-        terms: list[str],
-        k_sources: int,
-    ) -> list[str]:
-        """The top ``k_sources`` ids for ``terms`` — the hook a subclass
-        overrides to select through something other than the flat,
-        incrementally maintained summary index (sparse term shards
-        instead of a dense scan over every summary)."""
-        return selector.select(terms, self.discovery.summary_index(), k_sources)
 
     def _serve_from_cache(self, search: _Round) -> bool:
         """Answer from the result cache if it holds the round's key.

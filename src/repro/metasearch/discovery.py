@@ -85,13 +85,6 @@ class DiscoveryService:
     #: dropped or replaced, so downstream caches (query results,
     #: negative entries) can purge anything derived from it.
     _purge_hooks: list[Callable[[str], None]] = dataclass_field(default_factory=list)
-    #: callbacks fired with ``(source_id, summary | None)`` on every
-    #: summary-index delta — the same stream that maintains
-    #: :attr:`_summary_index`, so a broker hierarchy subscribing here
-    #: sees add/replace/remove in the exact order the flat index did.
-    _delta_hooks: list[Callable[[str, SContentSummary | None], None]] = dataclass_field(
-        default_factory=list
-    )
     #: the inverted view of every harvested summary, maintained as
     #: deltas: harvest adds, re-harvest replaces, :meth:`forget` drops.
     #: Selection scores against this instead of rescanning the dict.
@@ -133,7 +126,6 @@ class DiscoveryService:
                     self._sources[source_id] = known
                     self.fetched_on[source_id] = self.clock
                     self._summary_index.update(source_id, known.summary)
-                    self._fire_delta(source_id, known.summary)
                     if refreshing:
                         # The source's metadata/summary just changed out
                         # from under anything derived from the old copy.
@@ -204,22 +196,6 @@ class DiscoveryService:
         for hook in self._purge_hooks:
             hook(source_id)
 
-    def add_delta_hook(
-        self, hook: Callable[[str, SContentSummary | None], None]
-    ) -> None:
-        """Call ``hook(source_id, summary)`` on every summary delta.
-
-        ``summary`` is the freshly harvested summary (add or replace) or
-        ``None`` when the source is forgotten — exactly the arguments
-        :meth:`SummaryIndex.update` just received, in the same order."""
-        self._delta_hooks.append(hook)
-
-    def _fire_delta(
-        self, source_id: str, summary: SContentSummary | None
-    ) -> None:
-        for hook in self._delta_hooks:
-            hook(source_id, summary)
-
     def forget(self, source_id: str) -> None:
         """Drop *everything* cached for a source, not just its entry.
 
@@ -234,8 +210,7 @@ class DiscoveryService:
             # holds the KnownSource record.
             known.summary = None
             known.sample_results = None
-        if self._summary_index.remove(source_id):
-            self._fire_delta(source_id, None)
+        self._summary_index.remove(source_id)
         self.fetched_on.pop(source_id, None)
         self.unreachable.pop(source_id, None)
         self._fire_purge(source_id)

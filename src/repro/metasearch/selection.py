@@ -75,9 +75,8 @@ Summaries = dict[str, SContentSummary] | SummaryIndex
 def order_key(pair: tuple[str, float]) -> tuple[float, str]:
     """The total order every ranking obeys: descending goodness, ties on id.
 
-    Public because the broker root merges per-leaf candidate lists with
-    the very same key — any other order would break bit-exactness with
-    the flat ranking.
+    Public because a ranking merged from several partial rankings (table
+    A2's per-shard pools) must break ties exactly as one ranking does.
     """
     return (-pair[1], pair[0])
 
@@ -100,19 +99,6 @@ class SourceSelector:
     """Interface: score every source for a query, best first."""
 
     name = "base"
-
-    #: Whether per-source scores depend only on the source's own summary
-    #: plus corpus-level statistics (source count, mean word mass,
-    #: per-term collection frequencies).  Distributable selectors can be
-    #: evaluated shard-by-shard in a broker hierarchy and merged into the
-    #: exact flat ranking; selectors that need the whole id set at once
-    #: (a global permutation, a cross-source discount) cannot.
-    distributable = True
-
-    #: Whether a shard containing none of the query terms can be skipped
-    #: outright: every one of its sources then scores exactly
-    #: :meth:`sparse_default`.  Only meaningful when ``distributable``.
-    prunable = False
 
     # -- public entry points (timed) ---------------------------------------
 
@@ -147,35 +133,6 @@ class SourceSelector:
             ]
         finally:
             _observe_selection(self.name, started)
-
-    def top_candidates(
-        self,
-        terms: Sequence[str],
-        summaries: Summaries,
-        k: int,
-    ) -> list[tuple[str, float]]:
-        """The top-k ``(source_id, goodness)`` pairs, best first.
-
-        Exactly the pairs whose ids :meth:`select` returns, with the
-        goodness riding along — what a leaf broker sends up so the root
-        can merge per-shard candidate lists into the exact global top-k
-        with :func:`order_key`.
-        """
-        started = time.perf_counter()
-        try:
-            pool = self._candidates(terms, _as_index(summaries), k)
-            return heapq.nsmallest(k, pool, key=order_key)
-        finally:
-            _observe_selection(self.name, started)
-
-    def sparse_default(self, terms: Sequence[str], n_sources: int) -> float:
-        """The goodness of a source containing none of the query terms.
-
-        Must equal the default half of :meth:`_sparse_scores` bit for
-        bit: the broker root assigns it to every source of a leaf whose
-        shards hold no query term, without descending into the leaf.
-        """
-        return 0.0
 
     # -- sparse scoring ----------------------------------------------------
 
@@ -226,7 +183,6 @@ class BGloss(SourceSelector):
     """Boolean GlOSS: expected number of documents matching ALL terms."""
 
     name = "bGlOSS"
-    prunable = True
 
     def _sparse_scores(
         self, terms: Sequence[str], index: SummaryIndex
@@ -275,7 +231,6 @@ class VGlossSum(SourceSelector):
     """Vector-space GlOSS, Sum variant: total postings mass of the terms."""
 
     name = "vGlOSS-Sum"
-    prunable = True
 
     def _sparse_scores(
         self, terms: Sequence[str], index: SummaryIndex
@@ -300,7 +255,6 @@ class VGlossMax(SourceSelector):
     """
 
     name = "vGlOSS-Max"
-    prunable = True
 
     def _sparse_scores(
         self, terms: Sequence[str], index: SummaryIndex
@@ -350,7 +304,6 @@ class Cori(SourceSelector):
     """
 
     name = "CORI"
-    prunable = True
 
     def _sparse_scores(
         self, terms: Sequence[str], index: SummaryIndex
@@ -403,26 +356,11 @@ class Cori(SourceSelector):
             touched[ordinal] = belief_sum / n_terms
         return touched, default
 
-    def sparse_default(self, terms: Sequence[str], n_sources: int) -> float:
-        if not n_sources or not terms:
-            return 0.0
-        # Summed exactly as the sparse path sums a per-term list of
-        # 0.4s, so a pruned shard's sources match the flat default bit
-        # for bit.
-        default_sum = 0.0
-        for _ in terms:
-            default_sum += 0.4
-        return default_sum / len(terms)
-
 
 class SelectAll(SourceSelector):
     """Baseline: every source is equally good (score 1)."""
 
     name = "all"
-    prunable = True
-
-    def sparse_default(self, terms: Sequence[str], n_sources: int) -> float:
-        return 1.0
 
     def _sparse_scores(
         self, terms: Sequence[str], index: SummaryIndex
@@ -434,9 +372,6 @@ class RandomSelector(SourceSelector):
     """Baseline: a seeded random permutation per query."""
 
     name = "random"
-    #: The permutation is over the full id set at once — per-shard
-    #: permutations merged at a root would be a different shuffle.
-    distributable = False
 
     def __init__(self, seed: int = 0) -> None:
         self._seed = seed
@@ -489,10 +424,6 @@ class CostAware(SourceSelector):
     """
 
     name = "cost-aware"
-    #: The discount can promote a source past the inner per-shard top-k,
-    #: so a leaf cannot know its own exact candidates without the costs
-    #: of every other leaf's sources.
-    distributable = False
 
     def __init__(
         self,
@@ -527,9 +458,8 @@ class CostAware(SourceSelector):
         return self._rank(terms, index)
 
 
-#: CLI/wire names → zero-argument selector factories.  What the
-#: ``python -m repro select``/``broker`` subcommands accept and what a
-#: network leaf endpoint resolves a requested selector name against.
+#: CLI names → zero-argument selector factories: what ``python -m repro
+#: select --selector`` accepts.
 SELECTOR_REGISTRY: dict[str, type[SourceSelector]] = {
     "cori": Cori,
     "bgloss": BGloss,

@@ -26,8 +26,8 @@ only thing a selector scores:
 Mutations are deltas: :meth:`add` interns or re-harvests one source,
 :meth:`remove` drops it, and every delta bumps :attr:`generation` so
 downstream memos (sorted id order, selector caches) know to refresh.
-The original summary objects are retained: a leaf broker merges them
-into its aggregate summary.
+The summary objects themselves are not retained: the discovery service
+that feeds the index holds them.
 
 Word keying follows each summary's own case rule, exactly as
 :meth:`SContentSummary.lookup` does: a case-insensitive summary is
@@ -129,7 +129,6 @@ class SummaryIndex:
         self._source_terms: list[tuple[str, ...]] = []
         self._free: list[int] = []
         self._ordinal_of: dict[str, int] = {}
-        self._summaries: dict[str, SContentSummary] = {}
         # Term shards and incrementally maintained corpus statistics.
         self._shards: dict[str, _TermShard] = {}
         self._clamped_mass_total = 0  # exact integer sum of max(1, mass)
@@ -189,7 +188,6 @@ class SummaryIndex:
             shard.add(ordinal, document_frequency, postings)
         self._source_terms[ordinal] = tuple(statistics)
         self._ordinal_of[source_id] = ordinal
-        self._summaries[source_id] = summary
         self._clamped_mass_total += max(1, self._word_mass[ordinal])
         self._bump()
 
@@ -215,7 +213,6 @@ class SummaryIndex:
         self._num_docs[ordinal] = 0
         self._word_mass[ordinal] = 0
         self._free.append(ordinal)
-        del self._summaries[source_id]
         self._bump()
         return True
 
@@ -253,15 +250,6 @@ class SummaryIndex:
         """``max(1.0, total word mass)`` — CORI's per-source ``cw``."""
         return max(1.0, float(self._word_mass[ordinal]))
 
-    @property
-    def clamped_mass_total(self) -> int:
-        """The exact integer sum of ``max(1, word mass)`` over sources.
-
-        Additive across disjoint shards: a broker root sums its leaves'
-        totals and recovers the flat index's mean word mass bit for bit.
-        """
-        return self._clamped_mass_total
-
     def mean_clamped_word_mass(self) -> float:
         """Mean clamped word mass over live sources.
 
@@ -283,13 +271,6 @@ class SummaryIndex:
 
     def source_ids(self) -> list[str]:
         return [source_id for source_id, _ in self.sorted_sources()]
-
-    def summaries(self) -> dict[str, SContentSummary]:
-        """A copy of the indexed ``source id → summary`` mapping."""
-        return dict(self._summaries)
-
-    def summary(self, source_id: str) -> SContentSummary:
-        return self._summaries[source_id]
 
     # -- term shards -------------------------------------------------------
 

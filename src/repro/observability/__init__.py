@@ -33,7 +33,6 @@ from repro.observability.metrics import (
     MetricFamily,
     MetricsRegistry,
     get_registry,
-    linear_buckets,
     log_scale_buckets,
     set_registry,
 )
@@ -50,8 +49,6 @@ from repro.observability.tracing import (
     TraceCollector,
     TraceContext,
     Tracer,
-    ambient_span,
-    current_ambient_span,
     current_trace_context,
     trace_context,
 )
@@ -67,7 +64,6 @@ __all__ = [
     "MetricFamily",
     "MetricsRegistry",
     "get_registry",
-    "linear_buckets",
     "log_scale_buckets",
     "set_registry",
     "QueryLog",
@@ -80,8 +76,6 @@ __all__ = [
     "TraceCollector",
     "TraceContext",
     "Tracer",
-    "ambient_span",
-    "current_ambient_span",
     "current_trace_context",
     "trace_context",
 ]

@@ -42,29 +42,8 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS_MS",
     "get_registry",
     "set_registry",
-    "linear_buckets",
     "log_scale_buckets",
 ]
-
-
-def linear_buckets(start: float, stop: float, step: float = 1.0) -> tuple[float, ...]:
-    """Evenly spaced bucket bounds from ``start`` through ``stop``.
-
-    The right shape for small bounded counts (a broker's route depth,
-    a retry budget) where the log ladder would lump everything into two
-    buckets.  The final bound is always exactly ``stop``.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if stop < start:
-        raise ValueError("need start <= stop")
-    bounds: list[float] = []
-    bound = float(start)
-    while bound < stop:
-        bounds.append(bound)
-        bound += step
-    bounds.append(float(stop))
-    return tuple(bounds)
 
 
 def log_scale_buckets(

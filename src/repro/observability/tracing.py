@@ -37,8 +37,6 @@ __all__ = [
     "TraceCollector",
     "TraceContext",
     "Tracer",
-    "ambient_span",
-    "current_ambient_span",
     "current_trace_context",
     "trace_context",
 ]
@@ -105,12 +103,6 @@ _ACTIVE_CONTEXT: ContextVar[TraceContext | None] = ContextVar(
     "repro_trace_context", default=None
 )
 
-#: The (tracer, span) pair in-process subsystems attach child spans to
-#: without explicit plumbing through every call signature.
-_ACTIVE_SPAN: ContextVar["tuple[Tracer, Span] | None"] = ContextVar(
-    "repro_ambient_span", default=None
-)
-
 
 def current_trace_context() -> TraceContext | None:
     """The ambient :class:`TraceContext`, if one is active."""
@@ -128,21 +120,6 @@ def trace_context(context: TraceContext | None):
         yield
     finally:
         _ACTIVE_CONTEXT.reset(token)
-
-
-def current_ambient_span() -> "tuple[Tracer, Span] | None":
-    """The ambient ``(tracer, span)`` pair, if one is active."""
-    return _ACTIVE_SPAN.get()
-
-
-@contextmanager
-def ambient_span(tracer: "Tracer", span: "Span"):
-    """Make ``span`` the ambient parent for nested subsystems."""
-    token = _ACTIVE_SPAN.set((tracer, span))
-    try:
-        yield
-    finally:
-        _ACTIVE_SPAN.reset(token)
 
 
 @dataclass

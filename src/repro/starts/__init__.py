@@ -42,7 +42,6 @@ from repro.starts.metadata import (
     SResource,
     SummaryEntryLine,
     SummarySection,
-    merge_summaries,
 )
 from repro.starts.parser import parse_expression
 from repro.starts.query import PROTOCOL_VERSION, SortKey, SQuery
@@ -78,7 +77,6 @@ __all__ = [
     "SResource",
     "SummaryEntryLine",
     "SummarySection",
-    "merge_summaries",
     "parse_expression",
     "PROTOCOL_VERSION",
     "SortKey",

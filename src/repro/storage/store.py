@@ -34,7 +34,6 @@ import time
 
 from repro.engine.documents import CommittedSegments, Document
 from repro.engine.index import SummaryEntry, fold_summary_sections
-from repro.federation.executor import submit_background
 from repro.observability.metrics import get_registry
 from repro.storage.format import StorageError
 from repro.storage.manifest import (
@@ -339,6 +338,10 @@ class SegmentStore(CommittedSegments):
         if not self.plan_merge():
             return False
         if executor is not None:
+            # Imported here: the federation package reaches the engine,
+            # and so this module, through the transport it imports.
+            from repro.federation.executor import submit_background
+
             submit_background(executor, self.merge_all, task_name="segment-merge")
             return True
         return self.merge_all() > 0

@@ -100,67 +100,3 @@ class TestZipf:
         flat = zipf_weights(10, 0.5)
         steep = zipf_weights(10, 2.0)
         assert steep[9] < flat[9]
-
-
-class TestSummaryPopulation:
-    def population(self, **overrides):
-        from repro.corpus.generator import (
-            SummaryPopulationSpec,
-            generate_source_summaries,
-        )
-
-        defaults = dict(n_sources=12, seed=9)
-        defaults.update(overrides)
-        return generate_source_summaries(SummaryPopulationSpec(**defaults))
-
-    def test_deterministic(self):
-        assert self.population() == self.population()
-        assert self.population() != self.population(seed=10)
-
-    def test_shape_and_invariants(self):
-        summaries = self.population()
-        assert len(summaries) == 12
-        for summary in summaries.values():
-            assert summary.num_docs >= 40
-            (section,) = summary.sections
-            assert section.field == "body-of-text"
-            assert section.entries  # every source has vocabulary
-            for entry in section.entries:
-                # df ≤ postings and df ≤ num_docs — the GlOSS invariants.
-                assert 1 <= entry.document_frequency <= entry.postings
-                assert entry.document_frequency <= summary.num_docs
-
-    def test_topical_zipf_head(self):
-        """Each source's most frequent word dominates — Zipf, not uniform."""
-        summaries = self.population()
-        for summary in summaries.values():
-            entries = summary.sections[0].entries
-            assert entries[0].postings > entries[-1].postings
-
-    def test_neighbouring_sources_cycle_topics(self):
-        """Sources draw from cycled topic pools, so adjacent sources get
-        distinct topical heads while same-topic sources overlap."""
-        summaries = self.population(n_sources=14)  # two full topic cycles
-        tops = [
-            {entry.word for entry in summary.sections[0].entries[:10]}
-            for summary in summaries.values()
-        ]
-        # Source i and i+7 share a topic pool; i and i+1 do not.
-        assert len(tops[0] & tops[7]) > len(tops[0] & tops[1])
-
-    def test_validation(self):
-        from repro.corpus.generator import (
-            SummaryPopulationSpec,
-            generate_source_summaries,
-        )
-
-        with pytest.raises(ValueError):
-            generate_source_summaries(SummaryPopulationSpec(n_sources=0))
-        with pytest.raises(ValueError):
-            generate_source_summaries(
-                SummaryPopulationSpec(n_sources=1, general_fraction=2.0)
-            )
-        with pytest.raises(ValueError):
-            generate_source_summaries(
-                SummaryPopulationSpec(n_sources=1, topics_per_source=99)
-            )

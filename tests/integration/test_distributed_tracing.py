@@ -5,8 +5,7 @@ The trace context crosses the wire (simulated or a socket) as a
 fragment into a :class:`TraceCollector`, and ``explain`` /
 :func:`stitch_traces` splice everything back into a single tree under
 one trace id — the client's ``query:<id>`` span → the server's
-``serve:query:<id>`` span.  A brokered selection stays in one process:
-its tree is ``select:broker`` → one ``rpc:*`` span per leaf consulted.
+``serve:query:<id>`` span.
 """
 
 import json
@@ -15,8 +14,6 @@ import time
 
 import pytest
 
-from repro.federation import AsyncExecutor
-from repro.metasearch.selection import Cori
 from repro.cache import CachePolicy
 from repro.corpus import CollectionSpec, generate_collection
 from repro.metasearch import Metasearcher
@@ -31,33 +28,6 @@ from repro.transport import (
     publish_resource,
 )
 from repro.vendors import build_vendor_source
-
-from tests.broker.util import demo_population, populated
-
-
-class TestBrokerSpans:
-    @pytest.fixture(params=["serial", "async"])
-    def spans(self, request):
-        # Contextvars do not cross AsyncExecutor's worker pool (leaf
-        # consultations are plain callables); the explicit capture in
-        # RootBroker._consult must keep the tree intact anyway.
-        executor = AsyncExecutor(max_concurrency=4) if request.param == "async" else None
-        root = populated(3, demo_population(), executor=executor)
-        tracer = Tracer()
-        assert root.select(Cori(), ["databases", "medicine"], 3, tracer=tracer)
-        rows = stitch_traces(tracer.trace())
-        return [row for row in rows if row["kind"] == "span"]
-
-    def test_rpc_spans_nest_under_select(self, spans):
-        (select,) = [row for row in spans if row["parent_id"] is None]
-        assert select["name"] == "select:broker"
-        consulted = [row for row in spans if row is not select]
-        assert {row["parent_id"] for row in consulted} == {select["span_id"]}
-        for op in ("probe", "select"):
-            assert {
-                row["name"] for row in consulted if row["name"].startswith(f"rpc:{op}:")
-            } == {f"rpc:{op}:leaf-{index:02d}" for index in range(3)}
-
 
 SLOW, SLOW_MS = "Trace-Net", 20.0
 

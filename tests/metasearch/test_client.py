@@ -8,8 +8,17 @@ from repro.metasearch import (
     RandomSelector,
     SelectAll,
 )
+from repro.corpus import CollectionSpec, generate_collection
+from repro.resource import Resource
 from repro.starts import SQuery, parse_expression
 from repro.starts.errors import ProtocolError
+from repro.transport import SimulatedInternet
+from repro.transport.server import (
+    publish_endpoints,
+    resource_endpoints,
+    source_endpoints,
+)
+from repro.vendors import build_vendor_source
 
 
 @pytest.fixture
@@ -63,6 +72,47 @@ class TestSearchPipeline:
     def test_invalid_query_rejected(self, searcher):
         with pytest.raises(ProtocolError):
             searcher.search(SQuery())
+
+
+def _searcher_without_summaries():
+    """Four sources whose summary endpoints are dark: nothing to score."""
+    internet = SimulatedInternet(seed=5)
+    resource = Resource("Dark")
+    for index, vendor in enumerate(["AcmeSearch", "OkapiWorks", "InferNet", "ZeusFind"]):
+        source_id = f"Exp-{index:02d}"
+        spec = CollectionSpec(source_id, {"databases": 1.0}, size=10, seed=index)
+        resource.add_source(
+            build_vendor_source(vendor, source_id, generate_collection(spec))
+        )
+    publish_endpoints(internet, "http://dark.example.org", resource_endpoints(resource))
+    for source_id in resource.source_ids():
+        source = resource.source(source_id)
+        endpoints = source_endpoints(source, source.base_url, resource)
+        del endpoints["GET", "cont_sum.txt"]
+        publish_endpoints(internet, source.base_url, endpoints)
+    searcher = Metasearcher(internet, ["http://dark.example.org/resource"])
+    searcher.refresh()
+    assert not searcher.discovery.summary_index().source_count
+    return searcher
+
+
+class TestSourceCount:
+    """A negative ``k_sources`` is rejected whether or not a summary is
+    indexed, by ``search`` and ``search_stream`` alike."""
+
+    @pytest.fixture(params=["summaries indexed", "no summary indexed"])
+    def either_branch(self, request, searcher):
+        if request.param == "summaries indexed":
+            return searcher
+        return _searcher_without_summaries()
+
+    @pytest.mark.parametrize("call", ["search", "search_stream"])
+    def test_a_negative_count_is_rejected(self, either_branch, call):
+        with pytest.raises(ValueError, match="k_sources must be >= 0"):
+            if call == "search":
+                either_branch.search(db_query(), k_sources=-1)
+            else:
+                next(either_branch.search_stream(db_query(), k_sources=-1))
 
 
 class TestStrategyOverrides:

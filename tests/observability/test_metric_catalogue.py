@@ -48,7 +48,7 @@ def test_the_catalogue_lists_exactly_the_declared_families():
     assert declared - documented == set(), "declared in src/, missing from the table"
     assert documented - declared == set(), "in the table, declared nowhere in src/"
     assert "source_requests_total" in declared
-    assert len(declared) == 32  # the count docs/architecture.md states
+    assert len(declared) == 29  # the count docs/architecture.md states
 
 
 def test_no_unlabelled_family_reports_one_store():
@@ -68,4 +68,3 @@ def test_every_family_names_its_reader():
     # The readers the suite and the product depend on (ISSUE 22).
     assert "suite" in readers["engine_postings_walked_total"]
     assert "suite" in readers["engine_postings_skipped_total"]
-    assert "artifacts.py" in readers["broker_route_depth"]

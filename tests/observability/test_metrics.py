@@ -178,38 +178,6 @@ class TestDisabledRegistry:
         assert get_registry() is previous
 
 
-class TestLinearBuckets:
-    def test_even_spacing_through_stop(self):
-        from repro.observability import linear_buckets
-
-        assert linear_buckets(0.0, 4.0) == (0.0, 1.0, 2.0, 3.0, 4.0)
-        assert linear_buckets(0.0, 10.0, step=2.5) == (0.0, 2.5, 5.0, 7.5, 10.0)
-
-    def test_final_bound_is_exactly_stop(self):
-        from repro.observability import linear_buckets
-
-        # A step that does not divide the span still lands on stop.
-        bounds = linear_buckets(0.0, 1.0, step=0.3)
-        assert bounds[-1] == 1.0
-        assert list(bounds) == sorted(bounds)
-
-    def test_degenerate_and_invalid_ranges(self):
-        from repro.observability import linear_buckets
-
-        assert linear_buckets(5.0, 5.0) == (5.0,)
-        with pytest.raises(ValueError):
-            linear_buckets(0.0, 1.0, step=0.0)
-        with pytest.raises(ValueError):
-            linear_buckets(2.0, 1.0)
-
-    def test_feeds_a_histogram(self):
-        from repro.observability import linear_buckets
-
-        histogram = Histogram(linear_buckets(0.0, 16.0))
-        histogram.observe(3.0)
-        assert histogram.count == 1
-
-
 def _federation(seed: int = 7):
     """A private three-vendor federation (swapping the process registry
     around a shared session-scoped one would leak)."""

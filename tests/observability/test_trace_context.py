@@ -9,8 +9,6 @@ from repro.observability import (
     TraceCollector,
     TraceContext,
     Tracer,
-    ambient_span,
-    current_ambient_span,
     current_trace_context,
     trace_context,
 )
@@ -144,13 +142,6 @@ class TestAmbientContext:
             worker.start()
             worker.join()
         assert seen == [None]
-
-    def test_ambient_span_is_scoped(self):
-        tracer = Tracer()
-        with tracer.span("outer") as span:
-            with ambient_span(tracer, span):
-                assert current_ambient_span() == (tracer, span)
-            assert current_ambient_span() is None
 
 
 class TestTracerContinuation:

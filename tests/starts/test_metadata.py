@@ -14,7 +14,6 @@ from repro.starts.metadata import (
     SResource,
     SummaryEntryLine,
     SummarySection,
-    merge_summaries,
 )
 from repro.starts.soif import parse_soif
 
@@ -209,16 +208,14 @@ class TestSContentSummary:
         assert 'TermDocFreq{12}: "rock"n" 3 2\n' in summary.to_soif().dump()
 
     def test_only_the_declared_statistics_are_written(self):
-        """A merge with a df-only summary declares df alone; its clamped
-        postings must not be written where a reader expects the df."""
+        """A summary declaring df alone may still hold postings in its
+        entries; they must not be written where a reader expects the df."""
         df_only = SContentSummary(
             num_docs=1,
-            sections=(SummarySection("title", "es", (SummaryEntryLine("datos", -1, 1),)),),
+            sections=(SummarySection("title", "es", (SummaryEntryLine("datos", 59, 13),)),),
             has_postings=False,
         )
-        merged = merge_summaries([self.summary(), df_only])
-        assert not merged.has_postings
-        assert SContentSummary.from_soif(parse_soif(merged.to_soif().dump())).document_frequency(
+        assert SContentSummary.from_soif(parse_soif(df_only.to_soif().dump())).document_frequency(
             "datos"
         ) == 13
 

@@ -119,7 +119,7 @@ def assert_same_statistics(summary: SContentSummary, reference: SContentSummary)
     assert production.term_count == expected.term_count
     for word in statistics:
         assert production.term_columns(word) == expected.term_columns(word)
-    assert production.clamped_mass_total == expected.clamped_mass_total
+    assert production.mean_clamped_word_mass() == expected.mean_clamped_word_mass()
 
 
 def assert_decodes_like_the_oracle(obj: SoifObject) -> None:

@@ -27,7 +27,6 @@ PACKAGES = [
     "repro.observability",
     "repro.cache",
     "repro.metasearch",
-    "repro.broker",
     "repro.storage",
     "repro.experiments",
     "repro.zdsr",
@@ -83,24 +82,6 @@ def test_conformance_and_snippets_at_top_level():
     assert callable(repro.make_snippet)
 
 
-def test_broker_exports_the_partitioner_the_leaf_protocol_and_the_exact_root():
-    """And nothing else: no replication, admission or routing policy,
-    no leaf wire and no leaf checkpoint (both last exist at 74503cc)."""
-    import repro.broker
-
-    assert sorted(repro.broker.__all__) == [
-        "BrokeredMetasearcher",
-        "ConsistentHashRing",
-        "CorpusStats",
-        "GlobalStatsView",
-        "LeafBroker",
-        "LeafHandle",
-        "LeafProbe",
-        "RootBroker",
-        "build_hierarchy",
-    ]
-
-
 def test_two_executors_not_three():
     import repro
     import repro.federation
@@ -118,14 +99,14 @@ def test_both_wires_are_transports():
     assert isinstance(HttpTransport(), Transport)
 
 
-def test_transport_sits_below_the_broker_and_the_metasearcher():
+def test_transport_sits_below_the_metasearcher():
     """The wire serves whatever is mounted on it; it imports none of it."""
     import repro.transport
 
     offenders = [
         str(path)
         for path in pathlib.Path(repro.transport.__file__).parent.glob("*.py")
-        if re.search(r"repro\.(broker|metasearch)", path.read_text())
+        if re.search(r"repro\.metasearch", path.read_text())
     ]
     assert not offenders
 
@@ -264,7 +245,6 @@ CALLER_ROOTS = ("src", "examples")
 PATCHED_BY_NAME_ROOTS = ("benchmarks/suite",)
 CITATION = re.compile(r"§\s?\d|EXPERIMENTS\.md")
 UNCALLED = {
-    "BrokeredMetasearcher": "DESIGN.md §2 'Broker hierarchies' row (ref [8]): the Metasearcher surface over the tree EXPERIMENTS.md table A2 measures; tests/broker/test_facade.py holds its searches bit-identical to the flat searcher's",
     "SearchEngine.tombstone": "DESIGN.md §2 'Segment store' row, §4.3.1 DateChanged (collections change between exports): the store's delete that does not rebuild; ROADMAP item 3's crash harness covers commit / merge / tombstone",
     "StartsSource.add_documents": "§4.3.1 DateChanged: a collection grows between metadata exports and the next harvest must see it (tests/source/test_updates.py)",
     "StartsSource.remove_documents": "§4.3.1 DateChanged: the shrinking half of add_documents",
@@ -448,8 +428,10 @@ class TestTheCallerAuditItself:
 
 
 def test_the_leaf_wire_and_the_checkpoints_are_gone_and_nothing_unpickles():
+    """The whole broker tree went with its leaf wire: table A2 models
+    its own root/leaf hierarchy, and nothing imports the package."""
     source = REPO / "src" / "repro"
-    assert not (source / "broker" / "remote.py").exists()
+    assert not (source / "broker").exists()
     assert not (source / "storage" / "checkpoint.py").exists()
     everything = [
         path
@@ -457,7 +439,7 @@ def test_the_leaf_wire_and_the_checkpoints_are_gone_and_nothing_unpickles():
         for path in (REPO / root).rglob("*.py")
         if path != pathlib.Path(__file__)
     ]
-    importing = re.compile(r"repro\.(broker\.remote|storage\.checkpoint)\b")
+    importing = re.compile(r"repro\.(broker|storage\.checkpoint)\b")
     assert not [str(path) for path in everything if importing.search(path.read_text())]
     # ``grep -rn "pickle" src/`` is empty: the only unpickler was the
     # result-cache checkpoint.

@@ -124,12 +124,7 @@ class TestSelectCommand:
         assert main(["select", "   "]) == 2
 
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["select", "databases", "--selector", "no-such-selector"],
-            # A global permutation cannot be evaluated shard by shard.
-            ["broker", "--terms", "databases", "--selector", "random"],
-        ],
+        "argv", [["select", "databases", "--selector", "no-such-selector"]]
     )
     def test_selector_outside_the_registry_is_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -218,7 +213,7 @@ class TestExplainCommand:
 
 
 COMMANDS = {
-    "search", "parse", "select", "broker", "experiment",
+    "search", "parse", "select", "experiment",
     "conformance", "explain", "checkpoint", "serve",
 }
 
@@ -251,27 +246,6 @@ class TestCommandSurface:
             main([command, "--help"])
         assert raised.value.code == 0
         assert f"python -m repro {command}" in capsys.readouterr().out
-
-
-class TestBrokerCommand:
-    def test_prints_routing_table_and_shard_stats(self, capsys, fresh_registry):
-        code = main(["--seed", "3", "broker", "--sources", "60", "--leaves", "3"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "root over 3 leaves" in out
-        assert "leaf-00" in out and "leaf-02" in out
-        assert "sources" in out
-
-    def test_demo_selection_with_terms(self, capsys, fresh_registry):
-        code = main(
-            ["--seed", "3", "broker", "--sources", "40", "--leaves", "2",
-             "--terms", "databases", "-k", "3", "--selector", "cori"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "selection: cori over databases, top 3" in out
-        assert "of 2 leaves)" in out
-        assert out.count("(leaf leaf-0") == 3  # each pick with its owning leaf
 
 
 class TestCheckpointCommand:

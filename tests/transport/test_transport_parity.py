@@ -4,8 +4,7 @@ The same resource is published on the simulated internet and on a
 socket; a ``Metasearcher`` — either executor, batch or stream — and a
 dispatcher with retries must behave over ``HttpTransport`` as they do
 over ``SimulatedInternet``.  Every class below pins a defect the
-hand-copied HTTP fork had (ISSUE 19, rows 1, 2, 4 and 5; row 3 was the
-broker's leaf wire).
+hand-copied HTTP fork had.
 """
 
 import collections

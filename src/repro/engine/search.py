@@ -236,9 +236,9 @@ class SearchEngine:
             self.segment_store.merge_all()
         return self.segment_store.manifest_path()
 
-    def maybe_merge(self, executor: object | None = None) -> bool:
-        """Run (or schedule, given an executor) due segment merges."""
-        return self.segment_store.maybe_merge(executor)
+    def maybe_merge(self) -> bool:
+        """Run due segment merges."""
+        return self.segment_store.maybe_merge()
 
     def close(self) -> None:
         """Release segment mmaps."""

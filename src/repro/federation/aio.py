@@ -12,10 +12,10 @@ It satisfies the :class:`~repro.federation.executor.Executor` protocol
 so every ``Metasearcher`` caller works unchanged — the sync façade owns
 a private event loop per call.  Two things set it apart:
 
-* ``run`` and ``run_stream`` accept *coroutine functions* as well as
-  plain callables; the federation runner hands over its per-source
-  policy coroutine and the loop multiplexes the waits.  Plain callables
-  degrade gracefully to a worker-thread pool.
+* ``run`` and ``run_stream`` take *coroutine functions*: the federation
+  runner hands over its per-source policy coroutine and the loop
+  multiplexes the waits.  A plain callable is a ``TypeError`` — there
+  is no worker-thread pool behind it (see :mod:`repro.federation.executor`).
 * :meth:`run_stream` — the primitive under ``search_stream``'s
   incremental emission — hands a finished task to its consumer at the
   end of the event-loop step it finished in, before any later arrival
@@ -25,10 +25,8 @@ a private event loop per call.  Two things set it apart:
 from __future__ import annotations
 
 import asyncio
-import inspect
 import threading
-from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor as _ThreadPool
+from collections.abc import Awaitable, Callable, Iterator, Sequence
 from typing import TypeVar
 
 from repro.observability.metrics import get_registry
@@ -81,19 +79,15 @@ class AsyncExecutor:
     # -- Executor protocol -------------------------------------------------
 
     def run(
-        self, tasks: Sequence[TaskT], fn: Callable[[TaskT], ResultT]
+        self, tasks: Sequence[TaskT], fn: Callable[[TaskT], Awaitable[ResultT]]
     ) -> list[ResultT]:
-        """Drive ``fn`` over ``tasks``; results come back in task order.
-
-        ``fn`` may be a plain callable (run on worker threads, capped at
-        ``max_concurrency``) or a coroutine function (run natively as
-        asyncio tasks).
-        """
+        """Drive the coroutine function ``fn`` over ``tasks``; results
+        come back in task order."""
         results = dict(self.run_stream(tasks, fn))
         return [results[index] for index in range(len(results))]
 
     def run_stream(
-        self, tasks: Sequence[TaskT], fn: Callable[[TaskT], ResultT]
+        self, tasks: Sequence[TaskT], fn: Callable[[TaskT], Awaitable[ResultT]]
     ) -> Iterator[tuple[int, ResultT]]:
         """Yield ``(task index, result)`` pairs in *completion* order.
 
@@ -110,9 +104,6 @@ class AsyncExecutor:
         if not tasks:
             return
         loop = asyncio.new_event_loop()
-        pool: _ThreadPool | None = None
-        if not inspect.iscoroutinefunction(fn):
-            pool = _ThreadPool(max_workers=min(self.max_concurrency, len(tasks)))
         semaphore = asyncio.Semaphore(self.max_concurrency)
         finished: list[tuple[int, ResultT | None, Exception | None]] = []
 
@@ -121,10 +112,7 @@ class AsyncExecutor:
             async with semaphore:
                 self._enter_task()
                 try:
-                    if pool is None:
-                        result = await fn(task)
-                    else:
-                        result = await loop.run_in_executor(pool, fn, task)
+                    result = await fn(task)
                 except Exception as raised:
                     error = raised
                 finally:
@@ -150,8 +138,6 @@ class AsyncExecutor:
                 task_object.cancel()
             settled = asyncio.gather(*task_objects, return_exceptions=True)
             loop.run_until_complete(settled)
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
             loop.close()
 
     def submit(self, fn: Callable[[], object]) -> None:

@@ -3,8 +3,8 @@
 This is the fault-tolerant core the :class:`~repro.metasearch.client.
 Metasearcher` delegates its query round to.  A :class:`QueryDispatcher`
 takes translated per-source requests, drives them through an
-:class:`~repro.federation.executor.Executor`, and applies each source's
-:class:`~repro.federation.policy.QueryPolicy`: deadline per attempt,
+:class:`~repro.federation.executor.Executor`, and applies its
+:class:`~repro.federation.policy.QueryPolicy` to each: deadline per attempt,
 retries with exponential backoff, optional hedged duplicates.  Every
 request — successful, failed, hedged — is an attempt of the returned
 :class:`~repro.federation.outcomes.SourceOutcome`, so a slow or dead
@@ -72,7 +72,7 @@ def _run_to_completion(coroutine):
 
 
 class QueryDispatcher:
-    """Runs per-source requests under an executor with per-source policies.
+    """Runs per-source requests under an executor and one query policy.
 
     The policy loop (:meth:`_run_policy`) is written once, as a
     coroutine over two injected wire primitives — *send one request*
@@ -84,8 +84,7 @@ class QueryDispatcher:
     Args:
         client: the transport client queries go through.
         executor: serial or asyncio dispatch (default serial).
-        policy: the default :class:`QueryPolicy`.
-        policies: per-source-id overrides of the default policy.
+        policy: the :class:`QueryPolicy` every request runs under.
         tracer: receives one span per source (with per-attempt child
             events); a fresh tracer is created when none is given.
     """
@@ -95,17 +94,12 @@ class QueryDispatcher:
         client: StartsClient,
         executor: Executor | None = None,
         policy: QueryPolicy | None = None,
-        policies: dict[str, QueryPolicy] | None = None,
         tracer: Tracer | None = None,
     ) -> None:
         self.client = client
         self.executor = executor or SerialExecutor()
         self.policy = policy or QueryPolicy()
-        self.policies = dict(policies or {})
         self.tracer = tracer or Tracer()
-
-    def policy_for(self, source_id: str) -> QueryPolicy:
-        return self.policies.get(source_id, self.policy)
 
     def _task_function(self, parent: Span | None):
         """The per-request task the executor drives.
@@ -208,7 +202,7 @@ class QueryDispatcher:
         outcomes; ``send`` and ``wait`` only decide how time is spent.
         """
         source_id = request.source_id
-        policy = self.policy_for(source_id)
+        policy = self.policy
         internet = self.client.internet
         span = self.tracer.open_span(
             f"query:{source_id}", parent=parent, url=request.query_url
@@ -404,7 +398,7 @@ class QueryDispatcher:
         hedges = 0
         for record in attempt.records:
             requests.labels(source_id=source_id, outcome=record.status.value).inc()
-            latency.observe(record.latency_ms, exemplar=self.tracer.trace_id)
+            latency.observe(record.latency_ms)
             hedges += 1 if record.hedged else 0
         if number > 1:
             registry.counter(

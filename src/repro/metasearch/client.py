@@ -55,29 +55,6 @@ from repro.transport.network import Transport
 __all__ = ["MetasearchResult", "Metasearcher", "StreamEmission"]
 
 
-@contextmanager
-def _phase(tracer: Tracer, name: str, parent: Span | None = None, **attributes):
-    """One pipeline phase: its span, and its ``metasearch_phase_ms`` sample.
-
-    ``name`` may carry a ``:<source id>`` suffix (``translate:S1``); the
-    histogram is labelled by the part before it.  The span nests on the
-    tracer's thread-local stack, so a phase must not be held open
-    across a generator's ``yield`` — the one phase that is (a streamed
-    ``query``) opens its span explicitly and calls :func:`_observe_phase`.
-    """
-    with tracer.span(name, parent=parent, **attributes) as span:
-        yield span
-    _observe_phase(name.split(":", 1)[0], span.duration_ms)
-
-
-def _observe_phase(phase: str, duration_ms: float) -> None:
-    get_registry().histogram(
-        "metasearch_phase_ms",
-        "Wall-clock duration of each metasearch pipeline phase.",
-        labels=("phase",),
-    ).labels(phase=phase).observe(duration_ms)
-
-
 #: Pipeline phase names folded into the wide event's ``phase_ms``.
 _LOGGED_PHASES = ("discover", "select", "translate", "query", "merge")
 
@@ -125,12 +102,11 @@ class _Round:
     def account(self) -> None:
         """Count the search and emit the one wide event it owes.
 
-        The whole-search histogram gets the wall-clock observation
-        (with the trace id as its exemplar), and the process query log
-        gets the flat record — query shape, per-phase times folded from
-        the trace's spans, wire tallies summed over the attempts of the
-        outcomes this round recorded (none on a cache serve: its result
-        carries the filling round's), cache tallies from how it ended.
+        The process query log gets the flat record — query shape, its
+        wall-clock time, per-phase times folded from the phase spans,
+        wire tallies summed over the attempts of the outcomes this round
+        recorded (none on a cache serve: its result carries the filling
+        round's), cache tallies from how it ended.
         """
         tracer, result = self.tracer, self.result
         if result is not None:
@@ -141,15 +117,15 @@ class _Round:
             labels=("result",),
         ).labels(result=self.outcome).inc()
         elapsed_ms = tracer.now_ms() - self.started_ms
-        get_registry().histogram(
-            "metasearch_search_ms",
-            "Whole-search wall-clock milliseconds, every exit path included.",
-        ).observe(elapsed_ms, exemplar=tracer.trace_id)
         log = get_query_log()
         if not log.enabled:
             return
+        # Each phase span once: the spans directly under ``search`` (not
+        # the ``query:<id>`` spans inside ``query``), plus the ``discover``
+        # of a tracer the harvest shared.
         phase_ms: dict[str, float] = {}
-        for span in tracer.trace().walk():
+        discovers = [span for span in tracer.spans if span.name == "discover"]
+        for span in discovers + self.span.children:
             phase = span.name.split(":", 1)[0]
             if phase in _LOGGED_PHASES:
                 phase_ms[phase] = phase_ms.get(phase, 0.0) + span.duration_ms
@@ -398,7 +374,7 @@ class Metasearcher:
         # The harvest's fetch events go to this call's tracer through a
         # private client, never through state left on the shared one.
         harvester = StartsClient(self.client.internet, tracer=tracer)
-        with _phase(tracer, "discover", resources=len(self.resource_urls)):
+        with tracer.span("discover", resources=len(self.resource_urls)):
             for url in self.resource_urls:
                 self.discovery.refresh_resource(url, client=harvester)
         return self.discovery.known_sources()
@@ -566,8 +542,8 @@ class Metasearcher:
         """Select the sources, keep their summaries, derive the cache key."""
         selector = selector or self.selector
         tracer = search.tracer
-        with _phase(
-            tracer, "select", search.span, selector=selector.name, k=k_sources
+        with tracer.span(
+            "select", parent=search.span, selector=selector.name, k=k_sources
         ) as span:
             index = self.discovery.summary_index()
             indexed = index.source_count
@@ -639,7 +615,7 @@ class Metasearcher:
         for entry_id, sibling_ids in self._route(
             search.selected_ids, search.group_by_resource
         ):
-            with _phase(tracer, f"translate:{entry_id}", search.span) as span:
+            with tracer.span(f"translate:{entry_id}", parent=search.span) as span:
                 source = self.discovery.source(entry_id)
                 translated, report = self.translator.translate(
                     search.query,
@@ -706,10 +682,9 @@ class Metasearcher:
     def _batch_round(self, search: _Round) -> None:
         """Dispatch every request, then merge once over what answered."""
         tracer, requests = search.tracer, self._translate(search)
-        with _phase(
-            tracer,
+        with tracer.span(
             "query",
-            search.span,
+            parent=search.span,
             executor=search.executor.name,
             requests=len(requests),
         ) as query_span:
@@ -718,10 +693,9 @@ class Metasearcher:
             ):
                 search.outcomes[outcome.source_id] = outcome
         answered = _answered(search.outcomes)
-        with _phase(
-            tracer,
+        with tracer.span(
             "merge",
-            search.span,
+            parent=search.span,
             strategy=type(search.merger).__name__,
             sources=len(answered),
         ):
@@ -741,7 +715,7 @@ class Metasearcher:
         *returns* the final one (carrying the assembled result) for the
         driver to send once the search is accounted for.  The ``query``
         span stays open across the yields, so it is opened explicitly,
-        not via :func:`_phase`.
+        off the tracer's thread-local stack.
         """
         tracer, requests = search.tracer, self._translate(search)
         outcomes = search.outcomes
@@ -819,7 +793,6 @@ class Metasearcher:
             # not at garbage collection.
             outcome_stream.close()
             tracer.close_span(query_span)
-        _observe_phase("query", query_span.duration_ms)
         # Sources are only left pending by an early termination.
         for source_id in sorted(pending):
             outcomes[source_id] = SourceOutcome.cancelled(

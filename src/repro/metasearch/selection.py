@@ -36,10 +36,7 @@ indexed once on entry (:meth:`SummaryIndex.from_summaries`) and scored
 the same way; callers that select repeatedly over the same summaries
 build the index themselves, once.  The per-summary dict scan these
 formulas started from is the oracle in
-``tests/oracles/dense_selection.py``.  Every entry point feeds the
-``selection_eval_ms`` histogram in the process metrics registry,
-labelled by selector; a disabled registry turns those observations into
-no-ops.
+``tests/oracles/dense_selection.py``.
 """
 
 from __future__ import annotations
@@ -47,12 +44,10 @@ from __future__ import annotations
 import heapq
 import math
 import random
-import time
 import zlib
 from collections.abc import Sequence
 
 from repro.metasearch.summary_index import SummaryIndex
-from repro.observability.metrics import get_registry
 from repro.starts.metadata import SContentSummary
 
 __all__ = [
@@ -87,20 +82,12 @@ def _as_index(summaries: Summaries) -> SummaryIndex:
     return SummaryIndex.from_summaries(summaries)
 
 
-def _observe_selection(selector: str, started: float) -> None:
-    get_registry().histogram(
-        "selection_eval_ms",
-        "Wall-clock duration of one source-selection evaluation.",
-        labels=("selector",),
-    ).labels(selector=selector).observe((time.perf_counter() - started) * 1000.0)
-
-
 class SourceSelector:
     """Interface: score every source for a query, best first."""
 
     name = "base"
 
-    # -- public entry points (timed) ---------------------------------------
+    # -- public entry points -----------------------------------------------
 
     def rank(
         self,
@@ -111,11 +98,7 @@ class SourceSelector:
 
         Ties break on source id for determinism.
         """
-        started = time.perf_counter()
-        try:
-            return self._rank(terms, _as_index(summaries))
-        finally:
-            _observe_selection(self.name, started)
+        return self._rank(terms, _as_index(summaries))
 
     def select(
         self,
@@ -124,15 +107,10 @@ class SourceSelector:
         k: int,
     ) -> list[str]:
         """The ids of the top-k sources."""
-        started = time.perf_counter()
-        try:
-            pool = self._candidates(terms, _as_index(summaries), k)
-            return [
-                source_id
-                for source_id, _ in heapq.nsmallest(k, pool, key=order_key)
-            ]
-        finally:
-            _observe_selection(self.name, started)
+        pool = self._candidates(terms, _as_index(summaries), k)
+        return [
+            source_id for source_id, _ in heapq.nsmallest(k, pool, key=order_key)
+        ]
 
     # -- sparse scoring ----------------------------------------------------
 

@@ -11,8 +11,7 @@ Layers, from one operation outward:
   prints as text and :func:`render_ndjson` as a structured event log;
 * metrics (:class:`MetricsRegistry`) — longitudinal counters, gauges
   and histograms accumulated across every operation, exported as
-  Prometheus text by :func:`render_prometheus` (histogram buckets can
-  carry trace-id exemplars);
+  Prometheus text by :func:`render_prometheus`;
 * the query log (:class:`QueryLog`) — one wide, flat
   :class:`QueryLogRecord` per search, ring-buffered and NDJSON-ready.
 

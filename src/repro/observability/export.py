@@ -61,44 +61,22 @@ def _label_text(names: tuple[str, ...], values: tuple[str, ...]) -> str:
     return "{" + pairs + "}"
 
 
-def _exemplar_text(histogram: Histogram, index: int) -> str:
-    """OpenMetrics-style exemplar suffix for bucket ``index`` (or '')."""
-    exemplar = histogram.exemplars.get(index)
-    if exemplar is None:
-        return ""
-    trace_id, observed = exemplar
-    return (
-        f' # {{trace_id="{_escape_label_value(trace_id)}"}} '
-        f"{_format_value(observed)}"
-    )
-
-
 def _histogram_lines(
     name: str,
     names: tuple[str, ...],
     values: tuple[str, ...],
     histogram: Histogram,
-    exemplars: bool = False,
 ) -> list[str]:
     lines: list[str] = []
     cumulative = 0
-    for index, (bound, bucket_count) in enumerate(
-        zip(histogram.bounds, histogram.bucket_counts)
-    ):
+    for bound, bucket_count in zip(histogram.bounds, histogram.bucket_counts):
         cumulative += bucket_count
         le_names = names + ("le",)
         le_values = values + (_format_value(bound),)
-        suffix = _exemplar_text(histogram, index) if exemplars else ""
-        lines.append(
-            f"{name}_bucket{_label_text(le_names, le_values)} {cumulative}"
-            f"{suffix}"
-        )
-    suffix = (
-        _exemplar_text(histogram, len(histogram.bounds)) if exemplars else ""
-    )
+        lines.append(f"{name}_bucket{_label_text(le_names, le_values)} {cumulative}")
     lines.append(
         f'{name}_bucket{_label_text(names + ("le",), values + ("+Inf",))} '
-        f"{histogram.count}{suffix}"
+        f"{histogram.count}"
     )
     lines.append(f"{name}_sum{_label_text(names, values)} "
                  f"{_format_value(histogram.sum)}")
@@ -106,15 +84,12 @@ def _histogram_lines(
     return lines
 
 
-def render_prometheus(registry: MetricsRegistry, exemplars: bool = False) -> str:
+def render_prometheus(registry: MetricsRegistry) -> str:
     """The registry as Prometheus text exposition (version 0.0.4).
 
     Families sort by name and children by label values, so two renders
     of the same state are byte-identical — golden tests and diff-based
-    scrapers both rely on that.  ``exemplars=True`` appends
-    OpenMetrics-style ``# {trace_id="..."} value`` exemplar suffixes to
-    histogram bucket lines that have one; the default stays plain
-    text-format 0.0.4 for scrapers that reject the extension.
+    scrapers both rely on that.
     """
     lines: list[str] = []
     for family in registry.families():
@@ -128,11 +103,7 @@ def render_prometheus(registry: MetricsRegistry, exemplars: bool = False) -> str
             if family.kind == "histogram":
                 lines.extend(
                     _histogram_lines(
-                        family.name,
-                        family.label_names,
-                        label_values,
-                        instrument,
-                        exemplars=exemplars,
+                        family.name, family.label_names, label_values, instrument
                     )
                 )
             else:

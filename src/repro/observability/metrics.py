@@ -120,15 +120,11 @@ class Histogram:
     Bucket bounds are fixed at construction (log-scale by default);
     observations land in the first bucket whose upper bound is >= the
     value, with one implicit overflow bucket past the last bound.
-
-    ``observe`` optionally takes an *exemplar* — a trace id to pin to
-    the bucket the observation lands in (last write wins), so a scrape
-    can jump from a latency bucket straight to a representative trace.
     NaN observations raise: they would poison ``sum`` and land in an
     arbitrary bucket.  ``+inf`` is accepted (overflow bucket).
     """
 
-    __slots__ = ("_lock", "bounds", "bucket_counts", "sum", "count", "exemplars")
+    __slots__ = ("_lock", "bounds", "bucket_counts", "sum", "count")
 
     def __init__(self, bounds: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS_MS) -> None:
         if not bounds or list(bounds) != sorted(bounds):
@@ -138,10 +134,8 @@ class Histogram:
         self.bucket_counts = [0] * (len(self.bounds) + 1)
         self.sum = 0.0
         self.count = 0
-        #: bucket index -> (exemplar trace id, observed value)
-        self.exemplars: dict[int, tuple[str, float]] = {}
 
-    def observe(self, value: float, exemplar: str | None = None) -> None:
+    def observe(self, value: float) -> None:
         if math.isnan(value):
             raise ValueError("cannot observe NaN")
         index = bisect.bisect_left(self.bounds, value)
@@ -149,8 +143,6 @@ class Histogram:
             self.bucket_counts[index] += 1
             self.sum += value
             self.count += 1
-            if exemplar is not None:
-                self.exemplars[index] = (exemplar, value)
 
     def mean(self) -> float:
         with self._lock:
@@ -174,7 +166,7 @@ class _NullInstrument:
     def set(self, value: float) -> None:
         pass
 
-    def observe(self, value: float, exemplar: str | None = None) -> None:
+    def observe(self, value: float) -> None:
         pass
 
 
@@ -256,8 +248,8 @@ class MetricFamily:
     def set(self, value: float) -> None:
         self._default_child().set(value)
 
-    def observe(self, value: float, exemplar: str | None = None) -> None:
-        self._default_child().observe(value, exemplar=exemplar)
+    def observe(self, value: float) -> None:
+        self._default_child().observe(value)
 
 
 class MetricsRegistry:

@@ -326,24 +326,10 @@ class SegmentStore(CommittedSegments):
             merges += 1
         return merges
 
-    def maybe_merge(self, executor: object | None = None) -> bool:
-        """Kick off merging when the policy wants one.
-
-        With an ``executor`` (anything exposing ``submit``, e.g. the
-        federation's executors), merging runs as a fire-and-forget
-        background task via :func:`submit_background` — failures are
-        logged and counted, never raised into the indexing path.
-        Returns whether any merge work was scheduled or run.
-        """
+    def maybe_merge(self) -> bool:
+        """Merge when the policy wants one; returns whether any merge ran."""
         if not self.plan_merge():
             return False
-        if executor is not None:
-            # Imported here: the federation package reaches the engine,
-            # and so this module, through the transport it imports.
-            from repro.federation.executor import submit_background
-
-            submit_background(executor, self.merge_all, task_name="segment-merge")
-            return True
         return self.merge_all() > 0
 
     # -- housekeeping ------------------------------------------------------

@@ -49,9 +49,12 @@ class TestProtocolConformance:
 
 
 class TestRun:
-    def test_sync_fn_results_in_task_order(self):
+    def test_plain_callable_is_a_type_error(self):
+        """There is no worker-thread pool behind the event loop: a task
+        function that is not a coroutine function fails loudly."""
         executor = AsyncExecutor(max_concurrency=4)
-        assert executor.run([3, 1, 2], lambda n: n * 10) == [30, 10, 20]
+        with pytest.raises(TypeError):
+            executor.run([3, 1, 2], lambda n: n * 10)
 
     def test_coroutine_fn_results_in_task_order(self):
         executor = AsyncExecutor(max_concurrency=4)

@@ -8,6 +8,18 @@ holds what the two drivers share.
 from repro.federation import AsyncExecutor, Executor, SerialExecutor
 
 
+def task_function(executor, fn):
+    """``fn`` as ``executor`` takes it: wrapped in a coroutine function
+    for an ``is_async`` executor, as it is for the serial one."""
+    if getattr(executor, "is_async", False):
+
+        async def task(argument):
+            return fn(argument)
+
+        return task
+    return fn
+
+
 class TestExecutors:
     def test_protocol_conformance(self):
         assert isinstance(SerialExecutor(), Executor)
@@ -28,9 +40,10 @@ class TestExecutors:
     def test_results_keep_task_order(self):
         tasks = list(range(20))
         for executor in (SerialExecutor(), AsyncExecutor(max_concurrency=4)):
-            assert executor.run(tasks, lambda n: n * n) == [n * n for n in tasks]
+            square = task_function(executor, lambda n: n * n)
+            assert executor.run(tasks, square) == [n * n for n in tasks]
 
     def test_empty_and_single_task(self):
         for executor in (SerialExecutor(), AsyncExecutor()):
-            assert executor.run([], str) == []
-            assert executor.run([7], str) == ["7"]
+            assert executor.run([], task_function(executor, str)) == []
+            assert executor.run([7], task_function(executor, str)) == ["7"]

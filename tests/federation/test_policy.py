@@ -63,56 +63,36 @@ class TestBackoffSchedule:
 FAST = HostProfile(latency_ms=20.0, jitter_ms=0.0)
 SLOW_AND_CHARGING = HostProfile(latency_ms=100.0, jitter_ms=0.0, cost_per_query=2.0)
 
-#: case id -> (host profile, fault profile, default policy, per-source
-#: policies[, what the source answers in place of a result stream]).
+#: case id -> (host profile, fault profile, policy[, what the source
+#: answers in place of a result stream]).
 #: One table feeds both the absolute expectations below (through the
 #: blocking ``run_one`` driver) and the executor-equivalence matrix.
 CASES = {
-    "ok": (FAST, None, QueryPolicy(), None),
+    "ok": (FAST, None, QueryPolicy()),
     "retry_then_ok": (
-        FAST,
-        FaultProfile.flaky(2),
-        QueryPolicy(max_retries=2, backoff_base_ms=10.0),
-        None,
+        FAST, FaultProfile.flaky(2), QueryPolicy(max_retries=2, backoff_base_ms=10.0)
     ),
     "retries_exhausted": (
-        FAST,
-        FaultProfile.dead(),
-        QueryPolicy(max_retries=1, backoff_base_ms=10.0),
-        None,
+        FAST, FaultProfile.dead(), QueryPolicy(max_retries=1, backoff_base_ms=10.0)
     ),
     "timeout": (
         FAST,
         FaultProfile.hangs(hang_ms=10_000.0),
         QueryPolicy(timeout_ms=500.0, max_retries=1, backoff_base_ms=10.0),
-        None,
     ),
     "timeout_not_retried": (
         FAST,
         FaultProfile.hangs(),
         QueryPolicy(timeout_ms=500.0, max_retries=3, retry_on_timeout=False),
-        None,
     ),
-    "hedge_loses": (SLOW_AND_CHARGING, None, QueryPolicy(hedge_after_ms=50.0), None),
-    "hedge_wins": (FAST, FaultProfile.flaky(1), QueryPolicy(hedge_after_ms=10.0), None),
-    "hedge_both_fail": (
-        FAST,
-        FaultProfile.dead(),
-        QueryPolicy(hedge_after_ms=10.0),
-        None,
-    ),
-    "hedge_skipped": (FAST, None, QueryPolicy(hedge_after_ms=50.0), None),
-    "per_source_override": (
-        FAST,
-        FaultProfile.flaky(1),
-        QueryPolicy(),  # default: no retries
-        {"S1": QueryPolicy(max_retries=1, backoff_base_ms=5.0)},
-    ),
+    "hedge_loses": (SLOW_AND_CHARGING, None, QueryPolicy(hedge_after_ms=50.0)),
+    "hedge_wins": (FAST, FaultProfile.flaky(1), QueryPolicy(hedge_after_ms=10.0)),
+    "hedge_both_fail": (FAST, FaultProfile.dead(), QueryPolicy(hedge_after_ms=10.0)),
+    "hedge_skipped": (FAST, None, QueryPolicy(hedge_after_ms=50.0)),
     "garbled_response": (
         SLOW_AND_CHARGING,
         None,
         QueryPolicy(max_retries=1, backoff_base_ms=10.0),
-        None,
         b"\xff\xfe garbage",
     ),
 }
@@ -129,7 +109,7 @@ def dispatcher_for(case, executor=None, n_sources=1, realtime_scale=None):
     Every source sits on its own host with the case's profile and fault
     schedule, so fault counters never leak between runs or sources.
     """
-    profile, faults, policy, policies, *garbled = CASES[case]
+    profile, faults, policy, *garbled = CASES[case]
     internet = SimulatedInternet(seed=4)
     requests = []
     for number in range(1, n_sources + 1):
@@ -142,9 +122,7 @@ def dispatcher_for(case, executor=None, n_sources=1, realtime_scale=None):
         requests.append(SourceRequest(f"S{number}", url, ranking_query()))
     if realtime_scale is not None:
         internet.realtime, internet.time_scale = True, realtime_scale
-    dispatcher = QueryDispatcher(
-        StartsClient(internet), executor=executor, policy=policy, policies=policies
-    )
+    dispatcher = QueryDispatcher(StartsClient(internet), executor=executor, policy=policy)
     return dispatcher, requests
 
 
@@ -230,14 +208,6 @@ class TestDispatcherPolicies:
         assert outcome.elapsed_ms == pytest.approx(210.0)
         assert outcome.cost == pytest.approx(4.0)
         assert [a.status for a in outcome.attempts] == [OutcomeStatus.ERROR] * 2
-
-    def test_per_source_policy_override(self):
-        dispatcher, (request,) = dispatcher_for("per_source_override")
-        assert dispatcher.policy_for("S1").max_retries == 1
-        assert dispatcher.policy_for("Other").max_retries == 0
-        outcome = dispatcher.run_one(request)
-        assert outcome.status is OutcomeStatus.OK
-        assert outcome.retries == 1
 
 
 def outcome_facts(outcome):

@@ -1,4 +1,4 @@
-"""Exposition hardening: escaping, non-finite values, exemplars."""
+"""Exposition hardening: escaping, non-finite values, stable ids."""
 
 import math
 
@@ -25,14 +25,6 @@ class TestEscaping:
         line = render_prometheus(registry).strip().split("\n")[-1]
         assert line == 'g{v="a\\\\b\\"c\\nd"} 1'
 
-    def test_exemplar_trace_id_is_escaped(self):
-        registry = MetricsRegistry()
-        registry.histogram("h_ms", buckets=(10.0,)).observe(
-            5.0, exemplar='bad"id\\'
-        )
-        text = render_prometheus(registry, exemplars=True)
-        assert '# {trace_id="bad\\"id\\\\"} 5' in text
-
 
 class TestNonFiniteValues:
     def test_infinite_gauge_renders_inf_spellings(self):
@@ -58,49 +50,6 @@ class TestNonFiniteValues:
         assert 'h_ms_bucket{le="+Inf"} 2' in text
         assert "h_ms_sum +Inf" in text
         assert "h_ms_count 2" in text
-
-
-class TestExemplars:
-    def test_default_rendering_has_no_exemplars(self):
-        registry = MetricsRegistry()
-        registry.histogram("h_ms", buckets=(10.0,)).observe(5.0, exemplar="t1")
-        assert "#" not in render_prometheus(registry).replace("# HELP", "").replace(
-            "# TYPE", ""
-        )
-
-    def test_exemplar_lands_on_its_bucket_line(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("h_ms", buckets=(10.0, 100.0))
-        histogram.observe(5.0, exemplar="fast")
-        histogram.observe(50.0, exemplar="slow")
-        lines = render_prometheus(registry, exemplars=True).strip().split("\n")
-        bucket_10 = next(line for line in lines if 'le="10"' in line)
-        bucket_100 = next(line for line in lines if 'le="100"' in line)
-        assert '# {trace_id="fast"} 5' in bucket_10
-        assert '# {trace_id="slow"} 50' in bucket_100
-
-    def test_last_exemplar_wins_within_a_bucket(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("h_ms", buckets=(10.0,))
-        histogram.observe(3.0, exemplar="first")
-        histogram.observe(7.0, exemplar="second")
-        text = render_prometheus(registry, exemplars=True)
-        assert "second" in text
-        assert "first" not in text
-
-    def test_overflow_bucket_carries_exemplars_too(self):
-        registry = MetricsRegistry()
-        registry.histogram("h_ms", buckets=(10.0,)).observe(
-            1000.0, exemplar="huge"
-        )
-        lines = render_prometheus(registry, exemplars=True).strip().split("\n")
-        overflow = next(line for line in lines if 'le="+Inf"' in line)
-        assert '# {trace_id="huge"} 1000' in overflow
-
-    def test_disabled_registry_swallows_exemplars(self):
-        registry = MetricsRegistry.disabled()
-        registry.histogram("h_ms", buckets=(10.0,)).observe(5.0, exemplar="t")
-        assert render_prometheus(registry, exemplars=True) == ""
 
 
 class TestStableIdExport:

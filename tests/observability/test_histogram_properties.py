@@ -1,4 +1,4 @@
-"""Property-based histogram audit: buckets, edges, sums, exemplars.
+"""Property-based histogram audit: buckets, edges, sums, rendering.
 
 Requires ``hypothesis``; the whole module skips cleanly where the
 package is absent so the suite stays dependency-light.
@@ -141,30 +141,3 @@ class TestRenderedInvariants:
             if line.startswith("h_ms_count")
         )
         assert count_line.endswith(f" {len(values)}")
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        values=st.lists(
-            st.tuples(observable, st.text(alphabet="0123456789abcdef", min_size=1)),
-            min_size=1,
-            max_size=30,
-        )
-    )
-    def test_exemplar_always_reflects_the_last_hit(self, values):
-        histogram = Histogram((1.0, 100.0))
-        last_for_bucket = {}
-        for value, trace_id in values:
-            histogram.observe(value, exemplar=trace_id)
-            for index, bound in enumerate(histogram.bounds):
-                if value <= bound:
-                    last_for_bucket[index] = (trace_id, value)
-                    break
-            else:
-                last_for_bucket[len(histogram.bounds)] = (trace_id, value)
-        assert histogram.exemplars == last_for_bucket
-
-    def test_observation_without_exemplar_keeps_the_old_one(self):
-        histogram = Histogram((10.0,))
-        histogram.observe(1.0, exemplar="keep")
-        histogram.observe(2.0)
-        assert histogram.exemplars[0] == ("keep", 1.0)

@@ -48,7 +48,19 @@ def test_the_catalogue_lists_exactly_the_declared_families():
     assert declared - documented == set(), "declared in src/, missing from the table"
     assert documented - declared == set(), "in the table, declared nowhere in src/"
     assert "source_requests_total" in declared
-    assert len(declared) == 29  # the count docs/architecture.md states
+    assert len(declared) == 26  # the count docs/architecture.md states
+
+
+def test_no_family_re_times_a_span():
+    """Every observation of these re-timed a span the trace already
+    holds (``select`` / ``translate:<id>`` / ``query`` / ``merge``, the
+    root ``search``); the query-log record folds the same times into
+    ``phase_ms`` / ``total_ms``."""
+    assert not declared_families() & {
+        "metasearch_phase_ms",
+        "metasearch_search_ms",
+        "selection_eval_ms",
+    }
 
 
 def test_no_unlabelled_family_reports_one_store():

@@ -66,7 +66,7 @@ class TestSimulatedEndpoint:
         assert any('source_id="Fed-' in head for head in requests)
         assert sum(requests.values()) >= 2
         assert "source_request_latency_ms" in families
-        assert "metasearch_phase_ms" in families
+        assert "source_outcomes_total" in families
         assert "engine_query_eval_ms" in families
         assert families["metasearch_searches_total"][
             'metasearch_searches_total{result="wire"}'

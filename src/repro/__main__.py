@@ -129,7 +129,11 @@ def cmd_select(args: argparse.Namespace) -> int:
         return 2
     searcher = _build_searcher(args.seed)
     selector = SELECTOR_REGISTRY[args.selector]()
-    _print_selection(searcher, args.selector, selector, terms, args.k)
+    try:
+        _print_selection(searcher, args.selector, selector, terms, args.k)
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
     return 0
 
 

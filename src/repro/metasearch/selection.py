@@ -29,9 +29,9 @@ Every selector scores a
 sources containing at least one query term are visited, per-term
 defaults (BGloss's zero product, CORI's 0.4 absent-term belief) are
 folded in analytically for everyone else, BGloss intersects shards
-rarest-first so zero products short-circuit, and
-:meth:`~SourceSelector.select` keeps a bounded heap instead of sorting
-the full ranking.  A plain ``dict[str, SContentSummary]`` argument is
+rarest-first, the others add term at a time, and
+:meth:`~SourceSelector.select` pairs only sources at or above the k-th
+best goodness.  A plain ``dict[str, SContentSummary]`` argument is
 indexed once on entry (:meth:`SummaryIndex.from_summaries`) and scored
 the same way; callers that select repeatedly over the same summaries
 build the index themselves, once.  The per-summary dict scan these
@@ -106,7 +106,9 @@ class SourceSelector:
         summaries: Summaries,
         k: int,
     ) -> list[str]:
-        """The ids of the top-k sources."""
+        """The ids of the top-k sources (``ValueError`` if ``k`` < 0)."""
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         pool = self._candidates(terms, _as_index(summaries), k)
         return [
             source_id for source_id, _ in heapq.nsmallest(k, pool, key=order_key)
@@ -136,14 +138,19 @@ class SourceSelector:
     ) -> list[tuple[str, float]]:
         """An unsorted pool whose k best pairs are the exact top-k.
 
-        Sources outside the touched set all carry the same default
-        score, so only the first k of them (in id order — exactly how
-        their ties break) can possibly make the cut.
+        A touched source below the k-th best touched goodness is beaten
+        by k others; ties at that cut stay for the order key.  Untouched
+        sources all carry the default score, so only the first k of
+        them (in id order — exactly how their ties break) can make it.
         """
         touched, default = self._sparse_scores(terms, index)
+        cut = -math.inf
+        if 0 < k < len(touched):
+            cut = heapq.nlargest(k, touched.values())[-1]
         pool = [
             (index.source_id(ordinal), goodness)
             for ordinal, goodness in touched.items()
+            if goodness >= cut
         ]
         if len(touched) < len(index):
             filled = 0
@@ -237,32 +244,19 @@ class VGlossMax(SourceSelector):
     def _sparse_scores(
         self, terms: Sequence[str], index: SummaryIndex
     ) -> tuple[dict[int, float], float]:
-        n_terms = len(terms)
-        if not n_terms:
-            return {}, 0.0
-        # Gather each touched source's (df, postings) per query position
-        # into a flat row, then accumulate in query-term order so the
-        # float sums match the dense oracle bit for bit.
-        rows: dict[int, list[int]] = {}
-        for position, term in enumerate(terms):
-            shard = index.term_columns(term)
-            offset = 2 * position
-            dfs, postings = shard.document_frequencies, shard.postings
-            for slot, ordinal in enumerate(shard.ordinals):
-                row = rows.get(ordinal)
-                if row is None:
-                    row = rows[ordinal] = [0] * (2 * n_terms)
-                row[offset] = dfs[slot]
-                row[offset + 1] = postings[slot]
+        # Term at a time: a source's float takes its addends in query
+        # order, as the dense loop adds them, so sums match bit for bit.
+        # A listed source whose df is not positive enters at 0.0.
         touched: dict[int, float] = {}
-        for ordinal, row in rows.items():
-            goodness = 0.0
-            for position in range(n_terms):
-                df = row[2 * position]
+        for term in terms:
+            shard = index.term_columns(term)
+            for ordinal, df, postings in zip(
+                shard.ordinals, shard.document_frequencies, shard.postings
+            ):
+                goodness = touched.get(ordinal, 0.0)
                 if df > 0:
-                    average_tf = row[2 * position + 1] / df
-                    goodness += df * (1.0 + math.log(max(average_tf, 1.0)))
-            touched[ordinal] = goodness
+                    goodness += df * (1.0 + math.log(max(postings / df, 1.0)))
+                touched[ordinal] = goodness
         return touched, 0.0
 
 
@@ -303,36 +297,37 @@ class Cori(SourceSelector):
                 i_parts.append(
                     max(math.log((n_sources + 0.5) / cf) / log_denominator, 0.0)
                 )
-        rows: dict[int, list[int]] = {}
-        for position, shard in enumerate(columns):
-            dfs = shard.document_frequencies
-            for slot, ordinal in enumerate(shard.ordinals):
-                row = rows.get(ordinal)
-                if row is None:
-                    row = rows[ordinal] = [0] * n_terms
-                row[position] = dfs[slot]
         # The all-absent belief profile, summed exactly as the dense
         # oracle sums a per-term list of 0.4s.
         default_sum = 0.0
         for _ in range(n_terms):
             default_sum += 0.4
         default = default_sum / n_terms
-        touched: dict[int, float] = {}
-        for ordinal, row in rows.items():
-            # Hoisted per-source mass ratio: the dense oracle evaluates
-            # the identical sub-expression per term; hoisting it is
-            # bit-neutral because the operands never change mid-query.
-            mass_ratio = 150.0 * index.clamped_word_mass(ordinal) / mean_mass
-            belief_sum = 0.0
-            for position in range(n_terms):
-                df = row[position]
+        # Hoisted per-source mass ratio: the dense oracle evaluates the
+        # identical sub-expression per term; hoisting it is bit-neutral
+        # because the operands never change mid-query.
+        mass_ratios = {
+            ordinal: 150.0 * index.clamped_word_mass(ordinal) / mean_mass
+            for ordinal in set().union(*(shard.ordinals for shard in columns))
+        }
+        # Term at a time, every touched source gets one addend per term
+        # in query order — its belief, or 0.4 where it lacks the term —
+        # so each sum matches the oracle's sum of its belief list.
+        belief_sums = dict.fromkeys(mass_ratios, 0.0)
+        for shard, i_part in zip(columns, i_parts):
+            positions, dfs = shard.positions, shard.document_frequencies
+            for ordinal, mass_ratio in mass_ratios.items():
+                slot = positions.get(ordinal)
+                df = 0 if slot is None else dfs[slot]
                 if df == 0:
-                    belief_sum += 0.4
+                    belief_sums[ordinal] += 0.4
                 else:
                     t_part = df / (df + 50.0 + mass_ratio)
-                    belief_sum += 0.4 + 0.6 * t_part * i_parts[position]
-            touched[ordinal] = belief_sum / n_terms
-        return touched, default
+                    belief_sums[ordinal] += 0.4 + 0.6 * t_part * i_part
+        return {
+            ordinal: belief_sum / n_terms
+            for ordinal, belief_sum in belief_sums.items()
+        }, default
 
 
 class SelectAll(SourceSelector):

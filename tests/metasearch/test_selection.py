@@ -136,3 +136,23 @@ class TestDeterminism:
         tied = {"B": summary(10, {"x": (5, 5)}), "A": summary(10, {"x": (5, 5)})}
         ranked = VGlossSum().rank(["x"], tied)
         assert [source_id for source_id, _ in ranked] == ["A", "B"]
+
+
+class TestSelectArguments:
+    @pytest.mark.parametrize(
+        "selector",
+        [
+            BGloss(),
+            VGlossSum(),
+            VGlossMax(),
+            Cori(),
+            SelectAll(),
+            BySize(),
+            RandomSelector(seed=1),
+            CostAware(Cori(), {}),
+        ],
+        ids=lambda selector: selector.name,
+    )
+    def test_a_negative_k_is_rejected(self, selector, summaries):
+        with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+            selector.select(["databases"], summaries, -1)

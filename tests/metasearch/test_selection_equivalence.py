@@ -5,7 +5,8 @@ Every selector runs over randomized summary sets — sparse over a
 on entry) — and must produce the *same floats in the same order*, ties
 included, as the original per-summary dict scan kept in
 ``tests/oracles/dense_selection.py``.  The same holds after arbitrary
-add / re-harvest / remove delta streams.
+add / re-harvest / remove delta streams, and for ``select``'s top-k cut
+over populations of cloned summaries, where exact ties are the norm.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -43,33 +44,47 @@ def _selectors():
 
 
 @st.composite
+def content_summaries(draw):
+    n_words = draw(st.integers(0, len(WORD_POOL)))
+    words = draw(
+        st.lists(
+            st.sampled_from(WORD_POOL),
+            min_size=n_words,
+            max_size=n_words,
+            unique=True,
+        )
+    )
+    entries = tuple(
+        SummaryEntryLine(
+            word,
+            draw(st.integers(-1, 30)),
+            draw(st.integers(-1, 25)),
+        )
+        for word in words
+    )
+    return SContentSummary(
+        num_docs=draw(st.sampled_from([0, 1, 5, 40, 300])),
+        case_sensitive=draw(st.booleans()),
+        sections=(SummarySection("body-of-text", "en", entries),),
+    )
+
+
+@st.composite
 def summary_sets(draw):
     n_sources = draw(st.integers(0, 8))
-    summaries = {}
-    for s in range(n_sources):
-        n_words = draw(st.integers(0, len(WORD_POOL)))
-        words = draw(
-            st.lists(
-                st.sampled_from(WORD_POOL),
-                min_size=n_words,
-                max_size=n_words,
-                unique=True,
-            )
-        )
-        entries = tuple(
-            SummaryEntryLine(
-                word,
-                draw(st.integers(-1, 30)),
-                draw(st.integers(-1, 25)),
-            )
-            for word in words
-        )
-        summaries[f"S{s}"] = SContentSummary(
-            num_docs=draw(st.sampled_from([0, 1, 5, 40, 300])),
-            case_sensitive=draw(st.booleans()),
-            sections=(SummarySection("body-of-text", "en", entries),),
-        )
-    return summaries
+    return {f"S{s}": draw(content_summaries()) for s in range(n_sources)}
+
+
+@st.composite
+def cloned_populations(draw):
+    """20–60 sources cloned from at most four templates: exact ties are
+    the norm, and most queries touch more sources than ``k``."""
+    templates = draw(st.lists(content_summaries(), min_size=1, max_size=4))
+    n_sources = draw(st.integers(20, 60))
+    return {
+        f"S{s:02d}": templates[draw(st.integers(0, len(templates) - 1))]
+        for s in range(n_sources)
+    }
 
 
 @st.composite
@@ -128,6 +143,104 @@ def test_equivalence_survives_delta_streams(initial, replacement, terms, data):
         assert selector.select(terms, index, 3) == oracle_select(
             selector, terms, live, 3
         )
+
+
+#: The query-dependent formulas the cut cases check (BySize and
+#: SelectAll take the same cut; RandomSelector and CostAware pool every
+#: source).
+CUT_SELECTORS = (BGloss(), VGlossSum(), VGlossMax(), Cori())
+
+
+@settings(deadline=None)
+@given(
+    summaries=cloned_populations(),
+    # At least one term: an empty query touches no source, and the cut
+    # only engages when more than k sources are touched.
+    terms=st.lists(st.sampled_from(QUERY_POOL), min_size=1, max_size=4),
+    k=st.integers(1, 8),
+)
+def test_top_k_cut_over_cloned_populations(summaries, terms, k):
+    index = SummaryIndex.from_summaries(summaries)
+    for selector in CUT_SELECTORS:
+        assert selector.select(terms, index, k) == oracle_select(
+            selector, terms, summaries, k
+        )
+
+
+def _entry_summary(num_docs, words):
+    """``words``: {word: (postings, df)}."""
+    entries = tuple(
+        SummaryEntryLine(word, postings, df) for word, (postings, df) in words.items()
+    )
+    return SContentSummary(
+        num_docs=num_docs,
+        sections=(SummarySection("body-of-text", "en", entries),),
+    )
+
+
+class TestTopKCut:
+    """``select`` keeps only touched sources at or above the k-th best
+    touched goodness; every k must still pick the oracle's top k."""
+
+    def _assert_every_k(self, summaries, terms, ks):
+        index = SummaryIndex.from_summaries(summaries)
+        for selector in CUT_SELECTORS:
+            for k in ks:
+                assert selector.select(terms, index, k) == oracle_select(
+                    selector, terms, summaries, k
+                ), (selector.name, k)
+
+    def test_ties_straddle_the_cut(self):
+        strong = _entry_summary(50, {"alpha": (60, 20), "beta": (30, 10)})
+        tied = _entry_summary(50, {"alpha": (16, 8), "beta": (4, 2)})
+        weak = _entry_summary(40, {"alpha": (2, 1), "beta": (2, 2)})
+        layout = "TSTWTSWTT"  # tied ids on both sides of every other kind
+        kinds = {"S": strong, "T": tied, "W": weak}
+        summaries = {f"S{i}": kinds[kind] for i, kind in enumerate(layout)}
+        terms = ["alpha", "beta"]
+        for selector in CUT_SELECTORS:
+            # The five clones share one goodness and rank as one run, so
+            # a k inside the run keeps some tied ids and drops others.
+            ranked = oracle_rank(selector, terms, summaries)
+            run = [rank for rank, (source_id, _) in enumerate(ranked)
+                   if layout[int(source_id[1:])] == "T"]
+            assert run == list(range(run[0], run[0] + 5)), selector.name
+            assert len({ranked[rank][1] for rank in run}) == 1
+        self._assert_every_k(summaries, terms, range(len(summaries) + 2))
+
+    def test_zero_goodness_touched_sources_interleave_with_untouched(self):
+        untouched = _entry_summary(30, {"gamma": (9, 3)})
+        summaries = {
+            "S0": untouched,
+            "S1": _entry_summary(30, {"alpha": (5, 0)}),
+            "S2": untouched,
+            "S3": _entry_summary(30, {"alpha": (4, -1)}),
+            "S4": _entry_summary(30, {"alpha": (10, 5)}),
+            "S5": untouched,
+            "S6": _entry_summary(30, {"alpha": (7, 0)}),
+            "S7": untouched,
+        }
+        index = SummaryIndex.from_summaries(summaries)
+        touched, default = VGlossMax()._sparse_scores(["alpha"], index)
+        # Four listed sources, three of them entered at 0.0 — the same
+        # score every untouched source gets by default.
+        scores = {index.source_id(o): g for o, g in touched.items()}
+        assert sorted(scores) == ["S1", "S3", "S4", "S6"]
+        assert scores["S1"] == scores["S3"] == scores["S6"] == default == 0.0
+        assert scores["S4"] > 0.0
+        self._assert_every_k(summaries, ["alpha"], range(len(summaries) + 2))
+
+    def test_k_at_or_beyond_the_touched_count_and_zero(self):
+        summaries = {
+            "S0": _entry_summary(20, {"gamma": (3, 1)}),
+            "S1": _entry_summary(20, {"alpha": (8, 4)}),
+            "S2": _entry_summary(20, {"alpha": (8, 4)}),
+            "S3": _entry_summary(20, {"delta": (3, 1)}),
+        }
+        index = SummaryIndex.from_summaries(summaries)
+        for selector in CUT_SELECTORS:
+            assert selector.select(["alpha"], index, 0) == []
+        self._assert_every_k(summaries, ["alpha"], (0, 2, 3, 4, 9))
 
 
 class TestTieDeterminism:

@@ -123,6 +123,12 @@ class TestSelectCommand:
     def test_empty_query_fails(self, capsys):
         assert main(["select", "   "]) == 2
 
+    def test_a_negative_k_fails(self, capsys):
+        assert main(["select", "distributed databases", "-k", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k must be >= 0, got -1" in captured.err
+
     @pytest.mark.parametrize(
         "argv", [["select", "databases", "--selector", "no-such-selector"]]
     )

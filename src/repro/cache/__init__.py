@@ -8,10 +8,12 @@ knowledge goes bad (§4.3.1).  Three small things follow from that:
   LRU+TTL cache of whole merged results keyed on the *canonical* query
   (order-insensitive where order carries no meaning), with
   stale-while-revalidate reads (:data:`FRESH` / :data:`STALE` /
-  :data:`MISS`) and per-source invalidation;
+  :data:`MISS`); the metasearcher's key binds each source's harvest
+  generation, so a re-harvested or forgotten source's entries miss;
 * :class:`NegativeSourceCache` — the list of dead sources: remembers
   unreachable ones so the federation layer skips them instead of
-  re-probing every search;
+  re-probing every search, until the hold's TTL passes or the source
+  answers;
 * :class:`SummaryTtlPolicy` — the staleness rule discovery applies to
   harvested metadata (``DateExpires`` first, a ``DateChanged``
   heuristic otherwise).

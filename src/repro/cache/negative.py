@@ -12,7 +12,10 @@ its entry expires and the source earns a fresh probe.
 The cache is deliberately forgiving: entries expire after
 ``ttl_ms`` (a dead source gets re-probed eventually), a success wipes
 the slate, and a ``failure_threshold`` above one tolerates isolated
-flakes before declaring a source down.
+flakes before declaring a source down.  Those are the only two ways a
+hold ends: discovery does not reach in, so a re-harvest leaves a hold
+in place, and the entry of a forgotten source is inert, because no
+catalog routes a search to it.
 """
 
 from __future__ import annotations
@@ -79,11 +82,6 @@ class NegativeSourceCache:
 
     def record_success(self, source_id: str) -> None:
         """A good answer clears the source's record entirely."""
-        with self._lock:
-            self._entries.pop(source_id, None)
-
-    def forget(self, source_id: str) -> None:
-        """Drop the record without implying health (e.g. on forget())."""
         with self._lock:
             self._entries.pop(source_id, None)
 

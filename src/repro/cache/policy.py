@@ -1,7 +1,7 @@
 """CachePolicy: caching on, or the paper's pipeline exactly as §4 has it.
 
-The one thing callers vary.  The default turns on the result cache,
-the list of dead sources and their purge hooks; :meth:`CachePolicy.disabled`
+The one thing callers vary.  The default turns on the result cache
+and the list of dead sources; :meth:`CachePolicy.disabled`
 makes all of it dead code (no key computed, no counter ticked, outputs
 byte-identical to the uncached pipeline).  Capacities, TTLs and
 thresholds are the defaults of the classes that use them — to tune

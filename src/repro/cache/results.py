@@ -12,11 +12,12 @@ states:
   one revalidation per key runs at a time);
 * **miss** — run the query for real and store the outcome.
 
-Entries are tagged with every source id that contributed, so
-forgetting a source (or learning it changed) can surgically invalidate
-exactly the results it took part in.  The clock is injectable
-(milliseconds, monotonic by default) so tests and simulations control
-time; everything is thread safe.
+Nothing is invalidated by hand.  The metasearcher's key binds every
+selected source at its harvest generation (``source_id@generation``),
+so once discovery re-harvests or forgets a source, no search builds
+that key again: the old entry simply misses and ages out of the LRU.
+The clock is injectable (milliseconds, monotonic by default) so tests
+and simulations control time; everything is thread safe.
 
 The cache reports to the process-wide metrics registry (the
 ``cache_*`` families, ``tier="result"``); what one search decided is
@@ -67,10 +68,8 @@ class QueryResultCache:
         self.ttl_ms = ttl_ms
         self.stale_grace_ms = stale_grace_ms
         self._clock = clock or _monotonic_ms
-        #: key → (value, stored_at_ms, source ids), least recently used first.
-        self._entries: OrderedDict[str, tuple[object, float, frozenset[str]]] = (
-            OrderedDict()
-        )
+        #: key → (value, stored_at_ms), least recently used first.
+        self._entries: OrderedDict[str, tuple[object, float]] = OrderedDict()
         self._revalidating: set[str] = set()
         self._lock = threading.Lock()
 
@@ -112,17 +111,11 @@ class QueryResultCache:
             return STALE
         return MISS
 
-    def store(
-        self,
-        key: str,
-        value: object,
-        source_ids: tuple[str, ...] | list[str] = (),
-    ) -> int:
+    def store(self, key: str, value: object) -> int:
         """Cache ``value``; returns the number of evictions it forced."""
-        tags = frozenset(source_ids)
         evicted = 0
         with self._lock:
-            self._entries[key] = (value, self._clock(), tags)
+            self._entries[key] = (value, self._clock())
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -142,19 +135,6 @@ class QueryResultCache:
             ).labels(tier=_TIER).inc(evicted)
         self._report_entries(live)
         return evicted
-
-    def invalidate_source(self, source_id: str) -> int:
-        """Drop every cached result the source contributed to."""
-        with self._lock:
-            doomed = [
-                key for key, entry in self._entries.items() if source_id in entry[2]
-            ]
-            for key in doomed:
-                del self._entries[key]
-            live = len(self._entries)
-        if doomed:
-            self._report_entries(live)
-        return len(doomed)
 
     def clear(self) -> None:
         with self._lock:

@@ -18,7 +18,7 @@ into a per-source TTL instead of one global staleness knob:
    just now" (age zero → minimum TTL), never as a licence to cache
    forever.
 3. With no usable date hints at all the entry never goes stale on its
-   own (callers can still `forget()` it).
+   own (``DiscoveryService.forget()`` still forces a re-harvest).
 
 All dates are the protocol's day-granular ``YYYY-MM-DD`` strings;
 malformed values are ignored rather than trusted.

@@ -266,10 +266,11 @@ def _flat_and_brokered(summaries, n_leaves, queries, k):
         for leaf in leaves
         for replica in range(_RING_VIRTUAL_NODES)
     )
-    shards = {leaf: SummaryIndex() for leaf in leaves}
+    owned: dict[str, dict[str, SContentSummary]] = {leaf: {} for leaf in leaves}
     for source_id, summary in summaries.items():
         point = bisect.bisect_left(ring, (_ring_point(source_id), ""))
-        shards[ring[point % len(ring)][1]].add(source_id, summary)
+        owned[ring[point % len(ring)][1]][source_id] = summary
+    shards = {leaf: SummaryIndex.from_summaries(owned[leaf]) for leaf in leaves}
     index = SummaryIndex.from_summaries(summaries)
     flat, brokered, descended = [], [], 0
     for terms in queries:

@@ -31,7 +31,7 @@ from repro.federation.executor import Executor, SerialExecutor, submit_backgroun
 from repro.federation.outcomes import OutcomeStatus, SourceOutcome
 from repro.federation.policy import QueryPolicy
 from repro.federation.runner import QueryDispatcher, SourceRequest
-from repro.metasearch.discovery import DiscoveryService, KnownSource
+from repro.metasearch.discovery import Catalog, DiscoveryService, KnownSource
 from repro.metasearch.merging import (
     MergeContext,
     MergedDocument,
@@ -63,20 +63,26 @@ _LOGGED_PHASES = ("discover", "select", "translate", "query", "merge")
 class _Round:
     """One search, start to finish: the record every stage reads and writes.
 
-    The scope opens it (query, terms, merger, executor, grouping, tracer,
-    ``search`` span, start time); ``select`` adds the selected ids, their
-    summaries and the result-cache key; ``translate`` and the drivers
-    fill ``outcomes`` and ``reports`` as they land, so an ``error`` or
-    ``abandoned`` exit logs what actually landed; ``finish`` sets
-    ``result``.  ``outcome`` is how the search ended (``wire`` /
-    ``stream`` / ``hit`` / ``stale``; the scope itself adds ``error`` /
-    ``abandoned``), and :meth:`account` reads all of it exactly once,
-    however the search ends.  A stale entry's revalidation runs a copy
-    on a private tracer, with no span.
+    The scope opens it (query, terms, the discovery catalog, merger,
+    executor, grouping, tracer, ``search`` span, start time); ``select``
+    adds the selected ids, their summaries and the result-cache key;
+    ``translate`` and the drivers fill ``outcomes`` and ``reports`` as
+    they land, so an ``error`` or ``abandoned`` exit logs what actually
+    landed; ``finish`` sets ``result``.  ``outcome`` is how the search
+    ended (``wire`` / ``stream`` / ``hit`` / ``stale``; the scope itself
+    adds ``error`` / ``abandoned``), and :meth:`account` reads all of it
+    exactly once, however the search ends.  A stale entry's revalidation
+    runs a copy on a private tracer, with no span.
+
+    ``catalog`` is read from discovery once, when the round opens; every
+    stage looks sources up in it and never in discovery, so a refresh or
+    ``forget`` running alongside changes only the rounds that open
+    after it publishes.
     """
 
     query: SQuery
     terms: list[str]
+    catalog: Catalog
     merger: MergeStrategy
     executor: Executor
     group_by_resource: bool
@@ -357,14 +363,6 @@ class Metasearcher:
         if self.cache_policy.enabled:
             self.result_cache = QueryResultCache()
             self.negative_cache = NegativeSourceCache()
-            self.discovery.add_purge_hook(self._purge_source)
-
-    def _purge_source(self, source_id: str) -> None:
-        """Source knowledge changed or was forgotten: drop derived caches."""
-        if self.result_cache is not None:
-            self.result_cache.invalidate_source(source_id)
-        if self.negative_cache is not None:
-            self.negative_cache.forget(source_id)
 
     # -- discovery ---------------------------------------------------------
 
@@ -507,15 +505,14 @@ class Metasearcher:
         query.validate()
         if k_sources < 0:
             raise ValueError(f"k_sources must be >= 0, got {k_sources}")
-        if (
-            not self.discovery.summary_index().source_count
-            and not self.discovery.known_sources()
-        ):
+        catalog = self.discovery.catalog
+        if not catalog.sources:
             raise ProtocolError("no sources discovered; call refresh() first")
         terms = self._selection_terms(query)
         search = _Round(
             query,
             terms,
+            catalog,
             merger or self.merger,
             executor or self.executor,
             group_by_resource,
@@ -541,32 +538,37 @@ class Metasearcher:
     ) -> None:
         """Select the sources, keep their summaries, derive the cache key."""
         selector = selector or self.selector
-        tracer = search.tracer
+        tracer, catalog = search.tracer, search.catalog
         with tracer.span(
             "select", parent=search.span, selector=selector.name, k=k_sources
         ) as span:
-            index = self.discovery.summary_index()
-            indexed = index.source_count
+            indexed = catalog.index.source_count
             if indexed:
-                selected_ids = selector.select(search.terms, index, k_sources)
+                selected_ids = selector.select(search.terms, catalog.index, k_sources)
             else:
                 # No source exported a summary: nothing to score, so the
                 # first k by id stand in.
-                known = self.discovery.known_sources()
+                known = catalog.known_sources()
                 selected_ids = [source.source_id for source in known[:k_sources]]
             span.annotate(summaries=indexed, selected=" ".join(selected_ids))
         search.selected_ids = selected_ids
+        selected = [catalog.sources[source_id] for source_id in selected_ids]
         search.summaries = {
-            source_id: summary
-            for source_id in selected_ids
-            if (summary := self.discovery.source(source_id).summary) is not None
+            known.source_id: known.summary
+            for known in selected
+            if known.summary is not None
         }
         if self.result_cache is not None:
             # The canonical query plus everything else that changes the
-            # merged answer for a fixed source set.
+            # merged answer for a fixed source set.  Each source is bound
+            # at its harvest generation: once it is re-harvested or
+            # forgotten, no catalog yields this key again.
             search.key = "|".join(
                 (
-                    query_cache_key(search.query, selected_ids),
+                    query_cache_key(
+                        search.query,
+                        [f"{known.source_id}@{known.generation}" for known in selected],
+                    ),
                     f"grp={'T' if search.group_by_resource else 'F'}",
                     f"merge={type(search.merger).__name__}",
                 )
@@ -612,11 +614,9 @@ class Metasearcher:
         """
         tracer = search.tracer
         translated_requests: list[SourceRequest] = []
-        for entry_id, sibling_ids in self._route(
-            search.selected_ids, search.group_by_resource
-        ):
+        for entry_id, sibling_ids in self._route(search):
             with tracer.span(f"translate:{entry_id}", parent=search.span) as span:
-                source = self.discovery.source(entry_id)
+                source = search.catalog.sources[entry_id]
                 translated, report = self.translator.translate(
                     search.query,
                     source.metadata,
@@ -814,7 +814,7 @@ class Metasearcher:
         """The STARTS raw material of every *candidate* source; merging
         narrows it to the sources that answer (``restricted_to``)."""
         known = {
-            source_id: self.discovery.source(source_id)
+            source_id: search.catalog.sources[source_id]
             for source_id in search.selected_ids
         }
         return MergeContext(
@@ -866,9 +866,7 @@ class Metasearcher:
                 for outcome in outcomes.values()
             )
         ):
-            evictions = self.result_cache.store(
-                search.key, self._copy_result(result), source_ids=search.selected_ids
-            )
+            evictions = self.result_cache.store(search.key, self._copy_result(result))
             if search.cache_event is not None:
                 search.cache_event.annotate(evictions=evictions)
         return result
@@ -906,8 +904,9 @@ class Metasearcher:
         """Refresh a stale entry off the caller's critical path.
 
         Single-flight per key; the refresh re-runs the batch round for
-        the *same* plan (the key binds its source set, and the round
-        files its result under it) on a copy of the round with a
+        the *same* plan (the key binds its source set at their harvest
+        generations, the copy keeps the round's catalog, and the round
+        files its result under the key) on a copy of the round with a
         private tracer and nothing recorded yet, so nothing it records
         lands in the caller's trace or query-log record.
         Scheduling goes through the executor's ``submit`` hook: the
@@ -928,21 +927,20 @@ class Metasearcher:
 
         submit_background(search.executor, refresh)
 
-    def _route(
-        self, selected_ids: list[str], group_by_resource: bool
-    ) -> list[tuple[str, list[str]]]:
+    @staticmethod
+    def _route(search: _Round) -> list[tuple[str, list[str]]]:
         """(entry source, sibling sources) pairs for the query round.
 
         Without grouping every source is its own entry.  With grouping,
         sources sharing a resource collapse into one entry (the
         best-ranked one) carrying the rest in ``Sources``.
         """
-        if not group_by_resource:
-            return [(source_id, []) for source_id in selected_ids]
+        if not search.group_by_resource:
+            return [(source_id, []) for source_id in search.selected_ids]
         by_resource: dict[str | None, list[str]] = {}
         order: list[str | None] = []
-        for source_id in selected_ids:
-            resource_url = self.discovery.source(source_id).resource_url
+        for source_id in search.selected_ids:
+            resource_url = search.catalog.sources[source_id].resource_url
             if resource_url not in by_resource:
                 by_resource[resource_url] = []
                 order.append(resource_url)

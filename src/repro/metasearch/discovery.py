@@ -5,13 +5,23 @@ periodically" and "extract metadata and content summaries from the
 sources periodically".  :class:`DiscoveryService` does both over the
 transport layer, caching everything it fetches and honouring the
 ``DateExpires`` metadata attribute so stale entries are re-fetched.
+
+Searches keep running while discovery re-harvests, so what discovery
+knows is published as a value: an immutable :class:`Catalog` of the
+known-source records and the summary index built from their summaries.
+A refresh or :meth:`DiscoveryService.forget` that changes anything
+builds the next catalog and swaps one reference, under a writer lock;
+a search round reads :attr:`DiscoveryService.catalog` once and never
+sees a half-applied harvest.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
+from types import MappingProxyType
 
 from repro.cache.summaries import SummaryTtlPolicy
 from repro.metasearch.summary_index import SummaryIndex
@@ -22,18 +32,25 @@ from repro.starts.metadata import SContentSummary, SMetaAttributes
 from repro.transport.client import StartsClient
 from repro.transport.network import TransportError
 
-__all__ = ["KnownSource", "DiscoveryService"]
+__all__ = ["Catalog", "KnownSource", "DiscoveryService"]
 
 
 @dataclass
 class KnownSource:
-    """Everything a metasearcher knows about one discovered source."""
+    """Everything a metasearcher knows about one discovered source.
+
+    ``generation`` numbers the harvest that produced this record: no two
+    harvests of one :class:`DiscoveryService` share a number, so a
+    result-cache key that binds ``source_id@generation`` misses once the
+    source is re-harvested or forgotten.
+    """
 
     source_id: str
     metadata: SMetaAttributes
     summary: SContentSummary | None = None
     sample_results: SampleResults | None = None
     resource_url: str | None = None
+    generation: int = 0
 
     @property
     def query_url(self) -> str:
@@ -50,6 +67,31 @@ class KnownSource:
         of a large harvest) and kept until a re-harvest replaces this
         object, metadata and all."""
         return translation_target(self.metadata)
+
+
+class Catalog:
+    """One published state of discovery: never changed once built.
+
+    ``sources`` maps each known source id to its record, and ``index``
+    is the :class:`SummaryIndex` built once from their summaries, so
+    the two always agree.  The catalog takes ownership of the dict it
+    is given and exposes it read-only.
+    """
+
+    __slots__ = ("sources", "index")
+
+    def __init__(self, sources: dict[str, KnownSource]) -> None:
+        self.sources: Mapping[str, KnownSource] = MappingProxyType(sources)
+        self.index = SummaryIndex.from_summaries(
+            {
+                source_id: known.summary
+                for source_id, known in self.sources.items()
+                if known.summary is not None
+            }
+        )
+
+    def known_sources(self) -> list[KnownSource]:
+        return [self.sources[source_id] for source_id in sorted(self.sources)]
 
 
 #: What one source may do to its own harvest without aborting the round.
@@ -69,26 +111,27 @@ class DiscoveryService:
             gave one, else a per-source heuristic TTL derived from
             ``DateChanged`` and the harvest date (see
             :class:`~repro.cache.SummaryTtlPolicy`).
+        catalog: the published :class:`Catalog`; a search reads it once
+            per round.
     """
 
     client: StartsClient
     clock: str = "1996-08-01"
     ttl_policy: SummaryTtlPolicy = SummaryTtlPolicy()
-    _sources: dict[str, KnownSource] = dataclass_field(default_factory=dict)
     #: source_id → metadata URL for sources skipped on the last refresh
     #: because their host was unreachable or their metadata malformed.
     unreachable: dict[str, str] = dataclass_field(default_factory=dict)
     #: source_id → clock date of the last successful harvest; feeds the
     #: heuristic TTL ("age at harvest") of :attr:`ttl_policy`.
     fetched_on: dict[str, str] = dataclass_field(default_factory=dict)
-    #: callbacks fired with a source id whenever its cached knowledge is
-    #: dropped or replaced, so downstream caches (query results,
-    #: negative entries) can purge anything derived from it.
-    _purge_hooks: list[Callable[[str], None]] = dataclass_field(default_factory=list)
-    #: the inverted view of every harvested summary, maintained as
-    #: deltas: harvest adds, re-harvest replaces, :meth:`forget` drops.
-    #: Selection scores against this instead of rescanning the dict.
-    _summary_index: SummaryIndex = dataclass_field(default_factory=SummaryIndex)
+    catalog: Catalog = dataclass_field(
+        default_factory=lambda: Catalog({}), init=False
+    )
+    #: Serialises the writers (refresh, forget); readers take no lock.
+    _writer: threading.Lock = dataclass_field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+    _harvests: int = dataclass_field(default=0, init=False)
 
     def refresh_resource(
         self, resource_url: str, client: StartsClient | None = None
@@ -100,37 +143,41 @@ class DiscoveryService:
         decode (:class:`SoifSyntaxError`) is skipped for this round — a
         stale entry from an earlier harvest is kept rather than dropped,
         and the source id is recorded in :attr:`unreachable` so callers
-        can see what was missed.
+        can see what was missed.  A refresh that harvested anything
+        publishes the next :attr:`catalog`; one that found nothing stale
+        publishes nothing.
 
         ``client`` fetches this one harvest instead of :attr:`client` —
         how a traced refresh routes its fetch events to the caller's
         tracer without leaving that tracer on the shared client.
         """
         client = client or self.client
-        resource = client.fetch_resource(resource_url)
-        harvested: list[KnownSource] = []
-        for source_id, metadata_url in resource.source_list:
-            known = self._sources.get(source_id)
-            if known is None or self._is_stale(known):
-                refreshing = known is not None
-                try:
-                    known = self._harvest(
-                        client, source_id, metadata_url, resource_url
-                    )
-                except _HARVEST_FAILURES:
-                    self.unreachable[source_id] = metadata_url
-                    if known is None:
-                        continue
-                else:
-                    self.unreachable.pop(source_id, None)
-                    self._sources[source_id] = known
-                    self.fetched_on[source_id] = self.clock
-                    self._summary_index.update(source_id, known.summary)
-                    if refreshing:
-                        # The source's metadata/summary just changed out
-                        # from under anything derived from the old copy.
-                        self._fire_purge(source_id)
-            harvested.append(known)
+        with self._writer:
+            resource = client.fetch_resource(resource_url)
+            sources = dict(self.catalog.sources)
+            harvested: list[KnownSource] = []
+            changed = False
+            for source_id, metadata_url in resource.source_list:
+                known = sources.get(source_id)
+                if known is None or self._is_stale(known):
+                    try:
+                        known = self._harvest(
+                            client, source_id, metadata_url, resource_url
+                        )
+                    except _HARVEST_FAILURES:
+                        self.unreachable[source_id] = metadata_url
+                        if known is None:
+                            continue
+                    else:
+                        self._harvests += 1
+                        known.generation = self._harvests
+                        self.unreachable.pop(source_id, None)
+                        self.fetched_on[source_id] = self.clock
+                        sources[source_id] = known
+                        changed = True
+                harvested.append(known)
+            if changed:
+                self.catalog = Catalog(sources)
         return harvested
 
     def _is_stale(self, known: KnownSource) -> bool:
@@ -160,57 +207,40 @@ class DiscoveryService:
                 known.sample_results = None
         return known
 
-    # -- lookups -------------------------------------------------------------
+    # -- lookups on the published catalog ------------------------------------
 
     def known_sources(self) -> list[KnownSource]:
-        return [self._sources[source_id] for source_id in sorted(self._sources)]
+        return self.catalog.known_sources()
 
     def source(self, source_id: str) -> KnownSource:
-        return self._sources[source_id]
+        return self.catalog.sources[source_id]
 
     def summaries(self) -> dict[str, SContentSummary]:
         return {
             source_id: known.summary
-            for source_id, known in self._sources.items()
+            for source_id, known in self.catalog.sources.items()
             if known.summary is not None
         }
 
     def summary_index(self) -> SummaryIndex:
-        """The incrementally maintained inverted summary index.
+        """The published catalog's summary index, built with it."""
+        return self.catalog.index
 
-        Coherent with :meth:`summaries` by construction: every harvest,
-        stale re-harvest and :meth:`forget` applies the matching
-        add/replace/remove delta, alongside the same purge hooks the
-        derived caches listen on.
-        """
-        return self._summary_index
-
-    # -- invalidation --------------------------------------------------------
-
-    def add_purge_hook(self, hook: Callable[[str], None]) -> None:
-        """Call ``hook(source_id)`` whenever a source's cached knowledge
-        is forgotten or replaced by a fresh harvest."""
-        self._purge_hooks.append(hook)
-
-    def _fire_purge(self, source_id: str) -> None:
-        for hook in self._purge_hooks:
-            hook(source_id)
+    # -- forced re-harvest ---------------------------------------------------
 
     def forget(self, source_id: str) -> None:
-        """Drop *everything* cached for a source, not just its entry.
+        """Drop a source, so the next refresh harvests it afresh.
 
-        Purges the known-source record (metadata, content summary and
-        sample results ride along with it), the harvest date that
-        feeds the TTL heuristic, and the unreachable marker, then fires
-        the purge hooks so derived caches drop their entries too.
+        §4.3.1's ``DateExpires`` says when harvested knowledge goes
+        bad; this forces a re-harvest ahead of it.  The next catalog
+        leaves the source out, and its harvest date and unreachable
+        marker go too.  A round that already holds the previous catalog
+        finishes on it, records intact.
         """
-        known = self._sources.pop(source_id, None)
-        if known is not None:
-            # Sever the heavyweight references even if a caller still
-            # holds the KnownSource record.
-            known.summary = None
-            known.sample_results = None
-        self._summary_index.remove(source_id)
-        self.fetched_on.pop(source_id, None)
-        self.unreachable.pop(source_id, None)
-        self._fire_purge(source_id)
+        with self._writer:
+            self.fetched_on.pop(source_id, None)
+            self.unreachable.pop(source_id, None)
+            if source_id in self.catalog.sources:
+                sources = dict(self.catalog.sources)
+                del sources[source_id]
+                self.catalog = Catalog(sources)

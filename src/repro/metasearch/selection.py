@@ -269,7 +269,7 @@ class Cori(SourceSelector):
         belief = 0.4 + 0.6 * T * I
     where cw_s is the source's total word mass, C the number of
     sources, and cf_t how many sources contain t.  The corpus-level
-    statistics are the index's incrementally maintained columns, and
+    statistics are the index's columns, counted when it is built, and
     only sources containing at least one query term are visited — every
     absent term contributes the default 0.4 belief, folded in
     analytically for untouched sources.

@@ -18,16 +18,16 @@ only thing a selector scores:
   sources that actually contain it;
 * **source columns** — interned source ids plus ``num_docs`` /
   ``total word mass`` / case-sensitivity columns addressed by ordinal;
-* **corpus statistics maintained incrementally** — per-term collection
-  frequency (a counter riding on each shard), the total clamped word
-  mass (an exact integer sum, so CORI's mean is bit-identical to a
-  from-scratch recomputation) and the live source count.
+* **corpus statistics** — per-term collection frequency (a counter
+  riding on each shard), the total clamped word mass (an exact integer
+  sum, so CORI's mean is bit-identical to the dense recomputation), the
+  source count and the id-ordered source list.
 
-Mutations are deltas: :meth:`add` interns or re-harvests one source,
-:meth:`remove` drops it, and every delta bumps :attr:`generation` so
-downstream memos (sorted id order, selector caches) know to refresh.
-The summary objects themselves are not retained: the discovery service
-that feeds the index holds them.
+An index is built once, by :meth:`SummaryIndex.from_summaries`, and
+never changed: discovery builds a fresh one for every catalog it
+publishes (:class:`~repro.metasearch.discovery.Catalog`), so a round
+that holds an index holds a consistent one.  The summary objects
+themselves are not retained: the catalog holds them.
 
 Word keying follows each summary's own case rule, exactly as
 :meth:`SContentSummary.lookup` does: a case-insensitive summary is
@@ -41,6 +41,7 @@ shard (case-sensitive sources only) with the lowered-key shard
 from __future__ import annotations
 
 from array import array
+from collections.abc import Mapping
 from typing import NamedTuple
 
 from repro.observability.metrics import get_registry
@@ -55,7 +56,7 @@ class TermColumns(NamedTuple):
     ``positions`` maps source ordinal → slot in the columns, for O(1)
     membership tests (BGloss intersections) and df lookups.
     ``collection_frequency`` is the number of listed sources whose df is
-    positive — CORI's ``cf_t``, maintained incrementally.
+    positive — CORI's ``cf_t``, counted at build.
     """
 
     ordinals: "array[int] | list[int]"
@@ -74,9 +75,8 @@ _EMPTY_COLUMNS = TermColumns(array("q"), array("q"), array("q"), 0, {})
 class _TermShard:
     """The packed postings of one term: parallel append-only columns.
 
-    Removal swaps the victim with the last slot, so the columns stay
-    dense; order within a shard is not meaningful (selector output is
-    totally ordered by ``(-score, source id)`` downstream).
+    Order within a shard is not meaningful (selector output is totally
+    ordered by ``(-score, source id)`` downstream).
     """
 
     __slots__ = ("ordinals", "document_frequencies", "postings", "positions",
@@ -89,9 +89,6 @@ class _TermShard:
         self.positions: dict[int, int] = {}
         self.df_positive = 0
 
-    def __len__(self) -> int:
-        return len(self.ordinals)
-
     def add(self, ordinal: int, document_frequency: int, postings: int) -> None:
         self.positions[ordinal] = len(self.ordinals)
         self.ordinals.append(ordinal)
@@ -100,59 +97,68 @@ class _TermShard:
         if document_frequency > 0:
             self.df_positive += 1
 
-    def remove(self, ordinal: int) -> None:
-        slot = self.positions.pop(ordinal)
-        if self.document_frequencies[slot] > 0:
-            self.df_positive -= 1
-        last = len(self.ordinals) - 1
-        if slot != last:
-            moved = self.ordinals[last]
-            self.ordinals[slot] = moved
-            self.document_frequencies[slot] = self.document_frequencies[last]
-            self.postings[slot] = self.postings[last]
-            self.positions[moved] = slot
-        self.ordinals.pop()
-        self.document_frequencies.pop()
-        self.postings.pop()
-
 
 class SummaryIndex:
-    """Inverted view of a set of content summaries, maintained by deltas."""
+    """Inverted view of a set of content summaries, built once.
+
+    :meth:`from_summaries` is the constructor; nothing changes an index
+    after it returns.
+    """
 
     def __init__(self) -> None:
-        # Source columns, addressed by ordinal.  Removed ordinals go on
-        # the free list and are recycled by later adds.
-        self._source_ids: list[str | None] = []
+        # Source columns, addressed by ordinal.
+        self._source_ids: list[str] = []
         self._num_docs: list[int] = []
         self._word_mass: list[int] = []
         self._case_sensitive: list[bool] = []
-        self._source_terms: list[tuple[str, ...]] = []
-        self._free: list[int] = []
         self._ordinal_of: dict[str, int] = {}
-        # Term shards and incrementally maintained corpus statistics.
+        self._sorted: list[tuple[str, int]] = []
+        # Term shards and corpus statistics.
         self._shards: dict[str, _TermShard] = {}
         self._clamped_mass_total = 0  # exact integer sum of max(1, mass)
-        #: bumped on every add/replace/remove; memo invalidation signal.
-        self.generation = 0
-        self._sorted_cache: tuple[int, list[tuple[str, int]]] | None = None
 
     @classmethod
     def from_summaries(
-        cls, summaries: dict[str, SContentSummary]
+        cls, summaries: Mapping[str, SContentSummary]
     ) -> "SummaryIndex":
+        """Index every summary, in the mapping's order."""
         index = cls()
-        for source_id, summary in summaries.items():
-            index.add(source_id, summary)
+        shards = index._shards
+        for ordinal, (source_id, summary) in enumerate(summaries.items()):
+            word_mass = summary.total_word_mass()
+            index._ordinal_of[source_id] = ordinal
+            index._source_ids.append(source_id)
+            index._num_docs.append(summary.num_docs)
+            index._word_mass.append(word_mass)
+            index._case_sensitive.append(summary.case_sensitive)
+            index._clamped_mass_total += max(1, word_mass)
+            for word, (postings, document_frequency) in (
+                summary.word_statistics().items()
+            ):
+                shard = shards.get(word)
+                if shard is None:
+                    shard = shards[word] = _TermShard()
+                shard.add(ordinal, document_frequency, postings)
+        index._sorted = sorted(index._ordinal_of.items())
+        registry = get_registry()
+        registry.gauge(
+            "summary_index_terms",
+            "Distinct summary words held by the last summary index built.",
+        ).set(len(shards))
+        registry.gauge(
+            "summary_index_sources",
+            "Sources indexed for selection by the last summary index built.",
+        ).set(len(index._source_ids))
         return index
 
     # -- sizes -------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._ordinal_of)
+        return len(self._source_ids)
 
     @property
     def source_count(self) -> int:
-        return len(self._ordinal_of)
+        return len(self._source_ids)
 
     @property
     def term_count(self) -> int:
@@ -161,87 +167,10 @@ class SummaryIndex:
     def __contains__(self, source_id: str) -> bool:
         return source_id in self._ordinal_of
 
-    # -- mutation ----------------------------------------------------------
-
-    def add(self, source_id: str, summary: SContentSummary) -> None:
-        """Index (or re-index) one source's summary as a delta."""
-        if source_id in self._ordinal_of:
-            self.remove(source_id)
-        if self._free:
-            ordinal = self._free.pop()
-            self._source_ids[ordinal] = source_id
-            self._num_docs[ordinal] = summary.num_docs
-            self._word_mass[ordinal] = summary.total_word_mass()
-            self._case_sensitive[ordinal] = summary.case_sensitive
-        else:
-            ordinal = len(self._source_ids)
-            self._source_ids.append(source_id)
-            self._num_docs.append(summary.num_docs)
-            self._word_mass.append(summary.total_word_mass())
-            self._case_sensitive.append(summary.case_sensitive)
-            self._source_terms.append(())
-        statistics = summary.word_statistics()
-        for word, (postings, document_frequency) in statistics.items():
-            shard = self._shards.get(word)
-            if shard is None:
-                shard = self._shards[word] = _TermShard()
-            shard.add(ordinal, document_frequency, postings)
-        self._source_terms[ordinal] = tuple(statistics)
-        self._ordinal_of[source_id] = ordinal
-        self._clamped_mass_total += max(1, self._word_mass[ordinal])
-        self._bump()
-
-    def remove(self, source_id: str) -> bool:
-        """Drop one source; returns whether it was indexed at all.
-
-        Every term shard the source contributed to sheds its entry (and
-        its collection-frequency count, when df was positive); shards
-        left empty are deleted outright so :attr:`term_count` tracks the
-        live vocabulary.
-        """
-        ordinal = self._ordinal_of.pop(source_id, None)
-        if ordinal is None:
-            return False
-        for word in self._source_terms[ordinal]:
-            shard = self._shards[word]
-            shard.remove(ordinal)
-            if not len(shard):
-                del self._shards[word]
-        self._clamped_mass_total -= max(1, self._word_mass[ordinal])
-        self._source_terms[ordinal] = ()
-        self._source_ids[ordinal] = None
-        self._num_docs[ordinal] = 0
-        self._word_mass[ordinal] = 0
-        self._free.append(ordinal)
-        self._bump()
-        return True
-
-    def update(self, source_id: str, summary: SContentSummary | None) -> None:
-        """Apply one discovery delta: a fresh summary, or none at all."""
-        if summary is None:
-            self.remove(source_id)
-        else:
-            self.add(source_id, summary)
-
-    def _bump(self) -> None:
-        self.generation += 1
-        self._sorted_cache = None
-        registry = get_registry()
-        registry.gauge(
-            "summary_index_terms",
-            "Distinct summary words currently held by the summary index.",
-        ).set(len(self._shards))
-        registry.gauge(
-            "summary_index_sources",
-            "Sources currently indexed for selection.",
-        ).set(len(self._ordinal_of))
-
     # -- source columns ----------------------------------------------------
 
     def source_id(self, ordinal: int) -> str:
-        identifier = self._source_ids[ordinal]
-        assert identifier is not None
-        return identifier
+        return self._source_ids[ordinal]
 
     def num_docs(self, ordinal: int) -> int:
         return self._num_docs[ordinal]
@@ -251,23 +180,18 @@ class SummaryIndex:
         return max(1.0, float(self._word_mass[ordinal]))
 
     def mean_clamped_word_mass(self) -> float:
-        """Mean clamped word mass over live sources.
+        """Mean clamped word mass over the indexed sources.
 
-        The running total is an exact integer sum, so this equals a
-        from-scratch recomputation bit for bit.
+        The total is an exact integer sum, so this equals the dense
+        recomputation bit for bit.
         """
-        if not self._ordinal_of:
+        if not self._source_ids:
             return 0.0
-        return float(self._clamped_mass_total) / len(self._ordinal_of)
+        return float(self._clamped_mass_total) / len(self._source_ids)
 
     def sorted_sources(self) -> list[tuple[str, int]]:
-        """Live ``(source id, ordinal)`` pairs in id order (memoized)."""
-        cached = self._sorted_cache
-        if cached is not None and cached[0] == self.generation:
-            return cached[1]
-        ordered = sorted(self._ordinal_of.items())
-        self._sorted_cache = (self.generation, ordered)
-        return ordered
+        """``(source id, ordinal)`` pairs in id order."""
+        return self._sorted
 
     def source_ids(self) -> list[str]:
         return [source_id for source_id, _ in self.sorted_sources()]

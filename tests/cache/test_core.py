@@ -98,14 +98,6 @@ class TestTtl:
 
 
 class TestInvalidation:
-    def test_invalidate_tagged(self, clock):
-        cache = QueryResultCache(clock=clock)
-        cache.store("a", 1, source_ids=("s1", "s2"))
-        cache.store("b", 2, source_ids=("s2",))
-        cache.store("c", 3, source_ids=("s3",))
-        assert cache.invalidate_source("s2") == 2
-        assert "a" not in cache and "b" not in cache and "c" in cache
-
     def test_clear(self, clock):
         cache = QueryResultCache(clock=clock)
         cache.store("a", 1)

@@ -68,12 +68,6 @@ class TestReset:
         assert cache.skip_reason("s1") is None
         assert len(cache) == 0
 
-    def test_forget_drops_without_implying_health(self, clock):
-        cache = NegativeSourceCache(ttl_ms=100.0, failure_threshold=3, clock=clock)
-        cache.record_failure("s1", "error")
-        cache.forget("s1")
-        assert len(cache) == 0
-
     def test_skips_not_counted_when_not_skipping(self, clock, fresh_registry):
         cache = NegativeSourceCache(ttl_ms=100.0, clock=clock)
         assert cache.skip_reason("unknown") is None

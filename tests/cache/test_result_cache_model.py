@@ -1,8 +1,8 @@
 """The result cache against a dict-and-timestamps model, and under threads.
 
-Random sequences of store / lookup / clock advance / invalidate_source /
-clear must leave the cache and the model agreeing on every return value
-and on the whole LRU order after every step.
+Random sequences of store / lookup / clock advance / clear must leave
+the cache and the model agreeing on every return value and on the whole
+LRU order after every step.
 """
 
 import random
@@ -21,11 +21,11 @@ class Model:
 
     def __init__(self) -> None:
         self.now = 0
-        self.entries: dict[str, tuple[object, int, frozenset[str]]] = {}
+        self.entries: dict[str, tuple[object, int]] = {}
 
-    def store(self, key, value, source_ids) -> int:
+    def store(self, key, value) -> int:
         self.entries.pop(key, None)
-        self.entries[key] = (value, self.now, frozenset(source_ids))
+        self.entries[key] = (value, self.now)
         victims = list(self.entries)[: max(len(self.entries) - CAPACITY, 0)]
         for victim in victims:
             del self.entries[victim]
@@ -34,7 +34,7 @@ class Model:
     def lookup(self, key):
         if key not in self.entries:
             return None, MISS
-        value, stored_at, _ = self.entries[key]
+        value, stored_at = self.entries[key]
         if self.now - stored_at <= TTL_MS:
             self.entries[key] = self.entries.pop(key)  # most recent again
             return value, FRESH
@@ -43,15 +43,8 @@ class Model:
         del self.entries[key]
         return None, MISS
 
-    def invalidate_source(self, source_id) -> int:
-        doomed = [key for key, entry in self.entries.items() if source_id in entry[2]]
-        for key in doomed:
-            del self.entries[key]
-        return len(doomed)
-
 
 KEYS = ["q1", "q2", "q3", "q4"]  # one more than fits
-SOURCES = ["s1", "s2", "s3"]
 #: Steps that land an entry inside its TTL, its grace window, or past both.
 ADVANCES = [10, 60, 110, 160]
 
@@ -63,14 +56,11 @@ def operations(rng: random.Random) -> list[tuple]:
     for _ in range(60):
         roll = rng.random()
         if roll < 0.35:
-            sources = rng.sample(SOURCES, rng.randrange(3))
-            drawn.append(("store", rng.choice(KEYS), rng.randrange(100), sources))
+            drawn.append(("store", rng.choice(KEYS), rng.randrange(100)))
         elif roll < 0.70:
             drawn.append(("lookup", rng.choice(KEYS)))
-        elif roll < 0.88:
-            drawn.append(("advance", rng.choice(ADVANCES)))
         elif roll < 0.98:
-            drawn.append(("invalidate_source", rng.choice(SOURCES)))
+            drawn.append(("advance", rng.choice(ADVANCES)))
         else:
             drawn.append(("clear",))
     return drawn
@@ -92,11 +82,6 @@ def test_cache_agrees_with_the_model(seed):
         elif name == "clear":
             cache.clear()
             model.entries.clear()
-        elif name == "store":
-            key, value, sources = arguments
-            assert cache.store(key, value, source_ids=sources) == model.store(
-                key, value, sources
-            )
         else:
             assert getattr(cache, name)(*arguments) == getattr(model, name)(*arguments)
         # Same entries in the same recency order: the next victim is the same.
@@ -115,12 +100,12 @@ def test_eight_threads_end_within_capacity():
                 key = f"q{rng.randrange(64)}"
                 roll = rng.random()
                 if roll < 0.45:
-                    cache.store(key, step, source_ids=(f"s{rng.randrange(4)}",))
+                    cache.store(key, step)
                 elif roll < 0.95:
                     value, state = cache.lookup(key)
                     assert (value is None) == (state == MISS)
                 else:
-                    cache.invalidate_source(f"s{rng.randrange(4)}")
+                    cache.clear()
         except BaseException as error:  # surfaced on the main thread below
             failures.append(error)
 

@@ -21,7 +21,7 @@ def make_cache(**kwargs) -> tuple[QueryResultCache, FakeClock]:
 class TestReads:
     def test_fresh_stale_miss_progression(self):
         cache, clock = make_cache()
-        cache.store("k", {"docs": 3}, source_ids=("s1",))
+        cache.store("k", {"docs": 3})
         assert cache.lookup("k") == ({"docs": 3}, FRESH)
         clock.now_ms = 150.0
         assert cache.lookup("k") == ({"docs": 3}, STALE)
@@ -43,14 +43,6 @@ class TestReads:
 
 
 class TestSourceInvalidation:
-    def test_only_tagged_results_fall(self):
-        cache, _ = make_cache()
-        cache.store("a", 1, source_ids=("s1", "s2"))
-        cache.store("b", 2, source_ids=("s3",))
-        assert cache.invalidate_source("s1") == 1
-        assert cache.lookup("a") == (None, MISS)
-        assert cache.lookup("b") == (2, FRESH)
-
     def test_clear(self):
         cache, _ = make_cache()
         cache.store("a", 1)
@@ -106,14 +98,6 @@ class TestEntriesGauge:
 
     def entries(self, registry) -> float:
         return scraped(registry, "cache_entries", tier="result")
-
-    def test_invalidate_source_lowers_the_gauge(self, fresh_registry):
-        cache, _ = make_cache()
-        cache.store("a", 1, source_ids=("s1",))
-        cache.store("b", 2, source_ids=("s2",))
-        assert self.entries(fresh_registry) == 2
-        assert cache.invalidate_source("s1") == 1
-        assert self.entries(fresh_registry) == 1 == len(cache)
 
     def test_expiry_on_read_lowers_the_gauge(self, fresh_registry):
         cache, clock = make_cache()

@@ -1,9 +1,10 @@
 """The cached metasearch path: hits off the wire, stale-while-revalidate,
-negative caching of dead sources, and invalidation on forget()."""
+negative caching of dead sources, and keys that miss once a source is
+forgotten or re-harvested."""
 
 import pytest
 
-from repro.cache import CachePolicy, QueryResultCache
+from repro.cache import CachePolicy, NegativeSourceCache, QueryResultCache
 from repro.corpus import source1_documents, source2_documents
 from repro.federation import OutcomeStatus
 from repro.metasearch import Metasearcher
@@ -235,11 +236,13 @@ class TestNegativeCaching:
 
     def test_recovery_clears_the_negative_entry(self, world_with_dead_source):
         internet, searcher = world_with_dead_source
+        clock = {"now": 0.0}
+        searcher.negative_cache = NegativeSourceCache(clock=lambda: clock["now"])
         searcher.search(ranking_query("databases"), k_sources=2)
         assert len(searcher.negative_cache) == 1
 
         internet.set_fault_profile("doomed.org", FaultProfile())  # host heals
-        searcher.negative_cache.forget("Doomed")  # operator resets the hold
+        clock["now"] += searcher.negative_cache.ttl_ms  # the hold runs out
         result = searcher.search(ranking_query("stanford"), k_sources=2)
         assert "Doomed" in result.ok_sources()
         assert len(searcher.negative_cache) == 0
@@ -248,13 +251,15 @@ class TestNegativeCaching:
         self, world_with_dead_source
     ):
         internet, searcher = world_with_dead_source
+        clock = {"now": 0.0}
+        searcher.negative_cache = NegativeSourceCache(clock=lambda: clock["now"])
         query = ranking_query("databases")
         first = searcher.search(query, k_sources=2)
         assert first.outcomes["Doomed"].status is OutcomeStatus.ERROR
         assert len(searcher.result_cache) == 0  # answered with fewer sources
 
         internet.set_fault_profile("doomed.org", FaultProfile())  # host heals
-        searcher.negative_cache.forget("Doomed")
+        clock["now"] += searcher.negative_cache.ttl_ms  # the hold runs out
         requests_before = internet.request_count()
         healed = searcher.search(query, k_sources=2)
         assert healed.cache_status is None  # back on the wire
@@ -290,19 +295,26 @@ class TestNegativeCaching:
 class TestInvalidation:
     def test_forget_purges_cached_results_for_that_source(self, searcher):
         _, searcher = searcher
-        searcher.search(ranking_query("databases"))
-        assert len(searcher.result_cache) == 1
-        victim = searcher.discovery.known_sources()[0].source_id
+        query = ranking_query("databases")
+        first = searcher.search(query)
+        victim = first.selected_sources[0]
         searcher.discovery.forget(victim)
-        assert len(searcher.result_cache) == 0
+        assert searcher.search(query).cache_status is None
+        searcher.refresh()  # the same source, harvested again
+        again = searcher.search(query)
+        assert victim in again.selected_sources
+        assert again.cache_status is None  # the old entry missed
 
     def test_forgetting_an_uninvolved_source_keeps_the_entry(self, searcher):
         _, searcher = searcher
-        result = searcher.search(ranking_query("databases"), k_sources=1)
+        query = ranking_query("databases")
+        result = searcher.search(query, k_sources=1)
         uninvolved = [
             known.source_id
             for known in searcher.discovery.known_sources()
             if known.source_id not in result.selected_sources
         ]
         searcher.discovery.forget(uninvolved[0])
-        assert len(searcher.result_cache) == 1
+        again = searcher.search(query, k_sources=1)
+        assert again.selected_sources == result.selected_sources
+        assert again.cache_status == "hit"

@@ -125,9 +125,12 @@ class TestCaching:
         discovery, url, internet = service
         discovery.refresh_resource(url)
         count_after_first = internet.request_count()
+        published = discovery.catalog
         discovery.refresh_resource(url)
-        # Only the resource blob is re-fetched; sources are cached.
+        # Only the resource blob is re-fetched; sources are cached, and
+        # a refresh that harvested nothing publishes nothing.
         assert internet.request_count() == count_after_first + 1
+        assert discovery.catalog is published
 
     def test_forget_forces_refetch(self, service):
         discovery, url, internet = service
@@ -138,10 +141,12 @@ class TestCaching:
         assert internet.request_count() > count_before + 1
 
     def test_forget_purges_every_cached_artifact(self, service):
-        """forget() drops the summary, sample results, harvest date and
-        unreachable marker — not just the source entry."""
+        """forget() drops the source from the next catalog, with its
+        summary, sample results, harvest date and unreachable marker —
+        and leaves the catalog a round already holds as it was."""
         discovery, url, _ = service
         discovery.refresh_resource(url)
+        held = discovery.catalog
         known = discovery.source("Fed-DB")
         assert known.summary is not None
         discovery.unreachable["Fed-DB"] = "http://stale-marker"
@@ -150,19 +155,21 @@ class TestCaching:
 
         with pytest.raises(KeyError):
             discovery.source("Fed-DB")
-        assert known.summary is None  # heavyweight references severed
-        assert known.sample_results is None
+        assert "Fed-DB" not in discovery.summaries()
+        assert "Fed-DB" not in discovery.summary_index()
         assert "Fed-DB" not in discovery.fetched_on
         assert "Fed-DB" not in discovery.unreachable
+        # A round reading the earlier catalog finishes on whole records.
+        assert held.sources["Fed-DB"] is known
+        assert known.summary is not None and known.sample_results is not None
+        assert "Fed-DB" in held.index
 
-    def test_forget_fires_purge_hooks(self, service):
+    def test_forgetting_an_unknown_source_publishes_nothing(self, service):
         discovery, url, _ = service
         discovery.refresh_resource(url)
-        purged: list[str] = []
-        discovery.add_purge_hook(purged.append)
-        discovery.forget("Fed-DB")
-        discovery.forget("never-known")  # still purges derived caches
-        assert purged == ["Fed-DB", "never-known"]
+        held = discovery.catalog
+        discovery.forget("never-known")
+        assert discovery.catalog is held
 
     def test_refresh_records_harvest_dates(self, service):
         discovery, url, _ = service
@@ -195,9 +202,9 @@ class TestExpiry:
         finally:
             source.metadata = original_metadata
 
-    def test_stale_reharvest_fires_purge_hooks(self, small_federation):
-        """A re-harvest replaces a source's knowledge: derived caches
-        must hear about it just like on forget()."""
+    def test_stale_reharvest_publishes_a_new_generation(self, small_federation):
+        """A re-harvest replaces a source's record under a generation no
+        earlier harvest had, so a cache key that binds it cannot match."""
         internet, url, resource = small_federation
         source = resource.source("Fed-DB")
         original_metadata = source.metadata
@@ -211,10 +218,18 @@ class TestExpiry:
         try:
             discovery = DiscoveryService(StartsClient(internet), clock="1996-08-01")
             discovery.refresh_resource(url)
-            purged: list[str] = []
-            discovery.add_purge_hook(purged.append)
+            before = discovery.catalog
             discovery.refresh_resource(url)
-            assert purged == ["Fed-DB"]
+            after = discovery.catalog
+            assert after is not before
+            generations = {
+                known.source_id: known.generation
+                for known in before.known_sources()
+            }
+            assert after.sources["Fed-DB"].generation > max(generations.values())
+            for known in after.known_sources():
+                if known.source_id != "Fed-DB":
+                    assert known is before.sources[known.source_id]
         finally:
             source.metadata = original_metadata
 

@@ -11,7 +11,7 @@ whatever way a search ended, ``explain()`` renders and names the reason.
 import pytest
 
 from repro.__main__ import _print_selection
-from repro.cache import QueryResultCache
+from repro.cache import NegativeSourceCache, QueryResultCache
 from repro.corpus import source1_documents, source2_documents
 from repro.federation import QueryPolicy
 from repro.metasearch import Metasearcher, MetasearchResult, SelectAll
@@ -133,6 +133,8 @@ class TestExplainContract:
         internet, client = two_source_world(
             doomed(), query_policy=QueryPolicy(timeout_ms=100.0)
         )
+        clock = {"now": 0.0}
+        client.negative_cache = NegativeSourceCache(clock=lambda: clock["now"])
         internet.set_fault_profile("doomed.org", FaultProfile.dead())
         explained = client.search(ranking("databases"), k_sources=2).explain()
         assert "Doomed: error after 1 request(s)" in explained
@@ -143,7 +145,7 @@ class TestExplainContract:
         assert "status=negative-skip" in explained
         assert '"negative_skips": 1' in explained
 
-        client.negative_cache.forget("Doomed")
+        clock["now"] += client.negative_cache.ttl_ms  # the hold runs out
         internet.set_fault_profile("doomed.org", FaultProfile.hangs(hang_ms=5_000.0))
         explained = client.search(ranking("library"), k_sources=2).explain()
         assert "Doomed: timeout after 1 request(s)" in explained

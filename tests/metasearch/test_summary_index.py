@@ -1,8 +1,7 @@
-"""The term-sharded summary index: deltas, columns, corpus statistics."""
+"""The term-sharded summary index: built once, its columns and corpus statistics."""
 
 import pytest
 
-from repro.metasearch.selection import BGloss, Cori, VGlossSum
 from repro.metasearch.summary_index import SummaryIndex
 from repro.observability.metrics import MetricsRegistry, get_registry, set_registry
 from repro.starts.metadata import SContentSummary, SummaryEntryLine, SummarySection
@@ -77,58 +76,6 @@ class TestBuild:
         assert index.mean_clamped_word_mass() == sum(dense) / len(dense)
 
 
-class TestDeltas:
-    def test_remove_drops_shards_and_cf(self, index):
-        generation = index.generation
-        assert index.remove("Med") is True
-        assert index.generation > generation
-        assert "Med" not in index
-        # diagnosis lived only in Med: its shard is gone entirely.
-        assert index.term_columns("diagnosis").collection_frequency == 0
-        assert index.term_count == 3
-        # patient survives in Mixed; CORI's cf decremented, not zeroed.
-        assert index.term_columns("patient").collection_frequency == 1
-
-    def test_remove_unknown_is_noop(self, index):
-        generation = index.generation
-        assert index.remove("Nope") is False
-        assert index.generation == generation
-
-    def test_reharvest_replaces(self, index):
-        index.add("DB", summary(10, {"vldb": (5, 3)}))
-        assert len(index) == 3
-        assert index.term_columns("query").collection_frequency == 0
-        assert index.term_columns("vldb").collection_frequency == 1
-        assert index.num_docs(dict(index.sorted_sources())["DB"]) == 10
-
-    def test_ordinal_recycling(self, index):
-        victim = dict(index.sorted_sources())["DB"]
-        index.remove("DB")
-        index.add("New", summary(5, {"fresh": (2, 1)}))
-        assert dict(index.sorted_sources())["New"] == victim
-
-    def test_delta_stream_matches_rebuild(self, index):
-        live = population()
-        index.remove("Mixed")
-        del live["Mixed"]
-        live["DB"] = summary(60, {"databases": (90, 30)})
-        index.add("DB", live["DB"])
-        live["Extra"] = summary(40, {"query": (10, 5)})
-        index.add("Extra", live["Extra"])
-        rebuilt = SummaryIndex.from_summaries(live)
-        for selector in (BGloss(), VGlossSum(), Cori()):
-            assert selector.rank(["databases", "query"], index) == selector.rank(
-                ["databases", "query"], rebuilt
-            )
-        assert index.mean_clamped_word_mass() == rebuilt.mean_clamped_word_mass()
-
-    def test_update_none_removes(self, index):
-        index.update("Med", None)
-        assert "Med" not in index
-        index.update("Med", summary(7, {"patient": (3, 2)}))
-        assert index.term_columns("patient").collection_frequency == 2
-
-
 class TestCaseSensitivity:
     def test_mixed_case_term_honours_per_summary_rule(self):
         index = SummaryIndex.from_summaries(
@@ -152,11 +99,14 @@ class TestCaseSensitivity:
 
 
 class TestGauges:
-    def test_bump_sets_gauges(self, index):
+    def test_bump_sets_gauges(self):
+        """Building an index is the one time its gauges move."""
         previous = get_registry()
         set_registry(MetricsRegistry())
         try:
-            index.add("Extra", summary(3, {"word": (2, 1)}))
+            summaries = population()
+            summaries["Extra"] = summary(3, {"word": (2, 1)})
+            SummaryIndex.from_summaries(summaries)
 
             def gauge_value(name):
                 [(_, child)] = get_registry().family(name).children()
@@ -167,11 +117,11 @@ class TestGauges:
         finally:
             set_registry(previous)
 
-    def test_disabled_registry_is_accepted(self, index):
+    def test_disabled_registry_is_accepted(self):
         previous = get_registry()
         set_registry(MetricsRegistry.disabled())
         try:
-            index.add("Quiet", summary(3, {"word": (2, 1)}))
+            index = SummaryIndex.from_summaries({"Quiet": summary(3, {"word": (2, 1)})})
             assert "Quiet" in index
         finally:
             set_registry(previous)

@@ -107,15 +107,14 @@ def assert_same_statistics(summary: SContentSummary, reference: SContentSummary)
     statistics = oracle_word_statistics(reference)
     assert summary.word_statistics() == statistics
     assert summary.total_word_mass() == oracle_total_word_mass(reference)
-    production, expected = SummaryIndex(), SummaryIndex()
-    production.add("s", summary)
+    production = SummaryIndex.from_summaries({"s": summary})
     # The oracle's statistics stand in the reference's memo.
     object.__setattr__(
         reference,
         "_tally_cache",
         (reference.sections, statistics, oracle_total_word_mass(reference)),
     )
-    expected.add("s", reference)
+    expected = SummaryIndex.from_summaries({"s": reference})
     assert production.term_count == expected.term_count
     for word in statistics:
         assert production.term_columns(word) == expected.term_columns(word)

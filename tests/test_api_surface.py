@@ -250,6 +250,7 @@ UNCALLED = {
     "StartsSource.remove_documents": "§4.3.1 DateChanged: the shrinking half of add_documents",
     "export_resource": "§4.3 (the paper serves cont_sum.txt from an ftp:// URL); DESIGN.md §2 'File-based blob export' row",
     "register_file_url": "§4.3; DESIGN.md §2 'File-based blob export' row: the file:// harvesting half of export_resource",
+    "DiscoveryService.forget": "§4.3.1 DateExpires: forces a re-harvest of one source ahead of the date it gave; the writer the catalog law churns (tests/metasearch/test_concurrent_callers.py)",
     "set_query_log": "§3.3 (slow and charging sources are what the per-search record shows): the embedder's one way to size, replace or disable the process-wide log, as set_registry is for metrics",
 }
 

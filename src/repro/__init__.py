@@ -20,8 +20,8 @@ package layers:
   text), the per-search query log, and ``MetasearchResult.explain()``
   reading all three;
 * :mod:`repro.cache` — what the client remembers between queries: a
-  result cache (canonical keys, stale-while-revalidate), the list of
-  unreachable sources, the staleness rule for MBasic-1 dates;
+  result cache (canonical keys; an expired entry is a miss), the list
+  of unreachable sources, the staleness rule for MBasic-1 dates;
 * :mod:`repro.metasearch` — the client: source selection, query
   translation, rank merging;
 * :mod:`repro.corpus` — reproducible synthetic collections and query

@@ -6,10 +6,10 @@ knowledge goes bad (§4.3.1).  Three small things follow from that:
 
 * :class:`QueryResultCache` + :func:`query_cache_key` — a bounded
   LRU+TTL cache of whole merged results keyed on the *canonical* query
-  (order-insensitive where order carries no meaning), with
-  stale-while-revalidate reads (:data:`FRESH` / :data:`STALE` /
-  :data:`MISS`); the metasearcher's key binds each source's harvest
-  generation, so a re-harvested or forgotten source's entries miss;
+  (order-insensitive where order carries no meaning), read as
+  :data:`FRESH` or :data:`MISS` (an expired entry is a miss); the
+  metasearcher's key binds each source's harvest generation, so a
+  re-harvested or forgotten source's entries miss;
 * :class:`NegativeSourceCache` — the list of dead sources: remembers
   unreachable ones so the federation layer skips them instead of
   re-probing every search, until the hold's TTL passes or the source
@@ -22,7 +22,7 @@ knowledge goes bad (§4.3.1).  Three small things follow from that:
 restores the paper-faithful uncached pipeline byte-for-byte.
 """
 
-from repro.cache.core import FRESH, MISS, STALE
+from repro.cache.core import FRESH, MISS
 from repro.cache.keys import canonical_expression, canonical_text, query_cache_key
 from repro.cache.negative import NegativeEntry, NegativeSourceCache
 from repro.cache.policy import CachePolicy
@@ -31,7 +31,6 @@ from repro.cache.summaries import SummaryTtlPolicy, parse_protocol_date
 
 __all__ = [
     "FRESH",
-    "STALE",
     "MISS",
     "canonical_expression",
     "canonical_text",

@@ -1,10 +1,8 @@
-"""The three states a result-cache read can come back in."""
+"""The two states a result-cache read can come back in."""
 
-__all__ = ["FRESH", "STALE", "MISS"]
+__all__ = ["FRESH", "MISS"]
 
 #: Inside its TTL: served, and promoted to most recently used.
 FRESH = "fresh"
-#: Past its TTL but inside the grace window: served while a refresh runs.
-STALE = "stale"
-#: Absent, or expired beyond the grace window (the entry is dropped).
+#: Absent, or past its TTL (the entry is dropped).
 MISS = "miss"

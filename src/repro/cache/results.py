@@ -1,16 +1,13 @@
-"""The query-result cache: a bounded LRU with TTLs and stale-while-revalidate.
+"""The query-result cache: a bounded LRU with TTLs.
 
 Keys come from :func:`repro.cache.keys.query_cache_key` (canonical
 filter/ranking ASTs + the selected source set + the answer spec),
-values are whole merged search results, and reads distinguish three
-states:
+values are whole merged search results, and reads come back in one of
+two states:
 
 * **fresh** — serve it, the wire is never touched;
-* **stale** — the TTL has passed but the entry is inside the
-  ``stale_grace_ms`` window: serve the old answer *immediately* and
-  let the caller schedule a background refresh (single-flight — only
-  one revalidation per key runs at a time);
-* **miss** — run the query for real and store the outcome.
+* **miss** — absent, or past its TTL (the entry is dropped): run the
+  query for real and store the outcome.
 
 Nothing is invalidated by hand.  The metasearcher's key binds every
 selected source at its harvest generation (``source_id@generation``),
@@ -30,7 +27,7 @@ import threading
 import time
 from collections import OrderedDict
 
-from repro.cache.core import FRESH, MISS, STALE
+from repro.cache.core import FRESH, MISS
 from repro.observability.metrics import get_registry
 
 __all__ = ["QueryResultCache"]
@@ -43,14 +40,13 @@ def _monotonic_ms() -> float:
 
 
 class QueryResultCache:
-    """A thread-safe bounded result cache with stale-while-revalidate.
+    """A thread-safe bounded result cache with a freshness lifetime.
 
     Args:
         capacity: maximum cached results; the least recently used entry
             is evicted when a store would exceed it.
-        ttl_ms: freshness lifetime of an entry (``None`` = forever).
-        stale_grace_ms: how far past expiry an entry may still be
-            served while a revalidation runs; ``0`` makes expired a miss.
+        ttl_ms: freshness lifetime of an entry, ``> 0`` (``None`` =
+            forever); an entry past it is a miss.
         clock: a zero-argument callable returning milliseconds,
             injectable for tests.
     """
@@ -59,57 +55,46 @@ class QueryResultCache:
         self,
         capacity: int = 256,
         ttl_ms: float | None = 300_000.0,
-        stale_grace_ms: float = 600_000.0,
         clock=None,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        if ttl_ms is not None and ttl_ms <= 0:
+            raise ValueError("ttl_ms must be > 0 (or None: never expire)")
         self.capacity = capacity
         self.ttl_ms = ttl_ms
-        self.stale_grace_ms = stale_grace_ms
         self._clock = clock or _monotonic_ms
         #: key → (value, stored_at_ms), least recently used first.
         self._entries: OrderedDict[str, tuple[object, float]] = OrderedDict()
-        self._revalidating: set[str] = set()
         self._lock = threading.Lock()
 
     # -- the read/write surface -------------------------------------------
 
     def lookup(self, key: str) -> tuple[object | None, str]:
-        """``(value, state)`` with state ``fresh`` / ``stale`` / ``miss``.
+        """``(value, state)`` with state ``fresh`` or ``miss``.
 
-        A fresh read promotes the entry to most recently used; a stale
-        one returns the value and keeps the entry for its revalidation;
-        an entry expired beyond the grace window is dropped.
+        A fresh read promotes the entry to most recently used; an entry
+        past its TTL is dropped, and the read is a miss.
         """
         now = self._clock()
         value, state, live = None, MISS, None
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
-                state = self._state_at(entry[1], now)
-                if state == MISS:
+                if self.ttl_ms is None or now <= entry[1] + self.ttl_ms:
+                    value, state = entry[0], FRESH
+                    self._entries.move_to_end(key)
+                else:
                     del self._entries[key]
                     live = len(self._entries)
-                else:
-                    value = entry[0]
-                    if state == FRESH:
-                        self._entries.move_to_end(key)
         get_registry().counter(
             "cache_reads_total",
-            "Cache lookups per tier and read result (fresh/stale/miss).",
+            "Cache lookups per tier and read result (fresh/miss).",
             labels=("tier", "result"),
         ).labels(tier=_TIER, result=state).inc()
         if live is not None:
             self._report_entries(live)
         return value, state
-
-    def _state_at(self, stored_at_ms: float, now_ms: float) -> str:
-        if self.ttl_ms is None or now_ms <= stored_at_ms + self.ttl_ms:
-            return FRESH
-        if now_ms <= stored_at_ms + self.ttl_ms + self.stale_grace_ms:
-            return STALE
-        return MISS
 
     def store(self, key: str, value: object) -> int:
         """Cache ``value``; returns the number of evictions it forced."""
@@ -148,20 +133,6 @@ class QueryResultCache:
             "Live entries per cache tier.",
             labels=("tier",),
         ).labels(tier=_TIER).set(live)
-
-    # -- single-flight revalidation ---------------------------------------
-
-    def begin_revalidation(self, key: str) -> bool:
-        """Claim the revalidation of ``key``; False if already claimed."""
-        with self._lock:
-            if key in self._revalidating:
-                return False
-            self._revalidating.add(key)
-            return True
-
-    def finish_revalidation(self, key: str) -> None:
-        with self._lock:
-            self._revalidating.discard(key)
 
     # -- introspection -----------------------------------------------------
 

@@ -8,11 +8,7 @@ individual sources fail.
 """
 
 from repro.federation.aio import AsyncExecutor
-from repro.federation.executor import (
-    Executor,
-    SerialExecutor,
-    submit_background,
-)
+from repro.federation.executor import Executor, SerialExecutor
 from repro.federation.outcomes import Attempt, OutcomeStatus, SourceOutcome
 from repro.federation.policy import QueryPolicy
 from repro.federation.runner import QueryDispatcher, SourceRequest
@@ -21,7 +17,6 @@ __all__ = [
     "AsyncExecutor",
     "Executor",
     "SerialExecutor",
-    "submit_background",
     "Attempt",
     "OutcomeStatus",
     "SourceOutcome",

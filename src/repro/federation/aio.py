@@ -140,14 +140,6 @@ class AsyncExecutor:
             loop.run_until_complete(settled)
             loop.close()
 
-    def submit(self, fn: Callable[[], object]) -> None:
-        """Run ``fn`` on a daemon thread; the caller never waits for it.
-
-        Background work (cache revalidation) carries its own event loop
-        if it needs one; a per-call thread keeps the executor stateless.
-        """
-        threading.Thread(target=fn, daemon=True).start()
-
     # -- telemetry ---------------------------------------------------------
 
     def _enter_task(self) -> None:

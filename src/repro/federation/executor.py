@@ -16,20 +16,13 @@ order, so callers never depend on completion order.
 
 from __future__ import annotations
 
-import logging
 from collections.abc import Callable, Iterator, Sequence
 from typing import Protocol, TypeVar, runtime_checkable
 
-__all__ = [
-    "Executor",
-    "SerialExecutor",
-    "submit_background",
-]
+__all__ = ["Executor", "SerialExecutor"]
 
 TaskT = TypeVar("TaskT")
 ResultT = TypeVar("ResultT")
-
-logger = logging.getLogger(__name__)
 
 
 @runtime_checkable
@@ -45,8 +38,6 @@ class Executor(Protocol):
     def run_stream(
         self, tasks: Sequence[TaskT], fn: Callable[[TaskT], ResultT]
     ) -> Iterator[tuple[int, ResultT]]: ...
-
-    def submit(self, fn: Callable[[], object]) -> None: ...
 
 
 class SerialExecutor:
@@ -70,36 +61,3 @@ class SerialExecutor:
         """
         for index, task in enumerate(tasks):
             yield index, fn(task)
-
-    def submit(self, fn: Callable[[], object]) -> None:
-        """Run ``fn`` inline — single-threaded code stays deterministic."""
-        fn()
-
-
-def submit_background(
-    executor: Executor, fn: Callable[[], object], task_name: str = "background"
-) -> None:
-    """Schedule ``fn`` through ``executor.submit``.
-
-    A worker exception used to vanish with its daemon thread (or, run
-    inline, blow up a caller that had already been served its answer).
-    Now every failure is surfaced the same way regardless of executor:
-    logged with its traceback and counted in the
-    ``background_task_failures_total`` metric, never re-raised into the
-    foreground request.
-    """
-
-    def guarded() -> None:
-        try:
-            fn()
-        except Exception:
-            logger.exception("background task %r failed", task_name)
-            from repro.observability.metrics import get_registry
-
-            get_registry().counter(
-                "background_task_failures_total",
-                "Exceptions raised by fire-and-forget background tasks.",
-                labels=("task",),
-            ).labels(task=task_name).inc()
-
-    executor.submit(guarded)

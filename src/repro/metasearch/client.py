@@ -20,14 +20,14 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 
-from repro.cache.core import FRESH, STALE
+from repro.cache.core import FRESH
 from repro.cache.keys import query_cache_key
 from repro.cache.negative import NegativeSourceCache
 from repro.cache.policy import CachePolicy
 from repro.cache.results import QueryResultCache
-from repro.federation.executor import Executor, SerialExecutor, submit_background
+from repro.federation.executor import Executor, SerialExecutor
 from repro.federation.outcomes import OutcomeStatus, SourceOutcome
 from repro.federation.policy import QueryPolicy
 from repro.federation.runner import QueryDispatcher, SourceRequest
@@ -69,10 +69,9 @@ class _Round:
     ``translate`` and the drivers fill ``outcomes`` and ``reports`` as
     they land, so an ``error`` or ``abandoned`` exit logs what actually
     landed; ``finish`` sets ``result``.  ``outcome`` is how the search
-    ended (``wire`` / ``stream`` / ``hit`` / ``stale``; the scope itself
-    adds ``error`` / ``abandoned``), and :meth:`account` reads all of it
-    exactly once, however the search ends.  A stale entry's revalidation
-    runs a copy on a private tracer, with no span.
+    ended (``wire`` / ``stream`` / ``hit``; the scope itself adds
+    ``error`` / ``abandoned``), and :meth:`account` reads all of it
+    exactly once, however the search ends.
 
     ``catalog`` is read from discovery once, when the round opens; every
     stage looks sources up in it and never in discovery, so a refresh or
@@ -87,7 +86,7 @@ class _Round:
     executor: Executor
     group_by_resource: bool
     tracer: Tracer
-    span: Span | None
+    span: Span
     started_ms: float
     selected_ids: list[str] = dataclass_field(default_factory=list)
     #: The *selected* sources' content summaries only — everything
@@ -157,7 +156,6 @@ class _Round:
                 timeouts=sum(a.status is OutcomeStatus.TIMEOUT for a in attempts),
                 failures=sum(a.status is OutcomeStatus.ERROR for a in attempts),
                 cache_hits=int(self.outcome == "hit"),
-                cache_stale_hits=int(self.outcome == "stale"),
                 negative_skips=self.negative_skips,
                 cost=float(sum(outcome.cost for outcome in wire)),
                 terminated_early=self.terminated_early,
@@ -197,8 +195,7 @@ class MetasearchResult:
     outcomes: dict[str, SourceOutcome] = dataclass_field(default_factory=dict)
     trace: Trace | None = None
     #: ``None`` when the answer came off the wire (or caching is off);
-    #: ``"hit"`` / ``"stale"`` when it was served from the result cache
-    #: (``"stale"`` means a background revalidation was scheduled).
+    #: ``"hit"`` when it was served from the result cache.
     cache_status: str | None = None
 
     def linkages(self) -> list[str]:
@@ -452,8 +449,8 @@ class Metasearcher:
         executor abandons their tasks) and recorded as ``CANCELLED``
         outcomes — visible in the result, neutral to the negative cache.
         An early-terminated result is never stored in the result cache;
-        cache hits and stale serves come back as a single final
-        emission, exactly as :meth:`search` serves them.
+        a cache hit comes back as a single final emission, exactly as
+        :meth:`search` serves it.
         A consumer that closes the stream before its final emission
         cancels what is in flight the same way; that search is counted
         and logged as ``abandoned``, with whatever had answered by then.
@@ -575,34 +572,26 @@ class Metasearcher:
             )
 
     def _serve_from_cache(self, search: _Round) -> bool:
-        """Answer from the result cache if it holds the round's key.
+        """Answer from the result cache if it holds the round's key fresh.
 
-        A fresh entry is served as a ``hit`` (its ``cache`` event carries
-        the wire cost the filling round paid, now saved); a stale one is
-        served as ``stale`` and a revalidation of the same plan is
-        scheduled.  Either way the caller gets a copy — the latency
-        fields keep the *original* wire cost on purpose (they model what
-        the answer cost to compute); the trace and ``cache_status`` show
-        it was not paid again.  Returns False on a miss (or with caching
-        off).
+        A fresh entry is served as a ``hit``: its ``cache`` event carries
+        the wire cost the filling round paid, now saved, and the caller
+        gets a copy — the latency fields keep the *original* wire cost on
+        purpose (they model what the answer cost to compute); the trace
+        and ``cache_status`` show it was not paid again.  Returns False
+        on a miss, an expired entry included (or with caching off).
         """
         if search.key is None:
             return False
         tracer, parent = search.tracer, search.span
         cached, state = self.result_cache.lookup(search.key)
-        if state == FRESH:
-            status = "hit"
-            saved = sum(outcome.cost for outcome in cached.outcomes.values())
-            tracer.event("cache", parent=parent, status=status, saved_cost=saved)
-        elif state == STALE:
-            status = "stale"
-            tracer.event("cache", parent=parent, status=status)
-            self._schedule_revalidation(search)
-        else:
+        if state != FRESH:
             search.cache_event = tracer.event("cache", parent=parent, status="miss")
             return False
-        search.outcome = status
-        search.result = self._copy_result(cached, cache_status=status)
+        saved = sum(outcome.cost for outcome in cached.outcomes.values())
+        tracer.event("cache", parent=parent, status="hit", saved_cost=saved)
+        search.outcome = "hit"
+        search.result = self._copy_result(cached, cache_status="hit")
         return True
 
     def _translate(self, search: _Round) -> list[SourceRequest]:
@@ -839,8 +828,7 @@ class Metasearcher:
         the source's metadata).  An error, a timeout, a negative skip or
         a cancellation answered with fewer sources than the key promises,
         and would be served after the source heals.  ``trace`` is
-        attached when the owning search is accounted for; a
-        revalidation's result never gets one.
+        attached when the search is accounted for.
         """
         outcomes = search.outcomes
         self._record_outcomes(outcomes)
@@ -899,33 +887,6 @@ class Metasearcher:
                 self.negative_cache.record_failure(
                     source_id, outcome.status.value, outcome.error
                 )
-
-    def _schedule_revalidation(self, search: _Round) -> None:
-        """Refresh a stale entry off the caller's critical path.
-
-        Single-flight per key; the refresh re-runs the batch round for
-        the *same* plan (the key binds its source set at their harvest
-        generations, the copy keeps the round's catalog, and the round
-        files its result under the key) on a copy of the round with a
-        private tracer and nothing recorded yet, so nothing it records
-        lands in the caller's trace or query-log record.
-        Scheduling goes through the executor's ``submit`` hook: the
-        serial executor revalidates inline (deterministic), the async
-        one on a daemon thread.
-        """
-        if not self.result_cache.begin_revalidation(search.key):
-            return
-        revalidation = replace(
-            search, tracer=Tracer(), span=None, outcomes={}, reports={}
-        )
-
-        def refresh() -> None:
-            try:
-                self._batch_round(revalidation)
-            finally:
-                self.result_cache.finish_revalidation(search.key)
-
-        submit_background(search.executor, refresh)
 
     @staticmethod
     def _route(search: _Round) -> list[tuple[str, list[str]]]:

@@ -38,9 +38,9 @@ class QueryLogRecord:
     """Everything one search was, did, and cost — one flat event.
 
     ``outcome`` is how the answer was produced: ``wire`` (a full query
-    round), ``hit`` / ``stale`` (served from the result cache),
-    ``stream`` (a streaming round), ``abandoned`` (a stream its consumer
-    closed before the final emission) or ``error`` (the search raised).
+    round), ``hit`` (served from the result cache), ``stream`` (a
+    streaming round), ``abandoned`` (a stream its consumer closed before
+    the final emission) or ``error`` (the search raised).
     ``trace_id`` pivots into the matching trace.
     """
 
@@ -60,7 +60,6 @@ class QueryLogRecord:
     timeouts: int = 0
     failures: int = 0
     cache_hits: int = 0
-    cache_stale_hits: int = 0
     negative_skips: int = 0
     cost: float = 0.0
     terminated_early: bool = False
@@ -90,7 +89,6 @@ class QueryLogRecord:
             "timeouts": self.timeouts,
             "failures": self.failures,
             "cache_hits": self.cache_hits,
-            "cache_stale_hits": self.cache_stale_hits,
             "negative_skips": self.negative_skips,
             "cost": round(self.cost, 4),
             "terminated_early": self.terminated_early,

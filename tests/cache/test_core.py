@@ -1,9 +1,9 @@
 """The bounded LRU+TTL behaviour of the result cache: eviction order,
-three-state reads, invalidation."""
+two-state reads (an expired entry is a miss), invalidation."""
 
 import pytest
 
-from repro.cache import FRESH, MISS, STALE, QueryResultCache
+from repro.cache import FRESH, MISS, QueryResultCache
 
 
 class FakeClock:
@@ -50,6 +50,12 @@ class TestLru:
         with pytest.raises(ValueError):
             QueryResultCache(capacity=0)
 
+    @pytest.mark.parametrize("ttl_ms", [0.0, -1.0])
+    def test_a_ttl_that_never_serves_fresh_is_rejected(self, ttl_ms):
+        # Such a cache would store every round and serve none of them.
+        with pytest.raises(ValueError, match="ttl_ms"):
+            QueryResultCache(ttl_ms=ttl_ms)
+
 
 class TestTtl:
     def test_fresh_until_expiry(self, clock):
@@ -59,36 +65,20 @@ class TestTtl:
         assert cache.lookup("k") == (1, FRESH)
 
     def test_expired_is_a_miss_and_drops_the_entry(self, clock):
-        cache = QueryResultCache(ttl_ms=100.0, stale_grace_ms=0.0, clock=clock)
+        cache = QueryResultCache(ttl_ms=100.0, clock=clock)
         cache.store("k", 1)
         clock.advance(101.0)
         assert cache.lookup("k") == (None, MISS)
         assert "k" not in cache
 
-    def test_stale_within_grace_window(self, clock):
-        cache = QueryResultCache(ttl_ms=100.0, stale_grace_ms=100.0, clock=clock)
-        cache.store("k", 1)
-        clock.advance(150.0)
-        assert cache.lookup("k") == (1, STALE)
-        assert "k" in cache  # the stale entry is kept for revalidation
-
     def test_stale_read_does_not_promote(self, clock):
-        cache = QueryResultCache(
-            capacity=2, ttl_ms=100.0, stale_grace_ms=100.0, clock=clock
-        )
+        cache = QueryResultCache(capacity=2, ttl_ms=100.0, clock=clock)
         cache.store("a", 1)
         cache.store("b", 2)
         clock.advance(150.0)
-        assert cache.lookup("a") == (1, STALE)
+        assert cache.lookup("a") == (None, MISS)  # dropped, not promoted
         cache.store("c", 3)
-        assert "a" not in cache and "b" in cache
-
-    def test_beyond_grace_is_a_miss(self, clock):
-        cache = QueryResultCache(ttl_ms=100.0, stale_grace_ms=100.0, clock=clock)
-        cache.store("k", 1)
-        clock.advance(250.0)
-        assert cache.lookup("k") == (None, MISS)
-        assert "k" not in cache
+        assert "a" not in cache and "b" in cache and len(cache) == 2
 
     def test_no_default_ttl_never_expires(self, clock):
         cache = QueryResultCache(ttl_ms=None, clock=clock)

@@ -10,9 +10,9 @@ import threading
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cache import FRESH, MISS, STALE, QueryResultCache
+from repro.cache import FRESH, MISS, QueryResultCache
 
-CAPACITY, TTL_MS, GRACE_MS = 3, 100, 50
+CAPACITY, TTL_MS = 3, 100
 
 
 class Model:
@@ -38,15 +38,13 @@ class Model:
         if self.now - stored_at <= TTL_MS:
             self.entries[key] = self.entries.pop(key)  # most recent again
             return value, FRESH
-        if self.now - stored_at <= TTL_MS + GRACE_MS:
-            return value, STALE
         del self.entries[key]
         return None, MISS
 
 
 KEYS = ["q1", "q2", "q3", "q4"]  # one more than fits
-#: Steps that land an entry inside its TTL, its grace window, or past both.
-ADVANCES = [10, 60, 110, 160]
+#: Steps that land an entry inside its TTL, on its edge, or past it.
+ADVANCES = [10, 60, 100, 110]
 
 
 def operations(rng: random.Random) -> list[tuple]:
@@ -73,7 +71,6 @@ def test_cache_agrees_with_the_model(seed):
     cache = QueryResultCache(
         capacity=CAPACITY,
         ttl_ms=TTL_MS,
-        stale_grace_ms=GRACE_MS,
         clock=lambda: model.now,
     )
     for name, *arguments in operations(random.Random(seed)):
@@ -90,7 +87,7 @@ def test_cache_agrees_with_the_model(seed):
 
 
 def test_eight_threads_end_within_capacity():
-    cache = QueryResultCache(capacity=16, ttl_ms=5.0, stale_grace_ms=5.0)
+    cache = QueryResultCache(capacity=16, ttl_ms=5.0)
     failures: list[BaseException] = []
 
     def worker(seed: int) -> None:

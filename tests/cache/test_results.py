@@ -1,6 +1,6 @@
-"""The query-result cache: three-state reads, tags, single-flight."""
+"""The query-result cache: two-state reads and what they report."""
 
-from repro.cache import FRESH, MISS, STALE, QueryResultCache
+from repro.cache import FRESH, MISS, QueryResultCache
 
 
 class FakeClock:
@@ -13,27 +13,12 @@ class FakeClock:
 
 def make_cache(**kwargs) -> tuple[QueryResultCache, FakeClock]:
     clock = FakeClock()
-    defaults = dict(ttl_ms=100.0, stale_grace_ms=100.0, clock=clock)
+    defaults = dict(ttl_ms=100.0, clock=clock)
     defaults.update(kwargs)
     return QueryResultCache(**defaults), clock
 
 
 class TestReads:
-    def test_fresh_stale_miss_progression(self):
-        cache, clock = make_cache()
-        cache.store("k", {"docs": 3})
-        assert cache.lookup("k") == ({"docs": 3}, FRESH)
-        clock.now_ms = 150.0
-        assert cache.lookup("k") == ({"docs": 3}, STALE)
-        clock.now_ms = 250.0
-        assert cache.lookup("k") == (None, MISS)
-
-    def test_zero_grace_means_expired_is_miss(self):
-        cache, clock = make_cache(stale_grace_ms=0.0)
-        cache.store("k", 1)
-        clock.now_ms = 150.0
-        assert cache.lookup("k") == (None, MISS)
-
     def test_store_again_refreshes(self):
         cache, clock = make_cache()
         cache.store("k", "old")
@@ -48,24 +33,6 @@ class TestSourceInvalidation:
         cache.store("a", 1)
         cache.clear()
         assert len(cache) == 0
-
-
-class TestSingleFlight:
-    def test_only_one_revalidation_per_key(self):
-        cache, _ = make_cache()
-        assert cache.begin_revalidation("k") is True
-        assert cache.begin_revalidation("k") is False
-        cache.finish_revalidation("k")
-        assert cache.begin_revalidation("k") is True
-
-    def test_keys_are_independent(self):
-        cache, _ = make_cache()
-        assert cache.begin_revalidation("a") is True
-        assert cache.begin_revalidation("b") is True
-
-    def test_finish_unclaimed_is_harmless(self):
-        cache, _ = make_cache()
-        cache.finish_revalidation("never-claimed")
 
 
 def scraped(registry, family: str, **labels: str) -> float:
@@ -84,9 +51,9 @@ class TestStats:
         cache.store("other", 2)  # evicts "k"
         reads = [
             scraped(fresh_registry, "cache_reads_total", tier="result", result=state)
-            for state in (FRESH, STALE, MISS)
+            for state in (FRESH, MISS)
         ]
-        assert reads == [1, 0, 1]
+        assert reads == [1, 1]
         assert scraped(fresh_registry, "cache_stores_total", tier="result") == 2
         assert scraped(fresh_registry, "cache_evictions_total", tier="result") == 1
         assert "other" in cache
@@ -102,7 +69,7 @@ class TestEntriesGauge:
     def test_expiry_on_read_lowers_the_gauge(self, fresh_registry):
         cache, clock = make_cache()
         cache.store("k", 1)
-        clock.now_ms = 250.0  # beyond TTL + grace
+        clock.now_ms = 150.0  # past the TTL
         assert cache.lookup("k") == (None, MISS)
         assert self.entries(fresh_registry) == 0 == len(cache)
 

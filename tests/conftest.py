@@ -75,7 +75,18 @@ def example6_query() -> SQuery:
 
 @pytest.fixture(scope="session")
 def small_federation():
-    """A published three-vendor federation over topical collections."""
+    """A published three-vendor federation over topical collections,
+    shared by the whole session: a test must not change its sources."""
+    return _small_federation()
+
+
+@pytest.fixture
+def own_small_federation():
+    """The same federation, built for one test that changes a source."""
+    return _small_federation()
+
+
+def _small_federation():
     internet = SimulatedInternet(seed=11)
     resource = Resource("TestFederation")
     plans = [

@@ -1,7 +1,6 @@
 """The asyncio-native executor: protocol, streaming, caps, cancellation."""
 
 import asyncio
-import threading
 import time
 
 import pytest
@@ -353,41 +352,3 @@ class TestDispatcherIntegration:
         # Every wait was a suspended coroutine, not a queued thread: all
         # 64 requests were in flight at once through the one executor.
         assert dispatcher.executor.peak_inflight == 64
-
-
-class TestSubmitBackground:
-    """Background failures surface in the log and metrics, never the caller."""
-
-    def test_failure_is_logged_and_counted(self, caplog, fresh_registry):
-        from repro.federation import submit_background
-
-        done = threading.Event()
-
-        def fails():
-            try:
-                raise RuntimeError("refresh blew up")
-            finally:
-                done.set()
-
-        with caplog.at_level("ERROR", logger="repro.federation.executor"):
-            submit_background(SerialExecutor(), fails, task_name="revalidation")
-        assert done.wait(timeout=2.0)
-        assert any("revalidation" in record.message for record in caplog.records)
-        counter = fresh_registry.counter(
-            "background_task_failures_total",
-            "Exceptions raised by fire-and-forget background tasks.",
-            labels=("task",),
-        )
-        assert counter.labels(task="revalidation").value == 1
-
-    def test_failure_does_not_raise_into_caller(self):
-        from repro.federation import submit_background
-
-        submit_background(SerialExecutor(), lambda: 1 / 0)  # must not raise
-
-    def test_success_still_runs(self):
-        from repro.federation import submit_background
-
-        ran = []
-        submit_background(SerialExecutor(), lambda: ran.append(True))
-        assert ran == [True]

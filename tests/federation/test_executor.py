@@ -27,15 +27,21 @@ class TestExecutors:
         assert SerialExecutor().name == "serial"
         assert AsyncExecutor().name == "async"
 
-    def test_submit_is_part_of_the_protocol(self):
+    def test_the_protocol_is_name_run_and_run_stream(self):
         class RunOnly:
             name = "run-only"
 
             def run(self, tasks, fn): ...
 
+        class RunAndStream(RunOnly):
             def run_stream(self, tasks, fn): ...
 
+        # No fire-and-forget hook: an executor drives only the round its
+        # caller waits on.
         assert not isinstance(RunOnly(), Executor)
+        assert isinstance(RunAndStream(), Executor)
+        assert not hasattr(SerialExecutor(), "submit")
+        assert not hasattr(AsyncExecutor(), "submit")
 
     def test_results_keep_task_order(self):
         tasks = list(range(20))

@@ -1,12 +1,16 @@
-"""The cached metasearch path: hits off the wire, stale-while-revalidate,
-negative caching of dead sources, and keys that miss once a source is
-forgotten or re-harvested."""
+"""The cached metasearch path: hits off the wire, expired entries that
+miss, negative caching of dead sources, and keys that miss once a source
+is forgotten or re-harvested."""
+
+import threading
 
 import pytest
 
 from repro.cache import CachePolicy, NegativeSourceCache, QueryResultCache
 from repro.corpus import source1_documents, source2_documents
-from repro.federation import OutcomeStatus
+from repro.engine import fields as F
+from repro.engine.documents import Document
+from repro.federation import AsyncExecutor, OutcomeStatus, SerialExecutor
 from repro.metasearch import Metasearcher
 from repro.resource import Resource
 from repro.source import StartsSource
@@ -142,47 +146,70 @@ class TestDisabledPolicy:
         assert "status=miss" not in explained
 
 
-class TestStaleWhileRevalidate:
-    def test_stale_entry_is_served_then_refreshed(self, searcher, fresh_registry):
-        internet, searcher = searcher
+class TestExpiry:
+    """An entry past its TTL is a miss: the search goes back on the wire
+    and answers with the world as it is now, on every executor."""
+
+    @staticmethod
+    def expired_world(federation, executor):
+        """A cached searcher and a cache-off twin, harvested together; the
+        cached one has answered ``databases`` once, then one selected
+        source gained a matching document (no re-harvest) and the clock
+        moved past the TTL."""
+        internet, resource_url, resource = federation
         clock = {"now": 0.0}
-        searcher.result_cache = QueryResultCache(
-            ttl_ms=100.0, stale_grace_ms=1000.0, clock=lambda: clock["now"]
+        cached = Metasearcher(internet, [resource_url], executor=executor)
+        cached.result_cache = QueryResultCache(ttl_ms=100.0, clock=lambda: clock["now"])
+        uncached = Metasearcher(
+            internet,
+            [resource_url],
+            executor=executor,
+            cache_policy=CachePolicy.disabled(),
         )
+        cached.refresh()
+        uncached.refresh()
         query = ranking_query("databases")
-        first = searcher.search(query)
-
-        clock["now"] = 500.0  # past the TTL, inside the grace window
-        requests_before = internet.request_count()
-        stale = searcher.search(query)
-        assert stale.cache_status == "stale"
-        assert stale.linkages() == first.linkages()
-        # The serial executor revalidates inline: the refresh already
-        # paid the wire and re-stored the entry.
-        assert internet.request_count() > requests_before
-        stores = fresh_registry.family("cache_stores_total").labels(tier="result")
-        assert stores.value == 2
-
-        requests_after_refresh = internet.request_count()
-        refreshed = searcher.search(query)
-        assert refreshed.cache_status == "hit"
-        assert internet.request_count() == requests_after_refresh
-
-    def test_stale_serve_is_counted(self, searcher):
-        _, searcher = searcher
-        clock = {"now": 0.0}
-        searcher.result_cache = QueryResultCache(
-            ttl_ms=100.0, stale_grace_ms=1000.0, clock=lambda: clock["now"]
+        first = cached.search(query)
+        engine = resource.source(first.selected_sources[0]).engine
+        engine.add(
+            Document(
+                "http://new.example.org/databases",
+                {F.TITLE: "databases", F.BODY_OF_TEXT: "databases " * 40},
+            )
         )
-        query = ranking_query("databases")
-        searcher.search(query)
         clock["now"] = 500.0
-        stale = searcher.search(query)
-        (event,) = [span for span in stale.trace.walk() if span.name == "cache"]
-        assert event.attributes == {"status": "stale"}
-        explained = stale.explain()
-        assert "result cache: stale" in explained
-        assert '"cache_stale_hits": 1' in explained
+        return cached, uncached, query, first
+
+    def test_an_expired_entry_answers_with_the_world_as_it_is_now(
+        self, own_small_federation
+    ):
+        cached, uncached, query, first = self.expired_world(
+            own_small_federation, SerialExecutor()
+        )
+        again = cached.search(query)
+        assert again.cache_status is None
+        assert "http://new.example.org/databases" in again.linkages()
+        assert "http://new.example.org/databases" not in first.linkages()
+        assert again.documents == uncached.search(query).documents
+
+    def test_a_metasearcher_starts_no_thread(
+        self, own_small_federation, monkeypatch
+    ):
+        cached, uncached, query, _ = self.expired_world(
+            own_small_federation, AsyncExecutor()
+        )
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        again = cached.search(query)
+        assert started == []
+        assert again.cache_status is None
+        assert again.documents == uncached.search(query).documents
 
 
 class TestNegativeCaching:
@@ -266,30 +293,6 @@ class TestNegativeCaching:
         assert internet.request_count() > requests_before
         assert healed.outcomes["Doomed"].ok
         assert searcher.search(query, k_sources=2).cache_status == "hit"
-
-    def test_a_failing_revalidation_keeps_the_previous_entry(
-        self, world_with_dead_source
-    ):
-        internet, searcher = world_with_dead_source
-        internet.set_fault_profile("doomed.org", FaultProfile())  # healthy first
-        clock = {"now": 0.0}
-        searcher.result_cache = QueryResultCache(
-            ttl_ms=100.0, stale_grace_ms=1000.0, clock=lambda: clock["now"]
-        )
-        query = ranking_query("databases")
-        good = searcher.search(query, k_sources=2)
-        assert sorted(good.ok_sources()) == ["Alive", "Doomed"]
-
-        internet.set_fault_profile("doomed.org", FaultProfile.dead())
-        clock["now"] = 500.0
-        # The serial executor revalidates inline; the refresh meets the
-        # dead host and must not overwrite the good entry.
-        assert searcher.search(query, k_sources=2).cache_status == "stale"
-        assert "Doomed" in searcher.negative_cache.down_sources()
-        again = searcher.search(query, k_sources=2)
-        assert again.cache_status == "stale"
-        assert again.linkages() == good.linkages()
-        assert again.outcomes["Doomed"].ok
 
 
 class TestInvalidation:

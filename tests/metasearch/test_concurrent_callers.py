@@ -7,8 +7,9 @@ a trace holding only their own spans, with ranks equal to a serial run.
 
 A round reads discovery's published catalog once, so a writer that
 forgets or re-harvests sources while others search changes only the
-rounds that open after it publishes: every ranking is the serial
-ranking on one catalog the writer could have published.
+rounds that open after it publishes: every ranking, batch or drained
+stream, is the serial ranking on one catalog the writer could have
+published.
 """
 
 import sys
@@ -245,7 +246,9 @@ class TestOneCatalogPerRound:
         assert searcher.discovery.source("Exp-00") is not before
         return searcher.refresh
 
-    def _churn(self, writer_kind: str) -> None:
+    def _churn(self, writer_kind: str, streams: bool = False) -> None:
+        """With ``streams``, each searching thread alternates ``search``
+        with a drained ``search_stream``."""
         fed, queries = _churn_world()
         allowed = self._catalog_rankings(fed, queries)
         if writer_kind == "forget":
@@ -265,7 +268,13 @@ class TestOneCatalogPerRound:
             for step in range(self.SEARCHES_EACH):
                 index = (seed + step) % len(queries)
                 try:
-                    result = searcher.search(queries[index], k_sources=self.K)
+                    if streams and step % 2:
+                        *_, final = searcher.search_stream(
+                            queries[index], k_sources=self.K, early_stop=False
+                        )
+                        result = final.result
+                    else:
+                        result = searcher.search(queries[index], k_sources=self.K)
                 except Exception as error:  # surfaced on the main thread
                     failures.append(error)
                     continue
@@ -305,7 +314,7 @@ class TestOneCatalogPerRound:
         assert writes > 0
 
     def test_forget_churn_raises_nothing_and_ranks_on_one_catalog(self):
-        self._churn("forget")
+        self._churn("forget", streams=True)
 
     def test_reharvest_churn_raises_nothing_and_ranks_on_one_catalog(self):
         self._churn("reharvest")

@@ -116,18 +116,18 @@ class TestExplainContract:
         assert "status=hit" in explained  # the cache event in the short trace
         assert "query:" not in explained  # nothing was sent
 
-    def test_a_stale_serve_says_so(self, searcher):
+    def test_an_expired_entry_explains_as_a_miss(self, searcher):
         client, _ = searcher
         clock = {"now": 0.0}
         client.result_cache = QueryResultCache(
-            ttl_ms=100.0, stale_grace_ms=1000.0, clock=lambda: clock["now"]
+            ttl_ms=100.0, clock=lambda: clock["now"]
         )
         client.search(query())
         clock["now"] = 500.0
         explained = client.search(query()).explain()
-        assert explained.startswith("result cache: stale")
-        assert "status=stale" in explained
-        assert '"cache_stale_hits": 1' in explained
+        assert "result cache:" not in explained  # the answer came off the wire
+        assert "status=miss evictions=0" in explained
+        assert '"outcome": "wire"' in explained
 
     def test_error_timeout_and_the_negative_skip_that_follows(self):
         internet, client = two_source_world(

@@ -29,7 +29,7 @@ KEYS = {
     "kind", "terms", "outcome", "total_ms", "trace_id", "selected_sources",
     "phase_ms", "n_results", "sources_ok", "sources_failed",
     "sources_skipped", "requests", "retries", "hedges", "timeouts",
-    "failures", "cache_hits", "cache_stale_hits", "negative_skips", "cost",
+    "failures", "cache_hits", "negative_skips", "cost",
     "terminated_early", "error", "unix_ms",
 }
 
@@ -129,32 +129,28 @@ class TestEveryExitPath:
         assert_equals_round(row, final.result.outcomes.values())
         assert row["requests"] > 0
 
-    def test_hit_and_stale_count_no_wire(self, log):
+    def test_a_hit_counts_no_wire_and_an_expired_entry_its_own(self, log):
         internet, searcher = searcher_for()
         clock = {"now": 0.0}
         searcher.result_cache = QueryResultCache(
-            ttl_ms=100.0, stale_grace_ms=1000.0, clock=lambda: clock["now"]
+            ttl_ms=100.0, clock=lambda: clock["now"]
         )
         filled = searcher.search(query(), k_sources=3)
         assert wire_totals(filled.outcomes.values())["requests"] == 3
 
         hit = searcher.search(query(), k_sources=3)
         row = last_record(log)
-        assert (row["outcome"], row["cache_hits"], row["cache_stale_hits"]) == (
-            "hit", 1, 0,
-        )
+        assert (row["outcome"], row["cache_hits"]) == ("hit", 1)
         assert_equals_round(row, ())  # the filling round's outcomes are not ours
         assert hit.outcomes == filled.outcomes
 
-        clock["now"] = 500.0
+        clock["now"] = 500.0  # past the TTL: a miss, back on the wire
         before = internet.request_count()
-        searcher.search(query(), k_sources=3)  # revalidates inline
+        again = searcher.search(query(), k_sources=3)
         row = last_record(log)
-        assert (row["outcome"], row["cache_hits"], row["cache_stale_hits"]) == (
-            "stale", 0, 1,
-        )
-        assert_equals_round(row, ())
-        assert internet.request_count() > before  # the revalidation's, not ours
+        assert (row["outcome"], row["cache_hits"]) == ("wire", 0)
+        assert_equals_round(row, again.outcomes.values())
+        assert internet.request_count() - before == row["requests"] == 3
 
     @pytest.mark.parametrize("executor", sorted(EXECUTORS))
     def test_abandoned_counts_what_landed(self, log, executor):

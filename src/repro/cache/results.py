@@ -97,11 +97,21 @@ class QueryResultCache:
         return value, state
 
     def store(self, key: str, value: object) -> int:
-        """Cache ``value``; returns the number of evictions it forced."""
+        """Cache ``value``; returns the number of evictions it forced.
+
+        Expired entries at the cold end are dropped first.  Entries run
+        in last-touch order and none was stored after its last touch, so
+        every entry in front of an expired one that was never read again
+        has expired too: the sweep stops at the first live entry.
+        """
         evicted = 0
+        now = self._clock()
         with self._lock:
-            self._entries[key] = (value, self._clock())
+            self._entries[key] = (value, now)
             self._entries.move_to_end(key)
+            if self.ttl_ms is not None:
+                while now > next(iter(self._entries.values()))[1] + self.ttl_ms:
+                    self._entries.popitem(last=False)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 evicted += 1

@@ -31,10 +31,14 @@ defaults (BGloss's zero product, CORI's 0.4 absent-term belief) are
 folded in analytically for everyone else, BGloss intersects shards
 rarest-first, the others add term at a time, and
 :meth:`~SourceSelector.select` pairs only sources at or above the k-th
-best goodness.  A plain ``dict[str, SContentSummary]`` argument is
-indexed once on entry (:meth:`SummaryIndex.from_summaries`) and scored
-the same way; callers that select repeatedly over the same summaries
-build the index themselves, once.  The per-summary dict scan these
+best goodness.  vGlOSS-Max adds the addends the index stored at build,
+and its ``select`` runs the threshold algorithm over the index's
+addend-sorted columns: it stops reading once the k-th best source seen
+is strictly above anything an unseen source could still reach.  A
+plain ``dict[str, SContentSummary]`` argument is indexed once on entry
+(:meth:`SummaryIndex.from_summaries`) and scored the same way; callers
+that select repeatedly over the same summaries build the index
+themselves, once.  The per-summary dict scan these
 formulas started from is the oracle in
 ``tests/oracles/dense_selection.py``.
 """
@@ -136,32 +140,39 @@ class SourceSelector:
     def _candidates(
         self, terms: Sequence[str], index: SummaryIndex, k: int
     ) -> list[tuple[str, float]]:
-        """An unsorted pool whose k best pairs are the exact top-k.
-
-        A touched source below the k-th best touched goodness is beaten
-        by k others; ties at that cut stay for the order key.  Untouched
-        sources all carry the default score, so only the first k of
-        them (in id order — exactly how their ties break) can make it.
-        """
+        """An unsorted pool whose k best pairs are the exact top-k."""
         touched, default = self._sparse_scores(terms, index)
-        cut = -math.inf
-        if 0 < k < len(touched):
-            cut = heapq.nlargest(k, touched.values())[-1]
-        pool = [
-            (index.source_id(ordinal), goodness)
-            for ordinal, goodness in touched.items()
-            if goodness >= cut
-        ]
-        if len(touched) < len(index):
-            filled = 0
-            for source_id, ordinal in index.sorted_sources():
-                if ordinal in touched:
-                    continue
-                pool.append((source_id, default))
-                filled += 1
-                if filled >= k:
-                    break
-        return pool
+        return _pool(touched, default, index, k)
+
+
+def _pool(
+    touched: dict[int, float], default: float, index: SummaryIndex, k: int
+) -> list[tuple[str, float]]:
+    """The pool of ``touched`` (ordinal → goodness) and a default.
+
+    A touched source below the k-th best touched goodness is beaten by k
+    others; ties at that cut stay for the order key.  Untouched sources
+    all carry the default score, so only the first k of them (in id
+    order — exactly how their ties break) can make it.
+    """
+    cut = -math.inf
+    if 0 < k < len(touched):
+        cut = heapq.nlargest(k, touched.values())[-1]
+    pool = [
+        (index.source_id(ordinal), goodness)
+        for ordinal, goodness in touched.items()
+        if goodness >= cut
+    ]
+    if len(touched) < len(index):
+        filled = 0
+        for source_id, ordinal in index.sorted_sources():
+            if ordinal in touched:
+                continue
+            pool.append((source_id, default))
+            filled += 1
+            if filled >= k:
+                break
+    return pool
 
 
 class BGloss(SourceSelector):
@@ -244,20 +255,65 @@ class VGlossMax(SourceSelector):
     def _sparse_scores(
         self, terms: Sequence[str], index: SummaryIndex
     ) -> tuple[dict[int, float], float]:
-        # Term at a time: a source's float takes its addends in query
-        # order, as the dense loop adds them, so sums match bit for bit.
-        # A listed source whose df is not positive enters at 0.0.
+        # Term at a time: a source's float takes its stored addends in
+        # query order, as the dense loop adds them, so sums match bit
+        # for bit (an addend is never -0.0, so 0.0 + w is w).  A listed
+        # source whose df is not positive enters at 0.0.
         touched: dict[int, float] = {}
         for term in terms:
             shard = index.term_columns(term)
-            for ordinal, df, postings in zip(
-                shard.ordinals, shard.document_frequencies, shard.postings
-            ):
-                goodness = touched.get(ordinal, 0.0)
-                if df > 0:
-                    goodness += df * (1.0 + math.log(max(postings / df, 1.0)))
-                touched[ordinal] = goodness
+            if not touched:
+                touched = dict(zip(shard.ordinals, shard.weights))
+                continue
+            for ordinal, weight in zip(shard.ordinals, shard.weights):
+                touched[ordinal] = touched.get(ordinal, 0.0) + weight
         return touched, 0.0
+
+    def _candidates(
+        self, terms: Sequence[str], index: SummaryIndex, k: int
+    ) -> list[tuple[str, float]]:
+        """The threshold algorithm (Fagin, Lotem & Naor, PODS 2001).
+
+        The columns are read in parallel, one depth at a time, each in
+        descending addend order.  A newly seen source gets its exact
+        goodness through ``positions``; the threshold adds each live
+        column's addend at this depth.  Both sums run in query-term
+        order, and rounded addition is monotone, so no unseen source
+        exceeds the threshold: once the k-th best seen goodness is
+        strictly above it, no unseen source can make or tie into the cut.
+        Columns that run out first leave every touched source seen.
+        """
+        if k == 0:
+            return []
+        columns = [index.term_columns(term) for term in terms]
+        seen: dict[int, float] = {}
+        best: list[float] = []  # min-heap of the k best goodness seen
+        for depth in range(max(map(len, columns), default=0)):
+            threshold = 0.0
+            for shard in columns:
+                if depth >= len(shard.weights):
+                    continue
+                threshold += shard.weights[depth]
+                ordinal = shard.ordinals[depth]
+                if ordinal in seen:
+                    continue
+                goodness = 0.0
+                for other in columns:
+                    slot = other.positions.get(ordinal)
+                    if slot is not None:
+                        goodness += other.weights[slot]
+                seen[ordinal] = goodness
+                if len(best) < k:
+                    heapq.heappush(best, goodness)
+                elif goodness > best[0]:
+                    heapq.heapreplace(best, goodness)
+            if len(best) == k and best[0] > threshold:
+                return [
+                    (index.source_id(ordinal), goodness)
+                    for ordinal, goodness in seen.items()
+                    if goodness >= best[0]
+                ]
+        return _pool(seen, 0.0, index, k)
 
 
 class Cori(SourceSelector):

@@ -12,14 +12,19 @@ query's selection phase (it survives as the test oracle,
 :class:`SummaryIndex` inverts the summaries once instead, and is the
 only thing a selector scores:
 
-* **term shards** — ``term → packed columnar postings`` of
-  ``(source ordinal, document frequency, total postings)`` held as
-  parallel ``array('q')`` columns, so a query term touches only the
-  sources that actually contain it;
+* **term shards** — ``term → columnar postings`` of ``(source
+  ordinal, document frequency, total postings)`` held as parallel
+  tuples, so a query term touches only the sources that actually
+  contain it, plus each row's vGlOSS-Max addend (computed once here,
+  not on every query); rows run in descending addend order, so a
+  selector can stop reading a column once nothing further down can
+  change its top k.  The tuples share the summaries' int objects and
+  one float per distinct addend, so they hold no more than packed
+  arrays would;
 * **source columns** — interned source ids plus ``num_docs`` /
   ``total word mass`` / case-sensitivity columns addressed by ordinal;
-* **corpus statistics** — per-term collection frequency (a counter
-  riding on each shard), the total clamped word mass (an exact integer
+* **corpus statistics** — per-term collection frequency (counted on
+  each shard), the total clamped word mass (an exact integer
   sum, so CORI's mean is bit-identical to the dense recomputation), the
   source count and the id-ordered source list.
 
@@ -40,8 +45,9 @@ shard (case-sensitive sources only) with the lowered-key shard
 
 from __future__ import annotations
 
-from array import array
+import math
 from collections.abc import Mapping
+from operator import itemgetter
 from typing import NamedTuple
 
 from repro.observability.metrics import get_registry
@@ -53,15 +59,19 @@ __all__ = ["SummaryIndex", "TermColumns"]
 class TermColumns(NamedTuple):
     """One query term's postings, as parallel columns.
 
+    The rows are in descending ``weights`` order: ``weights`` holds each
+    row's vGlOSS-Max addend, ``df * (1 + ln max(postings / df, 1))`` or
+    ``0.0`` where the df is not positive, computed once at build.
     ``positions`` maps source ordinal → slot in the columns, for O(1)
-    membership tests (BGloss intersections) and df lookups.
+    membership tests (BGloss intersections) and lookups.
     ``collection_frequency`` is the number of listed sources whose df is
     positive — CORI's ``cf_t``, counted at build.
     """
 
-    ordinals: "array[int] | list[int]"
-    document_frequencies: "array[int] | list[int]"
-    postings: "array[int] | list[int]"
+    ordinals: tuple[int, ...]
+    document_frequencies: tuple[int, ...]
+    postings: tuple[int, ...]
+    weights: tuple[float, ...]
     collection_frequency: int
     positions: dict[int, int]
 
@@ -69,33 +79,42 @@ class TermColumns(NamedTuple):
         return len(self.ordinals)
 
 
-_EMPTY_COLUMNS = TermColumns(array("q"), array("q"), array("q"), 0, {})
+_EMPTY_COLUMNS = TermColumns((), (), (), (), 0, {})
 
 
-class _TermShard:
-    """The packed postings of one term: parallel append-only columns.
+def _addend(postings: int, document_frequency: int) -> float:
+    """One source's vGlOSS-Max addend for one term (the dense formula)."""
+    if document_frequency <= 0:
+        return 0.0
+    return document_frequency * (
+        1.0 + math.log(max(postings / document_frequency, 1.0))
+    )
 
-    Order within a shard is not meaningful (selector output is totally
-    ordered by ``(-score, source id)`` downstream).
+
+_Row = tuple[float, int, int, int]  # (weight, ordinal, df, postings)
+
+
+def _sorted_columns(rows: list[_Row]) -> TermColumns:
+    """Rows as parallel columns in descending weight order (tied rows
+    keep their order), with their positions and collection frequency.
+
+    The one place columns are made: the build and ``term_columns``'
+    mixed-case merge both come through here, so every column a selector
+    reads is sorted.
     """
-
-    __slots__ = ("ordinals", "document_frequencies", "postings", "positions",
-                 "df_positive")
-
-    def __init__(self) -> None:
-        self.ordinals = array("q")
-        self.document_frequencies = array("q")
-        self.postings = array("q")
-        self.positions: dict[int, int] = {}
-        self.df_positive = 0
-
-    def add(self, ordinal: int, document_frequency: int, postings: int) -> None:
-        self.positions[ordinal] = len(self.ordinals)
-        self.ordinals.append(ordinal)
-        self.document_frequencies.append(document_frequency)
-        self.postings.append(postings)
-        if document_frequency > 0:
-            self.df_positive += 1
+    if not rows:
+        return _EMPTY_COLUMNS
+    rows.sort(key=itemgetter(0), reverse=True)
+    weights, ordinals, document_frequencies, postings = zip(*rows)
+    return TermColumns(
+        ordinals,
+        document_frequencies,
+        postings,
+        weights,
+        # A weight is at least the df where the df is positive, else 0.0.
+        len(weights) - weights.count(0.0),
+        dict(zip(ordinals, range(len(ordinals)))),
+    )
 
 
 class SummaryIndex:
@@ -114,7 +133,7 @@ class SummaryIndex:
         self._ordinal_of: dict[str, int] = {}
         self._sorted: list[tuple[str, int]] = []
         # Term shards and corpus statistics.
-        self._shards: dict[str, _TermShard] = {}
+        self._shards: dict[str, TermColumns] = {}
         self._clamped_mass_total = 0  # exact integer sum of max(1, mass)
 
     @classmethod
@@ -123,7 +142,10 @@ class SummaryIndex:
     ) -> "SummaryIndex":
         """Index every summary, in the mapping's order."""
         index = cls()
-        shards = index._shards
+        rows: dict[str, list[_Row]] = {}
+        # Few distinct (postings, df) pairs recur across many summaries:
+        # each addend is computed once per pair, not once per entry.
+        addends: dict[tuple[int, int], float] = {}
         for ordinal, (source_id, summary) in enumerate(summaries.items()):
             word_mass = summary.total_word_mass()
             index._ordinal_of[source_id] = ordinal
@@ -132,13 +154,19 @@ class SummaryIndex:
             index._word_mass.append(word_mass)
             index._case_sensitive.append(summary.case_sensitive)
             index._clamped_mass_total += max(1, word_mass)
-            for word, (postings, document_frequency) in (
-                summary.word_statistics().items()
-            ):
-                shard = shards.get(word)
-                if shard is None:
-                    shard = shards[word] = _TermShard()
-                shard.add(ordinal, document_frequency, postings)
+            for word, statistics in summary.word_statistics().items():
+                weight = addends.get(statistics)
+                if weight is None:
+                    weight = addends[statistics] = _addend(*statistics)
+                row = (weight, ordinal, statistics[1], statistics[0])
+                word_rows = rows.get(word)
+                if word_rows is None:
+                    rows[word] = [row]
+                else:
+                    word_rows.append(row)
+        shards = index._shards
+        for word, word_rows in rows.items():
+            shards[word] = _sorted_columns(word_rows)
         index._sorted = sorted(index._ordinal_of.items())
         registry = get_registry()
         registry.gauge(
@@ -205,39 +233,18 @@ class SummaryIndex:
         uppercase in it must honour each summary's own case rule — the
         raw-key shard contributes its case-sensitive sources, the
         lowered-key shard its case-insensitive ones — so that path
-        filters and merges into fresh columns.
+        filters and merges into fresh columns, sorted as a shard is.
         """
         lowered = term.lower()
         if term == lowered:
-            shard = self._shards.get(term)
-            if shard is None:
-                return _EMPTY_COLUMNS
-            return TermColumns(
-                shard.ordinals,
-                shard.document_frequencies,
-                shard.postings,
-                shard.df_positive,
-                shard.positions,
-            )
-        ordinals: list[int] = []
-        document_frequencies: list[int] = []
-        postings: list[int] = []
-        collection_frequency = 0
+            return self._shards.get(term, _EMPTY_COLUMNS)
+        rows: list[_Row] = []
         for key, want_case_sensitive in ((term, True), (lowered, False)):
-            shard = self._shards.get(key)
-            if shard is None:
-                continue
-            for slot, ordinal in enumerate(shard.ordinals):
-                if self._case_sensitive[ordinal] is not want_case_sensitive:
-                    continue
-                ordinals.append(ordinal)
-                document_frequency = shard.document_frequencies[slot]
-                document_frequencies.append(document_frequency)
-                postings.append(shard.postings[slot])
-                if document_frequency > 0:
-                    collection_frequency += 1
-        positions = {ordinal: slot for slot, ordinal in enumerate(ordinals)}
-        return TermColumns(
-            ordinals, document_frequencies, postings,
-            collection_frequency, positions,
-        )
+            shard = self._shards.get(key, _EMPTY_COLUMNS)
+            rows.extend(
+                row
+                for row in zip(shard.weights, shard.ordinals,
+                               shard.document_frequencies, shard.postings)
+                if self._case_sensitive[row[1]] is want_case_sensitive
+            )
+        return _sorted_columns(rows)

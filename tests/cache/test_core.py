@@ -77,8 +77,8 @@ class TestTtl:
         cache.store("b", 2)
         clock.advance(150.0)
         assert cache.lookup("a") == (None, MISS)  # dropped, not promoted
-        cache.store("c", 3)
-        assert "a" not in cache and "b" in cache and len(cache) == 2
+        cache.store("c", 3)  # sweeps the expired "b" from the cold end
+        assert "a" not in cache and "b" not in cache and len(cache) == 1
 
     def test_no_default_ttl_never_expires(self, clock):
         cache = QueryResultCache(ttl_ms=None, clock=clock)

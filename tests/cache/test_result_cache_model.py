@@ -26,6 +26,11 @@ class Model:
     def store(self, key, value) -> int:
         self.entries.pop(key, None)
         self.entries[key] = (value, self.now)
+        # Expired entries at the cold end go first; they are not victims.
+        for stale in list(self.entries):
+            if self.now - self.entries[stale][1] <= TTL_MS:
+                break
+            del self.entries[stale]
         victims = list(self.entries)[: max(len(self.entries) - CAPACITY, 0)]
         for victim in victims:
             del self.entries[victim]

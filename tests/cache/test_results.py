@@ -73,6 +73,25 @@ class TestEntriesGauge:
         assert cache.lookup("k") == (None, MISS)
         assert self.entries(fresh_registry) == 0 == len(cache)
 
+    def test_store_drops_expired_entries_never_read_again(self, fresh_registry):
+        cache, clock = make_cache(capacity=8)
+        cache.store("a", 1)
+        cache.store("b", 2)
+        clock.now_ms = 150.0  # both past the TTL, neither read
+        assert cache.store("c", 3) == 0  # expiry is not an eviction
+        assert len(cache) == 1 and "c" in cache
+        assert self.entries(fresh_registry) == 1
+
+    def test_the_sweep_stops_at_the_first_live_entry(self, fresh_registry):
+        cache, clock = make_cache(capacity=8)
+        cache.store("old", 1)
+        clock.now_ms = 60.0
+        cache.store("young", 2)
+        clock.now_ms = 120.0  # "old" expired, "young" has 40 ms left
+        cache.store("new", 3)
+        assert "old" not in cache and "young" in cache and len(cache) == 2
+        assert self.entries(fresh_registry) == 2
+
     def test_clear_zeroes_the_gauge(self, fresh_registry):
         cache, _ = make_cache()
         cache.store("k", 1)

@@ -74,10 +74,28 @@ def example6_query() -> SQuery:
 
 
 @pytest.fixture(scope="session")
-def small_federation():
-    """A published three-vendor federation over topical collections,
-    shared by the whole session: a test must not change its sources."""
+def session_small_federation():
+    """The one shared federation; tests take it as ``small_federation``
+    (only a module-scoped fixture needs this unguarded name)."""
     return _small_federation()
+
+
+@pytest.fixture
+def small_federation(session_small_federation, request):
+    """A published three-vendor federation over topical collections,
+    shared by the whole session: a test must not change its sources.
+
+    A test that does fails at teardown, by name, instead of breaking
+    whichever test reads the federation next.
+    """
+    before = federation_fingerprint(session_small_federation)
+    yield session_small_federation
+    if federation_fingerprint(session_small_federation) != before:
+        pytest.fail(
+            f"{request.node.nodeid} changed the shared small_federation; "
+            "a test that changes a source takes own_small_federation",
+            pytrace=False,
+        )
 
 
 @pytest.fixture
@@ -102,3 +120,20 @@ def _small_federation():
     url = "http://fed.example.org"
     publish_resource(internet, resource, url)
     return internet, f"{url}/resource", resource
+
+
+def federation_fingerprint(federation) -> tuple:
+    """What a test could change in a federation and leave behind: each
+    source's document count and ``date_changed``, and every host's fault
+    profile."""
+    internet, _, resource = federation
+    sources = tuple(
+        (source.source_id, source.engine.document_count, source.date_changed)
+        for source in map(resource.source, resource.source_ids())
+    )
+    faults = {
+        host: state.faults
+        for host, state in internet._hosts.items()
+        if state.faults is not None
+    }
+    return sources, faults

@@ -13,8 +13,8 @@ from repro.transport import StartsClient
 
 
 @pytest.fixture(scope="module")
-def world(small_federation):
-    internet, resource_url, resource = small_federation
+def world(session_small_federation):
+    internet, resource_url, resource = session_small_federation
     searcher = Metasearcher(internet, [resource_url])
     searcher.refresh()
     return internet, resource, searcher

@@ -178,8 +178,8 @@ class TestCaching:
 
 
 class TestExpiry:
-    def test_expired_metadata_refetched(self, small_federation):
-        internet, url, resource = small_federation
+    def test_expired_metadata_refetched(self, own_small_federation):
+        internet, url, resource = own_small_federation
         # Make one source advertise an already-past expiry date.
         resource.source("Fed-DB").date_changed = "1996-01-01"
         source = resource.source("Fed-DB")

@@ -22,7 +22,7 @@ from repro.metasearch.selection import (
     VGlossMax,
     VGlossSum,
 )
-from repro.metasearch.summary_index import SummaryIndex
+from repro.metasearch.summary_index import SummaryIndex, TermColumns
 from repro.starts.metadata import SContentSummary, SummaryEntryLine, SummarySection
 
 from tests.oracles.dense_selection import oracle_rank, oracle_select
@@ -208,6 +208,104 @@ class TestTopKCut:
         for selector in CUT_SELECTORS:
             assert selector.select(["alpha"], index, 0) == []
         self._assert_every_k(summaries, ["alpha"], (0, 2, 3, 4, 9))
+
+
+#: Pool words spelled in another case: a term with uppercase in it takes
+#: ``term_columns``' merging path over a mix of case rules.
+CASED_QUERY_POOL = QUERY_POOL + ["ALPHA", "Delta", "GAMMA", "zeta"]
+
+
+@st.composite
+def shuffled_cloned_populations(draw):
+    """Cloned populations whose build order is not id order, so tied
+    rows sit in a column in an order the id tie-break does not follow."""
+    summaries = draw(cloned_populations())
+    ids = draw(st.permutations(sorted(summaries)))
+    return {source_id: summaries[source_id] for source_id in ids}
+
+
+@settings(deadline=None)
+@given(
+    summaries=shuffled_cloned_populations(),
+    terms=st.lists(st.sampled_from(CASED_QUERY_POOL), min_size=0, max_size=5),
+    data=st.data(),
+)
+def test_threshold_stop_over_cloned_populations(summaries, terms, data):
+    """vGlOSS-Max's early stop picks the oracle's top k for every k."""
+    index = SummaryIndex.from_summaries(summaries)
+    selector = VGlossMax()
+    assert selector.rank(terms, index) == oracle_rank(selector, terms, summaries)
+    k = data.draw(st.integers(0, len(summaries) + 2), label="k")
+    assert selector.select(terms, index, k) == oracle_select(
+        selector, terms, summaries, k
+    )
+
+
+class TestThresholdStop:
+    """``VGlossMax.select`` reads its sorted columns only until no unseen
+    source can make the cut, and sums exactly as the dense loop does."""
+
+    def test_goodness_is_summed_in_query_order(self):
+        # "X" is first seen at the head of "big"; added in query order
+        # its 1.0s come first and survive: 1 + 1 + 1e16 == 1e16 + 2,
+        # a tie with "Y" that X wins on id.  Starting from the 1e16
+        # would round each 1.0 away and hand the top spot to Y.
+        summaries = {
+            "X": _entry_summary(9, {"one": (1, 1), "two": (1, 1),
+                                    "big": (10**16, 10**16)}),
+            "Y": _entry_summary(9, {"other": (10**16 + 2, 10**16 + 2)}),
+            "Z": _entry_summary(9, {"one": (5, 5), "two": (5, 5)}),
+        }
+        terms = ["one", "two", "big", "other"]
+        ranked = oracle_rank(VGlossMax(), terms, summaries)
+        assert ranked[:2] == [("X", 1e16 + 2), ("Y", 1e16 + 2)]
+        index = SummaryIndex.from_summaries(summaries)
+        assert VGlossMax().rank(terms, index) == ranked
+        for k in range(len(summaries) + 2):
+            assert VGlossMax().select(terms, index, k) == oracle_select(
+                VGlossMax(), terms, summaries, k
+            ), k
+
+    def test_a_tie_at_the_threshold_does_not_stop(self):
+        # Built in reverse id order, so the tied "S1" heads the column:
+        # its goodness equals the threshold, and unseen "S0" still ties.
+        clone = _entry_summary(9, {"alpha": (6, 3)})
+        summaries = {"S2": _entry_summary(9, {"alpha": (1, 1)}),
+                     "S1": clone, "S0": clone}
+        index = SummaryIndex.from_summaries(summaries)
+        assert [index.source_id(o) for o in index.term_columns("alpha").ordinals] \
+            == ["S1", "S0", "S2"]
+        assert VGlossMax().select(["alpha"], index, 1) == ["S0"]
+
+    def test_reads_no_deeper_than_the_cut_needs(self):
+        # "rare" lists one source far above anything in "common".  Once
+        # "rare" runs out it adds nothing to the threshold, so the
+        # second depth of "common" already decides k = 1.
+        summaries = {"Top": _entry_summary(900, {"rare": (800, 800)})}
+        for rank in range(20):
+            summaries[f"C{rank:02d}"] = _entry_summary(
+                900, {"common": (40 - rank, 40 - rank)}
+            )
+        index = SummaryIndex.from_summaries(summaries)
+        read: set[int] = set()
+
+        class Recorded(list):
+            """An ordinals column that notes every source read from it."""
+
+            def __getitem__(self, slot):
+                ordinal = list.__getitem__(self, slot)
+                read.add(ordinal)
+                return ordinal
+
+        term_columns = index.term_columns
+
+        def recorded(term):
+            ordinals, *rest = term_columns(term)
+            return TermColumns(Recorded(ordinals), *rest)
+
+        index.term_columns = recorded
+        assert VGlossMax().select(["rare", "common"], index, 1) == ["Top"]
+        assert {index.source_id(o) for o in read} == {"Top", "C00", "C01"}
 
 
 class TestTieDeterminism:

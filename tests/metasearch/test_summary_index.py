@@ -1,5 +1,7 @@
 """The term-sharded summary index: built once, its columns and corpus statistics."""
 
+import math
+
 import pytest
 
 from repro.metasearch.summary_index import SummaryIndex
@@ -125,3 +127,78 @@ class TestGauges:
             assert "Quiet" in index
         finally:
             set_registry(previous)
+
+
+def _vgloss_max_addend(postings, df):
+    """The dense oracle's per-term addend (``tests/oracles/dense_selection.py``)."""
+    if df <= 0:
+        return 0.0
+    return df * (1.0 + math.log(max(postings / df, 1.0)))
+
+
+def mixed_population():
+    """Ties, zero and clamped-negative dfs, and both case rules."""
+    return {
+        "A": summary(50, {"alpha": (60, 20), "Beta": (9, 3), "gamma": (5, 0)}),
+        "B": summary(50, {"alpha": (16, 8), "beta": (4, 2)}, case_sensitive=True),
+        "C": summary(40, {"alpha": (16, 8), "Beta": (30, 6), "gamma": (-1, -1)},
+                     case_sensitive=True),
+        "D": summary(40, {"alpha": (2, 1), "beta": (70, 7)}),
+        "E": summary(10, {"alpha": (1, 1), "gamma": (12, 4)}),
+    }
+
+
+class TestSortedColumns:
+    """Every column a selector sees is sorted by its stored addend."""
+
+    def _columns(self, index, terms):
+        return {term: index.term_columns(term) for term in terms}
+
+    def _assert_invariants(self, index, summaries, columns):
+        for term, shard in columns.items():
+            weights = list(shard.weights)
+            assert weights == sorted(weights, reverse=True), term
+            assert {len(column) for column in shard[:4]} == {len(shard.positions)}
+            for slot, ordinal in enumerate(shard.ordinals):
+                assert shard.positions[ordinal] == slot
+                assert shard.weights[slot] == _vgloss_max_addend(
+                    shard.postings[slot], shard.document_frequencies[slot]
+                )
+                # The row holds that summary's own df for the term.
+                source = summaries[index.source_id(ordinal)]
+                df = shard.document_frequencies[slot]
+                assert df == source.document_frequency(term)
+            assert shard.collection_frequency == sum(
+                1 for s in summaries.values() if s.document_frequency(term) > 0
+            ), term
+
+    def test_shards_are_sorted_and_hold_the_oracle_addend(self):
+        summaries = mixed_population()
+        index = SummaryIndex.from_summaries(summaries)
+        columns = self._columns(index, ["alpha", "beta", "gamma"])
+        assert [index.source_id(o) for o in columns["alpha"].ordinals] == [
+            "A", "B", "C", "D", "E"
+        ]
+        # Ties keep their build order; a zero or clamped df adds 0.0.
+        assert list(columns["gamma"].weights)[-2:] == [0.0, 0.0]
+        self._assert_invariants(index, summaries, columns)
+
+    def test_mixed_case_merged_columns_are_sorted(self):
+        summaries = mixed_population()
+        index = SummaryIndex.from_summaries(summaries)
+        columns = self._columns(index, ["Beta", "Alpha", "GAMMA"])
+        # "Beta": the case-sensitive C by its raw key, A and D (not the
+        # case-sensitive B) by the lowered one, merged in weight order.
+        assert [index.source_id(o) for o in columns["Beta"].ordinals] == [
+            "D", "C", "A"
+        ]
+        assert [index.source_id(o) for o in columns["Alpha"].ordinals] == [
+            "A", "D", "E"
+        ]
+        self._assert_invariants(index, summaries, columns)
+
+    def test_collection_frequency_is_unchanged(self, index):
+        assert [
+            index.term_columns(term).collection_frequency
+            for term in ("databases", "query", "patient", "diagnosis")
+        ] == [2, 1, 2, 1]

@@ -25,7 +25,7 @@ Commands:
   an event log.
 * ``checkpoint {save,load,inspect} DIR`` — build a segmented demo
   index and checkpoint it, warm-start an engine from the directory,
-  or print the manifest (segments, generation, tombstones) without
+  or print the manifest (segments, generation) without
   paging in any segment data.
 * ``serve [--port N] [--once]`` — serve a demo federation over real
   HTTP (``GET /metrics`` is the Prometheus exposition).
@@ -266,7 +266,6 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
     print(f"  generation:  {manifest.generation}")
     print(f"  analyzer:    {manifest.analyzer}")
     print(f"  ranking:     {manifest.ranking}")
-    print(f"  tombstones:  {len(manifest.tombstones)}")
     print(f"  segments:    {len(manifest.segments)} "
           f"({manifest.total_bytes():,} bytes, "
           f"ceiling {manifest.document_ceiling})")

@@ -78,8 +78,8 @@ class CommittedSegments:
     """The committed half of a store, as an index and a document store
     read it beneath their mutable tail.
 
-    This base has committed nothing: no segment readers, no tombstones,
-    both epochs 0.  It is the read side of a store with no directory,
+    This base has committed nothing: no segment readers, epoch 0.  It
+    is the read side of a store with no directory,
     which :class:`~repro.storage.store.SegmentStore` extends with a
     directory, a manifest and the commits.  :class:`DocumentStore` and
     :class:`~repro.engine.index.InvertedIndex` built on their own sit
@@ -87,20 +87,12 @@ class CommittedSegments:
     """
 
     readers: tuple = ()
-    tombstones: frozenset = frozenset()
     #: bumped on every commit (the layout moved).
     epoch = 0
-    #: bumped only when query-observable content changed.
-    content_epoch = 0
     #: one past the highest committed doc id.
     document_ceiling = 0
-
-    def live(self, doc_id: int) -> bool:
-        return doc_id not in self.tombstones
-
-    def live_doc_count(self) -> int:
-        """Committed documents minus tombstoned ones."""
-        return 0
+    #: how many documents are committed.
+    document_count = 0
 
 
 #: Decoded-document memo bound (entries, not bytes); cleared wholesale
@@ -144,11 +136,10 @@ class DocumentStore:
             for slot, (doc_id, linkage) in enumerate(
                 zip(reader.doc_ids(), reader.linkages())
             ):
-                if store.live(doc_id):
-                    self._by_linkage.setdefault(linkage, doc_id)
-                    count = reader.token_count_at(slot)
-                    self._segment_counts[doc_id] = count
-                    total += count
+                self._by_linkage.setdefault(linkage, doc_id)
+                count = reader.token_count_at(slot)
+                self._segment_counts[doc_id] = count
+                total += count
         self._segment_token_total = total
 
     # -- writes ------------------------------------------------------------
@@ -187,22 +178,6 @@ class DocumentStore:
         self._documents.clear()
         self._token_counts.clear()
 
-    def note_tombstones(self, doc_ids) -> None:
-        """Adjust linkage/statistics for freshly tombstoned doc ids."""
-        self._min_token_memo = None
-        for doc_id in doc_ids:
-            reader, slot = self._locate(doc_id)
-            if reader is None:
-                continue
-            self._segment_token_total -= reader.token_count_at(slot)
-            self._segment_counts.pop(doc_id, None)
-            document = self._doc_memo.get(doc_id)
-            if document is None:
-                document = reader.document_at(slot)
-            if self._by_linkage.get(document.linkage) == doc_id:
-                del self._by_linkage[document.linkage]
-            self._doc_memo.pop(doc_id, None)
-
     # -- reads -------------------------------------------------------------
 
     def _locate(self, doc_id: int):
@@ -225,7 +200,7 @@ class DocumentStore:
         return reader, slot
 
     def __len__(self) -> int:
-        return self._segment_store.live_doc_count() + len(self._documents)
+        return self._segment_store.document_count + len(self._documents)
 
     def __iter__(self) -> Iterator[Document]:
         for doc_id in self.ids():
@@ -239,8 +214,8 @@ class DocumentStore:
         document = memo.get(doc_id)
         if document is None:
             reader, slot = self._locate(doc_id)
-            if reader is None or not self._segment_store.live(doc_id):
-                raise IndexError(f"no live document with id {doc_id}")
+            if reader is None:
+                raise IndexError(f"no document with id {doc_id}")
             document = reader.document_at(slot)
             if len(memo) >= _DOC_MEMO_LIMIT:
                 memo.clear()
@@ -248,16 +223,11 @@ class DocumentStore:
         return document
 
     def ids(self) -> list[int]:
-        """Every live document id, ascending."""
-        store = self._segment_store
-        live = [
-            doc_id
-            for reader in store.readers
-            for doc_id in reader.doc_ids()
-            if store.live(doc_id)
-        ]
-        live.extend(range(self._tail_base, self._tail_base + len(self._documents)))
-        return live
+        """Every document id, ascending."""
+        readers = self._segment_store.readers
+        ids = [doc_id for reader in readers for doc_id in reader.doc_ids()]
+        ids.extend(range(self._tail_base, self._tail_base + len(self._documents)))
+        return ids
 
     def token_count(self, doc_id: int) -> int:
         """Number of index tokens in the document (``DocCount``)."""
@@ -265,13 +235,9 @@ class DocumentStore:
         if offset >= 0:
             return self._token_counts[offset]
         count = self._segment_counts.get(doc_id)
-        if count is not None:
-            return count
-        # not in the eager column: tombstoned, or not covered at all
-        reader, slot = self._locate(doc_id)
-        if reader is None:
-            raise IndexError(f"no live document with id {doc_id}")
-        return reader.token_count_at(slot)
+        if count is None:
+            raise IndexError(f"no document with id {doc_id}")
+        return count
 
     def by_linkage(self, linkage: str) -> int | None:
         """The id of the document with this URL, if stored."""
@@ -279,13 +245,13 @@ class DocumentStore:
 
     def average_token_count(self) -> float:
         """Mean document length, used by length-normalizing scorers."""
-        live = len(self)
-        if not live:
+        count = len(self)
+        if not count:
             return 0.0
-        return (self._segment_token_total + self._token_total) / live
+        return (self._segment_token_total + self._token_total) / count
 
     def min_token_count(self) -> int:
-        """Smallest live document length (0 for an empty store).
+        """Smallest document length (0 for an empty store).
 
         Length-normalizing weights grow as documents shrink, so the
         collection-wide minimum is the doc-length input that makes

@@ -183,45 +183,38 @@ class _SegmentedTermAccessor(TermState):
     :class:`~repro.storage.segment.TermHandle` contributes its blocks
     (block-max bounds, each block decoded once, on first use), the
     tail's own record the last span.  The segments' columns are scanned
-    — positions skipped, tombstoned ids dropped — when a reader first
-    walks the whole list, and their positions decoded the first time
-    ``prox`` asks; both are kept beside the handles until the layout
-    moves.  :meth:`follow` counts the tail's record in, so the accessor
-    outlives tail growth.
+    — positions skipped — when a reader first walks the whole list, and
+    their positions decoded the first time ``prox`` asks; both are kept
+    beside the handles until the layout moves.  :meth:`follow` counts
+    the tail's record in, so the accessor outlives tail growth.
     """
 
-    __slots__ = ("min_len", "_gap", "_handles", "_live", "_tail",
+    __slots__ = ("min_len", "_gap", "_handles", "_tail",
                  "_segment_df", "_segment_tf_bound",
                  "_segment_min_len", "_segment_columns", "_segment_positions")
 
     def __init__(
         self, store: CommittedSegments, field: str, term: str, tail: TermState
     ) -> None:
-        live = store.live if store.tombstones else None
-        self._live = live
-        self._handles: list[tuple[int, int, object]] = []
+        self._handles: list[tuple[int, object]] = []
         df = tf_bound = 0
-        lengths: list[int | None] = []
+        lengths: list[int] = []
         for reader in store.readers:
             handle = reader.term_handle(field, term)
             if handle is None:
                 continue
-            self._handles.append((reader.doc_base, reader.doc_ceiling, handle))
-            df += handle.document_count(live)
+            self._handles.append((reader.doc_base, handle))
+            df += handle.document_count()
             tf_bound = max(tf_bound, handle.max_term_frequency())
-            # None for a version-1 segment: no block column, no length bound.
             lengths.append(handle.min_doc_length())
         self._segment_columns = self._segment_positions = self._weights = None
         self._segment_df = df
-        # Tombstones may leave max_tf stale-high (the maximal document
-        # was deleted); that only loosens the bound.
         self._segment_tf_bound = tf_bound
-        self._segment_min_len = None if None in lengths or not lengths else min(lengths)
+        self._segment_min_len = min(lengths, default=None)
         # The bound of an id range no block of the term covers: (0, 0),
-        # "cannot match", once some segment has a block column; a term
-        # with none (v1 segments, the tail alone) bounds nothing.
-        has_blocks = any(handle.blocks is not None for _, _, handle in self._handles)
-        self._gap = (0, 0) if has_blocks else None
+        # "cannot match", once some segment holds the term; a term only
+        # the tail holds bounds nothing.
+        self._gap = (0, 0) if self._handles else None
         self.follow(tail)
 
     def follow(self, tail: TermState) -> None:
@@ -232,17 +225,17 @@ class _SegmentedTermAccessor(TermState):
         self.max_tf = max(self._segment_tf_bound, tail.max_tf)
         # The term-level length bound is the min over every source of
         # the term's documents.  A non-empty tail has no cheap per-doc
-        # length column (nor does a v1 segment), so its presence drops
-        # the bound to None — the driver then falls back to the
-        # store-wide minimum, which is looser but still valid.
+        # length column, so its presence drops the bound to None — the
+        # driver then falls back to the store-wide minimum, which is
+        # looser but still valid.
         self.min_len = None if tail.df else self._segment_min_len
 
     def columns(self):
         columns = self._segment_columns
         if columns is None:  # built locally, published with one store
             doc_ids, tfs = array("q"), array("I")
-            for _, _, handle in self._handles:
-                segment_ids, segment_tfs = handle.scan(self._live)
+            for _, handle in self._handles:
+                segment_ids, segment_tfs = handle.scan()
                 doc_ids.extend(segment_ids)
                 tfs.extend(segment_tfs)
             columns = self._segment_columns = (doc_ids, tfs)
@@ -255,8 +248,8 @@ class _SegmentedTermAccessor(TermState):
         columns = self._segment_positions
         if columns is None:
             columns = (array("q"), array("I"), array("I"))
-            for _, _, handle in self._handles:
-                for column, decoded in zip(columns, handle.positions(self._live)):
+            for _, handle in self._handles:
+                for column, decoded in zip(columns, handle.positions()):
                     column.extend(decoded)
             self._segment_positions = columns
         if not self._tail.df:
@@ -268,14 +261,12 @@ class _SegmentedTermAccessor(TermState):
     def spans(self):
         """Each segment's blocks (``TermHandle.spans``) in doc-base
         order, then the tail's record; every id range between them is
-        one empty span with the gap bound.  Block columns are not
-        tombstone-filtered: they answer for live ids only, which is
-        all the driver's candidates are.
+        one empty span with the gap bound.
         """
         gap = self._gap
-        for base, ceiling, handle in self._handles:
+        for base, handle in self._handles:
             yield base - 1, gap, _NO_POSTINGS.columns
-            yield from handle.spans(ceiling)
+            yield from handle.spans()
         tail = self._tail
         if tail.df:
             yield tail._doc_ids[0] - 1, gap, _NO_POSTINGS.columns
@@ -303,12 +294,13 @@ class InvertedIndex:
 
     Every reader reaches a term through one accessor
     (:class:`_SegmentedTermAccessor`) memoized until the store's layout
-    moves — a flush, merge or tombstone commit bumps its ``epoch`` —
-    that follows the tail's record as documents are added.  Vocabulary
-    and summary memos key on the tail's mutation generation plus the
-    epoch; tombstone commits also bump the store's *content* epoch,
-    which feeds :attr:`generation`, so the term matcher's expansion
-    memo invalidates on every change of content.
+    moves — every commit bumps its ``epoch`` — that follows the tail's
+    record as documents are added.  Vocabulary and summary memos key on
+    the tail's mutation generation plus the epoch.  A commit never
+    changes content under an index: a flush or merge rewrites what was
+    there, and a replacement is served by a new index (the engine
+    reopens over the replaced store), so the tail's generation alone
+    invalidates the term matcher's expansion memo.
 
     Documents must be added in increasing id order, above every
     committed one (the document store hands out such ids).
@@ -322,9 +314,8 @@ class InvertedIndex:
         self._summary: dict[tuple[str, str], dict[str, SummaryEntry]] = defaultdict(dict)
         # doc ids continue above everything already committed.
         self._doc_count = store.document_ceiling
-        # Bumped on every tail mutation; with the store's content epoch
-        # it lets callers (the term matcher) cache derived lookups and
-        # invalidate them precisely.
+        # Bumped on every tail mutation; it lets callers (the term
+        # matcher) cache derived lookups and invalidate them precisely.
         self._generation = 0
         # (layout key, then three lazily filled per-field lookups:
         # sorted vocabulary, sorted reversed-term vocabulary — so
@@ -413,9 +404,9 @@ class InvertedIndex:
 
     @property
     def generation(self) -> int:
-        """Mutation counter covering the tail *and* committed content
-        (cache-invalidation token)."""
-        return self._generation + self._segment_store.content_epoch
+        """Mutation counter of the index's content (cache-invalidation
+        token)."""
+        return self._generation
 
     def fields(self) -> list[str]:
         names = set(self._postings)
@@ -452,8 +443,7 @@ class InvertedIndex:
         return accessor
 
     def has_postings(self, field: str, term: str) -> bool:
-        """Whether ``term`` matches any live document — nothing decoded,
-        and a fully tombstoned term is absent."""
+        """Whether ``term`` matches any document — nothing decoded."""
         return self.pruned_postings(field, term).df > 0
 
     def segment_columns(self) -> dict[str, dict[str, tuple[array, array, array]]]:

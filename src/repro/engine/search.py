@@ -143,51 +143,32 @@ class SearchEngine:
     def add_all(self, documents: list[Document]) -> list[int]:
         return [self.add(document) for document in documents]
 
-    def remove(self, linkage: str) -> bool:
-        """Remove the document with this URL; returns False if absent.
+    def remove(self, *linkages: str) -> int:
+        """Remove the documents with these URLs; returns how many of the
+        URLs were stored (0 when none was, and nothing changes).
 
-        Removal compacts: the surviving documents are re-indexed into a
-        fresh tail, so every statistic (df, summaries, token counts) is
-        exact afterwards.  Document ids are reassigned — callers must
-        not hold ids across a removal (linkages are the stable
-        identity, as everywhere in STARTS).  With a ``storage_dir`` the
-        survivors are committed before this returns: one manifest swap
-        replaces every segment and tombstone with them.
+        The one way to delete.  Removal compacts: the surviving documents
+        are re-indexed into a fresh tail — once for the whole batch — so
+        every statistic (df, summaries, token counts) is exact afterwards.
+        Document ids are reassigned — callers must not hold ids across a
+        removal (linkages are the stable identity, as everywhere in
+        STARTS).  With a ``storage_dir`` the survivors are committed
+        before this returns: one manifest swap replaces every segment
+        with them.
         """
-        if self.store.by_linkage(linkage) is None:
-            return False
-        survivors = [
-            document for document in self.store if document.linkage != linkage
-        ]
-        self._rebuild(survivors)
-        return True
+        doomed = {
+            linkage for linkage in linkages if self.store.by_linkage(linkage) is not None
+        }
+        if doomed:
+            self._rebuild(
+                [document for document in self.store if document.linkage not in doomed]
+            )
+        return len(doomed)
 
     def replace(self, document: Document) -> int:
         """Replace (or add) the document with ``document.linkage``."""
         self.remove(document.linkage)
         return self.add(document)
-
-    def tombstone(self, linkage: str) -> bool:
-        """Delete by tombstone instead of rebuilding (needs a ``storage_dir``).
-
-        The document stops matching queries immediately and its bytes
-        are reclaimed by the next merge covering its segment.  Unlike
-        :meth:`remove`, doc ids stay stable and summary statistics
-        keep the deleted document's contribution until a rebuild —
-        the standard log-structured-store approximation.  The tail is
-        flushed first so the target is always in a segment.
-        """
-        if self.storage_dir is None:
-            raise StorageError(
-                "tombstone() needs a storage_dir: this engine has no segments"
-            )
-        doc_id = self.store.by_linkage(linkage)
-        if doc_id is None:
-            return False
-        self.flush()
-        self.segment_store.add_tombstones([doc_id])
-        self.store.note_tombstones([doc_id])
-        return True
 
     def _rebuild(self, documents: list[Document]) -> None:
         committed = self.segment_store

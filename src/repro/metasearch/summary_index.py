@@ -47,8 +47,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
+from dataclasses import dataclass
 from operator import itemgetter
-from typing import NamedTuple
 
 from repro.observability.metrics import get_registry
 from repro.starts.metadata import SContentSummary
@@ -56,7 +56,8 @@ from repro.starts.metadata import SContentSummary
 __all__ = ["SummaryIndex", "TermColumns"]
 
 
-class TermColumns(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class TermColumns:
     """One query term's postings, as parallel columns.
 
     The rows are in descending ``weights`` order: ``weights`` holds each
@@ -66,6 +67,9 @@ class TermColumns(NamedTuple):
     membership tests (BGloss intersections) and lookups.
     ``collection_frequency`` is the number of listed sources whose df is
     positive — CORI's ``cf_t``, counted at build.
+
+    ``len()`` is the row count, and iterating yields the six fields in
+    order, so a caller can unpack them.
     """
 
     ordinals: tuple[int, ...]
@@ -77,6 +81,16 @@ class TermColumns(NamedTuple):
 
     def __len__(self) -> int:
         return len(self.ordinals)
+
+    def __iter__(self):
+        return iter((
+            self.ordinals,
+            self.document_frequencies,
+            self.postings,
+            self.weights,
+            self.collection_frequency,
+            self.positions,
+        ))
 
 
 _EMPTY_COLUMNS = TermColumns((), (), (), (), 0, {})

@@ -142,7 +142,7 @@ class StartsSource:
         self, linkages: list[str], date_changed: str | None = None
     ) -> int:
         """Remove documents by URL; returns how many were removed."""
-        removed = sum(1 for linkage in linkages if self.engine.remove(linkage))
+        removed = self.engine.remove(*linkages)
         if removed and date_changed is not None:
             self.date_changed = date_changed
         return removed

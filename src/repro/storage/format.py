@@ -24,7 +24,6 @@ from array import array
 
 __all__ = [
     "FORMAT_VERSION",
-    "SUPPORTED_VERSIONS",
     "POSTINGS_BLOCK_SIZE",
     "StorageError",
     "encode_varint",
@@ -37,14 +36,10 @@ __all__ = [
     "scan_posting_block",
 ]
 
-#: Version stamped into every segment header and manifest.  Version 2
-#: added the ``blockmax.bin`` sidecar column; ``postings.bin`` itself is
-#: byte-identical across both versions.
+#: Version stamped into every segment header and manifest, and the
+#: only one a reader accepts.  Version 2 added the ``blockmax.bin``
+#: sidecar column.
 FORMAT_VERSION = 2
-
-#: Versions a reader accepts: version-1 directories (no block-max
-#: column) still open, they just cannot skip postings blocks.
-SUPPORTED_VERSIONS = (1, 2)
 
 #: Documents per posting block in the block-max column.  Small enough
 #: that skipping a block saves real decode work, large enough that the
@@ -124,8 +119,7 @@ def encode_posting_list(
     n_docs)`` triple is appended per :data:`POSTINGS_BLOCK_SIZE`-doc
     block, with ``start_offset`` relative to the list's first byte in
     ``out`` (the ``n_docs`` varint).  The encoded bytes are identical
-    with or without block collection — blocks are a pure overlay, which
-    is what keeps ``postings.bin`` byte-compatible with version 1.
+    with or without block collection — blocks are a pure overlay.
     """
     base = len(out)
     encode_varint(out, len(doc_ids))
@@ -152,15 +146,13 @@ def encode_posting_list(
         )
 
 
-def decode_posting_list(buf, pos: int, live=None) -> tuple[array, array, array]:
+def decode_posting_list(buf, pos: int) -> tuple[array, array, array]:
     """Decode one posting block at ``pos`` into the columns
     :func:`encode_posting_list` takes.
 
     Args:
         buf: any byte buffer (typically the segment's postings mmap).
         pos: offset of the block's ``n_docs`` varint.
-        live: optional ``doc_id -> bool`` predicate; postings of
-            documents it rejects (tombstoned ids) are skipped.
     """
     n_docs, pos = decode_varint(buf, pos)
     doc_ids = array("q")
@@ -171,21 +163,18 @@ def decode_posting_list(buf, pos: int, live=None) -> tuple[array, array, array]:
         delta, pos = decode_varint(buf, pos)
         doc_id += delta
         n_positions, pos = decode_varint(buf, pos)
-        keep = live is None or live(doc_id)
         position = 0
         for _ in range(n_positions):
             step, pos = decode_varint(buf, pos)
             position += step
-            if keep:
-                positions.append(position)
-        if keep:
-            doc_ids.append(doc_id)
-            tfs.append(n_positions)
+            positions.append(position)
+        doc_ids.append(doc_id)
+        tfs.append(n_positions)
     return doc_ids, tfs, positions
 
 
 def scan_posting_block(
-    buf, pos: int, n_docs: int, previous_doc: int, live=None
+    buf, pos: int, n_docs: int, previous_doc: int
 ) -> tuple[array, array]:
     """(doc ids, term frequencies) of one block, skipping positions.
 
@@ -197,8 +186,6 @@ def scan_posting_block(
         previous_doc: last doc id of the preceding block (0 for the
             first block — the encoding makes the first doc id of a list
             a delta from 0).
-        live: optional ``doc_id -> bool`` predicate; rejected
-            (tombstoned) ids are left out of both columns.
 
     The columns are ``array('q')`` / ``array('I')`` — 12 bytes per
     posting, which is what lets the pruned evaluator keep them warm.
@@ -217,27 +204,11 @@ def scan_posting_block(
             while buf[pos] & 0x80:
                 pos += 1
             pos += 1
-        if live is None or live(doc_id):
-            doc_ids.append(doc_id)
-            tfs.append(n_positions)
+        doc_ids.append(doc_id)
+        tfs.append(n_positions)
     return doc_ids, tfs
 
 
-def count_posting_list(buf, pos: int, live=None) -> int:
+def count_posting_list(buf, pos: int) -> int:
     """Document count of a posting block without materializing it."""
-    n_docs, pos = decode_varint(buf, pos)
-    if live is None:
-        return n_docs
-    count = 0
-    doc_id = 0
-    for _ in range(n_docs):
-        delta, pos = decode_varint(buf, pos)
-        doc_id += delta
-        n_positions, pos = decode_varint(buf, pos)
-        for _ in range(n_positions):
-            while buf[pos] & 0x80:
-                pos += 1
-            pos += 1
-        if live(doc_id):
-            count += 1
-    return count
+    return decode_varint(buf, pos)[0]

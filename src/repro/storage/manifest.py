@@ -27,7 +27,7 @@ import os
 import pathlib
 from dataclasses import dataclass, field as dataclass_field
 
-from repro.storage.format import FORMAT_VERSION, SUPPORTED_VERSIONS, StorageError
+from repro.storage.format import FORMAT_VERSION, StorageError
 
 __all__ = ["SegmentMeta", "Manifest", "MANIFEST_NAME", "read_manifest",
            "commit_manifest", "atomic_write_bytes", "atomic_write_text",
@@ -99,7 +99,7 @@ class SegmentMeta:
 
 @dataclass
 class Manifest:
-    """The store's committed state: segments, tombstones, configuration.
+    """The store's committed state: segments and configuration.
 
     Attributes:
         generation: bumped by every commit; the replication/checkpoint
@@ -108,8 +108,6 @@ class Manifest:
             reused even across merges (so a stale reader can never
             confuse an old segment with a new one of the same name).
         segments: live segments, ascending by ``doc_base``.
-        tombstones: sorted global doc ids deleted but not yet merged
-            away.
         analyzer: the signature of the analyzer the index was built
             with (checked on open).
         ranking: the configured ranking ``algorithm_id`` (or None).
@@ -118,7 +116,6 @@ class Manifest:
     generation: int = 0
     next_segment_id: int = 0
     segments: list[SegmentMeta] = dataclass_field(default_factory=list)
-    tombstones: list[int] = dataclass_field(default_factory=list)
     analyzer: dict | None = None
     ranking: str | None = None
 
@@ -139,7 +136,6 @@ class Manifest:
             "generation": self.generation,
             "next_segment_id": self.next_segment_id,
             "segments": [segment.to_json() for segment in self.segments],
-            "tombstones": list(self.tombstones),
             "analyzer": self.analyzer,
             "ranking": self.ranking,
         }
@@ -147,13 +143,19 @@ class Manifest:
     @classmethod
     def from_json(cls, payload: dict) -> "Manifest":
         version = payload.get("format_version")
-        if version not in SUPPORTED_VERSIONS:
+        if version != FORMAT_VERSION:
             raise StorageError(f"unsupported storage format version: {version}")
+        if payload.get("tombstones"):
+            # Deleted documents still in a segment: opening the store
+            # would bring them back.
+            raise StorageError(
+                "manifest lists tombstoned documents, which this store "
+                "no longer filters out"
+            )
         return cls(
             generation=payload["generation"],
             next_segment_id=payload["next_segment_id"],
             segments=[SegmentMeta.from_json(s) for s in payload["segments"]],
-            tombstones=list(payload.get("tombstones", ())),
             analyzer=payload.get("analyzer"),
             ranking=payload.get("ranking"),
         )

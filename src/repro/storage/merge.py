@@ -12,7 +12,7 @@ per-segment posting lists without a sort.
 
 The policy is pure planning — it never touches disk — so it can be
 unit-tested exhaustively and swapped per store.  Execution (decode,
-filter tombstones, rewrite, atomic manifest swap) lives in
+rewrite, atomic manifest swap) lives in
 :class:`repro.storage.store.SegmentStore`.
 """
 

@@ -7,7 +7,7 @@ documents:
 ``postings.bin``    delta-encoded posting blocks, one per (field, term)
 ``lexicon.bin``     per field: sorted terms with block offsets
 ``blockmax.bin``    per term: per-block (last doc id, offset, doc count,
-                    max tf, min doc length) for block-skipping (v2+)
+                    max tf, min doc length) for block-skipping
 ``summary.bin``     (field, language) → word → (postings, df) columns
 ``docs.bin``        stored documents (linkage, language, fields)
 ``linkages.bin``    the linkage column alone (fast by-linkage warming)
@@ -39,7 +39,6 @@ from repro.engine.index import SummaryEntry
 from repro.storage.format import (
     FORMAT_VERSION,
     POSTINGS_BLOCK_SIZE,
-    SUPPORTED_VERSIONS,
     StorageError,
     count_posting_list,
     decode_posting_list,
@@ -62,6 +61,7 @@ __all__ = ["SegmentWriter", "SegmentReader", "TermBlocks", "TermHandle"]
 _FILES = (
     "postings.bin",
     "lexicon.bin",
+    "blockmax.bin",
     "summary.bin",
     "docs.bin",
     "linkages.bin",
@@ -69,9 +69,6 @@ _FILES = (
     "ids.bin",
     "counts.bin",
 )
-
-#: Files added by format version 2; their absence marks an old segment.
-_V2_FILES = ("blockmax.bin",)
 
 
 class SegmentWriter:
@@ -240,70 +237,46 @@ class TermHandle:
 
     Held by the segmented index's memoized term accessor, so it — and
     every block it decoded — lives until the store's layout moves
-    (flush, merge, tombstone); it holds the term's posting-list offset
-    and (for v2 segments) its block-max column, and decodes **single
-    blocks** on demand — skipping position deltas — so probing one
-    document touches at most one block's bytes, once.  Old (v1)
-    segments fall back to scanning the whole list once and answering
-    probes from that memo: correct, just without the skip.
+    (flush, merge, replacement); it holds the term's posting-list
+    offset and its block-max column, and decodes **single blocks** on
+    demand — skipping position deltas — so probing one document touches
+    at most one block's bytes, once.
     """
 
-    __slots__ = ("_buf", "_offset", "blocks", "_block_memo", "_full_memo")
+    __slots__ = ("_buf", "_offset", "blocks", "_block_memo")
 
-    def __init__(self, buf, offset: int, blocks: TermBlocks | None) -> None:
+    def __init__(self, buf, offset: int, blocks: TermBlocks) -> None:
         self._buf = buf
         self._offset = offset
         self.blocks = blocks
-        # block number -> (doc ids, tfs) columns.  Not tombstone-
-        # filtered: a tombstone commit moves the layout key, which
-        # retires the handle with everything in here.
+        # block number -> (doc ids, tfs) columns.
         self._block_memo: dict[int, tuple[array, array]] = {}
-        self._full_memo: tuple[array, array] | None = None
 
-    def scan(self, live=None) -> tuple[array, array]:
-        """(doc ids, tfs) of the whole list, tombstoned ids dropped."""
+    def scan(self) -> tuple[array, array]:
+        """(doc ids, tfs) of the whole list."""
         n_docs, pos = decode_varint(self._buf, self._offset)
-        return scan_posting_block(self._buf, pos, n_docs, 0, live)
+        return scan_posting_block(self._buf, pos, n_docs, 0)
 
-    def positions(self, live=None) -> tuple[array, array, array]:
+    def positions(self) -> tuple[array, array, array]:
         """:meth:`scan` plus the positions — the whole list decoded."""
-        return decode_posting_list(self._buf, self._offset, live)
+        return decode_posting_list(self._buf, self._offset)
 
-    def _full_scan(self) -> tuple[array, array]:
-        if self._full_memo is None:
-            self._full_memo = self.scan()
-        return self._full_memo
-
-    def document_count(self, live=None) -> int:
-        """Exact df contribution of this segment (live-filtered)."""
-        if live is None and self.blocks is not None:
-            return sum(self.blocks.counts)
-        return count_posting_list(self._buf, self._offset, live)
+    def document_count(self) -> int:
+        """This segment's df contribution."""
+        return count_posting_list(self._buf, self._offset)
 
     def max_term_frequency(self) -> int:
-        blocks = self.blocks
-        if blocks is not None:
-            return max(blocks.max_tfs, default=0)
-        _, tfs = self._full_scan()
-        return max(tfs, default=0)
+        return max(self.blocks.max_tfs)
 
-    def min_doc_length(self) -> int | None:
-        """Smallest doc length among this term's postings, if recorded."""
-        blocks = self.blocks
-        if blocks is not None and len(blocks):
-            return min(blocks.min_lens)
-        return None
+    def min_doc_length(self) -> int:
+        """Smallest doc length among this term's postings."""
+        return min(self.blocks.min_lens)
 
-    def spans(self, ceiling: int):
+    def spans(self):
         """This segment's part of a term's run of spans (see
         ``TermState.spans``): one per block, bounded by the block's
-        (max tf, min doc length) and decoded on first use — or, for a
-        segment that predates the column, one unbounded span up to
-        ``ceiling`` over the memoized full scan."""
+        (max tf, min doc length) and decoded on first use."""
         blocks = self.blocks
-        if blocks is None:
-            yield ceiling - 1, None, self._full_scan
-            return
         for number, last_id in enumerate(blocks.last_ids):
             bound = (blocks.max_tfs[number], blocks.min_lens[number])
             yield last_id, bound, partial(self._block, number)
@@ -340,17 +313,15 @@ class SegmentReader:
             raise StorageError(
                 f"unreadable segment header at {header_path}: {error}"
             ) from error
-        if header.get("format_version") not in SUPPORTED_VERSIONS:
+        if header.get("format_version") != FORMAT_VERSION:
             raise StorageError(
                 f"unsupported segment format version in {header_path}"
             )
-        self.format_version: int = header["format_version"]
         self.name: str = header["name"]
         self.doc_base: int = header["doc_base"]
         self.doc_count: int = header["doc_count"]
         self.size_bytes: int = header["size_bytes"]
-        required = _FILES + (_V2_FILES if self.format_version >= 2 else ())
-        for file_name in required:
+        for file_name in _FILES:
             if not (self.directory / file_name).exists():
                 raise StorageError(f"segment {self.name} is missing {file_name}")
 
@@ -367,7 +338,7 @@ class SegmentReader:
 
         # Lazily parsed: field → {term → postings offset} and the
         # sorted vocabulary per field; summary sections; the block-max
-        # column (v2 segments only).
+        # column.
         self._lexicon: dict[str, dict[str, int]] | None = None
         self._vocab: dict[str, list[str]] | None = None
         self._summary: list[tuple[str, str, dict[str, SummaryEntry]]] | None = None
@@ -419,22 +390,23 @@ class SegmentReader:
         return self._vocab.get(field, [])
 
     def _load_blockmax(self) -> dict[str, dict[str, TermBlocks]]:
-        """Parse ``blockmax.bin`` (v2 segments; empty mapping for v1).
+        """Parse ``blockmax.bin``.
 
         Terms are not repeated in the column — entries align with the
         lexicon's sorted term order per field, so the parse walks both
         in lockstep.
         """
         if self._blockmax is None:
-            if self.format_version < 2:
-                self._blockmax = {}
-                return self._blockmax
             self._load_lexicon()
             assert self._vocab is not None
             buf = (self.directory / "blockmax.bin").read_bytes()
             parsed: dict[str, dict[str, TermBlocks]] = {}
             pos = 0
             n_fields, pos = decode_varint(buf, pos)
+            if n_fields != len(self._vocab):
+                raise StorageError(
+                    f"segment {self.name}: blockmax/lexicon field count mismatch"
+                )
             for _ in range(n_fields):
                 field_name, pos = decode_string(buf, pos)
                 n_terms, pos = decode_varint(buf, pos)
@@ -473,8 +445,7 @@ class SegmentReader:
         offset = self._load_lexicon().get(field, {}).get(term)
         if offset is None:
             return None
-        blocks = self._load_blockmax().get(field, {}).get(term)
-        return TermHandle(self._postings_map, offset, blocks)
+        return TermHandle(self._postings_map, offset, self._load_blockmax()[field][term])
 
     # -- summary columns ----------------------------------------------------
 
@@ -499,11 +470,6 @@ class SegmentReader:
         return self._summary
 
     # -- documents ----------------------------------------------------------
-
-    @property
-    def doc_ceiling(self) -> int:
-        """One past the highest global doc id this segment covers."""
-        return self._ids[-1] + 1 if len(self._ids) else self.doc_base
 
     def doc_ids(self) -> array:
         return self._ids

@@ -1,27 +1,21 @@
 """The segment store: committed segments + the commit protocol.
 
-A :class:`SegmentStore` owns one directory: the committed manifest,
-one :class:`~repro.storage.segment.SegmentReader` per live segment,
-and the tombstone set.  A store with no directory is what a memory
-engine sits over: it has no manifest file, no readers and no
-tombstones, and refuses every commit.  All mutation funnels through
-four commit operations — :meth:`commit_segment` (a flush),
-:meth:`merge_once` (fold a planned group into one segment),
-:meth:`add_tombstones` and :meth:`replace_all` (an engine's exact
+A :class:`SegmentStore` owns one directory: the committed manifest
+and one :class:`~repro.storage.segment.SegmentReader` per live
+segment.  A store with no directory is what a memory engine sits over:
+it has no manifest file and no readers, and refuses every commit.  All
+mutation funnels through three commit operations —
+:meth:`commit_segment` (a flush), :meth:`merge_once` (fold a planned
+group into one segment) and :meth:`replace_all` (an engine's exact
 removal) — each of which writes the new state *beside* the old and
 publishes it with a single atomic manifest swap, so readers and
 crashes only ever observe a fully committed store.
 
-Two counters make cache invalidation precise for the index and
-document-store views stacked on top:
-
-* :attr:`epoch` bumps on **every** commit (the physical layout moved:
-  re-derive anything holding reader references or decoded postings);
-* :attr:`content_epoch` bumps only when **observable content** changed
-  (tombstones, a replacement).  Flushes move the mutable tail into a segment and
-  merges rewrite bytes, but neither changes any query answer, so
-  derived caches keyed on content (term expansions, vocabularies) ride
-  through them untouched.
+:attr:`epoch` bumps on every commit: the physical layout moved, so the
+index and document-store views stacked on top re-derive anything
+holding reader references or decoded postings.  A flush or merge
+changes no query answer; after a replacement the engine reopens its
+views over the store.
 """
 
 from __future__ import annotations
@@ -64,8 +58,8 @@ class SegmentStore(CommittedSegments):
         merge_policy: the tiered policy steering :meth:`maybe_merge`.
     """
 
-    #: A store with no directory keeps this empty manifest; its readers,
-    #: tombstones and epochs stay the base's empty ones.
+    #: A store with no directory keeps this empty manifest; its readers
+    #: and epoch stay the base's empty ones.
     manifest = Manifest()
 
     def __init__(
@@ -104,7 +98,6 @@ class SegmentStore(CommittedSegments):
         self.readers: list[SegmentReader] = [
             SegmentReader(self.directory / meta.name) for meta in manifest.segments
         ]
-        self.tombstones: set[int] = set(manifest.tombstones)
         self.sweep_orphans()
 
     # -- introspection -----------------------------------------------------
@@ -125,10 +118,9 @@ class SegmentStore(CommittedSegments):
     def document_ceiling(self) -> int:
         return self.manifest.document_ceiling
 
-    def live_doc_count(self) -> int:
-        return sum(meta.doc_count for meta in self.manifest.segments) - len(
-            self.tombstones
-        )
+    @property
+    def document_count(self) -> int:
+        return sum(meta.doc_count for meta in self.manifest.segments)
 
     def manifest_path(self) -> pathlib.Path:
         return self.directory / MANIFEST_NAME
@@ -151,42 +143,12 @@ class SegmentStore(CommittedSegments):
         with self._commit_lock:
             if documents and documents[0][0] < self.manifest.document_ceiling:
                 raise StorageError("flushed segment overlaps committed doc ids")
-            meta = self._replace(set(), documents, postings, summary, set())
+            meta = self._replace(set(), documents, postings, summary)
         get_registry().histogram(
             "storage_flush_ms",
             "Wall-clock time of one tail flush into an immutable segment.",
         ).observe((time.perf_counter() - started) * 1000.0)
         return meta
-
-    def add_tombstones(self, doc_ids) -> int:
-        """Mark committed documents deleted; returns how many were new.
-
-        Tombstoned documents stop matching queries immediately (readers
-        filter them during posting decode) and are physically dropped
-        by the next merge covering their segment.
-        """
-        with self._commit_lock:
-            fresh = {
-                doc_id
-                for doc_id in doc_ids
-                if doc_id not in self.tombstones and self._covers(doc_id)
-            }
-            if not fresh:
-                return 0
-            self.tombstones |= fresh
-            self._publish(tombstones=sorted(self.tombstones))
-            self.epoch += 1
-            self.content_epoch += 1
-        return len(fresh)
-
-    def _publish(self, **changes) -> None:
-        """Commit the manifest with ``changes`` as the next generation
-        (commit lock held)."""
-        updated = dataclasses.replace(
-            self.manifest, generation=self.manifest.generation + 1, **changes
-        )
-        commit_manifest(self._root(), updated)
-        self.manifest = updated
 
     def _root(self) -> pathlib.Path:
         """The directory a commit writes to; a store with none refuses."""
@@ -194,23 +156,16 @@ class SegmentStore(CommittedSegments):
             raise StorageError("a store with no storage_dir commits nothing")
         return self.directory
 
-    def _covers(self, doc_id: int) -> bool:
-        return any(reader.slot_of(doc_id) is not None for reader in self.readers)
-
     # -- merging -----------------------------------------------------------
 
-    def plan_merge(self) -> list[SegmentMeta] | None:
-        return self.merge_policy.plan(self.manifest.segments)
-
     def merge_once(self) -> SegmentMeta | None:
-        """Execute one planned merge; returns the new segment (if any).
+        """Execute one planned merge; returns the new segment, or None when
+        the policy plans none.
 
-        The group's postings are decoded with tombstoned documents
-        filtered out, re-encoded into one segment of the next tier,
-        and published with a single manifest swap that also retires
-        the consumed tombstones.  Old directories are deleted only
-        after the swap — a crash at any point leaves either the old
-        committed state or the new one.
+        The group's postings are decoded, re-encoded into one segment of
+        the next tier, and published with a single manifest swap.  Old
+        directories are deleted only after the swap — a crash at any point
+        leaves either the old committed state or the new one.
         """
         started = time.perf_counter()
         with self._commit_lock:
@@ -233,32 +188,27 @@ class SegmentStore(CommittedSegments):
         """Fold ``group`` into one segment (commit lock held)."""
         names = {meta.name for meta in group}
         readers = [reader for reader in self.readers if reader.name in names]
-        live = self.live
 
         documents: list[tuple[int, Document, int]] = []
         postings: dict[str, dict[str, tuple]] = {}
-        consumed: set[int] = set()
         for reader in readers:
-            for slot, doc_id in enumerate(reader.doc_ids()):
-                if live(doc_id):
-                    documents.append(
-                        (doc_id, reader.document_at(slot), reader.token_count_at(slot))
-                    )
-                else:
-                    consumed.add(doc_id)
+            documents.extend(
+                (doc_id, reader.document_at(slot), reader.token_count_at(slot))
+                for slot, doc_id in enumerate(reader.doc_ids())
+            )
             # Readers ascend by doc base, so per-term concatenation keeps
             # every column doc-id ascending.
             for field_name in reader.fields():
                 field_postings = postings.setdefault(field_name, {})
                 for term in reader.vocabulary(field_name):
-                    columns = reader.term_handle(field_name, term).positions(live)
+                    columns = reader.term_handle(field_name, term).positions()
                     if term in field_postings:
                         for column, more in zip(field_postings[term], columns):
                             column.extend(more)
-                    elif columns[0]:
+                    else:
                         field_postings[term] = columns
         summary = fold_summary_sections(reader.summary_sections() for reader in readers)
-        return self._replace(names, documents, postings, summary, consumed)
+        return self._replace(names, documents, postings, summary)
 
     def replace_all(
         self,
@@ -268,15 +218,13 @@ class SegmentStore(CommittedSegments):
     ) -> SegmentMeta | None:
         """Commit one batch as the store's whole content.
 
-        One manifest swap retires every segment and tombstone — an
-        engine's exact ``remove`` — so a crash leaves either the old
-        store or exactly the batch; an empty batch leaves an empty store.
+        One manifest swap retires every segment — an engine's exact
+        ``remove`` — so a crash leaves either the old store or exactly
+        the batch; an empty batch leaves an empty store.
         """
         with self._commit_lock:
             names = {meta.name for meta in self.manifest.segments}
-            meta = self._replace(names, documents, postings, summary, self.tombstones)
-            self.content_epoch += 1
-        return meta
+            return self._replace(names, documents, postings, summary)
 
     def _replace(
         self,
@@ -284,11 +232,10 @@ class SegmentStore(CommittedSegments):
         documents: list[tuple[int, Document, int]],
         postings: dict[str, dict[str, tuple]],
         summary: list[tuple[str, str, dict[str, SummaryEntry]]],
-        consumed: set[int],
     ) -> SegmentMeta | None:
         """Swap the ``names`` segments for one written from the batch (or
-        for none when it is empty), retiring the ``consumed`` tombstones;
-        the old directories go only after the swap (commit lock held)."""
+        for none when it is empty); the old directories go only after the
+        swap (commit lock held)."""
         manifest = self.manifest
         survivors = [meta for meta in manifest.segments if meta.name not in names]
         merged_meta: SegmentMeta | None = None
@@ -298,13 +245,14 @@ class SegmentStore(CommittedSegments):
             merged_meta = writer.write(documents, postings, summary)
             survivors.append(merged_meta)
             survivors.sort(key=lambda meta: meta.doc_base)
-        remaining = sorted(self.tombstones - consumed)
-        self._publish(
+        updated = dataclasses.replace(
+            manifest,
+            generation=manifest.generation + 1,
             next_segment_id=manifest.next_segment_id + 1,
             segments=survivors,
-            tombstones=remaining,
         )
-        self.tombstones = set(remaining)
+        commit_manifest(self._root(), updated)
+        self.manifest = updated
         retired = [reader for reader in self.readers if reader.name in names]
         readers = [reader for reader in self.readers if reader.name not in names]
         if merged_meta is not None:
@@ -320,16 +268,12 @@ class SegmentStore(CommittedSegments):
     def merge_all(self) -> int:
         """Run merges until the policy finds nothing left; returns count."""
         merges = 0
-        while self.plan_merge():
-            if self.merge_once() is None and not self.plan_merge():
-                break
+        while self.merge_once() is not None:
             merges += 1
         return merges
 
     def maybe_merge(self) -> bool:
         """Merge when the policy wants one; returns whether any merge ran."""
-        if not self.plan_merge():
-            return False
         return self.merge_all() > 0
 
     # -- housekeeping ------------------------------------------------------

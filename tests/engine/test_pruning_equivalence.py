@@ -4,7 +4,7 @@ The pruned evaluator (the engine default) promises the exhaustive answer
 for less work:
 same documents, same float scores, same order, same TermStats — across
 every ranking algorithm, both storage backends, and any mid-history
-mix of flushes, merges, and tombstones.  Shapes the MaxScore driver
+mix of flushes, merges, and removals.  Shapes the MaxScore driver
 cannot bound (filters, Boolean/prox trees, unprunable algorithms, no
 top-k or score floor) must fall back to term-at-a-time transparently.
 """
@@ -94,9 +94,12 @@ def build_segmented_engine(
     n_docs: int = 30,
     flush_every: int | None = 10,
     merge: bool = False,
-    tombstones: tuple[int, ...] = (),
+    removed: tuple[int, ...] = (),
 ) -> SearchEngine:
-    """A segment-backed engine with a configurable storage history."""
+    """A segment-backed engine with a configurable storage history:
+    adds with a flush every ``flush_every``, then one ``remove`` of the
+    ``removed`` documents, then (with ``merge``) a flush and every
+    planned merge."""
     engine = SearchEngine(
         ranking=RANKING_ALGORITHMS[algorithm_id](),
         storage="segments",
@@ -106,8 +109,8 @@ def build_segmented_engine(
         engine.add(document)
         if flush_every and (index + 1) % flush_every == 0:
             engine.flush()
-    for index in tombstones:
-        engine.tombstone(f"http://x/{index}")
+    if removed:
+        assert engine.remove(*(f"http://x/{index}" for index in removed)) == len(removed)
     if merge:
         engine.flush()
         assert engine.segment_store is not None
@@ -218,20 +221,22 @@ class TestSegmentsBackend:
             engine.close()
 
     def test_tombstoned_history(self, algorithm_id):
+        """Documents deleted mid-history (by ``remove``, the one delete)."""
         with tempfile.TemporaryDirectory() as tmp:
             engine = build_segmented_engine(
                 algorithm_id, seed=13, directory=tmp, n_docs=35,
-                flush_every=10, tombstones=(0, 7, 18, 33),
+                flush_every=10, removed=(0, 7, 18, 33),
             )
             for top_k in (1, 5, 35):
                 assert_pruned_equivalent(engine, ranking_query=QUERY, top_k=top_k)
             engine.close()
 
     def test_tombstones_then_merge(self, algorithm_id):
+        """Documents deleted (by ``remove``), then a merge."""
         with tempfile.TemporaryDirectory() as tmp:
             engine = build_segmented_engine(
                 algorithm_id, seed=14, directory=tmp, n_docs=35,
-                flush_every=10, tombstones=(2, 11, 29), merge=True,
+                flush_every=10, removed=(2, 11, 29), merge=True,
             )
             engine.evaluation = TERM_AT_A_TIME
             full = engine.search(ranking_query=QUERY)
@@ -453,8 +458,8 @@ def test_random_queries_equivalent_memory(
             {"flush_every": None},
             {"flush_every": 8},
             {"flush_every": 8, "merge": True},
-            {"flush_every": 10, "tombstones": (1, 9, 17)},
-            {"flush_every": 6, "tombstones": (0, 12), "merge": True},
+            {"flush_every": 10, "removed": (1, 9, 17)},
+            {"flush_every": 6, "removed": (0, 12), "merge": True},
         ]
     ),
 )
@@ -488,13 +493,13 @@ PLAIN_QUERIES = [
 
 
 def by_linkage(engine, hits):
-    """Hits keyed the way STARTS keys them: a memory engine that removed
-    a document renumbers the rest, a tombstoning one does not."""
+    """Hits keyed the way STARTS keys them: a removal renumbers the
+    surviving documents."""
     return [(engine.store[hit.doc_id].linkage, hit.score, hit.term_stats) for hit in hits]
 
 
 class WarmTermStateMachine(RuleBasedStateMachine):
-    """add / flush / tombstone / merge interleaved with pruned searches.
+    """add / flush / remove / merge interleaved with pruned searches.
 
     Every search is issued twice on the segments engine — the first may
     build term state, the second must find it warm — and both must equal
@@ -540,9 +545,10 @@ class WarmTermStateMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: self.live)
     @rule(data=st.data())
-    def tombstone(self, data):
+    def remove(self, data):
+        """A ``replace_all`` commit under warm accessors."""
         linkage = self.live.pop(data.draw(st.integers(0, len(self.live) - 1)))
-        assert self.segmented.tombstone(linkage)
+        assert self.segmented.remove(linkage)
         assert self.oracle.remove(linkage)
 
     @rule(query=flat_queries(), top_k=st.sampled_from([1, 3, 8]))
@@ -582,10 +588,10 @@ def search_all(engine, queries=PLAIN_QUERIES, top_k=3):
 
 @pytest.fixture
 def warm_reopened(tmp_path):
-    """A flushed, partly tombstoned store served from a warm reopen."""
+    """A flushed store, after removals, served from a warm reopen."""
     build_segmented_engine(
         "Okapi-1", seed=41, directory=tmp_path, n_docs=300, flush_every=70,
-        tombstones=(3, 120, 251),
+        removed=(3, 120, 251),
     ).close()
     engine = SearchEngine(
         ranking=RANKING_ALGORITHMS["Okapi-1"](),
@@ -631,11 +637,11 @@ class TestWarmTermState:
         assert state.tf_map() == stored_tfs(engine, "gamma")
         for move in (
             engine.flush,
-            lambda: engine.tombstone("http://x/0"),
             lambda: engine.checkpoint(merge=True),
+            lambda: engine.remove("http://x/0"),  # reopens the index
         ):
             move()
-            moved = index.pruned_postings(F.BODY_OF_TEXT, "gamma")
+            moved = engine.index.pruned_postings(F.BODY_OF_TEXT, "gamma")
             assert moved is not state
             assert moved.tf_map() == stored_tfs(engine, "gamma")
             state = moved
@@ -768,14 +774,13 @@ class TestWarmTermState:
             engine = build_segmented_engine(
                 "Okapi-1", seed=44, directory=tmp_path, n_docs=30, flush_every=12
             )
-            # One word only these two documents hold: tombstoning both
-            # leaves it in two lexicons with no live posting.
+            # One word only these two documents hold: removing both
+            # takes it out of every lexicon.
             for linkage in ("http://only/0", "http://only/1"):
                 engine.add(Document(linkage, {F.BODY_OF_TEXT: "lonely gamma"}))
                 engine.flush()
             assert engine.index.has_postings(F.BODY_OF_TEXT, "lonely")
-            for linkage in ("http://only/0", "http://only/1"):
-                engine.tombstone(linkage)
+            engine.remove("http://only/0", "http://only/1")
             assert not engine.index.has_postings(F.BODY_OF_TEXT, "lonely")
             engine.add(Document("http://x/tail", {F.BODY_OF_TEXT: "tailword"}))
         index = engine.index

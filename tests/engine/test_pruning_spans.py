@@ -2,17 +2,14 @@
 
 A probe pass walks its candidates in doc-id order against a term's
 postings as one ascending run of spans — each segment's blocks, a gap
-span wherever no block of the term covers an id range, a segment that
-predates the block-max column as one unbounded span, the tail's record
-last.  The warm-state suites build 25–40-document engines, so no term
+span wherever no block of the term covers an id range, the tail's
+record last.  The warm-state suites build 25–40-document engines, so no term
 there reaches a second block of a segment.  Every history here holds:
 
 * a term with more than ``POSTINGS_BLOCK_SIZE`` postings in one segment;
 * a segment the term is absent from (``zeta`` skips the second);
 * candidates past a segment's last block (``early`` ends early in each);
-* tombstones inside a non-first block;
-* a non-empty tail above the segments;
-* in one history, version-1 segments beside a version-2 one.
+* a non-empty tail above the segments.
 
 Hits must equal the exhaustive path's bit for bit, and on a fixed
 corpus the driver's decisions — postings walked, postings skipped,
@@ -35,11 +32,9 @@ from repro.storage.format import POSTINGS_BLOCK_SIZE
 from repro.storage.merge import TieredMergePolicy
 
 from tests.engine.test_pruning_equivalence import assert_pruned_equivalent
-from tests.storage.test_blockmax import downgrade_to_v1
 
 SEGMENT = 200
 TAIL = 60
-TOMBSTONES = (150, 171, 350)  # gamma's second block in segments 0 and 1
 WORDS = ("gamma", "delta", "epsilon", "early", "zeta", "rare")
 
 
@@ -70,25 +65,12 @@ def open_engine(directory) -> SearchEngine:
 
 
 def build_history(name: str, directory) -> SearchEngine:
-    """Three 200-document segments, three tombstones, a 60-document
-    tail; ``v1`` downgrades the first two segments, ``merged`` folds
-    the three into one before the tail."""
+    """Three 200-document segments and a 60-document tail; ``merged``
+    folds the three into one before the tail."""
     engine = open_engine(directory)
-    if name == "v1":
-        for start in (0, SEGMENT):
-            engine.add_all(documents(start, start + SEGMENT))
-            engine.flush()
-        engine.close()
-        downgrade_to_v1(directory)
-        engine = open_engine(directory)
-        engine.add_all(documents(2 * SEGMENT, 3 * SEGMENT))
+    for start in range(0, 3 * SEGMENT, SEGMENT):
+        engine.add_all(documents(start, start + SEGMENT))
         engine.flush()
-    else:
-        for start in range(0, 3 * SEGMENT, SEGMENT):
-            engine.add_all(documents(start, start + SEGMENT))
-            engine.flush()
-    for index in TOMBSTONES:
-        assert engine.tombstone(f"http://blocks/{index}")
     if name == "merged":
         engine.segment_store.merge_policy = TieredMergePolicy(merge_factor=3)
         engine.segment_store.merge_all()
@@ -96,7 +78,7 @@ def build_history(name: str, directory) -> SearchEngine:
     return engine
 
 
-HISTORIES = ("v2", "v1", "merged")
+HISTORIES = ("v2", "merged")
 
 
 @pytest.fixture(scope="module")
@@ -117,17 +99,13 @@ def t(text, weight=1.0, modifiers=()):
 def test_the_histories_hold_every_case(stores):
     v2 = stores["v2"]
     readers = v2.segment_store.readers
-    assert len(readers) == 3 and all(reader.format_version == 2 for reader in readers)
+    assert len(readers) == 3
     handles = [reader.term_handle(F.BODY_OF_TEXT, "gamma") for reader in readers]
     assert all(handle.document_count() > POSTINGS_BLOCK_SIZE for handle in handles)
-    # Each tombstoned id sits in a non-first block of gamma's segment.
-    for doc_id in TOMBSTONES:
-        handle = handles[doc_id // SEGMENT]
-        assert doc_id > handle.blocks.last_ids[0]
     assert readers[1].term_handle(F.BODY_OF_TEXT, "zeta") is None
     for reader in readers:
         early = reader.term_handle(F.BODY_OF_TEXT, "early")
-        assert early.blocks.last_ids[-1] < reader.doc_ceiling - 1
+        assert early.blocks.last_ids[-1] < reader.doc_ids()[-1]
     gamma = v2.index.pruned_postings(F.BODY_OF_TEXT, "gamma")
     assert gamma._tail.df > 0
     # Gap spans cover the ids no block of zeta does: segment 1 whole.
@@ -135,7 +113,6 @@ def test_the_histories_hold_every_case(stores):
     assert any(
         bound == (0, 0) and last_id >= 2 * SEGMENT - 1 for last_id, bound, _ in spans
     )
-    assert [reader.format_version for reader in stores["v1"].segment_store.readers] == [1, 1, 2]
     merged = stores["merged"].segment_store.readers
     assert len(merged) == 1
     assert len(merged[0].term_handle(F.BODY_OF_TEXT, "gamma").blocks) > 3
@@ -197,22 +174,16 @@ PINNED_QUERIES = (
 #: candidate by candidate; the span walk must make the same decisions.
 PINNED_DECISIONS = {
     "v2": [
-        (884, 0, 420), (890, 0, 414), (831, 650, 373), (882, 636, 357),
-        (721, 476, 200), (813, 433, 225), (269, 1141, 0), (298, 1112, 2),
-        (170, 1111, 0), (199, 1082, 0), (62, 216, 17), (81, 197, 13),
-        (1817, 650, 0), (1826, 642, 1), (652, 0, 0), (652, 0, 0),
-    ],
-    "v1": [
-        (1162, 0, 142), (1164, 0, 140), (1077, 650, 127), (1105, 636, 134),
-        (861, 458, 60), (964, 433, 74), (269, 1141, 0), (298, 1112, 2),
-        (170, 1111, 0), (199, 1082, 0), (70, 208, 9), (86, 192, 8),
-        (1817, 650, 0), (1827, 641, 0), (652, 0, 0), (652, 0, 0),
+        (887, 0, 423), (893, 0, 417), (834, 653, 376), (885, 639, 360),
+        (726, 476, 200), (819, 435, 224), (274, 1144, 0), (303, 1115, 2),
+        (174, 1115, 0), (203, 1086, 0), (63, 218, 18), (84, 197, 13),
+        (1825, 653, 0), (1835, 645, 0), (655, 0, 0), (655, 0, 0),
     ],
     "merged": [
-        (1162, 0, 142), (1164, 0, 140), (1075, 650, 129), (1102, 636, 137),
-        (850, 458, 71), (946, 433, 92), (269, 1141, 0), (298, 1112, 2),
-        (170, 1111, 0), (199, 1082, 0), (74, 204, 5), (92, 186, 2),
-        (1817, 650, 0), (1826, 642, 1), (652, 0, 0), (652, 0, 0),
+        (1168, 0, 142), (1170, 0, 140), (1081, 653, 129), (1109, 639, 136),
+        (858, 460, 68), (961, 435, 82), (274, 1144, 0), (303, 1115, 2),
+        (174, 1115, 0), (203, 1086, 0), (76, 205, 5), (95, 186, 2),
+        (1825, 653, 0), (1835, 645, 0), (655, 0, 0), (655, 0, 0),
     ],
 }
 

@@ -1,5 +1,6 @@
 """The term-sharded summary index: built once, its columns and corpus statistics."""
 
+import dataclasses
 import math
 
 import pytest
@@ -61,6 +62,24 @@ class TestBuild:
         assert columns.positions == {
             ordinal: slot for slot, ordinal in enumerate(columns.ordinals)
         }
+
+    def test_columns_replace_and_unpack(self, index):
+        """``len`` is the row count, not the field count, and the columns
+        still take ``dataclasses.replace`` (a NamedTuple with that
+        ``__len__`` broke ``_replace``) and unpack in field order."""
+        columns = index.term_columns("databases")
+        one_row = dataclasses.replace(
+            columns,
+            ordinals=columns.ordinals[:1],
+            document_frequencies=columns.document_frequencies[:1],
+        )
+        assert len(one_row) == 1 and len(columns) == 2
+        assert one_row.postings == columns.postings
+        ordinals, *rest = columns
+        assert ordinals == columns.ordinals and len(rest) == 5
+        assert rest[-1] is columns.positions
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            columns.ordinals = ()
 
     def test_absent_term_is_empty(self, index):
         columns = index.term_columns("nonexistent")
@@ -158,7 +177,7 @@ class TestSortedColumns:
         for term, shard in columns.items():
             weights = list(shard.weights)
             assert weights == sorted(weights, reverse=True), term
-            assert {len(column) for column in shard[:4]} == {len(shard.positions)}
+            assert {len(column) for column in list(shard)[:4]} == {len(shard.positions)}
             for slot, ordinal in enumerate(shard.ordinals):
                 assert shard.positions[ordinal] == slot
                 assert shard.weights[slot] == _vgloss_max_addend(

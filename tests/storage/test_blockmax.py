@@ -1,10 +1,10 @@
-"""The block-max column: codec, handles, and v1 backward compatibility.
+"""The block-max column: codec, handles, and the format version.
 
-Version 2 adds ``blockmax.bin`` — per term, per 128-document block, the
+Version 2 added ``blockmax.bin`` — per term, per 128-document block, the
 metadata block-skipping needs — while leaving ``postings.bin`` and every
 other file byte-identical.  These tests pin the codec round-trip, the
-:class:`TermHandle` access path, and the promise that version-1 segment
-directories (no column) still open and answer correctly.
+:class:`TermHandle` access path, and that a reader opens version 2 only:
+a version-1 directory (no column) is refused.
 """
 
 import json
@@ -16,8 +16,6 @@ from hypothesis import given, strategies as st
 
 from repro.engine import fields as F
 from repro.engine.documents import Document
-from repro.engine.evaluation import PRUNED, TERM_AT_A_TIME
-from repro.engine.query import ListQuery, TermQuery
 from repro.engine.search import SearchEngine
 from repro.storage.format import (
     POSTINGS_BLOCK_SIZE,
@@ -55,7 +53,7 @@ class TestCodec:
         with_blocks = bytearray()
         blocks: list[tuple[int, int, int]] = []
         encode_posting_list(with_blocks, *postings, blocks)
-        assert bytes(plain) == bytes(with_blocks)  # v1-compatible bytes
+        assert bytes(plain) == bytes(with_blocks)
         assert sum(count for _, _, count in blocks) == n_docs
         expected_blocks = (n_docs + POSTINGS_BLOCK_SIZE - 1) // POSTINGS_BLOCK_SIZE
         assert len(blocks) == expected_blocks
@@ -92,9 +90,8 @@ _position_lists = st.lists(
 
 @given(
     rows=st.lists(st.tuples(st.integers(1, 300_000), _position_lists), max_size=300),
-    dead=st.sets(st.integers(0, 299)),
 )
-def test_position_skipping_matches_full_decode(rows, dead):
+def test_position_skipping_matches_full_decode(rows):
     doc_ids, tfs, positions = array("q"), array("I"), array("I")
     doc_id = 0
     for gap, run in rows:
@@ -102,23 +99,19 @@ def test_position_skipping_matches_full_decode(rows, dead):
         doc_ids.append(doc_id)
         tfs.append(len(run))
         positions.extend(run)
-    tombstoned = {doc_ids[slot] for slot in dead if slot < len(doc_ids)}
     blob = bytearray(b"\xff")  # a list rarely starts at offset 0
     blocks: list[tuple[int, int, int]] = []
     encode_posting_list(blob, doc_ids, tfs, positions, blocks)
-    for live in (None, lambda doc_id: doc_id not in tombstoned):
-        expected_ids, expected_tfs, _ = decode_posting_list(blob, 1, live)
-        assert count_posting_list(blob, 1, live) == len(expected_ids)
-        seen: list[tuple[int, int]] = []
-        previous_doc = 0
-        for last_doc, start, count in blocks:
-            scanned_ids, scanned_tfs = scan_posting_block(
-                blob, 1 + start, count, previous_doc, live
-            )
-            assert scanned_ids.typecode == "q" and scanned_tfs.typecode == "I"
-            seen.extend(zip(scanned_ids, scanned_tfs))
-            previous_doc = last_doc
-        assert seen == list(zip(expected_ids, expected_tfs))
+    expected_ids, expected_tfs, _ = decode_posting_list(blob, 1)
+    assert count_posting_list(blob, 1) == len(expected_ids)
+    seen: list[tuple[int, int]] = []
+    previous_doc = 0
+    for last_doc, start, count in blocks:
+        scanned_ids, scanned_tfs = scan_posting_block(blob, 1 + start, count, previous_doc)
+        assert scanned_ids.typecode == "q" and scanned_tfs.typecode == "I"
+        seen.extend(zip(scanned_ids, scanned_tfs))
+        previous_doc = last_doc
+    assert seen == list(zip(expected_ids, expected_tfs))
 
 
 def write_segment(directory, postings_by_term, base_length=10):
@@ -132,11 +125,11 @@ def write_segment(directory, postings_by_term, base_length=10):
     return writer.write(documents, {F.BODY_OF_TEXT: postings_by_term}, [])
 
 
-def covering_span(handle, ceiling, doc_id):
+def covering_span(handle, doc_id):
     """``(bound, tf)`` from the one span of ``handle.spans`` that answers
     for ``doc_id``; None past the last block (the term accessor's gap
     span answers there)."""
-    for last_id, bound, columns in handle.spans(ceiling):
+    for last_id, bound, columns in handle.spans():
         if last_id >= doc_id:
             return bound, dict(zip(*columns())).get(doc_id, 0)
     return None
@@ -157,22 +150,33 @@ class TestTermHandle:
             # Doc lengths are base + id, so the term-wide min length is
             # the first posting's.
             assert handle.min_doc_length() == 10 + doc_ids[0]
-            ceiling = reader.doc_ceiling
             # One span per block, ascending, the last ending on the last
             # posting.
-            spans = list(handle.spans(ceiling))
+            spans = list(handle.spans())
             last_ids = [last_id for last_id, _, _ in spans]
             assert last_ids == handle.blocks.last_ids == sorted(set(last_ids))
             assert spans[-1][0] == doc_ids[-1]
             by_id = dict(zip(doc_ids, tfs))
             probe_ids = list(doc_ids[::17]) + [doc_ids[0] - 1]
             for doc_id in probe_ids:
-                assert covering_span(handle, ceiling, doc_id)[1] == by_id.get(doc_id, 0)
+                assert covering_span(handle, doc_id)[1] == by_id.get(doc_id, 0)
             # Past the last posting no block answers.
-            assert covering_span(handle, ceiling, doc_ids[-1] + 100) is None
-            covered, _ = covering_span(handle, ceiling, doc_ids[0])
+            assert covering_span(handle, doc_ids[-1] + 100) is None
+            covered, _ = covering_span(handle, doc_ids[0])
             assert covered is not None and covered[0] >= tfs[0]
             assert reader.term_handle(F.BODY_OF_TEXT, "missing") is None
+        finally:
+            reader.close()
+
+    def test_a_column_missing_a_field_is_a_storage_error(self, tmp_path):
+        """Every lexicon term has its blocks; a column that lost a field
+        is corrupt, and says so instead of raising a ``KeyError``."""
+        write_segment(tmp_path, {"alpha": make_postings(3)})
+        (tmp_path / "seg-000000" / "blockmax.bin").write_bytes(b"\x00")
+        reader = SegmentReader(tmp_path / "seg-000000")
+        try:
+            with pytest.raises(StorageError, match="field count"):
+                reader.term_handle(F.BODY_OF_TEXT, "alpha")
         finally:
             reader.close()
 
@@ -183,7 +187,7 @@ class TestTermHandle:
         try:
             handle = reader.term_handle(F.BODY_OF_TEXT, "alpha")
             for doc_id, tf in zip(postings[0], postings[1]):
-                (max_tf, min_len), found = covering_span(handle, reader.doc_ceiling, doc_id)
+                (max_tf, min_len), found = covering_span(handle, doc_id)
                 assert found == tf
                 assert max_tf >= tf
                 assert min_len <= 10 + doc_id
@@ -221,48 +225,17 @@ class TestBackwardCompatibility:
         engine.flush()
         return engine
 
-    def test_v1_directory_still_opens_and_answers(self, tmp_path):
+    def test_v1_directory_is_refused(self, tmp_path):
+        """Nothing writes version 1 since version 2 shipped; a reader
+        refuses it rather than serving it without block bounds."""
         store_dir = tmp_path / "store"
-        engine = self._build(store_dir)
-        query = ListQuery(
-            (TermQuery(F.BODY_OF_TEXT, "alpha"), TermQuery(F.BODY_OF_TEXT, "gamma"))
-        )
-        expected = engine.search(ranking_query=query, top_k=5)
-        engine.close()
-
+        self._build(store_dir).close()
+        segment_dir = store_dir / read_manifest(store_dir).segments[0].name
         downgrade_to_v1(store_dir)
-        warmed = SearchEngine(
-            storage="segments", storage_dir=store_dir, evaluation=PRUNED
-        )
-        try:
-            # The v1 directory opens, the handle degrades gracefully
-            # (no block column), and both evaluation modes still give
-            # the exact same answer.
-            reader = warmed.segment_store.readers[0]
-            assert reader.format_version == 1
-            handle = reader.term_handle(F.BODY_OF_TEXT, "alpha")
-            assert handle is not None and handle.blocks is None
-            assert handle.min_doc_length() is None
-            # One unbounded span over the whole segment.
-            spans = list(handle.spans(reader.doc_ceiling))
-            assert [(last_id, bound) for last_id, bound, _ in spans] == [
-                (reader.doc_ceiling - 1, None)
-            ]
-            pruned = warmed.search(ranking_query=query, top_k=5)
-            # The pruned path went through the memoized term state,
-            # which degrades with its handles (no bound on any span,
-            # not even the gaps; no length bound) and answers the same
-            # warm as cold.
-            state = warmed.index.pruned_postings(F.BODY_OF_TEXT, "alpha")
-            assert state is warmed.index.pruned_postings(F.BODY_OF_TEXT, "alpha")
-            assert all(bound is None for _, bound, _ in state.spans())
-            assert state.min_len is None
-            assert warmed.search(ranking_query=query, top_k=5) == pruned
-            warmed.evaluation = TERM_AT_A_TIME
-            exhaustive = warmed.search(ranking_query=query, top_k=5)
-            assert pruned == exhaustive == expected
-        finally:
-            warmed.close()
+        with pytest.raises(StorageError, match="version"):
+            SearchEngine(storage="segments", storage_dir=store_dir)
+        with pytest.raises(StorageError, match="version"):
+            SegmentReader(segment_dir)
 
     def test_unknown_versions_rejected(self, tmp_path):
         with pytest.raises(StorageError):

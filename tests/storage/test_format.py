@@ -75,19 +75,6 @@ def posting_lists(draw):
     return array("q", doc_ids), tfs, positions
 
 
-def without(postings, dead):
-    """The columns with the postings of ``dead`` documents left out."""
-    kept = (array("q"), array("I"), array("I"))
-    start = 0
-    for doc_id, tf in zip(postings[0], postings[1]):
-        if doc_id not in dead:
-            kept[0].append(doc_id)
-            kept[1].append(tf)
-            kept[2].extend(postings[2][start : start + tf])
-        start += tf
-    return kept
-
-
 class TestPostingList:
     @given(posting_lists())
     def test_round_trip(self, postings):
@@ -101,12 +88,3 @@ class TestPostingList:
         blob = bytearray()
         encode_posting_list(blob, *postings)
         assert count_posting_list(bytes(blob), 0) == len(postings[0])
-
-    @given(posting_lists(), st.sets(st.integers(0, 10_000)))
-    def test_live_filter_drops_tombstoned(self, postings, dead):
-        blob = bytearray()
-        encode_posting_list(blob, *postings)
-        decoded = decode_posting_list(
-            bytes(blob), 0, live=lambda doc_id: doc_id not in dead
-        )
-        assert decoded == without(postings, dead)

@@ -3,9 +3,9 @@
 Every other storage test round-trips: what the writer encodes, the
 reader decodes.  A change that altered both sides alike would pass them
 all and still strand every store already on disk.  This one builds a
-seeded store — several flushes, one tombstone, one merge, a flush after
-it — and compares the sha256 of every file in every segment directory
-with the hashes the format was last changed at.  A deliberate format
+seeded store — several flushes, one merge, a flush after it — and
+compares the sha256 of every file in every segment directory with the
+hashes the format was last changed at.  A deliberate format
 change (a new version) records new hashes here; nothing else may.
 """
 
@@ -43,9 +43,8 @@ def _documents(rng: random.Random, start: int, count: int) -> list[Document]:
 
 def build_golden_store(directory) -> None:
     """Flushes of 150, 150, 40 and 40 documents (the 150s span two
-    block-max blocks per common term), a tombstone in the third segment,
-    the one merge the policy plans (the two 40s, which consumes the
-    tombstone), then a last flush of 10."""
+    block-max blocks per common term), the one merge the policy plans
+    (the two 40s), then a last flush of 10."""
     rng = random.Random(25)
     engine = SearchEngine(
         storage="segments",
@@ -58,7 +57,6 @@ def build_golden_store(directory) -> None:
             engine.add_all(_documents(rng, start, count))
             engine.flush()
             start += count
-        assert engine.tombstone("http://golden/317")
         assert engine.segment_store.merge_once() is not None
         engine.add_all(_documents(rng, start, 10))
         engine.checkpoint()
@@ -95,15 +93,15 @@ GOLDEN: dict[str, str] = {
     "seg-000001/postings.bin": "10e40c034823f8015e31fa9d05378a7b955d476be6196cd87085360d009d5663",
     "seg-000001/segment.json": "08409029b45cd26f043d851fd8a180a40ba83085015fe31d130039c5daf390ce",
     "seg-000001/summary.bin": "73fc844e702262134fea209806a567f037217e3a076126b137401afe075ddab3",
-    "seg-000004/blockmax.bin": "017176fa7396ae8bb1bc1629cbb0dbebc85979d281630e2c822e6c1983264a8b",
-    "seg-000004/counts.bin": "aa8fee0617a28995cfde972776b523d70cb89d8f300a34df47214924880c3bfc",
-    "seg-000004/docs.bin": "db0c70cacc55e0ac344532e730569dd9b061410465817d998f2f5d9e14cf4396",
-    "seg-000004/docs.idx": "edb0c4bd064aab20f1f88daf028215145311018b7d55027622f63113beb42fa1",
-    "seg-000004/ids.bin": "6d61433958b3733897dffe10562c158b1d8c7229a3ac4aaff67675769f5dc224",
-    "seg-000004/lexicon.bin": "7a261a115e3f35e8063466e04b43be4c45ebf4189803b9d67768b06706c5a8fb",
-    "seg-000004/linkages.bin": "f1ce9cb9837e528c57c0dfa87f7eb04abc170d617c150017036baec05199e4a2",
-    "seg-000004/postings.bin": "d93225b81297b110440a14f7931e6f293d66a38ebdb542c2eb3e61c463842d63",
-    "seg-000004/segment.json": "c593f84569d723f22336b7ef4d119ec248525234e485ad75bc9b53b75298d23f",
+    "seg-000004/blockmax.bin": "c3574b0be7f4170495d0ba616d6fda47ab660b999a60680aa3ee7d2805b62a80",
+    "seg-000004/counts.bin": "894d046891671102a939d86fd01251ef024ea163d0fd9d305e3ecb2bc2502743",
+    "seg-000004/docs.bin": "1fbd9e364ed512fbe18dc9e1ef6fbb2f0da8f529616c58ccfb95792b06931278",
+    "seg-000004/docs.idx": "65197b0da1bac2bbed632183f20d5f3dc7b22d835731cdf00a0a1129cc4dffb4",
+    "seg-000004/ids.bin": "004d0243fcd8b8ccf073294a88d7c549221c42cde51628d6d4ca4a94d4b7a2f3",
+    "seg-000004/lexicon.bin": "630d449069c7fd6bf7637ed044abd5a969c5de1b225fd89c993da1af4cd8dccf",
+    "seg-000004/linkages.bin": "0d54157d262591162498f4ad279a044f7f13838eacc5b6ee95bd7b9acd3f6c7f",
+    "seg-000004/postings.bin": "62257d0be1fdcc2f0e5487fe38ccebf96a76025f92a4f7c31511d94c764d8169",
+    "seg-000004/segment.json": "3a3fd2b2a9956f62e09df065ce1628db825aa32bc0c4a569db26e75fb4013ac8",
     "seg-000004/summary.bin": "1879bd4559e8673f62b343d0e4a4dee8785879f8ddc8fad94075b6b60eab39a5",
     "seg-000005/blockmax.bin": "aa8e79f68a87c9f18e4d279b80827e76de7155bbd52f55eeabfef95e5defb3df",
     "seg-000005/counts.bin": "4d90cbda37a5c019e11160df8af4d32c4df36314c2d53f20e4666f303dbda9c5",

@@ -54,7 +54,6 @@ class TestManifestRoundTrip:
             generation=7,
             next_segment_id=3,
             segments=[meta("seg-000000", 0, 10), meta("seg-000002", 10, 5)],
-            tombstones=[2, 8],
             analyzer={"tokenizer": "unicode-1", "stem": False},
             ranking="Salton-2",
         )
@@ -72,6 +71,20 @@ class TestManifestRoundTrip:
         path.write_text(json.dumps(payload))
         with pytest.raises(StorageError, match="version"):
             read_manifest(tmp_path)
+
+    def test_tombstones_rejected(self, tmp_path):
+        """A store whose manifest still lists tombstoned documents holds
+        them in its segments; opening it would bring them back."""
+        commit_manifest(tmp_path, Manifest())
+        path = tmp_path / MANIFEST_NAME
+        payload = json.loads(path.read_text())
+        payload["tombstones"] = [2, 8]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(StorageError, match="tombstone"):
+            read_manifest(tmp_path)
+        payload["tombstones"] = []  # an empty list deletes nothing
+        path.write_text(json.dumps(payload))
+        assert read_manifest(tmp_path) == Manifest()
 
     def test_corrupt_manifest_rejected(self, tmp_path):
         (tmp_path / MANIFEST_NAME).write_text("{ not json")

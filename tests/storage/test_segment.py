@@ -40,9 +40,9 @@ def simple_batch(ids):
     return documents, postings, summary
 
 
-def decoded(reader, field, term, live=None):
+def decoded(reader, field, term):
     handle = reader.term_handle(field, term)
-    return handle.positions(live) if handle is not None else None
+    return handle.positions() if handle is not None else None
 
 
 class TestWriterReader:
@@ -88,14 +88,6 @@ class TestWriterReader:
         with pytest.raises(StorageError, match="missing"):
             SegmentReader(tmp_path / "seg")
 
-    def test_tombstone_filter(self, tmp_path):
-        documents, postings, summary = simple_batch([0, 1, 2])
-        SegmentWriter(tmp_path / "seg", "seg").write(documents, postings, summary)
-        reader = SegmentReader(tmp_path / "seg")
-        live = lambda doc_id: doc_id != 1  # noqa: E731
-        assert decoded(reader, "body-of-text", "hello", live) == column([0, 2], 0)
-        reader.close()
-
 
 class TestSegmentStore:
     def test_commit_and_reopen(self, tmp_path):
@@ -132,30 +124,16 @@ class TestSegmentStore:
         with pytest.raises(StorageError, match="ranking mismatch"):
             SegmentStore(tmp_path, ranking="Okapi-1")
 
-    def test_tombstones_commit_and_filter(self, tmp_path):
-        store = SegmentStore(tmp_path)
-        store.commit_segment(*simple_batch([0, 1, 2]))
-        assert store.add_tombstones([1, 99]) == 1  # 99 not covered
-        assert store.add_tombstones([1]) == 0  # already dead
-        assert store.live_doc_count() == 2
-        store.close()
-
-        reopened = SegmentStore(tmp_path)  # tombstones survive restart
-        assert reopened.tombstones == {1}
-        reopened.close()
-
-    def test_merge_folds_and_drops_tombstones(self, tmp_path):
+    def test_merge_folds_postings_and_summaries(self, tmp_path):
         store = SegmentStore(tmp_path, merge_policy=TieredMergePolicy(merge_factor=2))
         store.commit_segment(*simple_batch([0, 1]))
         store.commit_segment(*simple_batch([2, 3]))
-        store.add_tombstones([1])
         assert store.merge_once() is not None
-        assert store.segment_count == 1
-        assert store.tombstones == set()  # consumed by the merge
-        assert list(decoded(store.readers[0], "title", "doc")[0]) == [0, 2, 3]
+        assert store.segment_count == 1 and store.document_count == 4
+        assert decoded(store.readers[0], "title", "doc") == column([0, 1, 2, 3], 0)
         # summary statistics were summed across the group
         sections = store.readers[0].summary_sections()
-        assert sections[0][2]["hello"].postings == 4
+        assert sections[0][2]["hello"] == SummaryEntry(4, 4)
         store.close()
 
     def test_merge_all_compacts_and_sweeps_directories(self, tmp_path):
@@ -180,22 +158,12 @@ class TestSegmentStore:
         assert not orphan.exists()
         reopened.close()
 
-    def test_all_tombstoned_group_vanishes(self, tmp_path):
-        store = SegmentStore(tmp_path, merge_policy=TieredMergePolicy(merge_factor=2))
-        store.commit_segment(*simple_batch([0]))
-        store.commit_segment(*simple_batch([1]))
-        store.add_tombstones([0, 1])
-        assert store.merge_once() is None  # group merged away entirely
-        assert store.segment_count == 0
-        assert store.live_doc_count() == 0
-        store.close()
-
     def test_a_store_with_no_directory_commits_nothing(self, tmp_path):
         store = SegmentStore()
         assert store.directory is None
-        assert not store.readers and not store.tombstones
-        assert (store.epoch, store.content_epoch, store.generation) == (0, 0, 0)
-        assert (store.segment_count, store.total_bytes(), store.live_doc_count()) == (0, 0, 0)
+        assert not store.readers
+        assert (store.epoch, store.generation) == (0, 0)
+        assert (store.segment_count, store.total_bytes(), store.document_count) == (0, 0, 0)
         assert store.document_ceiling == 0
         for commit in (
             lambda: store.commit_segment(*simple_batch([0, 1])),
@@ -204,7 +172,6 @@ class TestSegmentStore:
         ):
             with pytest.raises(StorageError, match="storage_dir"):
                 commit()
-        assert store.add_tombstones([0]) == 0  # nothing committed to delete
         assert store.merge_once() is None and not store.maybe_merge()
         assert (store.epoch, store.generation, store.segment_count) == (0, 0, 0)
         store.close()

@@ -1,20 +1,26 @@
-"""The heart of the tentpole: segments must be invisible.
+"""Segments must be invisible.
 
-An engine with a ``storage_dir`` — whatever mix of tail, flushes, and
-merges its history took — must answer every query **bit-identically**
-to an engine with no directory (the oracle: its tail is the whole
-index) over the same documents.  So must an engine warmed from the
-same directory in a "new process".
+An engine with a ``storage_dir`` — whatever mix of tail, flushes,
+merges and removals its history took — must answer every query
+**bit-identically** to an engine with no directory (the oracle: its
+tail is the whole index) over the same documents.  So must an engine
+warmed from the same directory in a "new process".
 """
+
+import shutil
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.conformance import check_source
 from repro.corpus import CollectionSpec, generate_collection, source1_documents
 from repro.engine import fields as F
+from repro.engine.documents import Document
 from repro.engine.index import TermState
 from repro.engine.query import BooleanQuery, ListQuery, ProxQuery, TermQuery
 from repro.engine.search import SearchEngine
+from repro.source.source import StartsSource
+from repro.source.summaries import _summary_soif
 from repro.storage import StorageError, TieredMergePolicy
 
 
@@ -190,39 +196,24 @@ class TestMutation:
         assert_equivalent(oracle, segmented)
         segmented.close()
 
-    def test_tombstone_hides_document(self, tmp_path):
+    def test_remove_batches_into_one_commit(self, tmp_path):
+        """Three linkages in one call: one rebuild, one manifest swap, and
+        the engine three single removes leave."""
         documents = corpus()
-        _, segmented = build_pair(tmp_path, documents, flush_every=3)
-        victim = documents[1]
-        assert segmented.tombstone(victim.linkage)
-        assert not segmented.tombstone(victim.linkage)  # already gone
-        hits = segmented.search(t("databases"))
-        assert all(
-            segmented.store[hit.doc_id].linkage != victim.linkage for hit in hits
-        )
-        assert segmented.store.by_linkage(victim.linkage) is None
-        assert segmented.document_count == len(documents) - 1
-        # tombstones survive a restart, then a merge reclaims the bytes
-        segmented.checkpoint()
-        segmented.close()
-        warmed = SearchEngine(
-            storage="segments",
-            storage_dir=tmp_path / "store",
-            merge_policy=TieredMergePolicy(merge_factor=2),
-        )
-        assert warmed.document_count == len(documents) - 1
-        warmed.segment_store.merge_all()
-        assert warmed.segment_store.tombstones == set()
-        hits = warmed.search(t("databases"))
-        assert all(
-            warmed.store[hit.doc_id].linkage != victim.linkage for hit in hits
-        )
-        warmed.close()
-
-    def test_tombstone_requires_segments(self):
-        engine = SearchEngine()
-        with pytest.raises(StorageError, match="segments"):
-            engine.tombstone("http://nope")
+        victims = [documents[i].linkage for i in (1, 6, 12)]
+        _, batched = build_pair(tmp_path / "batched", documents, flush_every=4)
+        _, single = build_pair(tmp_path / "single", documents, flush_every=4)
+        generation = batched.segment_store.generation
+        assert batched.remove(*victims, victims[0], "http://nope") == 3
+        assert batched.segment_store.generation == generation + 1
+        for victim in victims:
+            assert single.remove(victim) == 1
+        assert_equivalent(single, batched)
+        assert _summary_soif(batched).dump() == _summary_soif(single).dump()
+        assert batched.remove(*victims) == 0  # already gone: no commit
+        assert batched.segment_store.generation == generation + 1
+        batched.close()
+        single.close()
 
 
 def tail_record(engine, field, term):
@@ -243,9 +234,8 @@ class TestOneEngine:
         assert engine.store[3] is engine.store._documents[3]
         assert engine.flush() is False
         assert engine.maybe_merge() is False
-        for operation in (lambda: engine.tombstone(corpus()[0].linkage), engine.checkpoint):
-            with pytest.raises(StorageError, match="storage_dir"):
-                operation()
+        with pytest.raises(StorageError, match="storage_dir"):
+            engine.checkpoint()
         assert engine.document_count == len(corpus())  # nothing was lost
         engine.close()
 
@@ -310,19 +300,26 @@ WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"]
 
 @st.composite
 def histories(draw):
-    """A document history with flush points sprinkled through it."""
+    """A document history with flush, merge and remove steps sprinkled
+    through it: ``("add", (linkage, title, body))``, ``("flush", None)``,
+    ``("merge", None)`` and ``("remove", linkages)``, where a removal
+    names documents added so far (some perhaps already removed)."""
     n_docs = draw(st.integers(1, 14))
-    documents = []
+    steps = []
     for i in range(n_docs):
         n_words = draw(st.integers(1, 8))
         body = " ".join(
             draw(st.sampled_from(WORDS)) for _ in range(n_words)
         )
         title = draw(st.sampled_from(WORDS))
-        documents.append((f"http://h/{i}", title, body))
-    flush_after = draw(st.sets(st.integers(0, n_docs - 1)))
-    merge_at_end = draw(st.booleans())
-    return documents, flush_after, merge_at_end
+        steps.append(("add", (f"http://h/{i}", title, body)))
+        for kind in draw(st.lists(st.sampled_from(["flush", "merge", "remove"]), max_size=2)):
+            if kind == "remove":
+                picked = draw(st.lists(st.integers(0, i), min_size=1, max_size=3))
+                steps.append((kind, tuple(f"http://h/{j}" for j in picked)))
+            else:
+                steps.append((kind, None))
+    return steps
 
 
 class TestPropertyEquivalence:
@@ -333,30 +330,36 @@ class TestPropertyEquivalence:
     )
     @given(histories())
     def test_any_history_matches_oracle(self, tmp_path, history):
-        """Flushed, merged and reopened stores against the engine with
-        no directory over the same documents."""
-        import shutil
-
-        from repro.engine.documents import Document
-
-        documents, flush_after, merge_at_end = history
+        """Flushed, merged, removed-from and reopened stores against the
+        engine with no directory fed the surviving documents: the same
+        answers, the same content-summary bytes, and a conformant
+        source."""
         store_dir = tmp_path / "prop-store"
         shutil.rmtree(store_dir, ignore_errors=True)
 
-        oracle = SearchEngine()
         segmented = SearchEngine(
             storage="segments",
             storage_dir=store_dir,
             merge_policy=TieredMergePolicy(merge_factor=2),
         )
-        for i, (linkage, title, body) in enumerate(documents):
-            document = Document(linkage, {F.TITLE: title, F.BODY_OF_TEXT: body})
-            oracle.add(document)
-            segmented.add(document)
-            if i in flush_after:
+        survivors: dict[str, Document] = {}
+        for kind, argument in history:
+            if kind == "add":
+                linkage, title, body = argument
+                document = Document(linkage, {F.TITLE: title, F.BODY_OF_TEXT: body})
+                survivors[linkage] = document
+                segmented.add(document)
+            elif kind == "flush":
                 segmented.flush()
-        if merge_at_end:
-            segmented.checkpoint(merge=True)
+            elif kind == "merge":
+                segmented.checkpoint(merge=True)
+            else:
+                stored = {linkage for linkage in argument if linkage in survivors}
+                assert segmented.remove(*argument) == len(stored)
+                for linkage in stored:
+                    del survivors[linkage]
+        oracle = SearchEngine()
+        oracle.add_all(list(survivors.values()))
 
         for word in WORDS:
             query = ListQuery((t(word), t(word, field=F.TITLE)))
@@ -367,6 +370,9 @@ class TestPropertyEquivalence:
                 t(word)
             )
         assert oracle.index.summary_sections() == segmented.index.summary_sections()
+        assert _summary_soif(oracle).dump() == _summary_soif(segmented).dump()
+        report = check_source(StartsSource("prop", engine=segmented))
+        assert report.passed, report.failures()
 
         # ...and a warm reopen of the same directory still matches.
         segmented.checkpoint()

@@ -245,7 +245,6 @@ CALLER_ROOTS = ("src", "examples")
 PATCHED_BY_NAME_ROOTS = ("benchmarks/suite",)
 CITATION = re.compile(r"§\s?\d|EXPERIMENTS\.md")
 UNCALLED = {
-    "SearchEngine.tombstone": "DESIGN.md §2 'Segment store' row, §4.3.1 DateChanged (collections change between exports): the store's delete that does not rebuild; ROADMAP item 3's crash harness covers commit / merge / tombstone",
     "StartsSource.add_documents": "§4.3.1 DateChanged: a collection grows between metadata exports and the next harvest must see it (tests/source/test_updates.py)",
     "StartsSource.remove_documents": "§4.3.1 DateChanged: the shrinking half of add_documents",
     "export_resource": "§4.3 (the paper serves cont_sum.txt from an ftp:// URL); DESIGN.md §2 'File-based blob export' row",

@@ -8,17 +8,21 @@ query and per-term statistics — straight from the engine's hits
 (:meth:`StartsSource.respond`; ``search`` is its decode).  Also exports
 the two metadata blobs (MBasic-1 attributes and the content summary)
 and the sample-database results.  Sources are sessionless and
-stateless: every query is self-contained.
+stateless: every query is self-contained.  What a source keeps of its
+documents — their encoded answer lines, their language tags — is
+derived from the document store and lives exactly as long as it.
 """
 
 from __future__ import annotations
 
+import sys
+import weakref
 from collections.abc import Iterable
 from dataclasses import replace
 from operator import attrgetter
 
 from repro.engine import fields as F
-from repro.engine.documents import Document
+from repro.engine.documents import _DOC_MEMO_LIMIT, Document, DocumentStore
 from repro.engine.search import EngineHit, SearchEngine
 from repro.source.capabilities import SourceCapabilities
 from repro.source.execution import QueryTranslator
@@ -32,7 +36,9 @@ from repro.starts.metadata import SContentSummary, SMetaAttributes
 from repro.starts.query import PROTOCOL_VERSION, SCORE_SORT_FIELD, SortKey, SQuery
 from repro.starts.results import (
     SQResults,
+    document_body,
     document_head,
+    document_tail,
     term_stats_row,
     write_document,
     write_header,
@@ -115,6 +121,10 @@ class StartsSource:
         self.native_syntax = native_syntax
         # (analyzer, ranking, results) of the last sample_results() call.
         self._sample: tuple | None = None
+        # [a weak reference to the engine's document store, each of its
+        # documents' answer lines, (its length, its language tags) when
+        # last walked]: see _derived_from.
+        self._derived: list | None = None
         if self.engine.ranking is None and self.capabilities.supports_ranking():
             # A Boolean-only engine cannot honour an RF declaration.
             self.capabilities = replace(self.capabilities, query_parts="F")
@@ -165,7 +175,8 @@ class StartsSource:
     def respond(self, query: SQuery) -> bytes:
         """Evaluate a STARTS query at this single source: the result
         stream's UTF-8 bytes, written straight from the engine's hits and
-        the stored documents."""
+        each hit's document lines, which are encoded from the stored
+        document once per document store (:meth:`_derived_from`)."""
         query.validate()
         translator = QueryTranslator(
             self.capabilities,
@@ -219,15 +230,37 @@ class StartsSource:
         # What depends only on the response is done once: the canonical
         # answer-field names (``linkage`` is always written), the lines
         # every document shares and, in a memo that dies with the call,
-        # each distinct ranking term's serialization.
+        # each distinct ranking term's serialization.  What depends only
+        # on a document and those names — its linkage and field lines,
+        # DocSize and DocCount — is encoded the first time a response
+        # needs it and kept for as long as the store lives.
         wanted = dict.fromkeys(map(canonical_field_name, query.answer_fields))
         wanted.pop(F.LINKAGE, None)
+        names = tuple(wanted)
         head = document_head(PROTOCOL_VERSION)
         sources = attribute_line("Sources", self.source_id)
         terms: dict[tuple[str, str], str] = {}
+        encoded = self._derived_from(store)[1]
         for hit in hits:
-            document = store[hit.doc_id]
-            get = document.fields.get
+            doc_id = hit.doc_id
+            body_tail = encoded.get((names, doc_id))
+            if body_tail is None:
+                document = store[doc_id]
+                get = document.fields.get
+                body_tail = (
+                    document_body(
+                        document.linkage,
+                        [(name, value) for name in names if (value := get(name))],
+                    ),
+                    # Few documents differ in DocSize and DocCount.
+                    sys.intern(
+                        document_tail(document.size_kbytes(), store.token_count(doc_id))
+                    ),
+                )
+                # Cleared wholesale when full, like the store's own memo.
+                if len(encoded) >= _DOC_MEMO_LIMIT:
+                    encoded.clear()
+                encoded[names, doc_id] = body_tail
             rows = []
             for stats in hit.term_stats if self.export_term_stats else ():
                 key = (stats.field, stats.text)
@@ -237,11 +270,8 @@ class StartsSource:
                     terms[key] = term
                 tf, df = stats.term_frequency, stats.document_frequency
                 rows.append(term_stats_row(term, tf, stats.term_weight, df))
-            write_document(
-                lines, head, hit.score, sources, document.linkage,
-                [(name, value) for name in wanted if (value := get(name))],
-                "\n".join(rows), document.size_kbytes(), store.token_count(hit.doc_id),
-            )
+            body, tail = body_tail
+            write_document(lines, head, hit.score, sources, body, "\n".join(rows), tail)
         return ("\n".join(lines) + "\n").encode("utf-8")
 
     # -- metadata export ----------------------------------------------------
@@ -299,14 +329,32 @@ class StartsSource:
             contact=self.contact,
         )
 
+    def _derived_from(self, store: DocumentStore) -> list:
+        """What this source keeps of ``store``, made afresh for each new
+        store.  A store never changes a document or an id: adding
+        appends, flushes and merges keep both, and a removal, a replace
+        or a reopen gives the engine a new store.  So nothing kept is
+        ever invalidated: the first call with a new store drops the old
+        record, whose weak reference never kept the old store alive."""
+        derived = self._derived
+        if derived is None or derived[0]() is not store:
+            derived = self._derived = [weakref.ref(store), {}, (-1, ())]
+        return derived
+
     def _source_languages(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for document in self.engine.store:
-            tag = document.get(F.LANGUAGES) or document.language
-            for language in tag.split():
-                if language not in seen:
-                    seen.append(language)
-        return tuple(seen) if seen else ("en-US",)
+        """Every language tag of the stored documents, in first-seen
+        order: walked again only when the store is new or has grown."""
+        store = self.engine.store
+        derived = self._derived_from(store)
+        length, languages = derived[2]
+        if length != len(store):
+            length, seen = len(store), {}
+            for document in store:
+                tag = document.get(F.LANGUAGES) or document.language
+                seen.update(dict.fromkeys(tag.split()))
+            languages = tuple(seen) or ("en-US",)
+            derived[2] = (length, languages)
+        return languages
 
     def content_summary(
         self, max_words_per_section: int | None = None

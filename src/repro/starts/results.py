@@ -71,6 +71,9 @@ def _seed(query: SQuery) -> dict[str, SNode]:
 # -- the one result writer, fed objects by ``SQResults.to_soif_stream`` and
 # engine hits by ``StartsSource.respond``: ``write_header``, one
 # ``write_document`` per document, the lines joined and ended by newlines.
+# A document's lines split by what they depend on: ``document_head``'s
+# only on the version, ``document_body``'s and ``document_tail``'s only
+# on the document (and the answer fields asked for), the rest on the query.
 
 
 def write_header(lines, version, sources, actual_filter, actual_ranking, count) -> None:
@@ -90,25 +93,27 @@ def document_head(version: str) -> str:
     return "\n@SQRDocument{\n" + attribute_line("Version", version)
 
 
-def write_document(
-    lines, head, raw_score, sources, linkage, fields, term_stats, doc_size, doc_count
-) -> None:
-    """Append one ``@SQRDocument``: ``head`` from :func:`document_head`,
-    ``sources`` its ``Sources`` line, ``fields`` (name, value) pairs and
+def document_body(linkage: str, fields) -> str:
+    """The ``linkage`` line, then one line per (name, value) of ``fields``."""
+    return "\n".join(
+        [attribute_line("linkage", linkage), *(attribute_line(*pair) for pair in fields)]
+    )
+
+
+def document_tail(doc_size: int, doc_count: int) -> str:
+    """What closes an ``@SQRDocument``: ``DocSize``, ``DocCount``, ``}``."""
+    size = attribute_line("DocSize", str(doc_size))
+    return f"{size}\n{attribute_line('DocCount', str(doc_count))}\n}}"
+
+
+def write_document(lines, head, raw_score, sources, body, term_stats, tail) -> None:
+    """Append one ``@SQRDocument``: ``head``, ``body`` and ``tail`` from
+    the three functions above, ``sources`` its ``Sources`` line and
     ``term_stats`` :func:`term_stats_row` rows joined by newlines."""
-    line = attribute_line
-    add = lines.append
-    add(head)
-    add(line("RawScore", _format_float(raw_score)))
-    add(sources)
-    add(line("linkage", linkage))
-    for name, value in fields:
-        add(line(name, value))
+    lines += (head, attribute_line("RawScore", _format_float(raw_score)), sources, body)
     if term_stats:
-        add(line("TermStats", term_stats))
-    add(line("DocSize", str(doc_size)))
-    add(line("DocCount", str(doc_count)))
-    add("}")
+        lines.append(attribute_line("TermStats", term_stats))
+    lines.append(tail)
 
 
 def term_stats_row(term: str, term_frequency: int, term_weight: float, df: int) -> str:
@@ -294,10 +299,10 @@ class SQResults:
         for document in self.documents:
             write_document(
                 lines, document_head(document.version), document.raw_score,
-                attribute_line("Sources", " ".join(document.sources)), document.linkage,
-                document.fields.items(),
+                attribute_line("Sources", " ".join(document.sources)),
+                document_body(document.linkage, document.fields.items()),
                 "\n".join(stats.serialize(terms) for stats in document.term_stats),
-                document.doc_size, document.doc_count,
+                document_tail(document.doc_size, document.doc_count),
             )
         return "\n".join(lines) + "\n"
 

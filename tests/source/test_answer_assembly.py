@@ -9,17 +9,33 @@ without a second source — must write exactly the bytes
 ``tests/oracles/soif_encode.py`` makes of the oracle's answer, and
 ``search``, its decode, must return the same ``SQResults``: documents,
 order, fields and their order, TermStats, sizes.
+
+``respond`` keeps each document's linkage, answer-field, ``DocSize`` and
+``DocCount`` lines in a memo that lives as long as the document store;
+``AnswerLinesStateMachine`` holds its bytes, and ``SourceLanguages``,
+to the oracles across every way a store changes.
 """
 
 from __future__ import annotations
 
+import pathlib
+import tempfile
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.engine import fields as F
-from repro.engine.documents import Document
+from repro.conformance import check_source
+from repro.engine.documents import _DOC_MEMO_LIMIT, Document
+from repro.engine.search import SearchEngine
 from repro.resource import Resource
 from repro.source import SourceCapabilities, StartsSource
 from repro.vendors import build_vendor_source
@@ -34,6 +50,7 @@ from tests.oracles.answer_assembly import (
     oracle_size_kbytes,
 )
 from tests.oracles.soif_encode import oracle_results_to_soif_stream
+from tests.oracles.source_languages import oracle_source_languages
 
 VOCABULARY = ["data", "index", "query", "merge", "rank", "source", "café", "niño", "über"]
 
@@ -268,3 +285,160 @@ def test_one_term_object_per_response_and_none_across_responses():
     assert len(term_objects(unseeded[0])) == 2
     assert not term_objects(unseeded[0]) & term_objects(unseeded[1])
     assert unseeded[0] == first
+
+
+STEP_RANKING = SList(
+    (
+        term("data", F.BODY_OF_TEXT),
+        term("café", F.ANY),
+        term("über", F.TITLE),
+        term("query", F.BODY_OF_TEXT),
+    )
+)
+#: Asked after every step of the stateful law: answer fields repeated,
+#: reordered, recased and naming ``linkage`` (sorted by a field), every
+#: field in another order, none.
+STEP_QUERIES = [
+    SQuery(
+        ranking_expression=STEP_RANKING,
+        answer_fields=("Author", "TITLE", "Linkage", "title", "Body-of-Text", "author"),
+        sort_keys=(SortKey("title", descending=False),),
+    ),
+    SQuery(
+        ranking_expression=STEP_RANKING,
+        answer_fields=(
+            "languages", "Date/Time-Last-Modified", "abstract", "title", "author",
+            "body-of-text",
+        ),
+        max_number_documents=10,
+    ),
+    SQuery(ranking_expression=STEP_RANKING, max_number_documents=10),
+]
+
+
+def assert_respond_writes_the_oracle_bytes(source, query):
+    expected = oracle_bytes(oracle_search(source, query))
+    for _ in ("cold", "warm"):
+        assert source.respond(query) == expected
+
+
+class AnswerLinesStateMachine(RuleBasedStateMachine):
+    """``respond`` interleaved with every way a source's store changes:
+    adds, removals, a replace with a changed title, flushes, merges and a
+    warm reopen of the same directory under the same source.
+
+    After every step each of ``STEP_QUERIES`` — cold, then from the memo
+    — writes the oracle's bytes, and ``SourceLanguages`` is the walk it
+    replaced; drawn queries and the conformance battery run between.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._tmp = tempfile.TemporaryDirectory()
+        self.directory = pathlib.Path(self._tmp.name) / "store"
+        self.source = StartsSource("S-1", engine=SearchEngine(storage_dir=self.directory))
+        self.live: list[str] = []
+        self.added = 0
+
+    @rule(documents=collections(), language=st.sampled_from(["en", "es"]))
+    def add(self, documents, language):
+        fresh = [
+            Document(f"http://docs.example.org/n{self.added + offset}", d.fields, language)
+            for offset, d in enumerate(documents)
+        ]
+        self.added += len(fresh)
+        self.live += [document.linkage for document in fresh]
+        assert self.source.add_documents(fresh) == len(self.live)
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def remove(self, data):
+        doomed = data.draw(
+            st.lists(st.sampled_from(self.live), min_size=1, max_size=2, unique=True)
+        )
+        assert self.source.remove_documents(doomed) == len(doomed)
+        self.live = [linkage for linkage in self.live if linkage not in doomed]
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data(), title=prose)
+    def replace_title(self, data, title):
+        linkage = data.draw(st.sampled_from(self.live))
+        store = self.source.engine.store
+        stored = store[store.by_linkage(linkage)]
+        changed = {**stored.fields, F.TITLE: f"{stored.title} {title} über"}
+        self.source.engine.replace(replace(stored, fields=changed))
+        self.live.remove(linkage)
+        self.live.append(linkage)
+
+    @rule()
+    def flush(self):
+        self.source.engine.flush()
+
+    @rule()
+    def merge(self):
+        self.source.engine.checkpoint(merge=True)
+
+    @rule()
+    def reopen(self):
+        self.source.engine.checkpoint()
+        self.source.engine.close()
+        self.source.engine = SearchEngine(storage_dir=self.directory)
+
+    @rule(query=queries())
+    def respond(self, query):
+        assert_respond_writes_the_oracle_bytes(self.source, query)
+
+    @rule()
+    def conforms(self):
+        report = check_source(self.source)
+        assert report.passed, report.failures()
+
+    @invariant()
+    def answers_and_languages_equal_the_oracles(self):
+        for query in STEP_QUERIES:
+            assert_respond_writes_the_oracle_bytes(self.source, query)
+        expected = oracle_source_languages(self.source)
+        for _ in ("cold", "warm"):
+            assert self.source.metadata().source_languages == expected
+
+    def teardown(self):
+        self.source.engine.close()
+        self._tmp.cleanup()
+
+
+def test_answer_lines_and_languages_hold_over_any_store_history():
+    run_state_machine_as_test(
+        AnswerLinesStateMachine,
+        settings=settings(stateful_step_count=25, deadline=None),
+    )
+
+
+def test_the_answer_lines_memo_stays_bounded(tmp_path):
+    """A segment-backed source answers more distinct documents than the
+    decoded-document memo holds: its answer-lines memo never grows past
+    the same bound, and every answer is still the oracle's."""
+    documents = [
+        Document(
+            f"http://x/{index}",
+            {F.TITLE: f"café {index}", F.BODY_OF_TEXT: f"data group{index % 3}"},
+        )
+        for index in range(_DOC_MEMO_LIMIT + 300)
+    ]
+    engine = SearchEngine(storage_dir=tmp_path / "store")
+    source = StartsSource("S-1", engine=engine)
+    source.add_documents(documents)
+    engine.flush()
+    answered: set[str] = set()
+    for group in ("group0", "group1", "group2", "group0"):
+        for shape in (("title",), ("TITLE", "body-of-text")):
+            query = SQuery(
+                filter_expression=term(group, F.BODY_OF_TEXT),
+                answer_fields=shape,
+                max_number_documents=len(documents),
+            )
+            written = source.respond(query)
+            assert written == oracle_bytes(oracle_search(source, query))
+            assert 0 < len(source._derived[1]) <= _DOC_MEMO_LIMIT
+            answered.update(document.linkage for document in source.search(query).documents)
+    assert len(answered) == len(documents) > _DOC_MEMO_LIMIT
+    engine.close()

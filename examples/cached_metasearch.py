@@ -18,11 +18,11 @@ from repro import (
     SimulatedInternet,
     SQuery,
     StartsSource,
-    get_registry,
     parse_expression,
     publish_resource,
 )
 from repro.corpus import source1_documents, source2_documents
+from repro.observability import get_query_log
 
 
 def main() -> None:
@@ -57,6 +57,7 @@ def main() -> None:
 
     print("\n=== Warm repeat (served from cache) ===")
     warm = searcher.search(query, k_sources=3)
+    warm_record = get_query_log().records()[-1]
     print(f"cache_status={warm.cache_status!r}")
     print(f"new wire requests: {internet.request_count() - cold_requests}")
     print(warm.explain())
@@ -78,14 +79,14 @@ def main() -> None:
     print(f"  reason: {outcome.skip_reason}")
     print(f"  sources the cache is holding back: {searcher.negative_cache.down_sources()}")
 
-    # One search's cache decision is one `cache` event on its trace; the
-    # process's tallies are in the registry (what GET /metrics prints).
+    # One search's cache decision is its result's cache_status, one
+    # `cache` event on its trace and the cache_hits of its query-log record.
     hit = warm.trace.find("cache").attributes
-    reads = get_registry().family("cache_reads_total").children()
     print(
-        f"\nwarm repeat: {hit['status']} "
-        f"cost_saved={hit['saved_cost']:.1f}; reads this process: "
-        + " ".join(f"{labels[1]}={int(child.value)}" for labels, child in reads)
+        f"\nwarm repeat: cache_status={warm.cache_status!r} "
+        f"event={hit['status']} cost_saved={hit['saved_cost']:.1f} "
+        f"record: outcome={warm_record.outcome!r} cache_hits={warm_record.cache_hits} "
+        f"requests={warm_record.requests}"
     )
 
 

@@ -1,13 +1,15 @@
-"""Telemetry dashboard: a live federation seen through /metrics and explain().
+"""Telemetry dashboard: a live federation seen through its records and /metrics.
 
 A Zipf-skewed query replay runs against a three-vendor federation where
-one source turns flaky mid-flight.  The process-wide metrics registry
-records every layer — wire requests, cache tiers, engine evaluation,
-pipeline phases — and the script scrapes its own published ``/metrics``
-endpoint for the lines an operator watches.  Then one more search is
-explained: per source what happened to it (the flaky one is by now held
-down by the negative cache), and the span tree with each source's
-server-side span stitched under the client span that called it.
+one source turns flaky mid-flight.  What each search did — how it
+ended, its wire requests and failures, its cache hit or negative skips,
+each source's outcome — is on that search's own records: its query-log
+record and its outcomes.  The script sums those, then scrapes its own
+published ``/metrics`` endpoint for what has no per-search record (the
+sources' engines).  Then one more search is explained: per source what
+happened to it (the flaky one is by now held down by the negative
+cache), and the span tree with each source's server-side span stitched
+under the client span that called it.
 
 Run:  python examples/telemetry_dashboard.py
 """
@@ -23,11 +25,16 @@ from repro import (
     parse_expression,
     publish_resource,
 )
+from collections import Counter
+
 from repro.corpus import build_workload, zipf_replay
 from repro.observability import (
     MetricsRegistry,
+    QueryLog,
     TraceCollector,
+    get_query_log,
     get_registry,
+    set_query_log,
     set_registry,
 )
 from repro.transport import StartsClient, publish_metrics
@@ -36,11 +43,9 @@ from repro.vendors import build_vendor_source
 FLAKY = "Dash-Db"
 
 INTERESTING = (
-    "source_requests_total",
-    "source_outcomes_total",
-    "cache_negative_skips_total",
-    "cache_reads_total",
-    "metasearch_searches_total",
+    "engine_query_eval_ms_count",
+    "engine_postings_walked_total",
+    "engine_topk_truncations_total",
 )
 
 
@@ -66,7 +71,9 @@ def build_federation(collector: TraceCollector):
 
 
 def main() -> None:
-    previous = set_registry(MetricsRegistry())
+    previous_registry, previous_log = get_registry(), get_query_log()
+    set_registry(MetricsRegistry())
+    log = set_query_log(QueryLog())
     try:
         collector = TraceCollector()
         internet, resource_url, collections = build_federation(collector)
@@ -85,14 +92,30 @@ def main() -> None:
         print(f"replaying {len(replay)} requests over "
               f"{len(workload.queries)} distinct queries "
               f"(zipf skew=1.1, {FLAKY} dropping every request)\n")
+        per_source: dict[str, Counter] = {}
         for query in replay:
-            searcher.search(query.to_squery(max_documents=5), k_sources=3)
+            result = searcher.search(query.to_squery(max_documents=5), k_sources=3)
+            if result.cache_status == "hit":
+                continue  # its outcomes are the filling round's
+            for source_id, outcome in result.outcomes.items():
+                per_source.setdefault(source_id, Counter())[outcome.status.value] += 1
+
+        records = log.records()
+        print(f"the replay's {len(records)} query-log records:")
+        print(f"  searches by outcome: {dict(Counter(r.outcome for r in records))}")
+        print(f"  wire requests={sum(r.requests for r in records)} "
+              f"failures={sum(r.failures for r in records)} "
+              f"negative_skips={sum(r.negative_skips for r in records)} "
+              f"cache_hits={sum(r.cache_hits for r in records)}")
+        print("  per source, from the outcomes of the searches that went on the wire:")
+        for source_id, statuses in sorted(per_source.items()):
+            print(f"    {source_id}: {dict(sorted(statuses.items()))}")
 
         text = StartsClient(internet).fetch_metrics(metrics_url)
-        print(f"scraped {metrics_url}: "
-              f"{len(text.splitlines())} lines; the interesting ones:")
+        print(f"\nscraped {metrics_url}: "
+              f"{len(text.splitlines())} lines, the sources' engines; a few:")
         for line in text.splitlines():
-            if line.startswith(INTERESTING) and not line.startswith("#"):
+            if line.startswith(INTERESTING):
                 print(f"  {line}")
 
         print("\none more search, explained:")
@@ -105,8 +128,9 @@ def main() -> None:
         )
         print(result.explain(collector.traces()))
     finally:
-        set_registry(previous)
-    assert get_registry() is previous
+        set_registry(previous_registry)
+        set_query_log(previous_log)
+    assert get_registry() is previous_registry
 
 
 if __name__ == "__main__":

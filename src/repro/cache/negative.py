@@ -24,8 +24,6 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.observability.metrics import get_registry
-
 __all__ = ["NegativeEntry", "NegativeSourceCache"]
 
 
@@ -67,17 +65,24 @@ class NegativeSourceCache:
     def record_failure(
         self, source_id: str, status: str = "error", error: str | None = None
     ) -> NegativeEntry:
-        """One more failed round for ``source_id``; returns its entry."""
+        """One more failed round for ``source_id``; returns its entry.
+
+        A failure after an expired hold starts a clean count: the source
+        earned its fresh probe, and this is the probe's verdict.
+        """
+        now = self._clock()
         with self._lock:
             entry = self._entries.get(source_id)
-            if entry is None:
+            if entry is None or (
+                entry.down_until_ms is not None and now >= entry.down_until_ms
+            ):
                 entry = NegativeEntry(source_id, 0, status, error, None)
                 self._entries[source_id] = entry
             entry.failures += 1
             entry.last_status = status
             entry.last_error = error
             if entry.failures >= self.failure_threshold:
-                entry.down_until_ms = self._clock() + self.ttl_ms
+                entry.down_until_ms = now + self.ttl_ms
         return entry
 
     def record_success(self, source_id: str) -> None:
@@ -88,28 +93,27 @@ class NegativeSourceCache:
     def skip_reason(self, source_id: str) -> str | None:
         """Why ``source_id`` should be skipped right now, or ``None``.
 
-        A non-``None`` return is counted in ``cache_negative_skips_total``.
-        An entry whose hold has expired is dropped — the source gets a
-        fresh probe and a clean failure count.
+        A query, changing nothing: a source whose hold has expired is not
+        skipped, and its next verdict (:meth:`record_failure` or
+        :meth:`record_success`) replaces the entry.  The skip itself is
+        the caller's to record: the metasearcher makes it a ``SKIPPED``
+        outcome, a ``negative-skip`` ``cache`` event and a count in the
+        query-log record.
         """
+        now = self._clock()
         with self._lock:
             entry = self._entries.get(source_id)
-            if entry is None or entry.down_until_ms is None:
-                return None
-            if self._clock() >= entry.down_until_ms:
-                del self._entries[source_id]
+            if (
+                entry is None
+                or entry.down_until_ms is None
+                or now >= entry.down_until_ms
+            ):
                 return None
             detail = f" ({entry.last_error})" if entry.last_error else ""
-            reason = (
+            return (
                 f"negative-cached: {entry.last_status} on "
                 f"{entry.failures} recent round(s){detail}"
             )
-        get_registry().counter(
-            "cache_negative_skips_total",
-            "Wire probes avoided because the source was negative-cached.",
-            labels=("source_id",),
-        ).labels(source_id=source_id).inc()
-        return reason
 
     def down_sources(self) -> list[str]:
         """Sources currently held down (expired entries excluded)."""

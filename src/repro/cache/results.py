@@ -16,9 +16,9 @@ that key again: the old entry simply misses and ages out of the LRU.
 The clock is injectable (milliseconds, monotonic by default) so tests
 and simulations control time; everything is thread safe.
 
-The cache reports to the process-wide metrics registry (the
-``cache_*`` families, ``tier="result"``); what one search decided is
-one ``cache`` event on its trace.
+The cache keeps no tallies of its own: what one search decided is one
+``cache`` event on its trace (a miss carries the ``evictions`` its
+store forced) and the ``cache_hits`` of its query-log record.
 """
 
 from __future__ import annotations
@@ -28,11 +28,8 @@ import time
 from collections import OrderedDict
 
 from repro.cache.core import FRESH, MISS
-from repro.observability.metrics import get_registry
 
 __all__ = ["QueryResultCache"]
-
-_TIER = "result"
 
 
 def _monotonic_ms() -> float:
@@ -77,24 +74,15 @@ class QueryResultCache:
         past its TTL is dropped, and the read is a miss.
         """
         now = self._clock()
-        value, state, live = None, MISS, None
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None:
-                if self.ttl_ms is None or now <= entry[1] + self.ttl_ms:
-                    value, state = entry[0], FRESH
-                    self._entries.move_to_end(key)
-                else:
-                    del self._entries[key]
-                    live = len(self._entries)
-        get_registry().counter(
-            "cache_reads_total",
-            "Cache lookups per tier and read result (fresh/miss).",
-            labels=("tier", "result"),
-        ).labels(tier=_TIER, result=state).inc()
-        if live is not None:
-            self._report_entries(live)
-        return value, state
+            if entry is None:
+                return None, MISS
+            if self.ttl_ms is None or now <= entry[1] + self.ttl_ms:
+                self._entries.move_to_end(key)
+                return entry[0], FRESH
+            del self._entries[key]
+            return None, MISS
 
     def store(self, key: str, value: object) -> int:
         """Cache ``value``; returns the number of evictions it forced.
@@ -115,34 +103,11 @@ class QueryResultCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 evicted += 1
-            live = len(self._entries)
-        registry = get_registry()
-        registry.counter(
-            "cache_stores_total",
-            "Entries written per cache tier.",
-            labels=("tier",),
-        ).labels(tier=_TIER).inc()
-        if evicted:
-            registry.counter(
-                "cache_evictions_total",
-                "LRU evictions forced by capacity or size bounds, per tier.",
-                labels=("tier",),
-            ).labels(tier=_TIER).inc(evicted)
-        self._report_entries(live)
         return evicted
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-        self._report_entries(0)
-
-    @staticmethod
-    def _report_entries(live: int) -> None:
-        get_registry().gauge(
-            "cache_entries",
-            "Live entries per cache tier.",
-            labels=("tier",),
-        ).labels(tier=_TIER).set(live)
 
     # -- introspection -----------------------------------------------------
 

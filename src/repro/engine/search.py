@@ -217,10 +217,6 @@ class SearchEngine:
             self.segment_store.merge_all()
         return self.segment_store.manifest_path()
 
-    def maybe_merge(self) -> bool:
-        """Run due segment merges."""
-        return self.segment_store.maybe_merge()
-
     def close(self) -> None:
         """Release segment mmaps."""
         self.segment_store.close()

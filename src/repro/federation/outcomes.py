@@ -121,7 +121,7 @@ class SourceOutcome:
 
     def describe(self) -> str:
         """One display line: status, attempts, hedges, wire time, cost."""
-        if self.status in (OutcomeStatus.SKIPPED, OutcomeStatus.CANCELLED):
+        if self.skip_reason is not None and not self.attempts:
             return f"{self.source_id}: {self.status.value} ({self.skip_reason})"
         hedges = sum(attempt.hedged for attempt in self.attempts)
         detail = (
@@ -130,6 +130,6 @@ class SourceOutcome:
             f"{f', {hedges} hedged' if hedges else ''}),"
             f" {self.elapsed_ms:.1f}ms wire, cost {self.cost:.2f}"
         )
-        if self.error:
-            detail += f" — {self.error}"
+        if self.error or self.skip_reason:
+            detail += f" — {self.error or self.skip_reason}"
         return detail

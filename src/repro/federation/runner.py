@@ -22,7 +22,6 @@ from dataclasses import dataclass, field as dataclass_field
 from repro.federation.executor import Executor, SerialExecutor
 from repro.federation.outcomes import Attempt, OutcomeStatus, SourceOutcome
 from repro.federation.policy import QueryPolicy
-from repro.observability.metrics import get_registry
 from repro.observability.tracing import Span, Tracer, trace_context
 from repro.starts.errors import ProtocolError, SoifSyntaxError
 from repro.starts.query import SQuery
@@ -48,7 +47,6 @@ class _AttemptOutcome:
     """One logical attempt: the primary request plus any hedge."""
 
     status: OutcomeStatus
-    records: tuple[Attempt, ...]
     results: SQResults | None
     effective_ms: float
     cost: float
@@ -100,6 +98,9 @@ class QueryDispatcher:
         self.executor = executor or SerialExecutor()
         self.policy = policy or QueryPolicy()
         self.tracer = tracer or Tracer()
+        #: Each source's attempts, appended as they land: what a source
+        #: cancelled mid-retry had already sent (and paid for).
+        self.attempts: dict[str, list[Attempt]] = {}
 
     def _task_function(self, parent: Span | None):
         """The per-request task the executor drives.
@@ -191,7 +192,7 @@ class QueryDispatcher:
     async def _run_policy(
         self, request: SourceRequest, parent: Span | None, send, wait
     ) -> SourceOutcome:
-        """Backoff → attempt → retry or stop, traced and counted.
+        """Backoff → attempt → retry or stop, traced and recorded.
 
         Spans are opened and closed explicitly under ``parent`` (never
         via the tracer's thread-local stack): sibling source tasks
@@ -211,7 +212,7 @@ class QueryDispatcher:
             # Activate this span's trace context so the transport layer
             # injects a traceparent header on every wire request below.
             with trace_context(self.tracer.context_for(span)):
-                attempts: list[Attempt] = []
+                attempts = self.attempts[source_id] = []
                 elapsed_ms = 0.0
                 cost = 0.0
                 number = 0
@@ -220,16 +221,19 @@ class QueryDispatcher:
                     backoff = policy.backoff_before(number)
                     if backoff:
                         elapsed_ms += backoff
-                        self._note_backoff(source_id, backoff, number, span)
+                        self.tracer.event(
+                            "backoff",
+                            parent=span,
+                            wait_ms=backoff,
+                            before_attempt=number,
+                        )
                         if internet.realtime:
                             await wait(backoff * internet.time_scale / 1000.0)
                     attempt = await self._attempt(
                         request, policy, number, backoff, span, send
                     )
-                    attempts.extend(attempt.records)
                     elapsed_ms += attempt.effective_ms
                     cost += attempt.cost
-                    self._count(source_id, number, attempt)
                     if attempt.status is OutcomeStatus.OK or not policy.should_retry(
                         attempt.status.value, number
                     ):
@@ -244,40 +248,18 @@ class QueryDispatcher:
                 error=attempt.error,
                 sibling_ids=request.sibling_ids,
             )
-            self._annotate_outcome(span, request, outcome)
+            span.annotate(
+                status=outcome.status.value,
+                requests=outcome.requests,
+                retries=outcome.retries,
+                wire_ms=outcome.elapsed_ms,
+                cost=outcome.cost,
+            )
+            if outcome.error:
+                span.annotate(error=outcome.error)
         finally:
             self.tracer.close_span(span)
         return outcome
-
-    def _annotate_outcome(
-        self, span: Span, request: SourceRequest, outcome: SourceOutcome
-    ) -> None:
-        get_registry().counter(
-            "source_outcomes_total",
-            "Per-source query outcomes after policy (ok/error/timeout/...).",
-            labels=("source_id", "status"),
-        ).labels(source_id=request.source_id, status=outcome.status.value).inc()
-        span.annotate(
-            status=outcome.status.value,
-            requests=outcome.requests,
-            retries=outcome.retries,
-            wire_ms=outcome.elapsed_ms,
-            cost=outcome.cost,
-        )
-        if outcome.error:
-            span.annotate(error=outcome.error)
-
-    def _note_backoff(
-        self, source_id: str, backoff: float, number: int, parent: Span
-    ) -> None:
-        self.tracer.event(
-            "backoff", parent=parent, wait_ms=backoff, before_attempt=number
-        )
-        get_registry().counter(
-            "source_backoff_ms_total",
-            "Simulated milliseconds spent backing off before retries.",
-            labels=("source_id",),
-        ).labels(source_id=source_id).inc(backoff)
 
     async def _attempt(
         self,
@@ -301,7 +283,6 @@ class QueryDispatcher:
         if hedge_at is None or primary.latency_ms <= hedge_at:
             return _AttemptOutcome(
                 primary.status,
-                (primary,),
                 results,
                 primary.latency_ms,
                 primary.cost,
@@ -325,7 +306,6 @@ class QueryDispatcher:
             effective, winning_results = min(winners, key=lambda entry: entry[0])
             return _AttemptOutcome(
                 OutcomeStatus.OK,
-                (primary, hedge),
                 winning_results,
                 effective,
                 total_cost,
@@ -334,7 +314,6 @@ class QueryDispatcher:
         # Both failed: the client knows only when the slower one gives up.
         return _AttemptOutcome(
             primary.status,
-            (primary, hedge),
             None,
             max(primary.latency_ms, hedge_completion),
             total_cost,
@@ -351,8 +330,9 @@ class QueryDispatcher:
         backoff_ms: float = 0.0,
         hedged: bool = False,
     ) -> tuple[Attempt, SQResults | None]:
-        """One wire request: its :class:`Attempt` record, its trace
-        event, and the results if it was answered."""
+        """One wire request: its :class:`Attempt` record (kept in
+        :attr:`attempts` as it lands), its trace event, and the results if
+        it was answered."""
         results = record = error = None
         try:
             results, record = await send(request, policy)
@@ -381,40 +361,6 @@ class QueryDispatcher:
             latency_ms=latency,
             cost=cost,
         )
-        return Attempt(number, status, latency, cost, backoff_ms, hedged, error), results
-
-    def _count(self, source_id: str, number: int, attempt: _AttemptOutcome) -> None:
-        registry = get_registry()
-        requests = registry.counter(
-            "source_requests_total",
-            "Wire requests per source and per-attempt outcome.",
-            labels=("source_id", "outcome"),
-        )
-        latency = registry.histogram(
-            "source_request_latency_ms",
-            "Simulated wire latency of individual source requests.",
-            labels=("source_id",),
-        ).labels(source_id=source_id)
-        hedges = 0
-        for record in attempt.records:
-            requests.labels(source_id=source_id, outcome=record.status.value).inc()
-            latency.observe(record.latency_ms)
-            hedges += 1 if record.hedged else 0
-        if number > 1:
-            registry.counter(
-                "source_retries_total",
-                "Retry attempts per source (first attempts excluded).",
-                labels=("source_id",),
-            ).labels(source_id=source_id).inc()
-        if hedges:
-            registry.counter(
-                "source_hedges_total",
-                "Hedged duplicate requests fired per source.",
-                labels=("source_id",),
-            ).labels(source_id=source_id).inc(hedges)
-        if attempt.cost:
-            registry.counter(
-                "source_cost_total",
-                "Accumulated monetary cost charged per source.",
-                labels=("source_id",),
-            ).labels(source_id=source_id).inc(attempt.cost)
+        attempt = Attempt(number, status, latency, cost, backoff_ms, hedged, error)
+        self.attempts[request.source_id].append(attempt)
+        return attempt, results

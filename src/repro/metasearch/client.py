@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 from repro.cache.core import FRESH
 from repro.cache.keys import query_cache_key
@@ -41,7 +41,6 @@ from repro.metasearch.merging import (
 )
 from repro.metasearch.selection import SourceSelector, VGlossMax
 from repro.metasearch.translation import ClientTranslator, TranslationReport
-from repro.observability.metrics import get_registry
 from repro.observability.querylog import QueryLogRecord, get_query_log
 from repro.observability.render import render_trace
 from repro.observability.tracing import Span, Trace, Tracer
@@ -105,7 +104,7 @@ class _Round:
     terminated_early: bool = False
 
     def account(self) -> None:
-        """Count the search and emit the one wide event it owes.
+        """Attach the trace and emit the one wide event the search owes.
 
         The process query log gets the flat record — query shape, its
         wall-clock time, per-phase times folded from the phase spans,
@@ -116,11 +115,6 @@ class _Round:
         tracer, result = self.tracer, self.result
         if result is not None:
             result.trace = tracer.trace()
-        get_registry().counter(
-            "metasearch_searches_total",
-            "Completed searches by how the answer was produced.",
-            labels=("result",),
-        ).labels(result=self.outcome).inc()
         elapsed_ms = tracer.now_ms() - self.started_ms
         log = get_query_log()
         if not log.enabled:
@@ -447,13 +441,14 @@ class Metasearcher:
 
         Sources still in flight at termination are cancelled (the
         executor abandons their tasks) and recorded as ``CANCELLED``
-        outcomes — visible in the result, neutral to the negative cache.
+        outcomes — visible in the result, neutral to the negative cache,
+        each with the requests it had already made.
         An early-terminated result is never stored in the result cache;
         a cache hit comes back as a single final emission, exactly as
         :meth:`search` serves it.
         A consumer that closes the stream before its final emission
-        cancels what is in flight the same way; that search is counted
-        and logged as ``abandoned``, with whatever had answered by then.
+        cancels what is in flight the same way; that search is logged
+        as ``abandoned``, with whatever had answered by then.
         """
         with self._search_scope(
             query, k_sources, tracer or Tracer(), merger, executor, group_by_resource
@@ -473,7 +468,7 @@ class Metasearcher:
                 final = yield from self._stream_round(search, deadline_ms, early_stop)
                 search.outcome = "stream"
                 search.terminated_early = final.terminated_early
-        # Counted and logged before the final emission goes out: a
+        # Logged before the final emission goes out: a
         # consumer that stops there leaves nothing undone.
         yield final
 
@@ -495,7 +490,7 @@ class Metasearcher:
         Whatever happens inside — an answer off the wire, a cache serve,
         an exception, a stream whose consumer closes it before the final
         emission (``abandoned``: its wire requests were still paid for)
-        — the search is counted and logged exactly once, here.  The span
+        — the search is logged exactly once, here.  The span
         is opened explicitly so the scope may straddle a generator's
         ``yield``.
         """
@@ -718,7 +713,6 @@ class Metasearcher:
         pending = {request.source_id: request for request in requests}
         termination_reason: str | None = None
         sequence = 0
-        first_result_seen = False
 
         query_span = tracer.open_span(
             "query",
@@ -727,9 +721,8 @@ class Metasearcher:
             requests=len(requests),
             streaming=True,
         )
-        outcome_stream = self._dispatcher(search).dispatch_stream(
-            requests, parent=query_span
-        )
+        dispatcher = self._dispatcher(search)
+        outcome_stream = dispatcher.dispatch_stream(requests, parent=query_span)
         try:
             for outcome in outcome_stream:
                 outcomes[outcome.source_id] = outcome
@@ -738,13 +731,6 @@ class Metasearcher:
                     stream_merge.feed(outcome.source_id, outcome.results)
                 search.result.documents = documents = stream_merge.current_top_k(k)
                 elapsed_ms = tracer.now_ms() - search.started_ms
-                if documents and not first_result_seen:
-                    first_result_seen = True
-                    get_registry().histogram(
-                        "stream_first_result_ms",
-                        "Wall-clock time until a streamed search first "
-                        "emitted merged documents.",
-                    ).observe(elapsed_ms)
                 tracer.event(
                     f"emit:{sequence}",
                     parent=query_span,
@@ -782,10 +768,21 @@ class Metasearcher:
             # not at garbage collection.
             outcome_stream.close()
             tracer.close_span(query_span)
-        # Sources are only left pending by an early termination.
+        # Sources are only left pending by an early termination; each
+        # keeps the requests it had already made (and paid for).
         for source_id in sorted(pending):
-            outcomes[source_id] = SourceOutcome.cancelled(
-                source_id, termination_reason, pending[source_id].sibling_ids
+            landed = tuple(dispatcher.attempts.get(source_id, ()))
+            outcomes[source_id] = replace(
+                SourceOutcome.cancelled(
+                    source_id, termination_reason, pending[source_id].sibling_ids
+                ),
+                attempts=landed,
+                elapsed_ms=sum(
+                    attempt.backoff_before_ms + attempt.latency_ms
+                    for attempt in landed
+                    if not attempt.hedged
+                ),
+                cost=sum(attempt.cost for attempt in landed),
             )
         documents = list(stream_merge.current_top_k(k))
         return StreamEmission(

@@ -35,7 +35,7 @@ that holds an index holds a consistent one.  The summary objects
 themselves are not retained: the catalog holds them.
 
 Word keying follows each summary's own case rule, exactly as
-:meth:`SContentSummary.lookup` does: a case-insensitive summary is
+:meth:`SContentSummary.word_statistics` does: a case-insensitive summary is
 indexed under lowercased words, a case-sensitive one under raw words.
 All-lowercase query terms (the metasearcher's normal case) resolve with
 a single shard lookup; terms containing uppercase merge the raw-key
@@ -50,7 +50,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import itemgetter
 
-from repro.observability.metrics import get_registry
 from repro.starts.metadata import SContentSummary
 
 __all__ = ["SummaryIndex", "TermColumns"]
@@ -182,15 +181,6 @@ class SummaryIndex:
         for word, word_rows in rows.items():
             shards[word] = _sorted_columns(word_rows)
         index._sorted = sorted(index._ordinal_of.items())
-        registry = get_registry()
-        registry.gauge(
-            "summary_index_terms",
-            "Distinct summary words held by the last summary index built.",
-        ).set(len(shards))
-        registry.gauge(
-            "summary_index_sources",
-            "Sources indexed for selection by the last summary index built.",
-        ).set(len(index._source_ids))
         return index
 
     # -- sizes -------------------------------------------------------------

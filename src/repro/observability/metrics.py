@@ -1,10 +1,12 @@
 """A process-wide metrics registry: counters, gauges, histograms.
 
-PR 1's :class:`~repro.observability.Tracer` sees one operation at a
-time and evaporates with its trace; serving metasearch at production
-latency/cost targets needs the *longitudinal* view — per-source request
-rates, error ratios, latency distributions accumulated across every
-search the process has run.  This module is that layer:
+A :class:`~repro.observability.Tracer` sees one operation at a time,
+and what one search did — its sources' requests, retries, cost, cache
+decisions — is on that search's own record (its outcomes, its query-log
+record, its trace), never counted here a second time.  This module is
+the *longitudinal* view of what has no per-search record yet: the
+engine's evaluation, the segment store's flushes and merges, the async
+executor's in-flight tasks.
 
 * :class:`Counter` — a monotonically increasing total;
 * :class:`Gauge` — a value that goes both ways (sizes, depths,
@@ -12,7 +14,7 @@ search the process has run.  This module is that layer:
 * :class:`Histogram` — fixed log-scale bucket bounds with exact
   sum/count (whoever scrapes the buckets estimates the percentiles);
 * :class:`MetricFamily` — a named, typed group of instruments keyed by
-  label values (``source_requests_total{source_id,outcome}``);
+  label values (``executor_inflight_tasks{executor}``);
 * :class:`MetricsRegistry` — the thread-safe home of every family,
   idempotent on registration so instrumenting code can re-acquire its
   families on every call without bookkeeping.
@@ -143,10 +145,6 @@ class Histogram:
             self.bucket_counts[index] += 1
             self.sum += value
             self.count += 1
-
-    def mean(self) -> float:
-        with self._lock:
-            return self.sum / self.count if self.count else 0.0
 
 
 class _NullInstrument:

@@ -450,43 +450,6 @@ class SContentSummary:
     has_document_frequencies: bool = True
     version: str = PROTOCOL_VERSION
 
-    def _word_index(
-        self,
-    ) -> tuple[
-        dict[str, list[SummaryEntryLine]],
-        dict[tuple[str, str], list[SummaryEntryLine]],
-    ]:
-        """Lazily built ``word → entries`` / ``(word, field) → entries``.
-
-        Only :meth:`lookup` needs it, so only a lookup builds it.  The
-        index preserves section traversal order and is invalidated
-        whenever ``sections`` is swapped out (the summary is otherwise
-        immutable).
-        """
-        cache = self.__dict__.get("_word_index_cache")
-        if cache is not None and cache[0] is self.sections:
-            return cache[1], cache[2]
-        by_word: dict[str, list[SummaryEntryLine]] = {}
-        by_word_field: dict[tuple[str, str], list[SummaryEntryLine]] = {}
-        for section in self.sections:
-            for entry in section.entries:
-                key = entry.word if self.case_sensitive else entry.word.lower()
-                by_word.setdefault(key, []).append(entry)
-                by_word_field.setdefault((key, section.field), []).append(entry)
-        object.__setattr__(
-            self, "_word_index_cache", (self.sections, by_word, by_word_field)
-        )
-        return by_word, by_word_field
-
-    def lookup(self, word: str, field: str | None = None) -> list[SummaryEntryLine]:
-        """All entries for ``word``, optionally restricted to a field."""
-        if not self.case_sensitive:
-            word = word.lower()
-        by_word, by_word_field = self._word_index()
-        if field is None:
-            return list(by_word.get(word, ()))
-        return list(by_word_field.get((word, field), ()))
-
     def _tallied(self) -> tuple[dict[str, tuple[int, int]], int]:
         """:meth:`word_statistics` and :meth:`total_word_mass` in one
         walk over the entries, memoized and invalidated whenever
@@ -513,23 +476,19 @@ class SContentSummary:
         """``word key → (total postings, total df)`` across all sections.
 
         The key is the entry word, lowercased unless the summary is
-        case sensitive (the same keying :meth:`lookup` uses); negative
+        case sensitive (the keying :meth:`document_frequency` uses); negative
         statistics (absent per the "at least one of" rule) clamp to 0.
         Memoized, so the per-query probe of :meth:`document_frequency`
         is a single dict get; a decoded summary has it from the decode.
         """
         return self._tallied()[0]
 
-    def document_frequency(self, word: str, field: str | None = None) -> int:
+    def document_frequency(self, word: str) -> int:
         """Total df of ``word`` across sections (0 if absent)."""
-        if field is None:
-            if not self.case_sensitive:
-                word = word.lower()
-            stats = self.word_statistics().get(word)
-            return stats[1] if stats is not None else 0
-        return sum(
-            max(entry.document_frequency, 0) for entry in self.lookup(word, field)
-        )
+        if not self.case_sensitive:
+            word = word.lower()
+        stats = self.word_statistics().get(word)
+        return stats[1] if stats is not None else 0
 
     def total_word_mass(self) -> int:
         """Total postings across every section (CORI's ``cw`` input),

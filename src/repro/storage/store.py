@@ -55,7 +55,7 @@ class SegmentStore(CommittedSegments):
             non-stemming one.
         ranking: the engine's configured ranking ``algorithm_id``;
             verified against the manifest on open, mismatch raises.
-        merge_policy: the tiered policy steering :meth:`maybe_merge`.
+        merge_policy: the tiered policy steering :meth:`merge_all`.
     """
 
     #: A store with no directory keeps this empty manifest; its readers
@@ -271,10 +271,6 @@ class SegmentStore(CommittedSegments):
         while self.merge_once() is not None:
             merges += 1
         return merges
-
-    def maybe_merge(self) -> bool:
-        """Merge when the policy wants one; returns whether any merge ran."""
-        return self.merge_all() > 0
 
     # -- housekeeping ------------------------------------------------------
 

@@ -137,7 +137,3 @@ class Analyzer:
                 term = stemmer(term)
             analyzed.append(AnalyzedToken(surface, term, token.position))
         return analyzed
-
-    def vocabulary(self, text: str, language: LanguageTag | str = "en") -> set[str]:
-        """The set of index terms ``text`` produces."""
-        return {token.term for token in self.analyze(text, language)}

@@ -15,10 +15,10 @@ native text):
 * :class:`SemicolonSyntax` — ``distributed;systems`` for AND and
   ``distributed,systems`` for OR (Glimpse style).
 
-They serve two protocol purposes: the ``Free-form-text`` field lets an
-informed metasearcher send native queries straight through, and the
-query-translation experiments (E3) measure how much meaning survives a
-round trip through each syntax.
+They serve the ``Free-form-text`` field (§4.1.1), which lets an
+informed metasearcher send native queries straight through: a source
+parses the text with its own syntax (``source/execution.py``), and
+``generate`` writes a STARTS query in that syntax.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The query-result cache: two-state reads and what they report."""
+"""The query-result cache: two-state reads and what they return."""
 
 from repro.cache import FRESH, MISS, QueryResultCache
 
@@ -35,54 +35,38 @@ class TestSourceInvalidation:
         assert len(cache) == 0
 
 
-def scraped(registry, family: str, **labels: str) -> float:
-    """One child's value as ``/metrics`` would print it; 0 when never set."""
-    found = registry.family(family)
-    return found.labels(**labels).value if found is not None else 0
-
-
 class TestStats:
-    def test_stats_flow_through(self, fresh_registry):
-        """The per-process ledger: the ``cache_*`` families, tier ``result``."""
+    def test_stats_flow_through(self):
+        """What a read and a store report is their return value: the
+        search turns it into its ``cache`` event (a miss carries the
+        ``evictions`` its store forced) and its record's ``cache_hits``."""
         cache, _ = make_cache(capacity=1)
-        cache.store("k", 1)
-        cache.lookup("k")
-        cache.lookup("absent")
-        cache.store("other", 2)  # evicts "k"
-        reads = [
-            scraped(fresh_registry, "cache_reads_total", tier="result", result=state)
-            for state in (FRESH, MISS)
-        ]
-        assert reads == [1, 1]
-        assert scraped(fresh_registry, "cache_stores_total", tier="result") == 2
-        assert scraped(fresh_registry, "cache_evictions_total", tier="result") == 1
-        assert "other" in cache
+        assert cache.store("k", 1) == 0
+        assert cache.lookup("k") == (1, FRESH)
+        assert cache.lookup("absent") == (None, MISS)
+        assert cache.store("other", 2) == 1  # evicts "k"
+        assert "other" in cache and "k" not in cache
 
 
 class TestEntriesGauge:
-    """``cache_entries`` follows the entry count wherever it changes, not
-    only on a store."""
+    """The entry count follows every change, not only a store."""
 
-    def entries(self, registry) -> float:
-        return scraped(registry, "cache_entries", tier="result")
-
-    def test_expiry_on_read_lowers_the_gauge(self, fresh_registry):
+    def test_expiry_on_read_lowers_the_gauge(self):
         cache, clock = make_cache()
         cache.store("k", 1)
         clock.now_ms = 150.0  # past the TTL
         assert cache.lookup("k") == (None, MISS)
-        assert self.entries(fresh_registry) == 0 == len(cache)
+        assert len(cache) == 0
 
-    def test_store_drops_expired_entries_never_read_again(self, fresh_registry):
+    def test_store_drops_expired_entries_never_read_again(self):
         cache, clock = make_cache(capacity=8)
         cache.store("a", 1)
         cache.store("b", 2)
         clock.now_ms = 150.0  # both past the TTL, neither read
         assert cache.store("c", 3) == 0  # expiry is not an eviction
         assert len(cache) == 1 and "c" in cache
-        assert self.entries(fresh_registry) == 1
 
-    def test_the_sweep_stops_at_the_first_live_entry(self, fresh_registry):
+    def test_the_sweep_stops_at_the_first_live_entry(self):
         cache, clock = make_cache(capacity=8)
         cache.store("old", 1)
         clock.now_ms = 60.0
@@ -90,10 +74,10 @@ class TestEntriesGauge:
         clock.now_ms = 120.0  # "old" expired, "young" has 40 ms left
         cache.store("new", 3)
         assert "old" not in cache and "young" in cache and len(cache) == 2
-        assert self.entries(fresh_registry) == 2
 
-    def test_clear_zeroes_the_gauge(self, fresh_registry):
+    def test_clear_zeroes_the_gauge(self):
         cache, _ = make_cache()
         cache.store("k", 1)
+        cache.store("j", 2)
         cache.clear()
-        assert self.entries(fresh_registry) == 0
+        assert len(cache) == 0 and "k" not in cache

@@ -5,7 +5,9 @@ totals (requests, retries, hedges, timeouts, failures, cost) are sums
 over the attempts of the outcomes *this* search recorded — 0 on a cache
 serve, whose result carries the filling round's outcomes — and
 ``negative_skips`` is the number of its negative-cached skips.  A
-source cancelled by early termination carries no attempts.
+source cancelled by early termination carries the attempts it had
+completed: none when it never started, its failed requests when the
+stream cut it mid-retry.
 """
 
 from urllib.parse import urlsplit
@@ -196,6 +198,42 @@ class TestEveryExitPath:
         assert row["outcome"] == "stream" and row["terminated_early"]
         assert_equals_round(row, final.result.outcomes.values())
 
+    def test_a_source_cancelled_mid_retry_keeps_its_attempts(self, log):
+        """Realtime hosts under the async executor: the flaky source fails
+        its first request and is still backing off when the deadline cuts
+        the stream.  Its cancelled outcome carries the failed request,
+        the record counts it, and ``explain()`` shows it."""
+        policy = QueryPolicy(timeout_ms=500.0, max_retries=1, backoff_base_ms=2_000.0)
+        internet, searcher = searcher_for(policy, flaky=1)
+        internet.realtime = True
+        before = internet.request_count()
+        try:
+            *_, final = searcher.search_stream(
+                query(), k_sources=6, selector=SelectAll(),
+                executor=AsyncExecutor(max_concurrency=8),
+                deadline_ms=150.0, early_stop=False,
+            )
+        finally:
+            internet.realtime = False
+        assert final.terminated_early
+        outcomes = final.result.outcomes.values()
+        (mid_retry,) = [
+            outcome for outcome in outcomes
+            if outcome.status is OutcomeStatus.CANCELLED and outcome.attempts
+        ]
+        (failed,) = mid_retry.attempts
+        assert failed.status is OutcomeStatus.ERROR and "flaky" in failed.error
+        assert mid_retry.cost == failed.cost
+        row = last_record(log)
+        assert row["outcome"] == "stream" and row["terminated_early"]
+        assert_equals_round(row, outcomes)
+        assert row["failures"] == 1
+        # Every request that went on the wire is on record, and no other.
+        assert row["requests"] == internet.request_count() - before
+        assert f"{mid_retry.source_id}: cancelled after 1 request(s)" in (
+            final.result.explain()
+        )
+
     def test_negative_skip(self, log):
         _, searcher = searcher_for(dead=4)
         failed = searcher.search(query("database"), k_sources=6, selector=SelectAll())
@@ -232,7 +270,8 @@ class TestRecordEqualsRound:
             "both": {"flaky": 1, "dead": 3},
         }[fault]
         _, searcher = searcher_for(policy, seed=seed, **faults)
-        previous = set_query_log(QueryLog())
+        previous = get_query_log()
+        set_query_log(QueryLog())
         try:
             for word in ("database", "network"):  # the second may skip
                 options = dict(

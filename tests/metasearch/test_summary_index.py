@@ -6,7 +6,6 @@ import math
 import pytest
 
 from repro.metasearch.summary_index import SummaryIndex
-from repro.observability.metrics import MetricsRegistry, get_registry, set_registry
 from repro.starts.metadata import SContentSummary, SummaryEntryLine, SummarySection
 
 
@@ -121,31 +120,18 @@ class TestCaseSensitivity:
 
 class TestGauges:
     def test_bump_sets_gauges(self):
-        """Building an index is the one time its gauges move."""
-        previous = get_registry()
-        set_registry(MetricsRegistry())
-        try:
-            summaries = population()
-            summaries["Extra"] = summary(3, {"word": (2, 1)})
-            SummaryIndex.from_summaries(summaries)
+        """The sizes a process-wide gauge once reported (whichever index
+        was built last) are the index's own, read from the catalog's."""
+        summaries = population()
+        summaries["Extra"] = summary(3, {"word": (2, 1)})
+        index = SummaryIndex.from_summaries(summaries)
+        assert (index.source_count, index.term_count) == (4, 5)
 
-            def gauge_value(name):
-                [(_, child)] = get_registry().family(name).children()
-                return child.value
-
-            assert gauge_value("summary_index_sources") == 4.0
-            assert gauge_value("summary_index_terms") == 5.0
-        finally:
-            set_registry(previous)
-
-    def test_disabled_registry_is_accepted(self):
-        previous = get_registry()
-        set_registry(MetricsRegistry.disabled())
-        try:
-            index = SummaryIndex.from_summaries({"Quiet": summary(3, {"word": (2, 1)})})
-            assert "Quiet" in index
-        finally:
-            set_registry(previous)
+    def test_disabled_registry_is_accepted(self, fresh_registry):
+        """Building an index reports to no metrics registry."""
+        index = SummaryIndex.from_summaries({"Quiet": summary(3, {"word": (2, 1)})})
+        assert "Quiet" in index
+        assert fresh_registry.families() == []
 
 
 def _vgloss_max_addend(postings, df):

@@ -166,14 +166,9 @@ class TestMetasearcherWiring:
         outcomes = [record.outcome for record in fresh_query_log.records()]
         assert outcomes[-1] == "stream"
 
-    @staticmethod
-    def _search_counts(registry):
-        family = registry.family("metasearch_searches_total")
-        return {labels[0]: child.value for labels, child in family.children()}
-
     @pytest.mark.parametrize("executor", [SerialExecutor, AsyncExecutor])
     def test_abandoned_stream_is_counted_and_logged_once(
-        self, fresh_query_log, fresh_registry, executor
+        self, fresh_query_log, executor
     ):
         searcher = self._searcher()
         stream = searcher.search_stream(
@@ -192,19 +187,15 @@ class TestMetasearcherWiring:
         assert record.requests >= 1
         assert record.n_results == len(first.documents)
         assert "query" in record.phase_ms
-        assert self._search_counts(fresh_registry) == {"abandoned": 1}
         assert record.total_ms >= sum(record.phase_ms.values()) > 0
 
-    def test_drained_stream_is_still_recorded_exactly_once(
-        self, fresh_query_log, fresh_registry
-    ):
+    def test_drained_stream_is_still_recorded_exactly_once(self, fresh_query_log):
         searcher = self._searcher()
         stream = searcher.search_stream(self._query("medicine"), k_sources=3)
         emissions = list(stream)
         stream.close()  # closing a finished stream records nothing more
         assert emissions[-1].is_final
         assert [r.outcome for r in fresh_query_log.records()] == ["stream"]
-        assert self._search_counts(fresh_registry) == {"stream": 1}
 
     def test_closing_at_the_final_emission_is_not_an_abandonment(
         self, fresh_query_log

@@ -1,4 +1,5 @@
-"""Streaming telemetry reaches the registry and the Prometheus text."""
+"""Streaming telemetry: time to first result is on the search's own
+record, and the executor's in-flight gauge reaches the Prometheus text."""
 
 from repro.cache import CachePolicy
 from repro.experiments import FederationSpec, build_federation
@@ -28,16 +29,16 @@ def _run_streamed_search(executor):
 
 class TestStreamingMetrics:
     def test_first_result_histogram_observed(self, fresh_registry):
+        """Time to first result is the first emission holding documents:
+        its ``elapsed_ms``, and its ``emit:N`` event on the trace."""
         emissions = _run_streamed_search(AsyncExecutor(max_concurrency=4))
-        assert emissions[-1].is_final
-        histogram = fresh_registry.histogram(
-            "stream_first_result_ms",
-            "Wall-clock time until a streamed search first "
-            "emitted merged documents.",
-        )
-        child = histogram.labels()
-        assert child.count == 1
-        assert child.sum >= 0.0
+        final = emissions[-1]
+        assert final.is_final
+        first = next(emission for emission in emissions if emission.documents)
+        assert 0.0 <= first.elapsed_ms <= final.elapsed_ms
+        event = final.result.trace.find(f"emit:{first.sequence}")
+        assert event.attributes["documents"] == len(first.documents)
+        assert fresh_registry.family("stream_first_result_ms") is None
 
     def test_inflight_gauge_settles_to_zero(self, fresh_registry):
         _run_streamed_search(AsyncExecutor(max_concurrency=4))
@@ -53,5 +54,4 @@ class TestStreamingMetrics:
         text = render_prometheus(fresh_registry)
         assert "# TYPE executor_inflight_tasks gauge" in text
         assert 'executor_inflight_tasks{executor="async"}' in text
-        assert "# TYPE stream_first_result_ms histogram" in text
-        assert "stream_first_result_ms_count 1" in text
+        assert "stream_first_result_ms" not in text

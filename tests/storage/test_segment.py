@@ -172,7 +172,7 @@ class TestSegmentStore:
         ):
             with pytest.raises(StorageError, match="storage_dir"):
                 commit()
-        assert store.merge_once() is None and not store.maybe_merge()
+        assert store.merge_once() is None and store.merge_all() == 0
         assert (store.epoch, store.generation, store.segment_count) == (0, 0, 0)
         store.close()
         assert list(tmp_path.iterdir()) == []  # and no file anywhere

@@ -151,7 +151,7 @@ class TestEquivalence:
             flush_every=7,
             merge_policy=TieredMergePolicy(merge_factor=3),
         )
-        segmented.maybe_merge()
+        segmented.checkpoint(merge=True)
         assert_equivalent(oracle, segmented)
         segmented.close()
 
@@ -233,7 +233,7 @@ class TestOneEngine:
         assert state is tail_record(engine, F.BODY_OF_TEXT, "databases")
         assert engine.store[3] is engine.store._documents[3]
         assert engine.flush() is False
-        assert engine.maybe_merge() is False
+        assert engine.segment_store.merge_all() == 0
         with pytest.raises(StorageError, match="storage_dir"):
             engine.checkpoint()
         assert engine.document_count == len(corpus())  # nothing was lost

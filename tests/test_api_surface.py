@@ -111,6 +111,22 @@ def test_transport_sits_below_the_metasearcher():
     assert not offenders
 
 
+def test_the_search_path_imports_no_metrics_registry():
+    """What one search did is on its round's record — outcomes, the
+    query-log record, the trace — so the metasearcher, the caches and
+    the per-source runner count none of it a second time."""
+    source = REPO / "src" / "repro"
+    paths = [
+        *(source / "metasearch").rglob("*.py"),
+        *(source / "cache").rglob("*.py"),
+        source / "federation" / "runner.py",
+    ]
+    registry = re.compile(
+        r"repro\.observability\.metrics|\b(get_registry|set_registry|MetricsRegistry)\b"
+    )
+    assert not [str(path) for path in paths if registry.search(path.read_text())]
+
+
 def test_the_suite_is_the_only_benchmark_and_nothing_times_by_hand():
     """``benchmarks/suite/`` is the one measuring instrument: no legacy
     ``test_bench_*.py`` producer beside it and no pytest-benchmark import
@@ -250,7 +266,10 @@ UNCALLED = {
     "export_resource": "§4.3 (the paper serves cont_sum.txt from an ftp:// URL); DESIGN.md §2 'File-based blob export' row",
     "register_file_url": "§4.3; DESIGN.md §2 'File-based blob export' row: the file:// harvesting half of export_resource",
     "DiscoveryService.forget": "§4.3.1 DateExpires: forces a re-harvest of one source ahead of the date it gave; the writer the catalog law churns (tests/metasearch/test_concurrent_callers.py)",
-    "set_query_log": "§3.3 (slow and charging sources are what the per-search record shows): the embedder's one way to size, replace or disable the process-wide log, as set_registry is for metrics",
+    "NativeSyntax.generate": "§4.1.1 Free-form-text: an informed metasearcher writes a native query for the source to take verbatim; parse is the source's half (source/execution.py)",
+    "InfixSyntax.generate": "§4.1.1 Free-form-text: the infix vendors' native form of a STARTS query",
+    "PlusMinusSyntax.generate": "§4.1.1 Free-form-text: the +/- vendors' native form of a STARTS query",
+    "SemicolonSyntax.generate": "§4.1.1 Free-form-text: the semicolon/comma vendors' native form of a STARTS query",
 }
 
 
@@ -290,21 +309,32 @@ def defined_names(package: pathlib.Path) -> set[str]:
     return names
 
 
+def _loaded_names(node, enclosing: frozenset, literals: bool, used: set[str]) -> None:
+    """Add the names loaded under ``node`` to ``used``, except a name
+    loaded inside a function of that same name: a method that only
+    recurses, or only forwards to its namesake, has no caller."""
+    for child in ast.iter_child_nodes(node):
+        name = None
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            name = child.id
+        elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            name = child.attr
+        elif literals and isinstance(child, ast.Constant) and isinstance(child.value, str):
+            used.update(re.findall(r"[A-Za-z_]\w*", child.value))
+        if name is not None and name not in enclosing:
+            used.add(name)
+        inner = enclosing
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = enclosing | {child.name}
+        _loaded_names(child, inner, literals, used)
+
+
 def used_names(roots, patched_by_name_roots=()) -> set[str]:
     used: set[str] = set()
     for root in (*roots, *patched_by_name_roots):
+        literals = root in patched_by_name_roots
         for path in sorted(pathlib.Path(root).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    used.add(node.attr)
-                elif (
-                    root in patched_by_name_roots
-                    and isinstance(node, ast.Constant)
-                    and isinstance(node.value, str)
-                ):
-                    used.update(re.findall(r"[A-Za-z_]\w*", node.value))
+            _loaded_names(ast.parse(path.read_text()), frozenset(), literals, used)
     return used
 
 
@@ -313,9 +343,17 @@ def caller_audit(package, roots, patched_by_name_roots, table) -> list[str]:
     names; empty when the list says exactly what is true, with reasons.
 
     Uses are matched by name, so a method whose name some other, called
-    name shares looks called.  The one such collision known to be left
-    is ``QueryLog.write_ndjson``: only the suite's own
-    ``SpanRecorder.write_ndjson`` call carries the name."""
+    name shares looks called — except a use inside a function of that
+    same name, which does not count (a method that only recurses, or
+    only forwards to its namesake, has no caller).  The collisions known
+    to be left: ``QueryLog.write_ndjson``, whose name only the suite's
+    own ``SpanRecorder.write_ndjson`` call carries, and
+    ``QueryLog.clear``, ``TraceCollector.clear`` and
+    ``MetricsRegistry.reset``, whose names only built-in containers'
+    ``clear()``, ``ContextVar.reset()`` and the suite's own ``clear()`` /
+    ``reset()`` calls carry.  Any method named like a built-in
+    container's (``get``, ``add``, ``clear``, ...) is vouched for by
+    every call of that name."""
     used = used_names(roots, patched_by_name_roots)
     uncalled = {
         name for name in defined_names(package) if name.rpartition(".")[2] not in used
@@ -363,6 +401,7 @@ def seeded_tree(tmp_path):
         "class Thing(_Mixin):\n"
         "    def busy(self): ...\n"
         "    def idle(self): ...\n"
+        "    def spin(self, n): return self.spin(n - 1) if n else 0\n"
         "    def patched(self): ...\n"
         "    def _helper(self): ...\n"
     )
@@ -385,6 +424,7 @@ class TestTheCallerAuditItself:
     TRUE = {
         "orphan": "§4.1 keeps it",
         "Thing.idle": "DESIGN.md §2 row",
+        "Thing.spin": "§4.1 keeps it",
         "_Mixin.inherited_idle": "EXPERIMENTS.md table E1",
     }
 
@@ -399,6 +439,7 @@ class TestTheCallerAuditItself:
         table = {name: why for name, why in self.TRUE.items() if "." not in name}
         assert _seeded_audit(seeded_tree, table) == [
             "Thing.idle: no caller, not in UNCALLED",
+            "Thing.spin: no caller, not in UNCALLED",
             "_Mixin.inherited_idle: no caller, not in UNCALLED",
         ]
 
@@ -414,6 +455,18 @@ class TestTheCallerAuditItself:
         table = {**self.TRUE, "orphan": "somebody might want it"}
         assert _seeded_audit(seeded_tree, table) == [
             "orphan: reason cites no paper §, DESIGN.md §2 row or EXPERIMENTS.md table"
+        ]
+
+    def test_a_use_inside_a_function_of_the_same_name_is_no_caller(self, seeded_tree):
+        """``Thing.spin`` calls only itself: listed, it passes; unlisted,
+        it fails; a call from anywhere else makes the entry wrong."""
+        table = {name: why for name, why in self.TRUE.items() if name != "Thing.spin"}
+        assert _seeded_audit(seeded_tree, table) == ["Thing.spin: no caller, not in UNCALLED"]
+        (seeded_tree / "examples" / "spinner.py").write_text(
+            "from pkg.mod import Thing\ndef spin_twice():\n    return Thing().spin(2)\n"
+        )
+        assert _seeded_audit(seeded_tree, self.TRUE) == [
+            "Thing.spin: in UNCALLED but called, or gone"
         ]
 
     def test_a_string_literal_counts_only_where_callables_are_patched_by_name(

@@ -66,8 +66,8 @@ class CaseKeepingTokenizer(SimpleTokenizer):
 
 
 def test_vocabulary_helper():
-    analyzer = Analyzer()
-    assert analyzer.vocabulary("databases and databases") == {"databases"}
+    analyzed = Analyzer().analyze("databases and databases")
+    assert {token.term for token in analyzed} == {"databases"}
 
 
 def test_stemmer_for_unknown_language_is_identity():

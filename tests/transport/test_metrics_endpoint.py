@@ -61,16 +61,16 @@ class TestSimulatedEndpoint:
         _run_searches(internet, resource_url)
         text = StartsClient(internet).fetch_metrics(metrics_url)
         families = _parse_prometheus(text)
-        # Per-source families with real traffic.
-        requests = families["source_requests_total"]
-        assert any('source_id="Fed-' in head for head in requests)
-        assert sum(requests.values()) >= 2
-        assert "source_request_latency_ms" in families
-        assert "source_outcomes_total" in families
-        assert "engine_query_eval_ms" in families
-        assert families["metasearch_searches_total"][
-            'metasearch_searches_total{result="wire"}'
-        ] == 2
+        # The engines' families, with real traffic: two searches over two
+        # sources each.  The per-source wire facts and how each search
+        # ended are on the searches' own records, not here.
+        evaluations = families["engine_query_eval_ms"]
+        assert evaluations["engine_query_eval_ms_count"] >= 4
+        assert "engine_postings_walked_total" in families
+        assert not {
+            name for name in families if name.startswith(("source_", "cache_"))
+        }
+        assert "metasearch_searches_total" not in families
 
     def test_scrape_reflects_live_state(self, small_federation, fresh_registry):
         internet, resource_url, _ = small_federation
@@ -78,7 +78,7 @@ class TestSimulatedEndpoint:
         client = StartsClient(internet)
         assert client.fetch_metrics(metrics_url) == ""  # nothing recorded yet
         _run_searches(internet, resource_url)
-        assert "source_requests_total" in client.fetch_metrics(metrics_url)
+        assert "engine_query_eval_ms" in client.fetch_metrics(metrics_url)
 
     def test_explicit_registry_pins_the_exposition(
         self, small_federation, fresh_registry
@@ -94,13 +94,13 @@ class TestSimulatedEndpoint:
         _run_searches(internet, resource_url)  # records to the global one
         text = StartsClient(internet).fetch_metrics(url)
         assert "pinned_total 1" in text
-        assert "source_requests_total" not in text
+        assert "engine_query_eval_ms" not in text
 
 
 class TestHttpEndpoint:
     def test_real_http_metrics_endpoint(self, paper_resource, fresh_registry):
         fresh_registry.counter(
-            "source_requests_total", "Wire requests.", labels=("source_id", "outcome")
+            "demo_requests_total", "Wire requests.", labels=("source_id", "outcome")
         ).labels(source_id="Source-1", outcome="ok").inc(4)
         with StartsHttpServer(paper_resource) as server:
             with urllib.request.urlopen(f"{server.base_url}/metrics") as response:
@@ -109,6 +109,6 @@ class TestHttpEndpoint:
                 body = response.read().decode("utf-8")
         assert "version=0.0.4" in content_type
         families = _parse_prometheus(body)
-        assert families["source_requests_total"][
-            'source_requests_total{source_id="Source-1",outcome="ok"}'
+        assert families["demo_requests_total"][
+            'demo_requests_total{source_id="Source-1",outcome="ok"}'
         ] == 4.0
